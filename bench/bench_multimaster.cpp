@@ -1,6 +1,6 @@
 // Multi-master write scaling (§2.1 conflict classes): partition the
 // workload into N conflict classes — N side-by-side TPC-W stores, one
-// update master each (see tpcw/sharding.hpp for why stock TPC-W cannot
+// update master each (see workload/sharding.hpp for why stock TPC-W cannot
 // be split finer) — and measure WIPS on the write-heavy ordering mix as
 // N grows. With one class every update funnels through a single master
 // and the write path saturates one node; each extra conflict class adds

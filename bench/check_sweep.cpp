@@ -101,7 +101,6 @@ std::string repro_line(const check::CheckConfig& cfg,
   }
   if (cfg.classes != d.classes)
     s += " --classes " + std::to_string(cfg.classes);
-  if (cfg.mvcc) s += " --cc=mvcc";
   if (cfg.workload != d.workload)
     s += std::string(" --workload ") + check::check_workload_name(cfg.workload);
   return s;
@@ -231,16 +230,6 @@ int main(int argc, char** argv) {
       opt.base.batch_delay = 500;
       opt.base.ack_every_n = 4;
       opt.base.ack_delay = 500;
-    } else if (a == "--cc" || a == "--cc=mvcc" || a == "--cc=page2pl") {
-      const std::string mode =
-          a == "--cc" ? next() : a.substr(std::string("--cc=").size());
-      if (mode == "mvcc") {
-        opt.base.mvcc = true;
-      } else if (mode != "page2pl") {
-        std::cerr << "unknown --cc mode '" << mode
-                  << "' (expected page2pl or mvcc)\n";
-        return 2;
-      }
     } else {
       std::cerr
           << "usage: check_sweep [--seeds N | --quick | --seed N] "
@@ -248,7 +237,7 @@ int main(int argc, char** argv) {
              "                   [--disaster] [--geo] [--elastic] "
              "[--multimaster] [--classes N] "
              "[--artifacts DIR] "
-             "[--verbose] [--batched] [--cc MODE]\n"
+             "[--verbose] [--batched]\n"
              "                   [--workload mixed|ycsb|orders|scan] "
              "[--slaves N] [--spares N] [--schedulers N] "
              "[--clients N] [--ops N]\n";

@@ -579,8 +579,6 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
   cc.quorum_commit = cfg.quorum_commit;
   cc.write_quorum = cfg.write_quorum;
   cc.mut_reply_before_quorum = cfg.mut_reply_before_quorum;
-  cc.engine.cc_mode =
-      cfg.mvcc ? mem::CcMode::Mvcc : mem::CcMode::Page2pl;
   cc.scheduler.rng_seed = cfg.seed * 7919 + 17;
   cc.scheduler.mut_skip_ack_merge = cfg.mut_skip_ack_merge;
   cc.scheduler.mut_route_to_joiner = cfg.mut_route_to_joiner;

@@ -76,10 +76,6 @@ struct CheckConfig {
   sim::Time quiesce_horizon = 600 * sim::kSec;
   uint64_t seed = 1;
   bool heartbeats = false;
-  // Concurrency-control ablation: run the masters under mvcc (optimistic
-  // validation) instead of page-2PL. The oracle is unchanged — both modes
-  // must produce the same 1-copy-serializable histories.
-  bool mvcc = false;
   // Replication pipeline knobs (exercise batching + cumulative acks).
   size_t batch_max_writesets = 1;
   sim::Time batch_delay = 0;

@@ -618,7 +618,6 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
   obs::SpanGuard txn_span("master.commit", obs::Cat::Txn, id_);
   txn_span.attr("proc", m.proc);
   std::optional<uint64_t> reuse_ts;
-  uint64_t occ_attempts = 0;
   for (;;) {
     auto txn = engine_->begin_update(reuse_ts);
     reuse_ts = txn->ts();
@@ -626,7 +625,6 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
     inf.txn = txn.get();
     inflight_[m.req_id] = &inf;
     MemConnection conn(*engine_, *txn, &inf.poisoned);
-    bool retry = false;
     try {
       obs::SpanGuard exec_span("master.exec", obs::Cat::Txn, id_, txn->id());
       api::TxnResult result = co_await proc.fn(conn, m.params);
@@ -702,21 +700,6 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       if (e.reason == TxnAbort::Reason::WaitDie) {
         ++stats_.waitdie_restarts;
         obs::count("aborts.waitdie", id_);
-        retry = true;
-      } else if (e.reason == TxnAbort::Reason::ValidationConflict) {
-        // mvcc first-committer-wins loser: someone else committed, so the
-        // system made progress — retry against the new committed state.
-        ++stats_.occ_restarts;
-        obs::count("aborts.occ", id_);
-        ++occ_attempts;
-        if (occ_attempts == kOccBackoffShiftCap + 1) {
-          // Past the cap the backoff stops growing; this transaction is
-          // now cycling at the maximum delay. Count it once so a storm
-          // shows up in stats even though each txn eventually commits.
-          ++stats_.restart_storms;
-          obs::count("cc.restart_storm", id_);
-        }
-        retry = true;
       } else {
         ++stats_.poisoned_aborts;
         obs::count("aborts.poisoned", id_);
@@ -730,29 +713,8 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
         co_return;
       }
     }
-    if (retry) {
-      sim::Time d = cfg_.engine.costs.wait_die_backoff;
-      if (occ_attempts > 0) {
-        // Validation losers re-offering immediately melt down under
-        // contention: every wasted re-execution lengthens the CPU queue,
-        // which widens the conflict window, which breeds more losers.
-        // Exponential backoff with deterministic jitter (a hash of the
-        // transaction's timestamp and attempt count — the simulation has
-        // no ambient randomness) sheds the re-offered load instead. The
-        // shift is capped so the worst-case delay stays bounded (the txn
-        // keeps its original timestamp, so it wins validation eventually).
-        const unsigned shift =
-            unsigned(std::min<uint64_t>(occ_attempts, kOccBackoffShiftCap));
-        const sim::Time span = d << shift;
-        uint64_t h = reuse_ts.value_or(0) +
-                     0x9e3779b97f4a7c15ull * (occ_attempts + 1);
-        h ^= h >> 30;
-        h *= 0xbf58476d1ce4e5b9ull;
-        h ^= h >> 27;
-        d = span / 2 + sim::Time(h % uint64_t(span / 2 + 1));
-      }
-      co_await net_.sim().delay(d);
-    }
+    // Wait-die victim: back off, then retry with the same timestamp.
+    co_await net_.sim().delay(cfg_.engine.costs.wait_die_backoff);
   }
 }
 

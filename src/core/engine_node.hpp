@@ -25,18 +25,10 @@
 
 namespace dmv::core {
 
-// Exponential-backoff ceiling for mvcc validation-conflict retries: the
-// delay doubles per attempt but never past wait_die_backoff << this cap,
-// so a contended transaction's restart latency stays bounded. Attempts
-// beyond the cap are counted as a restart storm (cc.restart_storm).
-inline constexpr uint64_t kOccBackoffShiftCap = 6;
-
 struct EngineNodeStats {
   uint64_t txns_executed = 0;
   uint64_t version_abort_replies = 0;
   uint64_t waitdie_restarts = 0;
-  uint64_t occ_restarts = 0;   // mvcc validation-conflict retries
-  uint64_t restart_storms = 0;  // txns whose retries outran the backoff cap
   uint64_t poisoned_aborts = 0;
   uint64_t pages_served = 0;   // migration, as support slave
   uint64_t hints_sent = 0;

@@ -33,7 +33,7 @@ std::unique_ptr<obs::Tracer> make_tracer(sim::Simulation& sim,
 
 DmvExperiment::DmvExperiment(Config cfg)
     : cfg_(cfg), series_(cfg.workload.bucket) {
-  sim_ = std::make_unique<sim::Simulation>(cfg_.queue_kind);
+  sim_ = std::make_unique<sim::Simulation>();
   tracer_ = make_tracer(*sim_, cfg_.trace, cfg_.trace_categories,
                         &prev_tracer_);
   net_ = std::make_unique<net::Network>(*sim_);
@@ -56,7 +56,6 @@ DmvExperiment::DmvExperiment(Config cfg)
   cc.engine.costs = cfg_.costs;
   cc.engine.cache_pages = cfg_.cache_pages;
   cc.engine.lock_policy = cfg_.lock_policy;
-  cc.engine.cc_mode = cfg_.cc_mode;
   cc.engine.full_page_writesets = cfg_.full_page_writesets;
   cc.eager_apply = cfg_.eager_apply;
   cc.batch_max_writesets = cfg_.batch_max_writesets;

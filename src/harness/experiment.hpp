@@ -61,7 +61,6 @@ class DmvExperiment {
     bool prewarm_spares = false;
     bool persistence = false;
     txn::LockPolicy lock_policy = txn::LockPolicy::DeadlockDetect;
-    mem::CcMode cc_mode = mem::CcMode::Page2pl;
     bool full_page_writesets = false;
     bool eager_apply = false;
     // Replication pipeline windows (cumulative acks are always on; these
@@ -87,9 +86,6 @@ class DmvExperiment {
     // stays disabled: instrumentation costs one load+branch per site.
     bool trace = false;
     uint32_t trace_categories = obs::kAllCats;
-    // DES kernel ablation: which event-queue the experiment's Simulation
-    // uses (calendar queue by default; BinaryHeap is the old baseline).
-    sim::EventQueue::Kind queue_kind = sim::EventQueue::Kind::Calendar;
   };
 
   explicit DmvExperiment(Config cfg);

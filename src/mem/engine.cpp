@@ -53,11 +53,7 @@ std::unique_ptr<TxnCtx> MemEngine::begin_update(
     std::optional<uint64_t> reuse_ts) {
   const uint64_t id = next_txn_++;
   const uint64_t ts = reuse_ts.value_or(id);
-  auto txn = std::make_unique<TxnCtx>(id, ts, TxnKind::Update);
-  // Optimistic mode: the OccMeta's presence routes every op through the
-  // lock-free snapshot/buffer paths instead of 2PL.
-  if (cfg_.cc_mode == CcMode::Mvcc) txn->ensure_occ();
-  return txn;
+  return std::make_unique<TxnCtx>(id, ts, TxnKind::Update);
 }
 
 std::unique_ptr<TxnCtx> MemEngine::begin_read(VersionVec tag) {
@@ -216,16 +212,6 @@ sim::Task<std::optional<Row>> MemEngine::get(TxnCtx& txn, TableId t,
     co_return row;
   }
 
-  if (txn.occ()) {
-    // Optimistic update transaction: lock-free read of the committed state
-    // (writers buffer, so shared pages only ever hold committed bytes)
-    // with the transaction's own buffered writes folded on top. The page
-    // (or table, on a miss) is recorded for pre-commit validation.
-    std::optional<Row> row = occ_visible(txn, t, pk, cost);
-    co_await cpu_.use(cost);
-    co_return row;
-  }
-
   // Update transaction: lock-coupled read of the latest committed state.
   std::optional<RowId> rid = tb.pk_find(pk);
   while (rid) {
@@ -304,34 +290,6 @@ sim::Task<std::vector<Row>> MemEngine::scan(TxnCtx& txn, TableId t,
     co_return out;
   }
 
-  if (txn.occ()) {
-    // Optimistic scan: no locks. Record the walked range and its row ids
-    // for phantom validation (the membership of the range is a read), and
-    // every visited page's version (the bytes are reads).
-    txn::OccScan sc;
-    sc.table = t;
-    sc.index = spec.index;
-    sc.lo = spec.lo;
-    sc.hi = spec.hi;
-    sc.limit = spec.limit;
-    sc.reverse = spec.reverse;
-    sc.stop_at_limit = no_filter;
-    sc.rids = rids;
-    txn.occ()->scans.push_back(std::move(sc));
-    for (const RowId& rid : rids) {
-      if (out.size() >= spec.limit) break;
-      txn.occ()->note_page({t, rid.page}, tb.meta(rid.page).version);
-      cost += cache_.touch({t, rid.page}) + cfg_.costs.row_read;
-      ++txn.stats().rows_touched;
-      Row row = tb.read_row(rid);
-      if (spec.filter && !spec.filter(row)) continue;
-      out.push_back(std::move(row));
-    }
-    occ_patch_scan(txn, t, spec, out);
-    co_await cpu_.use(cost);
-    co_return out;
-  }
-
   for (const RowId& rid : rids) {
     if (out.size() >= spec.limit) break;
     co_await lock_page(txn, {t, rid.page}, LockMode::Shared);
@@ -352,27 +310,6 @@ sim::Task<bool> MemEngine::insert(TxnCtx& txn, TableId t, const Row& row) {
   storage::Table& tb = db_.table(t);
   co_await cpu_.use(cfg_.costs.mem_cpu_write_query);
   sim::Time cost = cfg_.costs.index_lookup;
-
-  if (txn.occ()) {
-    ++txn.stats().index_ops;
-    // Optimistic insert: duplicate-check against the visible state and
-    // buffer. A miss here is deliberately NOT fenced — two transactions
-    // inserting distinct keys into the same table must not invalidate each
-    // other; a genuine primary-key race surfaces at apply time, where
-    // insert_row fails and the loser aborts (first-committer-wins on the
-    // key itself).
-    const Key pk = tb.primary_key_of(row);
-    std::optional<Row> existing =
-        occ_visible(txn, t, pk, cost, /*record_miss=*/false);
-    if (existing) {
-      co_await cpu_.use(cost);
-      co_return false;  // primary-key duplicate
-    }
-    txn.occ()->ops.push_back({txn::OccOp::Kind::Insert, t, pk, row});
-    ++txn.stats().rows_touched;
-    co_await cpu_.use(cost);
-    co_return true;
-  }
 
   // Lock the page the insert will land on; re-peek after the (possible)
   // wait since a concurrent insert may have filled it.
@@ -414,27 +351,6 @@ sim::Task<bool> MemEngine::update(
   co_await cpu_.use(cfg_.costs.mem_cpu_write_query);
   sim::Time cost = cfg_.costs.index_lookup;
 
-  if (txn.occ()) {
-    // Optimistic RMW: resolve the visible row (validating its page or, on
-    // a miss, the table), run the mutation against it NOW and buffer the
-    // post-image. Validation pins the base unchanged through apply, so
-    // this equals deferring the mutation — without keeping the caller's
-    // closure (whose captures die with the transaction body's coroutine
-    // frame) alive into the pre-commit section.
-    ++txn.stats().index_ops;
-    std::optional<Row> vis = occ_visible(txn, t, pk, cost);
-    if (!vis) {
-      co_await cpu_.use(cost);
-      co_return false;
-    }
-    mutate(*vis);
-    txn.occ()->ops.push_back(
-        {txn::OccOp::Kind::Update, t, pk, std::move(*vis)});
-    ++txn.stats().rows_touched;
-    co_await cpu_.use(cost);
-    co_return true;
-  }
-
   std::optional<RowId> rid = tb.pk_find(pk);
   while (rid) {
     co_await lock_page(txn, {t, rid->page}, LockMode::Exclusive);
@@ -469,19 +385,6 @@ sim::Task<bool> MemEngine::remove(TxnCtx& txn, TableId t, const Key& pk) {
   co_await cpu_.use(cfg_.costs.mem_cpu_write_query);
   sim::Time cost = cfg_.costs.index_lookup;
 
-  if (txn.occ()) {
-    ++txn.stats().index_ops;
-    std::optional<Row> vis = occ_visible(txn, t, pk, cost);
-    if (!vis) {
-      co_await cpu_.use(cost);
-      co_return false;
-    }
-    txn.occ()->ops.push_back({txn::OccOp::Kind::Remove, t, pk, {}});
-    ++txn.stats().rows_touched;
-    co_await cpu_.use(cost);
-    co_return true;
-  }
-
   std::optional<RowId> rid = tb.pk_find(pk);
   while (rid) {
     co_await lock_page(txn, {t, rid->page}, LockMode::Exclusive);
@@ -510,35 +413,6 @@ sim::Task<bool> MemEngine::remove(TxnCtx& txn, TableId t, const Key& pk) {
 
 sim::Task<txn::WriteSet> MemEngine::precommit(TxnCtx& txn) {
   DMV_ASSERT(txn.kind() == TxnKind::Update);
-  if (txn.occ()) {
-    // Optimistic pre-commit. Charge the apply work (the row/index costs
-    // the 2PL path paid during execution) plus the diff cost up front, so
-    // validation, in-place apply, version stamping and broadcast all run
-    // without suspension: first-committer-wins is decided atomically, and
-    // write-sets leave this master in version order.
-    {
-      obs::SpanGuard diff_span("master.diff", obs::Cat::Replication,
-                               trace_node_, txn.id());
-      sim::Time est = 0;
-      for (const auto& op : txn.occ()->ops) {
-        const storage::Table& tb = db_.table(op.table);
-        est += cfg_.costs.row_write +
-               cfg_.costs.index_update *
-                   sim::Time(1 + tb.secondary_count());
-      }
-      est += cfg_.costs.diff_page * sim::Time(txn.occ()->ops.size());
-      co_await cpu_.use(est);
-    }
-    if (!occ_validate(txn)) {
-      ++stats_.occ_validation_aborts;
-      obs::instant("occ_validation_abort", obs::Cat::Txn, trace_node_,
-                   txn.id());
-      throw TxnAbort(TxnAbort::Reason::ValidationConflict);
-    }
-    occ_apply(txn);
-    co_return build_and_broadcast(txn);
-  }
-
   // Charge the diff cost up front so the section below — version
   // increments, page-version stamping, broadcast — runs without
   // suspension: write-sets leave this master in version order.
@@ -548,10 +422,6 @@ sim::Task<txn::WriteSet> MemEngine::precommit(TxnCtx& txn) {
     co_await cpu_.use(cfg_.costs.diff_page *
                       sim::Time(txn.dirty_pages().size()));
   }
-  co_return build_and_broadcast(txn);
-}
-
-txn::WriteSet MemEngine::build_and_broadcast(TxnCtx& txn) {
   txn::WriteSet ws;
   ws.txn_id = txn.id();
 
@@ -600,191 +470,7 @@ txn::WriteSet MemEngine::build_and_broadcast(TxnCtx& txn) {
     ws.db_version[i] = version_[i];
 
   if (broadcast_fn_) broadcast_fn_(ws);
-  return ws;
-}
-
-std::optional<Row> MemEngine::occ_visible(TxnCtx& txn, TableId t,
-                                          const Key& pk, sim::Time& cost,
-                                          bool record_miss) {
-  storage::Table& tb = db_.table(t);
-  txn::OccMeta& occ = *txn.occ();
-  std::optional<Row> base;
-  const auto rid = tb.pk_find(pk);
-  if (rid) {
-    occ.note_page({t, rid->page}, tb.meta(rid->page).version);
-    cost += cache_.touch({t, rid->page}) + cfg_.costs.row_read;
-    ++txn.stats().pages_read;
-    base = tb.read_row(*rid);
-  } else if (record_miss && !occ.has_own_write(t, pk)) {
-    // "Not found" influenced the program: re-probe exactly this key at
-    // validation. Skipped when the transaction's own buffered ops resolve
-    // the key — then committed absence is not what the result depends on
-    // (a true duplicate race still surfaces at apply time).
-    occ.note_miss(t, pk);
-  }
-  // Read-your-own-writes: fold this transaction's buffered ops, in
-  // program order, over the committed base.
-  for (const auto& op : occ.ops) {
-    if (op.table != t || !storage::key_eq(op.pk, pk)) continue;
-    switch (op.kind) {
-      case txn::OccOp::Kind::Insert:
-        base = op.row;
-        break;
-      case txn::OccOp::Kind::Update:
-        if (base) *base = op.row;
-        break;
-      case txn::OccOp::Kind::Remove:
-        base.reset();
-        break;
-    }
-  }
-  return base;
-}
-
-void MemEngine::occ_patch_scan(const TxnCtx& txn, TableId t,
-                               const ScanSpec& spec, std::vector<Row>& out) {
-  const txn::OccMeta& occ = *txn.occ();
-  storage::Table& tb = db_.table(t);
-  const auto key_of = [&](const Row& r) {
-    return spec.index < 0 ? tb.primary_key_of(r)
-                          : tb.secondary_key_of(r, size_t(spec.index));
-  };
-  const auto in_range = [&](const Key& k) {
-    if (spec.lo &&
-        storage::compare_prefix(k, *spec.lo) == std::strong_ordering::less)
-      return false;
-    if (spec.hi && storage::compare_prefix(k, *spec.hi) ==
-                       std::strong_ordering::greater)
-      return false;
-    return true;
-  };
-  // Fold buffered ops row-wise over the committed results. (A buffered op
-  // on a committed row the limit already cut off stays invisible — no
-  // current workload scans a table it has written, and the table fence
-  // still validates the result.)
-  for (const auto& op : occ.ops) {
-    if (op.table != t) continue;
-    const auto match =
-        std::find_if(out.begin(), out.end(), [&](const Row& r) {
-          return storage::key_eq(tb.primary_key_of(r), op.pk);
-        });
-    switch (op.kind) {
-      case txn::OccOp::Kind::Remove:
-        if (match != out.end()) out.erase(match);
-        break;
-      case txn::OccOp::Kind::Update:
-        if (match != out.end()) {
-          *match = op.row;
-          if (spec.filter && !spec.filter(*match)) out.erase(match);
-        }
-        break;
-      case txn::OccOp::Kind::Insert: {
-        if (match != out.end()) break;
-        const Key k = key_of(op.row);
-        if (!in_range(k)) break;
-        if (spec.filter && !spec.filter(op.row)) break;
-        const auto pos =
-            std::find_if(out.begin(), out.end(), [&](const Row& r) {
-              const bool less = storage::compare(key_of(r), k) ==
-                                std::strong_ordering::less;
-              return spec.reverse ? less : !less;
-            });
-        out.insert(pos, op.row);
-        break;
-      }
-    }
-  }
-  if (out.size() > spec.limit) out.resize(spec.limit);
-}
-
-bool MemEngine::occ_validate(const TxnCtx& txn) const {
-  const txn::OccMeta& occ = *txn.occ();
-  for (const auto& [pid, v] : occ.page_reads) {
-    const storage::Table& tb = db_.table(pid.table);
-    if (pid.page >= tb.page_count()) return false;  // defensive
-    if (tb.meta(pid.page).version != v) return false;
-  }
-  // Negative point reads: the key must still be absent from committed
-  // state (our own buffered insert has not applied yet).
-  for (const auto& [t, pk] : occ.key_misses)
-    if (db_.table(t).pk_find(pk)) return false;
-  // Scans: re-walk the identical index range; any membership change in
-  // the range (insert, delete, row move) is a phantom and invalidates.
-  for (const auto& sc : occ.scans) {
-    const storage::Table& tb = db_.table(sc.table);
-    std::vector<RowId> rids;
-    const Key* lo = sc.lo ? &*sc.lo : nullptr;
-    const Key* hi = sc.hi ? &*sc.hi : nullptr;
-    const auto collect = [&](const Key&, RowId r) {
-      rids.push_back(r);
-      return !(sc.stop_at_limit && rids.size() >= sc.limit);
-    };
-    if (sc.index < 0) {
-      if (sc.reverse)
-        tb.pk_scan_desc(lo, hi, collect);
-      else
-        tb.pk_scan(lo, hi, collect);
-    } else {
-      if (sc.reverse)
-        tb.sec_scan_desc(size_t(sc.index), lo, hi, collect);
-      else
-        tb.sec_scan(size_t(sc.index), lo, hi, collect);
-    }
-    if (rids != sc.rids) return false;
-  }
-  return true;
-}
-
-void MemEngine::occ_apply(TxnCtx& txn) {
-  txn::OccMeta& occ = *txn.occ();
-  for (const auto& op : occ.ops) {
-    storage::Table& tb = db_.table(op.table);
-    switch (op.kind) {
-      case txn::OccOp::Kind::Insert: {
-        const RowId target = tb.peek_insert_slot();
-        tb.ensure_page(target.page);
-        txn.capture_undo({op.table, target.page}, tb.page(target.page));
-        const auto rid = tb.insert_row(op.row);
-        if (!rid) {
-          // A concurrent committer won the primary key after our
-          // duplicate check; page validation cannot see an insert into a
-          // page we never read. First committer wins — abort; the caller
-          // rolls back the ops already applied via the undo images.
-          ++stats_.occ_validation_aborts;
-          obs::instant("occ_validation_abort", obs::Cat::Txn, trace_node_,
-                       txn.id());
-          throw TxnAbort(TxnAbort::Reason::ValidationConflict);
-        }
-        txn.op_log().push_back(txn::OpRecord{txn::OpRecord::Kind::Insert,
-                                             op.table, op.pk, op.row});
-        ++txn.stats().pages_written;
-        break;
-      }
-      case txn::OccOp::Kind::Update: {
-        const auto rid = tb.pk_find(op.pk);
-        // Validation passed, so the row's page is unchanged since we
-        // resolved it — the row must still be there, and the buffered
-        // post-image (computed over that same base) installs verbatim.
-        DMV_ASSERT_MSG(rid, name_ << ": validated occ update lost its row");
-        txn.capture_undo({op.table, rid->page}, tb.page(rid->page));
-        tb.update_row(*rid, op.row);
-        txn.op_log().push_back(txn::OpRecord{txn::OpRecord::Kind::Update,
-                                             op.table, op.pk, op.row});
-        ++txn.stats().pages_written;
-        break;
-      }
-      case txn::OccOp::Kind::Remove: {
-        const auto rid = tb.pk_find(op.pk);
-        DMV_ASSERT_MSG(rid, name_ << ": validated occ remove lost its row");
-        txn.capture_undo({op.table, rid->page}, tb.page(rid->page));
-        tb.delete_row(*rid);
-        txn.op_log().push_back(
-            txn::OpRecord{txn::OpRecord::Kind::Delete, op.table, op.pk, {}});
-        ++txn.stats().pages_written;
-        break;
-      }
-    }
-  }
+  co_return ws;
 }
 
 void MemEngine::finish_commit(TxnCtx& txn) {

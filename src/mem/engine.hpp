@@ -47,31 +47,13 @@ namespace dmv::mem {
 using VersionVec = std::vector<uint64_t>;
 using SchemaFn = std::function<void(storage::Database&)>;
 
-// Concurrency control protocol for update transactions on the master.
-//  - Page2pl: the paper's per-page strict two-phase locking (default,
-//    bit-identical to the pre-knob behavior).
-//  - Mvcc: Hekaton-style optimistic multiversion CC — snapshot reads with
-//    no page locks, buffered writes, first-committer-wins validation on
-//    page versions inside the synchronous pre-commit section. Produces the
-//    same version-numbered write-sets, so everything above the engine
-//    boundary (replication, quorum commit, persistence, dmv_check) is
-//    unchanged.
-enum class CcMode { Page2pl, Mvcc };
-
-inline const char* cc_mode_name(CcMode m) {
-  return m == CcMode::Mvcc ? "mvcc" : "page2pl";
-}
-
 class TxnAbort : public std::runtime_error {
  public:
-  enum class Reason { WaitDie, VersionConflict, ValidationConflict,
-                      Cancelled };
+  enum class Reason { WaitDie, VersionConflict, Cancelled };
   explicit TxnAbort(Reason r)
-      : std::runtime_error(
-            r == Reason::WaitDie            ? "wait-die"
-            : r == Reason::VersionConflict  ? "version-conflict"
-            : r == Reason::ValidationConflict ? "validation-conflict"
-                                              : "cancelled"),
+      : std::runtime_error(r == Reason::WaitDie           ? "wait-die"
+                           : r == Reason::VersionConflict ? "version-conflict"
+                                                          : "cancelled"),
         reason(r) {}
   Reason reason;
 };
@@ -81,7 +63,6 @@ struct EngineStats {
   uint64_t read_commits = 0;
   uint64_t version_aborts = 0;
   uint64_t waitdie_deaths = 0;
-  uint64_t occ_validation_aborts = 0;  // mvcc first-committer-wins losers
   uint64_t mods_enqueued = 0;
   uint64_t mods_applied = 0;
   uint64_t pages_installed = 0;
@@ -96,8 +77,6 @@ class MemEngine {
     size_t cache_pages = 1 << 20;  // effectively unbounded by default
     int cpus = 2;                  // the paper's dual-Athlon nodes
     txn::LockPolicy lock_policy = txn::LockPolicy::DeadlockDetect;
-    // Concurrency control for update transactions (see CcMode).
-    CcMode cc_mode = CcMode::Page2pl;
     // Ablation: ship whole page images instead of byte-diff runs.
     bool full_page_writesets = false;
     // --- test-only mutation knobs (dmv_check mutation smoke mode) ---
@@ -253,32 +232,6 @@ class MemEngine {
   // Apply one mod with cost accounting into `cost`.
   void apply_one(storage::Table& table, const txn::PageMod& mod,
                  sim::Time& cost);
-  // --- mvcc (optimistic) helpers ---
-  // Visible row for an optimistic update transaction: committed base
-  // (recording the page version, or the exact negative key on a miss when
-  // `record_miss`) with the transaction's own buffered ops folded on top
-  // (read-your-own-writes).
-  std::optional<storage::Row> occ_visible(txn::TxnCtx& txn,
-                                          storage::TableId t,
-                                          const storage::Key& pk,
-                                          sim::Time& cost,
-                                          bool record_miss = true);
-  // Fold the transaction's buffered ops over committed scan results
-  // (read-your-own-writes for optimistic scans).
-  void occ_patch_scan(const txn::TxnCtx& txn, storage::TableId t,
-                      const ScanSpec& spec,
-                      std::vector<storage::Row>& out);
-  // First-committer-wins: every recorded page version must be unchanged,
-  // every recorded key miss still absent, every recorded scan range
-  // yielding the same row ids. Synchronous (pre-commit section).
-  bool occ_validate(const txn::TxnCtx& txn) const;
-  // Apply the buffered ops in place (capturing undo images and the op log
-  // exactly like the 2PL write path). Throws ValidationConflict if an
-  // insert lost a primary-key race the page validation could not see.
-  void occ_apply(txn::TxnCtx& txn);
-  // Shared pre-commit tail (diff -> version bump -> stamp -> broadcast);
-  // synchronous, both CC modes funnel through it.
-  txn::WriteSet build_and_broadcast(txn::TxnCtx& txn);
   // True for read-only access on a table this node masters (§2.1: such
   // reads are served from the master's latest state). With the tag-upgrade
   // guard on (default) the txn's tag is raised to the master's current cut

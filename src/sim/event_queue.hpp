@@ -1,30 +1,13 @@
-// Pending-event set for the simulation kernel, ordered by (time, seq) so
-// equal-timestamp events run strictly FIFO.
+// Pending-event set for the simulation kernel: a binary min-heap ordered
+// by (time, seq), so equal-timestamp events run strictly FIFO.
 //
-// Two interchangeable implementations behind one interface:
-//
-//  - Calendar (default): a bucket/calendar queue tuned for DES arrival
-//    patterns. A ring of kBuckets day-buckets of kWidth virtual time each
-//    covers the near future; events beyond the window sit in an overflow
-//    min-heap until the window rotates onto them. Buckets are plain
-//    vectors, appended unsorted and sorted lazily once when their day
-//    becomes current, so the common push is O(1) with no per-event
-//    allocation; bucket vectors keep their capacity across window laps
-//    (that reuse is the event pool). Same-instant inserts during a drain
-//    (the dominant pattern: wakeups scheduled "at now") go to a FIFO side
-//    queue and never touch the ring.
-//
-//  - BinaryHeap: the original std::make_heap kernel, kept selectable as
-//    the ablation baseline so the calendar queue's speedup stays
-//    measurable (see bench_workloads).
-//
-// Popping via std::pop_heap + vector::pop_back also removes the old
-// const_cast-move-out-of-priority_queue::top() hack: the element is moved
-// from a mutable vector slot, never through a const reference.
+// Popping via std::pop_heap + vector::pop_back moves the element out of a
+// mutable vector slot, never through priority_queue::top()'s const
+// reference.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -41,22 +24,26 @@ struct Event {
 
 class EventQueue {
  public:
-  enum class Kind { Calendar, BinaryHeap };
-
-  explicit EventQueue(Kind kind = Kind::Calendar);
-
-  void push(Event ev);
+  void push(Event ev) {
+    heap_.push_back(std::move(ev));
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
 
   // Earliest (at, seq) event. Both require !empty().
-  Time peek_time();
-  Event pop();
+  Time peek_time() const {
+    DMV_ASSERT(!heap_.empty());
+    return heap_.front().at;
+  }
+  Event pop() {
+    DMV_ASSERT(!heap_.empty());
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    Event ev = std::move(heap_.back());
+    heap_.pop_back();
+    return ev;
+  }
 
-  bool empty() const { return size_ == 0; }
-  size_t size() const { return size_; }
-  Kind kind() const { return kind_; }
-
-  static constexpr size_t kBuckets = 4096;  // power of two
-  static constexpr Time kWidth = 256;       // virtual usec per bucket
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
 
  private:
   struct Later {  // min-heap comparator (std:: heap algorithms are max-)
@@ -65,42 +52,8 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
-  struct Earlier {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at < b.at;
-      return a.seq < b.seq;
-    }
-  };
 
-  static constexpr size_t kMask = kBuckets - 1;
-
-  std::vector<Event>& bucket(int64_t day) {
-    return ring_[size_t(day) & kMask];
-  }
-  // Drop the active bucket's consumed prefix before cur_day_ moves.
-  void leave_active();
-  // Position cur_day_ on the earliest nonempty ring bucket (rotating the
-  // window onto the overflow heap when the ring is empty) and sort it.
-  void ensure_active();
-  // True when the head of today_ precedes the active ring event.
-  bool today_first();
-
-  Kind kind_;
-  size_t size_ = 0;
-
-  // BinaryHeap state.
   std::vector<Event> heap_;
-
-  // Calendar state.
-  std::vector<std::vector<Event>> ring_;
-  std::deque<Event> today_;      // inserts at the instant being drained
-  std::vector<Event> overflow_;  // min-heap of events past the window
-  size_t ring_count_ = 0;        // events currently in ring_
-  int64_t cur_day_ = 0;          // day being drained (day = at / kWidth)
-  int64_t win_end_day_ = int64_t(kBuckets);  // ring covers days < this
-  size_t active_pos_ = 0;        // consumed prefix of the active bucket
-  bool active_sorted_ = false;
-  Time last_min_ = -1;           // at of the most recently popped event
 };
 
 }  // namespace dmv::sim

@@ -4,8 +4,6 @@ namespace dmv::sim {
 
 void Simulation::schedule_at(Time at, std::function<void()> fn) {
   DMV_ASSERT_MSG(at >= now_, "cannot schedule into the past");
-  if (trace_sink_ && trace_sink_->size() < trace_cap_)
-    trace_sink_->push_back(at - now_);
   queue_.push(Event{at, next_seq_++, std::move(fn)});
 }
 
@@ -24,8 +22,6 @@ Time Simulation::run(Time until) {
       return now_;
     }
     Event ev = queue_.pop();
-    if (trace_sink_ && trace_sink_->size() < trace_cap_)
-      trace_sink_->push_back(-1);
     DMV_ASSERT(ev.at >= now_);
     now_ = ev.at;
     ++events_processed_;

@@ -9,7 +9,7 @@
 //  - WaitDie: a requester older than every conflicting holder and queued
 //    waiter blocks; a younger one dies immediately. Simpler and
 //    livelock-free, but hot pages turn into retry storms — kept as an
-//    ablation knob (bench/ablation_lock_policy).
+//    ablation knob (bench/ablation_design).
 #pragma once
 
 #include <cstdint>

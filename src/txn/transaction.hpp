@@ -10,12 +10,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <set>
 #include <vector>
 
 #include "storage/page.hpp"
-#include "txn/occ.hpp"
 #include "txn/op_log.hpp"
 
 namespace dmv::txn {
@@ -71,16 +69,6 @@ class TxnCtx {
   bool tag_upgraded() const { return tag_upgraded_; }
   void mark_tag_upgraded() { tag_upgraded_ = true; }
 
-  // Optimistic-mode metadata (engine cc_mode = mvcc): read validation set
-  // and buffered writes. Null for 2PL transactions — its presence is how
-  // the engine's op paths tell an optimistic transaction apart.
-  OccMeta* occ() { return occ_.get(); }
-  const OccMeta* occ() const { return occ_.get(); }
-  OccMeta& ensure_occ() {
-    if (!occ_) occ_ = std::make_unique<OccMeta>();
-    return *occ_;
-  }
-
   // Lock bookkeeping (owned by LockManager).
   std::vector<storage::PageId>& held_locks() { return held_locks_; }
 
@@ -98,7 +86,6 @@ class TxnCtx {
   TxnKind kind_;
   std::map<storage::PageId, storage::Page> before_images_;
   std::set<storage::PageId> dirty_;
-  std::unique_ptr<OccMeta> occ_;
   std::vector<storage::PageId> held_locks_;
   std::vector<OpRecord> op_log_;
   std::vector<uint64_t> read_version_;

@@ -77,27 +77,10 @@ sim::Task<> insert_acct(MemEngine& eng, txn::TxnCtx& txn, int64_t id,
   EXPECT_TRUE(ok);
 }
 
-// Engine conformance over both concurrency-control modes: page-2PL and
-// mvcc must satisfy the same contract — identical version-numbered
-// write-sets, identical reader/version semantics, identical replication
-// behavior. Lock-policy-specific tests (WaitDie) stay 2PL-only.
-class MemEngineCc : public ::testing::TestWithParam<CcMode> {
- protected:
-  MemEngine::Config cc_cfg() const {
-    MemEngine::Config c;
-    c.cc_mode = GetParam();
-    return c;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Modes, MemEngineCc, ::testing::Values(CcMode::Page2pl, CcMode::Mvcc),
-    [](const ::testing::TestParamInfo<CcMode>& info) {
-      return std::string(cc_mode_name(info.param));
-    });
-
-TEST_P(MemEngineCc, MasterInsertVisibleLocally) {
-  Cluster c(0, cc_cfg());
+// Engine conformance under page-2PL: version-numbered write-sets,
+// reader/version semantics and replication behavior.
+TEST(MemEngineCc, MasterInsertVisibleLocally) {
+  Cluster c(0);
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -106,8 +89,8 @@ TEST_P(MemEngineCc, MasterInsertVisibleLocally) {
   EXPECT_EQ(c.master->stats().update_commits, 1u);
 }
 
-TEST_P(MemEngineCc, WriteSetReachesSlaveLazily) {
-  Cluster c(1, cc_cfg());
+TEST(MemEngineCc, WriteSetReachesSlaveLazily) {
+  Cluster c(1);
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -131,8 +114,8 @@ TEST_P(MemEngineCc, WriteSetReachesSlaveLazily) {
   EXPECT_TRUE(c.master->db().pages_equal(slave.db()));
 }
 
-TEST_P(MemEngineCc, ReaderWaitsForWriteSetArrival) {
-  Cluster c(1, cc_cfg());
+TEST(MemEngineCc, ReaderWaitsForWriteSetArrival) {
+  Cluster c(1);
   // Delay delivery: buffer the write-set and deliver at t=500.
   std::vector<txn::WriteSet> buffered;
   c.master->set_broadcast_fn(
@@ -156,8 +139,8 @@ TEST_P(MemEngineCc, ReaderWaitsForWriteSetArrival) {
   EXPECT_GE(read_done, deliver_at);
 }
 
-TEST_P(MemEngineCc, VersionConflictAbortsOldReader) {
-  Cluster c(1, cc_cfg());
+TEST(MemEngineCc, VersionConflictAbortsOldReader) {
+  Cluster c(1);
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -188,8 +171,8 @@ TEST_P(MemEngineCc, VersionConflictAbortsOldReader) {
   EXPECT_EQ(slave.stats().version_aborts, 1u);
 }
 
-TEST_P(MemEngineCc, SnapshotIgnoresNewerCommits) {
-  Cluster c(1, cc_cfg());
+TEST(MemEngineCc, SnapshotIgnoresNewerCommits) {
+  Cluster c(1);
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -210,8 +193,8 @@ TEST_P(MemEngineCc, SnapshotIgnoresNewerCommits) {
   EXPECT_EQ(c.slaves[0]->db().table(0).meta(0).version, 1u);
 }
 
-TEST_P(MemEngineCc, RollbackRestoresBytesAndIndexes) {
-  Cluster c(0, cc_cfg());
+TEST(MemEngineCc, RollbackRestoresBytesAndIndexes) {
+  Cluster c(0);
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -234,14 +217,11 @@ TEST_P(MemEngineCc, RollbackRestoresBytesAndIndexes) {
   EXPECT_EQ(c.master->version()[0], 1u);
 }
 
-class MemConvergence
-    : public ::testing::TestWithParam<std::tuple<uint64_t, CcMode>> {};
+class MemConvergence : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(MemConvergence, ConvergenceUnderRandomWorkload) {
-  MemEngine::Config cfg;
-  cfg.cc_mode = std::get<1>(GetParam());
-  Cluster c(2, cfg);
-  util::Rng rng(std::get<0>(GetParam()));
+  Cluster c(2);
+  util::Rng rng(GetParam());
   // 200 random update txns; then force-apply everything on slaves and
   // compare byte-for-byte.
   for (int i = 0; i < 200; ++i) {
@@ -291,16 +271,13 @@ TEST_P(MemConvergence, ConvergenceUnderRandomWorkload) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Seeds, MemConvergence,
-    ::testing::Combine(::testing::Values(4242, 1, 77, 31337, 999),
-                       ::testing::Values(CcMode::Page2pl, CcMode::Mvcc)),
-    [](const ::testing::TestParamInfo<std::tuple<uint64_t, CcMode>>& info) {
-      return std::to_string(std::get<0>(info.param)) + "_" +
-             cc_mode_name(std::get<1>(info.param));
+    Seeds, MemConvergence, ::testing::Values(4242, 1, 77, 31337, 999),
+    [](const ::testing::TestParamInfo<uint64_t>& info) {
+      return std::to_string(info.param);
     });
 
-TEST_P(MemEngineCc, ScanWithFilterAndLimit) {
-  Cluster c(1, cc_cfg());
+TEST(MemEngineCc, ScanWithFilterAndLimit) {
+  Cluster c(1);
   for (int i = 0; i < 30; ++i) {
     c.run_update([i](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
       co_await insert_acct(m, txn, i, (i % 3) * 100,
@@ -325,8 +302,8 @@ TEST_P(MemEngineCc, ScanWithFilterAndLimit) {
   c.sim.run();
 }
 
-TEST_P(MemEngineCc, SecondaryIndexScanOnSlave) {
-  Cluster c(1, cc_cfg());
+TEST(MemEngineCc, SecondaryIndexScanOnSlave) {
+  Cluster c(1);
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 10, "zoe");
     co_await insert_acct(m, txn, 2, 20, "amy");
@@ -344,8 +321,8 @@ TEST_P(MemEngineCc, SecondaryIndexScanOnSlave) {
   c.sim.run();
 }
 
-TEST_P(MemEngineCc, PromoteSlaveBecomesMaster) {
-  Cluster c(2, cc_cfg());
+TEST(MemEngineCc, PromoteSlaveBecomesMaster) {
+  Cluster c(2);
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -374,8 +351,8 @@ TEST_P(MemEngineCc, PromoteSlaveBecomesMaster) {
   EXPECT_EQ(c.slaves[1]->received_version()[0], 2u);
 }
 
-TEST_P(MemEngineCc, DiscardModsAboveCleansPartialPropagation) {
-  Cluster c(1, cc_cfg());
+TEST(MemEngineCc, DiscardModsAboveCleansPartialPropagation) {
+  Cluster c(1);
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -482,8 +459,8 @@ TEST(MemEngine, FullPageWriteSetsShipWholePages) {
   EXPECT_TRUE(c.master->db().pages_equal(c.slaves[0]->db()));
 }
 
-TEST_P(MemEngineCc, DiffWriteSetsAreSmall) {
-  Cluster c(1, cc_cfg());
+TEST(MemEngineCc, DiffWriteSetsAreSmall) {
+  Cluster c(1);
   size_t ws_bytes = 0;
   c.master->set_broadcast_fn(
       [&](const txn::WriteSet& ws) { ws_bytes = ws.byte_size(); });
@@ -493,11 +470,11 @@ TEST_P(MemEngineCc, DiffWriteSetsAreSmall) {
   EXPECT_LT(ws_bytes, 256u);  // ~row size + bitmap byte + headers
 }
 
-TEST_P(MemEngineCc, PromotedMasterContinuesVersionSequence) {
+TEST(MemEngineCc, PromotedMasterContinuesVersionSequence) {
   // Regression guard on the §4.2 invariant: the new master's first commit
   // must produce version N+1 where N is the confirmed version, or slave
   // pending queues would reject/misorder mods.
-  Cluster c(2, cc_cfg());
+  Cluster c(2);
   for (int i = 0; i < 5; ++i) {
     c.run_update([i](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
       co_await insert_acct(m, txn, i, i, "x");
@@ -530,8 +507,8 @@ TEST_P(MemEngineCc, PromotedMasterContinuesVersionSequence) {
       c.slaves[1]->db().table(0).pk_find(K(int64_t{100})).has_value());
 }
 
-TEST_P(MemEngineCc, RevertedWriteDoesNotBumpVersion) {
-  Cluster c(1, cc_cfg());
+TEST(MemEngineCc, RevertedWriteDoesNotBumpVersion) {
+  Cluster c(1);
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -558,199 +535,6 @@ TEST_P(MemEngineCc, RevertedWriteDoesNotBumpVersion) {
   });
   EXPECT_EQ(c.master->version()[0], 2u);
   EXPECT_EQ(c.slaves[0]->received_version()[0], 2u);
-}
-
-// ---- mvcc-specific semantics ----
-
-MemEngine::Config mvcc_cfg() {
-  MemEngine::Config cfg;
-  cfg.cc_mode = CcMode::Mvcc;
-  return cfg;
-}
-
-TEST(MemEngineMvcc, FirstCommitterWinsOnWriteWriteConflict) {
-  Cluster c(0, mvcc_cfg());
-  c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
-    co_await insert_acct(m, txn, 1, 100, "ann");
-  });
-  bool aborted = false;
-  c.sim.spawn([](Cluster& c, bool& aborted) -> sim::Task<> {
-    auto t1 = c.master->begin_update();
-    auto t2 = c.master->begin_update();
-    // Both read the committed row and buffer a write — neither blocks the
-    // other (under 2PL the second update would wait on the X lock and this
-    // single coroutine would deadlock).
-    co_await c.master->update(*t1, 0, K(int64_t{1}),
-                              [](Row& r) { r[1] = int64_t{111}; });
-    co_await c.master->update(*t2, 0, K(int64_t{1}),
-                              [](Row& r) { r[1] = int64_t{222}; });
-    co_await c.master->precommit(*t1);
-    c.master->finish_commit(*t1);
-    try {
-      co_await c.master->precommit(*t2);
-      ADD_FAILURE() << "second committer must fail validation";
-    } catch (const TxnAbort& e) {
-      aborted = e.reason == TxnAbort::Reason::ValidationConflict;
-      c.master->rollback(*t2);
-    }
-  }(c, aborted));
-  c.sim.run();
-  EXPECT_TRUE(aborted);
-  EXPECT_EQ(c.master->stats().occ_validation_aborts, 1u);
-  // The first committer's value stands; only its version was produced.
-  auto rid = c.master->db().table(0).pk_find(K(int64_t{1}));
-  ASSERT_TRUE(rid.has_value());
-  EXPECT_EQ(std::get<int64_t>(c.master->db().table(0).read_row(*rid)[1]),
-            111);
-  EXPECT_EQ(c.master->version()[0], 2u);
-}
-
-TEST(MemEngineMvcc, BufferedWritesAreReadYourOwnOnly) {
-  Cluster c(0, mvcc_cfg());
-  c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
-    co_await insert_acct(m, txn, 1, 100, "ann");
-  });
-  c.sim.spawn([](Cluster& c) -> sim::Task<> {
-    auto t1 = c.master->begin_update();
-    auto t2 = c.master->begin_update();
-    co_await c.master->update(*t1, 0, K(int64_t{1}),
-                              [](Row& r) { r[1] = int64_t{111}; });
-    // t1 reads its own buffered write...
-    auto own = co_await c.master->get(*t1, 0, K(int64_t{1}));
-    EXPECT_TRUE(own.has_value());
-    if (own) EXPECT_EQ(std::get<int64_t>((*own)[1]), 111);
-    // ...but t2 still reads the committed state, without blocking.
-    auto other = co_await c.master->get(*t2, 0, K(int64_t{1}));
-    EXPECT_TRUE(other.has_value());
-    if (other) EXPECT_EQ(std::get<int64_t>((*other)[1]), 100);
-    c.master->rollback(*t1);
-    c.master->rollback(*t2);
-  }(c));
-  c.sim.run();
-  // Nothing committed: the shared page still holds the committed bytes.
-  EXPECT_EQ(c.master->version()[0], 1u);
-}
-
-TEST(MemEngineMvcc, NegativeReadFailsValidationWhenKeyAppears) {
-  Cluster c(0, mvcc_cfg());
-  c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
-    co_await insert_acct(m, txn, 1, 100, "ann");
-  });
-  bool aborted = false;
-  c.sim.spawn([](Cluster& c, bool& aborted) -> sim::Task<> {
-    auto t1 = c.master->begin_update();
-    // t1's logic depends on key 7 being absent.
-    auto miss = co_await c.master->get(*t1, 0, K(int64_t{7}));
-    EXPECT_FALSE(miss.has_value());
-    co_await c.master->update(*t1, 0, K(int64_t{1}),
-                              [](Row& r) { r[1] = int64_t{1}; });
-    // Concurrent txn makes key 7 appear and commits first.
-    auto t2 = c.master->begin_update();
-    co_await insert_acct(*c.master, *t2, 7, 700, "bob");
-    co_await c.master->precommit(*t2);
-    c.master->finish_commit(*t2);
-    try {
-      co_await c.master->precommit(*t1);
-      ADD_FAILURE() << "stale negative read must fail validation";
-    } catch (const TxnAbort& e) {
-      aborted = e.reason == TxnAbort::Reason::ValidationConflict;
-      c.master->rollback(*t1);
-    }
-  }(c, aborted));
-  c.sim.run();
-  EXPECT_TRUE(aborted);
-}
-
-TEST(MemEngineMvcc, ScanPhantomFailsValidation) {
-  Cluster c(0, mvcc_cfg());
-  for (int i = 0; i < 3; ++i) {
-    c.run_update([i](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
-      co_await insert_acct(m, txn, i, i * 10, "x");
-    });
-  }
-  bool aborted = false;
-  c.sim.spawn([](Cluster& c, bool& aborted) -> sim::Task<> {
-    auto t1 = c.master->begin_update();
-    MemEngine::ScanSpec spec;  // full-table scan: range dependency
-    auto rows = co_await c.master->scan(*t1, 0, spec);
-    EXPECT_EQ(rows.size(), 3u);
-    co_await c.master->update(*t1, 0, K(int64_t{0}),
-                              [](Row& r) { r[1] = int64_t{1}; });
-    // Phantom: a concurrent insert lands inside t1's scanned range.
-    auto t2 = c.master->begin_update();
-    co_await insert_acct(*c.master, *t2, 9, 90, "y");
-    co_await c.master->precommit(*t2);
-    c.master->finish_commit(*t2);
-    try {
-      co_await c.master->precommit(*t1);
-      ADD_FAILURE() << "phantom insert must fail scan validation";
-    } catch (const TxnAbort& e) {
-      aborted = e.reason == TxnAbort::Reason::ValidationConflict;
-      c.master->rollback(*t1);
-    }
-  }(c, aborted));
-  c.sim.run();
-  EXPECT_TRUE(aborted);
-}
-
-TEST(MemEngineMvcc, InsertRaceCaughtAtApply) {
-  Cluster c(0, mvcc_cfg());
-  bool aborted = false;
-  c.sim.spawn([](Cluster& c, bool& aborted) -> sim::Task<> {
-    auto t1 = c.master->begin_update();
-    auto t2 = c.master->begin_update();
-    // Both insert the same (previously absent) primary key.
-    co_await insert_acct(*c.master, *t1, 5, 50, "ann");
-    co_await insert_acct(*c.master, *t2, 5, 55, "bob");
-    co_await c.master->precommit(*t2);
-    c.master->finish_commit(*t2);
-    // t1's dup-check saw nothing (no page existed to version-stamp); the
-    // race surfaces as an insert_row failure during apply, which must
-    // abort as a validation conflict and roll back cleanly.
-    try {
-      co_await c.master->precommit(*t1);
-      ADD_FAILURE() << "duplicate-pk insert race must abort";
-    } catch (const TxnAbort& e) {
-      aborted = e.reason == TxnAbort::Reason::ValidationConflict;
-      c.master->rollback(*t1);
-    }
-  }(c, aborted));
-  c.sim.run();
-  EXPECT_TRUE(aborted);
-  // t2's row survived intact; exactly one version exists.
-  auto rid = c.master->db().table(0).pk_find(K(int64_t{5}));
-  ASSERT_TRUE(rid.has_value());
-  EXPECT_EQ(std::get<int64_t>(c.master->db().table(0).read_row(*rid)[1]),
-            55);
-  EXPECT_EQ(c.master->version()[0], 1u);
-}
-
-TEST(MemEngineMvcc, BufferedUpdateOutlivesItsClosureFrame) {
-  Cluster c(0, mvcc_cfg());
-  c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
-    co_await insert_acct(m, txn, 1, 100, "ann");
-  });
-  c.sim.spawn([](Cluster& c) -> sim::Task<> {
-    auto t1 = c.master->begin_update();
-    // Mimic EngineNode::run_update: the transaction body is a coroutine
-    // whose frame — including the locals its updater captures by
-    // reference — is destroyed as soon as the body returns, well before
-    // precommit. The buffered write must not retain the closure.
-    co_await [](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
-      int64_t delta = 23;
-      co_await m.update(txn, 0, K(int64_t{1}), [&](Row& r) {
-        r[1] = std::get<int64_t>(r[1]) + delta;
-      });
-    }(*c.master, *t1);
-    co_await c.master->precommit(*t1);
-    c.master->finish_commit(*t1);
-  }(c));
-  c.sim.run();
-  auto rid = c.master->db().table(0).pk_find(K(int64_t{1}));
-  ASSERT_TRUE(rid.has_value());
-  EXPECT_EQ(std::get<int64_t>(c.master->db().table(0).read_row(*rid)[1]),
-            123);
-  EXPECT_EQ(c.master->version()[0], 2u);
 }
 
 TEST(CacheModel, FaultsThenHits) {

@@ -12,7 +12,7 @@
 #include "check/checker.hpp"
 #include "core/cluster.hpp"
 #include "harness/experiment.hpp"
-#include "tpcw/sharding.hpp"
+#include "workload/sharding.hpp"
 
 namespace dmv {
 namespace {
@@ -255,15 +255,15 @@ TEST(MultiMaster, MasterAdoptsClassWithNoSurvivingReplica) {
 TEST(MultiMaster, ZipfShardAssignment) {
   // theta 0 degenerates to round-robin by key.
   for (uint64_t k = 0; k < 50; ++k)
-    EXPECT_EQ(tpcw::zipf_shard(k, 4, 0.0), size_t(k % 4));
+    EXPECT_EQ(workload::zipf_shard(k, 4, 0.0), size_t(k % 4));
 
   // Skewed assignment: deterministic, in range, and monotonically favoring
   // low shards with a clear hot/cold split.
   std::array<size_t, 4> count{};
   for (uint64_t k = 0; k < 20000; ++k) {
-    const size_t s = tpcw::zipf_shard(k, 4, 1.1);
+    const size_t s = workload::zipf_shard(k, 4, 1.1);
     ASSERT_LT(s, 4u);
-    EXPECT_EQ(s, tpcw::zipf_shard(k, 4, 1.1));  // deterministic
+    EXPECT_EQ(s, workload::zipf_shard(k, 4, 1.1));  // deterministic
     ++count[s];
   }
   for (size_t s = 0; s + 1 < 4; ++s)
@@ -294,7 +294,7 @@ TEST(MultiMaster, HotClassDoesNotStallColdClasses) {
   // populations are reproducible here.
   std::array<size_t, 3> clients{};
   for (size_t i = 0; i < cfg.workload.clients; ++i)
-    ++clients[tpcw::zipf_shard(i, 3, cfg.workload.class_skew)];
+    ++clients[workload::zipf_shard(i, 3, cfg.workload.class_skew)];
 
   core::Scheduler& s = exp.cluster().scheduler();
   std::array<double, 3> rate{};

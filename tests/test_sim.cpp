@@ -317,35 +317,31 @@ TEST(Simulation, CompositeScenarioDeterministic) {
 // run after everything already queued for that instant). This pins the
 // FIFO contract the old const_cast/priority_queue kernel provided.
 TEST(EventQueue, EqualTimestampsRunInScheduleOrder) {
-  for (auto kind : {EventQueue::Kind::Calendar, EventQueue::Kind::BinaryHeap}) {
-    Simulation sim(kind);
-    std::vector<int> order;
-    sim.schedule_at(50, [&] {
-      order.push_back(0);
-      // Same-instant insert during the drain of t=50.
-      sim.schedule_at(50, [&] { order.push_back(3); });
-    });
-    sim.schedule_at(50, [&] { order.push_back(1); });
-    sim.schedule_at(50, [&] { order.push_back(2); });
-    sim.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3})) << "kind " << int(kind);
-  }
+  Simulation sim;
+  std::vector<int> order;
+  sim.schedule_at(50, [&] {
+    order.push_back(0);
+    // Same-instant insert during the drain of t=50.
+    sim.schedule_at(50, [&] { order.push_back(3); });
+  });
+  sim.schedule_at(50, [&] { order.push_back(1); });
+  sim.schedule_at(50, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-// The calendar queue and the binary heap must produce byte-identical
-// execution orders on a randomized schedule that exercises every path:
-// same-instant inserts, in-window days, far-future overflow events, and
-// window rotation.
-TEST(EventQueue, CalendarMatchesBinaryHeapOrder) {
-  auto drive = [](EventQueue::Kind kind, uint64_t seed) {
-    Simulation sim(kind);
+// Property: on a randomized schedule mixing same-instant, short and
+// far-future delays, every scheduled event fires, the firing trace is
+// non-decreasing in time, and equal-time events fire in the order they
+// were scheduled (ids are handed out at schedule time).
+TEST(EventQueue, RandomScheduleFiresInTimeThenScheduleOrder) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    Simulation sim;
     util::Rng rng(seed);
     std::vector<std::pair<Time, int>> trace;
     int next_id = 0;
     std::function<void(int)> fire = [&](int id) {
       trace.emplace_back(sim.now(), id);
-      // Sometimes reschedule: 0 (same instant), short (in-window),
-      // long (overflow past the 4096*256us window).
       const int kids = int(rng.below(3));
       for (int k = 0; k < kids && next_id < 4000; ++k) {
         Time d = 0;
@@ -363,23 +359,25 @@ TEST(EventQueue, CalendarMatchesBinaryHeapOrder) {
       sim.schedule_at(Time(rng.below(3000)), [&fire, id] { fire(id); });
     }
     sim.run();
-    return trace;
-  };
-  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    auto cal = drive(EventQueue::Kind::Calendar, seed);
-    auto heap = drive(EventQueue::Kind::BinaryHeap, seed);
-    EXPECT_EQ(cal, heap) << "seed " << seed;
-    EXPECT_GT(cal.size(), 64u);
+    ASSERT_EQ(trace.size(), size_t(next_id)) << "seed " << seed;
+    EXPECT_GT(trace.size(), 64u);
+    for (size_t i = 1; i < trace.size(); ++i) {
+      const auto& [t0, id0] = trace[i - 1];
+      const auto& [t1, id1] = trace[i];
+      ASSERT_LE(t0, t1) << "seed " << seed << " at " << i;
+      if (t0 == t1) {
+        ASSERT_LT(id0, id1) << "seed " << seed << " at " << i;
+      }
+    }
   }
 }
 
 // run(until) must park the clock exactly at the boundary without popping
-// later events, then deliver them on the next run() — including events
-// sitting in the calendar queue's overflow heap.
-TEST(EventQueue, RunUntilBoundaryWithOverflow) {
-  Simulation sim;  // calendar default
+// later events, then deliver them on the next run().
+TEST(EventQueue, RunUntilBoundaryThenFarEvent) {
+  Simulation sim;
   std::vector<Time> fired;
-  const Time far = Time(EventQueue::kBuckets) * EventQueue::kWidth * 3 + 17;
+  const Time far = 3'145'745;
   sim.schedule_at(10, [&] { fired.push_back(sim.now()); });
   sim.schedule_at(far, [&] { fired.push_back(sim.now()); });
   EXPECT_EQ(sim.run(10), 10);
@@ -394,48 +392,27 @@ TEST(EventQueue, RunUntilBoundaryWithOverflow) {
   EXPECT_EQ(fired[2], far);
 }
 
-// A day the scan already passed (because it was empty) can receive a new
-// event when the clock parks mid-window; the queue must rewind to it.
-TEST(EventQueue, BackwardDayInsertAfterPark) {
+// Park the clock before a pending event, then insert an earlier one: it
+// must fire first.
+TEST(EventQueue, ParkThenInsertEarlier) {
   Simulation sim;
   std::vector<int> order;
-  // Drain an event late in the window so the day cursor is far along.
-  sim.schedule_at(EventQueue::kWidth * 100, [&] { order.push_back(1); });
+  sim.schedule_at(12'805, [&] { order.push_back(2); });
+  sim.run(512);  // parks before the pending event
+  sim.schedule_at(2'560, [&] { order.push_back(1); });
   sim.run();
-  // Park earlier-day inserts are impossible (clock is monotone), but a
-  // *smaller day within the same window* than the cursor's scan position
-  // happens when run(until) parked before the scan's day. Emulate: event
-  // at day D+50 pending, then insert at day D+10 while both are future.
-  Simulation s2;
-  std::vector<int> o2;
-  s2.schedule_at(EventQueue::kWidth * 50 + 5, [&] { o2.push_back(2); });
-  s2.run(EventQueue::kWidth * 2);  // parks; peek scanned toward day 50
-  s2.schedule_at(EventQueue::kWidth * 10, [&] { o2.push_back(1); });
-  s2.run();
-  EXPECT_EQ(o2, (std::vector<int>{1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-// A rewind that re-anchors the window spills the ring to the overflow
-// heap — but the spilled events can land *inside* the new window. They
-// must migrate back into the ring, or a later ring event inserted
-// afterwards would be served before them (the fault-storm bug).
-TEST(EventQueue, RewindSpillKeepsOverflowOrdered) {
+// Park far behind a far-future event, then insert one much earlier and one
+// just after the pending event: all three fire in time order.
+TEST(EventQueue, ParkThenInsertEarlierAndLater) {
   Simulation sim;
   std::vector<int> order;
-  const Time W = EventQueue::kWidth;
-  const Time kB = Time(EventQueue::kBuckets);
-  // Event on a far day: parks in the overflow, then a peek (via run-until)
-  // rotates the window onto its day (3*kB/2 = kB + kB/2).
-  sim.schedule_at(W * kB * 3 / 2, [&] { order.push_back(2); });
-  sim.run(W);  // parks at day 1; window now anchored at day 3*kB/2
-  // Day far behind the rotated window but close enough that the spilled
-  // event's day (3*kB/2) falls inside the re-anchored window
-  // [kB/2 + 2, kB/2 + 2 + kB).
-  sim.schedule_at(W * (kB / 2 + 2), [&] { order.push_back(1); });
-  // One day after the spilled event, inside the new window: without the
-  // migrate-back this lands in the ring while the earlier spilled event
-  // waits invisibly in the overflow, and fires before it.
-  sim.schedule_at(W * (kB * 3 / 2 + 1), [&] { order.push_back(3); });
+  sim.schedule_at(1'572'864, [&] { order.push_back(2); });
+  sim.run(256);
+  sim.schedule_at(524'800, [&] { order.push_back(1); });
+  sim.schedule_at(1'573'120, [&] { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
