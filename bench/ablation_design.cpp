@@ -1,11 +1,9 @@
-// Ablations of DESIGN.md §5 decisions (our addition; no paper figure).
+// Ablation of a DESIGN.md §5 decision (our addition; no paper figure).
 //
-//  A. Scheduler: version-aware selection with admission control (default,
-//     cap=4) vs deep queues (cap=64). Deep in-node queues make read tags
-//     stale, inflating version-inconsistency aborts.
-//  B. Master lock policy: deadlock detection (blocking; default) vs
-//     wait-die (immediate death of younger conflicting requesters; every
-//     hot-page conflict becomes a full-transaction retry).
+// Scheduler: version-aware selection with admission control (default,
+// cap=4) vs deep queues (cap=64). Deep in-node queues make read tags
+// stale, inflating version-inconsistency aborts. The lock-deaths column
+// counts deadlock victims on the masters.
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -23,13 +21,12 @@ struct Out {
   std::vector<uint64_t> class_lock_deaths; // one entry per conflict class
 };
 
-Out run(uint64_t cap, txn::LockPolicy policy, size_t clients) {
+Out run(uint64_t cap, size_t clients) {
   harness::DmvExperiment::Config cfg;
   cfg.workload = default_workload(tpcw::Mix::Shopping, clients);
   cfg.slaves = 2;
   cfg.costs = calibrated_costs();
   cfg.reads_inflight_cap = cap;
-  cfg.lock_policy = policy;
   harness::DmvExperiment exp(cfg);
   exp.start();
   exp.run_until(kEnd);
@@ -43,7 +40,7 @@ Out run(uint64_t cap, txn::LockPolicy policy, size_t clients) {
   // master, and the aggregate alone hides a restart-storm in one class.
   for (size_t c = 0; c < exp.cluster().master_count(); ++c) {
     const uint64_t d =
-        exp.cluster().master(c).engine().stats().waitdie_deaths;
+        exp.cluster().master(c).engine().locks().death_count();
     o.class_lock_deaths.push_back(d);
     o.lock_deaths += d;
   }
@@ -65,23 +62,17 @@ std::vector<std::string> row(const std::string& name, const Out& o) {
 }  // namespace
 
 int main() {
-  std::cout << "# Ablations: scheduler admission & master lock policy "
+  std::cout << "# Ablation: scheduler admission "
             << "(shopping mix, 2 slaves, 900 clients)\n";
   const size_t clients = 900;
   std::vector<std::vector<std::string>> rows;
-  rows.push_back(row("cap=4, deadlock-detect (default)",
-                     run(4, txn::LockPolicy::DeadlockDetect, clients)));
-  rows.push_back(row("cap=64 (deep node queues)",
-                     run(64, txn::LockPolicy::DeadlockDetect, clients)));
-  rows.push_back(row("cap=4, wait-die",
-                     run(4, txn::LockPolicy::WaitDie, clients)));
+  rows.push_back(row("cap=4 (default)", run(4, clients)));
+  rows.push_back(row("cap=64 (deep node queues)", run(64, clients)));
   harness::print_table(
       std::cout, "Design ablations",
       {"configuration", "WIPS", "lat ms", "version aborts", "lock deaths"},
       rows);
   std::cout << "\nReading: deep queues trade latency for stale read tags "
-               "(aborts climb); wait-die turns hot-page write conflicts "
-               "into restart storms (lock deaths explode, throughput "
-               "drops).\n";
+               "(aborts climb).\n";
   return 0;
 }

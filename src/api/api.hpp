@@ -26,7 +26,7 @@
 
 namespace dmv::api {
 
-// Declarative range scan (mirrors mem::MemEngine::ScanSpec).
+// Declarative range scan; both engines execute it as given.
 struct ScanSpec {
   int index = -1;  // -1: primary key; else secondary index position
   std::optional<storage::Key> lo;

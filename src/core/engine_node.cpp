@@ -43,14 +43,7 @@ class MemConnection : public api::Connection {
   sim::Task<std::vector<Row>> scan(storage::TableId t,
                                    api::ScanSpec spec) override {
     check();
-    MemEngine::ScanSpec s;
-    s.index = spec.index;
-    s.lo = std::move(spec.lo);
-    s.hi = std::move(spec.hi);
-    s.limit = spec.limit;
-    s.reverse = spec.reverse;
-    s.filter = std::move(spec.filter);
-    return eng_.scan(txn_, t, std::move(s));
+    return eng_.scan(txn_, t, std::move(spec));
   }
   sim::Task<bool> insert(storage::TableId t, const Row& row) override {
     check();
@@ -556,13 +549,12 @@ sim::Task<> EngineNode::run_read(ExecTxn m) {
     reply_txn_done(m, std::move(done));
   } catch (const TxnAbort& e) {
     if (e.reason == TxnAbort::Reason::VersionConflict ||
-        e.reason == TxnAbort::Reason::WaitDie) {
-      // WaitDie only reaches read-only transactions via the master-read
-      // page latch; like a version conflict, the cure is a retry with a
-      // fresh tag, so report it on the same path.
-      ++stats_.version_abort_replies;
+        e.reason == TxnAbort::Reason::Deadlock) {
+      // A deadlock death reaches read-only transactions only via the
+      // master-read page latch; like a version conflict, the cure is a
+      // retry with a fresh tag, so report it on the same path.
       span.attr("abort",
-                e.reason == TxnAbort::Reason::WaitDie ? "latch" : "version");
+                e.reason == TxnAbort::Reason::Deadlock ? "latch" : "version");
       obs::count("aborts.version", id_);
       TxnDone done;
       done.ok = false;
@@ -617,10 +609,8 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
   auto alive = alive_;
   obs::SpanGuard txn_span("master.commit", obs::Cat::Txn, id_);
   txn_span.attr("proc", m.proc);
-  std::optional<uint64_t> reuse_ts;
   for (;;) {
-    auto txn = engine_->begin_update(reuse_ts);
-    reuse_ts = txn->ts();
+    auto txn = engine_->begin_update();
     Inflight inf;
     inf.txn = txn.get();
     inflight_[m.req_id] = &inf;
@@ -697,11 +687,9 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       engine_->rollback(*txn);
       inflight_.erase(m.req_id);
       precommit_drain_->notify_all();
-      if (e.reason == TxnAbort::Reason::WaitDie) {
-        ++stats_.waitdie_restarts;
-        obs::count("aborts.waitdie", id_);
+      if (e.reason == TxnAbort::Reason::Deadlock) {
+        obs::count("aborts.deadlock", id_);
       } else {
-        ++stats_.poisoned_aborts;
         obs::count("aborts.poisoned", id_);
         txn_span.attr("abort", "poisoned");
         // Poisoned (scheduler-recovery abort, §4.1) or node going down.
@@ -713,8 +701,8 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
         co_return;
       }
     }
-    // Wait-die victim: back off, then retry with the same timestamp.
-    co_await net_.sim().delay(cfg_.engine.costs.wait_die_backoff);
+    // Deadlock victim: back off, then retry.
+    co_await net_.sim().delay(cfg_.engine.costs.deadlock_backoff);
   }
 }
 

@@ -27,9 +27,6 @@ namespace dmv::core {
 
 struct EngineNodeStats {
   uint64_t txns_executed = 0;
-  uint64_t version_abort_replies = 0;
-  uint64_t waitdie_restarts = 0;
-  uint64_t poisoned_aborts = 0;
   uint64_t pages_served = 0;   // migration, as support slave
   uint64_t hints_sent = 0;
   sim::Time join_started = -1;

@@ -19,7 +19,7 @@ DiskEngine::DiskEngine(sim::Simulation& sim, std::string name, Config cfg)
     : sim_(sim),
       name_(std::move(name)),
       cfg_(cfg),
-      locks_(sim, cfg.lock_policy),
+      locks_(sim),
       disk_(sim, cfg.costs),
       pool_(disk_, cfg.buffer_frames),
       wal_(sim, disk_),
@@ -29,15 +29,11 @@ DiskEngine::~DiskEngine() { shutdown(); }
 
 void DiskEngine::build_schema(const SchemaFn& fn) { fn(db_); }
 
-std::unique_ptr<TxnCtx> DiskEngine::begin(TxnKind kind,
-                                          std::optional<uint64_t> reuse_ts) {
-  const uint64_t id = next_txn_++;
-  const uint64_t ts = reuse_ts.value_or(id);
+std::unique_ptr<TxnCtx> DiskEngine::begin(TxnKind kind) {
   // Read-only transactions lock here too (serializable 2PL): they are
   // full TxnCtx::Update-style participants of the lock table, but we keep
   // the ReadOnly kind so undo capture is skipped.
-  auto txn = std::make_unique<TxnCtx>(id, ts, kind);
-  return txn;
+  return std::make_unique<TxnCtx>(next_txn_++, kind);
 }
 
 sim::Task<> DiskEngine::lock_page(TxnCtx& txn, PageId pid, LockMode mode) {
@@ -46,8 +42,7 @@ sim::Task<> DiskEngine::lock_page(TxnCtx& txn, PageId pid, LockMode mode) {
     case LockRc::Granted:
       co_return;
     case LockRc::Died:
-      ++stats_.waitdie_deaths;
-      throw TxnAbort(TxnAbort::Reason::WaitDie);
+      throw TxnAbort(TxnAbort::Reason::Deadlock);
     case LockRc::Cancelled:
       throw TxnAbort(TxnAbort::Reason::Cancelled);
   }
@@ -74,7 +69,6 @@ sim::Task<std::optional<Row>> DiskEngine::get(TxnCtx& txn, TableId t,
   const PageId pid{t, rid->page};
   co_await touch_page(pid);
   co_await cpu_.use(cfg_.costs.row_read);
-  ++txn.stats().rows_touched;
   co_return tb.read_row(*rid);
 }
 
@@ -112,7 +106,6 @@ sim::Task<std::vector<Row>> DiskEngine::scan(TxnCtx& txn, TableId t,
     if (!tb.slot_occupied(rid)) continue;
     co_await touch_page(pid);
     cpu_cost += cfg_.costs.row_read;
-    ++txn.stats().rows_touched;
     Row row = tb.read_row(rid);
     if (spec.filter && !spec.filter(row)) continue;
     out.push_back(std::move(row));
@@ -144,7 +137,6 @@ sim::Task<bool> DiskEngine::insert(TxnCtx& txn, TableId t, const Row& row) {
   txn.op_log().push_back(txn::OpRecord{txn::OpRecord::Kind::Insert, t,
                                        tb.primary_key_of(row), row});
   co_await cpu_.use(cfg_.costs.row_write + cfg_.costs.index_update);
-  ++txn.stats().pages_written;
   co_return true;
 }
 
@@ -174,7 +166,6 @@ sim::Task<bool> DiskEngine::update(
   txn.op_log().push_back(txn::OpRecord{txn::OpRecord::Kind::Update, t,
                                        tb.primary_key_of(row), row});
   co_await cpu_.use(cfg_.costs.row_read + cfg_.costs.row_write);
-  ++txn.stats().pages_written;
   co_return true;
 }
 
@@ -200,7 +191,6 @@ sim::Task<bool> DiskEngine::remove(TxnCtx& txn, TableId t, const Key& pk) {
   txn.op_log().push_back(
       txn::OpRecord{txn::OpRecord::Kind::Delete, t, pk, {}});
   co_await cpu_.use(cfg_.costs.row_write + cfg_.costs.index_update);
-  ++txn.stats().pages_written;
   co_return true;
 }
 
@@ -284,7 +274,7 @@ sim::Task<> DiskEngine::apply_record(const txn::TxnRecord& rec) {
       rollback(*txn);
       if (e.reason == TxnAbort::Reason::Cancelled) co_return;
     }
-    co_await sim_.delay(cfg_.costs.wait_die_backoff);
+    co_await sim_.delay(cfg_.costs.deadlock_backoff);
   }
 }
 
@@ -296,11 +286,9 @@ void DiskEngine::shutdown() {
 
 sim::Task<std::optional<api::TxnResult>> run_proc_on_disk(
     DiskEngine& eng, const api::ProcInfo& proc, api::Params params) {
-  std::optional<uint64_t> reuse_ts;
   for (;;) {
-    auto txn = eng.begin(
-        proc.read_only ? TxnKind::ReadOnly : TxnKind::Update, reuse_ts);
-    reuse_ts = txn->ts();
+    auto txn =
+        eng.begin(proc.read_only ? TxnKind::ReadOnly : TxnKind::Update);
     DiskConnection conn(eng, *txn);
     try {
       api::TxnResult result = co_await proc.fn(conn, params);
@@ -310,7 +298,7 @@ sim::Task<std::optional<api::TxnResult>> run_proc_on_disk(
       eng.rollback(*txn);
       if (e.reason == TxnAbort::Reason::Cancelled) co_return std::nullopt;
     }
-    co_await eng.sim().delay(eng.costs().wait_die_backoff);
+    co_await eng.sim().delay(eng.costs().deadlock_backoff);
   }
 }
 

@@ -29,9 +29,9 @@ using SchemaFn = std::function<void(storage::Database&)>;
 
 class TxnAbort : public std::runtime_error {
  public:
-  enum class Reason { WaitDie, Cancelled };
+  enum class Reason { Deadlock, Cancelled };
   explicit TxnAbort(Reason r)
-      : std::runtime_error(r == Reason::WaitDie ? "wait-die" : "cancelled"),
+      : std::runtime_error(r == Reason::Deadlock ? "deadlock" : "cancelled"),
         reason(r) {}
   Reason reason;
 };
@@ -39,7 +39,6 @@ class TxnAbort : public std::runtime_error {
 struct DiskEngineStats {
   uint64_t commits = 0;
   uint64_t read_commits = 0;
-  uint64_t waitdie_deaths = 0;
   uint64_t records_applied = 0;
 };
 
@@ -49,7 +48,6 @@ class DiskEngine {
     txn::CostModel costs;
     size_t buffer_frames = 4096;
     int cpus = 2;
-    txn::LockPolicy lock_policy = txn::LockPolicy::DeadlockDetect;
   };
 
   DiskEngine(sim::Simulation& sim, std::string name, Config cfg);
@@ -58,12 +56,11 @@ class DiskEngine {
   void build_schema(const SchemaFn& fn);
 
   // --- transactions ---
-  std::unique_ptr<txn::TxnCtx> begin(
-      txn::TxnKind kind, std::optional<uint64_t> reuse_ts = std::nullopt);
+  std::unique_ptr<txn::TxnCtx> begin(txn::TxnKind kind);
   sim::Task<> commit(txn::TxnCtx& txn);
   void rollback(txn::TxnCtx& txn);
 
-  // --- operations (throw TxnAbort on wait-die death / shutdown) ---
+  // --- operations (throw TxnAbort on deadlock death / shutdown) ---
   sim::Task<std::optional<storage::Row>> get(txn::TxnCtx& txn,
                                              storage::TableId t,
                                              const storage::Key& pk);
@@ -167,7 +164,7 @@ class DiskConnection : public api::Connection {
 };
 
 // Run one registered procedure as a transaction on a DiskEngine, retrying
-// deadlock deaths with the original timestamp. Returns nullopt only if the
+// deadlock deaths after `deadlock_backoff`. Returns nullopt only if the
 // engine shut down. `params` is taken by value: this is a lazy coroutine
 // and must own its inputs (callers often hand it a dying local).
 sim::Task<std::optional<api::TxnResult>> run_proc_on_disk(

@@ -90,13 +90,11 @@ sim::Task<std::optional<api::TxnResult>> ReplicatedDiskTier::execute(
 
   // Update path: execute on the sequencer, then feed the committed record
   // to the other actives (FIFO appliers keep them consistent).
-  std::optional<uint64_t> reuse_ts;
   for (;;) {
     const size_t idx = sequencer();
     if (idx == SIZE_MAX) co_return std::nullopt;
     DiskEngine& eng = *nodes_[idx].engine;
-    auto txn = eng.begin(TxnKind::Update, reuse_ts);
-    reuse_ts = txn->ts();
+    auto txn = eng.begin(TxnKind::Update);
     DiskConnection conn(eng, *txn);
     try {
       api::TxnResult result = co_await proc.fn(conn, params);
@@ -122,7 +120,7 @@ sim::Task<std::optional<api::TxnResult>> ReplicatedDiskTier::execute(
         co_return std::nullopt;
       }
     }
-    co_await sim_.delay(cfg_.engine.costs.wait_die_backoff);
+    co_await sim_.delay(cfg_.engine.costs.deadlock_backoff);
   }
 }
 

@@ -55,7 +55,6 @@ DmvExperiment::DmvExperiment(Config cfg)
   cc.schedulers = cfg_.schedulers;
   cc.engine.costs = cfg_.costs;
   cc.engine.cache_pages = cfg_.cache_pages;
-  cc.engine.lock_policy = cfg_.lock_policy;
   cc.engine.full_page_writesets = cfg_.full_page_writesets;
   cc.eager_apply = cfg_.eager_apply;
   cc.batch_max_writesets = cfg_.batch_max_writesets;

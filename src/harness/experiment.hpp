@@ -60,7 +60,6 @@ class DmvExperiment {
     bool prewarm_active = true;
     bool prewarm_spares = false;
     bool persistence = false;
-    txn::LockPolicy lock_policy = txn::LockPolicy::DeadlockDetect;
     bool full_page_writesets = false;
     bool eager_apply = false;
     // Replication pipeline windows (cumulative acks are always on; these

@@ -20,7 +20,7 @@ MemEngine::MemEngine(sim::Simulation& sim, std::string name, Config cfg)
     : sim_(sim),
       name_(std::move(name)),
       cfg_(cfg),
-      locks_(sim, cfg.lock_policy),
+      locks_(sim),
       cache_(cfg.cache_pages, cfg.costs.mem_page_fault),
       cpu_(sim, cfg.cpus) {}
 
@@ -49,17 +49,13 @@ sim::Task<> MemEngine::promote(std::set<TableId> tables) {
   master_tables_.insert(tables.begin(), tables.end());
 }
 
-std::unique_ptr<TxnCtx> MemEngine::begin_update(
-    std::optional<uint64_t> reuse_ts) {
-  const uint64_t id = next_txn_++;
-  const uint64_t ts = reuse_ts.value_or(id);
-  return std::make_unique<TxnCtx>(id, ts, TxnKind::Update);
+std::unique_ptr<TxnCtx> MemEngine::begin_update() {
+  return std::make_unique<TxnCtx>(next_txn_++, TxnKind::Update);
 }
 
 std::unique_ptr<TxnCtx> MemEngine::begin_read(VersionVec tag) {
   DMV_ASSERT(tag.size() == db_.table_count());
-  const uint64_t id = next_txn_++;
-  auto txn = std::make_unique<TxnCtx>(id, id, TxnKind::ReadOnly);
+  auto txn = std::make_unique<TxnCtx>(next_txn_++, TxnKind::ReadOnly);
   txn->set_read_version(std::move(tag));
   return txn;
 }
@@ -82,7 +78,6 @@ void MemEngine::apply_one(storage::Table& table, const txn::PageMod& mod,
 sim::Task<> MemEngine::ensure_table(TxnCtx& txn, TableId t) {
   if (txn.kind() != TxnKind::ReadOnly) co_return;
   if (masters(t)) {
-    ++stats_.master_reads_latest;
     // §2.1: reads served by the master see its latest state. Make that
     // sound under the tag semantics by raising the txn's tag for *every*
     // mastered table to the master's current version, once, on first
@@ -166,8 +161,7 @@ sim::Task<> MemEngine::lock_page(TxnCtx& txn, PageId pid, LockMode mode) {
     case LockRc::Granted:
       co_return;
     case LockRc::Died:
-      ++stats_.waitdie_deaths;
-      throw TxnAbort(TxnAbort::Reason::WaitDie);
+      throw TxnAbort(TxnAbort::Reason::Deadlock);
     case LockRc::Cancelled:
       throw TxnAbort(TxnAbort::Reason::Cancelled);
   }
@@ -180,7 +174,6 @@ sim::Task<std::optional<Row>> MemEngine::get(TxnCtx& txn, TableId t,
   // so lock hold times stay at data-access scale.
   co_await cpu_.use(cfg_.costs.mem_cpu_read_query);
   sim::Time cost = cfg_.costs.index_lookup;
-  ++txn.stats().index_ops;
 
   if (txn.kind() == TxnKind::ReadOnly) {
     co_await ensure_table(txn, t);
@@ -204,8 +197,6 @@ sim::Task<std::optional<Row>> MemEngine::get(TxnCtx& txn, TableId t,
     }
     if (!latch) check_page(txn, t, rid->page);
     cost += cache_.touch({t, rid->page}) + cfg_.costs.row_read;
-    ++txn.stats().pages_read;
-    ++txn.stats().rows_touched;
     Row row = tb.read_row(*rid);
     if (latch) locks_.release_all(txn);
     co_await cpu_.use(cost);
@@ -225,19 +216,16 @@ sim::Task<std::optional<Row>> MemEngine::get(TxnCtx& txn, TableId t,
     co_return std::nullopt;
   }
   cost += cache_.touch({t, rid->page}) + cfg_.costs.row_read;
-  ++txn.stats().pages_read;
-  ++txn.stats().rows_touched;
   Row row = tb.read_row(*rid);
   co_await cpu_.use(cost);
   co_return row;
 }
 
 sim::Task<std::vector<Row>> MemEngine::scan(TxnCtx& txn, TableId t,
-                                            ScanSpec spec) {
+                                            api::ScanSpec spec) {
   storage::Table& tb = db_.table(t);
   co_await cpu_.use(cfg_.costs.mem_cpu_read_query);
   sim::Time cost = cfg_.costs.index_lookup;
-  ++txn.stats().index_ops;
 
   if (txn.kind() == TxnKind::ReadOnly) co_await ensure_table(txn, t);
 
@@ -280,7 +268,6 @@ sim::Task<std::vector<Row>> MemEngine::scan(TxnCtx& txn, TableId t,
         check_page(txn, t, rid.page);
       }
       cost += cache_.touch({t, rid.page}) + cfg_.costs.row_read;
-      ++txn.stats().rows_touched;
       Row row = tb.read_row(rid);
       if (latch) locks_.release_all(txn);
       if (spec.filter && !spec.filter(row)) continue;
@@ -295,7 +282,6 @@ sim::Task<std::vector<Row>> MemEngine::scan(TxnCtx& txn, TableId t,
     co_await lock_page(txn, {t, rid.page}, LockMode::Shared);
     if (!tb.slot_occupied(rid)) continue;  // deleted while we waited
     cost += cache_.touch({t, rid.page}) + cfg_.costs.row_read;
-    ++txn.stats().rows_touched;
     Row row = tb.read_row(rid);
     if (spec.filter && !spec.filter(row)) continue;
     out.push_back(std::move(row));
@@ -335,9 +321,6 @@ sim::Task<bool> MemEngine::insert(TxnCtx& txn, TableId t, const Row& row) {
   cost += cfg_.costs.row_write + cache_.touch({t, rid->page}) +
           cfg_.costs.index_update * sim::Time(1 + tb.secondary_count()) +
           cfg_.costs.index_rotation * sim::Time(tb.index_rotations() - rot0);
-  ++txn.stats().pages_written;
-  ++txn.stats().rows_touched;
-  txn.stats().index_ops += 1 + tb.secondary_count();
   co_await cpu_.use(cost);
   co_return true;
 }
@@ -372,8 +355,6 @@ sim::Task<bool> MemEngine::update(
   cost += cfg_.costs.row_read + cfg_.costs.row_write +
           cache_.touch({t, rid->page}) +
           cfg_.costs.index_rotation * sim::Time(tb.index_rotations() - rot0);
-  ++txn.stats().pages_written;
-  ++txn.stats().rows_touched;
   co_await cpu_.use(cost);
   co_return true;
 }
@@ -404,9 +385,6 @@ sim::Task<bool> MemEngine::remove(TxnCtx& txn, TableId t, const Key& pk) {
   cost += cfg_.costs.row_write + cache_.touch({t, rid->page}) +
           cfg_.costs.index_update * sim::Time(1 + tb.secondary_count()) +
           cfg_.costs.index_rotation * sim::Time(tb.index_rotations() - rot0);
-  ++txn.stats().pages_written;
-  ++txn.stats().rows_touched;
-  txn.stats().index_ops += 1 + tb.secondary_count();
   co_await cpu_.use(cost);
   co_return true;
 }

@@ -35,6 +35,7 @@
 #include <optional>
 #include <set>
 
+#include "api/api.hpp"
 #include "mem/cache_model.hpp"
 #include "sim/sync.hpp"
 #include "storage/table.hpp"
@@ -49,9 +50,9 @@ using SchemaFn = std::function<void(storage::Database&)>;
 
 class TxnAbort : public std::runtime_error {
  public:
-  enum class Reason { WaitDie, VersionConflict, Cancelled };
+  enum class Reason { Deadlock, VersionConflict, Cancelled };
   explicit TxnAbort(Reason r)
-      : std::runtime_error(r == Reason::WaitDie           ? "wait-die"
+      : std::runtime_error(r == Reason::Deadlock          ? "deadlock"
                            : r == Reason::VersionConflict ? "version-conflict"
                                                           : "cancelled"),
         reason(r) {}
@@ -62,12 +63,9 @@ struct EngineStats {
   uint64_t update_commits = 0;
   uint64_t read_commits = 0;
   uint64_t version_aborts = 0;
-  uint64_t waitdie_deaths = 0;
   uint64_t mods_enqueued = 0;
   uint64_t mods_applied = 0;
   uint64_t pages_installed = 0;
-  uint64_t master_reads_latest = 0;  // read-only ops served at-latest on a
-                                     // node that masters the table
 };
 
 class MemEngine {
@@ -76,7 +74,6 @@ class MemEngine {
     txn::CostModel costs;
     size_t cache_pages = 1 << 20;  // effectively unbounded by default
     int cpus = 2;                  // the paper's dual-Athlon nodes
-    txn::LockPolicy lock_policy = txn::LockPolicy::DeadlockDetect;
     // Ablation: ship whole page images instead of byte-diff runs.
     bool full_page_writesets = false;
     // --- test-only mutation knobs (dmv_check mutation smoke mode) ---
@@ -125,10 +122,7 @@ class MemEngine {
   }
 
   // --- transactions ---
-  // `reuse_ts`: pass the previous attempt's ts when restarting after a
-  // wait-die death so the transaction ages instead of starving.
-  std::unique_ptr<txn::TxnCtx> begin_update(
-      std::optional<uint64_t> reuse_ts = std::nullopt);
+  std::unique_ptr<txn::TxnCtx> begin_update();
   std::unique_ptr<txn::TxnCtx> begin_read(VersionVec tag);
 
   // Pre-commit (Figure 2): charges diff cost, then atomically increments
@@ -149,17 +143,9 @@ class MemEngine {
   sim::Task<std::optional<storage::Row>> get(txn::TxnCtx& txn,
                                              storage::TableId t,
                                              const storage::Key& pk);
-  struct ScanSpec {
-    int index = -1;  // -1: primary key, else secondary index position
-    std::optional<storage::Key> lo;
-    std::optional<storage::Key> hi;
-    size_t limit = SIZE_MAX;
-    bool reverse = false;  // descending key order
-    std::function<bool(const storage::Row&)> filter;  // optional
-  };
   sim::Task<std::vector<storage::Row>> scan(txn::TxnCtx& txn,
                                             storage::TableId t,
-                                            ScanSpec spec);
+                                            api::ScanSpec spec);
   // False on primary-key duplicate.
   sim::Task<bool> insert(txn::TxnCtx& txn, storage::TableId t,
                          const storage::Row& row);

@@ -15,12 +15,6 @@ Schema::Schema(std::vector<Column> cols) : cols_(std::move(cols)) {
   DMV_ASSERT(row_size_ > 0);
 }
 
-size_t Schema::col(const std::string& name) const {
-  for (size_t i = 0; i < cols_.size(); ++i)
-    if (cols_[i].name == name) return i;
-  DMV_ASSERT_MSG(false, "unknown column " << name);
-}
-
 void Schema::encode(const Row& row, std::span<std::byte> out) const {
   DMV_ASSERT(row.size() == cols_.size());
   DMV_ASSERT(out.size() >= row_size_);

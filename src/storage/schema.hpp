@@ -38,9 +38,6 @@ class Schema {
   const Column& column(size_t i) const { return cols_[i]; }
   size_t offset(size_t i) const { return offsets_[i]; }
 
-  // Column index by name; asserts on unknown names (schemas are static).
-  size_t col(const std::string& name) const;
-
   // Serialize `row` into a row-sized buffer / parse it back.
   void encode(const Row& row, std::span<std::byte> out) const;
   Row decode(std::span<const std::byte> in) const;

@@ -36,12 +36,6 @@ Key Table::secondary_key_of(const Row& row, size_t idx) const {
   return k;
 }
 
-size_t Table::secondary_index(const std::string& name) const {
-  for (size_t i = 0; i < secondary_defs_.size(); ++i)
-    if (secondary_defs_[i].name == name) return i;
-  DMV_ASSERT_MSG(false, "unknown index " << name << " on " << name_);
-}
-
 void Table::sec_scan(size_t idx, const Key* lo, const Key* hi,
                      const std::function<bool(const Key&, RowId)>& fn) const {
   DMV_ASSERT(idx < secondary_trees_.size());
@@ -248,18 +242,6 @@ Table& Database::table(TableId id) {
 const Table& Database::table(TableId id) const {
   DMV_ASSERT(id < tables_.size());
   return *tables_[id];
-}
-
-Table* Database::find_table(const std::string& name) {
-  for (auto& t : tables_)
-    if (t->name() == name) return t.get();
-  return nullptr;
-}
-
-const Table* Database::find_table(const std::string& name) const {
-  for (const auto& t : tables_)
-    if (t->name() == name) return t.get();
-  return nullptr;
 }
 
 size_t Database::total_pages() const {

@@ -62,11 +62,6 @@ class Table {
     primary_tree_.scan_desc(lo, hi, fn);
   }
   size_t secondary_count() const { return secondary_defs_.size(); }
-  size_t secondary_index(const std::string& name) const;
-  const IndexDef& primary_def() const { return primary_def_; }
-  const IndexDef& secondary_def(size_t i) const {
-    return secondary_defs_[i];
-  }
   // Secondary keys carry the PK appended; scans use prefix bounds.
   void sec_scan(size_t idx, const Key* lo, const Key* hi,
                 const std::function<bool(const Key&, RowId)>& fn) const;
@@ -104,14 +99,12 @@ class Table {
   bool pages_equal(const Table& other) const;
 
   Key primary_key_of(const Row& row) const;
-  // Secondary key (indexed columns + appended PK) a row would carry in
-  // index `idx`. Public so callers patching un-indexed buffered rows into
-  // scan results (the engine's optimistic mode) can place them in index
-  // order.
-  Key secondary_key_of(const Row& row, size_t idx) const;
 
  private:
   RowId allocate_slot();
+  // Secondary key (indexed columns + appended PK) a row carries in index
+  // `idx`.
+  Key secondary_key_of(const Row& row, size_t idx) const;
 
   TableId id_;
   std::string name_;
@@ -137,8 +130,6 @@ class Database {
                     std::vector<IndexDef> secondaries = {});
   Table& table(TableId id);
   const Table& table(TableId id) const;
-  Table* find_table(const std::string& name);
-  const Table* find_table(const std::string& name) const;
   size_t table_count() const { return tables_.size(); }
 
   size_t total_pages() const;

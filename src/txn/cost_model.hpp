@@ -35,7 +35,7 @@ struct CostModel {
   sim::Time diff_page = 20;          // write-set creation per dirty page
   sim::Time apply_run = 2;           // per byte-run applied on a slave
   sim::Time apply_slot_reindex = 6;  // per slot unindex+index on apply
-  sim::Time wait_die_backoff = 500;  // restart delay after a wait-die death
+  sim::Time deadlock_backoff = 500;  // restart delay after a deadlock death
 
   // --- memory / buffer-cache model (in-memory tier) ---
   // Cost of touching a page absent from the node's resident set (mmap

@@ -16,23 +16,6 @@ bool LockManager::compatible(const LockState& ls, const TxnCtx& txn,
   return true;
 }
 
-bool LockManager::must_die(const LockState& ls, const TxnCtx& txn,
-                           LockMode mode) const {
-  // Wait-die with queue-aware edges: the requester may wait only if it is
-  // strictly older (smaller ts) than every conflicting holder AND every
-  // already-queued waiter. This keeps ts strictly increasing along every
-  // waits-for chain, so cycles are impossible even with FIFO queueing.
-  if (ls.x_holder && ls.x_holder != &txn && ls.x_holder->ts() < txn.ts())
-    return true;
-  if (mode == LockMode::Exclusive) {
-    for (auto& [id, holder] : ls.sharers)
-      if (holder != &txn && holder->ts() < txn.ts()) return true;
-  }
-  for (auto& w : ls.queue)
-    if (w->txn->ts() < txn.ts()) return true;
-  return false;
-}
-
 void LockManager::grant(LockState& ls, TxnCtx& txn, LockMode mode) {
   // Callers record the pid in txn.held_locks() on first grant.
   if (mode == LockMode::Exclusive) {
@@ -93,18 +76,10 @@ sim::Task<LockRc> LockManager::acquire(TxnCtx& txn, storage::PageId pid,
     co_return LockRc::Granted;
   }
 
-  if (policy_ == LockPolicy::WaitDie) {
-    if (must_die(ls, txn, mode)) {
-      ++deaths_;
-      obs::count("lock.deaths", trace_node_);
-      co_return LockRc::Died;
-    }
-  } else {
-    if (creates_cycle(txn, pid)) {
-      ++deaths_;
-      obs::count("lock.deaths", trace_node_);
-      co_return LockRc::Died;
-    }
+  if (creates_cycle(txn, pid)) {
+    ++deaths_;
+    obs::count("lock.deaths", trace_node_);
+    co_return LockRc::Died;
   }
 
   ++waits_;

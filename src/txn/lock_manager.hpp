@@ -1,15 +1,13 @@
 // Per-page shared/exclusive lock table with strict 2PL (all locks released
-// at commit/abort) and a choice of deadlock policies:
+// at commit/abort) and deadlock detection.
 //
-//  - DeadlockDetect (default): conflicting requests block FIFO; a request
-//    that would close a waits-for cycle dies instead (the victim restarts).
-//    This matches MySQL/InnoDB behavior: conflicts are queueing, aborts are
-//    rare. The detection graph is exact on holders and conservative on
-//    queued-ahead waiters (our grant order makes those real dependencies).
-//  - WaitDie: a requester older than every conflicting holder and queued
-//    waiter blocks; a younger one dies immediately. Simpler and
-//    livelock-free, but hot pages turn into retry storms — kept as an
-//    ablation knob (bench/ablation_design).
+// Conflicting requests block in FIFO order. A request that would close a
+// waits-for cycle dies instead, and its transaction restarts. This matches
+// MySQL/InnoDB: conflicts queue and aborts are rare. The detection graph is
+// exact on holders and conservative on queued-ahead waiters, which the FIFO
+// grant order makes real dependencies. S->X upgrades take part in the
+// graph like any other request: two transactions that both hold S on a
+// page and then ask for X deadlock, and one of them dies.
 #pragma once
 
 #include <cstdint>
@@ -26,22 +24,18 @@ namespace dmv::txn {
 enum class LockMode { Shared, Exclusive };
 enum class LockRc {
   Granted,
-  Died,      // deadlock/wait-die victim: abort and restart the transaction
+  Died,      // deadlock victim: abort and restart the transaction
   Cancelled  // lock table shut down (node killed)
 };
 
-enum class LockPolicy { DeadlockDetect, WaitDie };
-
 class LockManager {
  public:
-  explicit LockManager(sim::Simulation& sim,
-                       LockPolicy policy = LockPolicy::DeadlockDetect)
-      : sim_(sim), policy_(policy) {}
+  explicit LockManager(sim::Simulation& sim) : sim_(sim) {}
   ~LockManager();
 
   // Blocks (in virtual time) until granted, or returns Died/Cancelled.
   // Reentrant: S-under-X and repeat requests are granted immediately;
-  // S->X upgrade is supported and subject to wait-die.
+  // S->X upgrade is supported and subject to deadlock detection.
   sim::Task<LockRc> acquire(TxnCtx& txn, storage::PageId pid, LockMode mode);
 
   // Strict 2PL: drop everything this transaction holds, waking waiters.
@@ -75,8 +69,6 @@ class LockManager {
 
   bool compatible(const LockState& ls, const TxnCtx& txn,
                   LockMode mode) const;
-  // True if wait-die says this request must die instead of waiting.
-  bool must_die(const LockState& ls, const TxnCtx& txn, LockMode mode) const;
   // True if blocking txn on pid would close a waits-for cycle.
   bool creates_cycle(const TxnCtx& txn, storage::PageId pid) const;
   // Everything `txn` would wait for on `pid` right now.
@@ -86,7 +78,6 @@ class LockManager {
   void pump(storage::PageId pid);
 
   sim::Simulation& sim_;
-  LockPolicy policy_;
   std::map<storage::PageId, LockState> locks_;
   std::map<const TxnCtx*, storage::PageId> blocked_on_;
   bool shutdown_ = false;

@@ -20,24 +20,13 @@ namespace dmv::txn {
 
 enum class TxnKind { Update, ReadOnly };
 
-struct TxnStats {
-  uint64_t pages_read = 0;
-  uint64_t pages_written = 0;
-  uint64_t rows_touched = 0;
-  uint64_t index_ops = 0;
-  uint64_t restarts = 0;  // wait-die deaths before this attempt succeeded
-};
-
 class TxnCtx {
  public:
-  TxnCtx(uint64_t id, uint64_t ts, TxnKind kind)
-      : id_(id), ts_(ts), kind_(kind) {}
+  TxnCtx(uint64_t id, TxnKind kind) : id_(id), kind_(kind) {}
   TxnCtx(const TxnCtx&) = delete;
   TxnCtx& operator=(const TxnCtx&) = delete;
 
   uint64_t id() const { return id_; }
-  // Wait-die priority timestamp: smaller = older = higher priority.
-  uint64_t ts() const { return ts_; }
   TxnKind kind() const { return kind_; }
 
   // Record the pristine image of a page the first time it is written.
@@ -77,12 +66,8 @@ class TxnCtx {
   std::vector<OpRecord>& op_log() { return op_log_; }
   const std::vector<OpRecord>& op_log() const { return op_log_; }
 
-  TxnStats& stats() { return stats_; }
-  const TxnStats& stats() const { return stats_; }
-
  private:
   uint64_t id_;
-  uint64_t ts_;
   TxnKind kind_;
   std::map<storage::PageId, storage::Page> before_images_;
   std::set<storage::PageId> dirty_;
@@ -90,7 +75,6 @@ class TxnCtx {
   std::vector<OpRecord> op_log_;
   std::vector<uint64_t> read_version_;
   bool tag_upgraded_ = false;
-  TxnStats stats_;
 };
 
 }  // namespace dmv::txn

@@ -157,10 +157,9 @@ TEST(DiskEngine, InsertCommitReadBack) {
 
 TEST(DiskEngine, ReadersBlockBehindWriters) {
   // The serializable-2PL property the paper contrasts with DMV: a reader
-  // of a page being updated stalls until the writer commits. (Under
-  // wait-die the stalled reader must be the older transaction; a younger
-  // reader would die and retry — same stall, different mechanism, covered
-  // by RunProcRetriesWaitDie below.)
+  // of a page being updated stalls until the writer commits. (A reader
+  // caught in a deadlock would instead die and retry; that path is
+  // covered by RunProcRetriesDeadlockVictims below.)
   EngineFixture f;
   sim::Time read_done = -1, write_done = -1;
   f.run([](EngineFixture& f) -> sim::Task<> {
@@ -168,8 +167,8 @@ TEST(DiskEngine, ReadersBlockBehindWriters) {
     co_await f.eng.insert(*txn, 0, R(int64_t{1}, int64_t{100}));
     co_await f.eng.commit(*txn);
   }(f));
-  // Reader begins first (older ts) but issues its read after the writer
-  // has taken the X lock.
+  // Reader begins first but reads only after the writer has taken the X
+  // lock.
   auto reader_txn = f.eng.begin(txn::TxnKind::ReadOnly);
   auto writer_txn = f.eng.begin(txn::TxnKind::Update);
   f.sim.spawn([](EngineFixture& f, txn::TxnCtx& txn,
@@ -276,7 +275,7 @@ TEST(DiskEngine, BinlogAndReplay) {
   EXPECT_EQ(dst.eng.db().table(0).row_count(), 9u);
 }
 
-TEST(DiskEngine, RunProcRetriesWaitDie) {
+TEST(DiskEngine, RunProcRetriesDeadlockVictims) {
   EngineFixture f;
   api::ProcInfo bump;
   bump.read_only = false;
@@ -284,6 +283,9 @@ TEST(DiskEngine, RunProcRetriesWaitDie) {
       -> sim::Task<api::TxnResult> {
     api::TxnResult r;
     Key k = K(p.i("id"));
+    // Read first (S), then write (S->X upgrade): two bumps holding S on
+    // the same page deadlock on their upgrades, and one of them dies.
+    co_await c.get(0, k);
     co_await c.update(0, k, [](Row& row) {
       row[1] = std::get<int64_t>(row[1]) + 1;
     });
@@ -294,8 +296,9 @@ TEST(DiskEngine, RunProcRetriesWaitDie) {
     co_await f.eng.insert(*txn, 0, R(int64_t{1}, int64_t{0}));
     co_await f.eng.commit(*txn);
   }(f));
-  // 20 concurrent increments on one row: heavy X contention, many wait-die
-  // deaths, but all must eventually commit exactly once.
+  // 20 concurrent read-then-increment bumps on one row: upgrade cycles
+  // produce deadlock victims, but every bump must eventually commit
+  // exactly once.
   int done = 0;
   for (int i = 0; i < 20; ++i) {
     f.sim.spawn([](EngineFixture& f, const api::ProcInfo& proc,
@@ -309,6 +312,7 @@ TEST(DiskEngine, RunProcRetriesWaitDie) {
   }
   f.sim.run();
   EXPECT_EQ(done, 20);
+  EXPECT_GE(f.eng.locks().death_count(), 1u);
   f.run([](EngineFixture& f) -> sim::Task<> {
     auto txn = f.eng.begin(txn::TxnKind::ReadOnly);
     auto row = co_await f.eng.get(*txn, 0, K(int64_t{1}));

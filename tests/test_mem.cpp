@@ -286,7 +286,7 @@ TEST(MemEngineCc, ScanWithFilterAndLimit) {
   }
   c.sim.spawn([](Cluster& c) -> sim::Task<> {
     auto txn = c.slaves[0]->begin_read(c.slaves[0]->received_version());
-    MemEngine::ScanSpec spec;
+    api::ScanSpec spec;
     spec.lo = K(int64_t{5});
     spec.hi = K(int64_t{25});
     spec.limit = 4;
@@ -311,7 +311,7 @@ TEST(MemEngineCc, SecondaryIndexScanOnSlave) {
   });
   c.sim.spawn([](Cluster& c) -> sim::Task<> {
     auto txn = c.slaves[0]->begin_read(c.slaves[0]->received_version());
-    MemEngine::ScanSpec spec;
+    api::ScanSpec spec;
     spec.index = 0;  // by_owner
     spec.lo = Key{std::string("amy")};
     spec.hi = Key{std::string("amy")};
@@ -407,34 +407,37 @@ TEST(MemEngine, InstallPageBringsStaleNodeCurrent) {
   EXPECT_EQ(joiner.db().table(0).row_count(), 20u);
 }
 
-TEST(MemEngine, WaitDieDeathSurfacesAsAbort) {
-  MemEngine::Config wd_cfg;
-  wd_cfg.lock_policy = txn::LockPolicy::WaitDie;
-  Cluster c(0, wd_cfg);
+TEST(MemEngine, DeadlockDeathSurfacesAsAbort) {
+  Cluster c(0);
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
-  bool died = false;
-  c.sim.spawn([](Cluster& c, bool& died) -> sim::Task<> {
-    auto t_old = c.master->begin_update();
-    auto t_young = c.master->begin_update();
-    // Older txn takes the X lock...
-    co_await c.master->update(*t_old, 0, K(int64_t{1}),
-                              [](Row& r) { r[1] = int64_t{1}; });
-    // ...younger one must die rather than wait.
+  // Two transactions read the row (S) and then update it (S->X upgrade):
+  // each upgrade waits for the other's S lock, so the second one to ask
+  // closes a cycle and dies; the survivor's upgrade is then granted.
+  int died = 0, committed = 0;
+  auto body = [](Cluster& c, int& died, int& committed) -> sim::Task<> {
+    auto txn = c.master->begin_update();
     try {
-      co_await c.master->update(*t_young, 0, K(int64_t{1}),
-                                [](Row& r) { r[1] = int64_t{2}; });
+      co_await c.master->get(*txn, 0, K(int64_t{1}));
+      co_await c.master->update(*txn, 0, K(int64_t{1}),
+                                [](Row& r) { r[1] = int64_t{1}; });
     } catch (const TxnAbort& e) {
-      died = e.reason == TxnAbort::Reason::WaitDie;
-      c.master->rollback(*t_young);
+      EXPECT_EQ(e.reason, TxnAbort::Reason::Deadlock);
+      ++died;
+      c.master->rollback(*txn);
+      co_return;
     }
-    co_await c.master->precommit(*t_old);
-    c.master->finish_commit(*t_old);
-  }(c, died));
+    co_await c.master->precommit(*txn);
+    c.master->finish_commit(*txn);
+    ++committed;
+  };
+  c.sim.spawn(body(c, died, committed));
+  c.sim.spawn(body(c, died, committed));
   c.sim.run();
-  EXPECT_TRUE(died);
-  EXPECT_EQ(c.master->stats().waitdie_deaths, 1u);
+  EXPECT_EQ(died, 1);
+  EXPECT_EQ(committed, 1);
+  EXPECT_EQ(c.master->locks().death_count(), 1u);
 }
 
 TEST(MemEngine, FullPageWriteSetsShipWholePages) {

@@ -16,12 +16,10 @@ struct LmFixture {
   sim::Simulation sim;
   LockManager lm;
   uint64_t next_id = 1;
-  explicit LmFixture(LockPolicy p = LockPolicy::DeadlockDetect)
-      : lm(sim, p) {}
+  LmFixture() : lm(sim) {}
   std::vector<std::unique_ptr<TxnCtx>> txns;
   TxnCtx& make(TxnKind k = TxnKind::Update) {
-    txns.push_back(std::make_unique<TxnCtx>(next_id, next_id, k));
-    ++next_id;
+    txns.push_back(std::make_unique<TxnCtx>(next_id++, k));
     return *txns.back();
   }
 };
@@ -50,54 +48,6 @@ TEST(LockManager, SharedLocksCoexist) {
   EXPECT_TRUE(f.lm.held_by(kP, t2));
 }
 
-TEST(LockManager, ExclusiveBlocksOlderWaiterUntilRelease) {
-  LmFixture f(LockPolicy::WaitDie);
-  auto& old_txn = f.make();  // ts 1 (older)
-  auto& young_txn = f.make();
-  std::vector<int> order;
-  // Younger grabs X first.
-  f.sim.spawn([](LmFixture& f, TxnCtx& t, std::vector<int>& o) -> sim::Task<> {
-    EXPECT_EQ(co_await f.lm.acquire(t, kP, LockMode::Exclusive),
-              LockRc::Granted);
-    o.push_back(1);
-    co_await f.sim.delay(100);
-    f.lm.release_all(t);
-  }(f, young_txn, order));
-  // Older requests X later: wait-die says older waits.
-  f.sim.spawn([](LmFixture& f, TxnCtx& t, std::vector<int>& o) -> sim::Task<> {
-    co_await f.sim.delay(10);
-    EXPECT_EQ(co_await f.lm.acquire(t, kP, LockMode::Exclusive),
-              LockRc::Granted);
-    o.push_back(2);
-    EXPECT_EQ(f.sim.now(), 100);
-    f.lm.release_all(t);
-  }(f, old_txn, order));
-  f.sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(f.lm.wait_count(), 1u);
-  EXPECT_EQ(f.lm.lock_count(), 0u);  // lock table drained
-}
-
-TEST(LockManager, YoungerRequesterDiesUnderWaitDie) {
-  LmFixture f(LockPolicy::WaitDie);
-  auto& old_txn = f.make();
-  auto& young_txn = f.make();
-  LockRc young_rc = LockRc::Granted;
-  f.sim.spawn([](LmFixture& f, TxnCtx& t) -> sim::Task<> {
-    EXPECT_EQ(co_await f.lm.acquire(t, kP, LockMode::Exclusive),
-              LockRc::Granted);
-    co_await f.sim.delay(100);
-    f.lm.release_all(t);
-  }(f, old_txn));
-  f.sim.spawn([](LmFixture& f, TxnCtx& t, LockRc& rc) -> sim::Task<> {
-    co_await f.sim.delay(10);
-    rc = co_await f.lm.acquire(t, kP, LockMode::Exclusive);
-  }(f, young_txn, young_rc));
-  f.sim.run();
-  EXPECT_EQ(young_rc, LockRc::Died);
-  EXPECT_EQ(f.lm.death_count(), 1u);
-}
-
 TEST(LockManager, ReentrantAndUpgrade) {
   LmFixture f;
   auto& t = f.make();
@@ -121,7 +71,7 @@ TEST(LockManager, ReentrantAndUpgrade) {
 
 TEST(LockManager, ShutdownCancelsWaiters) {
   LmFixture f;
-  auto& old_txn = f.make();
+  auto& waiter = f.make();
   auto& holder = f.make();
   LockRc rc = LockRc::Granted;
   f.sim.spawn([](LmFixture& f, TxnCtx& t) -> sim::Task<> {
@@ -131,8 +81,8 @@ TEST(LockManager, ShutdownCancelsWaiters) {
   f.sim.spawn([](LmFixture& f, TxnCtx& t, LockRc& rc) -> sim::Task<> {
     co_await f.sim.delay(1);
     rc = co_await f.lm.acquire(t, kP, LockMode::Shared);
-  }(f, old_txn, rc));
-  // old_txn has ts 1 < holder ts 2, so it waits; shutdown cancels it.
+  }(f, waiter, rc));
+  // The waiter blocks behind the X holder; shutdown cancels it.
   f.sim.schedule_at(50, [&] { f.lm.shutdown(); });
   f.sim.run();
   EXPECT_EQ(rc, LockRc::Cancelled);
@@ -140,21 +90,20 @@ TEST(LockManager, ShutdownCancelsWaiters) {
 
 // Stress: random lock workloads must never deadlock (run to completion)
 // and must keep the lock table consistent.
-class LockStress
-    : public ::testing::TestWithParam<std::tuple<uint64_t, LockPolicy>> {};
+class LockStress : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(LockStress, NoDeadlockUnderContention) {
-  LmFixture f(std::get<1>(GetParam()));
-  util::Rng rng(std::get<0>(GetParam()));
+  LmFixture f;
+  util::Rng rng(GetParam());
   int completed = 0;
   const int kTxns = 60;
   for (int i = 0; i < kTxns; ++i) {
     // Txn coroutine: lock 1-4 random pages (mixed modes), hold, release.
-    // On Died, retry with the same ctx (same ts) after a backoff.
+    // On Died, release everything and retry after a backoff.
     auto body = [](LmFixture& f, util::Rng& rng, int& done,
                    int idx) -> sim::Task<> {
       co_await f.sim.delay(sim::Time(rng.below(50)));
-      TxnCtx txn(uint64_t(idx + 1), uint64_t(idx + 1), TxnKind::Update);
+      TxnCtx txn(uint64_t(idx + 1), TxnKind::Update);
       for (;;) {
         bool died = false;
         const int npages = 1 + int(rng.below(4));
@@ -190,15 +139,12 @@ TEST_P(LockStress, NoDeadlockUnderContention) {
   EXPECT_EQ(f.lm.lock_count(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Seeds, LockStress,
-    ::testing::Combine(::testing::Values(11, 22, 33, 44, 55, 66),
-                       ::testing::Values(LockPolicy::WaitDie,
-                                         LockPolicy::DeadlockDetect)));
+INSTANTIATE_TEST_SUITE_P(Seeds, LockStress,
+                         ::testing::Values(11, 22, 33, 44, 55, 66));
 
 // Deadlock detection: a genuine cycle kills exactly one participant.
 TEST(LockManager, DetectsTwoPartyDeadlock) {
-  LmFixture f;  // DeadlockDetect
+  LmFixture f;
   auto& t1 = f.make();
   auto& t2 = f.make();
   std::vector<LockRc> rcs;
@@ -226,7 +172,7 @@ TEST(LockManager, DetectsTwoPartyDeadlock) {
 }
 
 TEST(LockManager, NoFalseDeadlockOnPlainContention) {
-  LmFixture f;  // DeadlockDetect: younger conflicting requester just waits
+  LmFixture f;  // the later conflicting requester just waits
   auto& t1 = f.make();
   auto& t2 = f.make();
   std::vector<sim::Time> done;
@@ -402,7 +348,7 @@ TEST(WriteSet, ApplyModIndexedReplaysDeleteAndUpdate) {
 }
 
 TEST(TxnCtx, UndoCaptureFirstTouchOnly) {
-  TxnCtx txn(1, 1, TxnKind::Update);
+  TxnCtx txn(1, TxnKind::Update);
   storage::Page p;
   txn.capture_undo({0, 0}, p);
   p.raw()[0] = std::byte{42};
@@ -412,7 +358,7 @@ TEST(TxnCtx, UndoCaptureFirstTouchOnly) {
 }
 
 TEST(TxnCtx, ReadOnlyIgnoresUndo) {
-  TxnCtx txn(1, 1, TxnKind::ReadOnly);
+  TxnCtx txn(1, TxnKind::ReadOnly);
   storage::Page p;
   txn.capture_undo({0, 0}, p);
   EXPECT_TRUE(txn.before_images().empty());
