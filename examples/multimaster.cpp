@@ -12,13 +12,9 @@
 #include "core/cluster.hpp"
 
 using namespace dmv;
-using storage::Key;
 using storage::Row;
-using storage::Value;
 
 namespace {
-
-Key K(Value v) { return Key{std::move(v)}; }
 
 void schema(storage::Database& db) {
   db.add_table("orders",

@@ -1,5 +1,7 @@
 #include "txn/lock_manager.hpp"
 
+#include <set>
+
 #include "obs/trace.hpp"
 
 namespace dmv::txn {
@@ -26,35 +28,39 @@ void LockManager::grant(LockState& ls, TxnCtx& txn, LockMode mode) {
   }
 }
 
-void LockManager::collect_deps(const TxnCtx& txn, storage::PageId pid,
-                               std::vector<const TxnCtx*>& out) const {
-  auto it = locks_.find(pid);
-  if (it == locks_.end()) return;
-  const LockState& ls = it->second;
-  if (ls.x_holder && ls.x_holder != &txn) out.push_back(ls.x_holder);
-  for (const auto& [id, holder] : ls.sharers)
-    if (holder != &txn) out.push_back(holder);
-  // Queued-ahead waiters are granted before us (FIFO), so they are real
-  // dependencies too.
-  for (const auto& w : ls.queue)
-    if (w->txn != &txn) out.push_back(w->txn);
-}
-
 bool LockManager::creates_cycle(const TxnCtx& txn,
                                 storage::PageId pid) const {
-  // DFS over the waits-for graph starting from what we would depend on;
-  // a path back to `txn` is a cycle.
+  // Page-level search (see the header): each page is entered at most once
+  // and pushes only its holders, never its queue. A path back to `txn` is
+  // a cycle.
   std::vector<const TxnCtx*> stack;
-  collect_deps(txn, pid, stack);
-  std::set<const TxnCtx*> visited;
+  std::set<storage::PageId> entered;
+  auto enter = [&](storage::PageId q) {
+    if (!entered.insert(q).second) return;
+    auto it = locks_.find(q);
+    if (it == locks_.end()) return;
+    if (it->second.x_holder) stack.push_back(it->second.x_holder);
+    for (const auto& [id, holder] : it->second.sharers)
+      stack.push_back(holder);
+  };
+  // We would wait for pid's holders other than ourselves. A non-empty
+  // queue makes pid itself entered: its waiters, granted ahead of us, wait
+  // for all of pid's holders, us included, which is how an S->X upgrade
+  // behind a queue closes a cycle. So pid is not marked entered up front.
+  const LockState& ls = locks_.at(pid);
+  if (ls.queue.empty()) {
+    if (ls.x_holder && ls.x_holder != &txn) stack.push_back(ls.x_holder);
+    for (const auto& [id, holder] : ls.sharers)
+      if (holder != &txn) stack.push_back(holder);
+  } else {
+    enter(pid);
+  }
   while (!stack.empty()) {
     const TxnCtx* u = stack.back();
     stack.pop_back();
     if (u == &txn) return true;
-    if (!visited.insert(u).second) continue;
     auto bit = blocked_on_.find(u);
-    if (bit == blocked_on_.end()) continue;  // running: no outgoing edges
-    collect_deps(*u, bit->second, stack);
+    if (bit != blocked_on_.end()) enter(bit->second);  // else running
   }
   return false;
 }

@@ -3,11 +3,20 @@
 //
 // Conflicting requests block in FIFO order. A request that would close a
 // waits-for cycle dies instead, and its transaction restarts. This matches
-// MySQL/InnoDB: conflicts queue and aborts are rare. The detection graph is
-// exact on holders and conservative on queued-ahead waiters, which the FIFO
-// grant order makes real dependencies. S->X upgrades take part in the
-// graph like any other request: two transactions that both hold S on a
-// page and then ask for X deadlock, and one of them dies.
+// MySQL/InnoDB: conflicts queue and aborts are rare. A blocked request
+// waits for the page's holders and for *every* transaction queued on the
+// page (FIFO grants all of them first); the graph is exact on holders and
+// conservative on the queue. S->X upgrades take part in the graph like any
+// other request: two transactions that both hold S on a page and then ask
+// for X deadlock, and one of them dies.
+//
+// The cycle search runs over pages rather than transactions. Every waiter
+// queued on a page is blocked on that page and the requester is never a
+// waiter, so reaching any waiter of page q reaches exactly q's holders
+// plus q's other waiters. The search enters each page at most once and
+// pushes only its holders, which gives the same verdict as the
+// transaction-level search in time linear in the holders reached, instead
+// of quadratic in the length of a convoy.
 #pragma once
 
 #include <cstdint>
@@ -71,9 +80,6 @@ class LockManager {
                   LockMode mode) const;
   // True if blocking txn on pid would close a waits-for cycle.
   bool creates_cycle(const TxnCtx& txn, storage::PageId pid) const;
-  // Everything `txn` would wait for on `pid` right now.
-  void collect_deps(const TxnCtx& txn, storage::PageId pid,
-                    std::vector<const TxnCtx*>& out) const;
   void grant(LockState& ls, TxnCtx& txn, LockMode mode);
   void pump(storage::PageId pid);
 

@@ -18,38 +18,45 @@ size_t WriteSet::byte_size() const {
   return n;
 }
 
+namespace {
+
+// First offset >= i where the pages differ, or kPageSize. Equal 8-byte
+// words are skipped whole; bytes are compared only inside a changed word
+// and in the tail.
+size_t next_diff(const std::byte* a, const std::byte* b, size_t i) {
+  for (; i + 8 <= storage::kPageSize; i += 8) {
+    uint64_t wa, wb;
+    std::memcpy(&wa, a + i, 8);
+    std::memcpy(&wb, b + i, 8);
+    if (wa != wb) break;
+  }
+  while (i < storage::kPageSize && a[i] == b[i]) ++i;
+  return i;
+}
+
+}  // namespace
+
 std::vector<ByteRun> diff_pages(const storage::Page& before,
                                 const storage::Page& after,
                                 size_t merge_gap) {
   std::vector<ByteRun> runs;
   const std::byte* a = before.raw().data();
   const std::byte* b = after.raw().data();
-  size_t i = 0;
+  size_t i = next_diff(a, b, 0);
   while (i < storage::kPageSize) {
-    if (a[i] == b[i]) {
-      ++i;
-      continue;
-    }
-    // Start of a changed run; extend while changed or the gap of unchanged
-    // bytes ahead is small enough to merge through.
+    // Start of a changed run; extend it through every following change
+    // separated from it by at most `merge_gap` unchanged bytes.
     const size_t start = i;
     size_t end = i + 1;
-    size_t scan = end;
-    size_t gap = 0;
-    while (scan < storage::kPageSize) {
-      if (a[scan] != b[scan]) {
-        end = scan + 1;
-        gap = 0;
-      } else if (++gap > merge_gap) {
-        break;
-      }
-      ++scan;
+    for (;;) {
+      i = next_diff(a, b, end);
+      if (i == storage::kPageSize || i - end > merge_gap) break;
+      end = i + 1;
     }
     ByteRun run;
     run.offset = uint32_t(start);
     run.bytes.assign(b + start, b + end);
     runs.push_back(std::move(run));
-    i = end;
   }
   return runs;
 }

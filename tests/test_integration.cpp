@@ -17,7 +17,6 @@ using storage::Row;
 using storage::Value;
 
 Key K(Value a) { return Key{std::move(a)}; }
-Row R(Value a, Value b) { return Row{std::move(a), std::move(b)}; }
 
 void ledger_schema(storage::Database& db) {
   // Wide rows (~200B) so entries spread across many pages and page-level

@@ -246,10 +246,10 @@ TEST_P(MemConvergence, ConvergenceUnderRandomWorkload) {
     c.sim.run();
   }
   for (auto& s : c.slaves) {
-    c.sim.spawn([](Cluster& c, MemEngine& s) -> sim::Task<> {
+    c.sim.spawn([](MemEngine& s) -> sim::Task<> {
       for (TableId t = 0; t < 2; ++t)
         co_await s.apply_pending(t, s.received_version()[t]);
-    }(c, *s));
+    }(*s));
     c.sim.run();
     EXPECT_TRUE(c.master->db().pages_equal(s->db()));
     EXPECT_EQ(c.master->db().table(0).row_count(),

@@ -234,7 +234,9 @@ TEST_P(RbTreeProperty, MatchesReferenceModel) {
     } else {
       EXPECT_EQ(t.erase(Key{k}), ref.erase(k) > 0);
     }
-    if (step % 257 == 0) ASSERT_TRUE(t.check_invariants());
+    if (step % 257 == 0) {
+      ASSERT_TRUE(t.check_invariants());
+    }
   }
   ASSERT_TRUE(t.check_invariants());
   EXPECT_EQ(t.size(), ref.size());

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <set>
+
 #include "storage/table.hpp"
 #include "txn/lock_manager.hpp"
 #include "txn/write_set.hpp"
@@ -26,6 +30,7 @@ struct LmFixture {
 
 constexpr PageId kP{0, 0};
 constexpr PageId kQ{0, 1};
+constexpr PageId kR{0, 2};
 
 TEST(LockManager, SharedLocksCoexist) {
   LmFixture f;
@@ -196,6 +201,366 @@ TEST(LockManager, NoFalseDeadlockOnPlainContention) {
   EXPECT_EQ(done[1], 100);
 }
 
+// A 1000-waiter X convoy with no cycle: every blocked acquire runs the
+// cycle search against the whole queue, nobody dies, and the grants come
+// out in arrival order.
+TEST(LockManager, LongConvoyGrantsInFifoOrder) {
+  constexpr int kWaiters = 1000;
+  LmFixture f;
+  auto& holder = f.make();
+  std::vector<uint64_t> order;
+  f.sim.spawn([](LmFixture& f, TxnCtx& t) -> sim::Task<> {
+    co_await f.lm.acquire(t, kP, LockMode::Exclusive);
+    co_await f.sim.delay(10);
+    f.lm.release_all(t);
+  }(f, holder));
+  for (int i = 0; i < kWaiters; ++i) {
+    f.sim.spawn([](LmFixture& f, TxnCtx& t,
+                   std::vector<uint64_t>& order) -> sim::Task<> {
+      co_await f.sim.delay(1);
+      EXPECT_EQ(co_await f.lm.acquire(t, kP, LockMode::Exclusive),
+                LockRc::Granted);
+      order.push_back(t.id());
+      f.lm.release_all(t);
+    }(f, f.make(), order));
+  }
+  f.sim.run();
+  ASSERT_EQ(order.size(), size_t(kWaiters));
+  for (int i = 0; i < kWaiters; ++i) EXPECT_EQ(order[i], uint64_t(i + 2));
+  EXPECT_EQ(f.lm.death_count(), 0u);
+  EXPECT_EQ(f.lm.wait_count(), uint64_t(kWaiters));
+  EXPECT_EQ(f.lm.lock_count(), 0u);
+}
+
+// t1 holds P, t2 holds Q and queues for P behind 500 waiters; t1 then asks
+// for Q. The edge t2 -> t1 runs through the convoy, and the cycle is found.
+TEST(LockManager, DetectsCycleThroughLongConvoy) {
+  constexpr int kWaiters = 500;
+  LmFixture f;
+  auto& t1 = f.make();
+  auto& t2 = f.make();
+  std::vector<uint64_t> order;
+  LockRc t1_rc = LockRc::Granted;
+  f.sim.spawn([](LmFixture& f, TxnCtx& t, LockRc& rc) -> sim::Task<> {
+    co_await f.lm.acquire(t, kP, LockMode::Exclusive);
+    co_await f.sim.delay(3);
+    rc = co_await f.lm.acquire(t, kQ, LockMode::Exclusive);
+    f.lm.release_all(t);
+  }(f, t1, t1_rc));
+  auto waiter = [](LmFixture& f, TxnCtx& t, std::vector<uint64_t>& order,
+                   sim::Time at) -> sim::Task<> {
+    co_await f.sim.delay(at);
+    EXPECT_EQ(co_await f.lm.acquire(t, kP, LockMode::Exclusive),
+              LockRc::Granted);
+    order.push_back(t.id());
+    f.lm.release_all(t);
+  };
+  f.sim.spawn([](LmFixture& f, TxnCtx& t) -> sim::Task<> {
+    co_await f.lm.acquire(t, kQ, LockMode::Exclusive);
+  }(f, t2));
+  for (int i = 0; i < kWaiters; ++i)
+    f.sim.spawn(waiter(f, f.make(), order, 1));
+  f.sim.spawn(waiter(f, t2, order, 2));
+  f.sim.run();
+  EXPECT_EQ(t1_rc, LockRc::Died);
+  EXPECT_EQ(f.lm.death_count(), 1u);
+  ASSERT_EQ(order.size(), size_t(kWaiters + 1));
+  EXPECT_EQ(order.back(), t2.id());
+  EXPECT_EQ(f.lm.lock_count(), 0u);
+}
+
+// t1 holds S on P and t2 queues for X on P; t1's S->X upgrade would wait
+// for t2, which waits for t1, so the upgrade dies.
+TEST(LockManager, UpgradeBehindQueueDies) {
+  LmFixture f;
+  auto& t1 = f.make();
+  auto& t2 = f.make();
+  LockRc upgrade = LockRc::Granted;
+  LockRc queued = LockRc::Cancelled;
+  f.sim.spawn([](LmFixture& f, TxnCtx& t, LockRc& rc) -> sim::Task<> {
+    co_await f.lm.acquire(t, kP, LockMode::Shared);
+    co_await f.sim.delay(2);
+    rc = co_await f.lm.acquire(t, kP, LockMode::Exclusive);
+    f.lm.release_all(t);
+  }(f, t1, upgrade));
+  f.sim.spawn([](LmFixture& f, TxnCtx& t, LockRc& rc) -> sim::Task<> {
+    co_await f.sim.delay(1);
+    rc = co_await f.lm.acquire(t, kP, LockMode::Exclusive);
+    f.lm.release_all(t);
+  }(f, t2, queued));
+  f.sim.run();
+  EXPECT_EQ(upgrade, LockRc::Died);
+  EXPECT_EQ(queued, LockRc::Granted);
+  EXPECT_EQ(f.lm.death_count(), 1u);
+  EXPECT_EQ(f.lm.lock_count(), 0u);
+}
+
+// A waiter granted by a release stays blocked on its page until its wake
+// event runs. A search in that window still passes through the page, as
+// the transaction-level search did, and here finds a cycle: t would wait
+// for u on R, and "blocked" u waits for P, which t holds.
+TEST(LockManager, GrantedWaiterCountsAsBlockedUntilWoken) {
+  LmFixture f;
+  auto& h = f.make();
+  auto& u = f.make();
+  auto& t = f.make();
+  LockRc rc = LockRc::Granted;
+  f.sim.spawn([](LmFixture& f, TxnCtx& h, TxnCtx& u) -> sim::Task<> {
+    co_await f.lm.acquire(h, kP, LockMode::Exclusive);
+    co_await f.lm.acquire(u, kR, LockMode::Exclusive);
+    co_await f.sim.delay(1);
+    co_await f.lm.acquire(u, kP, LockMode::Shared);  // waits for h
+    co_await f.sim.delay(5);
+    f.lm.release_all(u);
+  }(f, h, u));
+  f.sim.spawn([](LmFixture& f, TxnCtx& h, TxnCtx& t,
+                 LockRc& rc) -> sim::Task<> {
+    co_await f.sim.delay(2);
+    f.lm.release_all(h);  // grants u S on P; u's wake is still pending
+    EXPECT_EQ(co_await f.lm.acquire(t, kP, LockMode::Shared),
+              LockRc::Granted);
+    rc = co_await f.lm.acquire(t, kR, LockMode::Exclusive);
+    f.lm.release_all(t);
+  }(f, h, t, rc));
+  f.sim.run();
+  EXPECT_EQ(rc, LockRc::Died);
+  EXPECT_EQ(f.lm.lock_count(), 0u);
+}
+
+// Reference model of the lock table: the same grant rules, with the
+// transaction-level waits-for search as the deadlock oracle. A blocked
+// transaction depends on every other holder and every other waiter of its
+// page, and each visited waiter re-expands its page's whole queue.
+struct ShadowLocks {
+  enum class Verdict { Granted, Died, Waits };
+  struct Entry {
+    std::map<uint64_t, int> sharers;  // txn id -> txn index
+    int x = -1;
+    std::deque<std::pair<int, LockMode>> queue;
+  };
+  std::map<PageId, Entry> pages;
+  // Set when a request queues, cleared when its coroutine resumes (as in
+  // LockManager, a granted waiter stays here until its wake runs).
+  std::map<int, PageId> blocked_on;
+  std::vector<std::vector<PageId>> held;
+  uint64_t waits = 0;
+  uint64_t deaths = 0;
+  uint64_t stale_searches = 0;  // searches that met a granted, unwoken txn
+
+  explicit ShadowLocks(int txns) : held(txns) {}
+  static uint64_t id(int t) { return uint64_t(t + 1); }
+
+  bool compatible(const Entry& e, int t, LockMode m) const {
+    if (e.x >= 0 && e.x != t) return false;
+    if (m == LockMode::Exclusive)
+      for (const auto& [tid, s] : e.sharers)
+        if (s != t) return false;
+    return true;
+  }
+  bool holds(PageId pid, int t) const {
+    auto it = pages.find(pid);
+    return it != pages.end() &&
+           (it->second.x == t || it->second.sharers.count(id(t)) > 0);
+  }
+  bool queued(PageId pid, int t) const {
+    auto it = pages.find(pid);
+    if (it == pages.end()) return false;
+    for (const auto& [w, m] : it->second.queue)
+      if (w == t) return true;
+    return false;
+  }
+  void grant(Entry& e, PageId pid, int t, LockMode m) {
+    const bool was_holder = e.x == t || e.sharers.count(id(t)) > 0;
+    if (m == LockMode::Exclusive) {
+      e.sharers.erase(id(t));
+      e.x = t;
+    } else if (e.x != t) {
+      e.sharers.emplace(id(t), t);
+    }
+    if (!was_holder) held[t].push_back(pid);
+  }
+  void deps(int t, PageId pid, std::vector<int>& out) const {
+    auto it = pages.find(pid);
+    if (it == pages.end()) return;
+    const Entry& e = it->second;
+    if (e.x >= 0 && e.x != t) out.push_back(e.x);
+    for (const auto& [tid, s] : e.sharers)
+      if (s != t) out.push_back(s);
+    for (const auto& [w, m] : e.queue)
+      if (w != t) out.push_back(w);
+  }
+  bool creates_cycle(int t, PageId pid) {
+    std::vector<int> stack;
+    deps(t, pid, stack);
+    std::set<int> visited;
+    bool stale = false;
+    bool cycle = false;
+    while (!stack.empty() && !cycle) {
+      const int u = stack.back();
+      stack.pop_back();
+      if (u == t) cycle = true;
+      if (cycle || !visited.insert(u).second) continue;
+      auto b = blocked_on.find(u);
+      if (b == blocked_on.end()) continue;
+      stale |= !queued(b->second, u);
+      deps(u, b->second, stack);
+    }
+    stale_searches += stale;
+    return cycle;
+  }
+  Verdict acquire(int t, PageId pid, LockMode m) {
+    Entry& e = pages[pid];
+    if (e.x == t) return Verdict::Granted;
+    if (m == LockMode::Shared && e.sharers.count(id(t)))
+      return Verdict::Granted;
+    if (e.queue.empty() && compatible(e, t, m)) {
+      grant(e, pid, t, m);
+      return Verdict::Granted;
+    }
+    if (creates_cycle(t, pid)) {
+      ++deaths;
+      return Verdict::Died;
+    }
+    ++waits;
+    e.queue.emplace_back(t, m);
+    blocked_on[t] = pid;
+    return Verdict::Waits;
+  }
+  void release_all(int t) {
+    for (PageId pid : held[t]) {
+      auto it = pages.find(pid);
+      if (it == pages.end()) continue;
+      Entry& e = it->second;
+      if (e.x == t) e.x = -1;
+      e.sharers.erase(id(t));
+      while (!e.queue.empty()) {
+        const auto [w, m] = e.queue.front();
+        if (!compatible(e, w, m)) break;
+        grant(e, pid, w, m);
+        e.queue.pop_front();
+      }
+      if (e.queue.empty() && e.sharers.empty() && e.x < 0) pages.erase(it);
+    }
+    held[t].clear();
+  }
+};
+
+struct Equivalence {
+  static constexpr int kTxns = 10;
+  static constexpr int kPages = 8;
+  LmFixture f;
+  ShadowLocks shadow{kTxns};
+  std::vector<bool> busy = std::vector<bool>(kTxns, false);
+  uint64_t upgrades = 0;
+  uint64_t checked = 0;
+
+  Equivalence() {
+    for (int t = 0; t < kTxns; ++t) f.make();
+  }
+  TxnCtx& txn(int t) { return *f.txns[size_t(t)]; }
+  void release(int t) {
+    f.lm.release_all(txn(t));
+    shadow.release_all(t);
+  }
+  // The shadow's verdict is taken in the same event as the real acquire.
+  static sim::Task<> request(Equivalence& q, int t, PageId pid, LockMode m) {
+    auto page = q.shadow.pages.find(pid);
+    if (m == LockMode::Exclusive && page != q.shadow.pages.end() &&
+        page->second.sharers.count(ShadowLocks::id(t)))
+      ++q.upgrades;  // S -> X
+    const auto expect = q.shadow.acquire(t, pid, m);
+    const uint64_t waits = q.f.lm.wait_count();
+    const LockRc rc = co_await q.f.lm.acquire(q.txn(t), pid, m);
+    q.shadow.blocked_on.erase(t);
+    ++q.checked;
+    switch (expect) {
+      case ShadowLocks::Verdict::Granted:
+        EXPECT_EQ(rc, LockRc::Granted);
+        EXPECT_EQ(q.f.lm.wait_count(), waits);  // granted without waiting
+        break;
+      case ShadowLocks::Verdict::Waits:
+        EXPECT_EQ(rc, LockRc::Granted);
+        EXPECT_GT(q.f.lm.wait_count(), waits);
+        break;
+      case ShadowLocks::Verdict::Died:
+        EXPECT_EQ(rc, LockRc::Died);
+        q.release(t);
+        break;
+    }
+    EXPECT_EQ(q.txn(t).held_locks(), q.shadow.held[size_t(t)]);
+    q.busy[size_t(t)] = false;
+  }
+  void expect_same_tables() {
+    EXPECT_EQ(f.lm.lock_count(), shadow.pages.size());
+    EXPECT_EQ(f.lm.wait_count(), shadow.waits);
+    EXPECT_EQ(f.lm.death_count(), shadow.deaths);
+    for (int p = 0; p < kPages; ++p) {
+      const PageId pid{0, storage::PageNo(p)};
+      for (int t = 0; t < kTxns; ++t)
+        EXPECT_EQ(f.lm.held_by(pid, txn(t)), shadow.holds(pid, t));
+    }
+  }
+  // Each step issues up to three actions in one virtual instant. Releases
+  // run at once; acquires are spawned, so an acquire can run after a
+  // release in the same step has granted a waiter but before that
+  // waiter's wake: the search then meets a granted, still-blocked txn.
+  static sim::Task<> drive(Equivalence& q, uint64_t seed, int steps) {
+    util::Rng rng(seed);
+    for (int step = 0; step < steps; ++step) {
+      const int actions = 1 + int(rng.below(3));
+      for (int a = 0; a < actions; ++a) {
+        const int t = int(rng.below(kTxns));
+        if (q.busy[size_t(t)]) continue;
+        const size_t holding = q.txn(t).held_locks().size();
+        if (holding > 0 && holding >= 1 + rng.below(4)) {
+          q.release(t);
+          continue;
+        }
+        q.busy[size_t(t)] = true;
+        const PageId pid{0, storage::PageNo(rng.below(kPages))};
+        const LockMode m =
+            rng.chance(0.5) ? LockMode::Shared : LockMode::Exclusive;
+        q.f.sim.spawn(request(q, t, pid, m));
+      }
+      co_await q.f.sim.delay(1);
+      q.expect_same_tables();
+    }
+    // Drain: keep releasing whoever is running until nobody waits. A
+    // missed deadlock leaves transactions blocked for good.
+    for (int round = 0; round < 100; ++round) {
+      bool any_busy = false;
+      for (int t = 0; t < kTxns; ++t) {
+        if (q.busy[size_t(t)])
+          any_busy = true;
+        else
+          q.release(t);
+      }
+      if (!any_busy) co_return;
+      co_await q.f.sim.delay(1);
+    }
+    ADD_FAILURE() << "transactions still blocked after the drain";
+  }
+};
+
+class LockEquivalence : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LockEquivalence, VerdictsMatchTransactionLevelSearch) {
+  Equivalence q;
+  q.f.sim.spawn(Equivalence::drive(q, GetParam(), 10000));
+  q.f.sim.run();
+  q.expect_same_tables();
+  EXPECT_EQ(q.f.lm.lock_count(), 0u);
+  // The schedule must reach every kind of verdict it is meant to check.
+  EXPECT_GT(q.checked, 4000u);
+  EXPECT_GT(q.shadow.waits, 1000u);
+  EXPECT_GT(q.shadow.deaths, 100u);
+  EXPECT_GT(q.upgrades, 50u);
+  EXPECT_GT(q.shadow.stale_searches, 20u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LockEquivalence,
+                         ::testing::Values(1, 2, 3, 4, 5, 6));
+
 TEST(WriteSet, DiffEmptyPagesIsEmpty) {
   storage::Page a, b;
   EXPECT_TRUE(diff_pages(a, b).empty());
@@ -239,7 +604,85 @@ TEST(WriteSet, ApplyReconstructsTarget) {
   EXPECT_TRUE(rebuilt == after);
 }
 
-// Property: diff/apply round-trips for random page pairs and random gaps.
+// The byte-at-a-time diff that diff_pages must reproduce run for run.
+std::vector<ByteRun> reference_diff(const storage::Page& before,
+                                    const storage::Page& after,
+                                    size_t merge_gap) {
+  std::vector<ByteRun> runs;
+  const std::byte* a = before.raw().data();
+  const std::byte* b = after.raw().data();
+  size_t i = 0;
+  while (i < storage::kPageSize) {
+    if (a[i] == b[i]) {
+      ++i;
+      continue;
+    }
+    const size_t start = i;
+    size_t end = i + 1;
+    size_t gap = 0;
+    for (size_t scan = end; scan < storage::kPageSize; ++scan) {
+      if (a[scan] != b[scan]) {
+        end = scan + 1;
+        gap = 0;
+      } else if (++gap > merge_gap) {
+        break;
+      }
+    }
+    runs.push_back(ByteRun{uint32_t(start),
+                           std::vector<std::byte>(b + start, b + end)});
+    i = end;
+  }
+  return runs;
+}
+
+// Diffs, compares with the reference, round-trips, and returns the runs.
+std::vector<ByteRun> checked_diff(const storage::Page& before,
+                                  const storage::Page& after, size_t gap) {
+  auto runs = diff_pages(before, after, gap);
+  EXPECT_TRUE(runs == reference_diff(before, after, gap)) << "gap " << gap;
+  storage::Page rebuilt = before;
+  apply_runs(rebuilt, runs);
+  EXPECT_TRUE(rebuilt == after) << "gap " << gap;
+  return runs;
+}
+
+TEST(WriteSet, DiffMatchesReferenceOnEdges) {
+  util::Rng rng(5);
+  storage::Page base;
+  for (size_t i = 0; i < storage::kPageSize; ++i)
+    base.raw()[i] = std::byte(uint8_t(rng.below(256)));
+  auto flip = [](storage::Page& p, size_t at) {
+    p.raw()[at] = ~p.raw()[at];
+  };
+  for (size_t gap : {size_t(0), size_t(1), size_t(7), size_t(8), size_t(9),
+                     size_t(64)}) {
+    EXPECT_TRUE(checked_diff(base, base, gap).empty());  // identical
+    storage::Page p = base;
+    flip(p, 0);
+    flip(p, storage::kPageSize - 1);
+    ASSERT_EQ(checked_diff(base, p, gap).size(), 2u);
+    for (size_t lo : {size_t(7), size_t(4093), size_t(8180)}) {
+      p = base;  // an edit straddling an 8-byte boundary
+      for (size_t k = lo; k < lo + 6; ++k) flip(p, k);
+      ASSERT_EQ(checked_diff(base, p, gap).size(), 1u);
+    }
+    for (size_t first : {size_t(3), size_t(100), size_t(8190 - gap - 1)}) {
+      p = base;  // exactly `gap` unchanged bytes between: one run
+      flip(p, first);
+      flip(p, first + gap + 1);
+      ASSERT_EQ(checked_diff(base, p, gap).size(), 1u);
+      p = base;  // one more: two runs
+      flip(p, first);
+      flip(p, first + gap + 2);
+      ASSERT_EQ(checked_diff(base, p, gap).size(), 2u);
+    }
+  }
+}
+
+// Property: for random page pairs and gaps, diff_pages matches the
+// byte-wise reference and round-trips, for scattered single-byte edits and
+// for clusters of edits that straddle 8-byte words (some of them writing
+// the value already there).
 class DiffProperty
     : public ::testing::TestWithParam<std::tuple<uint64_t, size_t>> {};
 
@@ -254,20 +697,29 @@ TEST_P(DiffProperty, RoundTrips) {
   for (int i = 0; i < changes; ++i)
     after.raw()[rng.below(storage::kPageSize)] =
         std::byte(uint8_t(rng.below(4)));
-  auto runs = diff_pages(before, after, gap);
-  storage::Page rebuilt = before;
-  apply_runs(rebuilt, runs);
-  EXPECT_TRUE(rebuilt == after);
+  auto runs = checked_diff(before, after, gap);
   // Runs must be sorted and non-overlapping.
   for (size_t i = 1; i < runs.size(); ++i)
     EXPECT_GE(runs[i].offset,
               runs[i - 1].offset + runs[i - 1].bytes.size());
+  for (int round = 0; round < 50; ++round) {
+    if (rng.chance(0.5)) before = storage::Page();
+    after = before;
+    const int clusters = int(rng.below(40));
+    for (int c = 0; c < clusters; ++c) {
+      const size_t at = rng.below(storage::kPageSize);
+      const size_t len = 1 + rng.below(24);
+      for (size_t k = at; k < std::min(at + len, storage::kPageSize); ++k)
+        after.raw()[k] = std::byte(uint8_t(rng.below(4)));
+    }
+    checked_diff(before, after, gap);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, DiffProperty,
     ::testing::Combine(::testing::Values(1, 7, 42, 1234),
-                       ::testing::Values(0, 1, 8, 64)));
+                       ::testing::Values(0, 1, 7, 8, 9, 64)));
 
 storage::Schema small_schema() {
   return storage::Schema({storage::int_col("id"), storage::int_col("v")});
