@@ -13,15 +13,20 @@ using namespace dmv;
 
 namespace {
 
+// Encoded int64 key, as Table builds it for an INT primary key.
+std::string int_key(int64_t v) {
+  std::string k(8, '\0');
+  storage::encode_int(v, k.data());
+  return k;
+}
+
 void BM_RbTreeInsert(benchmark::State& state) {
   const int64_t n = state.range(0);
   for (auto _ : state) {
-    storage::RbTree t;
+    storage::RbTree t(8);
     util::Rng rng(7);
-    for (int64_t i = 0; i < n; ++i) {
-      storage::Key k{rng.between(0, n * 4)};
-      t.insert(k, storage::RowId{});
-    }
+    for (int64_t i = 0; i < n; ++i)
+      t.insert(int_key(rng.between(0, n * 4)), storage::RowId{});
     benchmark::DoNotOptimize(t.size());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -30,38 +35,58 @@ BENCHMARK(BM_RbTreeInsert)->Arg(1000)->Arg(10000);
 
 void BM_RbTreeLookup(benchmark::State& state) {
   const int64_t n = state.range(0);
-  storage::RbTree t;
-  for (int64_t i = 0; i < n; ++i) {
-    storage::Key k{i};
-    t.insert(k, storage::RowId{});
-  }
+  storage::RbTree t(8);
+  for (int64_t i = 0; i < n; ++i) t.insert(int_key(i), storage::RowId{});
   util::Rng rng(9);
-  for (auto _ : state) {
-    storage::Key k{rng.between(0, n - 1)};
-    benchmark::DoNotOptimize(t.find(k));
-  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(t.find(int_key(rng.between(0, n - 1))));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RbTreeLookup)->Arg(10000)->Arg(100000);
 
 void BM_RbTreeScan100(benchmark::State& state) {
-  storage::RbTree t;
-  for (int64_t i = 0; i < 100000; ++i) {
-    storage::Key k{i};
-    t.insert(k, storage::RowId{});
-  }
+  storage::RbTree t(8);
+  for (int64_t i = 0; i < 100000; ++i) t.insert(int_key(i), storage::RowId{});
   util::Rng rng(11);
   for (auto _ : state) {
-    storage::Key lo{rng.between(0, 99899)};
     size_t seen = 0;
-    t.scan(&lo, nullptr, [&](const storage::Key&, storage::RowId) {
-      return ++seen < 100;
-    });
+    t.scan(int_key(rng.between(0, 99899)), {},
+           [&](std::string_view, storage::RowId) { return ++seen < 100; });
     benchmark::DoNotOptimize(seen);
   }
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_RbTreeScan100);
+
+// The engines' scan row path without the simulator: a 100-row pk range
+// of a scan-workload-shaped table copied into a Rows and summed through
+// RowRef.
+void BM_TableScanRows100(benchmark::State& state) {
+  storage::Table t(0, "facts",
+                   storage::Schema({storage::int_col("f_id"),
+                                    storage::int_col("f_bucket"),
+                                    storage::int_col("f_val"),
+                                    storage::char_col("f_pad", 32)}),
+                   storage::IndexDef{"pk", {0}, true},
+                   {storage::IndexDef{"by_bucket", {1}, false}});
+  for (int64_t i = 0; i < 10000; ++i)
+    t.insert_row(storage::Row{i, i % 64, i * 3, std::string("pad")});
+  util::Rng rng(13);
+  for (auto _ : state) {
+    const int64_t lo_id = rng.between(0, 9899);
+    const storage::Key lo{lo_id}, hi{lo_id + 99};
+    storage::Rows rows(t.schema_ptr());
+    t.scan(-1, &lo, &hi, false, [&](std::string_view, storage::RowId rid) {
+      rows.push_back(t.row_image(rid));
+      return true;
+    });
+    int64_t sum = 0;
+    for (const storage::RowRef r : rows) sum += r.i(2);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * 100);
+}
+BENCHMARK(BM_TableScanRows100);
 
 void BM_PageDiff(benchmark::State& state) {
   const int changes = int(state.range(0));

@@ -74,7 +74,7 @@ api::ProcRegistry make_procs() {
     api::ScanSpec all;
     auto rows = co_await c.scan(0, std::move(all));
     int64_t total = 0;
-    for (const auto& r : rows) total += std::get<int64_t>(r[1]);
+    for (const storage::RowRef r : rows) total += r.i(1);
     api::TxnResult res;
     res.rows = rows.size();
     res.value = total;  // must always be the invariant sum

@@ -21,6 +21,7 @@
 
 #include "sim/task.hpp"
 #include "storage/page.hpp"
+#include "storage/rows.hpp"
 #include "storage/value.hpp"
 #include "util/assert.hpp"
 
@@ -33,7 +34,8 @@ struct ScanSpec {
   std::optional<storage::Key> hi;
   size_t limit = SIZE_MAX;
   bool reverse = false;  // newest-first (descending key order)
-  std::function<bool(const storage::Row&)> filter;
+  // Residual predicate on each row in range; rows it rejects are skipped.
+  std::function<bool(const storage::RowRef&)> filter;
 };
 
 // Named parameters for a procedure invocation.
@@ -81,8 +83,10 @@ class Connection {
   virtual ~Connection() = default;
   virtual sim::Task<std::optional<storage::Row>> get(
       storage::TableId t, const storage::Key& pk) = 0;
-  virtual sim::Task<std::vector<storage::Row>> scan(storage::TableId t,
-                                                    ScanSpec spec) = 0;
+  // The rows are copied out, so the result stays valid after the
+  // transaction ends.
+  virtual sim::Task<storage::Rows> scan(storage::TableId t,
+                                        ScanSpec spec) = 0;
   // False on duplicate primary key.
   virtual sim::Task<bool> insert(storage::TableId t,
                                  const storage::Row& row) = 0;

@@ -140,8 +140,7 @@ api::ProcRegistry make_check_registry(int classes) {
       auto rows = co_await c.scan(t, std::move(spec));
       api::TxnResult res;
       res.rows = rows.size();
-      for (const auto& r : rows)
-        res.values.push_back(std::get<int64_t>(r[1]));
+      for (const storage::RowRef r : rows) res.values.push_back(r.i(1));
       co_return res;
     };
     reg.register_proc("sum" + sfx, sum);
@@ -159,8 +158,7 @@ api::ProcRegistry make_check_registry(int classes) {
       auto rows = co_await c.scan(t, std::move(spec));
       api::TxnResult res;
       res.rows = rows.size();
-      for (const auto& r : rows)
-        res.values.push_back(std::get<int64_t>(r[1]));
+      for (const storage::RowRef r : rows) res.values.push_back(r.i(1));
       co_return res;
     };
     reg.register_proc("range" + sfx, range);
@@ -210,8 +208,7 @@ api::ProcRegistry make_check_registry(int classes) {
         spec.hi = storage::Key{(k + 1) * rows / chunks - 1};
         auto part = co_await c.scan(t, std::move(spec));
         res.rows += part.size();
-        for (const auto& r : part)
-          res.values.push_back(std::get<int64_t>(r[1]));
+        for (const storage::RowRef r : part) res.values.push_back(r.i(1));
       }
       co_return res;
     };

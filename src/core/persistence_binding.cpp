@@ -339,11 +339,11 @@ PersistenceBinding::bootstrap_image(size_t idx) const {
   for (storage::TableId t = 0; t < src.table_count(); ++t) {
     TableImage& ti = img[t];
     const storage::Table& tb = src.table(t);
-    tb.primary_tree().scan_all(
-        [&](const storage::Key& k, storage::RowId rid) {
-          ti[k] = tb.read_row(rid);
-          return true;
-        });
+    tb.primary_tree().scan_all([&](std::string_view, storage::RowId rid) {
+      storage::Row row = tb.read_row(rid);
+      ti[tb.primary_key_of(row)] = std::move(row);
+      return true;
+    });
   }
   if (cfg_.mut_skip_suffix) return img;  // planted bug (--mutations)
   // In-order fold of the unapplied suffix. Post-images make this exact
@@ -370,11 +370,10 @@ std::function<void(storage::Database&)> PersistenceBinding::snapshot_loader(
   const storage::Database& src = backend.db();
   for (storage::TableId t = 0; t < src.table_count(); ++t) {
     const storage::Table& tb = src.table(t);
-    tb.primary_tree().scan_all(
-        [&](const storage::Key&, storage::RowId rid) {
-          rows->emplace_back(t, tb.read_row(rid));
-          return true;
-        });
+    tb.primary_tree().scan_all([&](std::string_view, storage::RowId rid) {
+      rows->emplace_back(t, tb.read_row(rid));
+      return true;
+    });
   }
   return [rows](storage::Database& db) {
     for (const auto& [t, row] : *rows) db.table(t).insert_row(row);

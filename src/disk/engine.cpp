@@ -49,25 +49,27 @@ sim::Task<std::optional<Row>> DiskEngine::get(TxnCtx& txn, TableId t,
   co_return tb.read_row(*rid);
 }
 
-sim::Task<std::vector<Row>> DiskEngine::scan(TxnCtx& txn, TableId t,
-                                             api::ScanSpec spec) {
+sim::Task<storage::Rows> DiskEngine::scan(TxnCtx& txn, TableId t,
+                                          api::ScanSpec spec) {
   storage::Table& tb = db_.table(t);
   co_await cpu_.use(cfg_.costs.disk_cpu_per_query);
 
-  const std::vector<txn::ScanHit> hits =
+  const txn::ScanHits hits =
       txn::collect_scan(tb, spec, /*keep_keys=*/true);
-  std::vector<Row> out;
-  sim::Time cpu_cost = cfg_.costs.index_scan_entry * sim::Time(hits.size());
-  for (const txn::ScanHit& hit : hits) {
+  storage::Rows out(tb.schema_ptr());
+  sim::Time cpu_cost =
+      cfg_.costs.index_scan_entry * sim::Time(hits.rids.size());
+  for (size_t i = 0; i < hits.rids.size(); ++i) {
     if (out.size() >= spec.limit) break;
-    const PageId pid{t, hit.rid.page};
+    const PageId pid{t, hits.rids[i].page};
     co_await txn::lock_page(locks_, txn, pid, LockMode::Shared);
-    if (!txn::still_holds(tb, spec, hit)) continue;
+    if (!txn::still_holds(tb, spec, hits, i)) continue;
     co_await pool_.fetch(pid);
     cpu_cost += cfg_.costs.row_read;
-    Row row = tb.read_row(hit.rid);
-    if (spec.filter && !spec.filter(row)) continue;
-    out.push_back(std::move(row));
+    const auto image = tb.row_image(hits.rids[i]);
+    if (spec.filter && !spec.filter(storage::RowRef(tb.schema(), image.data())))
+      continue;
+    out.push_back(image);
   }
   co_await cpu_.use(cpu_cost);
   co_return out;

@@ -56,9 +56,8 @@ class DiskEngine {
   sim::Task<std::optional<storage::Row>> get(txn::TxnCtx& txn,
                                              storage::TableId t,
                                              const storage::Key& pk);
-  sim::Task<std::vector<storage::Row>> scan(txn::TxnCtx& txn,
-                                            storage::TableId t,
-                                            api::ScanSpec spec);
+  sim::Task<storage::Rows> scan(txn::TxnCtx& txn, storage::TableId t,
+                                api::ScanSpec spec);
   sim::Task<bool> insert(txn::TxnCtx& txn, storage::TableId t,
                          const storage::Row& row);
   sim::Task<bool> update(txn::TxnCtx& txn, storage::TableId t,

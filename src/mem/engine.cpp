@@ -174,8 +174,8 @@ sim::Task<std::optional<Row>> MemEngine::get(TxnCtx& txn, TableId t,
   co_return row;
 }
 
-sim::Task<std::vector<Row>> MemEngine::scan(TxnCtx& txn, TableId t,
-                                            api::ScanSpec spec) {
+sim::Task<storage::Rows> MemEngine::scan(TxnCtx& txn, TableId t,
+                                         api::ScanSpec spec) {
   storage::Table& tb = db_.table(t);
   co_await cpu_.use(cfg_.costs.mem_cpu_read_query);
   sim::Time cost = cfg_.costs.index_lookup;
@@ -188,12 +188,12 @@ sim::Task<std::vector<Row>> MemEngine::scan(TxnCtx& txn, TableId t,
   const bool ro = txn.kind() == TxnKind::ReadOnly;
   const bool latch = read_at_latest(txn, t) && !cfg_.mut_skip_tag_upgrade;
   const bool waits = !ro || latch;
-  const std::vector<txn::ScanHit> hits = txn::collect_scan(tb, spec, waits);
-  cost += cfg_.costs.index_scan_entry * sim::Time(hits.size());
+  const txn::ScanHits hits = txn::collect_scan(tb, spec, waits);
+  cost += cfg_.costs.index_scan_entry * sim::Time(hits.rids.size());
 
-  std::vector<Row> out;
-  for (const txn::ScanHit& hit : hits) {
-    const RowId& rid = hit.rid;
+  storage::Rows out(tb.schema_ptr());
+  for (size_t i = 0; i < hits.rids.size(); ++i) {
+    const RowId rid = hits.rids[i];
     if (out.size() >= spec.limit) break;
     if (!ro)
       co_await txn::lock_page(locks_, txn, {t, rid.page}, LockMode::Shared);
@@ -201,15 +201,16 @@ sim::Task<std::vector<Row>> MemEngine::scan(TxnCtx& txn, TableId t,
       co_await latch_for_master_read(txn, t, rid.page);
     else if (!cfg_.mut_scan_stale_read)
       check_page(txn, t, rid.page);
-    if (waits && !txn::still_holds(tb, spec, hit)) {
+    if (waits && !txn::still_holds(tb, spec, hits, i)) {
       if (latch) locks_.release_all(txn);
       continue;
     }
     cost += cache_.touch({t, rid.page}) + cfg_.costs.row_read;
-    Row row = tb.read_row(rid);
+    const auto image = tb.row_image(rid);
+    const bool keep =
+        !spec.filter || spec.filter(storage::RowRef(tb.schema(), image.data()));
+    if (keep) out.push_back(image);
     if (latch) locks_.release_all(txn);
-    if (spec.filter && !spec.filter(row)) continue;
-    out.push_back(std::move(row));
   }
   co_await cpu_.use(cost);
   co_return out;

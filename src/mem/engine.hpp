@@ -133,9 +133,8 @@ class MemEngine {
   sim::Task<std::optional<storage::Row>> get(txn::TxnCtx& txn,
                                              storage::TableId t,
                                              const storage::Key& pk);
-  sim::Task<std::vector<storage::Row>> scan(txn::TxnCtx& txn,
-                                            storage::TableId t,
-                                            api::ScanSpec spec);
+  sim::Task<storage::Rows> scan(txn::TxnCtx& txn, storage::TableId t,
+                                api::ScanSpec spec);
   // False on primary-key duplicate.
   sim::Task<bool> insert(txn::TxnCtx& txn, storage::TableId t,
                          const storage::Row& row);

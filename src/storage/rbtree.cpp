@@ -1,35 +1,45 @@
 #include "storage/rbtree.hpp"
 
+#include <new>
 #include <vector>
+
+#include "util/assert.hpp"
 
 namespace dmv::storage {
 
-struct RbTree::Node {
-  Key key;
-  RowId rid;
-  Node* left;
-  Node* right;
-  Node* parent;
-  bool red;
-};
+RbTree::Node* RbTree::new_nil() {
+  Node* n = new (::operator new(sizeof(Node))) Node{};
+  n->left = n->right = n->parent = n;
+  return n;
+}
 
-RbTree::RbTree() {
-  nil_ = new Node{};
-  nil_->left = nil_->right = nil_->parent = nil_;
-  nil_->red = false;
+RbTree::Node* RbTree::new_node(std::string_view key, RowId rid,
+                               Node* parent) {
+  Node* n = new (::operator new(sizeof(Node) + width_))
+      Node{nil_, nil_, parent, rid, true};
+  std::memcpy(n + 1, key.data(), width_);
+  return n;
+}
+
+void RbTree::free_node(Node* n) { ::operator delete(n); }
+
+RbTree::RbTree(size_t key_width)
+    : width_(key_width), root_(nullptr), nil_(new_nil()) {
   root_ = nil_;
 }
 
 RbTree::~RbTree() {
   clear();
-  delete nil_;
+  free_node(nil_);
 }
 
 RbTree::RbTree(RbTree&& o) noexcept
-    : root_(o.root_), nil_(o.nil_), size_(o.size_), rotations_(o.rotations_) {
-  o.nil_ = new Node{};
-  o.nil_->left = o.nil_->right = o.nil_->parent = o.nil_;
-  o.nil_->red = false;
+    : width_(o.width_),
+      root_(o.root_),
+      nil_(o.nil_),
+      size_(o.size_),
+      rotations_(o.rotations_) {
+  o.nil_ = new_nil();
   o.root_ = o.nil_;
   o.size_ = 0;
 }
@@ -37,14 +47,13 @@ RbTree::RbTree(RbTree&& o) noexcept
 RbTree& RbTree::operator=(RbTree&& o) noexcept {
   if (this != &o) {
     clear();
-    delete nil_;
+    free_node(nil_);
+    width_ = o.width_;
     root_ = o.root_;
     nil_ = o.nil_;
     size_ = o.size_;
     rotations_ = o.rotations_;
-    o.nil_ = new Node{};
-    o.nil_->left = o.nil_->right = o.nil_->parent = o.nil_;
-    o.nil_->red = false;
+    o.nil_ = new_nil();
     o.root_ = o.nil_;
     o.size_ = 0;
   }
@@ -60,7 +69,7 @@ void RbTree::free_subtree(Node* n) {
     stack.pop_back();
     if (cur->left != nil_) stack.push_back(cur->left);
     if (cur->right != nil_) stack.push_back(cur->right);
-    delete cur;
+    free_node(cur);
   }
 }
 
@@ -102,19 +111,21 @@ void RbTree::rotate_right(Node* x) {
   x->parent = y;
 }
 
-bool RbTree::insert(const Key& key, RowId rid) {
+bool RbTree::insert(std::string_view key, RowId rid) {
+  DMV_ASSERT(key.size() == width_);
   Node* y = nil_;
   Node* x = root_;
+  int c = 0;
   while (x != nil_) {
     y = x;
-    const auto c = compare(key, x->key);
-    if (c == std::strong_ordering::equal) return false;
-    x = (c == std::strong_ordering::less) ? x->left : x->right;
+    c = compare(key.data(), key_bytes(x), width_);
+    if (c == 0) return false;
+    x = c < 0 ? x->left : x->right;
   }
-  Node* z = new Node{key, rid, nil_, nil_, y, true};
+  Node* z = new_node(key, rid, y);
   if (y == nil_)
     root_ = z;
-  else if (key_less(key, y->key))
+  else if (c < 0)
     y->left = z;
   else
     y->right = z;
@@ -162,16 +173,6 @@ void RbTree::insert_fixup(Node* z) {
   root_->red = false;
 }
 
-RbTree::Node* RbTree::minimum(Node* x) const {
-  while (x->left != nil_) x = x->left;
-  return x;
-}
-
-RbTree::Node* RbTree::maximum(Node* x) const {
-  while (x->right != nil_) x = x->right;
-  return x;
-}
-
 void RbTree::transplant(Node* u, Node* v) {
   if (u->parent == nil_)
     root_ = v;
@@ -182,12 +183,13 @@ void RbTree::transplant(Node* u, Node* v) {
   v->parent = u->parent;
 }
 
-bool RbTree::erase(const Key& key) {
+bool RbTree::erase(std::string_view key) {
+  DMV_ASSERT(key.size() == width_);
   Node* z = root_;
   while (z != nil_) {
-    const auto c = compare(key, z->key);
-    if (c == std::strong_ordering::equal) break;
-    z = (c == std::strong_ordering::less) ? z->left : z->right;
+    const int c = compare(key.data(), key_bytes(z), width_);
+    if (c == 0) break;
+    z = c < 0 ? z->left : z->right;
   }
   if (z == nil_) return false;
 
@@ -216,7 +218,7 @@ bool RbTree::erase(const Key& key) {
     y->left->parent = y;
     y->red = z->red;
   }
-  delete z;
+  free_node(z);
   if (!y_was_red) erase_fixup(x);
   --size_;
   return true;
@@ -277,21 +279,22 @@ void RbTree::erase_fixup(Node* x) {
   x->red = false;
 }
 
-std::optional<RowId> RbTree::find(const Key& key) const {
+std::optional<RowId> RbTree::find(std::string_view key) const {
+  if (key.size() != width_) return std::nullopt;
   Node* x = root_;
   while (x != nil_) {
-    const auto c = compare(key, x->key);
-    if (c == std::strong_ordering::equal) return x->rid;
-    x = (c == std::strong_ordering::less) ? x->left : x->right;
+    const int c = compare(key.data(), key_bytes(x), width_);
+    if (c == 0) return x->rid;
+    x = c < 0 ? x->left : x->right;
   }
   return std::nullopt;
 }
 
-RbTree::Node* RbTree::lower_bound(const Key& key) const {
+RbTree::Node* RbTree::lower_bound(std::string_view bound) const {
   Node* x = root_;
   Node* best = nil_;
   while (x != nil_) {
-    if (!key_less(x->key, key)) {  // x->key >= key
+    if (prefix_cmp(x, bound) >= 0) {
       best = x;
       x = x->left;
     } else {
@@ -301,34 +304,11 @@ RbTree::Node* RbTree::lower_bound(const Key& key) const {
   return best;
 }
 
-void RbTree::scan(const Key* lo, const Key* hi,
-                  const std::function<bool(const Key&, RowId)>& fn) const {
-  Node* x = lo ? lower_bound(*lo) : (root_ == nil_ ? nil_ : minimum(root_));
-  while (x != nil_) {
-    // hi is a prefix bound: stop once the key's prefix exceeds it, but keep
-    // longer keys whose prefix equals hi (composite-index range scans).
-    if (hi && compare_prefix(x->key, *hi) == std::strong_ordering::greater)
-      return;
-    if (!fn(x->key, x->rid)) return;
-    // in-order successor
-    if (x->right != nil_) {
-      x = minimum(x->right);
-    } else {
-      Node* p = x->parent;
-      while (p != nil_ && x == p->right) {
-        x = p;
-        p = p->parent;
-      }
-      x = p;
-    }
-  }
-}
-
-RbTree::Node* RbTree::upper_bound_prefix(const Key& bound) const {
+RbTree::Node* RbTree::upper_bound_prefix(std::string_view bound) const {
   Node* x = root_;
   Node* best = nil_;
   while (x != nil_) {
-    if (compare_prefix(x->key, bound) != std::strong_ordering::greater) {
+    if (prefix_cmp(x, bound) <= 0) {
       best = x;
       x = x->right;
     } else {
@@ -338,43 +318,24 @@ RbTree::Node* RbTree::upper_bound_prefix(const Key& bound) const {
   return best;
 }
 
-void RbTree::scan_desc(const Key* lo, const Key* hi,
-                       const std::function<bool(const Key&, RowId)>& fn)
-    const {
-  Node* x = hi ? upper_bound_prefix(*hi)
-               : (root_ == nil_ ? nil_ : maximum(root_));
-  while (x != nil_) {
-    if (lo && key_less(x->key, *lo)) return;
-    if (!fn(x->key, x->rid)) return;
-    // in-order predecessor
-    if (x->left != nil_) {
-      x = maximum(x->left);
-    } else {
-      Node* p = x->parent;
-      while (p != nil_ && x == p->left) {
-        x = p;
-        p = p->parent;
-      }
-      x = p;
-    }
-  }
+int RbTree::black_height(const Node* n) const {
+  // Plain recursion: the tree depth is O(log n). -1 flags a violation.
+  if (n == nil_) return 1;
+  if (n->red && (n->left->red || n->right->red)) return -1;
+  if (n->left != nil_ &&
+      compare(key_bytes(n->left), key_bytes(n), width_) >= 0)
+    return -1;
+  if (n->right != nil_ &&
+      compare(key_bytes(n), key_bytes(n->right), width_) >= 0)
+    return -1;
+  const int lh = black_height(n->left);
+  const int rh = black_height(n->right);
+  if (lh < 0 || rh < 0 || lh != rh) return -1;
+  return lh + (n->red ? 0 : 1);
 }
 
 bool RbTree::check_invariants() const {
-  if (root_->red) return false;
-  // Returns the black-height, or -1 on error. Plain recursion: the tree
-  // depth is O(log n).
-  std::function<int(const Node*)> check = [&](const Node* n) -> int {
-    if (n == nil_) return 1;
-    if (n->red && (n->left->red || n->right->red)) return -1;
-    if (n->left != nil_ && !key_less(n->left->key, n->key)) return -1;
-    if (n->right != nil_ && !key_less(n->key, n->right->key)) return -1;
-    const int lh = check(n->left);
-    const int rh = check(n->right);
-    if (lh < 0 || rh < 0 || lh != rh) return -1;
-    return lh + (n->red ? 0 : 1);
-  };
-  return check(root_) >= 0;
+  return !root_->red && black_height(root_) >= 0;
 }
 
 }  // namespace dmv::storage

@@ -8,15 +8,23 @@ Table::Table(TableId id, std::string name, Schema schema, IndexDef primary,
              std::vector<IndexDef> secondaries)
     : id_(id),
       name_(std::move(name)),
-      schema_(std::move(schema)),
+      schema_(std::make_shared<const Schema>(std::move(schema))),
       primary_def_(std::move(primary)),
-      secondary_defs_(std::move(secondaries)),
-      slots_per_page_(Page::slots_per_page(schema_.row_size())) {
+      slots_per_page_(Page::slots_per_page(schema_->row_size())),
+      primary_layout_(*schema_, primary_def_.cols),
+      primary_tree_(primary_layout_.width()) {
   DMV_ASSERT_MSG(!primary_def_.cols.empty(),
                  "table " << name_ << " needs a primary key");
   primary_def_.unique = true;
-  for (size_t i = 0; i < secondary_defs_.size(); ++i)
-    secondary_trees_.push_back(std::make_unique<RbTree>());
+  secondary_layouts_.reserve(secondaries.size());
+  secondary_trees_.reserve(secondaries.size());
+  for (const IndexDef& def : secondaries) {
+    // Append the PK so entries are unique even for non-unique values.
+    std::vector<size_t> cols = def.cols;
+    cols.insert(cols.end(), primary_def_.cols.begin(), primary_def_.cols.end());
+    secondary_layouts_.emplace_back(*schema_, cols);
+    secondary_trees_.emplace_back(secondary_layouts_.back().width());
+  }
 }
 
 Key Table::primary_key_of(const Row& row) const {
@@ -26,30 +34,9 @@ Key Table::primary_key_of(const Row& row) const {
   return k;
 }
 
-Key Table::secondary_key_of(const Row& row, size_t idx) const {
-  const IndexDef& def = secondary_defs_[idx];
-  Key k;
-  k.reserve(def.cols.size() + primary_def_.cols.size());
-  for (size_t c : def.cols) k.push_back(row[c]);
-  // Append the PK so entries are unique even for non-unique indexed values.
-  for (size_t c : primary_def_.cols) k.push_back(row[c]);
-  return k;
-}
-
-void Table::scan(int index, const Key* lo, const Key* hi, bool reverse,
-                 const std::function<bool(const Key&, RowId)>& fn) const {
-  DMV_ASSERT(index < int(secondary_trees_.size()));
-  const RbTree& tree =
-      index < 0 ? primary_tree_ : *secondary_trees_[size_t(index)];
-  if (reverse)
-    tree.scan_desc(lo, hi, fn);
-  else
-    tree.scan(lo, hi, fn);
-}
-
 uint64_t Table::index_rotations() const {
   uint64_t r = primary_tree_.rotations();
-  for (auto& t : secondary_trees_) r += t->rotations();
+  for (const RbTree& t : secondary_trees_) r += t.rotations();
   return r;
 }
 
@@ -103,68 +90,85 @@ RowId Table::allocate_slot() {
 }
 
 std::optional<RowId> Table::insert_row(const Row& row) {
-  const Key pk = primary_key_of(row);
-  if (primary_tree_.find(pk)) return std::nullopt;
+  const KeyBuf pk = primary_layout_.from_row(row);
+  if (primary_tree_.find(pk.view())) return std::nullopt;
 
   const RowId rid = allocate_slot();
   Page& pg = *pages_[rid.page];
-  schema_.encode(row, pg.slot_bytes(rid.slot, schema_.row_size()));
+  schema_->encode(row, slot_bytes(rid));
   pg.set_occupied(rid.slot, true);
   if (pg.occupied_count(slots_per_page_) == slots_per_page_)
     pages_with_space_.erase(rid.page);
 
-  primary_tree_.insert(pk, rid);
+  primary_tree_.insert(pk.view(), rid);
   for (size_t i = 0; i < secondary_trees_.size(); ++i)
-    secondary_trees_[i]->insert(secondary_key_of(row, i), rid);
+    secondary_trees_[i].insert(secondary_layouts_[i].from_row(row).view(),
+                               rid);
   ++row_count_;
   return rid;
 }
 
 void Table::update_row(RowId rid, const Row& row) {
   DMV_ASSERT(slot_occupied(rid));
-  const Row old = read_row(rid);
-  Page& pg = *pages_[rid.page];
+  const std::span<std::byte> slot = slot_bytes(rid);
 
-  const Key old_pk = primary_key_of(old);
-  const Key new_pk = primary_key_of(row);
-  if (!key_eq(old_pk, new_pk)) {
-    DMV_ASSERT_MSG(!primary_tree_.find(new_pk),
+  const KeyBuf old_pk = primary_layout_.from_image(slot);
+  const KeyBuf new_pk = primary_layout_.from_row(row);
+  if (old_pk.view() != new_pk.view()) {
+    DMV_ASSERT_MSG(!primary_tree_.find(new_pk.view()),
                    "PK update collides on " << name_);
-    primary_tree_.erase(old_pk);
-    primary_tree_.insert(new_pk, rid);
+    primary_tree_.erase(old_pk.view());
+    primary_tree_.insert(new_pk.view(), rid);
   }
   for (size_t i = 0; i < secondary_trees_.size(); ++i) {
-    const Key ok = secondary_key_of(old, i);
-    const Key nk = secondary_key_of(row, i);
-    if (!key_eq(ok, nk)) {
-      secondary_trees_[i]->erase(ok);
-      secondary_trees_[i]->insert(nk, rid);
+    const KeyBuf ok = secondary_layouts_[i].from_image(slot);
+    const KeyBuf nk = secondary_layouts_[i].from_row(row);
+    if (ok.view() != nk.view()) {
+      secondary_trees_[i].erase(ok.view());
+      secondary_trees_[i].insert(nk.view(), rid);
     }
   }
-  schema_.encode(row, pg.slot_bytes(rid.slot, schema_.row_size()));
+  schema_->encode(row, slot);
 }
 
 void Table::delete_row(RowId rid) {
   DMV_ASSERT(slot_occupied(rid));
-  const Row old = read_row(rid);
+  unindex_image(rid);
   Page& pg = *pages_[rid.page];
-
-  primary_tree_.erase(primary_key_of(old));
-  for (size_t i = 0; i < secondary_trees_.size(); ++i)
-    secondary_trees_[i]->erase(secondary_key_of(old, i));
-
   pg.set_occupied(rid.slot, false);
   // Zero the slot so deleted state is byte-identical across replicas.
-  auto bytes = pg.slot_bytes(rid.slot, schema_.row_size());
+  auto bytes = slot_bytes(rid);
   std::fill(bytes.begin(), bytes.end(), std::byte{0});
   pages_with_space_.insert(rid.page);
   --row_count_;
 }
 
 Row Table::read_row(RowId rid) const {
+  return schema_->decode(row_image(rid));
+}
+
+std::span<const std::byte> Table::row_image(RowId rid) const {
   DMV_ASSERT_MSG(slot_occupied(rid), "reading empty slot in " << name_);
-  return schema_.decode(
-      pages_[rid.page]->slot_bytes(rid.slot, schema_.row_size()));
+  return pages_[rid.page]->slot_bytes(rid.slot, schema_->row_size());
+}
+
+std::span<std::byte> Table::slot_bytes(RowId rid) {
+  return pages_[rid.page]->slot_bytes(rid.slot, schema_->row_size());
+}
+
+void Table::index_image(RowId rid) {
+  const std::span<const std::byte> slot = slot_bytes(rid);
+  primary_tree_.insert(primary_layout_.from_image(slot).view(), rid);
+  for (size_t i = 0; i < secondary_trees_.size(); ++i)
+    secondary_trees_[i].insert(secondary_layouts_[i].from_image(slot).view(),
+                               rid);
+}
+
+void Table::unindex_image(RowId rid) {
+  const std::span<const std::byte> slot = slot_bytes(rid);
+  primary_tree_.erase(primary_layout_.from_image(slot).view());
+  for (size_t i = 0; i < secondary_trees_.size(); ++i)
+    secondary_trees_[i].erase(secondary_layouts_[i].from_image(slot).view());
 }
 
 bool Table::slot_occupied(RowId rid) const {
@@ -175,20 +179,14 @@ bool Table::slot_occupied(RowId rid) const {
 void Table::unindex_slot(PageNo p, uint16_t slot) {
   DMV_ASSERT(p < pages_.size());
   if (!pages_[p]->occupied(slot)) return;
-  const Row row = read_row(RowId{p, slot});
-  primary_tree_.erase(primary_key_of(row));
-  for (size_t i = 0; i < secondary_trees_.size(); ++i)
-    secondary_trees_[i]->erase(secondary_key_of(row, i));
+  unindex_image(RowId{p, slot});
   --row_count_;
 }
 
 void Table::index_slot(PageNo p, uint16_t slot) {
   DMV_ASSERT(p < pages_.size());
   if (!pages_[p]->occupied(slot)) return;
-  const Row row = read_row(RowId{p, slot});
-  primary_tree_.insert(primary_key_of(row), RowId{p, slot});
-  for (size_t i = 0; i < secondary_trees_.size(); ++i)
-    secondary_trees_[i]->insert(secondary_key_of(row, i), RowId{p, slot});
+  index_image(RowId{p, slot});
   ++row_count_;
 }
 
@@ -202,7 +200,7 @@ void Table::refresh_page_bookkeeping(PageNo p) {
 
 void Table::rebuild_indexes() {
   primary_tree_.clear();
-  for (auto& t : secondary_trees_) t->clear();
+  for (RbTree& t : secondary_trees_) t.clear();
   pages_with_space_.clear();
   row_count_ = 0;
   for (PageNo p = 0; p < pages_.size(); ++p) {

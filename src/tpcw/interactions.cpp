@@ -11,6 +11,8 @@ using api::ScanSpec;
 using api::TxnResult;
 using storage::Key;
 using storage::Row;
+using storage::RowRef;
+using storage::Rows;
 using storage::Value;
 
 namespace {
@@ -102,7 +104,7 @@ sim::Task<TxnResult> new_products(Connection& c, const Params& p) {
   res.rows = items.size();
   const size_t author_lookups = std::min<size_t>(items.size(), 10);
   for (size_t i = 0; i < author_lookups; ++i) {
-    Key ak = K1(as_int(items[i], col::I_A_ID));
+    Key ak = K1(items[i].i(col::I_A_ID));
     auto a = co_await c.get(kAuthor, ak);
     if (a) ++res.rows;
   }
@@ -113,7 +115,7 @@ sim::Task<TxnResult> new_products(Connection& c, const Params& p) {
 sim::Task<TxnResult> search_results(Connection& c, const Params& p) {
   TxnResult res;
   const int64_t kind = p.i("kind");  // 0 subject, 1 title, 2 author
-  std::vector<Row> items;
+  Rows items;
   if (kind == 0) {
     ScanSpec s;
     s.index = idx::kItemBySubject;
@@ -132,20 +134,17 @@ sim::Task<TxnResult> search_results(Connection& c, const Params& p) {
     // by author last name: find authors, then their books.
     ScanSpec sa = exact(idx::kAuthorByLname, K1(p.s("term")), 20);
     auto authors = co_await c.scan(kAuthor, std::move(sa));
-    for (const Row& a : authors) {
+    for (const RowRef a : authors) {
       if (items.size() >= 50) break;
-      ScanSpec si = exact(idx::kItemByAuthor, K1(as_int(a, col::A_ID)), 50);
+      ScanSpec si = exact(idx::kItemByAuthor, K1(a.i(col::A_ID)), 50);
       auto more = co_await c.scan(kItem, std::move(si));
-      for (auto& m : more) {
-        items.push_back(std::move(m));
-        if (items.size() >= 50) break;
-      }
+      items.append(more, 50 - items.size());
     }
   }
   res.rows = items.size();
   const size_t author_lookups = std::min<size_t>(items.size(), 5);
   for (size_t i = 0; i < author_lookups; ++i) {
-    Key ak = K1(as_int(items[i], col::I_A_ID));
+    Key ak = K1(items[i].i(col::I_A_ID));
     auto a = co_await c.get(kAuthor, ak);
     (void)a;
   }
@@ -166,7 +165,7 @@ sim::Task<TxnResult> best_sellers(Connection& c, const Params& p) {
     res.ok = true;
     co_return res;
   }
-  const int64_t o_max = as_int(newest[0], col::O_ID);
+  const int64_t o_max = newest[0].i(col::O_ID);
   const int64_t o_min = std::max<int64_t>(1, o_max - depth);
 
   // Aggregate quantities over the order lines of the recent orders — the
@@ -175,8 +174,8 @@ sim::Task<TxnResult> best_sellers(Connection& c, const Params& p) {
   lines.lo = K1(o_min);
   auto ols = co_await c.scan(kOrderLine, std::move(lines));
   std::unordered_map<int64_t, int64_t> qty_by_item;
-  for (const Row& ol : ols)
-    qty_by_item[as_int(ol, col::OL_I_ID)] += as_int(ol, col::OL_QTY);
+  for (const RowRef ol : ols)
+    qty_by_item[ol.i(col::OL_I_ID)] += ol.i(col::OL_QTY);
 
   std::vector<std::pair<int64_t, int64_t>> ranked(qty_by_item.begin(),
                                                   qty_by_item.end());
@@ -227,31 +226,31 @@ sim::Task<TxnResult> order_display(Connection& c, const Params& p) {
   auto orders = co_await c.scan(kOrders, std::move(s));
   res.ok = true;
   if (orders.empty()) co_return res;
-  const Row& order = orders[0];
+  const RowRef order = orders[0];
   ++res.rows;
-  res.value = as_int(order, col::O_ID);
+  res.value = order.i(col::O_ID);
 
-  ScanSpec ls = exact(-1, K1(as_int(order, col::O_ID)), 10);
+  ScanSpec ls = exact(-1, K1(order.i(col::O_ID)), 10);
   auto ols = co_await c.scan(kOrderLine, std::move(ls));
-  for (const Row& ol : ols) {
+  for (const RowRef ol : ols) {
     ++res.rows;
-    Key ik = K1(as_int(ol, col::OL_I_ID));
+    Key ik = K1(ol.i(col::OL_I_ID));
     auto item = co_await c.get(kItem, ik);
     (void)item;
   }
-  Key bk = K1(as_int(order, col::O_BILL_ADDR_ID));
+  Key bk = K1(order.i(col::O_BILL_ADDR_ID));
   auto bill = co_await c.get(kAddress, bk);
   if (bill) {
     Key ck = K1(as_int(*bill, col::ADDR_CO_ID));
     co_await c.get(kCountry, ck);
   }
-  Key sk = K1(as_int(order, col::O_SHIP_ADDR_ID));
+  Key sk = K1(order.i(col::O_SHIP_ADDR_ID));
   auto ship = co_await c.get(kAddress, sk);
   if (ship) {
     Key ck = K1(as_int(*ship, col::ADDR_CO_ID));
     co_await c.get(kCountry, ck);
   }
-  Key xk = K1(as_int(order, col::O_ID));
+  Key xk = K1(order.i(col::O_ID));
   co_await c.get(kCcXacts, xk);
   co_return res;
 }
@@ -377,13 +376,13 @@ sim::Task<TxnResult> buy_confirm(Connection& c, const Params& p) {
     co_return res;
   }
   // Empty the cart now (line pages precede orders in the lock order).
-  for (const Row& l : lines) {
-    Key lk = K2(sc_id, as_int(l, col::SCL_I_ID));
+  for (const RowRef l : lines) {
+    Key lk = K2(sc_id, l.i(col::SCL_I_ID));
     co_await c.remove(kShoppingCartLine, lk);
   }
 
   double sub = 0;
-  for (const Row& l : lines) sub += 10.0 * double(as_int(l, col::SCL_QTY));
+  for (const RowRef l : lines) sub += 10.0 * double(l.i(col::SCL_QTY));
   Row order{o_id,       c_id, date,     sub,  sub * 0.08, sub * 1.08,
             "AIR",      date + 3, addr, addr, "PENDING"};
   const bool inserted = co_await c.insert(kOrders, order);
@@ -392,10 +391,9 @@ sim::Task<TxnResult> buy_confirm(Connection& c, const Params& p) {
     co_return res;
   }
   int64_t n = 0;
-  for (const Row& l : lines) {
+  for (const RowRef l : lines) {
     ++n;
-    Row ol{o_id, n, as_int(l, col::SCL_I_ID), as_int(l, col::SCL_QTY),
-           0.0, "comment"};
+    Row ol{o_id, n, l.i(col::SCL_I_ID), l.i(col::SCL_QTY), 0.0, "comment"};
     co_await c.insert(kOrderLine, ol);
   }
   Row cc{o_id, "VISA", int64_t{4242424}, "cardholder", int64_t{2010},
@@ -403,9 +401,9 @@ sim::Task<TxnResult> buy_confirm(Connection& c, const Params& p) {
   co_await c.insert(kCcXacts, cc);
 
   // Stock updates last (items are the highest table in the lock order).
-  for (const Row& l : lines) {
-    const int64_t qty = as_int(l, col::SCL_QTY);
-    Key ik = K1(as_int(l, col::SCL_I_ID));
+  for (const RowRef l : lines) {
+    const int64_t qty = l.i(col::SCL_QTY);
+    Key ik = K1(l.i(col::SCL_I_ID));
     co_await c.update(kItem, ik, [qty](Row& r) {
       int64_t stock = std::get<int64_t>(r[col::I_STOCK]) - qty;
       if (stock < 10) stock += 21;
@@ -430,12 +428,12 @@ sim::Task<TxnResult> admin_confirm(Connection& c, const Params& p) {
   auto newest = co_await c.scan(kOrders, std::move(last));
   std::vector<int64_t> related;
   if (!newest.empty()) {
-    const int64_t o_max = as_int(newest[0], col::O_ID);
+    const int64_t o_max = newest[0].i(col::O_ID);
     ScanSpec lines;
     lines.lo = K1(std::max<int64_t>(1, o_max - 100));
     auto ols = co_await c.scan(kOrderLine, std::move(lines));
-    for (const Row& ol : ols) {
-      const int64_t other = as_int(ol, col::OL_I_ID);
+    for (const RowRef ol : ols) {
+      const int64_t other = ol.i(col::OL_I_ID);
       if (other != i_id &&
           std::find(related.begin(), related.end(), other) == related.end())
         related.push_back(other);

@@ -52,25 +52,24 @@ sim::Task<RowId> lock_insert_slot(LockManager& locks, TxnCtx& txn,
   co_return target;
 }
 
-std::vector<ScanHit> collect_scan(const storage::Table& tb,
-                                  const api::ScanSpec& spec, bool keep_keys) {
-  std::vector<ScanHit> hits;
+ScanHits collect_scan(const storage::Table& tb, const api::ScanSpec& spec,
+                      bool keep_keys) {
+  ScanHits hits;
+  if (keep_keys) hits.key_width = tb.index_tree(spec.index).key_width();
   const bool no_filter = !spec.filter;
   tb.scan(spec.index, spec.lo ? &*spec.lo : nullptr,
           spec.hi ? &*spec.hi : nullptr, spec.reverse,
-          [&](const Key& key, RowId r) {
-            hits.push_back({keep_keys ? key : Key{}, r});
-            return !(no_filter && hits.size() >= spec.limit);
+          [&](std::string_view key, RowId r) {
+            hits.rids.push_back(r);
+            if (keep_keys) hits.keys.append(key);
+            return !(no_filter && hits.rids.size() >= spec.limit);
           });
   return hits;
 }
 
 bool still_holds(const storage::Table& tb, const api::ScanSpec& spec,
-                 const ScanHit& hit) {
-  const storage::RbTree& index = spec.index < 0
-                                     ? tb.primary_tree()
-                                     : tb.secondary_tree(size_t(spec.index));
-  return index.find(hit.key) == hit.rid;
+                 const ScanHits& hits, size_t i) {
+  return tb.index_tree(spec.index).find(hits.key(i)) == hits.rids[i];
 }
 
 void undo_writes(storage::Database& db, const TxnCtx& txn) {

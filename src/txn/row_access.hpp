@@ -9,6 +9,8 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/api.hpp"
@@ -54,11 +56,16 @@ sim::Task<std::optional<storage::RowId>> lock_row(LockManager& locks,
 sim::Task<storage::RowId> lock_insert_slot(LockManager& locks, TxnCtx& txn,
                                            storage::Table& tb);
 
-// One entry a range scan collected: the slot it pointed at and, if kept,
-// its key in the scanned index.
-struct ScanHit {
-  storage::Key key;
-  storage::RowId rid;
+// The entries a range scan collected: the slots they pointed at and, if
+// kept, their encoded keys in the scanned index, back to back.
+struct ScanHits {
+  std::vector<storage::RowId> rids;
+  std::string keys;
+  size_t key_width = 0;
+
+  std::string_view key(size_t i) const {
+    return std::string_view(keys).substr(i * key_width, key_width);
+  }
 };
 
 // The entries in `spec`'s index range, in `spec`'s order, collected
@@ -66,14 +73,14 @@ struct ScanHit {
 // residual filter the range is exact and the walk stops at spec.limit.
 // A scan that may wait on a page before reading an entry passes
 // `keep_keys` so still_holds can re-check it; the others skip the copies.
-std::vector<ScanHit> collect_scan(const storage::Table& tb,
-                                  const api::ScanSpec& spec, bool keep_keys);
+ScanHits collect_scan(const storage::Table& tb, const api::ScanSpec& spec,
+                      bool keep_keys);
 
-// False once `hit`'s slot no longer holds its kept key: a scan that
+// False once hit `i`'s slot no longer holds its kept key: a scan that
 // waited on the page between collecting and reading must skip a row
 // deleted in the meantime, and a row of another key that reused the slot.
 bool still_holds(const storage::Table& tb, const api::ScanSpec& spec,
-                 const ScanHit& hit);
+                 const ScanHits& hits, size_t i);
 
 // Restore every page `txn` wrote to its before-image, keeping indexes and
 // free-space bookkeeping in step. Locks are left to the caller.
@@ -91,8 +98,8 @@ class EngineConnection final : public api::Connection {
     check();
     return eng_.get(txn_, t, pk);
   }
-  sim::Task<std::vector<storage::Row>> scan(storage::TableId t,
-                                            api::ScanSpec spec) override {
+  sim::Task<storage::Rows> scan(storage::TableId t,
+                                api::ScanSpec spec) override {
     check();
     return eng_.scan(txn_, t, std::move(spec));
   }

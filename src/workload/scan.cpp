@@ -30,7 +30,7 @@ sim::Task<api::TxnResult> s_report(api::Connection& c, const api::Params& p) {
     s.lo = K1(k * rows / chunks);
     s.hi = K1((k + 1) * rows / chunks - 1);
     auto part = co_await c.scan(0, std::move(s));
-    for (const auto& r : part) sum += std::get<int64_t>(r[F_VAL]);
+    for (const storage::RowRef r : part) sum += r.i(F_VAL);
     res.rows += part.size();
   }
   res.value = sum;
@@ -45,7 +45,7 @@ sim::Task<api::TxnResult> s_bucket(api::Connection& c, const api::Params& p) {
   s.hi = K1(p.i("b"));
   auto rows = co_await c.scan(0, std::move(s));
   int64_t sum = 0;
-  for (const auto& r : rows) sum += std::get<int64_t>(r[F_VAL]);
+  for (const storage::RowRef r : rows) sum += r.i(F_VAL);
   res.rows = rows.size();
   res.value = sum;
   co_return res;

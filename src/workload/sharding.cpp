@@ -17,8 +17,8 @@ class OffsetConnection : public api::Connection {
       storage::TableId t, const storage::Key& pk) override {
     return base_.get(storage::TableId(off_ + t), pk);
   }
-  sim::Task<std::vector<storage::Row>> scan(storage::TableId t,
-                                            api::ScanSpec spec) override {
+  sim::Task<storage::Rows> scan(storage::TableId t,
+                                api::ScanSpec spec) override {
     return base_.scan(storage::TableId(off_ + t), std::move(spec));
   }
   sim::Task<bool> insert(storage::TableId t,

@@ -74,7 +74,7 @@ sim::Task<api::TxnResult> y_scan(api::Connection& c, const api::Params& p) {
   s.limit = size_t(p.i("len"));
   auto rows = co_await c.scan(0, std::move(s));
   int64_t sum = 0;
-  for (const auto& r : rows) sum += std::get<int64_t>(r[Y_F0]);
+  for (const storage::RowRef r : rows) sum += r.i(Y_F0);
   res.rows = rows.size();
   res.value = sum;
   co_return res;

@@ -71,7 +71,7 @@ api::ProcRegistry make_registry() {
     auto rows = co_await c.scan(0, std::move(spec));
     api::TxnResult res;
     res.rows = rows.size();
-    for (const auto& r : rows) res.value += std::get<int64_t>(r[1]);
+    for (const storage::RowRef r : rows) res.value += r.i(1);
     co_return res;
   };
   reg.register_proc("sum", sum);

@@ -75,11 +75,11 @@ api::ProcRegistry ledger_registry() {
     api::ScanSpec balances;
     auto brows = co_await c.scan(1, std::move(balances));
     int64_t total = 0;
-    for (const auto& r : brows) total += std::get<int64_t>(r[1]);
+    for (const storage::RowRef r : brows) total += r.i(1);
     api::ScanSpec entries;
     auto lrows = co_await c.scan(0, std::move(entries));
     int64_t check = 0;
-    for (const auto& r : lrows) check += std::get<int64_t>(r[1]);
+    for (const storage::RowRef r : lrows) check += r.i(1);
     api::TxnResult res;
     res.ok = total == check;  // snapshot consistency across tables
     res.value = total;
@@ -258,11 +258,11 @@ TEST(Integration, PersistenceTierSurvivesTotalMemoryLoss) {
           << "backend " << b << " missing acknowledged entry " << id;
     // And the balance table is consistent with the ledger.
     int64_t ledger = 0, balances = 0;
-    db.table(0).primary_tree().scan_all([&](const Key&, storage::RowId rid) {
+    db.table(0).primary_tree().scan_all([&](std::string_view, storage::RowId rid) {
       ledger += std::get<int64_t>(db.table(0).read_row(rid)[1]);
       return true;
     });
-    db.table(1).primary_tree().scan_all([&](const Key&, storage::RowId rid) {
+    db.table(1).primary_tree().scan_all([&](std::string_view, storage::RowId rid) {
       balances += std::get<int64_t>(db.table(1).read_row(rid)[1]);
       return true;
     });

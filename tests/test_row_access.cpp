@@ -55,12 +55,13 @@ sim::Task<> load(Engine& eng, std::vector<Row> rows) {
 
 // Composite primary key (a, b), so a one-column `hi` is a prefix bound on
 // the primary index too; the secondary index on grp carries (a, b).
+storage::Schema grid_columns() {
+  return storage::Schema({storage::int_col("a"), storage::int_col("b"),
+                          storage::int_col("grp"), storage::int_col("v")});
+}
+
 void grid_schema(storage::Database& db) {
-  db.add_table("grid",
-               storage::Schema({storage::int_col("a"), storage::int_col("b"),
-                                storage::int_col("grp"),
-                                storage::int_col("v")}),
-               storage::IndexDef{"pk", {0, 1}, true},
+  db.add_table("grid", grid_columns(), storage::IndexDef{"pk", {0, 1}, true},
                {storage::IndexDef{"by_grp", {2}, false}});
 }
 
@@ -72,8 +73,15 @@ std::vector<Row> grid_rows() {
   return rows;
 }
 
-Key index_key(const Row& r, int index) {
-  return index < 0 ? K(r[0], r[1]) : K(r[2], r[0], r[1]);
+// Keys here are all ints, so std::vector order is the index order.
+std::vector<int64_t> ints(const Key& k) {
+  std::vector<int64_t> out;
+  for (const auto& v : k) out.push_back(I(v));
+  return out;
+}
+
+std::vector<int64_t> index_key(const Row& r, int index) {
+  return ints(index < 0 ? K(r[0], r[1]) : K(r[2], r[0], r[1]));
 }
 
 // What `spec` must return, computed from the rows alone.
@@ -81,23 +89,29 @@ std::vector<Row> reference_scan(std::vector<Row> rows,
                                 const api::ScanSpec& spec) {
   std::vector<Row> in;
   for (Row& r : rows) {
-    const Key k = index_key(r, spec.index);
-    if (spec.lo && storage::key_less(k, *spec.lo)) continue;
-    if (spec.hi && storage::compare_prefix(k, *spec.hi) ==
-                       std::strong_ordering::greater)
-      continue;
+    const std::vector<int64_t> k = index_key(r, spec.index);
+    if (spec.lo && k < ints(*spec.lo)) continue;
+    if (spec.hi) {
+      // hi is a prefix bound: compare over its length only.
+      const std::vector<int64_t> hi = ints(*spec.hi);
+      const std::vector<int64_t> prefix(
+          k.begin(), k.begin() + std::ptrdiff_t(std::min(k.size(), hi.size())));
+      if (prefix > hi) continue;
+    }
     in.push_back(std::move(r));
   }
   std::sort(in.begin(), in.end(), [&](const Row& x, const Row& y) {
-    const Key kx = index_key(x, spec.index);
-    const Key ky = index_key(y, spec.index);
-    return spec.reverse ? storage::key_less(ky, kx)
-                        : storage::key_less(kx, ky);
+    return spec.reverse ? index_key(y, spec.index) < index_key(x, spec.index)
+                        : index_key(x, spec.index) < index_key(y, spec.index);
   });
+  const storage::Schema schema = grid_columns();
+  std::vector<std::byte> image(schema.row_size());
   std::vector<Row> out;
   for (Row& r : in) {
     if (out.size() >= spec.limit) break;
-    if (spec.filter && !spec.filter(r)) continue;
+    schema.encode(r, image);
+    if (spec.filter && !spec.filter(storage::RowRef(schema, image.data())))
+      continue;
     out.push_back(std::move(r));
   }
   return out;
@@ -125,7 +139,7 @@ std::vector<api::ScanSpec> all_specs() {
               s.hi = K(int64_t{index < 0 ? 6 : 3});
             }
             if (filtered)
-              s.filter = [](const Row& r) { return I(r[3]) % 2 == 1; };
+              s.filter = [](const storage::RowRef& r) { return r.i(3) % 2; };
             specs.push_back(std::move(s));
           }
   return specs;
@@ -145,6 +159,11 @@ std::vector<std::pair<int64_t, int64_t>> ids(const std::vector<Row>& rows) {
   for (const Row& r : rows) out.emplace_back(I(r[0]), I(r[1]));
   return out;
 }
+std::vector<std::pair<int64_t, int64_t>> ids(const storage::Rows& rows) {
+  std::vector<std::pair<int64_t, int64_t>> out;
+  for (const storage::RowRef r : rows) out.emplace_back(r.i(0), r.i(1));
+  return out;
+}
 
 TEST(RowAccess, ScanSpecTableMatchesReferenceOnEveryPath) {
   sim::Simulation sim;
@@ -161,10 +180,10 @@ TEST(RowAccess, ScanSpecTableMatchesReferenceOnEveryPath) {
   const std::vector<api::ScanSpec> specs = all_specs();
   ASSERT_EQ(specs.size(), 48u);
   // results[path][spec]: 0 master update txn, 1 tagged slave read, 2 disk.
-  std::vector<std::vector<Row>> results[3];
+  std::vector<storage::Rows> results[3];
   sim.spawn([](mem::MemEngine& master, mem::MemEngine& slave,
                disk::DiskEngine& disk, const std::vector<api::ScanSpec>& specs,
-               std::vector<std::vector<Row>>* results) -> sim::Task<> {
+               std::vector<storage::Rows>* results) -> sim::Task<> {
     co_await load(master, grid_rows());
     co_await load(disk, grid_rows());
     for (const api::ScanSpec& spec : specs) {
@@ -369,8 +388,8 @@ std::vector<int64_t> scan_across_slot_reuse(Engine& eng, sim::Simulation& sim,
     api::ScanSpec spec;
     spec.lo = K(int64_t{0});
     spec.hi = K(int64_t{10});
-    const std::vector<Row> rows = co_await eng.scan(*t, 0, spec);
-    for (const Row& r : rows) keys.push_back(I(r[0]));
+    const storage::Rows rows = co_await eng.scan(*t, 0, spec);
+    for (const storage::RowRef r : rows) keys.push_back(r.i(0));
     co_await commit(eng, *t);
   }(eng, sim, scan_kind, keys));
   sim.run();
