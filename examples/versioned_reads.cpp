@@ -40,12 +40,12 @@ sim::Task<> commit_price(MemEngine& master, int64_t price) {
     Row row{int64_t{1}, price};
     co_await master.insert(*txn, 0, row);
   }
-  txn::WriteSet ws = co_await master.precommit(*txn);
+  const txn::WriteSetPtr ws = co_await master.precommit(*txn);
   master.finish_commit(*txn);
   size_t bytes = 0;
-  for (const auto& m : ws.mods) bytes += m.byte_size();
+  for (const auto& m : ws->mods) bytes += m.byte_size();
   std::cout << "  committed price=" << price << " -> version "
-            << ws.db_version[0] << ", write-set " << ws.mods.size()
+            << ws->db_version[0] << ", write-set " << ws->mods.size()
             << " page mod(s), " << bytes << " bytes\n";
 }
 
@@ -77,7 +77,7 @@ int main() {
   slave.build_schema(schema);
   master.set_master_tables({0});
   master.set_broadcast_fn(
-      [&](const txn::WriteSet& ws) { slave.on_write_set(ws); });
+      [&](const txn::WriteSetPtr& ws) { slave.on_write_set(ws); });
 
   sim.spawn([](MemEngine& master, MemEngine& slave) -> sim::Task<> {
     std::cout << "1. Master commits three updates (eager broadcast, lazy "

@@ -32,7 +32,7 @@ EngineNode::EngineNode(net::Network& net, NodeId id,
   engine_->set_trace_node(id_);
   engine_->build_schema(schema);
   engine_->set_broadcast_fn(
-      [this](const txn::WriteSet& ws) { broadcast_write_set(ws); });
+      [this](const txn::WriteSetPtr& ws) { broadcast_write_set(ws); });
   precommit_drain_ = std::make_unique<sim::WaitQueue>(net.sim());
   sub_replies_ = std::make_unique<sim::Channel<SubscribeReply>>(net.sim());
   join_infos_ = std::make_unique<sim::Channel<JoinInfo>>(net.sim());
@@ -116,18 +116,24 @@ void EngineNode::on_peer_killed(NodeId n) {
   }
 }
 
-void EngineNode::broadcast_write_set(const txn::WriteSet& ws) {
+void EngineNode::broadcast_write_set(const txn::WriteSetPtr& ws) {
   // A dead process broadcasts nothing — a commit that was suspended in
   // precommit when the node was killed resumes (simulation timers still
   // fire) but must not register an ack wait nobody will ever satisfy.
   if (!alive_ || !*alive_) return;
+  std::shared_ptr<const CommittedUpdate> committed;
+  if (auto it = origin_by_txn_.find(ws->txn_id); it != origin_by_txn_.end()) {
+    it->second->db_version = ws->db_version;
+    committed = it->second;
+  }
   const uint64_t seq = ++next_bcast_seq_;
   last_bcast_seq_ = seq;
   std::set<NodeId> targets(replicas_.begin(), replicas_.end());
   targets.insert(subscribers_.begin(), subscribers_.end());
   if (targets.empty()) return;
   obs::count("ws.broadcasts", id_);
-  obs::count("ws.bytes", id_, double(ws.byte_size() * targets.size()));
+  const size_t ws_bytes = ws->byte_size();
+  obs::count("ws.bytes", id_, double(ws_bytes * targets.size()));
   auto wait = std::make_unique<AckWait>();
   wait->pending = targets;
   wait->done = std::make_unique<sim::WaitQueue>(net_.sim());
@@ -155,12 +161,9 @@ void EngineNode::broadcast_write_set(const txn::WriteSet& ws) {
   msg.master = id_;
   msg.seq = seq;
   msg.ws = ws;
-  if (auto it = origin_by_txn_.find(ws.txn_id); it != origin_by_txn_.end()) {
-    msg.origin = it->second.origin;
-    msg.origin_req = it->second.req;
-    msg.origin_result = it->second.result;
-    msg.origin_ops = it->second.ops;
-  }
+  msg.committed = std::move(committed);
+  const size_t bytes =
+      ws_bytes + (msg.committed ? msg.committed->byte_size() : 0);
   for (NodeId r : targets) {
     // All-ack mode: every recipient's ack gates the client reply. Quorum
     // commit: only voters can complete the wait — everyone else is a lazy
@@ -171,16 +174,16 @@ void EngineNode::broadcast_write_set(const txn::WriteSet& ws) {
     // must catch (acked commits stranded in a dying master's outbox).
     msg.ack_urgent = (!w.quorum || w.voters.count(r) > 0) &&
                      !cfg_.mut_reply_before_quorum;
-    enqueue_write_set(r, msg);
+    enqueue_write_set(r, msg, bytes);
   }
 }
 
-void EngineNode::enqueue_write_set(NodeId to, WriteSetMsg msg) {
+void EngineNode::enqueue_write_set(NodeId to, const WriteSetMsg& msg,
+                                   size_t bytes) {
   Outbox& ob = outbox_[to];
-  ob.bytes += msg.ws.byte_size();
-  for (const auto& op : msg.origin_ops) ob.bytes += op.byte_size();
+  ob.bytes += bytes;
   ob.has_urgent = ob.has_urgent || msg.ack_urgent;
-  ob.items.push_back(std::move(msg));
+  ob.items.push_back(msg);
   const bool window = cfg_.batch_max_writesets > 1 && cfg_.batch_delay > 0;
   // Nagle-style urgent path: a client-blocking write-set on an idle link
   // goes out now — making it sit out the batch window would tax every
@@ -236,9 +239,7 @@ void EngineNode::prune_outbox(const std::set<NodeId>& live) {
 
 void EngineNode::apply_incoming_write_set(const WriteSetMsg& ws) {
   engine_->on_write_set(ws.ws);
-  if (ws.origin != net::kNoNode)
-    committed_[ws.origin] = {ws.origin_req, ws.ws.db_version,
-                             ws.origin_result, ws.origin_ops};
+  if (ws.committed) committed_[ws.committed->origin] = ws.committed;
   note_received(ws.master, ws.seq);
 }
 
@@ -421,11 +422,10 @@ sim::Task<> EngineNode::main_loop() {
                  std::find(da->tables.begin(), da->tables.end(), t) !=
                      da->tables.end();
         };
-        for (size_t t = 0; t < it->second.version.size() &&
-                           t < da->confirmed.size();
+        const VersionVec& version = it->second->db_version;
+        for (size_t t = 0; t < version.size() && t < da->confirmed.size();
              ++t)
-          if (in_scope(storage::TableId(t)) &&
-              it->second.version[t] > da->confirmed[t])
+          if (in_scope(storage::TableId(t)) && version[t] > da->confirmed[t])
             above = true;
         it = above ? committed_.erase(it) : std::next(it);
       }
@@ -542,16 +542,16 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
   // re-acked from the committed mark, never executed a second time.
   if (m.origin != net::kNoNode) {
     auto it = committed_.find(m.origin);
-    if (it != committed_.end() && it->second.req == m.origin_req) {
+    if (it != committed_.end() && it->second->origin_req == m.origin_req) {
       obs::instant("master.dedup", obs::Cat::Txn, id_);
       TxnDone done;
       done.ok = true;
-      done.result = it->second.result;
-      done.db_version = it->second.version;
+      done.result = it->second->result;
+      done.db_version = it->second->db_version;
       // The ops ride along so the scheduler's persistence hook sees the
       // commit even when the original ack (and its log append) died with
       // a failed-over scheduler; the log's stamp dedup drops re-logs.
-      done.ops = it->second.ops;
+      done.ops = it->second->ops;
       reply_txn_done(m, std::move(done));
       co_return;
     }
@@ -582,10 +582,13 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       inf.in_precommit = true;
       obs::SpanGuard pc_span("master.precommit", obs::Cat::Replication, id_,
                              txn->id());
-      if (m.origin != net::kNoNode)
-        origin_by_txn_[txn->id()] = {m.origin, m.origin_req, result,
-                                     txn->op_log()};
-      txn::WriteSet ws = co_await engine_->precommit(*txn);
+      std::shared_ptr<CommittedUpdate> mark;
+      if (m.origin != net::kNoNode) {
+        mark = std::make_shared<CommittedUpdate>(CommittedUpdate{
+            m.origin, m.origin_req, {}, result, txn->op_log()});
+        origin_by_txn_[txn->id()] = mark;
+      }
+      const txn::WriteSetPtr ws = co_await engine_->precommit(*txn);
       origin_by_txn_.erase(txn->id());
       pc_span.done();
       if (!*alive) {
@@ -598,7 +601,7 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       // reports nothing.
       if (auto* s = check::sink())
         s->update_commit(id_, m.origin, m.origin_req, txn->op_log(),
-                         ws.db_version);
+                         ws->db_version);
       // Locally committed: the write-set is sequenced on every replica
       // link and nothing can abort this transaction any more short of
       // this node dying (wait_acks only fails via on_killed). Release
@@ -622,13 +625,11 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       if (!*alive || !acked) co_return;
       ++stats_.txns_executed;
       obs::count("master.commits", id_);
-      if (m.origin != net::kNoNode)
-        committed_[m.origin] = {m.origin_req, ws.db_version, result,
-                                txn->op_log()};
+      if (mark) committed_[m.origin] = std::move(mark);
       TxnDone done;
       done.ok = true;
       done.result = result;
-      done.db_version = ws.db_version;
+      done.db_version = ws->db_version;
       done.ops = txn->op_log();
       reply_txn_done(m, std::move(done));
       co_return;

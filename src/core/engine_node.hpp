@@ -166,12 +166,7 @@ class EngineNode {
   // here instead of executed twice. Replicated via the write-set stream
   // and pruned by DiscardAbove so a promoted slave inherits only marks
   // whose updates it actually kept.
-  struct CommittedMark {
-    uint64_t req = 0;
-    VersionVec version;  // post-commit vector, for discard pruning
-    api::TxnResult result;
-    std::vector<txn::OpRecord> ops;  // re-acks re-feed the persistence log
-  };
+  using CommittedMark = std::shared_ptr<const CommittedUpdate>;
   // Master->replica batch window, one per destination link. Urgent
   // (client-blocking) write-sets take a Nagle-style path: flush
   // immediately when the link is idle (acked_seq has caught up with
@@ -209,14 +204,15 @@ class EngineNode {
   // Abort the current join attempt and schedule a capped-backoff retry
   // against the first live scheduler in join_schedulers_.
   void join_failed(const std::shared_ptr<bool>& alive);
-  void broadcast_write_set(const txn::WriteSet& ws);
+  void broadcast_write_set(const txn::WriteSetPtr& ws);
   sim::Task<bool> wait_acks(uint64_t seq);
   // Ack-wait mutation helpers: `from` acked everything up to the wait's
   // seq / died / left the replica set; wake the committer if satisfied.
   void ack_wait_acked(AckWait& w, NodeId from);
   void ack_wait_dropped(AckWait& w, NodeId from);
   // Batch-window plumbing (master side).
-  void enqueue_write_set(NodeId to, WriteSetMsg msg);
+  // `bytes`: the simulated size of msg's payload.
+  void enqueue_write_set(NodeId to, const WriteSetMsg& msg, size_t bytes);
   void flush_outbox(NodeId to);
   void prune_outbox(const std::set<NodeId>& live);
   // Cumulative-ack plumbing (replica side).
@@ -260,16 +256,10 @@ class EngineNode {
   std::unordered_map<uint64_t, Inflight*> inflight_;
   std::unique_ptr<sim::WaitQueue> precommit_drain_;
   std::map<NodeId, CommittedMark> committed_;
-  // Origin + committed result of the update currently in precommit, keyed
-  // by engine txn id — broadcast_write_set (called from inside precommit)
-  // stamps them onto the outgoing WriteSetMsg.
-  struct UpdateOrigin {
-    NodeId origin = net::kNoNode;
-    uint64_t req = 0;
-    api::TxnResult result;
-    std::vector<txn::OpRecord> ops;
-  };
-  std::map<uint64_t, UpdateOrigin> origin_by_txn_;
+  // Client outcome of the update currently in precommit, keyed by engine
+  // txn id: broadcast_write_set (called from inside precommit) stamps its
+  // db_version and shares it on the outgoing WriteSetMsg.
+  std::map<uint64_t, std::shared_ptr<CommittedUpdate>> origin_by_txn_;
 
   // Join-protocol reply channels (one protocol at a time).
   std::unique_ptr<sim::Channel<SubscribeReply>> sub_replies_;

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,10 +69,38 @@ struct TxnDone {
 
 // ---- replication (master -> replicas) ----
 
+// The client-facing outcome of a committed update, replicated with its
+// write-set: a slave promoted after a master+scheduler double failure
+// still detects client resubmissions of updates it already holds (see
+// ExecTxn::origin) and re-acks them with the real payload instead of
+// success-with-empty-result. Immutable once broadcast, and shared like the
+// write-set, but held apart from it: replicas keep it per client (in their
+// committed marks), long after the commit's mods have been applied.
+struct CommittedUpdate {
+  NodeId origin = net::kNoNode;
+  uint64_t origin_req = 0;
+  VersionVec db_version;  // post-commit vector, for discard pruning
+  api::TxnResult result;
+  // The op-log rides along too: a re-ack must carry the ops so the
+  // scheduler's persistence hook can (re-)log the commit — the update log
+  // deduplicates by version stamp, but a re-ack with empty ops would leave
+  // an acked commit unlogged when the original ack died with its scheduler
+  // before the append.
+  std::vector<txn::OpRecord> ops;
+
+  // Simulated wire bytes the outcome adds to its write-set: the op-log.
+  size_t byte_size() const {
+    size_t n = 0;
+    for (const auto& op : ops) n += op.byte_size();
+    return n;
+  }
+};
+
 struct WriteSetMsg {
   NodeId master = net::kNoNode;
   uint64_t seq = 0;  // per-master broadcast sequence, for acks
-  txn::WriteSet ws;
+  // One payload per commit, shared by every recipient's message.
+  txn::WriteSetPtr ws;
   // The master's ack wait for this write-set blocks a client reply on
   // THIS recipient's ack (all-ack mode: every replica; quorum commit:
   // voters only). The recipient flushes its cumulative-ack window
@@ -79,20 +108,8 @@ struct WriteSetMsg {
   // client-visible reply sit out the ack_delay coalescing window; lazy
   // catch-up streams (non-voters, WAN subscribers) keep coalescing.
   bool ack_urgent = false;
-  // Originating client of the update (see ExecTxn): replicated so that a
-  // slave promoted after a master+scheduler double failure still detects
-  // client resubmissions of updates it already holds. The committed result
-  // rides along so the promoted master can re-ack the resubmission with
-  // the real payload instead of success-with-empty-result.
-  NodeId origin = net::kNoNode;
-  uint64_t origin_req = 0;
-  api::TxnResult origin_result;
-  // The committed update's op-log rides along too: a re-ack must carry the
-  // ops so the scheduler's persistence hook can (re-)log the commit — the
-  // update log deduplicates by version stamp, but a re-ack with empty ops
-  // would leave an acked commit unlogged when the original ack died with
-  // its scheduler before the append.
-  std::vector<txn::OpRecord> origin_ops;
+  // Null unless the update came from a client request (see ExecTxn).
+  std::shared_ptr<const CommittedUpdate> committed;
 };
 
 // Master-side batching: write-sets bound for the same replica, coalesced

@@ -293,7 +293,7 @@ sim::Task<bool> MemEngine::remove(TxnCtx& txn, TableId t, const Key& pk) {
   co_return true;
 }
 
-sim::Task<txn::WriteSet> MemEngine::precommit(TxnCtx& txn) {
+sim::Task<txn::WriteSetPtr> MemEngine::precommit(TxnCtx& txn) {
   DMV_ASSERT(txn.kind() == TxnKind::Update);
   // Charge the diff cost up front so the section below — version
   // increments, page-version stamping, broadcast — runs without
@@ -304,8 +304,8 @@ sim::Task<txn::WriteSet> MemEngine::precommit(TxnCtx& txn) {
     co_await cpu_.use(cfg_.costs.diff_page *
                       sim::Time(txn.dirty_pages().size()));
   }
-  txn::WriteSet ws;
-  ws.txn_id = txn.id();
+  auto ws = std::make_shared<txn::WriteSet>();
+  ws->txn_id = txn.id();
 
   // Diff first, bump versions after: a table whose every dirty page diffs
   // empty (written then reverted) must not publish a version number no
@@ -336,7 +336,7 @@ sim::Task<txn::WriteSet> MemEngine::precommit(TxnCtx& txn) {
   for (txn::PageMod& mod : mods) {
     mod.version = version_[mod.pid.table];
     db_.table(mod.pid.table).meta(mod.pid.page).version = mod.version;
-    ws.mods.push_back(std::move(mod));
+    ws->mods.push_back(std::move(mod));
   }
   // Stamp with the *applied* version vector only. Conflict classes are
   // disjoint, so an update can never causally depend on another class's
@@ -347,12 +347,11 @@ sim::Task<txn::WriteSet> MemEngine::precommit(TxnCtx& txn) {
   // no replica will ever receive again (wedged reads), and a replica that
   // sees the stamp bumps received_ for a table whose mods it does not hold
   // and serves old pages under the new tag.
-  ws.db_version.resize(db_.table_count());
-  for (size_t i = 0; i < ws.db_version.size(); ++i)
-    ws.db_version[i] = version_[i];
+  ws->db_version = version_;
 
-  if (broadcast_fn_) broadcast_fn_(ws);
-  co_return ws;
+  txn::WriteSetPtr shared = std::move(ws);
+  if (broadcast_fn_) broadcast_fn_(shared);
+  co_return shared;
 }
 
 void MemEngine::finish_commit(TxnCtx& txn) {
@@ -370,18 +369,19 @@ void MemEngine::finish_read(TxnCtx& txn) {
   ++stats_.read_commits;
 }
 
-void MemEngine::on_write_set(const txn::WriteSet& ws) {
+void MemEngine::on_write_set(const txn::WriteSetPtr& ws) {
   if (shutdown_) return;
-  DMV_ASSERT(ws.db_version.size() == db_.table_count());
-  for (const auto& mod : ws.mods) {
+  DMV_ASSERT(ws->db_version.size() == db_.table_count());
+  for (size_t i = 0; i < ws->mods.size(); ++i) {
+    const TableId t = ws->mods[i].pid.table;
     // Never queue mods for tables we master (our own state is the source).
-    if (masters(mod.pid.table)) continue;
-    pending_[mod.pid.table].push_back(mod);
+    if (masters(t)) continue;
+    pending_[t].push_back(PendingMod{ws, uint32_t(i)});
     ++stats_.mods_enqueued;
   }
-  for (size_t t = 0; t < ws.db_version.size(); ++t) {
-    if (ws.db_version[t] > received_[t]) {
-      received_[t] = ws.db_version[t];
+  for (size_t t = 0; t < ws->db_version.size(); ++t) {
+    if (ws->db_version[t] > received_[t]) {
+      received_[t] = ws->db_version[t];
       arrival_[t]->notify_all();
     }
   }
@@ -400,7 +400,7 @@ void MemEngine::discard_mods_above(
   for (size_t t = 0; t < confirmed.size(); ++t) {
     if (!affected(t)) continue;
     auto& q = pending_[t];
-    while (!q.empty() && q.back().version > confirmed[t]) q.pop_back();
+    while (!q.empty() && q.back().mod().version > confirmed[t]) q.pop_back();
     received_[t] = std::min(received_[t], confirmed[t]);
   }
 }
@@ -410,8 +410,8 @@ sim::Task<> MemEngine::apply_pending(TableId t, uint64_t v,
   sim::Time cost = 0;
   auto& q = pending_[t];
   storage::Table& table = db_.table(t);
-  for (; !q.empty() && q.front().version <= v; q.pop_front()) {
-    const txn::PageMod& mod = q.front();
+  for (; !q.empty() && q.front().mod().version <= v; q.pop_front()) {
+    const txn::PageMod& mod = q.front().mod();
     table.ensure_page(mod.pid.page);
     if (mod.version <= table.meta(mod.pid.page).version) continue;  // stale
     const size_t slots = txn::apply_mod_indexed(table, mod);
@@ -429,7 +429,7 @@ sim::Task<> MemEngine::apply_pending(TableId t, uint64_t v,
 
 bool MemEngine::has_applicable(TableId t) const {
   const auto& q = pending_[t];
-  return !q.empty() && q.front().version <= received_[t];
+  return !q.empty() && q.front().mod().version <= received_[t];
 }
 
 sim::Task<bool> MemEngine::wait_arrival(TableId t) {

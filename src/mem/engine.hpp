@@ -120,8 +120,8 @@ class MemEngine {
   // page versions and hands the write-set to `broadcast_fn` (set by the
   // hosting node) before any other transaction can interleave — write-sets
   // leave the master in version order.
-  sim::Task<txn::WriteSet> precommit(txn::TxnCtx& txn);
-  void set_broadcast_fn(std::function<void(const txn::WriteSet&)> fn) {
+  sim::Task<txn::WriteSetPtr> precommit(txn::TxnCtx& txn);
+  void set_broadcast_fn(std::function<void(const txn::WriteSetPtr&)> fn) {
     broadcast_fn_ = std::move(fn);
   }
   // After replica acks: release locks, count the commit.
@@ -146,7 +146,15 @@ class MemEngine {
                          const storage::Key& pk);
 
   // --- replication (slave side) ---
-  void on_write_set(const txn::WriteSet& ws);
+  // A queued mod: the shared write-set it arrived in, and its position
+  // there. Queued mods keep their write-set alive, and nothing else.
+  struct PendingMod {
+    txn::WriteSetPtr ws;
+    uint32_t index = 0;
+    const txn::PageMod& mod() const { return ws->mods[index]; }
+  };
+  // Queue the mods of tables this engine does not master, sharing `ws`.
+  void on_write_set(const txn::WriteSetPtr& ws);
   // Master-failure cleanup (§4.2): drop queued mods with versions above
   // what the recovering scheduler confirmed; restricted to `tables` if
   // non-empty (the failed master's conflict class).
@@ -197,6 +205,9 @@ class MemEngine {
   const txn::CostModel& costs() const { return cfg_.costs; }
   EngineStats& stats() { return stats_; }
   size_t pending_mod_count() const;
+  const std::deque<PendingMod>& pending(storage::TableId t) const {
+    return pending_[t];
+  }
 
  private:
   // Wait until received_[t] >= v, then apply the pending prefix <= v.
@@ -226,11 +237,11 @@ class MemEngine {
   CacheModel cache_;
   sim::Resource cpu_;
   std::set<storage::TableId> master_tables_;
-  std::function<void(const txn::WriteSet&)> broadcast_fn_;
+  std::function<void(const txn::WriteSetPtr&)> broadcast_fn_;
 
   VersionVec version_;   // produced (mastered tables)
   VersionVec received_;  // received from masters (slave tables)
-  std::vector<std::deque<txn::PageMod>> pending_;  // per table, FIFO
+  std::vector<std::deque<PendingMod>> pending_;  // per table, FIFO
   std::vector<std::unique_ptr<sim::WaitQueue>> arrival_;  // per table
   bool shutdown_ = false;
 

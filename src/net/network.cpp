@@ -23,6 +23,7 @@ NodeId Network::add_node(std::string name) {
   const NodeId id = static_cast<NodeId>(nodes_.size());
   nodes_.push_back(Node{std::move(name), true, 0, 0,
                         std::make_unique<sim::Channel<Envelope>>(sim_)});
+  links_.emplace_back();
   obs::name_node(id, nodes_.back().name);
   return id;
 }
@@ -88,8 +89,8 @@ void Network::deliver_one(NodeId from, NodeId to, uint64_t epoch,
 void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {
   DMV_ASSERT(from < nodes_.size() && to < nodes_.size());
   if (!nodes_[from].alive || !nodes_[to].alive) return;
-  auto down = link_down_.find({std::min(from, to), std::max(from, to)});
-  if (down != link_down_.end() && down->second) return;
+  Link& lk = link(from, to);
+  if (lk.down) return;
 
   const LinkClass cls = topo_.link_class(from, to);
   const LinkClassConfig& lc = topo_.link(cls);
@@ -108,16 +109,12 @@ void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {
   obs::gauge("net.inflight_bytes", uint32_t(cls),
              double(inflight_bytes_[size_t(cls)]));
 
-  sim::Time extra = 0;
-  auto ex = link_extra_.find({std::min(from, to), std::max(from, to)});
-  if (ex != link_extra_.end()) extra = ex->second;
+  sim::Time extra = lk.extra;
   if (lc.jitter > 0) extra += sim::Time(jitter_rng_.below(lc.jitter + 1));
 
-  const auto key = std::make_pair(from, to);
-  sim::Time deliver_at =
-      std::max(sim_.now() + transfer_time(bytes, lc) + extra,
-               link_clock_[key]);
-  link_clock_[key] = deliver_at;
+  const sim::Time deliver_at =
+      std::max(sim_.now() + transfer_time(bytes, lc) + extra, lk.clock);
+  lk.clock = deliver_at;
 
   // Park the message in the flight pool and capture only (this, slot):
   // the closure stays within std::function's inline storage, so a send
@@ -183,12 +180,14 @@ void Network::restart(NodeId id) {
 }
 
 void Network::set_link(NodeId a, NodeId b, bool up) {
-  link_down_[{std::min(a, b), std::max(a, b)}] = !up;
+  DMV_ASSERT(a < nodes_.size() && b < nodes_.size());
+  link(a, b).down = link(b, a).down = !up;
 }
 
 void Network::set_link_delay(NodeId a, NodeId b, sim::Time extra) {
   DMV_ASSERT(extra >= 0);
-  link_extra_[{std::min(a, b), std::max(a, b)}] = extra;
+  DMV_ASSERT(a < nodes_.size() && b < nodes_.size());
+  link(a, b).extra = link(b, a).extra = extra;
 }
 
 void Network::partition_regions(RegionId a, RegionId b, bool both_ways) {

@@ -218,10 +218,21 @@ class Network {
   Topology topo_;
   util::Rng jitter_rng_;
   std::vector<Node> nodes_;
-  // FIFO enforcement: next admissible delivery time per directed link.
-  std::map<std::pair<NodeId, NodeId>, sim::Time> link_clock_;
-  std::map<std::pair<NodeId, NodeId>, bool> link_down_;
-  std::map<std::pair<NodeId, NodeId>, sim::Time> link_extra_;
+  // Per directed link state, dense: links_[from][to]. set_link and
+  // set_link_delay act on both directions of a pair. A row grows only to
+  // the highest peer its node has used, so the many clients, which talk
+  // only to the schedulers, keep short rows.
+  struct Link {
+    sim::Time clock = 0;  // FIFO: next admissible delivery time
+    sim::Time extra = 0;  // set_link_delay
+    bool down = false;    // set_link
+  };
+  Link& link(NodeId from, NodeId to) {
+    std::vector<Link>& row = links_[from];
+    if (row.size() <= to) row.resize(size_t(to) + 1);
+    return row[to];
+  }
+  std::vector<std::vector<Link>> links_;
   std::set<std::pair<RegionId, RegionId>> region_cuts_;  // directed
   std::map<std::pair<NodeId, NodeId>, std::deque<Parked>> parked_;
   std::vector<std::function<void(NodeId)>> failure_subs_;

@@ -47,7 +47,13 @@ KeyLayout::KeyLayout(const Schema& schema, const std::vector<size_t>& cols)
 
 KeyBuf KeyLayout::from_image(std::span<const std::byte> slot) const {
   KeyBuf k;
-  char* out = k.data_;
+  encode_image(slot, k.data_);
+  k.size_ = width_;
+  return k;
+}
+
+void KeyLayout::encode_image(std::span<const std::byte> slot,
+                             char* out) const {
   for (const Field& f : fields_) {
     const char* src = reinterpret_cast<const char*>(slot.data()) + f.offset;
     switch (f.type) {
@@ -69,8 +75,6 @@ KeyBuf KeyLayout::from_image(std::span<const std::byte> slot) const {
     }
     out += f.width;
   }
-  k.size_ = width_;
-  return k;
 }
 
 namespace {

@@ -53,6 +53,8 @@ class KeyLayout {
 
   // Key of the row image `slot` (row_size() bytes as the codec wrote it).
   KeyBuf from_image(std::span<const std::byte> slot) const;
+  // The same key, written as width() bytes at `out`.
+  void encode_image(std::span<const std::byte> slot, char* out) const;
   KeyBuf from_row(const Row& row) const;
   // Key of the first key.size() columns (a full key or a prefix bound).
   KeyBuf from_key(const Key& key) const;

@@ -62,8 +62,7 @@ class Table {
   // Index `index`: -1 is the primary key, else a secondary position.
   // Secondary keys carry the PK appended.
   const RbTree& index_tree(int index) const {
-    DMV_ASSERT(index < int(secondary_trees_.size()));
-    return index < 0 ? primary_tree_ : secondary_trees_[size_t(index)];
+    return const_cast<Table*>(this)->tree(index);
   }
   const KeyLayout& index_layout(int index) const {
     DMV_ASSERT(index < int(secondary_layouts_.size()));
@@ -102,6 +101,17 @@ class Table {
   // slot's bytes, index after. No-ops on unoccupied slots.
   void unindex_slot(PageNo p, uint16_t slot);
   void index_slot(PageNo p, uint16_t slot);
+  // Entry-level raw-application maintenance, for callers that know which
+  // entries changed (txn::apply_runs_indexed): drop or add one entry of
+  // index `index` (as in index_tree()), and count rows that appeared or
+  // vanished. The caller keeps entries and count in step with the pages.
+  void erase_entry(int index, std::string_view key) {
+    tree(index).erase(key);
+  }
+  void insert_entry(int index, std::string_view key, RowId rid) {
+    tree(index).insert(key, rid);
+  }
+  void add_row_count(ptrdiff_t delta) { row_count_ += size_t(delta); }
   // Recompute free-space accounting for a page after raw byte application.
   void refresh_page_bookkeeping(PageNo p);
 
@@ -115,6 +125,10 @@ class Table {
   Key primary_key_of(const Row& row) const;
 
  private:
+  RbTree& tree(int index) {
+    DMV_ASSERT(index < int(secondary_trees_.size()));
+    return index < 0 ? primary_tree_ : secondary_trees_[size_t(index)];
+  }
   RowId allocate_slot();
   std::span<std::byte> slot_bytes(RowId rid);
   // Add or drop the index entries of the row image in `rid`'s slot.

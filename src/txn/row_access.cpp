@@ -76,7 +76,7 @@ void undo_writes(storage::Database& db, const TxnCtx& txn) {
   for (const auto& [pid, before] : txn.before_images()) {
     storage::Table& tb = db.table(pid.table);
     const auto runs = diff_pages(tb.page(pid.page), before);
-    if (!runs.empty()) apply_runs_indexed(tb, pid.page, runs);
+    if (!runs.empty()) apply_runs_reindex_all(tb, pid.page, runs);
   }
 }
 

@@ -1,8 +1,11 @@
 #include "txn/write_set.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <bitset>
 #include <cstring>
-#include <set>
+#include <memory>
 
 namespace dmv::txn {
 
@@ -71,37 +74,114 @@ void apply_runs(storage::Page& target, const std::vector<ByteRun>& runs) {
 
 std::vector<uint16_t> affected_slots(const std::vector<ByteRun>& runs,
                                      size_t row_size, size_t slots_per_page) {
-  std::set<uint16_t> slots;
+  // A fixed bitmap of the page's slots, read out in ascending order.
+  std::array<uint64_t, storage::kMaxSlots / 64> bits{};
+  const auto mark = [&](size_t lo, size_t hi) {  // slots [lo, hi)
+    for (size_t s = lo; s < std::min(hi, slots_per_page); ++s)
+      bits[s / 64] |= uint64_t{1} << (s % 64);
+  };
   for (const auto& r : runs) {
     const size_t lo = r.offset;
     const size_t hi = r.offset + r.bytes.size();  // exclusive
     // Bitmap bytes touched: every slot whose bit lives in [lo, hi) within
     // the header may have flipped occupancy.
-    if (lo < storage::kPageHeader) {
-      const size_t bm_lo = lo;
-      const size_t bm_hi = std::min(hi, storage::kPageHeader);
-      for (size_t byte = bm_lo; byte < bm_hi; ++byte)
-        for (size_t bit = 0; bit < 8; ++bit) {
-          const size_t slot = byte * 8 + bit;
-          if (slot < slots_per_page) slots.insert(uint16_t(slot));
-        }
-    }
+    if (lo < storage::kPageHeader)
+      mark(lo * 8, std::min(hi, storage::kPageHeader) * 8);
     // Row bytes touched.
-    if (hi > storage::kPageHeader) {
-      const size_t row_lo =
-          (std::max(lo, storage::kPageHeader) - storage::kPageHeader) /
-          row_size;
-      const size_t row_hi =
-          (hi - storage::kPageHeader + row_size - 1) / row_size;
-      for (size_t s = row_lo; s < std::min(row_hi, slots_per_page); ++s)
-        slots.insert(uint16_t(s));
-    }
+    if (hi > storage::kPageHeader)
+      mark((std::max(lo, storage::kPageHeader) - storage::kPageHeader) /
+               row_size,
+           (hi - storage::kPageHeader + row_size - 1) / row_size);
   }
-  return {slots.begin(), slots.end()};
+  std::vector<uint16_t> slots;
+  for (size_t w = 0; w < bits.size(); ++w)
+    for (uint64_t b = bits[w]; b != 0; b &= b - 1)
+      slots.push_back(uint16_t(w * 64 + size_t(std::countr_zero(b))));
+  return slots;
 }
 
 size_t apply_runs_indexed(storage::Table& table, storage::PageNo p,
                           const std::vector<ByteRun>& runs) {
+  const size_t row_size = table.schema().row_size();
+  const auto slots = affected_slots(runs, row_size, table.slots_per_page());
+  storage::Page& page = table.page(p);
+  // Index ids run from -1 (the primary key) to secondary_count() - 1; a
+  // slot's keys are kept back to back in that order, `width` bytes in all.
+  const int end = int(table.secondary_count());
+  DMV_ASSERT(end < 32);  // one bit per index in `insert` below
+  size_t width = 0;
+  for (int i = -1; i < end; ++i) width += table.index_layout(i).width();
+  const auto encode = [&](size_t k, int i, char* out) {
+    table.index_layout(i).encode_image(page.slot_bytes(slots[k], row_size),
+                                       out);
+  };
+
+  // Before: each affected slot's occupancy and keys. The keys stay on the
+  // stack unless a whole-page install of many slots needs more room.
+  constexpr size_t kStackKeyBytes = 4096;
+  char stack_keys[kStackKeyBytes];
+  std::unique_ptr<char[]> heap_keys;
+  char* keys = stack_keys;
+  if (slots.size() * width > kStackKeyBytes) {
+    heap_keys = std::make_unique_for_overwrite<char[]>(slots.size() * width);
+    keys = heap_keys.get();
+  }
+  std::bitset<storage::kMaxSlots> was;  // by position in `slots`
+  for (size_t k = 0; k < slots.size(); ++k) {
+    if (!page.occupied(slots[k])) continue;
+    was.set(k);
+    char* out = keys + k * width;
+    for (int i = -1; i < end; ++i) {
+      encode(k, i, out);
+      out += table.index_layout(i).width();
+    }
+  }
+
+  apply_runs(page, runs);
+
+  // After: drop every changed entry before adding any, because a key can
+  // move between slots of one page. A changed entry's new key overwrites
+  // its old one in `keys`, and its bit in insert[k] marks it to be added.
+  uint32_t insert[storage::kMaxSlots] = {};
+  ptrdiff_t rows = 0;
+  char fresh[storage::kMaxKeyWidth];
+  for (size_t k = 0; k < slots.size(); ++k) {
+    const bool now = page.occupied(slots[k]);
+    if (!was[k] && !now) continue;
+    rows += int(now) - int(was[k]);
+    char* key = keys + k * width;
+    for (int i = -1; i < end; ++i) {
+      const size_t w = table.index_layout(i).width();
+      if (now) {
+        encode(k, i, fresh);
+        if (!was[k] || std::memcmp(fresh, key, w) != 0) {
+          if (was[k]) table.erase_entry(i, {key, w});
+          std::memcpy(key, fresh, w);
+          insert[k] |= 1u << (i + 1);
+        }
+      } else {
+        table.erase_entry(i, {key, w});
+      }
+      key += w;
+    }
+  }
+  for (size_t k = 0; k < slots.size(); ++k) {
+    if (insert[k] == 0) continue;
+    const char* key = keys + k * width;
+    for (int i = -1; i < end; ++i) {
+      const size_t w = table.index_layout(i).width();
+      if (insert[k] & (1u << (i + 1)))
+        table.insert_entry(i, {key, w}, storage::RowId{p, slots[k]});
+      key += w;
+    }
+  }
+  table.add_row_count(rows);
+  table.refresh_page_bookkeeping(p);
+  return slots.size();
+}
+
+size_t apply_runs_reindex_all(storage::Table& table, storage::PageNo p,
+                              const std::vector<ByteRun>& runs) {
   const auto slots =
       affected_slots(runs, table.schema().row_size(), table.slots_per_page());
   for (uint16_t s : slots) table.unindex_slot(p, s);

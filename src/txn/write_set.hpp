@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "storage/page.hpp"
@@ -42,6 +43,11 @@ struct WriteSet {
   size_t byte_size() const;
 };
 
+// A committed write-set is immutable. The master builds it once and every
+// holder shares it: the outgoing messages, and each replica's queue of
+// pending mods until the last of them is applied or discarded.
+using WriteSetPtr = std::shared_ptr<const WriteSet>;
+
 // Diff two page images into byte runs. Runs separated by fewer than
 // `merge_gap` unchanged bytes are merged (fewer, larger runs compress the
 // encoding of clustered row updates).
@@ -51,18 +57,26 @@ std::vector<ByteRun> diff_pages(const storage::Page& before,
 
 void apply_runs(storage::Page& target, const std::vector<ByteRun>& runs);
 
-// Slots whose bytes or occupancy bit are touched by `runs` — the slots
-// whose index entries must be rebuilt around application.
+// Slots whose bytes or occupancy bit are touched by `runs`, ascending —
+// the slots whose index entries may change when the runs are applied.
 std::vector<uint16_t> affected_slots(const std::vector<ByteRun>& runs,
                                      size_t row_size, size_t slots_per_page);
 
-// Apply runs to an existing page of a table *with index maintenance*:
-// affected slots are unindexed, bytes applied, slots re-indexed and
-// free-space bookkeeping refreshed. Rollback, page install and write-set
-// application all restore pages this way. Returns the number of slots
-// re-indexed (for cost accounting).
+// Apply runs to an existing page of a table *with index maintenance*, the
+// way replicas apply write-sets and install migrated pages: the index
+// entries of the affected slots are recorded before the bytes change, and
+// afterwards only the entries whose key bytes or slot occupancy changed are
+// dropped and re-added. Free-space bookkeeping is refreshed. Returns the
+// number of affected slots (for cost accounting).
 size_t apply_runs_indexed(storage::Table& table, storage::PageNo p,
                           const std::vector<ByteRun>& runs);
+
+// As apply_runs_indexed, but every affected slot is unindexed before the
+// bytes change and re-indexed after. Rollback restores pages this way: a
+// master charges index_rotation for the rotations its trees make, so its
+// trees must keep the shape this full re-index gives them.
+size_t apply_runs_reindex_all(storage::Table& table, storage::PageNo p,
+                              const std::vector<ByteRun>& runs);
 
 // apply_runs_indexed for a PageMod, creating the page if needed and
 // advancing the page's version meta.

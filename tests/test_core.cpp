@@ -910,6 +910,31 @@ TEST(Failover, ResubmissionAfterPromotionCarriesResult) {
   EXPECT_EQ(r->value, 46);
 }
 
+TEST(DmvCluster, ReplicasShareOneWriteSetPayload) {
+  // The master builds one write-set per commit; the network messages and
+  // every replica's queue of pending mods share it instead of copying.
+  DmvCluster::Config cfg;
+  cfg.slaves = 3;
+  cfg.spares = 1;
+  Fixture f(cfg);
+  api::Params dep;
+  dep.set("id", int64_t{3}).set("amt", int64_t{1});
+  ASSERT_TRUE(f.request("deposit", dep).has_value());
+  std::vector<NodeId> replicas;
+  for (size_t i = 0; i < f.cluster->slave_count(); ++i)
+    replicas.push_back(f.cluster->slave_id(i));
+  replicas.push_back(f.cluster->spare_id(0));
+  txn::WriteSetPtr shared;
+  for (NodeId r : replicas) {
+    const auto& q = f.cluster->node(r).engine().pending(0);
+    ASSERT_EQ(q.size(), 1u);
+    if (!shared) shared = q.front().ws;
+    EXPECT_EQ(q.front().ws, shared);
+  }
+  // Held by the replicas' queues and this test, by nothing else.
+  EXPECT_EQ(shared.use_count(), long(replicas.size()) + 1);
+}
+
 TEST(DmvCluster, BatchedReplicationCoalescesAndPreservesOrder) {
   DmvCluster::Config cfg;
   cfg.slaves = 2;

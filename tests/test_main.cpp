@@ -41,6 +41,9 @@ int main(int argc, char** argv) {
     args.push_back(storage.back().data());
   }
   int new_argc = int(args.size());
+  // argv[argc] is a null pointer, and gtest shifts it down over each flag
+  // it consumes.
+  args.push_back(nullptr);
   ::testing::InitGoogleTest(&new_argc, args.data());
   if (dmv::test::base_seed != 1)
     std::printf("base_seed = %llu\n",

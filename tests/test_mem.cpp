@@ -53,7 +53,7 @@ struct Cluster {
       s->build_schema(demo_schema);
       slaves.push_back(std::move(s));
     }
-    master->set_broadcast_fn([this](const txn::WriteSet& ws) {
+    master->set_broadcast_fn([this](const txn::WriteSetPtr& ws) {
       for (auto& s : slaves) s->on_write_set(ws);
     });
   }
@@ -118,9 +118,9 @@ TEST(MemEngineCc, WriteSetReachesSlaveLazily) {
 TEST(MemEngineCc, ReaderWaitsForWriteSetArrival) {
   Cluster c(1);
   // Delay delivery: buffer the write-set and deliver at t=500.
-  std::vector<txn::WriteSet> buffered;
+  std::vector<txn::WriteSetPtr> buffered;
   c.master->set_broadcast_fn(
-      [&](const txn::WriteSet& ws) { buffered.push_back(ws); });
+      [&](const txn::WriteSetPtr& ws) { buffered.push_back(ws); });
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -220,13 +220,30 @@ TEST(MemEngineCc, RollbackRestoresBytesAndIndexes) {
 
 class MemConvergence : public ::testing::TestWithParam<uint64_t> {};
 
+// Every index of every table, as in-order (key, RowId) entries.
+std::vector<std::vector<std::pair<std::string, storage::RowId>>> all_entries(
+    const storage::Database& db) {
+  std::vector<std::vector<std::pair<std::string, storage::RowId>>> out;
+  for (TableId t = 0; t < db.table_count(); ++t) {
+    const storage::Table& tb = db.table(t);
+    for (int i = -1; i < int(tb.secondary_count()); ++i) {
+      out.emplace_back();
+      tb.index_tree(i).scan_all([&](std::string_view k, storage::RowId r) {
+        out.back().emplace_back(k, r);
+        return true;
+      });
+    }
+  }
+  return out;
+}
+
 TEST_P(MemConvergence, ConvergenceUnderRandomWorkload) {
   Cluster c(2);
   util::Rng rng(GetParam());
   // 200 random update txns; then force-apply everything on slaves and
-  // compare byte-for-byte.
+  // compare pages, row counts and every index entry.
   for (int i = 0; i < 200; ++i) {
-    const int op = int(rng.below(3));
+    const int op = int(rng.below(5));
     const int64_t id = rng.between(1, 60);
     c.sim.spawn([](Cluster& c, int op, int64_t id, int64_t val,
                    int64_t seq) -> sim::Task<> {
@@ -238,8 +255,18 @@ TEST_P(MemConvergence, ConvergenceUnderRandomWorkload) {
       } else if (op == 1) {
         co_await c.master->update(*txn, 0, K(id),
                                   [val](Row& r) { r[1] = val; });
-      } else {
+      } else if (op == 2) {
         co_await c.master->remove(*txn, 0, K(id));
+      } else if (op == 3) {
+        // A secondary-key change: the row moves within by_owner.
+        co_await c.master->update(*txn, 0, K(id), [val](Row& r) {
+          r[2] = "w" + std::to_string(val % 7);
+        });
+      } else {
+        // Delete and re-insert the same key in one transaction.
+        co_await c.master->remove(*txn, 0, K(id));
+        co_await c.master->insert(*txn, 0,
+                                  R(id, val, "r" + std::to_string(val % 5)));
       }
       co_await c.master->precommit(*txn);
       c.master->finish_commit(*txn);
@@ -253,21 +280,10 @@ TEST_P(MemConvergence, ConvergenceUnderRandomWorkload) {
     }(*s));
     c.sim.run();
     EXPECT_TRUE(c.master->db().pages_equal(s->db()));
-    EXPECT_EQ(c.master->db().table(0).row_count(),
-              s->db().table(0).row_count());
-    // Index contents equal: same pk scan results.
-    std::vector<std::string> mk, sk;
-    c.master->db().table(0).primary_tree().scan_all(
-        [&](std::string_view k, storage::RowId) {
-          mk.emplace_back(k);
-          return true;
-        });
-    s->db().table(0).primary_tree().scan_all(
-        [&](std::string_view k, storage::RowId) {
-          sk.emplace_back(k);
-          return true;
-        });
-    EXPECT_EQ(mk, sk);
+    for (TableId t = 0; t < 2; ++t)
+      EXPECT_EQ(c.master->db().table(t).row_count(),
+                s->db().table(t).row_count());
+    EXPECT_EQ(all_entries(c.master->db()), all_entries(s->db()));
   }
 }
 
@@ -336,7 +352,7 @@ TEST(MemEngineCc, PromoteSlaveBecomesMaster) {
   EXPECT_TRUE(s0.masters(0));
   EXPECT_EQ(s0.version()[0], 1u);
   // New master can now execute updates, continuing the version sequence.
-  s0.set_broadcast_fn([&](const txn::WriteSet& ws) {
+  s0.set_broadcast_fn([&](const txn::WriteSetPtr& ws) {
     c.slaves[1]->on_write_set(ws);
   });
   c.sim.spawn([](Cluster& c, MemEngine& s) -> sim::Task<> {
@@ -372,6 +388,62 @@ TEST(MemEngineCc, DiscardModsAboveCleansPartialPropagation) {
   c.sim.run();
   EXPECT_TRUE(slave.db().table(0).pk_find(K(int64_t{1})).has_value());
   EXPECT_FALSE(slave.db().table(0).pk_find(K(int64_t{2})).has_value());
+}
+
+TEST(MemEngineCc, BroadcastSharesOneWriteSetAcrossReplicas) {
+  Cluster c(3);
+  std::vector<std::weak_ptr<const txn::WriteSet>> sent;  // by version - 1
+  c.master->set_broadcast_fn([&](const txn::WriteSetPtr& ws) {
+    sent.push_back(ws);
+    for (auto& s : c.slaves) s->on_write_set(ws);
+  });
+  // Four commits, each one mod on each table.
+  for (int64_t i = 1; i <= 4; ++i) {
+    c.run_update([i](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
+      co_await insert_acct(m, txn, i, i, "x");
+      co_await m.insert(txn, 1, R(i, i));
+    });
+  }
+  ASSERT_EQ(sent.size(), 4u);
+  // One payload per commit, and only the replicas' queues hold it: every
+  // queued mod points into it.
+  for (auto& s : c.slaves)
+    for (TableId t = 0; t < 2; ++t) {
+      ASSERT_EQ(s->pending(t).size(), 4u);
+      for (const MemEngine::PendingMod& p : s->pending(t)) {
+        EXPECT_EQ(p.ws, sent[p.mod().version - 1].lock());
+        EXPECT_EQ(p.mod().pid.table, t);
+      }
+    }
+  for (const auto& ws : sent) EXPECT_EQ(ws.use_count(), 3 * 2);
+
+  // Confirmed {2, 3}: each replica drops exactly the mods above it.
+  for (auto& s : c.slaves) s->discard_mods_above({2, 3});
+  for (auto& s : c.slaves) {
+    std::vector<uint64_t> left[2];
+    for (TableId t = 0; t < 2; ++t)
+      for (const MemEngine::PendingMod& p : s->pending(t))
+        left[t].push_back(p.mod().version);
+    EXPECT_EQ(left[0], (std::vector<uint64_t>{1, 2}));
+    EXPECT_EQ(left[1], (std::vector<uint64_t>{1, 2, 3}));
+  }
+  EXPECT_EQ(sent[2].use_count(), 3);  // only table 1's mod of version 3
+  EXPECT_TRUE(sent[3].expired());
+
+  // Applying the rest releases every payload.
+  for (auto& s : c.slaves) {
+    c.sim.spawn([](MemEngine& s) -> sim::Task<> {
+      for (TableId t = 0; t < 2; ++t)
+        co_await s.apply_pending(t, s.received_version()[t]);
+    }(*s));
+    c.sim.run();
+    EXPECT_EQ(s->pending_mod_count(), 0u);
+    EXPECT_TRUE(
+        s->db().table(1).pk_find(K(int64_t{3})).has_value());
+    EXPECT_FALSE(
+        s->db().table(0).pk_find(K(int64_t{3})).has_value());
+  }
+  for (const auto& ws : sent) EXPECT_TRUE(ws.expired());
 }
 
 TEST(MemEngine, InstallPageBringsStaleNodeCurrent) {
@@ -446,8 +518,8 @@ TEST(MemEngine, FullPageWriteSetsShipWholePages) {
   cfg.full_page_writesets = true;
   Cluster c(1, cfg);
   size_t ws_bytes = 0;
-  c.master->set_broadcast_fn([&](const txn::WriteSet& ws) {
-    ws_bytes = ws.byte_size();
+  c.master->set_broadcast_fn([&](const txn::WriteSetPtr& ws) {
+    ws_bytes = ws->byte_size();
     c.slaves[0]->on_write_set(ws);
   });
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
@@ -467,7 +539,7 @@ TEST(MemEngineCc, DiffWriteSetsAreSmall) {
   Cluster c(1);
   size_t ws_bytes = 0;
   c.master->set_broadcast_fn(
-      [&](const txn::WriteSet& ws) { ws_bytes = ws.byte_size(); });
+      [&](const txn::WriteSetPtr& ws) { ws_bytes = ws->byte_size(); });
   c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
     co_await insert_acct(m, txn, 1, 100, "ann");
   });
@@ -492,13 +564,13 @@ TEST(MemEngineCc, PromotedMasterContinuesVersionSequence) {
   c.sim.run();
   EXPECT_EQ(s0.version()[0], 5u);
   s0.set_broadcast_fn(
-      [&](const txn::WriteSet& ws) { c.slaves[1]->on_write_set(ws); });
+      [&](const txn::WriteSetPtr& ws) { c.slaves[1]->on_write_set(ws); });
   c.sim.spawn([](Cluster& c, MemEngine& s) -> sim::Task<> {
     auto txn = s.begin_update();
     co_await insert_acct(s, *txn, 100, 1, "y");
-    txn::WriteSet ws = co_await s.precommit(*txn);
+    const txn::WriteSetPtr ws = co_await s.precommit(*txn);
     s.finish_commit(*txn);
-    EXPECT_EQ(ws.db_version[0], 6u);
+    EXPECT_EQ(ws->db_version[0], 6u);
     (void)c;
   }(c, s0));
   c.sim.run();

@@ -175,7 +175,7 @@ TEST(RowAccess, ScanSpecTableMatchesReferenceOnEveryPath) {
   disk.build_schema(grid_schema);
   master.set_master_tables({0});
   master.set_broadcast_fn(
-      [&](const txn::WriteSet& ws) { slave.on_write_set(ws); });
+      [&](const txn::WriteSetPtr& ws) { slave.on_write_set(ws); });
 
   const std::vector<api::ScanSpec> specs = all_specs();
   ASSERT_EQ(specs.size(), 48u);

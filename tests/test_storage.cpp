@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <compare>
 #include <cstring>
 #include <limits>
@@ -7,6 +8,7 @@
 #include <set>
 
 #include "storage/table.hpp"
+#include "txn/write_set.hpp"
 #include "util/rng.hpp"
 #include "workload/workload.hpp"
 
@@ -413,6 +415,182 @@ TEST(Table, UnindexIndexSlotRoundTrip) {
   EXPECT_TRUE(t.pk_find(Key{int64_t{7}}).has_value());
   EXPECT_EQ(t.row_count(), 1u);
 }
+
+// --- replica apply: changed-key re-index against the full re-index ---
+
+// Index `index`'s entries in key order.
+std::vector<std::pair<std::string, RowId>> index_entries(const Table& t,
+                                                         int index) {
+  std::vector<std::pair<std::string, RowId>> out;
+  t.index_tree(index).scan_all([&](std::string_view k, RowId r) {
+    out.emplace_back(k, r);
+    return true;
+  });
+  return out;
+}
+
+void expect_same_indexes(const Table& a, const Table& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.row_count(), b.row_count()) << what;
+  for (int i = -1; i < int(a.secondary_count()); ++i) {
+    EXPECT_EQ(index_entries(a, i), index_entries(b, i))
+        << what << ", index " << i;
+    EXPECT_TRUE(b.index_tree(i).check_invariants()) << what;
+  }
+}
+
+class ChangedKeyApply : public ::testing::TestWithParam<uint64_t> {};
+
+// A master table changes through logical row operations; each round's
+// page diffs go to one twin through the changed-key path
+// (txn::apply_mod_indexed) and to the other through the full re-index
+// (txn::apply_runs_reindex_all). Both twins must hold exactly the master's
+// index entries and row count after every round.
+TEST_P(ChangedKeyApply, MatchesFullReindex) {
+  const auto make = [] {
+    return Table(0, "item", test_schema(), IndexDef{"pk", {0}, true},
+                 {IndexDef{"by_name", {1}, false},
+                  IndexDef{"by_stock", {3}, false}});
+  };
+  Table master = make(), changed = make(), full = make();
+  util::Rng rng(GetParam());
+  std::vector<int64_t> ids;  // live primary keys, including 0 when live
+  const auto fresh_id = [&] {
+    for (;;) {
+      const int64_t id = rng.between(1, 500);
+      if (!master.pk_find(Key{id})) return id;
+    }
+  };
+  const auto name = [&] { return "n" + std::to_string(rng.below(6)); };
+  const auto pick = [&] { return ids[rng.below(ids.size())]; };
+  const auto rid_of = [&](int64_t id) { return *master.pk_find(Key{id}); };
+  const auto drop = [&](int64_t id) {
+    master.delete_row(rid_of(id));
+    ids.erase(std::find(ids.begin(), ids.end(), id));
+  };
+  std::set<RowId> used;  // slots that have held a row
+  std::map<std::string, int> seen;  // how often each case came up
+  const auto add = [&](const Row& row) {
+    const auto rid = master.insert_row(row);
+    ASSERT_TRUE(rid.has_value());
+    if (!used.insert(*rid).second) ++seen["insert into a freed slot"];
+    ids.push_back(std::get<int64_t>(row[0]));
+  };
+  for (int i = 0; i < 150; ++i)
+    add(make_row(fresh_id(), name(), 1.0, int64_t(rng.below(9))));
+
+  std::vector<Page> before;  // the master's pages as the twins hold them
+  for (uint64_t round = 1; round <= 400; ++round) {
+    // Round 1 ships the initial rows.
+    const int ops = round == 1 ? 0 : 1 + int(rng.below(3));
+    for (int op = 0; op < ops && ids.size() > 4; ++op) {
+      const int64_t id = pick();
+      Row row = master.read_row(rid_of(id));
+      switch (rng.below(8)) {
+        case 0:
+          row[2] = double(rng.below(100));
+          master.update_row(rid_of(id), row);
+          ++seen["non-key update"];
+          break;
+        case 1:
+          row[1] = name();
+          row[3] = int64_t(rng.below(9));
+          master.update_row(rid_of(id), row);
+          ++seen["secondary-key change"];
+          break;
+        case 2:
+          if (id == 0) break;  // the all-zero row keeps its key
+          row[0] = fresh_id();
+          master.update_row(rid_of(id), row);
+          *std::find(ids.begin(), ids.end(), id) = std::get<int64_t>(row[0]);
+          ++seen["PK change"];
+          break;
+        case 3:
+          drop(id);
+          ++seen["delete"];
+          break;
+        case 4: {
+          // Free two slots of one page and re-insert the later one's row:
+          // it lands in the first free slot, so its keys change slots.
+          const RowId a = rid_of(id);
+          const int64_t other = pick();
+          const RowId b = rid_of(other);
+          if (other == id || a.page != b.page) break;
+          const Row moved = master.read_row(a < b ? b : a);
+          drop(id);
+          drop(other);
+          add(moved);
+          if (rid_of(std::get<int64_t>(moved[0])) != (a < b ? b : a))
+            ++seen["key moved between slots"];
+          break;
+        }
+        case 5: {
+          // Two rows trade primary keys through a temporary one.
+          const int64_t other = pick();
+          if (other == id || id == 0 || other == 0) break;
+          const RowId a = rid_of(id), b = rid_of(other);
+          Row ra = row, rb = master.read_row(b);
+          ra[0] = fresh_id();
+          master.update_row(a, ra);
+          rb[0] = id;
+          master.update_row(b, rb);
+          ra[0] = other;
+          master.update_row(a, ra);
+          ++seen["PK swap"];
+          break;
+        }
+        case 6:
+          add(make_row(fresh_id(), name(), 2.0, int64_t(rng.below(9))));
+          ++seen["insert"];
+          break;
+        default:
+          // The all-zero row: inserting or deleting it changes nothing
+          // but its occupancy bit.
+          if (master.pk_find(Key{int64_t{0}})) {
+            drop(0);
+          } else {
+            add(make_row(0, "", 0.0, 0));
+          }
+          break;
+      }
+    }
+    for (PageNo p = 0; p < master.page_count(); ++p) {
+      const Page& old = p < before.size() ? before[p] : Page();
+      txn::PageMod mod;
+      mod.pid = {0, p};
+      mod.version = round;
+      mod.runs = txn::diff_pages(old, master.page(p));
+      if (mod.runs.empty()) continue;
+      const bool bitmap_only = std::all_of(
+          mod.runs.begin(), mod.runs.end(), [](const txn::ByteRun& r) {
+            return r.offset + r.bytes.size() <= kPageHeader;
+          });
+      if (bitmap_only) ++seen["bitmap-only runs"];
+      const size_t n = txn::apply_mod_indexed(changed, mod);
+      full.ensure_page(p);
+      EXPECT_EQ(txn::apply_runs_reindex_all(full, p, mod.runs), n);
+    }
+    const std::string what = "round " + std::to_string(round);
+    expect_same_indexes(master, changed, what);
+    expect_same_indexes(master, full, what);
+    ASSERT_TRUE(master.pages_equal(changed)) << what;
+    if (HasFailure()) return;
+    before.clear();
+    for (PageNo p = 0; p < master.page_count(); ++p)
+      before.push_back(master.page(p));
+  }
+  for (const char* c :
+       {"non-key update", "secondary-key change", "PK change", "delete",
+        "key moved between slots", "PK swap", "insert", "bitmap-only runs",
+        "insert into a freed slot"})
+    EXPECT_GT(seen[c], 0) << c;
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChangedKeyApply,
+                         ::testing::Values(1, 2, 3, 42),
+                         [](const ::testing::TestParamInfo<uint64_t>& info) {
+                           return std::to_string(info.param);
+                         });
 
 // --- encoded keys ---
 
