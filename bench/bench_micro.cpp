@@ -1,12 +1,15 @@
 // google-benchmark micro-benchmarks for the hot primitives: RB-tree index
-// operations, page diff/apply, the lock table fast path, and the TPC-W
-// generator. These are host-time benchmarks of the real data structures
-// (the macro experiments charge modeled virtual time instead).
+// operations, page diff/apply, the page LRU, a replica's range scan, the
+// lock table fast path, and the TPC-W generator. These are host-time
+// benchmarks of the real data structures (the macro experiments charge
+// modeled virtual time instead).
 #include <benchmark/benchmark.h>
 
+#include "mem/engine.hpp"
 #include "storage/table.hpp"
 #include "tpcw/generator.hpp"
 #include "txn/write_set.hpp"
+#include "util/lru.hpp"
 #include "util/rng.hpp"
 
 using namespace dmv;
@@ -87,6 +90,64 @@ void BM_TableScanRows100(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_TableScanRows100);
+
+// The page LRU that models buffer-cache residency, at 1024 pages:
+// arg 0 re-touches the MRU page, arg 1 cycles through 512 resident pages
+// (a hit that relinks), arg 2 cycles through 1025 pages (every touch
+// misses and evicts).
+void BM_LruTouch(benchmark::State& state) {
+  constexpr size_t kCap = 1024;
+  util::LruSet<storage::PageId, storage::PageIdCoords> lru(kCap);
+  const uint32_t span = state.range(0) == 0   ? 1
+                        : state.range(0) == 1 ? 512
+                                              : uint32_t(kCap + 1);
+  for (uint32_t p = 0; p < span; ++p) lru.touch({p % 4, p});
+  uint32_t p = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lru.touch({p % 4, p}).hit);
+    if (++p == span) p = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LruTouch)->Arg(0)->Arg(1)->Arg(2);
+
+// A replica-served read scanning 500 rows of a scan-workload-shaped
+// table through MemEngine::scan (one pass: page check, cache touch, row
+// copy per entry), simulator included.
+void BM_ReplicaScanRows500(benchmark::State& state) {
+  sim::Simulation sim;
+  mem::MemEngine eng(sim, "slave", mem::MemEngine::Config{});
+  eng.build_schema([](storage::Database& db) {
+    db.add_table("facts",
+                 storage::Schema({storage::int_col("f_id"),
+                                  storage::int_col("f_bucket"),
+                                  storage::int_col("f_val"),
+                                  storage::char_col("f_pad", 32)}),
+                 storage::IndexDef{"pk", {0}, true},
+                 {storage::IndexDef{"by_bucket", {1}, false}});
+  });
+  storage::Table& t = eng.db().table(0);
+  for (int64_t i = 0; i < 10000; ++i)
+    t.insert_row(storage::Row{i, i % 64, i * 3, std::string("pad")});
+  util::Rng rng(17);
+  size_t rows = 0;
+  for (auto _ : state) {
+    const int64_t lo = rng.between(0, 9499);
+    sim.spawn([](mem::MemEngine& eng, int64_t lo,
+                 size_t& rows) -> sim::Task<> {
+      auto txn = eng.begin_read(eng.received_version());
+      api::ScanSpec spec;
+      spec.lo = storage::Key{lo};
+      spec.hi = storage::Key{lo + 499};
+      rows = (co_await eng.scan(*txn, 0, std::move(spec))).size();
+      eng.finish_read(*txn);
+    }(eng, lo, rows));
+    sim.run();
+    benchmark::DoNotOptimize(rows);
+  }
+  state.SetItemsProcessed(state.iterations() * 500);
+}
+BENCHMARK(BM_ReplicaScanRows500);
 
 void BM_PageDiff(benchmark::State& state) {
   const int changes = int(state.range(0));

@@ -30,13 +30,24 @@ std::string cls_sfx(storage::TableId t) {
   return std::string("_") + char('a' + t);
 }
 
-std::function<void(storage::Database&)> make_check_schema(int classes) {
-  return [classes](storage::Database& db) {
+// The scan family pads each row past half a page, so every row sits on a
+// page of its own and each chained chunk of a report crosses pages.
+constexpr size_t kScanPadWidth =
+    (storage::kPageSize - storage::kPageHeader) / 2;
+
+size_t pad_width(CheckWorkload w) {
+  return w == CheckWorkload::Scan ? kScanPadWidth : 0;
+}
+
+std::function<void(storage::Database&)> make_check_schema(int classes,
+                                                          size_t pad) {
+  return [classes, pad](storage::Database& db) {
+    std::vector<storage::Column> cols{storage::int_col("id"),
+                                      storage::int_col("balance")};
+    if (pad > 0) cols.push_back(storage::char_col("pad", pad));
     for (int t = 0; t < classes; ++t)
       db.add_table("acct" + cls_sfx(storage::TableId(t)),
-                   storage::Schema({storage::int_col("id"),
-                                    storage::int_col("balance")}),
-                   storage::IndexDef{"pk", {0}, true});
+                   storage::Schema(cols), storage::IndexDef{"pk", {0}, true});
   };
 }
 
@@ -585,19 +596,23 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
   cc.engine.mut_apply_off_by_one = cfg.mut_apply_off_by_one;
   cc.engine.mut_skip_discard = cfg.mut_skip_discard;
   cc.engine.mut_scan_stale_read = cfg.mut_scan_stale_read;
+  cc.engine.mut_scan_first_page_only = cfg.mut_scan_first_page_only;
   cc.mut_batch_reverse = cfg.mut_batch_reverse;
   cc.enable_persistence = cfg.disaster;
   cc.persistence.backends = cfg.backends;
   cc.persistence.checkpoint_period = cfg.persist_checkpoint_period;
   cc.persistence.max_lag = cfg.persist_max_lag;
   cc.persistence.mut_skip_suffix = cfg.mut_skip_suffix;
-  cc.schema = make_check_schema(classes);
+  const size_t pad = pad_width(cfg.workload);
+  cc.schema = make_check_schema(classes, pad);
   const int64_t rows = cfg.rows_per_table;
-  cc.loader = [rows, classes](storage::Database& db) {
+  cc.loader = [rows, classes, pad](storage::Database& db) {
     for (storage::TableId t = 0; t < storage::TableId(classes); ++t)
-      for (int64_t i = 0; i < rows; ++i)
-        db.table(t).insert_row(
-            storage::Row{i, initial_balance(t, i)});
+      for (int64_t i = 0; i < rows; ++i) {
+        storage::Row row{i, initial_balance(t, i)};
+        if (pad > 0) row.push_back(std::string());
+        db.table(t).insert_row(row);
+      }
   };
   core::DmvCluster cluster(net, reg, std::move(cc));
 
@@ -1155,6 +1170,24 @@ const std::vector<Mutation>& mutation_list() {
            c.mut_scan_stale_read = true;
          },
          "", 25});
+
+    m.push_back(
+        {"scan-first-page-only",
+         "one-pass replica scans check only the first page they reach: "
+         "entries on later pages are served at whatever version those "
+         "pages hold (a report chunk that crosses a page comes out torn)",
+         {"snapshot-mismatch"},
+         [busy](CheckConfig& c) {
+           busy(c);
+           // The scan family's padded rows put each row on its own page,
+           // so every chunk crosses pages and reaches unchecked ones.
+           c.workload = CheckWorkload::Scan;
+           c.ops_per_client = 24;
+           c.update_fraction = 0.6;
+           c.mean_think = 200;
+           c.mut_scan_first_page_only = true;
+         },
+         ""});
 
     m.push_back(
         {"wrong-class-route",

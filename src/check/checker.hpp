@@ -123,6 +123,8 @@ struct CheckConfig {
                                      // tag re-check (a replica applied
                                      // ahead of the tag serves future
                                      // rows into an older snapshot)
+  bool mut_scan_first_page_only = false;  // one-pass scans check only the
+                                          // first page they reach
 };
 
 struct CheckReport {

@@ -68,7 +68,7 @@ class BufferPool {
 
  private:
   SimDisk& disk_;
-  util::LruSet<storage::PageId, storage::PageIdHash> lru_;
+  util::LruSet<storage::PageId, storage::PageIdCoords> lru_;
   std::unordered_set<storage::PageId, storage::PageIdHash> dirty_;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

@@ -54,8 +54,7 @@ sim::Task<storage::Rows> DiskEngine::scan(TxnCtx& txn, TableId t,
   storage::Table& tb = db_.table(t);
   co_await cpu_.use(cfg_.costs.disk_cpu_per_query);
 
-  const txn::ScanHits hits =
-      txn::collect_scan(tb, spec, /*keep_keys=*/true);
+  const txn::ScanHits hits = txn::collect_scan(tb, spec);
   storage::Rows out(tb.schema_ptr());
   sim::Time cpu_cost =
       cfg_.costs.index_scan_entry * sim::Time(hits.rids.size());

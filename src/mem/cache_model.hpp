@@ -58,7 +58,7 @@ class CacheModel {
   }
 
  private:
-  util::LruSet<storage::PageId, storage::PageIdHash> lru_;
+  util::LruSet<storage::PageId, storage::PageIdCoords> lru_;
   sim::Time fault_cost_;
   uint64_t hits_ = 0;
   uint64_t faults_ = 0;

@@ -180,28 +180,29 @@ sim::Task<storage::Rows> MemEngine::scan(TxnCtx& txn, TableId t,
   co_await cpu_.use(cfg_.costs.mem_cpu_read_query);
   sim::Time cost = cfg_.costs.index_lookup;
 
-  if (txn.kind() == TxnKind::ReadOnly) co_await ensure_table(txn, t);
-
-  // Update transactions lock each page and master-served reads latch it.
-  // Either may wait, so an entry is checked again before it is read.
-  // Slave-served reads never suspend here.
   const bool ro = txn.kind() == TxnKind::ReadOnly;
-  const bool latch = read_at_latest(txn, t) && !cfg_.mut_skip_tag_upgrade;
-  const bool waits = !ro || latch;
-  const txn::ScanHits hits = txn::collect_scan(tb, spec, waits);
-  cost += cfg_.costs.index_scan_entry * sim::Time(hits.rids.size());
+  if (ro) co_await ensure_table(txn, t);
 
   storage::Rows out(tb.schema_ptr());
+  // Update transactions lock each page and master-served reads latch it.
+  // Either may wait, so they collect the entries first and check each one
+  // again before reading it. Slave-served reads never suspend here.
+  const bool latch = read_at_latest(txn, t) && !cfg_.mut_skip_tag_upgrade;
+  if (ro && !latch) {
+    cost += scan_in_place(txn, tb, spec, out);
+    co_await cpu_.use(cost);
+    co_return out;
+  }
+  const txn::ScanHits hits = txn::collect_scan(tb, spec);
+  cost += cfg_.costs.index_scan_entry * sim::Time(hits.rids.size());
   for (size_t i = 0; i < hits.rids.size(); ++i) {
     const RowId rid = hits.rids[i];
     if (out.size() >= spec.limit) break;
     if (!ro)
       co_await txn::lock_page(locks_, txn, {t, rid.page}, LockMode::Shared);
-    else if (latch)
+    else
       co_await latch_for_master_read(txn, t, rid.page);
-    else if (!cfg_.mut_scan_stale_read)
-      check_page(txn, t, rid.page);
-    if (waits && !txn::still_holds(tb, spec, hits, i)) {
+    if (!txn::still_holds(tb, spec, hits, i)) {
       if (latch) locks_.release_all(txn);
       continue;
     }
@@ -214,6 +215,46 @@ sim::Task<storage::Rows> MemEngine::scan(TxnCtx& txn, TableId t,
   }
   co_await cpu_.use(cost);
   co_return out;
+}
+
+sim::Time MemEngine::scan_in_place(const TxnCtx& txn,
+                                   const storage::Table& tb,
+                                   const api::ScanSpec& spec,
+                                   storage::Rows& out) {
+  if (spec.limit == 0) return 0;
+  const TableId t = tb.id();
+  const storage::Schema& schema = tb.schema();
+  const size_t row_size = schema.row_size();
+  const bool filtered = bool(spec.filter);
+  const bool check = !cfg_.mut_scan_stale_read;
+  out.reserve(std::min(spec.limit, kScanReserveRows));
+  sim::Time cost = 0;
+  size_t entries = 0;
+  const storage::Page* page = nullptr;
+  storage::PageNo last = 0;
+  tb.scan(spec.index, spec.lo ? &*spec.lo : nullptr,
+          spec.hi ? &*spec.hi : nullptr, spec.reverse,
+          [&](std::string_view, RowId rid) {
+            ++entries;
+            // Past the limit a filtered scan only walks on: its whole
+            // range is charged, as the two-pass walk charges it.
+            if (out.size() >= spec.limit) return true;
+            // Nothing changes during the walk, so a run of entries on one
+            // page checks and looks up that page once.
+            if (!page || rid.page != last) {
+              if (check && !(cfg_.mut_scan_first_page_only && page))
+                check_page(txn, t, rid.page);
+              page = &tb.page(rid.page);
+              last = rid.page;
+            }
+            cost += cache_.touch({t, rid.page}) + cfg_.costs.row_read;
+            DMV_ASSERT(page->occupied(rid.slot));
+            const auto image = page->slot_bytes(rid.slot, row_size);
+            if (!filtered || spec.filter(storage::RowRef(schema, image.data())))
+              out.push_back(image);
+            return filtered || out.size() < spec.limit;
+          });
+  return cost + cfg_.costs.index_scan_entry * sim::Time(entries);
 }
 
 sim::Task<bool> MemEngine::insert(TxnCtx& txn, TableId t, const Row& row) {

@@ -87,6 +87,9 @@ class MemEngine {
     // concurrent higher-tagged read) serves future versions into an
     // older snapshot instead of raising VersionConflict.
     bool mut_scan_stale_read = false;
+    // The one-pass scan checks only the first page it reaches: entries on
+    // later pages are served whatever version those pages hold.
+    bool mut_scan_first_page_only = false;
   };
 
   MemEngine(sim::Simulation& sim, std::string name, Config cfg);
@@ -215,6 +218,13 @@ class MemEngine {
   // Throw VersionConflict if the page is newer than the txn's tag.
   void check_page(const txn::TxnCtx& txn, storage::TableId t,
                   storage::PageNo p) const;
+  // One-pass scan for a read that cannot suspend (slave-served, no latch):
+  // walk the index once, checking, touching and copying each entry as it
+  // is reached. Appends to `out`; returns the charge past index_lookup.
+  sim::Time scan_in_place(const txn::TxnCtx& txn, const storage::Table& tb,
+                          const api::ScanSpec& spec, storage::Rows& out);
+  // Rows a one-pass scan reserves up front (fewer if its limit is lower).
+  static constexpr size_t kScanReserveRows = 64;
   // True for read-only access on a table this node masters (§2.1: such
   // reads are served from the master's latest state). With the tag-upgrade
   // guard on (default) the txn's tag is raised to the master's current cut

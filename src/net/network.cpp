@@ -86,7 +86,8 @@ void Network::deliver_one(NodeId from, NodeId to, uint64_t epoch,
   nodes_[to].mailbox->send(Envelope{from, to, std::move(payload)});
 }
 
-void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {
+void Network::send_payload(NodeId from, NodeId to, uint32_t type,
+                           std::any payload, size_t bytes) {
   DMV_ASSERT(from < nodes_.size() && to < nodes_.size());
   if (!nodes_[from].alive || !nodes_[to].alive) return;
   Link& lk = link(from, to);
@@ -97,12 +98,12 @@ void Network::send(NodeId from, NodeId to, std::any payload, size_t bytes) {
 
   bytes_sent_ += bytes;
   ++messages_sent_;
-  auto& ps = payload_stats_[std::type_index(payload.type())];
-  ++ps.messages;
-  ps.bytes += bytes;
-  auto& cps = class_stats_[size_t(cls)][std::type_index(payload.type())];
-  ++cps.messages;
-  cps.bytes += bytes;
+  for (std::vector<PayloadStats>* v :
+       {&payload_stats_, &class_stats_[size_t(cls)]}) {
+    if (v->size() <= type) v->resize(size_t(type) + 1);
+    ++(*v)[type].messages;
+    (*v)[type].bytes += bytes;
+  }
   obs::count("net.bytes", from, double(bytes));
   obs::gauge("net.link_rtt", uint32_t(cls), double(topo_.rtt(cls)));
   inflight_bytes_[size_t(cls)] += bytes;

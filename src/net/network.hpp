@@ -36,13 +36,14 @@
 
 #include <any>
 #include <array>
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
-#include <typeindex>
+#include <type_traits>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -72,6 +73,17 @@ struct NetworkConfig {
   uint64_t jitter_seed = 0x7c4a1d6f0b9e3325ull;  // per-message jitter stream
 };
 
+// Dense id of payload type T, assigned on the type's first use; it
+// indexes Network's per-type statistics.
+namespace detail {
+inline std::atomic<uint32_t> next_payload_type{0};
+template <typename T>
+uint32_t payload_type() {
+  static const uint32_t id = next_payload_type++;
+  return id;
+}
+}  // namespace detail
+
 class Network {
  public:
   Network(sim::Simulation& sim, NetworkConfig cfg = {});
@@ -92,7 +104,13 @@ class Network {
 
   // Deliver `payload` to `to` after link latency. Silently dropped if either
   // end is dead or the node-pair link is partitioned (fail-stop model).
-  void send(NodeId from, NodeId to, std::any payload, size_t bytes = 256);
+  template <typename T>
+  void send(NodeId from, NodeId to, T payload, size_t bytes = 256) {
+    static_assert(!std::is_same_v<T, std::any>,
+                  "send a concrete payload type: stats are kept per type");
+    send_payload(from, to, detail::payload_type<T>(),
+                 std::any(std::move(payload)), bytes);
+  }
 
   sim::Channel<Envelope>& mailbox(NodeId id);
 
@@ -134,31 +152,21 @@ class Network {
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t messages_sent() const { return messages_sent_; }
 
-  // Per-payload-type accounting: messages and bytes keyed by the payload's
-  // dynamic type. Benches report replication cost per committed update
-  // from these (e.g. stats_of<WriteSetMsg>() + stats_of<WriteSetBatchMsg>()).
-  // The class-keyed overloads separate WAN from LAN volume.
+  // Per-payload-type accounting: messages and bytes per payload type.
+  // Benches report replication cost per committed update from these (e.g.
+  // stats_of<WriteSetMsg>() + stats_of<WriteSetBatchMsg>()). The
+  // class-keyed overloads separate WAN from LAN volume.
   struct PayloadStats {
     uint64_t messages = 0;
     uint64_t bytes = 0;
   };
-  const std::map<std::type_index, PayloadStats>& payload_stats() const {
-    return payload_stats_;
-  }
-  const std::map<std::type_index, PayloadStats>& payload_stats(
-      LinkClass c) const {
-    return class_stats_[size_t(c)];
-  }
   template <typename T>
   PayloadStats stats_of() const {
-    auto it = payload_stats_.find(std::type_index(typeid(T)));
-    return it == payload_stats_.end() ? PayloadStats{} : it->second;
+    return stat_at(payload_stats_, detail::payload_type<T>());
   }
   template <typename T>
   PayloadStats stats_of(LinkClass c) const {
-    const auto& m = class_stats_[size_t(c)];
-    auto it = m.find(std::type_index(typeid(T)));
-    return it == m.end() ? PayloadStats{} : it->second;
+    return stat_at(class_stats_[size_t(c)], detail::payload_type<T>());
   }
 
   // Bytes sent but not yet delivered (or dropped) on links of a class —
@@ -171,6 +179,13 @@ class Network {
   const NetworkConfig& config() const { return cfg_; }
 
  private:
+  static PayloadStats stat_at(const std::vector<PayloadStats>& v,
+                              uint32_t type) {
+    return type < v.size() ? v[type] : PayloadStats{};
+  }
+  void send_payload(NodeId from, NodeId to, uint32_t type, std::any payload,
+                    size_t bytes);
+
   struct Node {
     std::string name;
     bool alive = true;
@@ -239,9 +254,9 @@ class Network {
   std::vector<std::function<void(NodeId, LinkClass)>> class_failure_subs_;
   uint64_t bytes_sent_ = 0;
   uint64_t messages_sent_ = 0;
-  std::map<std::type_index, PayloadStats> payload_stats_;
-  std::array<std::map<std::type_index, PayloadStats>, kNumLinkClasses>
-      class_stats_;
+  // Indexed by payload_type(); grown on a type's first send.
+  std::vector<PayloadStats> payload_stats_;
+  std::array<std::vector<PayloadStats>, kNumLinkClasses> class_stats_;
   std::array<uint64_t, kNumLinkClasses> inflight_bytes_{};
   // Message pool (see Flight). Grows to the peak in-flight count once.
   std::vector<Flight> flights_;

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <utility>
 
 #include "util/assert.hpp"
 
@@ -35,6 +36,13 @@ struct PageId {
 struct PageIdHash {
   size_t operator()(const PageId& p) const {
     return (size_t(p.table) << 40) ^ p.page;
+  }
+};
+
+// Dense (table, page) coordinates, for util::LruSet's per-table index.
+struct PageIdCoords {
+  std::pair<uint32_t, uint32_t> operator()(const PageId& p) const {
+    return {p.table, p.page};
   }
 };
 

@@ -15,7 +15,6 @@
 #include <memory>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "storage/schema.hpp"
 
@@ -67,13 +66,18 @@ class Rows {
   bool empty() const { return count_ == 0; }
   RowRef operator[](size_t i) const {
     DMV_ASSERT(i < count_);
-    return RowRef(*schema_, images_.data() + i * schema_->row_size());
+    return RowRef(*schema_, images_.get() + i * schema_->row_size());
   }
+
+  // The row images back to back, for byte-exact comparison.
+  std::span<const std::byte> bytes() const { return {images_.get(), used_}; }
+
+  // Room for `rows` rows in all, so appends up to that do not reallocate.
+  void reserve(size_t rows) { grow_to(rows * schema_->row_size()); }
 
   void push_back(std::span<const std::byte> image) {
     DMV_ASSERT(schema_ && image.size() == schema_->row_size());
-    images_.insert(images_.end(), image.begin(), image.end());
-    ++count_;
+    append_images(image.data(), image.size(), 1);
   }
   // Concatenate the first `n` rows of `other` after these rows. Both must
   // share one schema; an empty Rows without one takes other's.
@@ -83,10 +87,7 @@ class Rows {
     if (!schema_) schema_ = other.schema_;
     DMV_ASSERT_MSG(schema_ == other.schema_,
                    "concatenating rows of two schemas");
-    const auto first = other.images_.begin();
-    images_.insert(images_.end(), first,
-                   first + std::ptrdiff_t(n * schema_->row_size()));
-    count_ += n;
+    append_images(other.images_.get(), n * schema_->row_size(), n);
   }
 
   // For range-for: yields a RowRef per row.
@@ -108,8 +109,27 @@ class Rows {
   iterator end() const { return {this, count_}; }
 
  private:
+  void append_images(const std::byte* images, size_t bytes, size_t rows) {
+    if (used_ + bytes > cap_) grow_to(std::max(2 * cap_, used_ + bytes));
+    std::memcpy(images_.get() + used_, images, bytes);
+    used_ += bytes;
+    count_ += rows;
+  }
+  void grow_to(size_t bytes) {
+    if (bytes <= cap_) return;
+    auto next = std::make_unique_for_overwrite<std::byte[]>(bytes);
+    if (used_ > 0) std::memcpy(next.get(), images_.get(), used_);
+    images_ = std::move(next);
+    cap_ = bytes;
+  }
+
   std::shared_ptr<const Schema> schema_;
-  std::vector<std::byte> images_;
+  // A plain buffer, not a vector: appends copy with one memcpy, and
+  // neither reserving nor growing zero-fills bytes about to be written.
+  // Rows is move-only as a result.
+  std::unique_ptr<std::byte[]> images_;
+  size_t used_ = 0;
+  size_t cap_ = 0;
   size_t count_ = 0;
 };
 

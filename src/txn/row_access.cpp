@@ -52,16 +52,16 @@ sim::Task<RowId> lock_insert_slot(LockManager& locks, TxnCtx& txn,
   co_return target;
 }
 
-ScanHits collect_scan(const storage::Table& tb, const api::ScanSpec& spec,
-                      bool keep_keys) {
+ScanHits collect_scan(const storage::Table& tb, const api::ScanSpec& spec) {
   ScanHits hits;
-  if (keep_keys) hits.key_width = tb.index_tree(spec.index).key_width();
+  if (spec.limit == 0) return hits;
+  hits.key_width = tb.index_tree(spec.index).key_width();
   const bool no_filter = !spec.filter;
   tb.scan(spec.index, spec.lo ? &*spec.lo : nullptr,
           spec.hi ? &*spec.hi : nullptr, spec.reverse,
           [&](std::string_view key, RowId r) {
             hits.rids.push_back(r);
-            if (keep_keys) hits.keys.append(key);
+            hits.keys.append(key);
             return !(no_filter && hits.rids.size() >= spec.limit);
           });
   return hits;

@@ -56,8 +56,8 @@ sim::Task<std::optional<storage::RowId>> lock_row(LockManager& locks,
 sim::Task<storage::RowId> lock_insert_slot(LockManager& locks, TxnCtx& txn,
                                            storage::Table& tb);
 
-// The entries a range scan collected: the slots they pointed at and, if
-// kept, their encoded keys in the scanned index, back to back.
+// The entries a range scan collected: the slots they pointed at and their
+// encoded keys in the scanned index, back to back.
 struct ScanHits {
   std::vector<storage::RowId> rids;
   std::string keys;
@@ -70,11 +70,11 @@ struct ScanHits {
 
 // The entries in `spec`'s index range, in `spec`'s order, collected
 // without suspending so the index cannot change under the walk. Without a
-// residual filter the range is exact and the walk stops at spec.limit.
-// A scan that may wait on a page before reading an entry passes
-// `keep_keys` so still_holds can re-check it; the others skip the copies.
-ScanHits collect_scan(const storage::Table& tb, const api::ScanSpec& spec,
-                      bool keep_keys);
+// residual filter the range is exact and the walk stops at spec.limit; a
+// zero limit walks nothing. For scans that may wait on a page before
+// reading an entry: the kept keys let still_holds re-check it. A scan
+// that cannot suspend reads in the walk itself (MemEngine::scan).
+ScanHits collect_scan(const storage::Table& tb, const api::ScanSpec& spec);
 
 // False once hit `i`'s slot no longer holds its kept key: a scan that
 // waited on the page between collecting and reading must skip a row

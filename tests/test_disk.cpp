@@ -155,6 +155,33 @@ TEST(DiskEngine, InsertCommitReadBack) {
   EXPECT_GE(f.eng.disk().fsyncs(), 1u);
 }
 
+// A zero-limit scan walks no index entry: it returns nothing, charges no
+// index_scan_entry, and fetches no page, with or without a filter.
+TEST(DiskEngine, ZeroLimitScanWalksNothing) {
+  EngineFixture f;
+  f.run([](EngineFixture& f) -> sim::Task<> {
+    auto txn = f.eng.begin(txn::TxnKind::Update);
+    for (int64_t i = 0; i < 5; ++i)
+      co_await f.eng.insert(*txn, 0, R(i, i * 10));
+    co_await f.eng.commit(*txn);
+
+    for (const bool filtered : {false, true}) {
+      api::ScanSpec spec;
+      spec.limit = 0;
+      if (filtered) spec.filter = [](const storage::RowRef&) { return true; };
+      const uint64_t fetches = f.eng.pool().hits() + f.eng.pool().misses();
+      auto rd = f.eng.begin(txn::TxnKind::ReadOnly);
+      const sim::Time t0 = f.sim.now();
+      const storage::Rows rows = co_await f.eng.scan(*rd, 0, spec);
+      const sim::Time charged = f.sim.now() - t0;
+      co_await f.eng.commit(*rd);
+      EXPECT_TRUE(rows.empty());
+      EXPECT_EQ(charged, f.eng.costs().disk_cpu_per_query);
+      EXPECT_EQ(f.eng.pool().hits() + f.eng.pool().misses(), fetches);
+    }
+  }(f));
+}
+
 TEST(DiskEngine, ReadersBlockBehindWriters) {
   // The serializable-2PL property the paper contrasts with DMV: a reader
   // of a page being updated stalls until the writer commits. (A reader

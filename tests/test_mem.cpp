@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "mem/checkpoint.hpp"
 #include "mem/engine.hpp"
 #include "util/rng.hpp"
@@ -43,14 +45,17 @@ struct Cluster {
   std::unique_ptr<MemEngine> master;
   std::vector<std::unique_ptr<MemEngine>> slaves;
 
-  explicit Cluster(int nslaves, MemEngine::Config cfg = {}) {
+  explicit Cluster(int nslaves, MemEngine::Config cfg = {},
+                   const SchemaFn& schema = demo_schema) {
     master = std::make_unique<MemEngine>(sim, "master", cfg);
-    master->build_schema(demo_schema);
-    master->set_master_tables({0, 1});
+    master->build_schema(schema);
+    std::set<TableId> all;
+    for (TableId t = 0; t < master->db().table_count(); ++t) all.insert(t);
+    master->set_master_tables(all);
     for (int i = 0; i < nslaves; ++i) {
       auto s = std::make_unique<MemEngine>(
           sim, "slave" + std::to_string(i), cfg);
-      s->build_schema(demo_schema);
+      s->build_schema(schema);
       slaves.push_back(std::move(s));
     }
     master->set_broadcast_fn([this](const txn::WriteSetPtr& ws) {
@@ -317,6 +322,208 @@ TEST(MemEngineCc, ScanWithFilterAndLimit) {
     EXPECT_EQ(rows[3].i(0), 15);
   }(c));
   c.sim.run();
+}
+
+// A zero-limit scan walks no index entry, on the one-pass path (slave
+// read) and the two-pass one (master-served read, update transaction):
+// it returns nothing, charges no index_scan_entry and touches no page,
+// with or without a filter.
+TEST(MemEngineCc, ZeroLimitScanWalksNothing) {
+  Cluster c(1);
+  c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
+    for (int64_t i = 0; i < 10; ++i)
+      co_await insert_acct(m, txn, i, i, "zero");
+  });
+  c.sim.spawn([](Cluster& c) -> sim::Task<> {
+    MemEngine& slave = *c.slaves[0];
+    co_await slave.apply_pending(0, slave.received_version()[0]);
+    for (const bool filtered : {false, true}) {
+      for (int path = 0; path < 3; ++path) {
+        MemEngine& eng = path == 0 ? slave : *c.master;
+        api::ScanSpec spec;
+        spec.limit = 0;
+        if (filtered)
+          spec.filter = [](const storage::RowRef&) { return true; };
+        auto txn = path == 0   ? eng.begin_read(eng.received_version())
+                   : path == 1 ? eng.begin_read(eng.version())
+                               : eng.begin_update();
+        const uint64_t touches = eng.cache().hits() + eng.cache().faults();
+        const sim::Time t0 = c.sim.now();
+        const storage::Rows rows = co_await eng.scan(*txn, 0, spec);
+        EXPECT_TRUE(rows.empty()) << "path " << path;
+        EXPECT_EQ(c.sim.now() - t0,
+                  eng.costs().mem_cpu_read_query + eng.costs().index_lookup)
+            << "path " << path << " filtered " << filtered;
+        EXPECT_EQ(eng.cache().hits() + eng.cache().faults(), touches);
+        if (path == 2)
+          eng.rollback(*txn);
+        else
+          eng.finish_read(*txn);
+      }
+    }
+  }(c));
+  c.sim.run();
+}
+
+// A table of ~1 KB rows (8 to a page) with a secondary index on a
+// low-cardinality column, so scans cross many pages in both orders.
+void wide_schema(storage::Database& db) {
+  db.add_table("wide",
+               storage::Schema({storage::int_col("id"),
+                                storage::int_col("grp"),
+                                storage::char_col("pad", 1000)}),
+               storage::IndexDef{"pk", {0}, true},
+               {storage::IndexDef{"by_grp", {1}, false}});
+}
+
+// What a scan did, as the differential test compares it.
+struct ScanOutcome {
+  std::vector<std::byte> bytes;  // the returned rows' packed images
+  sim::Time charged = 0;         // virtual time from call to return
+  bool aborted = false;
+  uint64_t touches = 0;  // cache touches; on abort, the entry it hit
+};
+
+// The two-pass scan a slave-served read used before the one-pass walk:
+// collect the range, then check, touch and read it hit by hit. On a
+// version abort the read pays only the per-query overhead.
+ScanOutcome two_pass_scan(MemEngine& eng, const txn::TxnCtx& txn,
+                          TableId t, const api::ScanSpec& spec) {
+  const txn::CostModel& costs = eng.costs();
+  const storage::Table& tb = eng.db().table(t);
+  const uint64_t touches0 = eng.cache().hits() + eng.cache().faults();
+  ScanOutcome o;
+  const txn::ScanHits hits = txn::collect_scan(tb, spec);
+  sim::Time cost = costs.index_lookup +
+                   costs.index_scan_entry * sim::Time(hits.rids.size());
+  storage::Rows out(tb.schema_ptr());
+  for (const storage::RowId rid : hits.rids) {
+    if (out.size() >= spec.limit) break;
+    if (tb.meta(rid.page).version > txn.read_version()[t]) {
+      ++eng.stats().version_aborts;
+      o.aborted = true;
+      break;
+    }
+    cost += eng.cache().touch({t, rid.page}) + costs.row_read;
+    const auto image = tb.row_image(rid);
+    if (!spec.filter || spec.filter(storage::RowRef(tb.schema(), image.data())))
+      out.push_back(image);
+  }
+  o.charged = costs.mem_cpu_read_query + (o.aborted ? 0 : cost);
+  if (!o.aborted) o.bytes.assign(out.bytes().begin(), out.bytes().end());
+  o.touches = eng.cache().hits() + eng.cache().faults() - touches0;
+  return o;
+}
+
+sim::Task<> one_pass_scan(sim::Simulation& sim, MemEngine& eng, TableId t,
+                          api::ScanSpec spec, ScanOutcome& o) {
+  auto txn = eng.begin_read(eng.received_version());
+  const uint64_t touches0 = eng.cache().hits() + eng.cache().faults();
+  const sim::Time t0 = sim.now();
+  try {
+    const storage::Rows rows = co_await eng.scan(*txn, t, std::move(spec));
+    o.bytes.assign(rows.bytes().begin(), rows.bytes().end());
+  } catch (const TxnAbort& e) {
+    EXPECT_EQ(e.reason, TxnAbort::Reason::VersionConflict);
+    o.aborted = true;
+  }
+  o.charged = sim.now() - t0;
+  o.touches = eng.cache().hits() + eng.cache().faults() - touches0;
+}
+
+// Differential test of the one-pass replica scan against the two-pass
+// reference above, on twin slaves holding the same pages: random bounds,
+// orders, limits and filters, with random pages pushed past the read's
+// tag. Rows, charge, cache side effects and aborts must all agree.
+TEST(MemEngineCc, OnePassScanMatchesTwoPassReference) {
+  MemEngine::Config cfg;
+  cfg.cache_pages = 6;  // far below the table: evictions shape the order
+  Cluster c(2, cfg, wide_schema);
+  util::Rng rng(77);
+  for (int batch = 0; batch < 8; ++batch) {
+    c.run_update([batch](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
+      for (int64_t i = batch * 20; i < batch * 20 + 20; ++i) {
+        const Row row = R(i, i % 7, "pad" + std::to_string(i * 37));
+        co_await m.insert(txn, 0, row);
+      }
+    });
+  }
+  // Regroup and delete some rows: holes and moved secondary entries.
+  c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
+    for (int64_t i = 3; i < 160; i += 11) {
+      const std::function<void(Row&)> regroup = [](Row& r) {
+        r[1] = std::get<int64_t>(r[1]) + 2;
+      };
+      co_await m.update(txn, 0, K(i), regroup);
+    }
+    for (int64_t i = 5; i < 160; i += 17) co_await m.remove(txn, 0, K(i));
+  });
+  MemEngine& a = *c.slaves[0];
+  MemEngine& b = *c.slaves[1];
+  c.sim.spawn([](MemEngine& a, MemEngine& b) -> sim::Task<> {
+    co_await a.apply_pending(0, a.received_version()[0]);
+    co_await b.apply_pending(0, b.received_version()[0]);
+  }(a, b));
+  c.sim.run();
+  storage::Table& ta = a.db().table(0);
+  storage::Table& tb = b.db().table(0);
+  ASSERT_GT(ta.page_count(), 15u);
+  const uint64_t tag = a.received_version()[0];
+  ASSERT_EQ(tag, b.received_version()[0]);
+
+  const size_t limits[] = {0, 1, 2, 5, 17, SIZE_MAX};
+  int aborts = 0;
+  int rows_seen = 0;
+  for (int i = 0; i < 400; ++i) {
+    api::ScanSpec spec;
+    if (rng.chance(0.5)) {
+      if (rng.chance(0.7)) spec.lo = K(rng.between(-5, 165));
+      if (rng.chance(0.7))
+        spec.hi = K((spec.lo ? std::get<int64_t>((*spec.lo)[0]) : 0) +
+                    rng.between(0, 90));
+    } else {
+      spec.index = 0;
+      const int64_t g = rng.between(0, 8);
+      if (rng.chance(0.7)) spec.lo = K(g);
+      if (rng.chance(0.7)) spec.hi = K(g + rng.between(0, 3));
+    }
+    spec.reverse = rng.chance(0.3);
+    spec.limit = limits[rng.below(6)];
+    if (rng.chance(0.5)) {
+      const int64_t m = rng.between(2, 4);
+      spec.filter = [m](const storage::RowRef& r) { return r.i(0) % m != 1; };
+    }
+    for (storage::PageNo p = 0; p < ta.page_count(); ++p)
+      ta.meta(p).version = tb.meta(p).version = std::min(tag, uint64_t(p));
+    if (rng.chance(0.5)) {
+      for (uint64_t n = rng.between(1, 3); n > 0; --n) {
+        const auto p = storage::PageNo(rng.below(ta.page_count()));
+        ta.meta(p).version = tb.meta(p).version = tag + 1;
+      }
+    }
+
+    ScanOutcome got;
+    c.sim.spawn(one_pass_scan(c.sim, a, 0, spec, got));
+    c.sim.run();
+    const ScanOutcome want =
+        two_pass_scan(b, *b.begin_read(b.received_version()), 0, spec);
+    ASSERT_EQ(got.aborted, want.aborted) << "spec " << i;
+    ASSERT_EQ(got.touches, want.touches) << "spec " << i;
+    ASSERT_EQ(got.charged, want.charged) << "spec " << i;
+    ASSERT_EQ(got.bytes, want.bytes) << "spec " << i;
+    ASSERT_EQ(a.cache().hits(), b.cache().hits()) << "spec " << i;
+    ASSERT_EQ(a.cache().faults(), b.cache().faults()) << "spec " << i;
+    ASSERT_EQ(a.cache().hot_pages(cfg.cache_pages),
+              b.cache().hot_pages(cfg.cache_pages))
+        << "spec " << i;
+    ASSERT_EQ(a.stats().version_aborts, b.stats().version_aborts)
+        << "spec " << i;
+    aborts += got.aborted;
+    rows_seen += got.bytes.empty() ? 0 : 1;
+  }
+  // The specs reached both outcomes often.
+  EXPECT_GT(aborts, 40);
+  EXPECT_GT(rows_seen, 150);
 }
 
 TEST(MemEngineCc, SecondaryIndexScanOnSlave) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
-#include <map>
-#include <set>
-
 #include <cmath>
+#include <list>
+#include <map>
+#include <optional>
+#include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "util/lru.hpp"
 #include "util/metrics.hpp"
@@ -122,26 +125,6 @@ TEST(Lru, EvictsLeastRecentlyUsed) {
   EXPECT_FALSE(lru.contains(2));
 }
 
-TEST(Lru, EraseAndClear) {
-  LruSet<int> lru(4);
-  lru.touch(1);
-  lru.touch(2);
-  lru.erase(1);
-  EXPECT_FALSE(lru.contains(1));
-  EXPECT_EQ(lru.size(), 1u);
-  lru.clear();
-  EXPECT_EQ(lru.size(), 0u);
-}
-
-TEST(Lru, ShrinkCapacityEvicts) {
-  LruSet<int> lru(4);
-  for (int i = 0; i < 4; ++i) lru.touch(i);
-  lru.set_capacity(2);
-  EXPECT_EQ(lru.size(), 2u);
-  EXPECT_TRUE(lru.contains(3));
-  EXPECT_TRUE(lru.contains(2));
-}
-
 TEST(Lru, KeysMruOrder) {
   LruSet<int> lru(3);
   lru.touch(1);
@@ -153,6 +136,80 @@ TEST(Lru, KeysMruOrder) {
   EXPECT_EQ(keys[0], 1);
   EXPECT_EQ(keys[1], 3);
   EXPECT_EQ(keys[2], 2);
+}
+
+// The list + hash-map LRU that LruSet replaced, kept as the model its
+// hit/miss verdicts, victims and MRU order are checked against.
+template <typename K>
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  typename LruSet<K>::TouchResult touch(const K& key) {
+    typename LruSet<K>::TouchResult r;
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      order_.splice(order_.begin(), order_, it->second);
+      r.hit = true;
+      return r;
+    }
+    order_.push_front(key);
+    index_[key] = order_.begin();
+    if (order_.size() > capacity_) {
+      r.evicted = order_.back();
+      index_.erase(order_.back());
+      order_.pop_back();
+    }
+    return r;
+  }
+  bool contains(const K& key) const { return index_.count(key) > 0; }
+  void clear() {
+    order_.clear();
+    index_.clear();
+  }
+  size_t size() const { return order_.size(); }
+  std::vector<K> keys_mru() const {
+    return std::vector<K>(order_.begin(), order_.end());
+  }
+
+ private:
+  size_t capacity_;
+  std::list<K> order_;
+  std::unordered_map<K, typename std::list<K>::iterator> index_;
+};
+
+// Random touch/contains/clear sequences: LruSet and the reference agree
+// after every operation. Few keys per capacity, so hits, MRU re-touches
+// and evictions all come up often.
+TEST(Lru, MatchesReferenceModel) {
+  Rng rng(2024);
+  for (size_t cap = 1; cap <= 8; ++cap) {
+    for (int round = 0; round < 20; ++round) {
+      LruSet<unsigned> lru(cap);
+      ReferenceLru<unsigned> ref(cap);
+      const uint64_t keys = 2 * cap + 2;
+      for (int op = 0; op < 400; ++op) {
+        const unsigned k = unsigned(rng.below(keys));
+        const uint64_t pick = rng.below(100);
+        if (pick < 75) {
+          const auto got = lru.touch(k);
+          const auto want = ref.touch(k);
+          ASSERT_EQ(got.hit, want.hit) << "cap " << cap << " op " << op;
+          ASSERT_EQ(got.evicted, want.evicted)
+              << "cap " << cap << " op " << op;
+        } else if (pick < 98) {
+          ASSERT_EQ(lru.contains(k), ref.contains(k))
+              << "cap " << cap << " op " << op;
+        } else {
+          lru.clear();
+          ref.clear();
+        }
+        ASSERT_EQ(lru.size(), ref.size()) << "cap " << cap << " op " << op;
+        ASSERT_EQ(lru.keys_mru(), ref.keys_mru())
+            << "cap " << cap << " op " << op;
+      }
+    }
+  }
 }
 
 TEST(Histogram, BasicStats) {
