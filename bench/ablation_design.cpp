@@ -26,7 +26,7 @@ Out run(uint64_t cap, size_t clients) {
   cfg.workload = default_workload(tpcw::Mix::Shopping, clients);
   cfg.slaves = 2;
   cfg.costs = calibrated_costs();
-  cfg.reads_inflight_cap = cap;
+  cfg.scheduler.max_reads_inflight_per_node = cap;
   harness::DmvExperiment exp(cfg);
   exp.start();
   exp.run_until(kEnd);

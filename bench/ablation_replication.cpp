@@ -30,7 +30,7 @@ Out run(bool full_pages, bool eager, size_t clients) {
   cfg.slaves = 2;
   cfg.costs = calibrated_costs();
   cfg.full_page_writesets = full_pages;
-  cfg.eager_apply = eager;
+  cfg.node.eager_apply = eager;
   harness::DmvExperiment exp(cfg);
   exp.start();
   exp.run_until(kEnd);

@@ -79,10 +79,10 @@ inline BenchOptions parse_bench_options(int argc, char** argv) {
 inline void apply_batching(harness::DmvExperiment::Config& cfg,
                            bool batched) {
   if (!batched) return;
-  cfg.batch_max_writesets = 8;
-  cfg.batch_delay = 5 * sim::kMsec;
-  cfg.ack_every_n = 8;
-  cfg.ack_delay = 5 * sim::kMsec;
+  cfg.node.batch_max_writesets = 8;
+  cfg.node.batch_delay = 5 * sim::kMsec;
+  cfg.node.ack_every_n = 8;
+  cfg.node.ack_delay = 5 * sim::kMsec;
 }
 
 // Export whatever the options asked for. Call while the experiment (and

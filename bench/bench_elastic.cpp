@@ -60,7 +60,7 @@ Run run(bool elastic, const Timeline& tl) {
   if (elastic) {
     ctrl::SloController::Config sc;
     sc.max_slaves = 6;
-    sc.per_node_read_cap = cfg.reads_inflight_cap;
+    sc.per_node_read_cap = cfg.scheduler.max_reads_inflight_per_node;
     slo = std::make_unique<ctrl::SloController>(exp.sim(), exp.cluster(),
                                                 sc);
     slo->start();

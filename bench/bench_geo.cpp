@@ -45,8 +45,8 @@ Run run(bool quorum, size_t clients, sim::Time end) {
   cfg.workload.bucket = 5 * sim::kSec;
   cfg.slaves = 4;  // two per region
   cfg.regions = 2;
-  cfg.quorum_commit = quorum;
-  cfg.cross_base_latency = kCrossBase;
+  cfg.node.quorum_commit = quorum;
+  cfg.cross.base_latency = kCrossBase;
   cfg.costs = calibrated_costs();
   apply_batching(cfg, true);  // lazy catch-up rides the batched stream
   WallTimer wall;

@@ -71,15 +71,17 @@ std::string replay_hint(const chaos::ChaosConfig& cfg,
                         const std::string& plan, uint64_t seed) {
   std::string s = "chaos_sweep --fault-plan '" + plan + "' --seeds 1";
   chaos::ChaosConfig d;
-  if (cfg.slaves != d.slaves)
-    s += " --slaves " + std::to_string(cfg.slaves);
-  if (cfg.spares != d.spares)
-    s += " --spares " + std::to_string(cfg.spares);
-  if (cfg.schedulers != d.schedulers)
-    s += " --schedulers " + std::to_string(cfg.schedulers);
+  if (cfg.cluster.slaves != d.cluster.slaves)
+    s += " --slaves " + std::to_string(cfg.cluster.slaves);
+  if (cfg.cluster.spares != d.cluster.spares)
+    s += " --spares " + std::to_string(cfg.cluster.spares);
+  if (cfg.cluster.schedulers != d.cluster.schedulers)
+    s += " --schedulers " + std::to_string(cfg.cluster.schedulers);
   if (cfg.max_read_stall != d.max_read_stall)
     s += " --max-read-stall " + std::to_string(cfg.max_read_stall);
-  if (cfg.batch_max_writesets != d.batch_max_writesets) s += " --batched";
+  if (cfg.cluster.node.batch_max_writesets !=
+      d.cluster.node.batch_max_writesets)
+    s += " --batched";
   if (seed != 1) s += "   # seed " + std::to_string(seed);
   return s;
 }
@@ -155,11 +157,11 @@ int main(int argc, char** argv) {
     } else if (a == "--list-points") {
       opt.list_points = true;
     } else if (a == "--slaves") {
-      opt.base.slaves = std::stoi(next());
+      opt.base.cluster.slaves = std::stoi(next());
     } else if (a == "--spares") {
-      opt.base.spares = std::stoi(next());
+      opt.base.cluster.spares = std::stoi(next());
     } else if (a == "--schedulers") {
-      opt.base.schedulers = std::stoi(next());
+      opt.base.cluster.schedulers = std::stoi(next());
     } else if (a == "--clients") {
       opt.base.clients = std::stoi(next());
     } else if (a == "--ops") {
@@ -170,10 +172,7 @@ int main(int argc, char** argv) {
       // Run every schedule with the replication pipeline's coalescing
       // windows open: acks stand for prefixes and write-sets sit in
       // master-side batch windows while faults fire.
-      opt.base.batch_max_writesets = 4;
-      opt.base.batch_delay = 500;             // 500us
-      opt.base.ack_every_n = 4;
-      opt.base.ack_delay = 500;
+      chaos::open_batch_windows(opt.base.cluster.node);
     } else {
       std::cerr << "usage: chaos_sweep [--fault-plan PLAN] [--seeds N] "
                    "[--quick] [--verbose] [--list-points] [--batched]\n"
@@ -276,8 +275,8 @@ int main(int argc, char** argv) {
   // Phase 4: scenario schedules.
   {
     chaos::ChaosConfig one_slave = base;
-    one_slave.slaves = 1;
-    one_slave.spares = 0;
+    one_slave.cluster.slaves = 1;
+    one_slave.cluster.spares = 0;
     // The read rotation empties: reads must fall back to the live master
     // instead of starving (and must NOT touch it while any slave lives).
     // The availability bound is the teeth here: a fallback gated on list

@@ -52,6 +52,7 @@
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
+#include "chaos/harness.hpp"
 #include "check/checker.hpp"
 
 using namespace dmv;
@@ -79,21 +80,22 @@ std::string repro_line(const check::CheckConfig& cfg,
   std::string s = "check_sweep --seed " + std::to_string(seed) +
                   " --fault-plan '" + plan + "'";
   check::CheckConfig d;
-  if (cfg.slaves != d.slaves)
-    s += " --slaves " + std::to_string(cfg.slaves);
-  if (cfg.spares != d.spares)
-    s += " --spares " + std::to_string(cfg.spares);
-  if (cfg.schedulers != d.schedulers)
-    s += " --schedulers " + std::to_string(cfg.schedulers);
+  if (cfg.cluster.slaves != d.cluster.slaves)
+    s += " --slaves " + std::to_string(cfg.cluster.slaves);
+  if (cfg.cluster.spares != d.cluster.spares)
+    s += " --spares " + std::to_string(cfg.cluster.spares);
+  if (cfg.cluster.schedulers != d.cluster.schedulers)
+    s += " --schedulers " + std::to_string(cfg.cluster.schedulers);
   if (cfg.clients != d.clients)
     s += " --clients " + std::to_string(cfg.clients);
   if (cfg.ops_per_client != d.ops_per_client)
     s += " --ops " + std::to_string(cfg.ops_per_client);
-  if (cfg.batch_max_writesets != d.batch_max_writesets &&
+  if (cfg.cluster.node.batch_max_writesets !=
+          d.cluster.node.batch_max_writesets &&
       !cfg.multimaster)
     s += " --batched";
-  if (cfg.disaster) s += " --disaster";
-  if (cfg.regions > 1 && !cfg.multimaster) s += " --geo";
+  if (cfg.cluster.enable_persistence) s += " --disaster";
+  if (cfg.cluster.regions > 1 && !cfg.multimaster) s += " --geo";
   if (cfg.elastic) s += " --elastic";
   if (cfg.multimaster) {
     s += " --multimaster";
@@ -148,6 +150,22 @@ bool run_one(const Options& opt, uint64_t seed, const std::string& plan) {
   return false;
 }
 
+// The schedule run at `seed`: the --fault-plan if given, else the mode's
+// seed-derived one (a wipe-tier drill in disaster mode; otherwise one
+// fault on odd seeds, two on even ones, or none for a `control` run).
+std::string plan_for(const Options& opt, uint64_t seed, bool control) {
+  if (opt.plan_given) return opt.plan;
+  if (opt.disaster) return check::random_disaster_plan(opt.base, seed);
+  if (control) return "";
+  const int faults = seed % 2 == 0 ? 2 : 1;
+  if (opt.multimaster)
+    return check::random_multimaster_fault_plan(opt.base, seed, faults);
+  if (opt.geo) return check::random_geo_fault_plan(opt.base, seed, faults);
+  if (opt.elastic)
+    return check::random_elastic_fault_plan(opt.base, seed, faults);
+  return check::random_fault_plan(opt.base, seed, faults);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -174,17 +192,14 @@ int main(int argc, char** argv) {
       opt.mutations = true;
     } else if (a == "--disaster") {
       opt.disaster = true;
-      opt.base.disaster = true;
+      opt.base.cluster.enable_persistence = true;
     } else if (a == "--geo") {
       opt.geo = true;
-      opt.base.regions = 2;
-      opt.base.quorum_commit = true;
+      opt.base.cluster.regions = 2;
+      opt.base.cluster.node.quorum_commit = true;
       // Open pipeline windows: lazy catch-up only matters when the
       // master can run ahead of the slow region's acks.
-      opt.base.batch_max_writesets = 4;
-      opt.base.batch_delay = 500;
-      opt.base.ack_every_n = 4;
-      opt.base.ack_delay = 500;
+      chaos::open_batch_windows(opt.base.cluster.node);
     } else if (a == "--elastic") {
       opt.elastic = true;
       opt.base.elastic = true;
@@ -192,14 +207,11 @@ int main(int argc, char** argv) {
       opt.multimaster = true;
       opt.base.multimaster = true;
       opt.base.classes = 3;
-      opt.base.regions = 2;
-      opt.base.quorum_commit = true;
+      opt.base.cluster.regions = 2;
+      opt.base.cluster.node.quorum_commit = true;
       // Open pipeline windows: dying masters must hold unconfirmed
       // write-sets so per-class discard/quorum reconciliation is real.
-      opt.base.batch_max_writesets = 4;
-      opt.base.batch_delay = 500;
-      opt.base.ack_every_n = 4;
-      opt.base.ack_delay = 500;
+      chaos::open_batch_windows(opt.base.cluster.node);
     } else if (a == "--workload" || a.rfind("--workload=", 0) == 0) {
       const std::string name =
           a == "--workload" ? next()
@@ -216,20 +228,17 @@ int main(int argc, char** argv) {
     } else if (a == "--artifacts") {
       opt.artifacts = next();
     } else if (a == "--slaves") {
-      opt.base.slaves = std::stoi(next());
+      opt.base.cluster.slaves = std::stoi(next());
     } else if (a == "--spares") {
-      opt.base.spares = std::stoi(next());
+      opt.base.cluster.spares = std::stoi(next());
     } else if (a == "--schedulers") {
-      opt.base.schedulers = std::stoi(next());
+      opt.base.cluster.schedulers = std::stoi(next());
     } else if (a == "--clients") {
       opt.base.clients = std::stoi(next());
     } else if (a == "--ops") {
       opt.base.ops_per_client = std::stoi(next());
     } else if (a == "--batched") {
-      opt.base.batch_max_writesets = 4;
-      opt.base.batch_delay = 500;
-      opt.base.ack_every_n = 4;
-      opt.base.ack_delay = 500;
+      chaos::open_batch_windows(opt.base.cluster.node);
     } else {
       std::cerr
           << "usage: check_sweep [--seeds N | --quick | --seed N] "
@@ -264,49 +273,14 @@ int main(int argc, char** argv) {
     // Single-run repro mode: the plan is taken verbatim (defaults to the
     // seed-derived schedule the sweep would have used).
     const uint64_t seed = uint64_t(opt.seed);
-    std::string plan;
-    if (opt.plan_given)
-      plan = opt.plan;
-    else if (opt.disaster)
-      plan = check::random_disaster_plan(opt.base, seed);
-    else if (opt.multimaster)
-      plan = check::random_multimaster_fault_plan(opt.base, seed,
-                                                  seed % 2 == 0 ? 2 : 1);
-    else if (opt.geo)
-      plan = check::random_geo_fault_plan(opt.base, seed,
-                                          seed % 2 == 0 ? 2 : 1);
-    else if (opt.elastic)
-      plan = check::random_elastic_fault_plan(opt.base, seed,
-                                              seed % 2 == 0 ? 2 : 1);
-    else
-      plan = check::random_fault_plan(opt.base, seed,
-                                      seed % 2 == 0 ? 2 : 1);
-    if (!run_one(opt, seed, plan)) ++failures;
+    if (!run_one(opt, seed, plan_for(opt, seed, false))) ++failures;
   } else if (!opt.mutations) {
     // Sweep: alternate single- and double-fault schedules; every 8th
     // seed runs fault-free as a control for the harness itself. Disaster
     // mode replaces the schedule with a seed-derived wipe-tier drill.
-    for (int s = 1; s <= opt.seeds; ++s) {
-      const uint64_t seed = uint64_t(s);
-      std::string plan;
-      if (opt.plan_given)
-        plan = opt.plan;
-      else if (opt.disaster)
-        plan = check::random_disaster_plan(opt.base, seed);
-      else if (opt.multimaster && s % 8 != 0)
-        plan = check::random_multimaster_fault_plan(opt.base, seed,
-                                                    s % 2 == 0 ? 2 : 1);
-      else if (opt.geo && s % 8 != 0)
-        plan = check::random_geo_fault_plan(opt.base, seed,
-                                            s % 2 == 0 ? 2 : 1);
-      else if (opt.elastic && s % 8 != 0)
-        plan = check::random_elastic_fault_plan(opt.base, seed,
-                                                s % 2 == 0 ? 2 : 1);
-      else if (s % 8 != 0)
-        plan = check::random_fault_plan(opt.base, seed,
-                                        s % 2 == 0 ? 2 : 1);
-      if (!run_one(opt, seed, plan)) ++failures;
-    }
+    for (int s = 1; s <= opt.seeds; ++s)
+      if (!run_one(opt, uint64_t(s), plan_for(opt, uint64_t(s), s % 8 == 0)))
+        ++failures;
     std::cout << opt.seeds << " seed(s), " << failures << " failure(s)\n";
   }
 

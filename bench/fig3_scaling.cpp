@@ -46,8 +46,8 @@ Measured measure_dmv(tpcw::Mix mix, int slaves, size_t clients) {
 Measured measure_disk(tpcw::Mix mix, size_t clients) {
   harness::DiskExperiment::Config cfg;
   cfg.workload = default_workload(mix, clients);
-  cfg.costs = calibrated_costs();
-  cfg.buffer_frames = baseline_pool_frames();
+  cfg.engine.costs = calibrated_costs();
+  cfg.engine.buffer_frames = baseline_pool_frames();
   harness::DiskExperiment exp(cfg);
   exp.start();
   exp.run_until(kEnd);

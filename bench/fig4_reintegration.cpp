@@ -27,7 +27,7 @@ int main() {
   cfg.slaves = 4;
   cfg.costs = calibrated_costs();
   cfg.costs.mem_page_fault = 8 * sim::kMsec;
-  cfg.checkpoint_period = 40 * 60 * sim::kSec;  // 40 min: never fires here
+  cfg.node.checkpoint_period = 40 * 60 * sim::kSec;  // 40 min: never fires here
 
   harness::DmvExperiment exp(cfg);
   const net::NodeId victim = exp.cluster().master_id();

@@ -33,9 +33,9 @@ int main() {
   {
     harness::TierExperiment::Config cfg;
     cfg.workload = default_workload(tpcw::Mix::Shopping, 150);
-    cfg.costs = calibrated_costs();
-    cfg.buffer_frames = baseline_pool_frames();
-    cfg.backup_sync_period = kSync;
+    cfg.tier.engine.costs = calibrated_costs();
+    cfg.tier.engine.buffer_frames = baseline_pool_frames();
+    cfg.tier.backup_sync_period = kSync;
     harness::TierExperiment exp(cfg);
     exp.schedule_fault(kFail, [&] { exp.tier().kill_active(1); });
     exp.start();
@@ -71,7 +71,7 @@ int main() {
     cfg.spares = 1;
     cfg.costs = calibrated_costs();
     cfg.costs.mem_page_fault = 8 * sim::kMsec;
-    cfg.checkpoint_period = 60 * sim::kSec;
+    cfg.node.checkpoint_period = 60 * sim::kSec;
     harness::DmvExperiment exp(cfg);
 
     const net::NodeId backup = exp.cluster().spare_id(0);

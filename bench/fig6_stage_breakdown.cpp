@@ -41,9 +41,9 @@ int main(int argc, char** argv) {
   {
     harness::TierExperiment::Config cfg;
     cfg.workload = default_workload(tpcw::Mix::Shopping, 150);
-    cfg.costs = calibrated_costs();
-    cfg.buffer_frames = baseline_pool_frames();
-    cfg.backup_sync_period = kSync;
+    cfg.tier.engine.costs = calibrated_costs();
+    cfg.tier.engine.buffer_frames = baseline_pool_frames();
+    cfg.tier.backup_sync_period = kSync;
     // Only the fail-over path is of interest; keep span memory bounded
     // over the 11-virtual-minute run.
     cfg.trace = true;
@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
     cfg.spares = 1;
     cfg.costs = calibrated_costs();
     cfg.costs.mem_page_fault = 8 * sim::kMsec;
-    cfg.checkpoint_period = 60 * sim::kSec;
+    cfg.node.checkpoint_period = 60 * sim::kSec;
     cfg.trace = true;
     cfg.trace_categories = obs::mask_of(obs::Cat::Recovery) |
                            obs::mask_of(obs::Cat::Migration) |

@@ -21,7 +21,7 @@ int main() {
   cfg.costs = calibrated_costs();
   cfg.costs.mem_page_fault = 8 * sim::kMsec;
   cfg.prewarm_spares = false;
-  cfg.spare_read_fraction = 0.01;  // the 1% warm-up policy
+  cfg.scheduler.spare_read_fraction = 0.01;  // the 1% warm-up policy
 
   harness::DmvExperiment exp(cfg);
   const net::NodeId slave = exp.cluster().slave_id(0);

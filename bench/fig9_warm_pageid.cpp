@@ -23,7 +23,7 @@ int main() {
   cfg.costs.mem_page_fault = 8 * sim::kMsec;
   cfg.prewarm_spares = false;
   cfg.pageid_hints = true;  // slave 0 ships hot-page ids to spare 0
-  cfg.hint_every_txns = 100;
+  cfg.node.hint_every_txns = 100;
 
   harness::DmvExperiment exp(cfg);
   const net::NodeId slave = exp.cluster().slave_id(0);

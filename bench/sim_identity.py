@@ -16,14 +16,25 @@ Host-time metrics are not compared. Usage:
 
     python3 bench/sim_identity.py HEAD~1
     python3 bench/sim_identity.py main --seeds 1 2 --workloads scan_reporting
+    python3 bench/sim_identity.py HEAD~1 --sweeps
 
-Exit code 0: every value identical; 1: some value differs; 2: a run failed.
 Each tree builds perfbench into its own .bench_build/ (about 75 s on four
 cores the first time).
+
+With --sweeps it instead builds check_sweep and chaos_sweep from REF and
+from the working tree (in temporary build directories) and diffs the
+verbose output and exit status of every run in SWEEPS, wall-clock lines
+dropped: --mutations, --quick alone and with each mode, each non-TPC-W
+--workload, and chaos_sweep --quick with and without --batched.
+
+Exit code 0: every value identical; 1: some value differs; 2: a run or a
+build failed.
 """
 import argparse
+import difflib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -33,6 +44,15 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 METRICS = ("wips", "read_mean_ms", "read_p99_ms", "update_mean_ms",
            "update_p99_ms", "sim.events_per_vs")
+SWEEPS = [["check_sweep", "--mutations"],
+          ["check_sweep", "--quick"]] + \
+         [["check_sweep", "--quick", m]
+          for m in ("--geo", "--elastic", "--multimaster", "--disaster")] + \
+         [["check_sweep", "--workload", w, "--quick"]
+          for w in ("ycsb", "orders", "scan")] + \
+         [["chaos_sweep", "--quick"],
+          ["chaos_sweep", "--batched", "--quick"]]
+WALL_CLOCK = re.compile(r"wall|host_sec|elapsed", re.IGNORECASE)
 
 
 def extract(ref, dest):
@@ -78,6 +98,87 @@ def simulated(tree, workload, seed, seconds):
     return values
 
 
+def build_sweeps(tree, build):
+    """Builds check_sweep and chaos_sweep of `tree` into `build`."""
+    for cmd in (["cmake", "-S", tree, "-B", build,
+                 "-DCMAKE_BUILD_TYPE=Release"],
+                ["cmake", "--build", build, "-j", "4",
+                 "--target", "check_sweep", "chaos_sweep"]):
+        proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True)
+        if proc.returncode:
+            print("  %s: build failed\n%s" %
+                  (tree, "\n".join(proc.stdout.splitlines()[-20:])))
+            return False
+    return True
+
+
+def sweep_output(build, argv):
+    """The deterministic lines of one verbose sweep run, plus its status."""
+    cmd = [os.path.join(build, "bench", argv[0])] + argv[1:] + ["--verbose"]
+    proc = subprocess.run(cmd, stdout=subprocess.PIPE,
+                          stderr=subprocess.STDOUT, text=True)
+    lines = [l for l in proc.stdout.splitlines() if not WALL_CLOCK.search(l)]
+    return lines + ["exit %d" % proc.returncode]
+
+
+def compare_sweeps(ref, base):
+    """Diffs every sweep of SWEEPS between `ref` (extracted at `base`)
+    and the working tree; returns the exit status."""
+    builds = tempfile.mkdtemp(prefix="sim_identity-build-")
+    try:
+        old_build = os.path.join(builds, "ref")
+        new_build = os.path.join(builds, "work")
+        if not (build_sweeps(base, old_build) and
+                build_sweeps(ROOT, new_build)):
+            return 2
+        status = 0
+        for argv in SWEEPS:
+            name = " ".join(argv)
+            old = sweep_output(old_build, argv)
+            new = sweep_output(new_build, argv)
+            if old == new:
+                print("%s: identical (%d lines)" % (name, len(old)))
+                continue
+            status = 1
+            print("%s: DIFFERENT" % name)
+            diff = difflib.unified_diff(old, new, ref, "working tree",
+                                        lineterm="", n=1)
+            for line in list(diff)[:40]:
+                print("  " + line)
+        return status
+    finally:
+        shutil.rmtree(builds, ignore_errors=True)
+
+
+def compare_perfbench(args, base):
+    """Compares every workload and seed of perfbench between the tree
+    extracted at `base` and the working tree; returns the exit status."""
+    workloads = args.workloads
+    if not workloads:
+        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+            workloads = [w["name"] for w in json.load(f)["workloads"]]
+    status = 0
+    for workload in workloads:
+        for seed in args.seeds:
+            print("%s seed %d" % (workload, seed), flush=True)
+            old = simulated(base, workload, seed, args.seconds)
+            new = simulated(ROOT, workload, seed, args.seconds)
+            if old is None or new is None:
+                status = 2
+                continue
+            diffs = [k for k in old if old[k] != new[k]]
+            for k in diffs:
+                print("  %s: %s %r, working tree %r" %
+                      (k, args.ref, old[k], new[k]))
+            if diffs:
+                status = max(status, 1)
+            else:
+                print("  identical: " + ", ".join(
+                    "%s %s" % (k, v) for k, v in new.items()))
+    return status
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("ref", help="git ref to compare the working tree with")
@@ -85,33 +186,17 @@ def main():
     ap.add_argument("--seconds", type=int, default=10)
     ap.add_argument("--workloads", nargs="+",
                     help="default: every workload of BENCHMARK.json")
+    ap.add_argument("--sweeps", action="store_true",
+                    help="compare check_sweep/chaos_sweep output instead")
     args = ap.parse_args()
-    workloads = args.workloads
-    if not workloads:
-        with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-            workloads = [w["name"] for w in json.load(f)["workloads"]]
 
     base = tempfile.mkdtemp(prefix="sim_identity-")
-    status = 0
     try:
         extract(args.ref, base)
-        for workload in workloads:
-            for seed in args.seeds:
-                print("%s seed %d" % (workload, seed), flush=True)
-                old = simulated(base, workload, seed, args.seconds)
-                new = simulated(ROOT, workload, seed, args.seconds)
-                if old is None or new is None:
-                    status = 2
-                    continue
-                diffs = [k for k in old if old[k] != new[k]]
-                for k in diffs:
-                    print("  %s: %s %r, working tree %r" %
-                          (k, args.ref, old[k], new[k]))
-                if diffs:
-                    status = max(status, 1)
-                else:
-                    print("  identical: " + ", ".join(
-                        "%s %s" % (k, v) for k, v in new.items()))
+        if args.sweeps:
+            status = compare_sweeps(args.ref, base)
+        else:
+            status = compare_perfbench(args, base)
     finally:
         shutil.rmtree(base, ignore_errors=True)
     print("sim_identity: " + ("identical" if status == 0 else

@@ -26,7 +26,8 @@ int main() {
   cfg.workload.bucket = 10 * sim::kSec;
   cfg.slaves = 2;
   cfg.spares = 1;
-  cfg.spare_read_fraction = 0.01;  // keep the spare warm with 1% of reads
+  // Keep the spare warm with 1% of reads.
+  cfg.scheduler.spare_read_fraction = 0.01;
   cfg.costs.mem_cpu_read_query = 2 * sim::kMsec;
   cfg.costs.mem_cpu_write_query = 400;
 

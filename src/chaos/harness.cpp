@@ -179,6 +179,21 @@ sim::Task<> probe_loop(Ctx& ctx) {
 
 }  // namespace
 
+core::DmvCluster::Config sweep_cluster() {
+  core::DmvCluster::Config c;
+  c.spares = 1;
+  c.schedulers = 2;
+  c.persistence.checkpoint_period = 2 * sim::kSec;
+  return c;
+}
+
+void open_batch_windows(core::EngineNode::Config& node) {
+  node.batch_max_writesets = 4;
+  node.batch_delay = 500;
+  node.ack_every_n = 4;
+  node.ack_delay = 500;
+}
+
 std::string ChaosReport::summary() const {
   std::ostringstream os;
   os << (passed ? "PASS" : "FAIL") << " t=" << end_time << "us ok="
@@ -201,22 +216,10 @@ ChaosReport run_chaos(const ChaosConfig& cfg, const FaultPlan& plan) {
 
   const int classes = cfg.classes > 0 ? cfg.classes : 1;
   api::ProcRegistry reg = make_chaos_registry(classes);
-  core::DmvCluster::Config cc;
-  cc.slaves = cfg.slaves;
-  cc.spares = cfg.spares;
-  cc.schedulers = cfg.schedulers;
+  core::DmvCluster::Config cc = cfg.cluster;
   for (int c = 0; classes > 1 && c < classes; ++c)
     cc.conflict_classes.push_back({storage::TableId(c)});
-  cc.heartbeats = cfg.heartbeats;
-  cc.batch_max_writesets = cfg.batch_max_writesets;
-  cc.batch_delay = cfg.batch_delay;
-  cc.ack_every_n = cfg.ack_every_n;
-  cc.ack_delay = cfg.ack_delay;
   cc.scheduler.rng_seed = cfg.seed * 7919 + 17;
-  cc.enable_persistence = cfg.enable_persistence;
-  cc.persistence.backends = cfg.backends;
-  cc.persistence.checkpoint_period = cfg.persist_checkpoint_period;
-  cc.persistence.max_lag = cfg.persist_max_lag;
   cc.schema = [classes](storage::Database& db) {
     chaos_schema(db, classes);
   };

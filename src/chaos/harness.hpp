@@ -16,13 +16,27 @@
 
 #include "chaos/fault_plan.hpp"
 #include "chaos/invariants.hpp"
+#include "core/cluster.hpp"
 
 namespace dmv::chaos {
 
+// The fault sweeps' deployment: 2 slaves, 1 spare, 2 schedulers and, when
+// the persistence tier is enabled, a backend checkpoint every 2 s.
+core::DmvCluster::Config sweep_cluster();
+
+// The sweeps' batched replication pipeline: masters coalesce up to 4
+// write-sets per replica link, replicas ack every 4th write-set, and each
+// window holds for at most 500 us.
+void open_batch_windows(core::EngineNode::Config& node);
+
 struct ChaosConfig {
-  int slaves = 2;
-  int spares = 1;
-  int schedulers = 2;
+  // Role counts, replication windows, heartbeats and the persistence tier
+  // (§4.6: on-disk backends fed from the scheduler update log, targetable
+  // by killbackend/restartbackend/wipe-tier faults; the end-of-run
+  // invariants then require every drained live backend to hold the acked
+  // ledger intervals). Conflict classes, scheduler seed, schema and loader
+  // are filled in by run_chaos.
+  core::DmvCluster::Config cluster = sweep_cluster();
   // Conflict classes (§2.1): classes > 1 deploys one account table per
   // class (each with its own master, ledger and per-class deposit/check/
   // sum procs). The end-of-run durability invariant then checks EVERY
@@ -37,22 +51,6 @@ struct ChaosConfig {
   // Hang detector: the event queue must drain before this virtual time.
   sim::Time quiesce_horizon = 600 * sim::kSec;
   uint64_t seed = 1;
-  bool heartbeats = false;  // broken-connection detection is the default
-  // Replication pipeline windows (EngineNode::Config): sweeps run with
-  // batching + delayed acks on to prove the fail-over invariants hold
-  // when acks stand for prefixes and write-sets sit in windows.
-  size_t batch_max_writesets = 1;
-  sim::Time batch_delay = 0;
-  uint64_t ack_every_n = 1;
-  sim::Time ack_delay = 0;
-  // Persistence tier (§4.6): on-disk backends fed from the scheduler
-  // update log, targetable by killbackend/restartbackend/wipe-tier
-  // faults; the end-of-run invariants then require every drained live
-  // backend to hold the acked ledger intervals.
-  bool enable_persistence = false;
-  int backends = 2;
-  sim::Time persist_checkpoint_period = 2 * sim::kSec;
-  uint64_t persist_max_lag = 0;
   // Read-availability bound (0 = unchecked): a *successful* read-only op
   // taking longer than this is a violation. Schedules that kill the last
   // slave set it to assert the paper's continuous-availability claim —

@@ -128,15 +128,13 @@ void MonotonicityProbe::sample(const ClusterProbe& p, Violations* v) {
   }
 }
 
-void check_end_invariants(const ClusterProbe& p,
-                          const std::vector<const WorkloadLedger*>& ledgers,
-                          Violations* v) {
-  // ---- scheduler drain ----
-  for (size_t i = 0; i < p.scheduler_count; ++i) {
-    core::Scheduler& s = p.cluster->scheduler(i);
-    if (!p.net->alive(s.id())) continue;
+void check_scheduler_drain(core::DmvCluster& cluster, Violations* v) {
+  net::Network& net = cluster.net();
+  for (size_t i = 0; i < cluster.scheduler_count(); ++i) {
+    core::Scheduler& s = cluster.scheduler(i);
+    if (!net.alive(s.id())) continue;
     std::ostringstream os;
-    os << "scheduler " << i << " (" << p.net->name(s.id()) << ")";
+    os << "scheduler " << i << " (" << net.name(s.id()) << ")";
     if (s.outstanding() != 0)
       v->add(os.str() + " has " + std::to_string(s.outstanding()) +
              " outstanding requests at quiesce");
@@ -155,6 +153,12 @@ void check_end_invariants(const ClusterProbe& p,
       v->add(os.str() + " per-node in-flight counters sum to " +
              std::to_string(s.inflight_total()) + " at quiesce");
   }
+}
+
+void check_end_invariants(const ClusterProbe& p,
+                          const std::vector<const WorkloadLedger*>& ledgers,
+                          Violations* v) {
+  check_scheduler_drain(*p.cluster, v);
 
   // ---- span balance ----
   if (p.tracer && p.tracer->open_count() != 0) {

@@ -99,6 +99,11 @@ class MonotonicityProbe {
   std::map<net::NodeId, std::vector<uint64_t>> last_sched_;
 };
 
+// Scheduler drain: once the event queue is empty, no live scheduler may
+// hold outstanding or parked work, a recovery in flight, or a non-zero
+// per-node in-flight counter.
+void check_scheduler_drain(core::DmvCluster& cluster, Violations* v);
+
 // End-of-run structural + durability + convergence checks (see header
 // comment). Call after the simulation has quiesced, *before* tearing the
 // cluster down (teardown legitimately closes spans). `ledgers[t]` is the

@@ -550,14 +550,8 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
   chaos::Violations viol;
   sim::Simulation sim;
   net::Network net(sim);
-  if (cfg.regions > 1) {
-    net::LinkClassConfig& cross =
-        net.topology().link(net::LinkClass::Cross);
-    cross.base_latency = cfg.cross_base_latency;
-    cross.per_kb = cfg.cross_per_kb;
-    cross.jitter = cfg.cross_jitter;
-    cross.detect_delay = cfg.cross_detect_delay;
-  }
+  if (cfg.cluster.regions > 1)
+    net.topology().link(net::LinkClass::Cross) = cfg.cross;
   obs::Tracer tracer(sim);
   tracer.enable();
   // The checker needs protocol points (fault injection keys off span
@@ -572,37 +566,10 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
 
   const int classes = std::max(1, std::min(26, cfg.classes));
   api::ProcRegistry reg = make_check_registry(classes);
-  core::DmvCluster::Config cc;
-  cc.slaves = cfg.slaves;
-  cc.spares = cfg.spares;
-  cc.schedulers = cfg.schedulers;
+  core::DmvCluster::Config cc = cfg.cluster;
   for (storage::TableId t = 0; t < storage::TableId(classes); ++t)
     cc.conflict_classes.push_back({t});
-  cc.heartbeats = cfg.heartbeats;
-  cc.batch_max_writesets = cfg.batch_max_writesets;
-  cc.batch_delay = cfg.batch_delay;
-  cc.ack_every_n = cfg.ack_every_n;
-  cc.ack_delay = cfg.ack_delay;
-  cc.regions = cfg.regions;
-  cc.quorum_commit = cfg.quorum_commit;
-  cc.write_quorum = cfg.write_quorum;
-  cc.mut_reply_before_quorum = cfg.mut_reply_before_quorum;
   cc.scheduler.rng_seed = cfg.seed * 7919 + 17;
-  cc.scheduler.mut_skip_ack_merge = cfg.mut_skip_ack_merge;
-  cc.scheduler.mut_route_to_joiner = cfg.mut_route_to_joiner;
-  cc.scheduler.mut_wrong_class_route = cfg.mut_wrong_class_route;
-  cc.mut_wrong_class_route = cfg.mut_wrong_class_route;
-  cc.engine.mut_skip_tag_upgrade = cfg.mut_skip_tag_upgrade;
-  cc.engine.mut_apply_off_by_one = cfg.mut_apply_off_by_one;
-  cc.engine.mut_skip_discard = cfg.mut_skip_discard;
-  cc.engine.mut_scan_stale_read = cfg.mut_scan_stale_read;
-  cc.engine.mut_scan_first_page_only = cfg.mut_scan_first_page_only;
-  cc.mut_batch_reverse = cfg.mut_batch_reverse;
-  cc.enable_persistence = cfg.disaster;
-  cc.persistence.backends = cfg.backends;
-  cc.persistence.checkpoint_period = cfg.persist_checkpoint_period;
-  cc.persistence.max_lag = cfg.persist_max_lag;
-  cc.persistence.mut_skip_suffix = cfg.mut_skip_suffix;
   const size_t pad = pad_width(cfg.workload);
   cc.schema = make_check_schema(classes, pad);
   const int64_t rows = cfg.rows_per_table;
@@ -654,27 +621,7 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
       viol.add("client " + std::to_string(i) +
                " never completed its workload (wedged request)");
 
-  // Scheduler drain: nothing may be outstanding, parked, or mid-recovery
-  // once the event queue is empty (mirrors chaos::check_end_invariants).
-  for (size_t i = 0; i < cluster.scheduler_ids().size(); ++i) {
-    core::Scheduler& s = cluster.scheduler(i);
-    if (!net.alive(s.id())) continue;
-    const std::string who = "scheduler " + std::to_string(i);
-    if (s.outstanding() != 0)
-      viol.add(who + " has " + std::to_string(s.outstanding()) +
-               " outstanding requests at quiesce");
-    if (s.held_reads() != 0)
-      viol.add(who + " has " + std::to_string(s.held_reads()) +
-               " parked reads at quiesce");
-    if (s.held_updates() != 0)
-      viol.add(who + " has " + std::to_string(s.held_updates()) +
-               " parked updates at quiesce");
-    if (s.held_joins() != 0)
-      viol.add(who + " has " + std::to_string(s.held_joins()) +
-               " parked joins at quiesce");
-    if (s.recovering())
-      viol.add(who + " still marks a recovery in flight at quiesce");
-  }
+  chaos::check_scheduler_drain(cluster, &viol);
 
   tracer.set_point_observer(nullptr);
 
@@ -695,7 +642,7 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
   // (every confirmed update is logged before its client reply), so each
   // recoverable backend — alive or fail-stopped, rows plus log suffix —
   // must reproduce the oracle's sequential prefix at that frontier.
-  if (cfg.disaster) {
+  if (cfg.cluster.enable_persistence) {
     auto* pb = cluster.persistence();
     DMV_ASSERT_MSG(pb, "disaster drill requires the persistence tier");
     const std::vector<uint64_t>& logged = pb->logged_version();
@@ -744,15 +691,67 @@ CheckReport run_check(const CheckConfig& cfg, const std::string& plan_str) {
 
 namespace {
 
-// Master node names follow DmvCluster: "master" for a single conflict
-// class, master0..masterN-1 otherwise.
-std::vector<std::string> master_victims(const CheckConfig& cfg) {
+// Kill victims by DmvCluster node name: the masters ("master" for a single
+// conflict class, master0..masterN-1 otherwise) `master_copies` times over
+// (to bias kills toward them), then the slaves if `slaves`, the spares,
+// and sched0 if `sched0` and a peer scheduler can take over.
+std::vector<std::string> victims_of(const CheckConfig& cfg, int master_copies,
+                                    bool slaves, bool sched0) {
   const int classes = std::max(1, cfg.classes);
-  if (classes == 1) return {"master"};
   std::vector<std::string> v;
-  for (int c = 0; c < classes; ++c)
-    v.push_back("master" + std::to_string(c));
+  for (int k = 0; k < master_copies; ++k)
+    for (int c = 0; c < classes; ++c)
+      v.push_back(classes == 1 ? "master" : "master" + std::to_string(c));
+  for (int i = 0; slaves && i < cfg.cluster.slaves; ++i)
+    v.push_back("slave" + std::to_string(i));
+  for (int i = 0; i < cfg.cluster.spares; ++i)
+    v.push_back("spare" + std::to_string(i));
+  if (sched0 && cfg.cluster.schedulers > 1) v.push_back("sched0");
   return v;
+}
+
+// A fault plan under construction: ';'-separated faults.
+struct PlanText {
+  std::string text;
+  void add(const std::string& fault) {
+    if (!text.empty()) text += ";";
+    text += fault;
+  }
+};
+
+// Up to `kills` deaths of distinct victims, each at a seed-derived time;
+// engines sometimes come back through the §4.4 rejoin protocol.
+void add_kills(PlanText& plan, util::Rng& rng,
+               const std::vector<std::string>& victims, int kills) {
+  std::set<std::string> killed;
+  for (int i = 0; i < kills; ++i) {
+    const std::string& v = victims[rng.below(victims.size())];
+    if (!killed.insert(v).second) continue;  // one death per node
+    const long long t = 3000 + (long long)rng.below(47000);
+    plan.add("kill:" + v + "@t:" + std::to_string(t));
+    if (v.rfind("sched", 0) != 0 && rng.chance(0.4))
+      plan.add("restart:" + v + "@t:" +
+               std::to_string(t + 20000 + (long long)rng.below(40000)));
+  }
+}
+
+// One cut between two of the deployment's regions, opened mid-workload and
+// healed a while later — partitions park cross-region traffic, so an
+// unhealed cut would wedge the run, not fail it cleanly. A quarter are
+// directed (one-way) cuts.
+void add_region_cut(PlanText& plan, util::Rng& rng, const CheckConfig& cfg) {
+  std::vector<std::string> regions = {"local"};
+  for (size_t r = 1; r < cfg.cluster.regions; ++r)
+    regions.push_back("r" + std::to_string(r));
+  const size_t a = rng.below(regions.size());
+  size_t b = rng.below(regions.size() - 1);
+  if (b >= a) ++b;
+  const std::string cut = regions[a] + (rng.chance(0.25) ? ">" : "|") +
+                          regions[b];
+  const long long t = 2000 + (long long)rng.below(40000);
+  plan.add("partition:" + cut + "@t:" + std::to_string(t));
+  plan.add("heal-partition:" + cut + "@t:" +
+           std::to_string(t + 3000 + (long long)rng.below(25000)));
 }
 
 }  // namespace
@@ -762,144 +761,81 @@ std::string random_fault_plan(const CheckConfig& cfg, uint64_t seed,
   util::Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x2545f4914f6cdd1dull);
   // Victims chosen so <= 2 deaths always leave the cluster serviceable:
   // every class keeps a promotable replica and sched1+ stay alive.
-  std::vector<std::string> victims = master_victims(cfg);
-  for (int i = 0; i < cfg.slaves; ++i)
-    victims.push_back("slave" + std::to_string(i));
-  for (int i = 0; i < cfg.spares; ++i)
-    victims.push_back("spare" + std::to_string(i));
-  if (cfg.schedulers > 1) victims.push_back("sched0");
-
-  std::string plan;
-  std::set<std::string> killed;
-  for (int i = 0; i < faults; ++i) {
-    const std::string& v = victims[rng.below(victims.size())];
-    if (!killed.insert(v).second) continue;  // one death per node
-    const long long t = 3000 + (long long)rng.below(47000);
-    if (!plan.empty()) plan += ";";
-    plan += "kill:" + v + "@t:" + std::to_string(t);
-    // Engines sometimes come back through the §4.4 rejoin protocol.
-    if (v.rfind("sched", 0) != 0 && rng.chance(0.4))
-      plan += ";restart:" + v + "@t:" +
-              std::to_string(t + 20000 + (long long)rng.below(40000));
-  }
-  return plan;
+  PlanText plan;
+  add_kills(plan, rng, victims_of(cfg, 1, /*slaves=*/true, /*sched0=*/true),
+            faults);
+  return plan.text;
 }
 
 std::string random_disaster_plan(const CheckConfig& cfg, uint64_t seed) {
   util::Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x7f4a7c159e3779b9ull);
-  std::string plan;
-  auto append = [&plan](const std::string& f) {
-    if (!plan.empty()) plan += ";";
-    plan += f;
-  };
+  PlanText plan;
   // Warm-up mem-tier kills, never restarted: a rejoining engine could
   // still be mid-warmup when the wipe lands, and the drill's subject is
   // the persistence tier, not the join protocol.
-  std::vector<std::string> victims = master_victims(cfg);
-  for (int i = 0; i < cfg.slaves; ++i)
-    victims.push_back("slave" + std::to_string(i));
-  for (int i = 0; i < cfg.spares; ++i)
-    victims.push_back("spare" + std::to_string(i));
+  const std::vector<std::string> victims =
+      victims_of(cfg, 1, /*slaves=*/true, /*sched0=*/false);
   std::set<std::string> killed;
   const int pre = int(rng.below(3));
   for (int i = 0; i < pre; ++i) {
     const std::string& v = victims[rng.below(victims.size())];
     if (!killed.insert(v).second) continue;
-    append("kill:" + v + "@t:" +
-           std::to_string(3000 + (long long)rng.below(25000)));
+    plan.add("kill:" + v + "@t:" +
+             std::to_string(3000 + (long long)rng.below(25000)));
   }
   // Sometimes bounce a backend so the sweep also covers fail-stop at an
   // arbitrary record boundary, reattach, and the snapshot+suffix path.
-  if (cfg.backends > 0 && rng.chance(0.5)) {
-    const int b = int(rng.below(uint64_t(cfg.backends)));
+  const int backends = cfg.cluster.persistence.backends;
+  if (backends > 0 && rng.chance(0.5)) {
+    const int b = int(rng.below(uint64_t(backends)));
     const long long t = 4000 + (long long)rng.below(20000);
-    append("killbackend:" + std::to_string(b) + "@t:" + std::to_string(t));
+    plan.add("killbackend:" + std::to_string(b) + "@t:" + std::to_string(t));
     if (rng.chance(0.7))
-      append("restartbackend:" + std::to_string(b) + "@t:" +
-             std::to_string(t + 5000 + (long long)rng.below(15000)));
+      plan.add("restartbackend:" + std::to_string(b) + "@t:" +
+               std::to_string(t + 5000 + (long long)rng.below(15000)));
   }
   // The disaster: every live engine node dies at once, mid-workload.
-  append("wipe-tier@t:" +
-         std::to_string(35000 + (long long)rng.below(25000)));
-  return plan;
+  plan.add("wipe-tier@t:" +
+           std::to_string(35000 + (long long)rng.below(25000)));
+  return plan.text;
 }
 
 std::string random_geo_fault_plan(const CheckConfig& cfg, uint64_t seed,
                                   int faults) {
-  DMV_ASSERT_MSG(cfg.regions >= 2, "geo plans need >= 2 regions");
+  DMV_ASSERT_MSG(cfg.cluster.regions >= 2, "geo plans need >= 2 regions");
   util::Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x6a09e667f3bcc909ull);
-  std::vector<std::string> regions = {"local"};
-  for (size_t r = 1; r < cfg.regions; ++r)
-    regions.push_back("r" + std::to_string(r));
-
-  std::string plan;
-  auto append = [&plan](const std::string& f) {
-    if (!plan.empty()) plan += ";";
-    plan += f;
-  };
-
-  // Region cuts: each opened mid-workload and healed a while later —
-  // partitions park cross-region traffic, so an unhealed cut would wedge
-  // the run, not fail it cleanly. A quarter are directed (one-way) cuts.
+  PlanText plan;
   const int cuts = 1 + int(rng.below(uint64_t(std::max(1, faults))));
-  for (int i = 0; i < cuts; ++i) {
-    const size_t a = rng.below(regions.size());
-    size_t b = rng.below(regions.size() - 1);
-    if (b >= a) ++b;
-    const char* sep = rng.chance(0.25) ? ">" : "|";
-    const long long t = 2000 + (long long)rng.below(40000);
-    append("partition:" + regions[a] + sep + regions[b] + "@t:" +
-           std::to_string(t));
-    append("heal-partition:" + regions[a] + sep + regions[b] + "@t:" +
-           std::to_string(t + 3000 + (long long)rng.below(25000)));
-  }
+  for (int i = 0; i < cuts; ++i) add_region_cut(plan, rng, cfg);
 
   // A smaller dose of the usual kills, so cuts compose with fail-over
   // (a master dying while a region is dark exercises the quorum
   // reconciliation: DiscardAbove acks from the dark region arrive only
   // after the heal, and recovery must elect the most caught-up survivor).
-  std::vector<std::string> victims = master_victims(cfg);
-  for (int i = 0; i < cfg.slaves; ++i)
-    victims.push_back("slave" + std::to_string(i));
-  for (int i = 0; i < cfg.spares; ++i)
-    victims.push_back("spare" + std::to_string(i));
-  if (cfg.schedulers > 1) victims.push_back("sched0");
-  std::set<std::string> killed;
-  const int kills = int(rng.below(uint64_t(std::max(1, faults))));
-  for (int i = 0; i < kills; ++i) {
-    const std::string& v = victims[rng.below(victims.size())];
-    if (!killed.insert(v).second) continue;
-    const long long t = 3000 + (long long)rng.below(47000);
-    append("kill:" + v + "@t:" + std::to_string(t));
-    if (v.rfind("sched", 0) != 0 && rng.chance(0.4))
-      append("restart:" + v + "@t:" +
-             std::to_string(t + 20000 + (long long)rng.below(40000)));
-  }
+  add_kills(plan, rng, victims_of(cfg, 1, /*slaves=*/true, /*sched0=*/true),
+            int(rng.below(uint64_t(std::max(1, faults)))));
 
   // Safety net: whatever is still cut heals long before the quiesce
   // horizon, so every parked message gets delivered and the run drains.
-  append("heal-partition@t:250000");
-  return plan;
+  plan.add("heal-partition@t:250000");
+  return plan.text;
 }
 
 std::string random_elastic_fault_plan(const CheckConfig& cfg, uint64_t seed,
                                       int faults) {
   util::Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x3c6ef372fe94f82bull);
-  std::string plan;
-  auto append = [&plan](const std::string& f) {
-    if (!plan.empty()) plan += ";";
-    plan += f;
-  };
+  PlanText plan;
 
   // Scale-outs: one or (sometimes) two fresh slaves join mid-workload via
   // §4.4, under live traffic. Elastically-added engines are named after
-  // the next free slave index, so the first joiner is slave<cfg.slaves>.
+  // the next free slave index, so the first joiner is
+  // slave<cfg.cluster.slaves>.
   const int adds = 1 + int(rng.chance(0.4));
   long long earliest_add = -1;
   for (int i = 0; i < adds; ++i) {
     const long long t = 2000 + (long long)rng.below(30000);
     if (earliest_add < 0 || t < earliest_add) earliest_add = t;
-    append("addslave@t:" + std::to_string(t));
+    plan.add("addslave@t:" + std::to_string(t));
   }
 
   // Usually a retire, so the sweep exercises both directions of the fleet
@@ -910,101 +846,55 @@ std::string random_elastic_fault_plan(const CheckConfig& cfg, uint64_t seed,
     std::string victim;
     long long not_before = 3000;
     if (rng.chance(0.4)) {
-      victim = "slave" + std::to_string(cfg.slaves);
+      victim = "slave" + std::to_string(cfg.cluster.slaves);
       not_before = earliest_add + 5000;
     } else {
-      victim = "slave" + std::to_string(rng.below(uint64_t(cfg.slaves)));
+      victim =
+          "slave" + std::to_string(rng.below(uint64_t(cfg.cluster.slaves)));
     }
-    append("retire:" + victim + "@t:" +
-           std::to_string(not_before + (long long)rng.below(30000)));
+    plan.add("retire:" + victim + "@t:" +
+             std::to_string(not_before + (long long)rng.below(30000)));
   }
 
   // A smaller dose of the usual deaths, so joins and drains compose with
   // fail-over (a master dying while a joiner catches up exercises the
   // §4.2 discard against a half-subscribed node).
-  std::vector<std::string> victims = master_victims(cfg);
-  for (int i = 0; i < cfg.spares; ++i)
-    victims.push_back("spare" + std::to_string(i));
-  if (cfg.schedulers > 1) victims.push_back("sched0");
-  const int kills = int(rng.below(uint64_t(std::max(1, faults))));
-  std::set<std::string> killed;
-  for (int i = 0; i < kills; ++i) {
-    const std::string& v = victims[rng.below(victims.size())];
-    if (!killed.insert(v).second) continue;
-    const long long t = 3000 + (long long)rng.below(47000);
-    append("kill:" + v + "@t:" + std::to_string(t));
-    if (v.rfind("sched", 0) != 0 && rng.chance(0.4))
-      append("restart:" + v + "@t:" +
-             std::to_string(t + 20000 + (long long)rng.below(40000)));
-  }
-  return plan;
+  add_kills(plan, rng, victims_of(cfg, 1, /*slaves=*/false, /*sched0=*/true),
+            int(rng.below(uint64_t(std::max(1, faults)))));
+  return plan.text;
 }
 
 std::string random_multimaster_fault_plan(const CheckConfig& cfg,
                                           uint64_t seed, int faults) {
   util::Rng rng(seed * 0x9e3779b97f4a7c15ull + 0x243f6a8885a308d3ull);
-  std::string plan;
-  auto append = [&plan](const std::string& f) {
-    if (!plan.empty()) plan += ";";
-    plan += f;
-  };
+  PlanText plan;
 
   // An elastic resize most of the time: a fresh slave joins mid-workload
   // via §4.4 (under several masters' update streams at once), sometimes
   // followed by a retire of an original slave.
   if (rng.chance(0.6))
-    append("addslave@t:" +
-           std::to_string(2000 + (long long)rng.below(30000)));
-  if (cfg.slaves > 1 && rng.chance(0.3))
-    append("retire:slave" +
-           std::to_string(rng.below(uint64_t(cfg.slaves))) + "@t:" +
-           std::to_string(5000 + (long long)rng.below(30000)));
+    plan.add("addslave@t:" +
+             std::to_string(2000 + (long long)rng.below(30000)));
+  if (cfg.cluster.slaves > 1 && rng.chance(0.3))
+    plan.add("retire:slave" +
+             std::to_string(rng.below(uint64_t(cfg.cluster.slaves))) +
+             "@t:" + std::to_string(5000 + (long long)rng.below(30000)));
 
   // In geo deployments, a healed region cut so class fail-overs compose
   // with partitioned quorums.
-  const bool cut = cfg.regions >= 2 && rng.chance(0.5);
-  if (cut) {
-    std::vector<std::string> regions = {"local"};
-    for (size_t r = 1; r < cfg.regions; ++r)
-      regions.push_back("r" + std::to_string(r));
-    const size_t a = rng.below(regions.size());
-    size_t b = rng.below(regions.size() - 1);
-    if (b >= a) ++b;
-    const char* sep = rng.chance(0.25) ? ">" : "|";
-    const long long t = 2000 + (long long)rng.below(40000);
-    append("partition:" + regions[a] + sep + regions[b] + "@t:" +
-           std::to_string(t));
-    append("heal-partition:" + regions[a] + sep + regions[b] + "@t:" +
-           std::to_string(t + 3000 + (long long)rng.below(25000)));
-  }
+  if (cfg.cluster.regions >= 2 && rng.chance(0.5))
+    add_region_cut(plan, rng, cfg);
 
   // Kills biased toward the masters (listed twice): the point of this
   // mode is concurrent per-class fail-overs — including two classes
   // recovering at once and a surviving master adopting a headless class.
-  std::vector<std::string> victims = master_victims(cfg);
-  const std::vector<std::string> masters = victims;
-  victims.insert(victims.end(), masters.begin(), masters.end());
-  for (int i = 0; i < cfg.slaves; ++i)
-    victims.push_back("slave" + std::to_string(i));
-  for (int i = 0; i < cfg.spares; ++i)
-    victims.push_back("spare" + std::to_string(i));
-  if (cfg.schedulers > 1) victims.push_back("sched0");
-  std::set<std::string> killed;
-  const int kills = faults + int(rng.chance(0.3));
-  for (int i = 0; i < kills; ++i) {
-    const std::string& v = victims[rng.below(victims.size())];
-    if (!killed.insert(v).second) continue;
-    const long long t = 3000 + (long long)rng.below(47000);
-    append("kill:" + v + "@t:" + std::to_string(t));
-    if (v.rfind("sched", 0) != 0 && rng.chance(0.4))
-      append("restart:" + v + "@t:" +
-             std::to_string(t + 20000 + (long long)rng.below(40000)));
-  }
+  add_kills(plan, rng, victims_of(cfg, 2, /*slaves=*/true, /*sched0=*/true),
+            faults + int(rng.chance(0.3)));
 
   // Safety net (geo only): whatever is still cut heals long before the
   // quiesce horizon.
-  if (cfg.regions >= 2) append("heal-partition@t:250000");
-  return plan;
+  if (cfg.cluster.regions >= 2) plan.add("heal-partition@t:250000");
+  return plan.text;
 }
 
 const std::vector<Mutation>& mutation_list() {
@@ -1027,11 +917,11 @@ const std::vector<Mutation>& mutation_list() {
            busy(c);
            // Kill the only slave so reads fall back to the masters,
            // where the mutated path serves them.
-           c.slaves = 1;
-           c.spares = 0;
-           c.schedulers = 1;
+           c.cluster.slaves = 1;
+           c.cluster.spares = 0;
+           c.cluster.schedulers = 1;
            c.update_fraction = 0.7;
-           c.mut_skip_tag_upgrade = true;
+           c.cluster.engine.mut_skip_tag_upgrade = true;
          },
          "kill:slave0@t:5000"});
 
@@ -1042,9 +932,9 @@ const std::vector<Mutation>& mutation_list() {
          {"tag-coverage"},
          [busy](CheckConfig& c) {
            busy(c);
-           c.schedulers = 1;
+           c.cluster.schedulers = 1;
            c.update_fraction = 0.6;
-           c.mut_skip_ack_merge = true;
+           c.cluster.scheduler.mut_skip_ack_merge = true;
          },
          ""});
 
@@ -1056,7 +946,7 @@ const std::vector<Mutation>& mutation_list() {
          [busy](CheckConfig& c) {
            busy(c);
            c.update_fraction = 0.6;
-           c.mut_apply_off_by_one = true;
+           c.cluster.engine.mut_apply_off_by_one = true;
          },
          ""});
 
@@ -1071,11 +961,8 @@ const std::vector<Mutation>& mutation_list() {
            c.mean_think = 200;
            // Open the pipeline windows so the dying master has
            // unconfirmed write-sets in flight.
-           c.batch_max_writesets = 4;
-           c.batch_delay = 500;
-           c.ack_every_n = 4;
-           c.ack_delay = 500;
-           c.mut_skip_discard = true;
+           chaos::open_batch_windows(c.cluster.node);
+           c.cluster.engine.mut_skip_discard = true;
          },
          "kill:master0@t:8000"});
 
@@ -1089,9 +976,9 @@ const std::vector<Mutation>& mutation_list() {
            c.ops_per_client = 24;
            c.update_fraction = 0.85;
            c.mean_think = 100;
-           c.batch_max_writesets = 4;
-           c.batch_delay = 500;
-           c.mut_batch_reverse = true;
+           c.cluster.node.batch_max_writesets = 4;
+           c.cluster.node.batch_delay = 500;
+           c.cluster.node.mut_batch_reverse = true;
          },
          ""});
 
@@ -1102,12 +989,12 @@ const std::vector<Mutation>& mutation_list() {
          {"recovery-mismatch"},
          [busy](CheckConfig& c) {
            busy(c);
-           c.disaster = true;
+           c.cluster.enable_persistence = true;
            // No checkpoints: the killed backend must stay above the
            // truncation horizon so the drill bootstraps from it with a
            // non-empty suffix — which the mutation then discards.
-           c.persist_checkpoint_period = 0;
-           c.mut_skip_suffix = true;
+           c.cluster.persistence.checkpoint_period = 0;
+           c.cluster.persistence.mut_skip_suffix = true;
          },
          "killbackend:0@t:6000;wipe-tier@t:30000"});
 
@@ -1125,12 +1012,9 @@ const std::vector<Mutation>& mutation_list() {
            c.mean_think = 200;
            // Open pipeline windows: the dying master holds client-acked
            // write-sets that no replica has seen yet.
-           c.batch_max_writesets = 4;
-           c.batch_delay = 500;
-           c.ack_every_n = 4;
-           c.ack_delay = 500;
-           c.quorum_commit = true;
-           c.mut_reply_before_quorum = true;
+           chaos::open_batch_windows(c.cluster.node);
+           c.cluster.node.quorum_commit = true;
+           c.cluster.node.mut_reply_before_quorum = true;
          },
          "kill:master0@t:8000"});
 
@@ -1144,7 +1028,7 @@ const std::vector<Mutation>& mutation_list() {
            busy(c);
            c.ops_per_client = 24;
            c.update_fraction = 0.6;
-           c.mut_route_to_joiner = true;
+           c.cluster.scheduler.mut_route_to_joiner = true;
          },
          // A kill+restart drives the §4.4 rejoin whose answer_join the
          // mutation corrupts. The bug's window (a read dispatched in the
@@ -1167,7 +1051,7 @@ const std::vector<Mutation>& mutation_list() {
            c.ops_per_client = 24;
            c.update_fraction = 0.6;
            c.mean_think = 200;
-           c.mut_scan_stale_read = true;
+           c.cluster.engine.mut_scan_stale_read = true;
          },
          "", 25});
 
@@ -1185,7 +1069,7 @@ const std::vector<Mutation>& mutation_list() {
            c.ops_per_client = 24;
            c.update_fraction = 0.6;
            c.mean_think = 200;
-           c.mut_scan_first_page_only = true;
+           c.cluster.engine.mut_scan_first_page_only = true;
          },
          ""});
 
@@ -1198,7 +1082,10 @@ const std::vector<Mutation>& mutation_list() {
          [busy](CheckConfig& c) {
            busy(c);
            c.update_fraction = 0.7;
-           c.mut_wrong_class_route = true;
+           // The scheduler misroutes; the wrong master's engine node
+           // executes instead of refusing.
+           c.cluster.scheduler.mut_wrong_class_route = true;
+           c.cluster.node.mut_wrong_class_route = true;
          },
          ""});
     return m;

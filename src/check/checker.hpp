@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
+#include "chaos/harness.hpp"
 #include "sim/time.hpp"
 
 namespace dmv::check {
@@ -53,8 +54,22 @@ const char* check_workload_name(CheckWorkload w);
 bool parse_check_workload(const std::string& s, CheckWorkload* out);
 
 struct CheckConfig {
-  int slaves = 2;       // per cluster (shared by every class)
-  int spares = 1;
+  // Role counts (slaves are shared by every class), replication windows,
+  // quorum commit, heartbeats, the persistence tier and the planted-bug
+  // mutation knobs of each component. run_check fills in the conflict
+  // classes, the scheduler seed, schema and loader.
+  //  - Geo mode: cluster.regions spreads slaves/spares/schedulers over WAN
+  //    regions (region 0 = "local", then "r1", ...) whose links get
+  //    `cross`; node.quorum_commit acks updates once a write quorum of
+  //    voters confirmed. random_geo_fault_plan layers region partitions
+  //    (always healed) over the usual kills.
+  //  - Disaster drill (§4.6): cluster.enable_persistence deploys the
+  //    persistence tier and, after the oracle replay, bootstraps a tier
+  //    image from every recoverable backend (rows + update-log suffix),
+  //    which must equal the sequential prefix at the log's acked version
+  //    frontier (recovery-mismatch).
+  core::DmvCluster::Config cluster = chaos::sweep_cluster();
+  net::LinkClassConfig cross{5 * sim::kMsec, 200, 500, 100 * sim::kMsec};
   // Conflict classes: one single-table class (and one update master) per
   // entry; 2 reproduces the original two-class checker. Capped at 26
   // (table names are acct_a .. acct_z).
@@ -64,7 +79,6 @@ struct CheckConfig {
   // quorum commit, open pipeline windows, and
   // random_multimaster_fault_plan schedules.
   bool multimaster = false;
-  int schedulers = 2;
   int clients = 3;
   int ops_per_client = 12;
   // Op-mix family (check_sweep --workload); the oracle is identical for
@@ -75,56 +89,10 @@ struct CheckConfig {
   sim::Time mean_think = 2 * sim::kMsec;
   sim::Time quiesce_horizon = 600 * sim::kSec;
   uint64_t seed = 1;
-  bool heartbeats = false;
-  // Replication pipeline knobs (exercise batching + cumulative acks).
-  size_t batch_max_writesets = 1;
-  sim::Time batch_delay = 0;
-  uint64_t ack_every_n = 1;
-  sim::Time ack_delay = 0;
-  // Geo mode: spread slaves/spares/schedulers over `regions` WAN regions
-  // (region 0 = "local", then "r1", ...) with the cross-region link
-  // parameters below; quorum_commit acks updates once a write quorum of
-  // voters confirmed instead of every replica. random_geo_fault_plan
-  // layers region partitions (always healed) over the usual kills.
-  size_t regions = 1;
-  bool quorum_commit = false;
-  int write_quorum = 0;  // 0 = majority of voters + master
-  sim::Time cross_base_latency = 5 * sim::kMsec;
-  sim::Time cross_per_kb = 200;  // usec/KiB
-  sim::Time cross_jitter = 500;
-  sim::Time cross_detect_delay = 100 * sim::kMsec;
-  // Disaster drill (§4.6): deploy the persistence tier and, after the
-  // oracle replay, bootstrap a tier image from every recoverable backend
-  // (rows + update-log suffix) and require it to equal the sequential
-  // prefix at the log's acked version frontier (recovery-mismatch).
-  bool disaster = false;
-  int backends = 2;
-  sim::Time persist_checkpoint_period = 2 * sim::kSec;
-  uint64_t persist_max_lag = 0;
   // Elastic mode: random_elastic_fault_plan resizes the fleet mid-workload
   // (addslave scale-outs, retire drains) on top of the usual kills; the
   // oracle must hold while nodes join via §4.4 and drain out under load.
   bool elastic = false;
-  // Mutation knobs — plumb through to the cluster (smoke mode only).
-  bool mut_skip_tag_upgrade = false;
-  bool mut_apply_off_by_one = false;
-  bool mut_skip_discard = false;
-  bool mut_skip_ack_merge = false;
-  bool mut_batch_reverse = false;
-  bool mut_skip_suffix = false;  // disaster bootstrap drops the log suffix
-  bool mut_reply_before_quorum = false;  // ack client before the quorum
-  bool mut_route_to_joiner = false;  // route reads to a §4.4 joiner before
-                                     // data migration caught it up
-  bool mut_wrong_class_route = false;  // scheduler routes updates to the
-                                       // next class's master, which adopts
-                                       // the foreign table instead of
-                                       // refusing
-  bool mut_scan_stale_read = false;  // read-only scans skip the per-page
-                                     // tag re-check (a replica applied
-                                     // ahead of the tag serves future
-                                     // rows into an older snapshot)
-  bool mut_scan_first_page_only = false;  // one-pass scans check only the
-                                          // first page they reach
 };
 
 struct CheckReport {
@@ -158,15 +126,16 @@ CheckReport run_check(const CheckConfig& cfg, const std::string& plan_str);
 std::string random_fault_plan(const CheckConfig& cfg, uint64_t seed,
                               int faults);
 
-// Disaster-drill schedule (requires cfg.disaster): a few engine/backend
-// kills with no mem-tier restarts, then `wipe-tier` destroys every live
-// engine node at a seed-derived point mid-workload. Recovery is verified
-// off-line by the oracle's check_recovered_state, not by the cluster.
+// Disaster-drill schedule (requires cfg.cluster.enable_persistence): a
+// few engine/backend kills with no mem-tier restarts, then `wipe-tier`
+// destroys every live engine node at a seed-derived point mid-workload.
+// Recovery is verified off-line by the oracle's check_recovered_state, not
+// by the cluster.
 std::string random_disaster_plan(const CheckConfig& cfg, uint64_t seed);
 
-// Partition-heavy geo schedule (requires cfg.regions >= 2): region cuts —
-// symmetric and directed — each healed a seed-derived while later, plus a
-// smaller dose of the usual kills/restarts, closed by an unconditional
+// Partition-heavy geo schedule (requires cfg.cluster.regions >= 2): region
+// cuts — symmetric and directed — each healed a seed-derived while later,
+// plus a smaller dose of the usual kills/restarts, closed by an unconditional
 // heal-partition so nothing stays parked past the quiesce horizon.
 std::string random_geo_fault_plan(const CheckConfig& cfg, uint64_t seed,
                                   int faults);
@@ -181,7 +150,7 @@ std::string random_elastic_fault_plan(const CheckConfig& cfg, uint64_t seed,
 // Multimaster composite schedule: kills biased toward the (several)
 // update masters — so concurrent per-class fail-overs and cross-class
 // adoptions happen — composed with elastic resizes (addslave/retire) and,
-// in geo deployments (cfg.regions >= 2), healed region cuts.
+// in geo deployments (cfg.cluster.regions >= 2), healed region cuts.
 std::string random_multimaster_fault_plan(const CheckConfig& cfg,
                                           uint64_t seed, int faults);
 

@@ -53,41 +53,25 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
   // in region 0; slaves, spares and schedulers round-robin across the
   // regions so each region keeps local read capacity and a scheduler to
   // fail over to. Single-region deployments leave the topology untouched.
-  if (cfg_.regions > 1) {
-    net::Topology& topo = net_.topology();
-    std::vector<net::RegionId> region_ids = {0};
-    for (size_t r = 1; r < cfg_.regions; ++r) {
-      const std::string name = "r" + std::to_string(r);
-      net::RegionId rid = topo.find_region(name);
-      if (rid == net::kNoRegion) rid = topo.add_region(name);
-      region_ids.push_back(rid);
-    }
-    for (size_t i = 0; i < slave_ids_.size(); ++i)
-      topo.place(slave_ids_[i], region_ids[i % region_ids.size()]);
-    for (size_t i = 0; i < spare_ids_.size(); ++i)
-      topo.place(spare_ids_[i], region_ids[i % region_ids.size()]);
-    for (size_t i = 0; i < scheduler_node_ids_.size(); ++i)
-      topo.place(scheduler_node_ids_[i],
-                 region_ids[i % region_ids.size()]);
+  region_ids_ = {0};
+  for (size_t r = 1; r < cfg_.regions; ++r) {
+    const std::string name = "r" + std::to_string(r);
+    net::RegionId rid = net_.topology().find_region(name);
+    if (rid == net::kNoRegion) rid = net_.topology().add_region(name);
+    region_ids_.push_back(rid);
   }
+  for (size_t i = 0; i < slave_ids_.size(); ++i)
+    place_round_robin(slave_ids_[i], i);
+  for (size_t i = 0; i < spare_ids_.size(); ++i)
+    place_round_robin(spare_ids_[i], i);
+  for (size_t i = 0; i < scheduler_node_ids_.size(); ++i)
+    place_round_robin(scheduler_node_ids_[i], i);
 
   // Engine nodes (all replicas share the same schema and base image).
-  auto make_node = [&](NodeId id, bool hint_source) {
-    EngineNode::Config nc = engine_node_config();
-    if (hint_source && cfg_.pageid_hints && !spare_ids_.empty()) {
-      nc.hint_target = spare_ids_[0];
-      nc.hint_every_txns = cfg_.hint_every_txns;
-    }
-    stores_[id] = std::make_unique<mem::StableStore>();
-    auto node = std::make_unique<EngineNode>(net_, id, procs_, cfg_.schema,
-                                             nc, stores_[id].get());
-    if (cfg_.loader) cfg_.loader(node->engine().db());
-    nodes_[id] = std::move(node);
-  };
-  for (NodeId id : master_ids_) make_node(id, false);
+  for (NodeId id : master_ids_) make_engine_node(id);
   for (size_t i = 0; i < slave_ids_.size(); ++i)
-    make_node(slave_ids_[i], i == 0);
-  for (NodeId id : spare_ids_) make_node(id, false);
+    make_engine_node(slave_ids_[i], i == 0);
+  for (NodeId id : spare_ids_) make_engine_node(id);
 
   // Master roles: each class master replicates to every other node
   // (slaves, spares, and the other masters — which are slaves for its
@@ -125,11 +109,7 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
     persistence_ = std::make_unique<PersistenceBinding>(
         net_.sim(), cfg_.persistence, cfg_.schema);
     if (cfg_.loader) persistence_->load(cfg_.loader);
-    for (auto& s : schedulers_)
-      s->set_persistence([this](const std::vector<txn::OpRecord>& ops,
-                                const VersionVec& db_version) {
-        persistence_->log_update(ops, db_version);
-      });
+    for (auto& s : schedulers_) attach_persistence(*s);
   }
 
   // Failure notifications (broken connections) go to every engine node
@@ -163,32 +143,31 @@ DmvCluster::~DmvCluster() {
   if (cluster_alive_) *cluster_alive_ = false;
 }
 
-EngineNode::Config DmvCluster::engine_node_config() const {
-  EngineNode::Config nc;
-  nc.engine = cfg_.engine;
-  nc.checkpoint_period = cfg_.checkpoint_period;
-  nc.eager_apply = cfg_.eager_apply;
-  nc.batch_max_writesets = cfg_.batch_max_writesets;
-  nc.batch_delay = cfg_.batch_delay;
-  nc.ack_every_n = cfg_.ack_every_n;
-  nc.ack_delay = cfg_.ack_delay;
-  nc.mut_batch_reverse = cfg_.mut_batch_reverse;
-  nc.quorum_commit = cfg_.quorum_commit;
-  nc.write_quorum = cfg_.write_quorum;
-  nc.mut_reply_before_quorum = cfg_.mut_reply_before_quorum;
-  nc.mut_wrong_class_route = cfg_.mut_wrong_class_route;
-  return nc;
+EngineNode& DmvCluster::make_engine_node(NodeId id, bool hint_source) {
+  EngineNode::Config nc = cfg_.node;
+  if (hint_source && cfg_.pageid_hints && !spare_ids_.empty())
+    nc.hint_target = spare_ids_[0];
+  // The StableStore (the node's local checkpoint) outlives its processes.
+  auto& store = stores_[id];
+  if (!store) store = std::make_unique<mem::StableStore>();
+  auto node = std::make_unique<EngineNode>(net_, id, procs_, cfg_.schema,
+                                           cfg_.engine, nc, store.get());
+  if (cfg_.loader) cfg_.loader(node->engine().db());
+  nodes_[id] = std::move(node);
+  return *nodes_[id];
+}
+
+void DmvCluster::attach_persistence(Scheduler& s) {
+  if (!persistence_) return;
+  s.set_persistence([this](const std::vector<txn::OpRecord>& ops,
+                           const VersionVec& db_version) {
+    persistence_->log_update(ops, db_version);
+  });
 }
 
 void DmvCluster::place_round_robin(NodeId id, size_t idx) {
-  if (cfg_.regions <= 1) return;
-  net::Topology& topo = net_.topology();
-  const size_t r = idx % cfg_.regions;
-  if (r == 0) return;  // region 0 is the default placement
-  const std::string name = "r" + std::to_string(r);
-  net::RegionId rid = topo.find_region(name);
-  if (rid == net::kNoRegion) rid = topo.add_region(name);
-  topo.place(id, rid);
+  const size_t r = idx % region_ids_.size();
+  if (r != 0) net_.topology().place(id, region_ids_[r]);
 }
 
 void DmvCluster::start() {
@@ -220,10 +199,8 @@ void DmvCluster::start() {
     for (const auto& [pid, ver] : n.engine().page_versions())
       n.engine().cache().prefetch(pid);
   };
-  if (cfg_.prewarm_active) {
-    for (NodeId m : master_ids_) prewarm(*nodes_[m]);
-    for (NodeId s : slave_ids_) prewarm(*nodes_[s]);
-  }
+  for (NodeId m : master_ids_) prewarm(*nodes_[m]);
+  for (NodeId s : slave_ids_) prewarm(*nodes_[s]);
   if (cfg_.prewarm_spares)
     for (NodeId s : spare_ids_) prewarm(*nodes_[s]);
   for (auto& [id, node] : nodes_) node->start();
@@ -303,12 +280,7 @@ void DmvCluster::do_restart(NodeId id) {
   net_.restart(id);
   // Fresh process: rebuild from the base image + local checkpoint; the
   // volatile buffer cache starts cold.
-  auto node = std::make_unique<EngineNode>(net_, id, procs_, cfg_.schema,
-                                           engine_node_config(),
-                                           stores_[id].get());
-  if (cfg_.loader) cfg_.loader(node->engine().db());
-  nodes_[id] = std::move(node);
-  nodes_[id]->start(/*restore_from_store=*/true);
+  make_engine_node(id).start(/*restore_from_store=*/true);
   const NodeId sched = primary_scheduler_id();
   // Every scheduler may be dead (chaos schedules do this); the node then
   // simply runs without joining — nobody would route to it anyway.
@@ -334,15 +306,10 @@ size_t DmvCluster::live_slave_count() {
 NodeId DmvCluster::add_engine_node(const std::string& name, bool as_spare) {
   DMV_ASSERT_MSG(started_, "elastic add before cluster start");
   const NodeId id = net_.add_node(name);
-  stores_[id] = std::make_unique<mem::StableStore>();
-  auto node = std::make_unique<EngineNode>(net_, id, procs_, cfg_.schema,
-                                           engine_node_config(),
-                                           stores_[id].get());
   // Provision from the shared base image (a restore from backup); the
   // §4.4 join then fetches only pages newer than the image. The cache
   // starts cold — warm-up is part of what elasticity experiments measure.
-  if (cfg_.loader) cfg_.loader(node->engine().db());
-  nodes_[id] = std::move(node);
+  make_engine_node(id);
   if (heartbeat_) heartbeat_->monitor(id);
   nodes_[id]->start();
   obs::instant(as_spare ? "elastic.add_spare" : "elastic.add_slave",
@@ -390,11 +357,7 @@ NodeId DmvCluster::add_scheduler() {
   else
     s->set_topology(master_ids_, classes_, slave_ids_, spare_ids_,
                     std::move(peers));
-  if (persistence_)
-    s->set_persistence([this](const std::vector<txn::OpRecord>& ops,
-                              const VersionVec& db_version) {
-      persistence_->log_update(ops, db_version);
-    });
+  attach_persistence(*s);
   for (auto& peer : schedulers_) peer->add_peer(id);
   scheduler_node_ids_.push_back(id);
   schedulers_.push_back(std::move(s));

@@ -25,20 +25,13 @@ class DmvCluster {
     // class run on that class's master, in parallel with other classes.
     std::vector<std::vector<storage::TableId>> conflict_classes;
     mem::MemEngine::Config engine;
-    sim::Time checkpoint_period = 0;  // 0: off
+    // Every engine node's protocol knobs: checkpointing, replication
+    // pipeline windows, quorum commit, eager apply, hint cadence.
+    EngineNode::Config node;
     Scheduler::Config scheduler;
-    // Page-id-transfer warm-up: slave 0 ships hot-page ids to spare 0.
+    // Page-id-transfer warm-up: slave 0 ships hot-page ids to spare 0
+    // every node.hint_every_txns transactions.
     bool pageid_hints = false;
-    uint64_t hint_every_txns = 100;
-    bool eager_apply = false;  // ablation: see EngineNode::Config
-    // Replication pipeline windows (see EngineNode::Config): write-set
-    // batching on masters, cumulative-ack coalescing on replicas.
-    size_t batch_max_writesets = 1;
-    sim::Time batch_delay = 0;
-    uint64_t ack_every_n = 1;
-    sim::Time ack_delay = 0;
-    // Test-only mutation (see EngineNode::Config::mut_batch_reverse).
-    bool mut_batch_reverse = false;
     // Geo deployment: spread the replica tier over this many regions.
     // Region 0 ("local") keeps the masters, the primary scheduler, the
     // clients and the monitor; slaves, spares and standby schedulers are
@@ -47,18 +40,6 @@ class DmvCluster {
     // net::Topology (configure net.topology().link(LinkClass::Cross)
     // before constructing the cluster).
     size_t regions = 1;
-    // Quorum commit (see EngineNode::Config): ack the client once a write
-    // quorum of replicas confirmed the write-set; the rest catch up
-    // lazily. Voters are the slaves + spares (the fail-over candidate
-    // pool); other-class masters never count toward the quorum.
-    bool quorum_commit = false;
-    int write_quorum = 0;  // 0 = majority of voters + master
-    // Test-only mutation (see EngineNode::Config::mut_reply_before_quorum).
-    bool mut_reply_before_quorum = false;
-    // Test-only mutation (see EngineNode::Config::mut_wrong_class_route;
-    // pair with Scheduler::Config::mut_wrong_class_route so the misrouted
-    // update is actually executed by the wrong master).
-    bool mut_wrong_class_route = false;
     // Failure detection: broken connections (default, detect_delay) plus,
     // optionally, heartbeats from the primary scheduler to every engine
     // node — the paper's "missed heartbeat messages" backstop, which also
@@ -67,10 +48,9 @@ class DmvCluster {
     net::HeartbeatConfig heartbeat;
     bool enable_persistence = false;
     PersistenceBinding::Config persistence;
-    // Mark all loaded pages resident at start (the paper excludes initial
-    // cache warm-up from measurements). Spares are left cold by default —
-    // their warm-up behavior is what Figs 7-9 measure.
-    bool prewarm_active = true;
+    // Masters and slaves start with every loaded page resident (the paper
+    // excludes initial cache warm-up from measurements). Spares are left
+    // cold by default — their warm-up behavior is what Figs 7-9 measure.
     bool prewarm_spares = false;
     mem::SchemaFn schema;
     std::function<void(storage::Database&)> loader;  // initial data image
@@ -155,9 +135,12 @@ class DmvCluster {
  private:
   NodeId primary_scheduler_id() const;
   void do_restart(NodeId id);
-  // Shared EngineNode::Config assembly (initial deploy, restart, elastic
-  // add) — one source of truth for the pipeline/quorum knob plumbing.
-  EngineNode::Config engine_node_config() const;
+  // Build (or rebuild, on restart) engine node `id` from the shared base
+  // image with cfg_.node; `hint_source` marks the page-id-hint sender
+  // (slave 0 of the initial deployment).
+  EngineNode& make_engine_node(NodeId id, bool hint_source = false);
+  // Feed `s`'s committed updates to the persistence tier, if deployed.
+  void attach_persistence(Scheduler& s);
   // Region for the i-th node of a round-robin-placed role (geo deploys).
   void place_round_robin(NodeId id, size_t idx);
   // Allocate + provision + start + begin_rejoin for an elastic node.
@@ -172,6 +155,7 @@ class DmvCluster {
   std::vector<NodeId> slave_ids_;
   std::vector<NodeId> spare_ids_;
   std::vector<NodeId> scheduler_node_ids_;
+  std::vector<net::RegionId> region_ids_;  // [0] = local, then r1, r2, ...
   std::map<NodeId, std::unique_ptr<EngineNode>> nodes_;
   std::map<NodeId, std::unique_ptr<mem::StableStore>> stores_;
   std::vector<std::unique_ptr<Scheduler>> schedulers_;

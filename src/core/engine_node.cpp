@@ -16,6 +16,8 @@ namespace {
 
 constexpr int kMaxJoinAttempts = 8;
 constexpr sim::Time kJoinRetryBackoff = 250 * sim::kMsec;
+constexpr size_t kHintPageLimit = 4096;  // page ids per PageIdHint
+constexpr size_t kMigrationChunkPages = 64;  // pages per PageChunk message
 
 void erase_value(std::vector<net::NodeId>& v, net::NodeId n) {
   v.erase(std::remove(v.begin(), v.end(), n), v.end());
@@ -25,10 +27,11 @@ void erase_value(std::vector<net::NodeId>& v, net::NodeId n) {
 
 EngineNode::EngineNode(net::Network& net, NodeId id,
                        const api::ProcRegistry& procs,
-                       const mem::SchemaFn& schema, Config cfg,
+                       const mem::SchemaFn& schema,
+                       const mem::MemEngine::Config& engine, Config cfg,
                        mem::StableStore* store)
     : net_(net), id_(id), procs_(procs), cfg_(cfg), store_(store) {
-  engine_ = std::make_unique<MemEngine>(net.sim(), net.name(id), cfg_.engine);
+  engine_ = std::make_unique<MemEngine>(net.sim(), net.name(id), engine);
   engine_->set_trace_node(id_);
   engine_->build_schema(schema);
   engine_->set_broadcast_fn(
@@ -57,7 +60,7 @@ void EngineNode::start(bool restore_from_store) {
   net_.sim().spawn(main_loop());
   if (cfg_.eager_apply)
     for (storage::TableId t = 0; t < engine_->db().table_count(); ++t)
-      net_.sim().spawn(eager_drainer(t));
+      net_.sim().spawn(eager_drainer(t, alive_));
   if (cfg_.checkpoint_period > 0 && store_) {
     checkpointer_ = std::make_unique<mem::Checkpointer>(
         net_.sim(), *engine_, *store_, cfg_.checkpoint_period);
@@ -283,9 +286,10 @@ void EngineNode::flush_all_cum_acks() {
 
 // Ablation (eager_apply): one persistent drainer per table, woken by the
 // engine's arrival queues — replaces spawning table_count coroutines per
-// incoming write-set.
-sim::Task<> EngineNode::eager_drainer(storage::TableId t) {
-  auto alive = alive_;
+// incoming write-set. `alive` is bound at spawn: a node killed before the
+// drainer first runs has already dropped alive_.
+sim::Task<> EngineNode::eager_drainer(storage::TableId t,
+                                      std::shared_ptr<bool> alive) {
   for (;;) {
     while (*alive && engine_->has_applicable(t))
       co_await engine_->apply_pending(t, engine_->received_version()[t]);
@@ -653,7 +657,7 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       }
     }
     // Deadlock victim: back off, then retry.
-    co_await net_.sim().delay(cfg_.engine.costs.deadlock_backoff);
+    co_await net_.sim().delay(engine_->costs().deadlock_backoff);
   }
 }
 
@@ -727,7 +731,7 @@ sim::Task<> EngineNode::serve_page_request(NodeId to, PageRequest m) {
         pid, ver, engine_->db().table(pid.table).page(pid.page)});
     ++stats_.pages_served;
     ++sent;
-    if (chunk.pages.size() >= cfg_.migration_chunk_pages) flush(false);
+    if (chunk.pages.size() >= kMigrationChunkPages) flush(false);
   }
   flush(true);
   span.attr("pages", std::to_string(sent));
@@ -837,7 +841,7 @@ sim::Task<> EngineNode::rejoin_protocol(NodeId scheduler) {
         engine_->install_page(snap.pid, snap.image, snap.version);
         ++installed;
       }
-      cost += cfg_.engine.costs.install_page;
+      cost += engine_->costs().install_page;
     }
     if (cost > 0) co_await engine_->cpu().use(cost);
     if (chunk->last) break;
@@ -871,7 +875,7 @@ void EngineNode::maybe_send_hints() {
   if (txns_since_hint_ < cfg_.hint_every_txns) return;
   txns_since_hint_ = 0;
   PageIdHint hint;
-  hint.pages = engine_->cache().hot_pages(cfg_.hint_page_limit);
+  hint.pages = engine_->cache().hot_pages(kHintPageLimit);
   if (hint.pages.empty()) return;
   ++stats_.hints_sent;
   const size_t bytes = hint.pages.size() * 12;

@@ -36,14 +36,11 @@ struct EngineNodeStats {
 class EngineNode {
  public:
   struct Config {
-    mem::MemEngine::Config engine;
     sim::Time checkpoint_period = 0;  // 0: checkpointing off
     // Page-id-transfer warm-up (§4.5 second technique): if hint_target is
     // set, ship hot-page ids there every hint_every_txns transactions.
     NodeId hint_target = net::kNoNode;
     uint64_t hint_every_txns = 100;
-    size_t hint_page_limit = 4096;
-    size_t migration_chunk_pages = 64;  // pages per PageChunk message
     // Ablation: apply incoming write-sets immediately instead of lazily
     // on first read (costs CPU off the read path; loses the "create the
     // version a reader needs, when it needs it" batching). Implemented as
@@ -91,7 +88,8 @@ class EngineNode {
   };
 
   EngineNode(net::Network& net, NodeId id, const api::ProcRegistry& procs,
-             const mem::SchemaFn& schema, Config cfg,
+             const mem::SchemaFn& schema,
+             const mem::MemEngine::Config& engine, Config cfg,
              mem::StableStore* store = nullptr);
   ~EngineNode();
 
@@ -220,7 +218,7 @@ class EngineNode {
   void note_received(NodeId master, uint64_t seq);
   void flush_cum_ack(NodeId master);
   void flush_all_cum_acks();
-  sim::Task<> eager_drainer(storage::TableId t);
+  sim::Task<> eager_drainer(storage::TableId t, std::shared_ptr<bool> alive);
   void on_replica_set(std::vector<NodeId> replicas,
                       std::vector<NodeId> voters);
   void maybe_send_hints();

@@ -185,8 +185,7 @@ struct ReplicaSetUpdate {
 struct JoinRequest {
   NodeId joiner = net::kNoNode;
   // Elastic scale-out: the joiner wants to come up as a spare backup
-  // rather than an active slave (overrides the scheduler-wide
-  // join_as_spare policy for this one join).
+  // rather than an active slave.
   bool as_spare = false;
 };
 struct JoinInfo {

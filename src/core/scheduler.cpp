@@ -317,7 +317,7 @@ sim::Task<> Scheduler::main_loop() {
       // pre-crash routing state must not skew reads against it.
       outstanding_per_node_.erase(jc->joiner);
       last_tag_.erase(jc->joiner);
-      if (jc->as_spare || cfg_.join_as_spare)
+      if (jc->as_spare)
         spares_.push_back(jc->joiner);
       else
         slaves_.push_back(jc->joiner);
@@ -674,7 +674,7 @@ void Scheduler::on_node_killed(NodeId n) {
     fail_outstanding_on(n);
     // Unblock the masters' pending ack waits.
     broadcast_replica_sets();
-    if (was_slave && cfg_.auto_integrate_spare) integrate_spare();
+    if (was_slave) integrate_spare();
     gossip_topology();
   }
   if (was_master) {
@@ -903,7 +903,7 @@ sim::Task<> Scheduler::recover_master(size_t cls) {
 
   // 3. The promoted node left the read rotation; backfill with a spare.
   //    An adopting master never was in the rotation, so nothing to refill.
-  if (!adopted && cfg_.auto_integrate_spare) integrate_spare();
+  if (!adopted) integrate_spare();
   broadcast_replica_sets();
   gossip_topology();
 
@@ -980,7 +980,7 @@ sim::Task<> Scheduler::takeover() {
     if (classes_[c].master == net::kNoNode ||
         !net_.alive(classes_[c].master))
       maybe_spawn_recovery(c);
-  if (cfg_.auto_integrate_spare && slaves_.empty()) integrate_spare();
+  if (slaves_.empty()) integrate_spare();
   gossip_topology();
   pump_held_reads();
 }

@@ -67,9 +67,6 @@ class Scheduler {
     int max_version_abort_retries = 5;
     // Admission control: at most this many in-flight reads per replica.
     uint64_t max_reads_inflight_per_node = 4;
-    bool join_as_spare = false;  // completed joiners become spares instead
-                                 // of active slaves
-    bool auto_integrate_spare = true;  // backfill a spare on node death
     uint64_t rng_seed = 12345;
     // Test-only mutation (dmv_check smoke mode): skip merging a committed
     // update's db_version into the scheduler vector before acking the

@@ -14,6 +14,8 @@ using txn::TxnAbort;
 using txn::TxnCtx;
 using txn::TxnKind;
 
+constexpr int kCpus = 2;  // same dual-CPU nodes as the in-memory tier
+
 DiskEngine::DiskEngine(sim::Simulation& sim, std::string name, Config cfg)
     : sim_(sim),
       name_(std::move(name)),
@@ -22,7 +24,7 @@ DiskEngine::DiskEngine(sim::Simulation& sim, std::string name, Config cfg)
       disk_(sim, cfg.costs),
       pool_(disk_, cfg.buffer_frames),
       wal_(sim, disk_),
-      cpu_(sim, cfg.cpus) {}
+      cpu_(sim, kCpus) {}
 
 DiskEngine::~DiskEngine() { shutdown(); }
 

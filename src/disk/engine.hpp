@@ -39,7 +39,6 @@ class DiskEngine {
   struct Config {
     txn::CostModel costs;
     size_t buffer_frames = 4096;
-    int cpus = 2;
   };
 
   DiskEngine(sim::Simulation& sim, std::string name, Config cfg);

@@ -8,15 +8,6 @@ namespace dmv::harness {
 
 namespace {
 
-workload::Options workload_options(const WorkloadConfig& w) {
-  workload::Options o;
-  o.kind = w.kind;
-  o.scale = w.scale;
-  o.mix = w.mix;
-  o.tuning = w.tuning;
-  return o;
-}
-
 // Create, configure and globally install an experiment's tracer. Installed
 // even when disabled so node-name registration during construction lands.
 std::unique_ptr<obs::Tracer> make_tracer(sim::Simulation& sim,
@@ -29,6 +20,16 @@ std::unique_ptr<obs::Tracer> make_tracer(sim::Simulation& sim,
   return t;
 }
 
+// Start an on-disk engine warm: prefetch every page into its buffer pool
+// (LRU keeps the most recently prefetched ones).
+void prefill_pool(disk::DiskEngine& eng) {
+  for (storage::TableId t = 0; t < eng.db().table_count(); ++t) {
+    const auto& tb = eng.db().table(t);
+    for (storage::PageNo p = 0; p < tb.page_count(); ++p)
+      eng.pool().prefill({t, p});
+  }
+}
+
 }  // namespace
 
 DmvExperiment::DmvExperiment(Config cfg)
@@ -37,16 +38,10 @@ DmvExperiment::DmvExperiment(Config cfg)
   tracer_ = make_tracer(*sim_, cfg_.trace, cfg_.trace_categories,
                         &prev_tracer_);
   net_ = std::make_unique<net::Network>(*sim_);
-  if (cfg_.regions > 1) {
-    net::LinkClassConfig& cross =
-        net_->topology().link(net::LinkClass::Cross);
-    cross.base_latency = cfg_.cross_base_latency;
-    cross.per_kb = cfg_.cross_per_kb;
-    cross.jitter = cfg_.cross_jitter;
-    cross.detect_delay = cfg_.cross_detect_delay;
-  }
+  if (cfg_.regions > 1)
+    net_->topology().link(net::LinkClass::Cross) = cfg_.cross;
   const size_t classes = std::max<size_t>(1, cfg_.workload.classes);
-  workload_ = workload::make_workload(workload_options(cfg_.workload));
+  workload_ = workload::make_workload(cfg_.workload);
   registry_ = workload::make_sharded_registry(*workload_, classes);
 
   core::DmvCluster::Config cc;
@@ -56,20 +51,10 @@ DmvExperiment::DmvExperiment(Config cfg)
   cc.engine.costs = cfg_.costs;
   cc.engine.cache_pages = cfg_.cache_pages;
   cc.engine.full_page_writesets = cfg_.full_page_writesets;
-  cc.eager_apply = cfg_.eager_apply;
-  cc.batch_max_writesets = cfg_.batch_max_writesets;
-  cc.batch_delay = cfg_.batch_delay;
-  cc.ack_every_n = cfg_.ack_every_n;
-  cc.ack_delay = cfg_.ack_delay;
+  cc.node = cfg_.node;
+  cc.scheduler = cfg_.scheduler;
   cc.regions = cfg_.regions;
-  cc.quorum_commit = cfg_.quorum_commit;
-  cc.write_quorum = cfg_.write_quorum;
-  cc.checkpoint_period = cfg_.checkpoint_period;
-  cc.scheduler.spare_read_fraction = cfg_.spare_read_fraction;
-  cc.scheduler.max_reads_inflight_per_node = cfg_.reads_inflight_cap;
   cc.pageid_hints = cfg_.pageid_hints;
-  cc.hint_every_txns = cfg_.hint_every_txns;
-  cc.prewarm_active = cfg_.prewarm_active;
   cc.prewarm_spares = cfg_.prewarm_spares;
   cc.enable_persistence = cfg_.persistence;
   cc.persistence.engine.costs = cfg_.costs;
@@ -172,24 +157,14 @@ DiskExperiment::DiskExperiment(Config cfg)
   sim_ = std::make_unique<sim::Simulation>();
   tracer_ = make_tracer(*sim_, cfg_.trace, cfg_.trace_categories,
                         &prev_tracer_);
-  workload_ = workload::make_workload(workload_options(cfg_.workload));
+  workload_ = workload::make_workload(cfg_.workload);
   registry_ = workload_->make_registry();
-  disk::DiskEngine::Config dc;
-  dc.costs = cfg_.costs;
-  dc.buffer_frames = cfg_.buffer_frames;
-  engine_ = std::make_unique<disk::DiskEngine>(*sim_, "innodb", dc);
+  engine_ = std::make_unique<disk::DiskEngine>(*sim_, "innodb", cfg_.engine);
   engine_->set_trace_node(0);
   obs::name_node(0, engine_->name());
   engine_->build_schema(workload::schema_fn(workload_));
   workload_->load(engine_->db(), 0, 0);
-  if (cfg_.prewarm) {
-    // Fill the pool (LRU keeps the most recently prefetched pages).
-    for (storage::TableId t = 0; t < engine_->db().table_count(); ++t) {
-      const auto& tb = engine_->db().table(t);
-      for (storage::PageNo p = 0; p < tb.page_count(); ++p)
-        engine_->pool().prefill({t, p});
-    }
-  }
+  prefill_pool(*engine_);
 }
 
 void DiskExperiment::start() {
@@ -231,27 +206,13 @@ TierExperiment::TierExperiment(Config cfg)
   sim_ = std::make_unique<sim::Simulation>();
   tracer_ = make_tracer(*sim_, cfg_.trace, cfg_.trace_categories,
                         &prev_tracer_);
-  workload_ = workload::make_workload(workload_options(cfg_.workload));
+  workload_ = workload::make_workload(cfg_.workload);
   registry_ = workload_->make_registry();
-  disk::ReplicatedDiskTier::Config tc;
-  tc.engine.costs = cfg_.costs;
-  tc.engine.buffer_frames = cfg_.buffer_frames;
-  tc.actives = cfg_.actives;
-  tc.backups = cfg_.backups;
-  tc.backup_sync_period = cfg_.backup_sync_period;
   tier_ = std::make_unique<disk::ReplicatedDiskTier>(
-      *sim_, tc, workload::schema_fn(workload_), registry_);
+      *sim_, cfg_.tier, workload::schema_fn(workload_), registry_);
   tier_->load(workload::loader_fn(workload_));
-  if (cfg_.prewarm_actives) {
-    for (size_t e = 0; e < size_t(cfg_.actives); ++e) {
-      auto& eng = tier_->engine(e);
-      for (storage::TableId t = 0; t < eng.db().table_count(); ++t) {
-        const auto& tb = eng.db().table(t);
-        for (storage::PageNo p = 0; p < tb.page_count(); ++p)
-          eng.pool().prefill({t, p});
-      }
-    }
-  }
+  for (size_t e = 0; e < size_t(cfg_.tier.actives); ++e)
+    prefill_pool(tier_->engine(e));
   tier_->start();
 }
 

@@ -16,14 +16,11 @@
 
 namespace dmv::harness {
 
-struct WorkloadConfig {
-  // Which workload drives the system (tpcw | ycsb | orders | scan); the
-  // non-TPC-W workloads read their knobs from `tuning`, TPC-W from
-  // scale + mix. All four run unchanged on every experiment type.
-  workload::Kind kind = workload::Kind::Tpcw;
-  workload::Tuning tuning;
-  tpcw::ScaleConfig scale;
-  tpcw::Mix mix = tpcw::Mix::Shopping;
+// Which workload drives the system (workload::Options: tpcw | ycsb | orders
+// | scan; the non-TPC-W workloads read their knobs from `tuning`, TPC-W
+// from scale + mix — all four run unchanged on every experiment type),
+// plus the client population that drives it.
+struct WorkloadConfig : workload::Options {
   size_t clients = 100;
   sim::Time think_mean = 700 * sim::kMsec;
   sim::Time bucket = 20 * sim::kSec;
@@ -48,39 +45,22 @@ class DmvExperiment {
  public:
   struct Config {
     WorkloadConfig workload;
+    // Deployment shape and engine cost model (see DmvCluster::Config).
     int slaves = 2;
     int spares = 0;
     int schedulers = 1;
     txn::CostModel costs;
     size_t cache_pages = 1 << 20;
-    sim::Time checkpoint_period = 0;
-    double spare_read_fraction = 0.0;
+    bool full_page_writesets = false;
     bool pageid_hints = false;
-    uint64_t hint_every_txns = 100;
-    bool prewarm_active = true;
     bool prewarm_spares = false;
     bool persistence = false;
-    bool full_page_writesets = false;
-    bool eager_apply = false;
-    // Replication pipeline windows (cumulative acks are always on; these
-    // control coalescing — see EngineNode::Config).
-    size_t batch_max_writesets = 1;
-    sim::Time batch_delay = 0;
-    uint64_t ack_every_n = 1;
-    sim::Time ack_delay = 0;
-    uint64_t reads_inflight_cap = 4;
+    core::EngineNode::Config node;
+    core::Scheduler::Config scheduler;
     // Geo deployment (see DmvCluster::Config::regions): >1 spreads the
-    // slave/spare/scheduler tier over WAN regions; the cross-region link
-    // class gets the parameters below. quorum_commit acks the client once
-    // a write quorum confirmed the write-set (remaining replicas catch up
-    // lazily via the cumulative-ack stream).
+    // slave/spare/scheduler tier over WAN regions, whose links get `cross`.
     size_t regions = 1;
-    bool quorum_commit = false;
-    int write_quorum = 0;  // 0 = majority of voters + master
-    sim::Time cross_base_latency = 20 * sim::kMsec;
-    sim::Time cross_per_kb = 200;  // usec/KiB
-    sim::Time cross_jitter = 500;  // uniform extra, usec
-    sim::Time cross_detect_delay = 200 * sim::kMsec;
+    net::LinkClassConfig cross{20 * sim::kMsec, 200, 500, 200 * sim::kMsec};
     // Structured tracing (dmv_obs). With trace=false the tracer exists but
     // stays disabled: instrumentation costs one load+branch per site.
     bool trace = false;
@@ -146,9 +126,7 @@ class DiskExperiment {
  public:
   struct Config {
     WorkloadConfig workload;
-    txn::CostModel costs;
-    size_t buffer_frames = 2048;
-    bool prewarm = true;
+    disk::DiskEngine::Config engine{.costs = {}, .buffer_frames = 2048};
     bool trace = false;
     uint32_t trace_categories = obs::kAllCats;
   };
@@ -184,12 +162,8 @@ class TierExperiment {
  public:
   struct Config {
     WorkloadConfig workload;
-    txn::CostModel costs;
-    size_t buffer_frames = 2048;
-    int actives = 2;
-    int backups = 1;
-    sim::Time backup_sync_period = 30 * 60 * sim::kSec;
-    bool prewarm_actives = true;
+    disk::ReplicatedDiskTier::Config tier{
+        .engine = {.costs = {}, .buffer_frames = 2048}};
     bool trace = false;
     uint32_t trace_categories = obs::kAllCats;
   };

@@ -16,13 +16,15 @@ using txn::TxnAbort;
 using txn::TxnCtx;
 using txn::TxnKind;
 
+constexpr int kCpus = 2;  // the paper's dual-Athlon nodes
+
 MemEngine::MemEngine(sim::Simulation& sim, std::string name, Config cfg)
     : sim_(sim),
       name_(std::move(name)),
       cfg_(cfg),
       locks_(sim),
       cache_(cfg.cache_pages, cfg.costs.mem_page_fault),
-      cpu_(sim, cfg.cpus) {}
+      cpu_(sim, kCpus) {}
 
 MemEngine::~MemEngine() { shutdown(); }
 

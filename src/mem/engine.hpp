@@ -63,7 +63,6 @@ class MemEngine {
   struct Config {
     txn::CostModel costs;
     size_t cache_pages = 1 << 20;  // effectively unbounded by default
-    int cpus = 2;                  // the paper's dual-Athlon nodes
     // Ablation: ship whole page images instead of byte-diff runs.
     bool full_page_writesets = false;
     // --- test-only mutation knobs (dmv_check mutation smoke mode) ---

@@ -288,8 +288,8 @@ TEST(ChaosHarness, CatastrophicLossStillSatisfiesInvariants) {
   // Kill everything that can serve requests: clients must fail cleanly
   // (errors, not hangs) and no invariant may trip.
   ChaosConfig cfg;
-  cfg.slaves = 2;
-  cfg.spares = 0;
+  cfg.cluster.slaves = 2;
+  cfg.cluster.spares = 0;
   const ChaosReport rep = run_chaos(
       cfg,
       "kill:slave0@t:20000;kill:slave1@t:20000;kill:master@t:20000;"
@@ -316,10 +316,7 @@ TEST(ChaosHarness, BatchedPipelineKeepsInvariantsThroughMasterKill) {
   // still satisfy every invariant — no lost acked update, consistent
   // tagged reads, monotone version vectors.
   chaos::ChaosConfig cfg;
-  cfg.batch_max_writesets = 4;
-  cfg.batch_delay = 500;  // 500us
-  cfg.ack_every_n = 4;
-  cfg.ack_delay = 500;
+  chaos::open_batch_windows(cfg.cluster.node);
   auto r = chaos::run_chaos(cfg, "kill:master@t:30000");
   EXPECT_TRUE(r.passed) << r.summary();
   EXPECT_GE(r.recoveries, 1u);
@@ -330,7 +327,7 @@ TEST(ChaosHarness, BackendKillRestartKeepsDurability) {
   // applier must replay (or snapshot+suffix attach) to the tail, and the
   // end invariants require its rows inside the acked ledger intervals.
   ChaosConfig cfg;
-  cfg.enable_persistence = true;
+  cfg.cluster.enable_persistence = true;
   const ChaosReport rep =
       run_chaos(cfg, "killbackend:0@t:20000;restartbackend:0@t:60000");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
@@ -345,7 +342,7 @@ TEST(ChaosHarness, SchedulerKillAtPersistPointKeepsAckedDurability) {
   // update log exactly once, and every acked update must be on disk at
   // quiesce.
   ChaosConfig cfg;
-  cfg.enable_persistence = true;
+  cfg.cluster.enable_persistence = true;
   const ChaosReport rep = run_chaos(cfg, "kill:sched0@p:persist.append#3");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(rep.passed);
@@ -357,7 +354,7 @@ TEST(ChaosHarness, WipeTierBackendsStillHoldAckedPrefix) {
   // cleanly, and the backends alone must still hold every acked update
   // (the paper's disaster-recovery guarantee).
   ChaosConfig cfg;
-  cfg.enable_persistence = true;
+  cfg.cluster.enable_persistence = true;
   const ChaosReport rep = run_chaos(cfg, "wipe-tier@t:30000");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(rep.passed);

@@ -216,7 +216,7 @@ TEST(RunCheck, DisasterDrillRoundTrips) {
   // recoverable backend (rows + log suffix) equals the sequential prefix
   // at the acked frontier exactly.
   CheckConfig cfg = quick_cfg(test::base_seed);
-  cfg.disaster = true;
+  cfg.cluster.enable_persistence = true;
   CheckReport rep = check::run_check(
       cfg, "killbackend:0@t:6000;wipe-tier@t:30000");
   EXPECT_TRUE(rep.passed) << rep.summary() << "\n"
@@ -228,7 +228,7 @@ TEST(RunCheck, DisasterDrillRoundTrips) {
 
 TEST(RunCheck, RandomDisasterPlansParseAndWipe) {
   CheckConfig cfg = quick_cfg(1);
-  cfg.disaster = true;
+  cfg.cluster.enable_persistence = true;
   for (uint64_t s = 1; s <= 8; ++s) {
     const std::string plan = check::random_disaster_plan(cfg, s);
     std::string err;

@@ -272,7 +272,7 @@ TEST(DmvCluster, SchedulerFailoverKeepsServing) {
 TEST(DmvCluster, ReintegrationAfterRestart) {
   DmvCluster::Config cfg;
   cfg.slaves = 2;
-  cfg.checkpoint_period = 0;  // worst case: full page transfer
+  cfg.node.checkpoint_period = 0;  // worst case: full page transfer
   Fixture f(cfg);
   auto client = f.cluster->make_client("c");
   // Produce some committed state.
@@ -497,7 +497,7 @@ TEST(DmvCluster, PageIdHintsWarmSpareWithoutQueries) {
   cfg.slaves = 2;
   cfg.spares = 1;
   cfg.pageid_hints = true;
-  cfg.hint_every_txns = 10;
+  cfg.node.hint_every_txns = 10;
   Fixture f(cfg);
   auto client = f.cluster->make_client("c");
   int done = 0;
@@ -732,8 +732,8 @@ TEST(ConflictClasses, PerClassMasterFailureRecoversOnlyThatClass) {
 chaos::ChaosReport replay(const char* plan, uint64_t seed = 1,
                           int slaves = 2, int spares = 1) {
   chaos::ChaosConfig cfg;
-  cfg.slaves = slaves;
-  cfg.spares = spares;
+  cfg.cluster.slaves = slaves;
+  cfg.cluster.spares = spares;
   cfg.seed = seed;
   return chaos::run_chaos(cfg, plan);
 }
@@ -776,8 +776,8 @@ TEST(Failover, ReadsSurviveLastSlaveDeath) {
   // diversion is immediate — a fallback gated on list emptiness parks
   // reads for the whole failure-detection window.
   chaos::ChaosConfig cfg;
-  cfg.slaves = 1;
-  cfg.spares = 0;
+  cfg.cluster.slaves = 1;
+  cfg.cluster.spares = 0;
   cfg.max_read_stall = 20 * sim::kMsec;  // well under detect_delay (50ms)
   auto r = chaos::run_chaos(cfg, "kill:slave0@t:30000");
   EXPECT_TRUE(r.passed) << r.summary();
@@ -938,10 +938,10 @@ TEST(DmvCluster, ReplicasShareOneWriteSetPayload) {
 TEST(DmvCluster, BatchedReplicationCoalescesAndPreservesOrder) {
   DmvCluster::Config cfg;
   cfg.slaves = 2;
-  cfg.batch_max_writesets = 4;
-  cfg.batch_delay = 5 * sim::kMsec;
-  cfg.ack_every_n = 4;
-  cfg.ack_delay = 5 * sim::kMsec;
+  cfg.node.batch_max_writesets = 4;
+  cfg.node.batch_delay = 5 * sim::kMsec;
+  cfg.node.ack_every_n = 4;
+  cfg.node.ack_delay = 5 * sim::kMsec;
   Fixture f(cfg);
   constexpr int kDeposits = 8;
   std::vector<std::unique_ptr<ClusterClient>> clients;
@@ -984,8 +984,8 @@ TEST(DmvCluster, BatchedReplicationCoalescesAndPreservesOrder) {
 TEST(DmvCluster, DelayedCumAckFlushesOnDeadline) {
   DmvCluster::Config cfg;
   cfg.slaves = 1;
-  cfg.ack_every_n = 16;  // the count threshold will never be reached
-  cfg.ack_delay = 2 * sim::kMsec;
+  cfg.node.ack_every_n = 16;  // the count threshold will never be reached
+  cfg.node.ack_delay = 2 * sim::kMsec;
   Fixture f(cfg);
   api::Params dep;
   dep.set("id", int64_t{1}).set("amt", int64_t{5});
@@ -1010,8 +1010,8 @@ TEST(DmvCluster, ReplicaDeathMidAckWaitDoesNotHangCommit) {
   // the ack-wait on failure detection and complete on the survivor alone.
   DmvCluster::Config cfg;
   cfg.slaves = 2;
-  cfg.ack_every_n = 64;
-  cfg.ack_delay = 200 * sim::kMsec;  // much longer than failure detection
+  cfg.node.ack_every_n = 64;
+  cfg.node.ack_delay = 200 * sim::kMsec;  // much longer than failure detection
   Fixture f(cfg);
   auto client = f.cluster->make_client("c");
   std::optional<api::TxnResult> out;
@@ -1060,10 +1060,10 @@ TEST(Failover, LateWriteSetBatchAfterDiscardIsDropped) {
     cfg.rows_per_table = 4096;  // spread rows over pages: no accidental
     cfg.clients = 4;            // page-version masking of stale mods
     cfg.ops_per_client = 25;
-    cfg.batch_max_writesets = 4;
-    cfg.batch_delay = 2 * sim::kMsec;
-    cfg.ack_every_n = 4;
-    cfg.ack_delay = 2 * sim::kMsec;
+    cfg.cluster.node.batch_max_writesets = 4;
+    cfg.cluster.node.batch_delay = 2 * sim::kMsec;
+    cfg.cluster.node.ack_every_n = 4;
+    cfg.cluster.node.ack_delay = 2 * sim::kMsec;
     auto r = check::run_check(
         cfg,
         "slow:master0~slave0:70000@t:0;slow:master0~slave1:70000@t:0;"
@@ -1122,7 +1122,7 @@ struct GeoFixture {
 TEST(GeoReplication, QuorumCommitDoesNotWaitForRemoteRegion) {
   DmvCluster::Config cfg;
   cfg.slaves = 2;  // slave0 -> local (sync voter), slave1 -> r1
-  cfg.quorum_commit = true;
+  cfg.node.quorum_commit = true;
   GeoFixture f(std::move(cfg), 100 * sim::kMsec);
   auto client = f.cluster->make_client("c");
   std::optional<api::TxnResult> r;
@@ -1148,7 +1148,7 @@ TEST(GeoReplication, AllAckCommitWaitsForRemoteRegion) {
   // gates on every replica's cumulative ack — one WAN round trip minimum.
   DmvCluster::Config cfg;
   cfg.slaves = 2;
-  cfg.quorum_commit = false;
+  cfg.node.quorum_commit = false;
   GeoFixture f(std::move(cfg), 100 * sim::kMsec);
   auto client = f.cluster->make_client("c");
   std::optional<api::TxnResult> r;
@@ -1170,8 +1170,8 @@ TEST(GeoReplication, MasterDeathOneAckShortOfQuorumDiscardsEverywhere) {
   // update vanishes consistently, and a fresh attempt applies once.
   DmvCluster::Config cfg;
   cfg.slaves = 2;
-  cfg.quorum_commit = true;
-  cfg.write_quorum = 3;
+  cfg.node.quorum_commit = true;
+  cfg.node.write_quorum = 3;
   GeoFixture f(std::move(cfg), 100 * sim::kMsec);
   auto client = f.cluster->make_client("c");
   std::optional<api::TxnResult> r;
@@ -1207,7 +1207,7 @@ TEST(GeoReplication, LaggingReplicaServesReadOnlyAfterCatchUp) {
   // the WAN — never serve the stale pre-commit state.
   DmvCluster::Config cfg;
   cfg.slaves = 2;
-  cfg.quorum_commit = true;
+  cfg.node.quorum_commit = true;
   GeoFixture f(std::move(cfg), 2 * sim::kSec);
   auto client = f.cluster->make_client("c");
   std::optional<api::TxnResult> r;
@@ -1248,7 +1248,7 @@ TEST(GeoReplication, LaggingReplicaServesReadOnlyAfterCatchUp) {
 TEST(GeoReplication, PartitionedMinorityRegionDoesNotBlockQuorumCommits) {
   DmvCluster::Config cfg;
   cfg.slaves = 2;
-  cfg.quorum_commit = true;
+  cfg.node.quorum_commit = true;
   GeoFixture f(std::move(cfg), 10 * sim::kMsec);
   f.net.partition_regions(0, f.remote);
 
@@ -1282,8 +1282,8 @@ TEST(GeoReplication, WriteQuorumSpanningPartitionStallsUntilHeal) {
   // issued during the cut must wait for the heal — blocked, not lost.
   DmvCluster::Config cfg;
   cfg.slaves = 2;
-  cfg.quorum_commit = true;
-  cfg.write_quorum = 3;
+  cfg.node.quorum_commit = true;
+  cfg.node.write_quorum = 3;
   GeoFixture f(std::move(cfg), 10 * sim::kMsec);
   f.net.partition_regions(0, f.remote);
 
@@ -1481,7 +1481,7 @@ TEST(Elastic, RetireLastRegionalSlaveUnderQuorumCommit) {
   DmvCluster::Config cfg;
   cfg.slaves = 2;
   cfg.regions = 2;  // slave1 lands in region r1
-  cfg.quorum_commit = true;
+  cfg.node.quorum_commit = true;
   Fixture f(cfg);
   api::Params dep;
   dep.set("id", int64_t{3}).set("amt", int64_t{4});
@@ -1538,7 +1538,7 @@ TEST(Elastic, SpareMidRejoinIsNotActivated) {
   // therefore not caught up — reads routed to it would serve stale pages.
   DmvCluster::Config cfg;
   cfg.slaves = 2;
-  cfg.checkpoint_period = 0;  // full page transfer: a wide join window
+  cfg.node.checkpoint_period = 0;  // full page transfer: a wide join window
   Fixture f(cfg);
   for (int i = 0; i < 20; ++i) {
     api::Params dep;
@@ -1596,7 +1596,7 @@ TEST(Elastic, JoinSupportSkipsMidJoinSlaves) {
   // would seed from a peer that hasn't caught up.
   DmvCluster::Config cfg;
   cfg.slaves = 2;
-  cfg.checkpoint_period = 0;
+  cfg.node.checkpoint_period = 0;
   Fixture f(cfg);
   for (int i = 0; i < 20; ++i) {
     api::Params dep;

@@ -99,12 +99,63 @@ TEST(Experiment, DmvSmokeAndDeterminism) {
   EXPECT_EQ(a, b);  // bit-deterministic
 }
 
+// Node knobs are declared once, on DmvExperiment::Config::node, and must
+// reach every engine node the cluster builds: the initial masters, slaves
+// and spares, a restarted slave and an elastically added one. Only slave 0
+// of the initial deployment sends page-id hints, and only when asked to.
+TEST(Experiment, NodeKnobsReachEveryNode) {
+  for (bool hints : {false, true}) {
+    SCOPED_TRACE(hints ? "pageid_hints on" : "pageid_hints off");
+    DmvExperiment::Config cfg;
+    cfg.workload.scale.items = 100;
+    cfg.slaves = 2;
+    cfg.spares = 1;
+    cfg.pageid_hints = hints;
+    cfg.node.batch_max_writesets = 3;
+    cfg.node.batch_delay = 700;
+    cfg.node.ack_every_n = 5;
+    cfg.node.ack_delay = 900;
+    cfg.node.quorum_commit = true;
+    cfg.node.write_quorum = 2;
+    cfg.node.checkpoint_period = 7 * sim::kSec;
+    cfg.node.eager_apply = true;
+    DmvExperiment exp(cfg);
+    core::DmvCluster& cl = exp.cluster();
+    auto expect_knobs = [&](net::NodeId id, net::NodeId hint_target) {
+      SCOPED_TRACE(cl.net().name(id));
+      const core::EngineNode::Config& nc = cl.node(id).config();
+      EXPECT_EQ(nc.batch_max_writesets, 3u);
+      EXPECT_EQ(nc.batch_delay, 700);
+      EXPECT_EQ(nc.ack_every_n, 5u);
+      EXPECT_EQ(nc.ack_delay, 900);
+      EXPECT_TRUE(nc.quorum_commit);
+      EXPECT_EQ(nc.write_quorum, 2);
+      EXPECT_EQ(nc.checkpoint_period, 7 * sim::kSec);
+      EXPECT_TRUE(nc.eager_apply);
+      EXPECT_EQ(nc.hint_target, hint_target);
+    };
+    ASSERT_EQ(cl.master_count(), 1u);
+    expect_knobs(cl.master_id(), net::kNoNode);
+    expect_knobs(cl.slave_id(0), hints ? cl.spare_id(0) : net::kNoNode);
+    expect_knobs(cl.slave_id(1), net::kNoNode);
+    expect_knobs(cl.spare_id(0), net::kNoNode);
+
+    const net::NodeId victim = cl.slave_id(1);
+    cl.kill_node(victim);
+    exp.run_until(sim::kSec);  // past failure detection
+    cl.restart_and_rejoin(victim);
+    ASSERT_TRUE(cl.net().alive(victim));
+    expect_knobs(victim, net::kNoNode);
+    expect_knobs(cl.add_slave(), net::kNoNode);
+  }
+}
+
 TEST(Experiment, DiskSmoke) {
   DiskExperiment::Config cfg;
   cfg.workload.scale.items = 100;
   cfg.workload.clients = 10;
   cfg.workload.think_mean = 300 * sim::kMsec;
-  cfg.buffer_frames = 1 << 16;
+  cfg.engine.buffer_frames = 1 << 16;
   DiskExperiment exp(cfg);
   exp.start();
   exp.run_until(20 * sim::kSec);
@@ -118,7 +169,7 @@ TEST(Experiment, TierSmoke) {
   cfg.workload.scale.items = 100;
   cfg.workload.clients = 10;
   cfg.workload.think_mean = 500 * sim::kMsec;
-  cfg.buffer_frames = 1 << 16;
+  cfg.tier.engine.buffer_frames = 1 << 16;
   TierExperiment exp(cfg);
   exp.start();
   exp.run_until(20 * sim::kSec);

@@ -172,7 +172,7 @@ TEST_P(FaultStorm, NoAcknowledgedCommitLostAndReplicasConverge) {
   DmvCluster::Config cfg;
   cfg.slaves = 3;
   cfg.spares = 1;
-  cfg.checkpoint_period = 5 * sim::kSec;
+  cfg.node.checkpoint_period = 5 * sim::kSec;
   Fixture f(cfg);
   util::Rng rng(GetParam());
 
@@ -352,7 +352,7 @@ TEST(Integration, CheckpointReducesMigrationVolume) {
   auto run_once = [&](sim::Time checkpoint_period) -> uint64_t {
     DmvCluster::Config cfg;
     cfg.slaves = 2;
-    cfg.checkpoint_period = checkpoint_period;
+    cfg.node.checkpoint_period = checkpoint_period;
     Fixture f(cfg);
     util::Rng rng(42);
     std::set<int64_t> confirmed;

@@ -345,7 +345,8 @@ TEST(MultiMaster, WrongClassRouteMutationCaught) {
 
   check::CheckConfig clean;
   mut->apply(clean);
-  clean.mut_wrong_class_route = false;
+  clean.cluster.scheduler.mut_wrong_class_route = false;
+  clean.cluster.node.mut_wrong_class_route = false;
   clean.seed = catch_seed;
   const check::CheckReport rep = check::run_check(clean, mut->plan);
   EXPECT_TRUE(rep.passed) << rep.summary();
