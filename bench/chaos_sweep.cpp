@@ -1,5 +1,10 @@
-// chaos_sweep: enumerate fault schedules against the DMV cluster and check
-// the chaos invariants on every one (see src/chaos/).
+// chaos_sweep: enumerate fault schedules against the DMV cluster and run
+// each through the one fault harness, check::run_check — the sequential
+// 1-copy-SR oracle plus every structural invariant (src/chaos/
+// invariants.hpp) and the live-master durability check.
+//
+// Workload: one conflict class (one update master, named "master"), 4
+// closed-loop clients x 25 ops over 64 rows, check's mixed op family.
 //
 // Phases:
 //  1. baseline (no faults) — the harness itself must be quiet;
@@ -11,7 +16,8 @@
 //     sched.takeover, join.*, ...) it exercises, then re-run it killing a
 //     second node exactly when each point fires;
 //  4. scenario schedules: read starvation with the last slave dead, a
-//     standby takeover racing a dying master, a join arriving mid-recovery.
+//     standby takeover racing a dying master, a join arriving mid-recovery,
+//     a master restarting before the standby takes over.
 //
 // Every run is deterministic in (config, plan, seed). A failing schedule is
 // shrunk greedily (drop one fault at a time while the failure reproduces)
@@ -26,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "chaos/harness.hpp"
+#include "check/checker.hpp"
 
 using namespace dmv;
 
@@ -39,51 +45,39 @@ struct Options {
   bool quick = false;
   bool verbose = false;
   bool list_points = false;
-  chaos::ChaosConfig base;  // role counts adjustable for --fault-plan runs
+  check::CheckConfig base = check::chaos_config();
 };
 
 struct Entry {
   std::string name;
-  chaos::ChaosConfig cfg;
+  check::CheckConfig cfg;
   std::string plan;
 };
 
 int g_runs = 0;
 
-chaos::ChaosReport run_one(const chaos::ChaosConfig& cfg,
+check::CheckReport run_one(const check::CheckConfig& cfg,
                            const std::string& plan, uint64_t seed) {
-  chaos::ChaosConfig c = cfg;
+  check::CheckConfig c = cfg;
   c.seed = seed;
   ++g_runs;
-  return chaos::run_chaos(c, plan);
+  return check::run_check(c, plan);
 }
 
 // Greedy delta-debugging via the shared shrinker: drop one fault at a time
 // as long as the failure still reproduces under the same seed.
-std::string shrink(const chaos::ChaosConfig& cfg, const std::string& plan,
+std::string shrink(const check::CheckConfig& cfg, const std::string& plan,
                    uint64_t seed) {
   return chaos::shrink_plan(plan, [&](const std::string& cand) {
     return !run_one(cfg, cand, seed).passed;
   });
 }
 
-std::string replay_hint(const chaos::ChaosConfig& cfg,
+std::string replay_hint(const check::CheckConfig& cfg,
                         const std::string& plan, uint64_t seed) {
-  std::string s = "chaos_sweep --fault-plan '" + plan + "' --seeds 1";
-  chaos::ChaosConfig d;
-  if (cfg.cluster.slaves != d.cluster.slaves)
-    s += " --slaves " + std::to_string(cfg.cluster.slaves);
-  if (cfg.cluster.spares != d.cluster.spares)
-    s += " --spares " + std::to_string(cfg.cluster.spares);
-  if (cfg.cluster.schedulers != d.cluster.schedulers)
-    s += " --schedulers " + std::to_string(cfg.cluster.schedulers);
-  if (cfg.max_read_stall != d.max_read_stall)
-    s += " --max-read-stall " + std::to_string(cfg.max_read_stall);
-  if (cfg.cluster.node.batch_max_writesets !=
-      d.cluster.node.batch_max_writesets)
-    s += " --batched";
-  if (seed != 1) s += "   # seed " + std::to_string(seed);
-  return s;
+  // --seeds N replays seeds 1..N; the failing one is the last.
+  return "chaos_sweep --fault-plan '" + plan + "' --seeds " +
+         std::to_string(seed) + check::sweep_flags(cfg, check::chaos_config());
 }
 
 // Runs an entry across seeds; on failure shrinks and reports. True = pass.
@@ -119,7 +113,7 @@ bool interesting_point(const std::string& name) {
          name.rfind("spare.", 0) == 0;
 }
 
-std::vector<std::string> points_of(const chaos::ChaosConfig& cfg,
+std::vector<std::string> points_of(const check::CheckConfig& cfg,
                                    const std::string& plan) {
   const auto rep = run_one(cfg, plan, 1);
   std::vector<std::string> pts;
@@ -172,7 +166,7 @@ int main(int argc, char** argv) {
       // Run every schedule with the replication pipeline's coalescing
       // windows open: acks stand for prefixes and write-sets sit in
       // master-side batch windows while faults fire.
-      chaos::open_batch_windows(opt.base.cluster.node);
+      check::open_batch_windows(opt.base.cluster.node);
     } else {
       std::cerr << "usage: chaos_sweep [--fault-plan PLAN] [--seeds N] "
                    "[--quick] [--verbose] [--list-points] [--batched]\n"
@@ -216,7 +210,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Entry> entries;
-  const chaos::ChaosConfig base = opt.base;
+  const check::CheckConfig base = opt.base;
 
   // Phase 1: baseline.
   entries.push_back({"baseline", base, ""});
@@ -274,7 +268,7 @@ int main(int argc, char** argv) {
 
   // Phase 4: scenario schedules.
   {
-    chaos::ChaosConfig one_slave = base;
+    check::CheckConfig one_slave = base;
     one_slave.cluster.slaves = 1;
     one_slave.cluster.spares = 0;
     // The read rotation empties: reads must fall back to the live master
@@ -282,11 +276,17 @@ int main(int argc, char** argv) {
     // The availability bound is the teeth here: a fallback gated on list
     // emptiness instead of liveness parks reads for the whole 50ms
     // detection window, which end-state invariants alone cannot see.
-    chaos::ChaosConfig starve = one_slave;
+    check::CheckConfig starve = one_slave;
     starve.max_read_stall = 20000;  // 20ms, well under detect_delay
     entries.push_back({"starve-last-slave", starve, "kill:slave0@t:30000"});
     entries.push_back({"starve+takeover", one_slave,
                        "kill:slave0@t:30000;kill:sched0@t:30000"});
+    // The master dies and restarts while the primary scheduler is dead
+    // and before the standby takes over: the standby must still recover
+    // the class, not keep the restarted (empty) process as its master.
+    entries.push_back(
+        {"master-restart-before-takeover", base,
+         "kill:sched0@t:25002;kill:master@t:14762;restart:master@t:36988"});
     if (!opt.quick) {
       entries.push_back(
           {"takeover-race-master", base,

@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
-#include "chaos/harness.hpp"
 #include "check/checker.hpp"
 
 using namespace dmv;
@@ -77,35 +76,8 @@ struct Options {
 
 std::string repro_line(const check::CheckConfig& cfg,
                        const std::string& plan, uint64_t seed) {
-  std::string s = "check_sweep --seed " + std::to_string(seed) +
-                  " --fault-plan '" + plan + "'";
-  check::CheckConfig d;
-  if (cfg.cluster.slaves != d.cluster.slaves)
-    s += " --slaves " + std::to_string(cfg.cluster.slaves);
-  if (cfg.cluster.spares != d.cluster.spares)
-    s += " --spares " + std::to_string(cfg.cluster.spares);
-  if (cfg.cluster.schedulers != d.cluster.schedulers)
-    s += " --schedulers " + std::to_string(cfg.cluster.schedulers);
-  if (cfg.clients != d.clients)
-    s += " --clients " + std::to_string(cfg.clients);
-  if (cfg.ops_per_client != d.ops_per_client)
-    s += " --ops " + std::to_string(cfg.ops_per_client);
-  if (cfg.cluster.node.batch_max_writesets !=
-          d.cluster.node.batch_max_writesets &&
-      !cfg.multimaster)
-    s += " --batched";
-  if (cfg.cluster.enable_persistence) s += " --disaster";
-  if (cfg.cluster.regions > 1 && !cfg.multimaster) s += " --geo";
-  if (cfg.elastic) s += " --elastic";
-  if (cfg.multimaster) {
-    s += " --multimaster";
-    d.classes = 3;  // what --multimaster sets
-  }
-  if (cfg.classes != d.classes)
-    s += " --classes " + std::to_string(cfg.classes);
-  if (cfg.workload != d.workload)
-    s += std::string(" --workload ") + check::check_workload_name(cfg.workload);
-  return s;
+  return "check_sweep --seed " + std::to_string(seed) + " --fault-plan '" +
+         plan + "'" + check::sweep_flags(cfg, check::CheckConfig{});
 }
 
 void write_artifacts(const Options& opt, uint64_t seed,
@@ -199,7 +171,7 @@ int main(int argc, char** argv) {
       opt.base.cluster.node.quorum_commit = true;
       // Open pipeline windows: lazy catch-up only matters when the
       // master can run ahead of the slow region's acks.
-      chaos::open_batch_windows(opt.base.cluster.node);
+      check::open_batch_windows(opt.base.cluster.node);
     } else if (a == "--elastic") {
       opt.elastic = true;
       opt.base.elastic = true;
@@ -211,7 +183,7 @@ int main(int argc, char** argv) {
       opt.base.cluster.node.quorum_commit = true;
       // Open pipeline windows: dying masters must hold unconfirmed
       // write-sets so per-class discard/quorum reconciliation is real.
-      chaos::open_batch_windows(opt.base.cluster.node);
+      check::open_batch_windows(opt.base.cluster.node);
     } else if (a == "--workload" || a.rfind("--workload=", 0) == 0) {
       const std::string name =
           a == "--workload" ? next()
@@ -238,7 +210,7 @@ int main(int argc, char** argv) {
     } else if (a == "--ops") {
       opt.base.ops_per_client = std::stoi(next());
     } else if (a == "--batched") {
-      chaos::open_batch_windows(opt.base.cluster.node);
+      check::open_batch_windows(opt.base.cluster.node);
     } else {
       std::cerr
           << "usage: check_sweep [--seeds N | --quick | --seed N] "
@@ -252,6 +224,10 @@ int main(int argc, char** argv) {
              "[--clients N] [--ops N]\n";
       return 2;
     }
+  }
+  if (opt.base.classes < 1 || opt.base.classes > 26) {
+    std::cerr << "--classes must be in 1..26 (tables acct_a .. acct_z)\n";
+    return 2;
   }
   if (opt.quick)
     opt.seeds = opt.disaster || opt.geo || opt.elastic || opt.multimaster ||

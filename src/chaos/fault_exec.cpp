@@ -6,12 +6,7 @@ FaultExec::FaultExec(sim::Simulation& sim, net::Network& net,
                      core::DmvCluster& cluster, Violations* viol)
     : sim_(sim), net_(net), cluster_(cluster), viol_(viol) {
   sched_ids_ = cluster.scheduler_ids();
-  for (size_t c = 0; c < cluster.master_count(); ++c)
-    engine_ids_.insert(cluster.master_id(c));
-  for (size_t i = 0; i < cluster.slave_count(); ++i)
-    engine_ids_.insert(cluster.slave_id(i));
-  for (size_t i = 0; i < cluster.spare_count(); ++i)
-    engine_ids_.insert(cluster.spare_id(i));
+  for (net::NodeId id : engine_ids(cluster)) engine_ids_.insert(id);
 }
 
 void FaultExec::arm(const FaultPlan& plan) {

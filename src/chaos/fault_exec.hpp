@@ -10,8 +10,7 @@
 // violations rather than asserts, so a bad plan fails the run instead of
 // crashing the sweep.
 //
-// Factored out of the chaos harness so dmv_check's run_check drives the
-// exact same fault machinery under the same plan strings.
+// check::run_check, the one fault harness, arms it for every run.
 #pragma once
 
 #include <set>

@@ -53,7 +53,7 @@ std::function<void(storage::Database&)> make_check_schema(int classes,
 
 // Procs come in per-class suffix families (_a, _b, ...) so
 // ProcInfo::tables stays static per proc (the scheduler routes by
-// declared table set, §2.1). pair_x is handled before this is called.
+// declared table set, §2.1). cross_pair is handled before this is called.
 storage::TableId proc_table(const std::string& proc) {
   return storage::TableId(proc[proc.size() - 1] - 'a');
 }
@@ -245,7 +245,7 @@ api::ProcRegistry make_check_registry(int classes) {
     res.values.push_back(rb ? std::get<int64_t>((*rb)[1]) : -1);
     co_return res;
   };
-  reg.register_proc("pair_x", px);
+  reg.register_proc("cross_pair", px);
   return reg;
 }
 
@@ -256,7 +256,7 @@ std::vector<int64_t> expect_read(const StateView& view,
   auto cell = [&](storage::TableId t, int64_t k) {
     return view.get(t, k).value_or(-1);
   };
-  if (proc == "pair_x")
+  if (proc == "cross_pair")
     return {cell(storage::TableId(p.i("ta")), p.i("k1")),
             cell(storage::TableId(p.i("tb")), p.i("k2"))};
   const storage::TableId t = proc_table(proc);
@@ -296,9 +296,11 @@ struct ClientState {
 struct Ctx {
   const CheckConfig& cfg;
   sim::Simulation& sim;
-  int classes = 2;  // clamped copy of cfg.classes
+  const api::ProcRegistry& reg;
+  core::DmvCluster& cluster;
+  chaos::Violations& viol;
+  chaos::MonotonicityProbe monotone{};
   std::vector<ClientState> clients{};
-  size_t clients_done = 0;
 };
 
 // One op draw for the original Mixed family (kept verbatim: existing
@@ -306,7 +308,7 @@ struct Ctx {
 void draw_mixed(Ctx& ctx, util::Rng& rng, std::string& proc,
                 api::Params& p) {
   const int64_t rows = ctx.cfg.rows_per_table;
-  const uint64_t classes = uint64_t(ctx.classes);
+  const uint64_t classes = uint64_t(ctx.cfg.classes);
   auto pick_sfx = [&rng, classes] {
     return cls_sfx(storage::TableId(rng.below(classes)));
   };
@@ -340,7 +342,7 @@ void draw_mixed(Ctx& ctx, util::Rng& rng, std::string& proc,
       const int64_t ta = int64_t(rng.below(classes));
       int64_t tb = classes > 1 ? int64_t(rng.below(classes - 1)) : 0;
       if (classes > 1 && tb >= ta) ++tb;
-      proc = "pair_x";
+      proc = "cross_pair";
       p.set("ta", ta).set("tb", tb);
       p.set("k1", int64_t(rng.below(uint64_t(rows))));
       p.set("k2", int64_t(rng.below(uint64_t(rows))));
@@ -354,7 +356,7 @@ void draw_mixed(Ctx& ctx, util::Rng& rng, std::string& proc,
 void draw_ycsb(Ctx& ctx, util::Rng& rng, const util::Zipf& zipf,
                std::string& proc, api::Params& p) {
   const int64_t rows = ctx.cfg.rows_per_table;
-  const uint64_t classes = uint64_t(ctx.classes);
+  const uint64_t classes = uint64_t(ctx.cfg.classes);
   auto pick_sfx = [&rng, classes] {
     return cls_sfx(storage::TableId(rng.below(classes)));
   };
@@ -394,7 +396,7 @@ void draw_ycsb(Ctx& ctx, util::Rng& rng, const util::Zipf& zipf,
 void draw_orders(Ctx& ctx, util::Rng& rng, std::string& proc,
                  api::Params& p) {
   const int64_t rows = ctx.cfg.rows_per_table;
-  const uint64_t classes = uint64_t(ctx.classes);
+  const uint64_t classes = uint64_t(ctx.cfg.classes);
   auto pick_sfx = [&rng, classes] {
     return cls_sfx(storage::TableId(rng.below(classes)));
   };
@@ -443,7 +445,7 @@ void draw_orders(Ctx& ctx, util::Rng& rng, std::string& proc,
 void draw_scan(Ctx& ctx, util::Rng& rng, std::string& proc,
                api::Params& p) {
   const int64_t rows = ctx.cfg.rows_per_table;
-  const uint64_t classes = uint64_t(ctx.classes);
+  const uint64_t classes = uint64_t(ctx.cfg.classes);
   auto pick_sfx = [&rng, classes] {
     return cls_sfx(storage::TableId(rng.below(classes)));
   };
@@ -503,14 +505,26 @@ sim::Task<> client_loop(Ctx& ctx, size_t ci, util::Rng rng) {
         draw_scan(ctx, rng, proc, p);
         break;
     }
+    const bool read_only = ctx.reg.find(proc).read_only;
+    const sim::Time sent_at = ctx.sim.now();
     auto r = co_await st.client->execute(proc, std::move(p));
-    if (r && r->ok)
+    if (r && r->ok) {
       ++st.ok;
-    else
+      const sim::Time lat = ctx.sim.now() - sent_at;
+      if (read_only && ctx.cfg.max_read_stall > 0 &&
+          lat > ctx.cfg.max_read_stall)
+        ctx.viol.add("read stalled: a read-only op took " +
+                     std::to_string(lat) +
+                     "us, above the availability bound of " +
+                     std::to_string(ctx.cfg.max_read_stall) +
+                     "us (reads must divert, not wait out failure "
+                     "detection)");
+    } else {
       ++st.errors;
+    }
+    ctx.monotone.sample(ctx.cluster, &ctx.viol);
   }
   st.done = true;
-  ++ctx.clients_done;
 }
 
 }  // namespace
@@ -545,7 +559,8 @@ std::string CheckReport::summary() const {
 }
 
 CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
-
+  DMV_ASSERT_MSG(cfg.classes >= 1 && cfg.classes <= 26,
+                 "classes must be in 1..26, got " << cfg.classes);
   CheckReport rep;
   chaos::Violations viol;
   sim::Simulation sim;
@@ -554,9 +569,6 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
     net.topology().link(net::LinkClass::Cross) = cfg.cross;
   obs::Tracer tracer(sim);
   tracer.enable();
-  // The checker needs protocol points (fault injection keys off span
-  // names) but never reads a span back: skip the span bookkeeping.
-  tracer.set_points_only(true);
   struct Restore {
     obs::Tracer* prev;
     ~Restore() { obs::set_tracer(prev); }
@@ -564,7 +576,7 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
 
   Recorder rec(sim);
 
-  const int classes = std::max(1, std::min(26, cfg.classes));
+  const int classes = cfg.classes;
   api::ProcRegistry reg = make_check_registry(classes);
   core::DmvCluster::Config cc = cfg.cluster;
   for (storage::TableId t = 0; t < storage::TableId(classes); ++t)
@@ -594,13 +606,16 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
 
   chaos::FaultExec exec(sim, net, cluster, &viol);
   exec.arm(plan);
+  // Point-triggered faults piggyback on trace emissions (see FaultExec).
   tracer.set_point_observer(
-      [&exec](const char* name, obs::Cat, uint32_t) {
+      [&exec, &rep](const char* name, obs::Cat cat, uint32_t) {
+        if (cat == obs::Cat::Recovery || cat == obs::Cat::Migration ||
+            cat == obs::Cat::Warmup)
+          ++rep.points_fired[name];
         exec.observe_point(name);
       });
 
-  Ctx ctx{cfg, sim};
-  ctx.classes = classes;
+  Ctx ctx{cfg, sim, reg, cluster, viol};
   util::Rng rng(cfg.seed ^ 0x5b4c1e9f3d2a7081ull);
   ctx.clients.resize(size_t(cfg.clients));
   for (int i = 0; i < cfg.clients; ++i) {
@@ -621,8 +636,11 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
       viol.add("client " + std::to_string(i) +
                " never completed its workload (wedged request)");
 
-  chaos::check_scheduler_drain(cluster, &viol);
+  ctx.monotone.sample(cluster, &viol);
+  chaos::check_end_invariants(cluster, tracer, &viol);
 
+  // Detach the observer before anything in this frame dies; teardown may
+  // still emit events.
   tracer.set_point_observer(nullptr);
 
   // ---- replay the history through the sequential oracle ----
@@ -636,6 +654,7 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
   Oracle oracle(std::move(oc));
   oracle.check(rec.events(), &viol);
   for (const auto& v : rec.online().items) viol.add(v);
+  check_live_masters(cluster, oracle, &viol);
 
   // ---- disaster drill (§4.6): reconstruct the tier from each backend ----
   // The log's version frontier is exactly the last acked commit per table
@@ -666,10 +685,11 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
     rep.ops_ok += st.ok;
     rep.client_errors += st.errors;
   }
-  for (size_t i = 0; i < cluster.scheduler_ids().size(); ++i) {
+  for (size_t i = 0; i < cluster.scheduler_count(); ++i) {
     auto& st = cluster.scheduler(i).stats();
     rep.recoveries += st.recoveries;
     rep.takeovers += st.takeovers;
+    rep.joins += st.joins_completed;
   }
   rep.update_commits = cluster.total_update_commits();
   rep.read_commits = cluster.total_read_commits();
@@ -682,11 +702,87 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
   return rep;
 }
 
+void check_live_masters(core::DmvCluster& cluster, const Oracle& oracle,
+                        chaos::Violations* v) {
+  net::Network& net = cluster.net();
+  for (net::NodeId id : chaos::engine_ids(cluster)) {
+    if (!net.alive(id)) continue;
+    const mem::MemEngine& eng = cluster.node(id).engine();
+    const storage::Database& db = eng.db();
+    std::vector<storage::TableId> mastered;
+    std::map<storage::TableId, std::map<storage::Key, storage::Row>> image;
+    for (storage::TableId t = 0; t < db.table_count(); ++t) {
+      if (!eng.masters(t)) continue;
+      mastered.push_back(t);
+      const storage::Table& tb = db.table(t);
+      auto& rows = image[t];
+      tb.primary_tree().scan_all([&](std::string_view, storage::RowId rid) {
+        storage::Row row = tb.read_row(rid);
+        rows[tb.primary_key_of(row)] = std::move(row);
+        return true;
+      });
+    }
+    if (mastered.empty()) continue;
+    oracle.check_recovered_state(image, eng.version(),
+                                 "live master " + net.name(id), v, mastered);
+  }
+}
+
 CheckReport run_check(const CheckConfig& cfg, const std::string& plan_str) {
   std::string err;
   auto plan = chaos::FaultPlan::parse(plan_str, &err);
   DMV_ASSERT_MSG(plan.has_value(), "bad fault plan: " << err);
   return run_check(cfg, *plan);
+}
+
+CheckConfig chaos_config() {
+  CheckConfig c;
+  c.classes = 1;
+  c.clients = 4;
+  c.ops_per_client = 25;
+  c.rows_per_table = 64;
+  return c;
+}
+
+core::DmvCluster::Config sweep_cluster() {
+  core::DmvCluster::Config c;
+  c.spares = 1;
+  c.schedulers = 2;
+  c.persistence.checkpoint_period = 2 * sim::kSec;
+  return c;
+}
+
+void open_batch_windows(core::EngineNode::Config& node) {
+  node.batch_max_writesets = 4;
+  node.batch_delay = 500;
+  node.ack_every_n = 4;
+  node.ack_delay = 500;
+}
+
+std::string sweep_flags(const CheckConfig& cfg, const CheckConfig& base) {
+  std::ostringstream os;
+  const auto num = [&os](const char* flag, auto value, auto dflt) {
+    if (value != dflt) os << " " << flag << " " << value;
+  };
+  num("--slaves", cfg.cluster.slaves, base.cluster.slaves);
+  num("--spares", cfg.cluster.spares, base.cluster.spares);
+  num("--schedulers", cfg.cluster.schedulers, base.cluster.schedulers);
+  num("--clients", cfg.clients, base.clients);
+  num("--ops", cfg.ops_per_client, base.ops_per_client);
+  num("--max-read-stall", cfg.max_read_stall, base.max_read_stall);
+  // --geo and --multimaster open the batch windows themselves.
+  const bool wan = cfg.cluster.regions > 1;
+  if (!wan && cfg.cluster.node.batch_max_writesets !=
+                  base.cluster.node.batch_max_writesets)
+    os << " --batched";
+  if (cfg.cluster.enable_persistence) os << " --disaster";
+  if (wan && !cfg.multimaster) os << " --geo";
+  if (cfg.elastic) os << " --elastic";
+  if (cfg.multimaster) os << " --multimaster";
+  num("--classes", cfg.classes, cfg.multimaster ? 3 : base.classes);
+  if (cfg.workload != base.workload)
+    os << " --workload " << check_workload_name(cfg.workload);
+  return os.str();
 }
 
 namespace {
@@ -697,11 +793,11 @@ namespace {
 // and sched0 if `sched0` and a peer scheduler can take over.
 std::vector<std::string> victims_of(const CheckConfig& cfg, int master_copies,
                                     bool slaves, bool sched0) {
-  const int classes = std::max(1, cfg.classes);
   std::vector<std::string> v;
   for (int k = 0; k < master_copies; ++k)
-    for (int c = 0; c < classes; ++c)
-      v.push_back(classes == 1 ? "master" : "master" + std::to_string(c));
+    for (int c = 0; c < cfg.classes; ++c)
+      v.push_back(cfg.classes == 1 ? "master"
+                                   : "master" + std::to_string(c));
   for (int i = 0; slaves && i < cfg.cluster.slaves; ++i)
     v.push_back("slave" + std::to_string(i));
   for (int i = 0; i < cfg.cluster.spares; ++i)
@@ -961,7 +1057,7 @@ const std::vector<Mutation>& mutation_list() {
            c.mean_think = 200;
            // Open the pipeline windows so the dying master has
            // unconfirmed write-sets in flight.
-           chaos::open_batch_windows(c.cluster.node);
+           open_batch_windows(c.cluster.node);
            c.cluster.engine.mut_skip_discard = true;
          },
          "kill:master0@t:8000"});
@@ -1012,7 +1108,7 @@ const std::vector<Mutation>& mutation_list() {
            c.mean_think = 200;
            // Open pipeline windows: the dying master holds client-acked
            // write-sets that no replica has seen yet.
-           chaos::open_batch_windows(c.cluster.node);
+           open_batch_windows(c.cluster.node);
            c.cluster.node.quorum_commit = true;
            c.cluster.node.mut_reply_before_quorum = true;
          },

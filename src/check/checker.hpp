@@ -1,4 +1,5 @@
-// Property-based one-copy-serializability checker (dmv_check).
+// Property-based one-copy-serializability checker (dmv_check), and the
+// one fault-injection harness of the repository.
 //
 // run_check() builds an N-class DMV cluster (one single-table conflict
 // class per master: tables acct_a, acct_b, ... — two classes by default),
@@ -7,8 +8,13 @@
 // gets, two-row pair reads (torn-snapshot detectors, including one
 // crossing two conflict classes) and full-table range sums — composed
 // with an arbitrary FaultPlan schedule, then replays the recorded history
-// through the sequential Oracle. Everything is deterministic in
-// (CheckConfig, plan, seed): a failure reproduces from the one-line
+// through the sequential Oracle. On top of the oracle every run checks the
+// structural invariants of chaos/invariants.hpp (no hang, scheduler and
+// backend drain, span balance, convergence, version monotonicity sampled
+// after every client reply), the read-stall bound, and that each live
+// master holds exactly the oracle's state at its own version. Everything
+// is deterministic in (CheckConfig, plan, seed): a failure reproduces from
+// the one-line
 //
 //   check_sweep --seed N --fault-plan '...'
 //
@@ -28,15 +34,28 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "chaos/fault_plan.hpp"
-#include "chaos/harness.hpp"
+#include "chaos/invariants.hpp"
+#include "core/cluster.hpp"
 #include "sim/time.hpp"
 
 namespace dmv::check {
+
+class Oracle;
+
+// The fault sweeps' deployment: 2 slaves, 1 spare, 2 schedulers and, when
+// the persistence tier is enabled, a backend checkpoint every 2 s.
+core::DmvCluster::Config sweep_cluster();
+
+// The sweeps' batched replication pipeline: masters coalesce up to 4
+// write-sets per replica link, replicas ack every 4th write-set, and each
+// window holds for at most 500 us.
+void open_batch_windows(core::EngineNode::Config& node);
 
 // Client op-mix families for the randomized workload. Every family runs
 // against the same acct tables and the same exact oracle; they differ in
@@ -68,11 +87,11 @@ struct CheckConfig {
   //    image from every recoverable backend (rows + update-log suffix),
   //    which must equal the sequential prefix at the log's acked version
   //    frontier (recovery-mismatch).
-  core::DmvCluster::Config cluster = chaos::sweep_cluster();
+  core::DmvCluster::Config cluster = sweep_cluster();
   net::LinkClassConfig cross{5 * sim::kMsec, 200, 500, 100 * sim::kMsec};
   // Conflict classes: one single-table class (and one update master) per
-  // entry; 2 reproduces the original two-class checker. Capped at 26
-  // (table names are acct_a .. acct_z).
+  // entry; 2 reproduces the original two-class checker. 1..26 (table
+  // names are acct_a .. acct_z).
   int classes = 2;
   // Multimaster composite mode (check_sweep --multimaster): marker used
   // by repro lines; the sweep sets classes=3, a 2-region deployment with
@@ -93,6 +112,12 @@ struct CheckConfig {
   // (addslave scale-outs, retire drains) on top of the usual kills; the
   // oracle must hold while nodes join via §4.4 and drain out under load.
   bool elastic = false;
+  // Read-availability bound (0 = unchecked): a *successful* read-only op
+  // taking longer than this is a violation. Schedules that kill the last
+  // slave set it to assert the paper's continuous-availability claim —
+  // reads must divert to the live master immediately, not stall behind
+  // the failure-detection window.
+  sim::Time max_read_stall = 0;
 };
 
 struct CheckReport {
@@ -108,7 +133,11 @@ struct CheckReport {
   size_t reads_checked = 0;
   size_t commits_recorded = 0;
   size_t faults_fired = 0;
-  size_t faults_unfired = 0;
+  size_t faults_unfired = 0;  // point triggers whose point never happened
+  uint64_t joins = 0;
+  // Recovery/Migration/Warmup trace points that fired, with counts — the
+  // chaos sweep enumerates these to build point-triggered double faults.
+  std::map<std::string, size_t> points_fired;
   sim::Time end_time = 0;
   // Full event log, populated only on failure (for --artifacts).
   std::string history_dump;
@@ -117,6 +146,22 @@ struct CheckReport {
 
 CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan);
 CheckReport run_check(const CheckConfig& cfg, const std::string& plan_str);
+
+// chaos_sweep's run: one conflict class (its master is named "master"),
+// 4 clients x 25 ops over 64 rows.
+CheckConfig chaos_config();
+
+// Durability, after Oracle::check: every live node that masters table t
+// holds exactly the oracle's model of t at its own version[t] — an acked
+// update lost, or a phantom one applied, on any class's master is a
+// recovery-mismatch.
+void check_live_masters(core::DmvCluster& cluster, const Oracle& oracle,
+                        chaos::Violations* v);
+
+// The command-line flags that turn a sweep's default config `base` into
+// `cfg`, for the one-line repros both sweeps print (leading space per
+// flag; empty when cfg is the default).
+std::string sweep_flags(const CheckConfig& cfg, const CheckConfig& base);
 
 // Deterministic random fault schedule over the checker cluster's node
 // names (master0, master1, slave0.., spare0.., sched0): `faults` kills,

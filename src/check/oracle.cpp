@@ -175,8 +175,11 @@ void Oracle::check_recovered_state(
     const std::map<storage::TableId, std::map<storage::Key, storage::Row>>&
         state,
     const std::vector<uint64_t>& logged, const std::string& who,
-    chaos::Violations* v) const {
+    chaos::Violations* v, const std::vector<storage::TableId>& tables) const {
   for (storage::TableId t = 0; t < chains_.size(); ++t) {
+    if (!tables.empty() &&
+        std::find(tables.begin(), tables.end(), t) == tables.end())
+      continue;
     const uint64_t vt = t < logged.size() ? logged[t] : 0;
     // The model prefix: every key's value at the logged frontier. Chain
     // entries above vt are commits whose ack never reached a scheduler —

@@ -80,12 +80,15 @@ class Oracle {
   // commit per table, since every acked update is logged before its
   // client reply. Missing, phantom, or divergent rows are all
   // `recovery-mismatch` violations tagged with `who` (which backend was
-  // the bootstrap source).
+  // the bootstrap source). `tables` restricts the comparison to a subset
+  // (empty = every table): a live master is checked on the tables it
+  // masters, at its own version vector.
   void check_recovered_state(
       const std::map<storage::TableId, std::map<storage::Key, storage::Row>>&
           state,
       const std::vector<uint64_t>& logged, const std::string& who,
-      chaos::Violations* v) const;
+      chaos::Violations* v,
+      const std::vector<storage::TableId>& tables = {}) const;
 
   size_t reads_checked() const { return reads_checked_; }
   size_t commits_applied() const { return commits_applied_; }

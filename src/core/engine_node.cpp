@@ -466,7 +466,15 @@ sim::Task<> EngineNode::main_loop() {
     } else if (const auto* pr = net::as<PageRequest>(*env)) {
       net_.sim().spawn(serve_page_request(pr->reply_to, *pr));
     } else if (const auto* pc = net::as<PageChunk>(*env)) {
-      page_chunks_->send(*pc);
+      if (pc->catch_up.empty()) {
+        page_chunks_->send(*pc);
+      } else {
+        // Installed on arrival, in order: the link is FIFO, so every
+        // chunk is in place before the promoted master's first write-set
+        // to us can land.
+        install_newer(pc->pages);
+        if (pc->last) engine_->adopt_version(pc->catch_up);
+      }
     } else if (const auto* hint = net::as<PageIdHint>(*env)) {
       for (const auto& pid : hint->pages) engine_->cache().prefetch(pid);
     } else if (net::as<net::HeartbeatMsg>(*env)) {
@@ -718,12 +726,16 @@ sim::Task<> EngineNode::serve_page_request(NodeId to, PageRequest m) {
   PageChunk chunk;
   auto flush = [&](bool last) {
     chunk.last = last;
+    if (!m.tables.empty()) chunk.catch_up = m.target;
     const size_t bytes = chunk.pages.size() * storage::kPageSize + 64;
     net_.send(id_, to, std::move(chunk), bytes);
     chunk = PageChunk{};
   };
   uint64_t sent = 0;
   for (const auto& [pid, ver] : engine_->page_versions()) {
+    if (!m.tables.empty() && std::find(m.tables.begin(), m.tables.end(),
+                                       pid.table) == m.tables.end())
+      continue;
     auto it = m.have.find(pid);
     const uint64_t have = it == m.have.end() ? 0 : it->second;
     if (ver <= have) continue;
@@ -821,28 +833,17 @@ sim::Task<> EngineNode::rejoin_protocol(NodeId scheduler) {
   }
   join_peer_ = info->support;
   net_.send(id_, info->support,
-            PageRequest{id_, engine_->page_versions(), target}, 2048);
+            PageRequest{id_, engine_->page_versions(), target, {}},
+            2048);
   for (;;) {
     auto chunk = co_await page_chunks_->receive();
     if (!chunk || !*alive) {
       join_failed(alive);
       co_return;
     }
-    sim::Time cost = 0;
-    for (const auto& snap : chunk->pages) {
-      // Stale-guard: never downgrade a page we already hold at a newer
-      // version. Pages created on the master while we were down don't
-      // exist locally yet — treat them as version 0.
-      auto& tb = engine_->db().table(snap.pid.table);
-      const uint64_t have = snap.pid.page < tb.page_count()
-                                ? tb.meta(snap.pid.page).version
-                                : 0;
-      if (snap.version > have) {
-        engine_->install_page(snap.pid, snap.image, snap.version);
-        ++installed;
-      }
-      cost += engine_->costs().install_page;
-    }
+    installed += install_newer(chunk->pages);
+    const sim::Time cost =
+        engine_->costs().install_page * sim::Time(chunk->pages.size());
     if (cost > 0) co_await engine_->cpu().use(cost);
     if (chunk->last) break;
   }
@@ -868,6 +869,23 @@ sim::Task<> EngineNode::rejoin_protocol(NodeId scheduler) {
   }
   if (report_to != net::kNoNode)
     net_.send(id_, report_to, JoinComplete{id_, join_as_spare_}, 64);
+}
+
+size_t EngineNode::install_newer(const std::vector<mem::PageSnapshot>& pages) {
+  size_t installed = 0;
+  for (const auto& snap : pages) {
+    // Stale-guard: never downgrade a page we already hold at a newer
+    // version. Pages created on the master while we were down don't exist
+    // locally yet — treat them as version 0.
+    auto& tb = engine_->db().table(snap.pid.table);
+    const uint64_t have =
+        snap.pid.page < tb.page_count() ? tb.meta(snap.pid.page).version : 0;
+    if (snap.version > have) {
+      engine_->install_page(snap.pid, snap.image, snap.version);
+      ++installed;
+    }
+  }
+  return installed;
 }
 
 void EngineNode::maybe_send_hints() {

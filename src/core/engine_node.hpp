@@ -198,6 +198,8 @@ class EngineNode {
   sim::Task<> handle_abort_all(NodeId from, AbortAllRequest m);
   sim::Task<> handle_promote(NodeId from, PromoteToMaster m);
   sim::Task<> serve_page_request(NodeId to, PageRequest m);
+  // Install every page newer than our copy; returns how many.
+  size_t install_newer(const std::vector<mem::PageSnapshot>& pages);
   sim::Task<> rejoin_protocol(NodeId scheduler);
   // Abort the current join attempt and schedule a capped-backoff retry
   // against the first live scheduler in join_schedulers_.

@@ -202,15 +202,22 @@ struct SubscribeReply {
   VersionVec db_version;  // target version the joiner must attain
 };
 
-// Joiner -> support slave: send me pages newer than mine.
+// Joiner -> support slave: send me pages newer than mine. Also sent by a
+// recovering scheduler to a promoted master on behalf of a survivor that
+// lags it (fail-over catch-up, see Scheduler::recover_master).
 struct PageRequest {
   NodeId reply_to = net::kNoNode;
   std::map<storage::PageId, uint64_t> have;  // joiner's per-page versions
   VersionVec target;
+  // Catch-up: ship only these tables' pages (empty = a join's transfer).
+  std::vector<storage::TableId> tables;
 };
 struct PageChunk {
   std::vector<mem::PageSnapshot> pages;
   bool last = false;
+  // Catch-up chunks carry the request's target (empty for a join): the
+  // receiver installs them on arrival and adopts the target with the last.
+  VersionVec catch_up;
 };
 
 // Joiner -> scheduler: migration finished, add me to the read rotation.

@@ -145,6 +145,14 @@ std::vector<NodeId> Scheduler::replicas_for_master(NodeId m) const {
         seen.insert(other).second)
       out.push_back(other);
   }
+  // A node mid-promotion for another class is in neither list (it left
+  // the rotation, and is not that class's master yet), but it is about to
+  // be a master and a replica of m's tables: dropping it now would lose
+  // every write-set m commits until the promotion completes.
+  for (const auto& [tok, pw] : promote_waits_)
+    if (pw.target != m && pw.target != net::kNoNode &&
+        net_.alive(pw.target) && seen.insert(pw.target).second)
+      out.push_back(pw.target);
   return out;
 }
 
@@ -658,6 +666,11 @@ void Scheduler::on_node_killed(NodeId n) {
     erase_value(spares_, n);
   }
   if (!is_primary_) {
+    // A dead master is forgotten here too: if it restarts before this
+    // standby takes over, the takeover's liveness check cannot tell the
+    // fresh (empty) process from the master, and the class never recovers.
+    for (ClassState& cs : classes_)
+      if (cs.master == n) cs.master = net::kNoNode;
     // Peer scheduler death: the most senior live scheduler takes over.
     if (std::find(peers_.begin(), peers_.end(), n) != peers_.end()) {
       bool senior_live = false;
@@ -668,8 +681,14 @@ void Scheduler::on_node_killed(NodeId n) {
     return;
   }
   // A recovery may be blocked on this node's reply; shrink the waits
-  // first so no death during recovery can wedge it.
+  // first so no death during recovery can wedge it. A node that dies
+  // while being promoted is in no list any more, but reads routed to it
+  // before its election are still outstanding there.
+  bool was_promoting = false;
+  for (const auto& [tok, pw] : promote_waits_)
+    was_promoting = was_promoting || pw.target == n;
   prune_waits_for(n);
+  if (was_promoting) fail_outstanding_on(n);
   if (was_slave || was_spare || was_retiring) {
     fail_outstanding_on(n);
     // Unblock the masters' pending ack waits.
@@ -815,6 +834,7 @@ sim::Task<> Scheduler::recover_master(size_t cls) {
   };
   NodeId new_master = net::kNoNode;
   bool adopted = false;
+  VersionVec promoted;
   for (;;) {
     new_master = net::kNoNode;
     adopted = false;
@@ -880,6 +900,7 @@ sim::Task<> Scheduler::recover_master(size_t cls) {
     if (done && net_.alive(new_master)) {
       promote.done();
       merge_versions(done->version);
+      promoted = std::move(done->version);
       break;
     }
     obs::instant("failover.reelect", obs::Cat::Recovery, id_);
@@ -901,7 +922,27 @@ sim::Task<> Scheduler::recover_master(size_t cls) {
   }
   classes_[cls].master = new_master;
 
-  // 3. The promoted node left the read rotation; backfill with a spare.
+  // 3. Under quorum commit a survivor can sit below the promoted master on
+  //    this class's tables: an acked write-set that reached only the
+  //    quorum survives the discard, but no stream will ever ship it to the
+  //    survivor, whose later write-sets would then apply over the gap. Run
+  //    the §4.4 page transfer from the new master to each such survivor;
+  //    it lands before the new master's first write-set (FIFO links), and
+  //    reads above the gap wait for it — freshness degrades to latency,
+  //    never to staleness.
+  VersionVec target(version_.size(), 0);
+  for (storage::TableId t : cls_tables) target[t] = promoted[t];
+  for (const auto& [n, got] : received) {
+    if (n == new_master || !net_.alive(n)) continue;
+    bool behind = false;
+    for (storage::TableId t : cls_tables)
+      behind = behind || got[t] < target[t];
+    if (behind)
+      net_.send(id_, new_master, PageRequest{n, {}, target, cls_tables},
+                2048);
+  }
+
+  // 4. The promoted node left the read rotation; backfill with a spare.
   //    An adopting master never was in the rotation, so nothing to refill.
   if (!adopted) integrate_spare();
   broadcast_replica_sets();

@@ -95,6 +95,8 @@ class Network {
   // address nodes by name ("master", "slave0", "sched1", ...).
   NodeId find_node(std::string_view name) const;
   bool alive(NodeId id) const;
+  // Incarnation of the node: bumped by every restart().
+  uint64_t epoch(NodeId id) const { return nodes_.at(id).epoch; }
   size_t node_count() const { return nodes_.size(); }
 
   // Region placement and link-class parameters. Mutate before (or between)

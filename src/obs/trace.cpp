@@ -41,10 +41,6 @@ Tracer::Tracer(sim::Simulation& sim, size_t max_spans)
 
 SpanId Tracer::begin(const char* name, Cat cat, uint32_t node, uint64_t txn) {
   if (!(cat_mask_ & mask_of(cat))) return 0;
-  if (points_only_) {
-    if (observer_) observer_(name, cat, node);
-    return 0;  // attr()/end() accept 0 as a no-op
-  }
   if (done_.size() + open_.size() >= max_spans_) {
     ++dropped_;
     return 0;
@@ -79,10 +75,6 @@ void Tracer::end(SpanId id) {
 
 void Tracer::instant(const char* name, Cat cat, uint32_t node, uint64_t txn) {
   if (!(cat_mask_ & mask_of(cat))) return;
-  if (points_only_) {
-    if (observer_) observer_(name, cat, node);
-    return;
-  }
   if (done_.size() + open_.size() >= max_spans_) {
     ++dropped_;
     return;

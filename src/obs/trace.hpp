@@ -93,15 +93,6 @@ class Tracer {
   void set_category_mask(uint32_t mask) { cat_mask_ = mask; }
   uint32_t category_mask() const { return cat_mask_; }
 
-  // Points-only mode: begin()/instant() still fire the point observer
-  // (fault injection keys off span names) but record no SpanRecs — the
-  // span bookkeeping cost disappears when nothing will read the spans.
-  // Used by dmv_check, which needs protocol points but never exports a
-  // trace; the chaos harness keeps full recording for its span-balance
-  // invariant.
-  void set_points_only(bool v) { points_only_ = v; }
-  bool points_only() const { return points_only_; }
-
   // Open a span. Returns 0 (and counts a drop) past max_spans or for a
   // masked-out category; attr()/end() accept 0 as a no-op.
   SpanId begin(const char* name, Cat cat, uint32_t node = kNoNode,
@@ -114,10 +105,11 @@ class Tracer {
                uint64_t txn = 0);
 
   // Protocol-point observer: invoked synchronously on every recorded
-  // begin() and instant() (after mask/capacity checks). dmv_chaos hooks
-  // fault injection onto span names with this — e.g. "kill the support
-  // slave when `failover.discard` opens". The observer must not mutate the
-  // tracer; scheduling simulation events is the intended use.
+  // begin() and instant() (after mask/capacity checks). check::run_check
+  // hooks fault injection (chaos::FaultExec) onto span names with this —
+  // e.g. "kill the support slave when `failover.discard` opens". The
+  // observer must not mutate the tracer; scheduling simulation events is
+  // the intended use.
   using PointObserver =
       std::function<void(const char* name, Cat cat, uint32_t node)>;
   void set_point_observer(PointObserver fn) { observer_ = std::move(fn); }
@@ -151,7 +143,6 @@ class Tracer {
  private:
   sim::Simulation& sim_;
   bool enabled_ = false;
-  bool points_only_ = false;
   uint32_t cat_mask_ = kAllCats;
   size_t max_spans_;
   SpanId next_id_ = 1;

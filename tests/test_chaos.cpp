@@ -1,62 +1,18 @@
+// The fault machinery (FaultPlan DSL, FaultExec, structural invariants)
+// driven end to end through check::run_check, the one fault harness.
 #include <gtest/gtest.h>
 
-#include "chaos/harness.hpp"
 #include "chaos/invariants.hpp"
+#include "check/checker.hpp"
+#include "check/oracle.hpp"
 
 namespace dmv::chaos {
 namespace {
 
-// ---- WorkloadLedger read-interval checks ----
+using check::CheckConfig;
+using check::CheckReport;
 
-TEST(WorkloadLedger, SamplePointsMustBeMonotone) {
-  // The interval check brackets a read between acked-at-send and attempted.
-  // Those two sample points must themselves be ordered: acked can only have
-  // grown since the send snapshot, and acks can never outrun attempts. A
-  // harness bug that samples them out of order would otherwise just widen
-  // the interval and absorb real violations silently.
-  WorkloadLedger lg;
-  lg.init(2);
-  lg.on_attempt(0);
-  lg.on_ack(0);
-
-  Violations ok;
-  check_read_value(lg, 0, 0 * kBalanceBase + 1, /*acked_at_send=*/1, &ok);
-  EXPECT_TRUE(ok.ok()) << ok.items.front();
-
-  // acked-at-send above the current acked count: the lower bound was
-  // sampled "in the future" relative to reply time.
-  Violations bad_order;
-  check_read_value(lg, 0, 0 * kBalanceBase + 1, /*acked_at_send=*/2,
-                   &bad_order);
-  ASSERT_FALSE(bad_order.ok());
-  EXPECT_NE(bad_order.items[0].find("ledger sample order"),
-            std::string::npos);
-
-  // acked overtaking attempted is equally impossible.
-  lg.on_ack(1);  // ack without a matching attempt
-  Violations bad_ack;
-  check_read_value(lg, 1, 1 * kBalanceBase, /*acked_at_send=*/0, &bad_ack);
-  ASSERT_FALSE(bad_ack.ok());
-  EXPECT_NE(bad_ack.items[0].find("ledger sample order"),
-            std::string::npos);
-}
-
-TEST(WorkloadLedger, GlobalSumSampleOrderChecked) {
-  WorkloadLedger lg;
-  lg.init(2);
-  lg.on_attempt(0);
-  lg.on_ack(0);
-  const int64_t base = kBalanceBase * lg.rows * (lg.rows - 1) / 2;
-
-  Violations ok;
-  check_sum_value(lg, 2, base + 1, /*global_acked_at_send=*/1, &ok);
-  EXPECT_TRUE(ok.ok()) << ok.items.front();
-
-  Violations bad;
-  check_sum_value(lg, 2, base + 1, /*global_acked_at_send=*/2, &bad);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_NE(bad.items[0].find("ledger sample order"), std::string::npos);
-}
+using check::chaos_config;
 
 // ---- FaultPlan DSL ----
 
@@ -146,10 +102,10 @@ TEST(FaultPlan, RejectsMalformedInput) {
 // ---- harness ----
 
 TEST(ChaosHarness, BaselinePassesAllInvariants) {
-  ChaosConfig cfg;
+  CheckConfig cfg = chaos_config();
   cfg.clients = 3;
   cfg.ops_per_client = 15;
-  const ChaosReport rep = run_chaos(cfg, "");
+  const CheckReport rep = check::run_check(cfg, "");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(rep.passed);
   EXPECT_EQ(rep.client_errors, 0u);
@@ -158,8 +114,8 @@ TEST(ChaosHarness, BaselinePassesAllInvariants) {
 }
 
 TEST(ChaosHarness, MasterKillRecoversAndReportsPoints) {
-  ChaosConfig cfg;
-  const ChaosReport rep = run_chaos(cfg, "kill:master@t:30000");
+  const CheckReport rep =
+      check::run_check(chaos_config(), "kill:master@t:30000");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(rep.passed);
   EXPECT_GE(rep.recoveries, 1u);
@@ -171,11 +127,11 @@ TEST(ChaosHarness, MasterKillRecoversAndReportsPoints) {
 
 TEST(ChaosHarness, ElasticResizeKeepsInvariants) {
   // Scale out mid-workload (live §4.4 join) and drain an original slave
-  // back out: every chaos invariant — replica convergence, ledger
-  // durability, span balance — must hold across both resizes.
-  ChaosConfig cfg;
-  const ChaosReport rep =
-      run_chaos(cfg, "addslave@t:20000;retire:slave0@t:40000");
+  // back out: the oracle and every structural invariant — replica
+  // convergence, live-master durability, span balance — must hold across
+  // both resizes.
+  const CheckReport rep = check::run_check(
+      chaos_config(), "addslave@t:20000;retire:slave0@t:40000");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(rep.passed);
   EXPECT_EQ(rep.faults_fired, 2u);
@@ -184,26 +140,25 @@ TEST(ChaosHarness, ElasticResizeKeepsInvariants) {
 }
 
 TEST(ChaosHarness, TwoClassBaselinePassesAllInvariants) {
-  ChaosConfig cfg;
+  CheckConfig cfg = chaos_config();
   cfg.classes = 2;
   cfg.clients = 3;
   cfg.ops_per_client = 15;
-  const ChaosReport rep = run_chaos(cfg, "");
+  const CheckReport rep = check::run_check(cfg, "");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(rep.passed);
   EXPECT_EQ(rep.client_errors, 0u);
 }
 
 TEST(ChaosHarness, TwoClassClassOneMasterKillKeepsInvariants) {
-  // Regression for the masters()[0] blind spot: before the fix, the
-  // durability invariant only ever inspected class 0's master, so a
-  // class-1 master kill (and any damage around its recovery) was checked
-  // against nothing. With per-class checking, this schedule must both
-  // recover and hold every table's ledger intervals.
-  ChaosConfig cfg;
+  // Regression for the masters()[0] blind spot: the durability check once
+  // inspected only class 0's master, so a class-1 master kill (and any
+  // damage around its recovery) was checked against nothing. Every live
+  // master is now compared with the oracle on the tables it masters.
+  CheckConfig cfg = chaos_config();
   cfg.classes = 2;
   cfg.seed = 5;
-  const ChaosReport rep = run_chaos(cfg, "kill:master1@t:30000");
+  const CheckReport rep = check::run_check(cfg, "kill:master1@t:30000");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(rep.passed);
   EXPECT_GE(rep.recoveries, 1u);
@@ -212,8 +167,7 @@ TEST(ChaosHarness, TwoClassClassOneMasterKillKeepsInvariants) {
 
 TEST(ChaosInvariants, ClassOneCorruptionIsCaught) {
   // Teeth: damage to the SECOND class's table on its own master must be
-  // reported — under the old masters()[0]-only durability check this
-  // corruption was invisible.
+  // reported — a check that only looked at masters()[0] missed it.
   sim::Simulation sim;
   net::Network net(sim);
   api::ProcRegistry reg;  // no traffic needed
@@ -223,7 +177,7 @@ TEST(ChaosInvariants, ClassOneCorruptionIsCaught) {
   cc.schedulers = 1;
   cc.conflict_classes = {{0}, {1}};
   cc.schema = [](storage::Database& db) {
-    for (const char* name : {"acct", "acct2"})
+    for (const char* name : {"acct_a", "acct_b"})
       db.add_table(name,
                    storage::Schema({storage::int_col("id"),
                                     storage::int_col("balance")}),
@@ -233,31 +187,29 @@ TEST(ChaosInvariants, ClassOneCorruptionIsCaught) {
   cc.loader = [](storage::Database& db) {
     for (storage::TableId t : {storage::TableId(0), storage::TableId(1)})
       for (int64_t i = 0; i < kRows; ++i)
-        db.table(t).insert_row(storage::Row{i, i * kBalanceBase});
+        db.table(t).insert_row(storage::Row{i, i * 10});
   };
   core::DmvCluster cluster(net, reg, std::move(cc));
   cluster.start();
   sim.run();
 
-  ClusterProbe probe;
-  probe.cluster = &cluster;
-  probe.net = &net;
-  for (size_t c = 0; c < cluster.master_count(); ++c)
-    probe.engine_ids.push_back(cluster.master_id(c));
-  for (size_t i = 0; i < cluster.slave_count(); ++i)
-    probe.engine_ids.push_back(cluster.slave_id(i));
-  probe.scheduler_count = cluster.scheduler_ids().size();
-
-  WorkloadLedger lg0, lg1;
-  lg0.init(kRows);
-  lg1.init(kRows);
+  check::OracleConfig oc;
+  oc.tables = 2;
+  oc.initial.resize(2);
+  for (auto& table : oc.initial)
+    for (int64_t i = 0; i < kRows; ++i) table[i] = i * 10;
+  check::Oracle oracle(std::move(oc));
+  const std::vector<check::Event> no_traffic;  // the model is the load
+  Violations replay;
+  oracle.check(no_traffic, &replay);
+  ASSERT_TRUE(replay.ok());
 
   Violations clean;
-  check_end_invariants(probe, {&lg0, &lg1}, &clean);
+  check::check_live_masters(cluster, oracle, &clean);
   for (const auto& v : clean.items) ADD_FAILURE() << v;
   EXPECT_TRUE(clean.ok());
 
-  // Corrupt a balance in table 1 on class 1's master: outside [0, 0].
+  // Corrupt a balance in table 1 on class 1's master.
   storage::Table& t1 =
       cluster.master(1).engine().db().table(storage::TableId(1));
   auto rid = t1.pk_find(storage::Key{int64_t{2}});
@@ -265,7 +217,7 @@ TEST(ChaosInvariants, ClassOneCorruptionIsCaught) {
   t1.update_row(*rid, storage::Row{int64_t{2}, int64_t{999}});
 
   Violations dirty;
-  check_end_invariants(probe, {&lg0, &lg1}, &dirty);
+  check::check_live_masters(cluster, oracle, &dirty);
   ASSERT_FALSE(dirty.ok());
   bool mentions_table1 = false;
   for (const auto& v : dirty.items)
@@ -275,9 +227,8 @@ TEST(ChaosInvariants, ClassOneCorruptionIsCaught) {
 }
 
 TEST(ChaosHarness, PointTriggeredFaultFires) {
-  ChaosConfig cfg;
-  const ChaosReport rep = run_chaos(
-      cfg, "kill:master@t:30000;kill:slave0@p:failover.discard#1");
+  const CheckReport rep = check::run_check(
+      chaos_config(), "kill:master@t:30000;kill:slave0@p:failover.discard#1");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(rep.passed);
   EXPECT_EQ(rep.faults_fired, 2u);
@@ -287,10 +238,10 @@ TEST(ChaosHarness, PointTriggeredFaultFires) {
 TEST(ChaosHarness, CatastrophicLossStillSatisfiesInvariants) {
   // Kill everything that can serve requests: clients must fail cleanly
   // (errors, not hangs) and no invariant may trip.
-  ChaosConfig cfg;
+  CheckConfig cfg = chaos_config();
   cfg.cluster.slaves = 2;
   cfg.cluster.spares = 0;
-  const ChaosReport rep = run_chaos(
+  const CheckReport rep = check::run_check(
       cfg,
       "kill:slave0@t:20000;kill:slave1@t:20000;kill:master@t:20000;"
       "kill:sched0@t:25000;kill:sched1@t:25000");
@@ -300,10 +251,10 @@ TEST(ChaosHarness, CatastrophicLossStillSatisfiesInvariants) {
 }
 
 TEST(ChaosHarness, UnknownNodeIsAPlanError) {
-  ChaosConfig cfg;
+  CheckConfig cfg = chaos_config();
   cfg.clients = 1;
   cfg.ops_per_client = 3;
-  const ChaosReport rep = run_chaos(cfg, "kill:bogus@t:1000");
+  const CheckReport rep = check::run_check(cfg, "kill:bogus@t:1000");
   EXPECT_FALSE(rep.passed);
   ASSERT_EQ(rep.violations.size(), 1u);
   EXPECT_NE(rep.violations[0].find("unknown node"), std::string::npos);
@@ -315,21 +266,22 @@ TEST(ChaosHarness, BatchedPipelineKeepsInvariantsThroughMasterKill) {
   // flush delayed acks (DiscardAbove), prune per-master ack state, and
   // still satisfy every invariant — no lost acked update, consistent
   // tagged reads, monotone version vectors.
-  chaos::ChaosConfig cfg;
-  chaos::open_batch_windows(cfg.cluster.node);
-  auto r = chaos::run_chaos(cfg, "kill:master@t:30000");
+  CheckConfig cfg = chaos_config();
+  check::open_batch_windows(cfg.cluster.node);
+  const CheckReport r = check::run_check(cfg, "kill:master@t:30000");
+  for (const auto& v : r.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(r.passed) << r.summary();
   EXPECT_GE(r.recoveries, 1u);
 }
 
 TEST(ChaosHarness, BackendKillRestartKeepsDurability) {
   // Fail-stop a backend mid-workload and bring it back: the restarted
-  // applier must replay (or snapshot+suffix attach) to the tail, and the
-  // end invariants require its rows inside the acked ledger intervals.
-  ChaosConfig cfg;
+  // applier must replay (or snapshot+suffix attach) to the tail, and its
+  // bootstrap image must equal the oracle's acked prefix.
+  CheckConfig cfg = chaos_config();
   cfg.cluster.enable_persistence = true;
-  const ChaosReport rep =
-      run_chaos(cfg, "killbackend:0@t:20000;restartbackend:0@t:60000");
+  const CheckReport rep = check::run_check(
+      cfg, "killbackend:0@t:20000;restartbackend:0@t:60000");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(rep.passed);
   EXPECT_EQ(rep.faults_fired, 2u);
@@ -341,9 +293,10 @@ TEST(ChaosHarness, SchedulerKillAtPersistPointKeepsAckedDurability) {
   // through the surviving scheduler; the re-acked commit must reach the
   // update log exactly once, and every acked update must be on disk at
   // quiesce.
-  ChaosConfig cfg;
+  CheckConfig cfg = chaos_config();
   cfg.cluster.enable_persistence = true;
-  const ChaosReport rep = run_chaos(cfg, "kill:sched0@p:persist.append#3");
+  const CheckReport rep =
+      check::run_check(cfg, "kill:sched0@p:persist.append#3");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(rep.passed);
   EXPECT_EQ(rep.faults_fired, 1u);
@@ -353,19 +306,19 @@ TEST(ChaosHarness, WipeTierBackendsStillHoldAckedPrefix) {
   // Destroy the whole mem tier mid-workload: remaining client ops fail
   // cleanly, and the backends alone must still hold every acked update
   // (the paper's disaster-recovery guarantee).
-  ChaosConfig cfg;
+  CheckConfig cfg = chaos_config();
   cfg.cluster.enable_persistence = true;
-  const ChaosReport rep = run_chaos(cfg, "wipe-tier@t:30000");
+  const CheckReport rep = check::run_check(cfg, "wipe-tier@t:30000");
   for (const auto& v : rep.violations) ADD_FAILURE() << v;
   EXPECT_TRUE(rep.passed);
   EXPECT_GT(rep.client_errors, 0u);
 }
 
 TEST(ChaosHarness, BackendFaultWithoutTierIsAPlanError) {
-  ChaosConfig cfg;
+  CheckConfig cfg = chaos_config();
   cfg.clients = 1;
   cfg.ops_per_client = 3;
-  const ChaosReport rep = run_chaos(cfg, "killbackend:0@t:1000");
+  const CheckReport rep = check::run_check(cfg, "killbackend:0@t:1000");
   EXPECT_FALSE(rep.passed);
   ASSERT_EQ(rep.violations.size(), 1u);
   EXPECT_NE(rep.violations[0].find("no persistence tier"),
@@ -373,11 +326,11 @@ TEST(ChaosHarness, BackendFaultWithoutTierIsAPlanError) {
 }
 
 TEST(ChaosHarness, DeterministicAcrossReplays) {
-  ChaosConfig cfg;
+  CheckConfig cfg = chaos_config();
   cfg.seed = 42;
   const std::string plan = "kill:master@t:30000";
-  const ChaosReport a = run_chaos(cfg, plan);
-  const ChaosReport b = run_chaos(cfg, plan);
+  const CheckReport a = check::run_check(cfg, plan);
+  const CheckReport b = check::run_check(cfg, plan);
   EXPECT_EQ(a.passed, b.passed);
   EXPECT_EQ(a.end_time, b.end_time);
   EXPECT_EQ(a.ops_ok, b.ops_ok);

@@ -200,6 +200,44 @@ TEST(RunCheck, DeterministicInSeedAndPlan) {
   EXPECT_EQ(a.violations, b.violations);
 }
 
+TEST(RunCheck, TwentySixClassesRun) {
+  // Class 23's per-class pair proc is pair_x: the cross-class pair proc
+  // must not share that name (it once aborted registration at 24 classes).
+  for (int classes : {24, 26}) {
+    CheckConfig cfg = quick_cfg(test::base_seed);
+    cfg.classes = classes;
+    CheckReport rep =
+        check::run_check(cfg, check::random_fault_plan(cfg, 3, 1));
+    EXPECT_TRUE(rep.passed) << classes << " classes: " << rep.summary()
+                            << "\n"
+                            << (rep.violations.empty()
+                                    ? ""
+                                    : rep.violations.front());
+  }
+}
+
+TEST(RunCheck, SweepFlagsRenderOneReproLine) {
+  const CheckConfig dflt;
+  EXPECT_EQ(check::sweep_flags(dflt, dflt), "");
+  CheckConfig cfg;
+  cfg.clients = 4;
+  cfg.ops_per_client = 25;
+  check::open_batch_windows(cfg.cluster.node);
+  EXPECT_EQ(check::sweep_flags(cfg, dflt), " --clients 4 --ops 25 --batched");
+  // --geo opens the batch windows itself: no redundant --batched.
+  cfg = dflt;
+  cfg.cluster.regions = 2;
+  cfg.cluster.node.quorum_commit = true;
+  check::open_batch_windows(cfg.cluster.node);
+  EXPECT_EQ(check::sweep_flags(cfg, dflt), " --geo");
+  // --multimaster implies --geo's settings and three classes.
+  cfg.multimaster = true;
+  cfg.classes = 3;
+  EXPECT_EQ(check::sweep_flags(cfg, dflt), " --multimaster");
+  cfg.classes = 4;
+  EXPECT_EQ(check::sweep_flags(cfg, dflt), " --multimaster --classes 4");
+}
+
 TEST(RunCheck, RandomFaultPlansParse) {
   for (uint64_t s = 1; s <= 8; ++s) {
     const std::string plan =
