@@ -240,6 +240,22 @@ void BM_TpcwLoader(benchmark::State& state) {
 }
 BENCHMARK(BM_TpcwLoader)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
+// What a DmvCluster node pays for its initial data instead of running the
+// loader: an exact copy of the generated image (pages and index trees).
+void BM_DatabaseCopy(benchmark::State& state) {
+  tpcw::ScaleConfig scale;
+  scale.items = state.range(0);
+  storage::Database image;
+  tpcw::build_schema(image);
+  tpcw::make_loader(scale)(image);
+  for (auto _ : state) {
+    storage::Database db = image;
+    benchmark::DoNotOptimize(db.total_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * scale.items);
+}
+BENCHMARK(BM_DatabaseCopy)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

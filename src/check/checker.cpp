@@ -1184,6 +1184,26 @@ const std::vector<Mutation>& mutation_list() {
            c.cluster.node.mut_wrong_class_route = true;
          },
          ""});
+
+    m.push_back(
+        {"mark-after-ack",
+         "a resubmission through a standby scheduler does not look for its "
+         "original still waiting for replica acks: it finds no committed "
+         "mark and executes the update a second time",
+         {"at-most-once"},
+         [](CheckConfig& c) {
+           // check_sweep --multimaster's deployment.
+           c.multimaster = true;
+           c.classes = 3;
+           c.cluster.regions = 2;
+           c.cluster.node.quorum_commit = true;
+           open_batch_windows(c.cluster.node);
+           c.cluster.node.mut_mark_after_ack = true;
+         },
+         // With slave1 retired and slave0 dead, a commit's quorum waits on
+         // the remote region, so the original is still awaiting acks when
+         // its client resubmits through the standby scheduler.
+         "retire:slave1@t:9345;kill:slave0@t:24395;kill:sched0@t:35648"});
     return m;
   }();
   return muts;

@@ -27,9 +27,10 @@
 //
 // Mutation smoke mode (run_mutation_smoke) flips known-critical checks
 // one at a time — the §2.1 tag-upgrade guard, the scheduler's ack merge,
-// fail-over discard, replication apply order, batch order — and asserts
-// the checker reports each with its expected named violation. A checker
-// that cannot see a planted bug is worse than none.
+// fail-over discard, replication apply order, batch order, the master's
+// at-most-once lookup — and asserts the checker reports each with its
+// expected named violation. A checker that cannot see a planted bug is
+// worse than none.
 #pragma once
 
 #include <cstdint>

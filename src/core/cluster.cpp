@@ -12,11 +12,10 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
 
   // Conflict classes: explicit config, or one class covering every table.
   {
-    storage::Database probe;
-    cfg_.schema(probe);
+    const size_t tables = base_image().table_count();
     if (cfg_.conflict_classes.empty()) {
       std::set<storage::TableId> all;
-      for (storage::TableId t = 0; t < probe.table_count(); ++t)
+      for (storage::TableId t = 0; t < tables; ++t)
         all.insert(t);
       classes_.push_back(std::move(all));
     } else {
@@ -28,7 +27,7 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
                          "conflict classes must be disjoint");
         classes_.push_back(std::move(s));
       }
-      DMV_ASSERT_MSG(seen.size() == probe.table_count(),
+      DMV_ASSERT_MSG(seen.size() == tables,
                      "conflict classes must cover every table");
     }
   }
@@ -67,7 +66,7 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
   for (size_t i = 0; i < scheduler_node_ids_.size(); ++i)
     place_round_robin(scheduler_node_ids_[i], i);
 
-  // Engine nodes (all replicas share the same schema and base image).
+  // Engine nodes: each starts as a copy of the base image.
   for (NodeId id : master_ids_) make_engine_node(id);
   for (size_t i = 0; i < slave_ids_.size(); ++i)
     make_engine_node(slave_ids_[i], i == 0);
@@ -108,7 +107,7 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
   if (cfg_.enable_persistence) {
     persistence_ = std::make_unique<PersistenceBinding>(
         net_.sim(), cfg_.persistence, cfg_.schema);
-    if (cfg_.loader) persistence_->load(cfg_.loader);
+    persistence_->load(base_image());
     for (auto& s : schedulers_) attach_persistence(*s);
   }
 
@@ -152,9 +151,27 @@ EngineNode& DmvCluster::make_engine_node(NodeId id, bool hint_source) {
   if (!store) store = std::make_unique<mem::StableStore>();
   auto node = std::make_unique<EngineNode>(net_, id, procs_, cfg_.schema,
                                            cfg_.engine, nc, store.get());
-  if (cfg_.loader) cfg_.loader(node->engine().db());
+  // After start() the base image is gone: a restarted or added node gets
+  // a freshly generated one.
+  if (started_)
+    node->engine().db() = generate_image();
+  else
+    node->engine().db() = base_image();
   nodes_[id] = std::move(node);
   return *nodes_[id];
+}
+
+storage::Database DmvCluster::generate_image() const {
+  storage::Database db;
+  cfg_.schema(db);
+  if (cfg_.loader) cfg_.loader(db);
+  return db;
+}
+
+const storage::Database& DmvCluster::base_image() {
+  if (!base_image_)
+    base_image_ = std::make_unique<storage::Database>(generate_image());
+  return *base_image_;
 }
 
 void DmvCluster::attach_persistence(Scheduler& s) {
@@ -173,6 +190,7 @@ void DmvCluster::place_round_robin(NodeId id, size_t idx) {
 void DmvCluster::start() {
   DMV_ASSERT(!started_);
   started_ = true;
+  base_image_.reset();  // every node and backend holds its own copy
   if (cfg_.heartbeats) {
     // A dedicated monitor endpoint pings every engine node; suspicion is
     // reported to the schedulers exactly like a broken connection.
@@ -278,8 +296,8 @@ void DmvCluster::restart_and_rejoin(NodeId id) {
 
 void DmvCluster::do_restart(NodeId id) {
   net_.restart(id);
-  // Fresh process: rebuild from the base image + local checkpoint; the
-  // volatile buffer cache starts cold.
+  // Fresh process: rebuild from a regenerated base image + local
+  // checkpoint; the volatile buffer cache starts cold.
   make_engine_node(id).start(/*restore_from_store=*/true);
   const NodeId sched = primary_scheduler_id();
   // Every scheduler may be dead (chaos schedules do this); the node then
@@ -306,7 +324,7 @@ size_t DmvCluster::live_slave_count() {
 NodeId DmvCluster::add_engine_node(const std::string& name, bool as_spare) {
   DMV_ASSERT_MSG(started_, "elastic add before cluster start");
   const NodeId id = net_.add_node(name);
-  // Provision from the shared base image (a restore from backup); the
+  // Provision from a regenerated base image (a restore from backup); the
   // §4.4 join then fetches only pages newer than the image. The cache
   // starts cold — warm-up is part of what elasticity experiments measure.
   make_engine_node(id);

@@ -53,7 +53,10 @@ class DmvCluster {
     // cold by default — their warm-up behavior is what Figs 7-9 measure.
     bool prewarm_spares = false;
     mem::SchemaFn schema;
-    std::function<void(storage::Database&)> loader;  // initial data image
+    // Fills the initial data into an empty `schema` database. It runs once
+    // per deployment (the base image every node and backend copies), and
+    // again for each node restarted or added after start().
+    std::function<void(storage::Database&)> loader;
   };
 
   DmvCluster(net::Network& net, const api::ProcRegistry& procs, Config cfg);
@@ -78,11 +81,12 @@ class DmvCluster {
   PersistenceBinding* persistence() { return persistence_.get(); }
 
   // --- elastic scaling (runtime fleet resizing, no quiesce) ---
-  // Allocate a fresh node on the live network, provision it from the
-  // shared base image, and bootstrap it through the §4.4 join protocol
-  // against the primary scheduler. The node serves no reads until it
-  // reports JoinComplete; traffic continues throughout. Returns the new
-  // node's id immediately (the join runs asynchronously).
+  // Allocate a fresh node on the live network, provision it with a newly
+  // generated base image (the loader's output: the deployment's shared
+  // copy was released at start()), and bootstrap it through the §4.4
+  // join protocol against the primary scheduler. The node serves no reads
+  // until it reports JoinComplete; traffic continues throughout. Returns
+  // the new node's id immediately (the join runs asynchronously).
   NodeId add_slave();
   NodeId add_spare();
   // Allocate a standby scheduler that adopts the current topology and
@@ -105,9 +109,10 @@ class DmvCluster {
   // --- fault injection & reintegration ---
   void kill_node(NodeId id);
   void kill_scheduler(size_t i);
-  // Reboot a previously killed engine node: reload the base image (the
-  // mmapped on-disk file) plus its local checkpoint, then run the §4.4
-  // reintegration protocol against the primary scheduler. A reboot never
+  // Reboot a previously killed engine node: regenerate the base image
+  // (standing in for the on-disk image file; the loader runs again), load
+  // its local checkpoint, then run the §4.4 reintegration protocol
+  // against the primary scheduler. A reboot never
   // outruns failure detection: if the node's death has not been announced
   // to the cluster yet (detect_delay hasn't elapsed), the restart is
   // deferred until just after the announcement. Otherwise the fresh
@@ -135,10 +140,16 @@ class DmvCluster {
  private:
   NodeId primary_scheduler_id() const;
   void do_restart(NodeId id);
-  // Build (or rebuild, on restart) engine node `id` from the shared base
-  // image with cfg_.node; `hint_source` marks the page-id-hint sender
+  // Build (or rebuild, on restart) engine node `id` with cfg_.node, its
+  // database a copy of the base image (before start()) or a freshly
+  // generated one (after); `hint_source` marks the page-id-hint sender
   // (slave 0 of the initial deployment).
   EngineNode& make_engine_node(NodeId id, bool hint_source = false);
+  // cfg_.schema plus cfg_.loader on an empty database.
+  storage::Database generate_image() const;
+  // The deployment's initial data, generated on first use and released
+  // by start().
+  const storage::Database& base_image();
   // Feed `s`'s committed updates to the persistence tier, if deployed.
   void attach_persistence(Scheduler& s);
   // Region for the i-th node of a round-robin-placed role (geo deploys).
@@ -160,6 +171,7 @@ class DmvCluster {
   std::map<NodeId, std::unique_ptr<mem::StableStore>> stores_;
   std::vector<std::unique_ptr<Scheduler>> schedulers_;
   std::unique_ptr<PersistenceBinding> persistence_;
+  std::unique_ptr<storage::Database> base_image_;
   std::vector<NodeId> client_ids_;
   std::map<NodeId, sim::Time> killed_at_;  // restart-vs-detection ordering
   std::unique_ptr<net::HeartbeatDetector> heartbeat_;

@@ -78,6 +78,8 @@ void EngineNode::on_killed() {
     w->done->notify_all(false);
   }
   ack_waits_.clear();
+  for (auto& [origin, acked] : awaiting_ack_) acked->notify_all(false);
+  awaiting_ack_.clear();
   outbox_.clear();
   cum_acks_.clear();
   precommit_drain_->notify_all(false);
@@ -549,10 +551,20 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       co_return;
     }
   }
+  auto alive = alive_;
   // At-most-once: a resubmission of an update we already committed (the
   // client's ack died with its scheduler, and it retried via a standby) is
-  // re-acked from the committed mark, never executed a second time.
+  // re-acked from the committed mark, never executed a second time. If the
+  // original is still waiting for its acks, the mark is not stored yet:
+  // wait for that ack first.
   if (m.origin != net::kNoNode) {
+    auto p = awaiting_ack_.find({m.origin, m.origin_req});
+    if (p != awaiting_ack_.end() && !cfg_.mut_mark_after_ack) {
+      // The original stores the mark, then wakes us (or on_killed does).
+      const std::shared_ptr<sim::WaitQueue> acked = p->second;
+      const bool ok = co_await acked->wait();
+      if (!ok || !*alive) co_return;
+    }
     auto it = committed_.find(m.origin);
     if (it != committed_.end() && it->second->origin_req == m.origin_req) {
       obs::instant("master.dedup", obs::Cat::Txn, id_);
@@ -568,7 +580,6 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       co_return;
     }
   }
-  auto alive = alive_;
   obs::SpanGuard txn_span("master.commit", obs::Cat::Txn, id_);
   txn_span.attr("proc", m.proc);
   for (;;) {
@@ -627,17 +638,25 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       // precommit resumes us synchronously after its broadcast, so
       // last_bcast_seq_ still refers to *our* write-set.
       const uint64_t my_seq = last_bcast_seq_;
+      if (mark)
+        awaiting_ack_.try_emplace({m.origin, m.origin_req},
+                                  std::make_shared<sim::WaitQueue>(net_.sim()));
       obs::SpanGuard bc_span("master.broadcast", obs::Cat::Replication, id_,
                              txn->id());
       const bool acked = co_await wait_acks(my_seq);
       bc_span.done();
       // A false ack wait means this node was killed mid-wait; the reply
       // would be dropped by the network anyway. Locks are already gone
-      // and the write-set already sequenced, so just stop.
+      // and the write-set already sequenced, so just stop (on_killed
+      // released any resubmission waiting on this ack).
       if (!*alive || !acked) co_return;
       ++stats_.txns_executed;
       obs::count("master.commits", id_);
-      if (mark) committed_[m.origin] = std::move(mark);
+      if (mark) {
+        committed_[m.origin] = std::move(mark);
+        if (auto waiting = awaiting_ack_.extract({m.origin, m.origin_req}))
+          waiting.mapped()->notify_all();
+      }
       TxnDone done;
       done.ok = true;
       done.result = result;

@@ -85,6 +85,11 @@ class EngineNode {
     // non-authoritative counter and two masters feed one table's stream).
     // Never set outside bench/check_sweep --mutations.
     bool mut_wrong_class_route = false;
+    // Test-only mutation: a resubmission skips the lookup of its original
+    // still waiting for replica acks, so it finds no committed mark and
+    // executes a second time. Never set outside bench/check_sweep
+    // --mutations.
+    bool mut_mark_after_ack = false;
   };
 
   EngineNode(net::Network& net, NodeId id, const api::ProcRegistry& procs,
@@ -256,6 +261,13 @@ class EngineNode {
   std::unordered_map<uint64_t, Inflight*> inflight_;
   std::unique_ptr<sim::WaitQueue> precommit_drain_;
   std::map<NodeId, CommittedMark> committed_;
+  // Updates past precommit whose mark waits on their replica acks, by
+  // (client, request): a resubmission that arrives in that window waits
+  // here for the original's ack, then is re-acked from committed_. A
+  // queue of its own, because wait_acks erases the AckWait as soon as the
+  // original resumes.
+  std::map<std::pair<NodeId, uint64_t>, std::shared_ptr<sim::WaitQueue>>
+      awaiting_ack_;
   // Client outcome of the update currently in precommit, keyed by engine
   // txn id: broadcast_write_set (called from inside precommit) stamps its
   // db_version and shares it on the outgoing WriteSetMsg.

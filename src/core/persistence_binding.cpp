@@ -41,9 +41,8 @@ PersistenceBinding::PersistenceBinding(sim::Simulation& sim, Config cfg,
 
 PersistenceBinding::~PersistenceBinding() { stop(); }
 
-void PersistenceBinding::load(
-    const std::function<void(storage::Database&)>& loader) {
-  for (auto& b : backends_) loader(b.engine->db());
+void PersistenceBinding::load(const storage::Database& image) {
+  for (auto& b : backends_) b.engine->db() = image;
 }
 
 void PersistenceBinding::start() {

@@ -53,8 +53,8 @@ class PersistenceBinding {
                      const disk::SchemaFn& schema);
   ~PersistenceBinding();
 
-  // Populate backends with the initial database image.
-  void load(const std::function<void(storage::Database&)>& loader);
+  // Give every backend an exact copy of the initial database image.
+  void load(const storage::Database& image);
 
   void start();
   void stop();

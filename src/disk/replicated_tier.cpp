@@ -30,9 +30,8 @@ ReplicatedDiskTier::ReplicatedDiskTier(sim::Simulation& sim, Config cfg,
 
 ReplicatedDiskTier::~ReplicatedDiskTier() { stop(); }
 
-void ReplicatedDiskTier::load(
-    const std::function<void(storage::Database&)>& loader) {
-  for (auto& n : nodes_) loader(n.engine->db());
+void ReplicatedDiskTier::load(const storage::Database& image) {
+  for (auto& n : nodes_) n.engine->db() = image;
 }
 
 void ReplicatedDiskTier::start() {

@@ -44,8 +44,8 @@ class ReplicatedDiskTier {
                      const api::ProcRegistry& procs);
   ~ReplicatedDiskTier();
 
-  // Populate every replica with identical initial data (raw load).
-  void load(const std::function<void(storage::Database&)>& loader);
+  // Give every replica an exact copy of the initial data image.
+  void load(const storage::Database& image);
 
   // Start repliers and the periodic backup sync. Call once, before traffic.
   void start();

@@ -33,7 +33,10 @@ void prefill_pool(disk::DiskEngine& eng) {
 }  // namespace
 
 DmvExperiment::DmvExperiment(Config cfg)
-    : cfg_(cfg), series_(cfg.workload.bucket) {
+    : cfg_(cfg),
+      class_zipf_(std::max<size_t>(1, cfg.workload.classes),
+                  std::max(0.0, cfg.workload.class_skew)),
+      series_(cfg.workload.bucket) {
   sim_ = std::make_unique<sim::Simulation>();
   tracer_ = make_tracer(*sim_, cfg_.trace, cfg_.trace_categories,
                         &prev_tracer_);
@@ -103,8 +106,7 @@ std::shared_ptr<bool> DmvExperiment::add_client_wave(size_t n) {
         // Pin the client to its conflict class: every interaction goes to
         // the shard-suffixed proc, which the scheduler routes to that
         // class's master.
-        const size_t shard = workload::zipf_shard(first + i, classes,
-                                                  cfg_.workload.class_skew);
+        const size_t shard = util::zipf_pick(first + i, class_zipf_);
         return [c, shard, classes](const std::string& proc, api::Params p) {
           return c->execute(workload::shard_proc(proc, shard, classes),
                             std::move(p));
@@ -210,7 +212,13 @@ TierExperiment::TierExperiment(Config cfg)
   registry_ = workload_->make_registry();
   tier_ = std::make_unique<disk::ReplicatedDiskTier>(
       *sim_, cfg_.tier, workload::schema_fn(workload_), registry_);
-  tier_->load(workload::loader_fn(workload_));
+  {
+    // One generated image, copied into every replica.
+    storage::Database image;
+    workload_->build_schema(image);
+    workload_->load(image, 0, 0);
+    tier_->load(image);
+  }
   for (size_t e = 0; e < size_t(cfg_.tier.actives); ++e)
     prefill_pool(tier_->engine(e));
   tier_->start();

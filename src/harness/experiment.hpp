@@ -12,6 +12,7 @@
 #include "disk/replicated_tier.hpp"
 #include "harness/series.hpp"
 #include "obs/trace.hpp"
+#include "util/zipf.hpp"
 #include "workload/client.hpp"
 
 namespace dmv::harness {
@@ -117,6 +118,8 @@ class DmvExperiment {
   // clears them all. Client ids keep counting up across waves.
   std::vector<std::shared_ptr<bool>> wave_flags_;
   size_t next_client_id_ = 0;
+  // Client -> conflict class pinning (util::zipf_pick by client id).
+  util::Zipf class_zipf_;
   Series series_;
 };
 

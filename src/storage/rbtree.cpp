@@ -1,7 +1,7 @@
 #include "storage/rbtree.hpp"
 
 #include <new>
-#include <vector>
+#include <unordered_map>
 
 #include "util/assert.hpp"
 
@@ -31,6 +31,28 @@ RbTree::RbTree(size_t key_width)
 RbTree::~RbTree() {
   clear();
   free_node(nil_);
+}
+
+RbTree::RbTree(const RbTree& o)
+    : width_(o.width_),
+      root_(nullptr),
+      nil_(new_nil()),
+      size_(o.size_),
+      rotations_(o.rotations_) {
+  root_ = copy_subtree(o, o.root_);
+}
+
+RbTree::Node* RbTree::copy_subtree(const RbTree& o, const Node* x) {
+  // Plain recursion: the tree depth is O(log n).
+  if (x == o.nil_) return nil_;
+  Node* left = copy_subtree(o, x->left);
+  Node* n = new_node(o.key_of(x), x->rid, nil_);
+  n->red = x->red;
+  n->left = left;
+  if (left != nil_) left->parent = n;
+  n->right = copy_subtree(o, x->right);
+  if (n->right != nil_) n->right->parent = n;
+  return n;
 }
 
 RbTree::RbTree(RbTree&& o) noexcept
@@ -336,6 +358,18 @@ int RbTree::black_height(const Node* n) const {
 
 bool RbTree::check_invariants() const {
   return !root_->red && black_height(root_) >= 0;
+}
+
+std::vector<std::pair<int64_t, bool>> RbTree::shape() const {
+  std::vector<const Node*> order;
+  for (Node* x = minimum(root_); x != nil_; x = next(x)) order.push_back(x);
+  std::unordered_map<const Node*, int64_t> pos;
+  for (size_t i = 0; i < order.size(); ++i) pos[order[i]] = int64_t(i);
+  std::vector<std::pair<int64_t, bool>> out;
+  out.reserve(order.size());
+  for (const Node* x : order)
+    out.emplace_back(x->parent == nil_ ? -1 : pos.at(x->parent), x->red);
+  return out;
 }
 
 }  // namespace dmv::storage

@@ -22,6 +22,8 @@
 #include <cstring>
 #include <optional>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "storage/page.hpp"
 
@@ -31,7 +33,11 @@ class RbTree {
  public:
   explicit RbTree(size_t key_width);
   ~RbTree();
-  RbTree(const RbTree&) = delete;
+  // An exact copy: the same shape, colours, keys, RowIds and rotations(),
+  // so every later insert or erase rebalances (and counts) as on `o`.
+  // Nodes are allocated in key order, so in-order walks over the copy
+  // step through memory front to back.
+  RbTree(const RbTree& o);
   RbTree& operator=(const RbTree&) = delete;
   RbTree(RbTree&& o) noexcept;
   RbTree& operator=(RbTree&& o) noexcept;
@@ -86,6 +92,11 @@ class RbTree {
   // black height on every path, BST ordering). For tests.
   bool check_invariants() const;
 
+  // Per entry in key order: the key-order position of its parent (-1 at
+  // the root) and whether it is red. Two trees with equal keys have equal
+  // shapes exactly when these are equal. For tests.
+  std::vector<std::pair<int64_t, bool>> shape() const;
+
  private:
   // A node's key_width() key bytes follow it in the same allocation.
   struct Node {
@@ -136,6 +147,9 @@ class RbTree {
   }
 
   Node* new_node(std::string_view key, RowId rid, Node* parent);
+  // Copy of `o`'s subtree rooted at `x` (o's nil_ maps to ours), left
+  // subtree first so allocation follows key order.
+  Node* copy_subtree(const RbTree& o, const Node* x);
   static Node* new_nil();
   static void free_node(Node* n);
 

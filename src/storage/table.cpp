@@ -27,6 +27,23 @@ Table::Table(TableId id, std::string name, Schema schema, IndexDef primary,
   }
 }
 
+Table::Table(const Table& o)
+    : id_(o.id_),
+      name_(o.name_),
+      schema_(o.schema_),
+      primary_def_(o.primary_def_),
+      slots_per_page_(o.slots_per_page_),
+      primary_layout_(o.primary_layout_),
+      secondary_layouts_(o.secondary_layouts_),
+      metas_(o.metas_),
+      pages_with_space_(o.pages_with_space_),
+      row_count_(o.row_count_),
+      primary_tree_(o.primary_tree_),
+      secondary_trees_(o.secondary_trees_) {
+  pages_.reserve(o.pages_.size());
+  for (const auto& p : o.pages_) pages_.push_back(std::make_unique<Page>(*p));
+}
+
 Key Table::primary_key_of(const Row& row) const {
   Key k;
   k.reserve(primary_def_.cols.size());
@@ -219,6 +236,11 @@ bool Table::pages_equal(const Table& other) const {
     if (!(a == b)) return false;
   }
   return true;
+}
+
+Database::Database(const Database& o) {
+  tables_.reserve(o.tables_.size());
+  for (const auto& t : o.tables_) tables_.push_back(std::make_unique<Table>(*t));
 }
 
 TableId Database::add_table(std::string name, Schema schema, IndexDef primary,

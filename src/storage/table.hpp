@@ -29,6 +29,12 @@ class Table {
  public:
   Table(TableId id, std::string name, Schema schema, IndexDef primary,
         std::vector<IndexDef> secondaries = {});
+  // An exact copy: page images, metas, free-space set, row count, and
+  // index trees of the same shape (RbTree's copy), sharing the immutable
+  // schema. The copy's later operations behave byte for byte, rotation
+  // for rotation, as the original's would.
+  Table(const Table& o);
+  Table& operator=(const Table&) = delete;
 
   TableId id() const { return id_; }
   const std::string& name() const { return name_; }
@@ -158,6 +164,14 @@ class Table {
 // double as positions in the replication version vector.
 class Database {
  public:
+  Database() = default;
+  // Table-by-table exact copies (see Table's copy constructor): how every
+  // node of a deployment gets the one generated base image.
+  Database(const Database& o);
+  Database& operator=(const Database& o) { return *this = Database(o); }
+  Database(Database&&) = default;
+  Database& operator=(Database&&) = default;
+
   TableId add_table(std::string name, Schema schema, IndexDef primary,
                     std::vector<IndexDef> secondaries = {});
   Table& table(TableId id);

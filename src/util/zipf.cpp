@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "util/assert.hpp"
 
@@ -58,21 +57,15 @@ size_t Zipf::rank(double u) const {
   return std::min(r, n_ - 1);
 }
 
-size_t zipf_pick(uint64_t key, size_t n, double theta) {
-  if (n <= 1) return 0;
-  if (theta <= 0) return size_t(key % n);
-  // Cache the sampler: (n, theta) changes rarely within a run, and the
-  // whole simulation is single-threaded.
-  static std::unique_ptr<Zipf> cached;
-  if (!cached || cached->n() != n || cached->theta() != theta)
-    cached = std::make_unique<Zipf>(n, theta);
+size_t zipf_pick(uint64_t key, const Zipf& sampler) {
+  if (sampler.theta() == 0) return size_t(key % sampler.n());
   // splitmix-style hash to a uniform in [0,1); deterministic in the key.
   uint64_t z = key + 0x9e3779b97f4a7c15ull;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
   z ^= z >> 31;
   const double u = double(z >> 11) / double(1ull << 53);
-  return cached->rank(u);
+  return sampler.rank(u);
 }
 
 }  // namespace dmv::util

@@ -43,11 +43,10 @@ class Zipf {
   double zetan_ = 0, alpha_ = 0, eta_ = 0, p0_ = 0, p1_ = 0;
 };
 
-// Deterministic zipfian assignment of a fixed key to one of n slots:
-// hashes the key to a uniform and inverts the zipf CDF, caching the
-// sampler so repeated calls with the same (n, theta) cost O(1).
-// Replaces the old tpcw::zipf_shard, which rebuilt the CDF normalization
-// on every call.
-size_t zipf_pick(uint64_t key, size_t n, double theta);
+// Deterministic zipfian assignment of a fixed key to one of sampler.n()
+// slots: hashes the key to a uniform and inverts the sampler's CDF. Theta
+// 0 assigns round-robin by key (key % n). The caller owns the sampler, so
+// repeated picks cost O(log n) and no state outlives a run.
+size_t zipf_pick(uint64_t key, const Zipf& sampler);
 
 }  // namespace dmv::util

@@ -1,7 +1,5 @@
 #include "workload/sharding.hpp"
 
-#include "util/zipf.hpp"
-
 namespace dmv::workload {
 
 namespace {
@@ -97,12 +95,6 @@ std::vector<std::vector<storage::TableId>> sharded_conflict_classes(
     for (storage::TableId t = 0; t < w.table_count(); ++t)
       out[s].push_back(storage::TableId(s * w.table_count() + t));
   return out;
-}
-
-size_t zipf_shard(uint64_t key, size_t shards, double theta) {
-  if (shards <= 1) return 0;
-  if (theta <= 0) return size_t(key % shards);
-  return util::zipf_pick(key, shards, theta);
 }
 
 }  // namespace dmv::workload

@@ -37,10 +37,4 @@ api::ProcRegistry make_sharded_registry(const Workload& w, size_t shards);
 std::vector<std::vector<storage::TableId>> sharded_conflict_classes(
     const Workload& w, size_t shards);
 
-// Deterministic zipfian shard assignment: key k lands on shard s with
-// probability proportional to 1/(s+1)^theta (theta 0 = uniform). Thin
-// wrapper over util::zipf_pick — one cached sampler instead of the old
-// per-call CDF rebuild.
-size_t zipf_shard(uint64_t key, size_t shards, double theta);
-
 }  // namespace dmv::workload

@@ -363,6 +363,25 @@ TEST(Mutation, RouteToJoinerCaught) {
   EXPECT_TRUE(caught);
 }
 
+TEST(Mutation, MarkAfterAckCaughtByAtMostOnce) {
+  // The planted bug: a resubmission arriving while its original waits for
+  // replica acks finds no committed mark and executes again.
+  const check::Mutation* mut = nullptr;
+  for (const auto& m : check::mutation_list())
+    if (m.name == "mark-after-ack") mut = &m;
+  ASSERT_NE(mut, nullptr);
+  bool caught = false;
+  for (int s = 1; s <= mut->seeds && !caught; ++s) {
+    CheckConfig cfg;
+    cfg.seed = uint64_t(s);
+    mut->apply(cfg);
+    CheckReport rep = check::run_check(cfg, mut->plan);
+    for (const auto& v : rep.violations)
+      if (v.find("at-most-once") != std::string::npos) caught = true;
+  }
+  EXPECT_TRUE(caught);
+}
+
 TEST(Shrink, DropsIrrelevantFaults) {
   // Only the slave0 kill "matters"; the spare kill must be shrunk away.
   auto still_fails = [](const std::string& plan) {

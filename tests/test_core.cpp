@@ -29,6 +29,13 @@ void demo_loader(storage::Database& db) {
     db.table(0).insert_row(Row{i, i * 10});
 }
 
+storage::Database demo_image() {
+  storage::Database db;
+  demo_schema(db);
+  demo_loader(db);
+  return db;
+}
+
 api::ProcRegistry make_registry() {
   api::ProcRegistry reg;
   api::ProcInfo deposit;
@@ -103,6 +110,47 @@ struct Fixture {
     return out;
   }
 };
+
+// One image is generated per deployment and every database copies it: at
+// construction each master, slave, spare and persistence backend equals a
+// fresh loader image, and a node restarted after start() (when the shared
+// image is gone) gets a freshly generated one.
+TEST(DmvCluster, EveryDatabaseStartsAsTheLoaderImage) {
+  sim::Simulation sim;
+  net::Network net{sim};
+  const api::ProcRegistry reg = make_registry();
+  DmvCluster::Config cfg;
+  cfg.slaves = 2;
+  cfg.spares = 1;
+  cfg.enable_persistence = true;
+  cfg.schema = demo_schema;
+  cfg.loader = demo_loader;
+  DmvCluster cluster(net, reg, cfg);
+  const storage::Database fresh = demo_image();
+  auto expect_fresh = [&](const storage::Database& db, const char* who) {
+    EXPECT_TRUE(db.pages_equal(fresh)) << who;
+    EXPECT_EQ(db.total_rows(), fresh.total_rows()) << who;
+    EXPECT_EQ(db.table(0).index_rotations(),
+              fresh.table(0).index_rotations())
+        << who;
+  };
+  expect_fresh(cluster.master().engine().db(), "master");
+  for (size_t i = 0; i < cluster.slave_count(); ++i)
+    expect_fresh(cluster.node(cluster.slave_id(i)).engine().db(), "slave");
+  expect_fresh(cluster.node(cluster.spare_id(0)).engine().db(), "spare");
+  ASSERT_NE(cluster.persistence(), nullptr);
+  for (size_t i = 0; i < cluster.persistence()->backend_count(); ++i)
+    expect_fresh(cluster.persistence()->backend(i).db(), "backend");
+
+  cluster.start();
+  const NodeId victim = cluster.slave_id(1);
+  cluster.kill_node(victim);
+  sim.run(sim.now() + sim::kSec);
+  cluster.restart_and_rejoin(victim);
+  sim.run(sim.now() + 10 * sim::kSec);
+  EXPECT_EQ(cluster.scheduler().stats().joins_completed, 1u);
+  expect_fresh(cluster.node(victim).engine().db(), "restarted slave");
+}
 
 TEST(DmvCluster, UpdateThenReadOneCopySemantics) {
   Fixture f;
@@ -425,7 +473,7 @@ TEST(PersistenceBinding, ConcurrentCatchUpAppliesEachRecordOnce) {
   pcfg.backends = 1;
   pcfg.checkpoint_period = 0;
   PersistenceBinding pb(sim, pcfg, demo_schema);
-  pb.load(demo_loader);
+  pb.load(demo_image());
   pb.start();
   for (int64_t i = 0; i < 6; ++i)
     pb.log_update(persist_op(i, i * 10 + 7), {uint64_t(i + 1)});
@@ -450,7 +498,7 @@ TEST(PersistenceBinding, LogUpdateAfterStopIsDropped) {
   pcfg.backends = 1;
   pcfg.checkpoint_period = 0;
   PersistenceBinding pb(sim, pcfg, demo_schema);
-  pb.load(demo_loader);
+  pb.load(demo_image());
   pb.start();
   pb.log_update(persist_op(0, 1), {1});
   sim.run();
@@ -914,6 +962,20 @@ TEST(QuorumFailover, ConcurrentRecoveriesWithRetireConverge) {
   expect_clean(quorum_mode(34, true),
                "retire:slave0@t:17834;kill:master2@t:17478;"
                "kill:master0@t:12019");
+}
+
+// A client's update still waiting for its quorum when the scheduler dies
+// is resubmitted through the standby. The committed mark is stored only
+// once the acks arrive, so the resubmission must wait for them, then be
+// re-acked from the mark instead of executing again (shrunk check_sweep
+// --multimaster failure: two at-most-once violations).
+TEST(QuorumFailover, ResubmissionDuringAckWaitIsNotExecutedTwice) {
+  const check::CheckReport r = check::run_check(
+      quorum_mode(262, true),
+      "retire:slave1@t:9345;kill:sched0@t:35648;kill:slave0@t:24395");
+  for (const auto& v : r.violations) ADD_FAILURE() << v;
+  EXPECT_TRUE(r.passed) << r.summary();
+  EXPECT_GE(r.takeovers, 1u);
 }
 
 // ---- replication pipeline: cumulative acks + write-set batching ----

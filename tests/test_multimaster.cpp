@@ -254,16 +254,18 @@ TEST(MultiMaster, MasterAdoptsClassWithNoSurvivingReplica) {
 
 TEST(MultiMaster, ZipfShardAssignment) {
   // theta 0 degenerates to round-robin by key.
+  const util::Zipf uniform(4, 0.0);
   for (uint64_t k = 0; k < 50; ++k)
-    EXPECT_EQ(workload::zipf_shard(k, 4, 0.0), size_t(k % 4));
+    EXPECT_EQ(util::zipf_pick(k, uniform), size_t(k % 4));
 
   // Skewed assignment: deterministic, in range, and monotonically favoring
   // low shards with a clear hot/cold split.
+  const util::Zipf skewed(4, 1.1);
   std::array<size_t, 4> count{};
   for (uint64_t k = 0; k < 20000; ++k) {
-    const size_t s = workload::zipf_shard(k, 4, 1.1);
+    const size_t s = util::zipf_pick(k, skewed);
     ASSERT_LT(s, 4u);
-    EXPECT_EQ(s, workload::zipf_shard(k, 4, 1.1));  // deterministic
+    EXPECT_EQ(s, util::zipf_pick(k, util::Zipf(4, 1.1)));  // deterministic
     ++count[s];
   }
   for (size_t s = 0; s + 1 < 4; ++s)
@@ -290,11 +292,12 @@ TEST(MultiMaster, HotClassDoesNotStallColdClasses) {
   exp.stop();
   EXPECT_EQ(exp.series().errors(), 0u);
 
-  // Clients are pinned by zipf_shard(client_index, ...), so the per-class
+  // Clients are pinned by zipf_pick(client_index, ...), so the per-class
   // populations are reproducible here.
+  const util::Zipf pin(3, cfg.workload.class_skew);
   std::array<size_t, 3> clients{};
   for (size_t i = 0; i < cfg.workload.clients; ++i)
-    ++clients[workload::zipf_shard(i, 3, cfg.workload.class_skew)];
+    ++clients[util::zipf_pick(i, pin)];
 
   core::Scheduler& s = exp.cluster().scheduler();
   std::array<double, 3> rate{};

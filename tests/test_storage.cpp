@@ -8,6 +8,8 @@
 #include <set>
 
 #include "storage/table.hpp"
+#include "tpcw/generator.hpp"
+#include "tpcw/schema.hpp"
 #include "txn/write_set.hpp"
 #include "util/rng.hpp"
 #include "workload/workload.hpp"
@@ -966,6 +968,85 @@ TEST(Database, PagesEqualDetectsDivergence) {
   EXPECT_FALSE(x.pages_equal(y));
   y.table(0).insert_row(make_row(1, "a", 1, 1));
   EXPECT_TRUE(x.pages_equal(y));
+}
+
+// --- base-image copies ---
+
+Database small_tpcw() {
+  tpcw::ScaleConfig scale;
+  scale.items = 200;
+  Database db;
+  tpcw::build_schema(db);
+  tpcw::load_tpcw(db, scale, 0);
+  return db;
+}
+
+// Index `index` of `t` in key order, as (key bytes, RowId) pairs.
+std::vector<std::pair<std::string, RowId>> entries(const Table& t,
+                                                    int index) {
+  std::vector<std::pair<std::string, RowId>> out;
+  t.index_tree(index).scan_all([&](std::string_view k, RowId r) {
+    out.emplace_back(std::string(k), r);
+    return true;
+  });
+  return out;
+}
+
+// Everything a later operation's outcome or cost depends on.
+void expect_same_state(const Database& a, const Database& b) {
+  ASSERT_EQ(a.table_count(), b.table_count());
+  EXPECT_TRUE(a.pages_equal(b));
+  for (TableId id = 0; id < a.table_count(); ++id) {
+    const Table& x = a.table(id);
+    const Table& y = b.table(id);
+    SCOPED_TRACE(x.name());
+    EXPECT_EQ(x.page_count(), y.page_count());
+    EXPECT_EQ(x.row_count(), y.row_count());
+    EXPECT_EQ(x.peek_insert_slot(), y.peek_insert_slot());
+    EXPECT_EQ(x.index_rotations(), y.index_rotations());
+    for (int i = -1; i < int(x.secondary_count()); ++i) {
+      EXPECT_EQ(entries(x, i), entries(y, i)) << "index " << i;
+      EXPECT_TRUE(y.index_tree(i).check_invariants()) << "index " << i;
+      EXPECT_EQ(x.index_tree(i).shape(), y.index_tree(i).shape())
+          << "index " << i;
+    }
+  }
+}
+
+// Every node of a deployment starts as a copy of one generated image, so
+// a copy must be indistinguishable from a fresh load — and stay so: the
+// index_rotation charge of every later insert and erase depends on the
+// trees' shapes.
+TEST(Storage, DatabaseCopyIsExact) {
+  const Database source = small_tpcw();
+  Database fresh = small_tpcw();
+  Database copy = source;
+  ASSERT_GT(copy.total_rows(), 1000u);
+  expect_same_state(fresh, copy);
+
+  // The same deletes then re-inserts on both: freed slots are reused and
+  // the trees rebalance through both fix-up paths.
+  for (Database* db : {&fresh, &copy}) {
+    for (TableId id = 0; id < db->table_count(); ++id) {
+      Table& t = db->table(id);
+      std::vector<RowId> victims;
+      size_t n = 0;
+      t.primary_tree().scan_all([&](std::string_view, RowId r) {
+        if (n++ % 5 == 0) victims.push_back(r);
+        return true;
+      });
+      std::vector<Row> rows;
+      for (RowId r : victims) {
+        rows.push_back(t.read_row(r));
+        t.delete_row(r);
+      }
+      std::reverse(rows.begin(), rows.end());
+      for (const Row& r : rows) ASSERT_TRUE(t.insert_row(r).has_value());
+    }
+  }
+  expect_same_state(fresh, copy);
+  EXPECT_FALSE(copy.pages_equal(source));  // the rows moved slots...
+  expect_same_state(small_tpcw(), source);  // ...in the copy alone
 }
 
 }  // namespace

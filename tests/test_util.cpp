@@ -331,29 +331,33 @@ TEST(Zipf, ZetaRegimeConcentratesOnHead) {
 }
 
 TEST(ZipfPick, DeterministicAndInRange) {
+  const Zipf z(8, 0.9);
   for (uint64_t k = 0; k < 200; ++k) {
-    const size_t s = zipf_pick(k, 8, 0.9);
+    const size_t s = zipf_pick(k, z);
     EXPECT_LT(s, 8u);
-    EXPECT_EQ(s, zipf_pick(k, 8, 0.9));
+    EXPECT_EQ(s, zipf_pick(k, Zipf(8, 0.9)));
   }
-  EXPECT_EQ(zipf_pick(123, 1, 0.9), 0u);
-  EXPECT_EQ(zipf_pick(123, 5, 0.0), 123u % 5);
+  EXPECT_EQ(zipf_pick(123, Zipf(1, 0.9)), 0u);
+  EXPECT_EQ(zipf_pick(123, Zipf(5, 0.0)), 123u % 5);
 }
 
 TEST(ZipfPick, SkewMakesSlotZeroHot) {
+  const Zipf z(4, 1.1);
   int hot = 0;
   const int n = 10000;
   for (uint64_t k = 0; k < n; ++k)
-    if (zipf_pick(k, 4, 1.1) == 0) ++hot;
+    if (zipf_pick(k, z) == 0) ++hot;
   EXPECT_GT(hot, n / 3);  // uniform would give 25%
 }
 
-TEST(ZipfPick, CacheSurvivesParameterChanges) {
-  // Alternating (n, theta) pairs must not poison the cached sampler.
-  const size_t a = zipf_pick(7, 4, 0.9);
-  const size_t b = zipf_pick(7, 8, 0.5);
-  EXPECT_EQ(zipf_pick(7, 4, 0.9), a);
-  EXPECT_EQ(zipf_pick(7, 8, 0.5), b);
+TEST(ZipfPick, InterleavedSamplersStayIndependent) {
+  // Picks depend only on the key and the caller's sampler: alternating
+  // between two samplers changes neither one's answers.
+  const Zipf a(4, 0.9), b(8, 0.5);
+  const size_t pa = zipf_pick(7, a);
+  const size_t pb = zipf_pick(7, b);
+  EXPECT_EQ(zipf_pick(7, a), pa);
+  EXPECT_EQ(zipf_pick(7, b), pb);
 }
 
 TEST(TimeSeries, BucketsEvents) {
