@@ -21,11 +21,11 @@ Host-time metrics are not compared. Usage:
 Each tree builds perfbench into its own .bench_build/ (about 75 s on four
 cores the first time).
 
-With --sweeps it instead builds check_sweep and chaos_sweep from REF and
-from the working tree (in temporary build directories) and diffs the
-verbose output and exit status of every run in SWEEPS, wall-clock lines
-dropped: --mutations, --quick alone and with each mode, each non-TPC-W
---workload, and chaos_sweep --quick with and without --batched.
+With --sweeps it instead builds check_sweep from REF and from the working
+tree (in temporary build directories) and diffs the verbose output and
+exit status of every run in SWEEPS, wall-clock lines dropped: --mutations,
+--quick alone and with each mode, each non-TPC-W --workload, and --chaos
+--quick with and without --batched.
 
 Exit code 0: every value identical; 1: some value differs; 2: a run or a
 build failed.
@@ -50,8 +50,8 @@ SWEEPS = [["check_sweep", "--mutations"],
           for m in ("--geo", "--elastic", "--multimaster", "--disaster")] + \
          [["check_sweep", "--workload", w, "--quick"]
           for w in ("ycsb", "orders", "scan")] + \
-         [["chaos_sweep", "--quick"],
-          ["chaos_sweep", "--batched", "--quick"]]
+         [["check_sweep", "--chaos", "--quick"],
+          ["check_sweep", "--chaos", "--batched", "--quick"]]
 WALL_CLOCK = re.compile(r"wall|host_sec|elapsed", re.IGNORECASE)
 
 
@@ -99,11 +99,11 @@ def simulated(tree, workload, seed, seconds):
 
 
 def build_sweeps(tree, build):
-    """Builds check_sweep and chaos_sweep of `tree` into `build`."""
+    """Builds check_sweep of `tree` into `build`."""
     for cmd in (["cmake", "-S", tree, "-B", build,
                  "-DCMAKE_BUILD_TYPE=Release"],
                 ["cmake", "--build", build, "-j", "4",
-                 "--target", "check_sweep", "chaos_sweep"]):
+                 "--target", "check_sweep"]):
         proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                               stderr=subprocess.STDOUT, text=True)
         if proc.returncode:
@@ -187,7 +187,7 @@ def main():
     ap.add_argument("--workloads", nargs="+",
                     help="default: every workload of BENCHMARK.json")
     ap.add_argument("--sweeps", action="store_true",
-                    help="compare check_sweep/chaos_sweep output instead")
+                    help="compare check_sweep output instead")
     args = ap.parse_args()
 
     base = tempfile.mkdtemp(prefix="sim_identity-")

@@ -4,8 +4,7 @@
 #include <set>
 #include <sstream>
 
-#include "chaos/fault_exec.hpp"
-#include "chaos/invariants.hpp"
+#include "check/fault_plan.hpp"
 #include "obs/trace.hpp"
 #include "check/history.hpp"
 #include "check/oracle.hpp"
@@ -284,6 +283,374 @@ std::vector<int64_t> expect_read(const StateView& view,
   return {};  // unknown read proc: expect no checked cells
 }
 
+// ---- structural invariants ----
+//
+// What "survived the fault schedule" means beyond the oracle; run_check
+// asserts every one of them on every run:
+//  - no hang: the event queue drained before the quiesce horizon and every
+//    client coroutine completed (checked by run_check itself);
+//  - scheduler drain: every live scheduler has zero outstanding requests,
+//    zero held reads/updates/joins, no recovery marked in flight, and its
+//    per-node in-flight counters sum to zero;
+//  - span balance: no span left open in the tracer (a leaked request or
+//    protocol span is how the fail-over hangs originally escaped notice);
+//  - backend drain (§4.6): every live, recoverable backend applied the
+//    whole update log by quiesce;
+//  - convergence: max(version, received) per table is identical across
+//    every live node in the read rotation (masters + slaves);
+//  - monotonicity (sampled during the run): scheduler and engine version
+//    vectors never move backwards within one process lifetime. Engine
+//    `received` is exempt — §4.2 discard legitimately clamps it down.
+
+std::string fmt_vec(const std::vector<uint64_t>& v) {
+  std::string s = "[";
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (i) s += ",";
+    s += std::to_string(v[i]);
+  }
+  return s + "]";
+}
+
+// Every engine node the cluster deployed: masters, slaves (elastic adds
+// included) and spares.
+std::vector<net::NodeId> engine_ids(core::DmvCluster& cluster) {
+  std::vector<net::NodeId> ids;
+  for (size_t c = 0; c < cluster.master_count(); ++c)
+    ids.push_back(cluster.master_id(c));
+  for (size_t i = 0; i < cluster.slave_count(); ++i)
+    ids.push_back(cluster.slave_id(i));
+  for (size_t i = 0; i < cluster.spare_count(); ++i)
+    ids.push_back(cluster.spare_id(i));
+  return ids;
+}
+
+// A live scheduler to read the current rotation from (primary preferred).
+core::Scheduler* live_scheduler(core::DmvCluster& cluster) {
+  core::Scheduler* any = nullptr;
+  for (size_t i = 0; i < cluster.scheduler_count(); ++i) {
+    core::Scheduler& s = cluster.scheduler(i);
+    if (!cluster.net().alive(s.id())) continue;
+    if (s.is_primary()) return &s;
+    if (!any) any = &s;
+  }
+  return any;
+}
+
+void check_monotone(const char* what, net::NodeId id,
+                    const std::vector<uint64_t>& prev,
+                    const std::vector<uint64_t>& cur, Violations* v) {
+  for (size_t t = 0; t < std::min(prev.size(), cur.size()); ++t) {
+    if (cur[t] < prev[t]) {
+      std::ostringstream os;
+      os << what << " version moved backwards on node " << id << " table "
+         << t << ": " << fmt_vec(prev) << " -> " << fmt_vec(cur);
+      v->add(os.str());
+      return;  // one report per sample is enough
+    }
+  }
+}
+
+// Sampled during the run (and once more at quiesce): version vectors only
+// move forward within one process lifetime. A restarted (rebuilt) process
+// has a new network epoch and starts a fresh history.
+class MonotonicityProbe {
+ public:
+  void sample(core::DmvCluster& cluster, Violations* v) {
+    net::Network& net = cluster.net();
+    // Dead nodes are skipped; a restart is a fresh process (new epoch)
+    // whose vector legitimately starts over from its checkpoint.
+    const auto step = [&](const char* what, std::map<net::NodeId, Last>& seen,
+                          net::NodeId id, const std::vector<uint64_t>& cur) {
+      const uint64_t epoch = net.epoch(id);
+      auto it = seen.find(id);
+      if (it != seen.end() && it->second.epoch == epoch)
+        check_monotone(what, id, it->second.version, cur, v);
+      seen[id] = Last{epoch, cur};
+    };
+    for (net::NodeId id : engine_ids(cluster))
+      if (net.alive(id))
+        step("engine", last_engine_, id, cluster.node(id).engine().version());
+    for (size_t i = 0; i < cluster.scheduler_count(); ++i) {
+      core::Scheduler& s = cluster.scheduler(i);
+      if (net.alive(s.id()))
+        step("scheduler", last_sched_, s.id(), s.version());
+    }
+  }
+
+ private:
+  struct Last {
+    uint64_t epoch = 0;
+    std::vector<uint64_t> version;
+  };
+  std::map<net::NodeId, Last> last_engine_;
+  std::map<net::NodeId, Last> last_sched_;
+};
+
+// Scheduler drain: once the event queue is empty, no live scheduler may
+// hold outstanding or parked work, a recovery in flight, or a non-zero
+// per-node in-flight counter.
+void check_scheduler_drain(core::DmvCluster& cluster, Violations* v) {
+  net::Network& net = cluster.net();
+  for (size_t i = 0; i < cluster.scheduler_count(); ++i) {
+    core::Scheduler& s = cluster.scheduler(i);
+    if (!net.alive(s.id())) continue;
+    std::ostringstream os;
+    os << "scheduler " << i << " (" << net.name(s.id()) << ")";
+    if (s.outstanding() != 0)
+      v->add(os.str() + " has " + std::to_string(s.outstanding()) +
+             " outstanding requests at quiesce");
+    if (s.held_reads() != 0)
+      v->add(os.str() + " has " + std::to_string(s.held_reads()) +
+             " parked reads at quiesce");
+    if (s.held_updates() != 0)
+      v->add(os.str() + " has " + std::to_string(s.held_updates()) +
+             " parked updates at quiesce");
+    if (s.held_joins() != 0)
+      v->add(os.str() + " has " + std::to_string(s.held_joins()) +
+             " parked joins at quiesce");
+    if (s.recovering())
+      v->add(os.str() + " still marks a recovery in flight at quiesce");
+    if (s.inflight_total() != 0)
+      v->add(os.str() + " per-node in-flight counters sum to " +
+             std::to_string(s.inflight_total()) + " at quiesce");
+  }
+}
+
+// End-of-run structural checks: scheduler drain, span balance, backend
+// drain and convergence. Call after the simulation has quiesced, *before*
+// tearing the cluster down (teardown legitimately closes spans).
+void check_end_invariants(core::DmvCluster& cluster,
+                          const obs::Tracer& tracer, Violations* v) {
+  net::Network& net = cluster.net();
+  check_scheduler_drain(cluster, v);
+
+  // ---- span balance ----
+  if (tracer.open_count() != 0) {
+    std::string names;
+    for (const auto& n : tracer.open_span_names()) {
+      if (!names.empty()) names += ", ";
+      names += n;
+    }
+    v->add("span leak: " + std::to_string(tracer.open_count()) +
+           " span(s) still open at quiesce: " + names);
+  }
+
+  // ---- backend drain (§4.6) ----
+  // Every live backend drains to the log tail before quiesce (its applier
+  // only sleeps at the tail). A live backend stuck mid-reattach (its
+  // snapshot source died and never came back) is exempt; what it holds is
+  // checked against the oracle by the recovery-image check.
+  if (auto* pb = cluster.persistence()) {
+    const uint64_t total = pb->total_seq();
+    for (size_t b = 0; b < pb->backend_count(); ++b)
+      if (pb->backend_live(b) && pb->backend_recoverable(b) &&
+          pb->backend_applied(b) < total)
+        v->add("backend " + std::to_string(b) + " failed to drain: applied " +
+               std::to_string(pb->backend_applied(b)) + " of " +
+               std::to_string(total) + " log records at quiesce");
+  }
+
+  // ---- convergence across the read rotation ----
+  core::Scheduler* sched = live_scheduler(cluster);
+  if (!sched) return;
+  std::vector<net::NodeId> rotation;
+  for (net::NodeId m : sched->masters())
+    if (m != net::kNoNode && net.alive(m)) rotation.push_back(m);
+  for (net::NodeId s : sched->slaves())
+    if (net.alive(s)) rotation.push_back(s);
+  auto effective = [&](net::NodeId id) {
+    const auto& eng = cluster.node(id).engine();
+    std::vector<uint64_t> eff(eng.version().size());
+    for (size_t t = 0; t < eff.size(); ++t)
+      eff[t] = std::max(eng.version()[t], eng.received_version()[t]);
+    return eff;
+  };
+  if (rotation.size() < 2) return;
+  const auto ref = effective(rotation[0]);
+  for (size_t i = 1; i < rotation.size(); ++i) {
+    const auto got = effective(rotation[i]);
+    if (got != ref) {
+      std::ostringstream os;
+      os << "divergence at quiesce: " << net.name(rotation[0]) << " is at "
+         << fmt_vec(ref) << " but " << net.name(rotation[i]) << " is at "
+         << fmt_vec(got);
+      v->add(os.str());
+    }
+  }
+}
+
+// ---- fault execution ----
+//
+// FaultExec executes a FaultPlan against a running DmvCluster. Timed
+// faults (`@t:usec`) are scheduled on the simulation when armed; point
+// faults (`@p:span#occ`) are held pending and fired from observe_point(),
+// which run_check wires into the tracer's point observer. Kill/restart go
+// through the cluster controller (so scheduler kills run their shutdown
+// path and restarts rejoin via §4.4); drop, heal and slow manipulate
+// network links directly. Plan references that don't resolve (unknown
+// node, restarting a non-engine node) are reported as violations rather
+// than asserts, so a bad plan fails the run instead of crashing the sweep.
+class FaultExec {
+ public:
+  FaultExec(sim::Simulation& sim, net::Network& net,
+            core::DmvCluster& cluster, Violations* viol)
+      : sim_(sim), net_(net), cluster_(cluster), viol_(viol) {
+    sched_ids_ = cluster.scheduler_ids();
+    for (net::NodeId id : engine_ids(cluster)) engine_ids_.insert(id);
+  }
+
+  // Register the plan's faults: timed ones on the simulation clock, point
+  // ones pending until observe_point() matches. Call once, before the run.
+  void arm(const FaultPlan& plan) {
+    for (const Fault& f : plan.faults) {
+      if (f.trigger.at_point) {
+        pending_.push_back({f});
+      } else {
+        sim_.schedule_at(f.trigger.at, [this, f] { fire(f); });
+      }
+    }
+  }
+
+  // Feed from Tracer::set_point_observer with every emitted point name.
+  // Matching pending faults are *scheduled* at the current instant, so the
+  // emitting coroutine finishes its synchronous step before the fault
+  // lands (the determinism the replayable plan string relies on).
+  void observe_point(const char* name) {
+    for (auto& pf : pending_) {
+      if (pf.fired || pf.f.trigger.point != name) continue;
+      if (int(++pf.seen) == pf.f.trigger.occurrence) {
+        pf.fired = true;
+        const Fault f = pf.f;
+        sim_.schedule_at(sim_.now(), [this, f] { fire(f); });
+      }
+    }
+  }
+
+  size_t fired_count() const { return fired_count_; }
+  size_t unfired_count() const {
+    size_t n = 0;
+    for (const auto& p : pending_)
+      if (!p.fired) ++n;
+    return n;
+  }
+
+ private:
+  struct Pending {
+    Fault f;
+    size_t seen = 0;
+    bool fired = false;
+  };
+
+  void plan_error(const Fault& f, const char* why) {
+    viol_->add(std::string("plan error: ") + why + " in '" + f.str() + "'");
+  }
+
+  void fire(const Fault& f);
+
+  sim::Simulation& sim_;
+  net::Network& net_;
+  core::DmvCluster& cluster_;
+  Violations* viol_;
+  std::vector<net::NodeId> sched_ids_;
+  std::set<net::NodeId> engine_ids_;
+  std::vector<Pending> pending_;
+  size_t fired_count_ = 0;
+};
+
+void FaultExec::fire(const Fault& f) {
+  ++fired_count_;
+  switch (f.action.kind) {
+    case ActionKind::Kill: {
+      const net::NodeId id = net_.find_node(f.action.node);
+      if (id == net::kNoNode) return plan_error(f, "unknown node");
+      if (!net_.alive(id)) return;  // already dead: no-op
+      for (size_t i = 0; i < sched_ids_.size(); ++i)
+        if (sched_ids_[i] == id) return cluster_.kill_scheduler(i);
+      if (engine_ids_.count(id)) return cluster_.kill_node(id);
+      net_.kill(id);  // auxiliary endpoint (client, monitor)
+      return;
+    }
+    case ActionKind::Restart: {
+      const net::NodeId id = net_.find_node(f.action.node);
+      if (id == net::kNoNode) return plan_error(f, "unknown node");
+      if (!engine_ids_.count(id))
+        return plan_error(f, "only engine nodes restart");
+      if (net_.alive(id)) return;  // never killed: no-op
+      cluster_.restart_and_rejoin(id);
+      return;
+    }
+    case ActionKind::Drop:
+    case ActionKind::Heal: {
+      const net::NodeId a = net_.find_node(f.action.a);
+      const net::NodeId b = net_.find_node(f.action.b);
+      if (a == net::kNoNode || b == net::kNoNode)
+        return plan_error(f, "unknown link endpoint");
+      net_.set_link(a, b, f.action.kind == ActionKind::Heal);
+      return;
+    }
+    case ActionKind::Slow: {
+      const net::NodeId a = net_.find_node(f.action.a);
+      const net::NodeId b = net_.find_node(f.action.b);
+      if (a == net::kNoNode || b == net::kNoNode)
+        return plan_error(f, "unknown link endpoint");
+      net_.set_link_delay(a, b, f.action.extra);
+      return;
+    }
+    case ActionKind::KillBackend:
+    case ActionKind::RestartBackend: {
+      auto* pb = cluster_.persistence();
+      if (!pb) return plan_error(f, "no persistence tier");
+      if (f.action.backend < 0 ||
+          size_t(f.action.backend) >= pb->backend_count())
+        return plan_error(f, "backend index out of range");
+      if (f.action.kind == ActionKind::KillBackend)
+        cluster_.kill_backend(size_t(f.action.backend));
+      else
+        cluster_.restart_backend(size_t(f.action.backend));
+      return;
+    }
+    case ActionKind::WipeTier: {
+      cluster_.wipe_tier();
+      return;
+    }
+    case ActionKind::Partition: {
+      const net::RegionId a = net_.topology().find_region(f.action.a);
+      const net::RegionId b = net_.topology().find_region(f.action.b);
+      if (a == net::kNoRegion || b == net::kNoRegion)
+        return plan_error(f, "unknown region");
+      net_.partition_regions(a, b, /*both_ways=*/!f.action.directed);
+      return;
+    }
+    case ActionKind::HealPartition: {
+      if (f.action.a.empty()) {
+        net_.heal_all_partitions();
+        return;
+      }
+      const net::RegionId a = net_.topology().find_region(f.action.a);
+      const net::RegionId b = net_.topology().find_region(f.action.b);
+      if (a == net::kNoRegion || b == net::kNoRegion)
+        return plan_error(f, "unknown region");
+      net_.heal_partition(a, b, /*both_ways=*/!f.action.directed);
+      return;
+    }
+    case ActionKind::AddSlave: {
+      // Track the new node so later kill/restart/retire verbs resolve it.
+      engine_ids_.insert(cluster_.add_slave());
+      return;
+    }
+    case ActionKind::Retire: {
+      const net::NodeId id = net_.find_node(f.action.node);
+      if (id == net::kNoNode) return plan_error(f, "unknown node");
+      if (!engine_ids_.count(id))
+        return plan_error(f, "only engine nodes retire");
+      // A false return (dead node, current master) is a benign race with
+      // concurrent faults/fail-over — the retiree simply stays.
+      cluster_.retire_node(id);
+      return;
+    }
+  }
+}
+
 // ---- closed-loop clients ----
 
 struct ClientState {
@@ -298,8 +665,8 @@ struct Ctx {
   sim::Simulation& sim;
   const api::ProcRegistry& reg;
   core::DmvCluster& cluster;
-  chaos::Violations& viol;
-  chaos::MonotonicityProbe monotone{};
+  Violations& viol;
+  MonotonicityProbe monotone{};
   std::vector<ClientState> clients{};
 };
 
@@ -558,11 +925,14 @@ std::string CheckReport::summary() const {
   return os.str();
 }
 
-CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
+CheckReport run_check(const CheckConfig& cfg, const std::string& plan_str) {
   DMV_ASSERT_MSG(cfg.classes >= 1 && cfg.classes <= 26,
                  "classes must be in 1..26, got " << cfg.classes);
+  std::string err;
+  const auto plan = FaultPlan::parse(plan_str, &err);
+  DMV_ASSERT_MSG(plan.has_value(), "bad fault plan: " << err);
   CheckReport rep;
-  chaos::Violations viol;
+  Violations viol;
   sim::Simulation sim;
   net::Network net(sim);
   if (cfg.cluster.regions > 1)
@@ -604,8 +974,8 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
 
   cluster.start();
 
-  chaos::FaultExec exec(sim, net, cluster, &viol);
-  exec.arm(plan);
+  FaultExec exec(sim, net, cluster, &viol);
+  exec.arm(*plan);
   // Point-triggered faults piggyback on trace emissions (see FaultExec).
   tracer.set_point_observer(
       [&exec, &rep](const char* name, obs::Cat cat, uint32_t) {
@@ -637,7 +1007,7 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
                " never completed its workload (wedged request)");
 
   ctx.monotone.sample(cluster, &viol);
-  chaos::check_end_invariants(cluster, tracer, &viol);
+  check_end_invariants(cluster, tracer, &viol);
 
   // Detach the observer before anything in this frame dies; teardown may
   // still emit events.
@@ -703,9 +1073,9 @@ CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan) {
 }
 
 void check_live_masters(core::DmvCluster& cluster, const Oracle& oracle,
-                        chaos::Violations* v) {
+                        Violations* v) {
   net::Network& net = cluster.net();
-  for (net::NodeId id : chaos::engine_ids(cluster)) {
+  for (net::NodeId id : engine_ids(cluster)) {
     if (!net.alive(id)) continue;
     const mem::MemEngine& eng = cluster.node(id).engine();
     const storage::Database& db = eng.db();
@@ -726,13 +1096,6 @@ void check_live_masters(core::DmvCluster& cluster, const Oracle& oracle,
     oracle.check_recovered_state(image, eng.version(),
                                  "live master " + net.name(id), v, mastered);
   }
-}
-
-CheckReport run_check(const CheckConfig& cfg, const std::string& plan_str) {
-  std::string err;
-  auto plan = chaos::FaultPlan::parse(plan_str, &err);
-  DMV_ASSERT_MSG(plan.has_value(), "bad fault plan: " << err);
-  return run_check(cfg, *plan);
 }
 
 CheckConfig chaos_config() {

@@ -9,9 +9,9 @@
 // crossing two conflict classes) and full-table range sums — composed
 // with an arbitrary FaultPlan schedule, then replays the recorded history
 // through the sequential Oracle. On top of the oracle every run checks the
-// structural invariants of chaos/invariants.hpp (no hang, scheduler and
-// backend drain, span balance, convergence, version monotonicity sampled
-// after every client reply), the read-stall bound, and that each live
+// structural invariants (checker.cpp: no hang, scheduler and backend
+// drain, span balance, convergence, version monotonicity sampled after
+// every client reply), the read-stall bound, and that each live
 // master holds exactly the oracle's state at its own version. Everything
 // is deterministic in (CheckConfig, plan, seed): a failure reproduces from
 // the one-line
@@ -40,14 +40,13 @@
 #include <string>
 #include <vector>
 
-#include "chaos/fault_plan.hpp"
-#include "chaos/invariants.hpp"
 #include "core/cluster.hpp"
 #include "sim/time.hpp"
 
 namespace dmv::check {
 
 class Oracle;
+struct Violations;
 
 // The fault sweeps' deployment: 2 slaves, 1 spare, 2 schedulers and, when
 // the persistence tier is enabled, a backend checkpoint every 2 s.
@@ -136,8 +135,9 @@ struct CheckReport {
   size_t faults_fired = 0;
   size_t faults_unfired = 0;  // point triggers whose point never happened
   uint64_t joins = 0;
-  // Recovery/Migration/Warmup trace points that fired, with counts — the
-  // chaos sweep enumerates these to build point-triggered double faults.
+  // Recovery/Migration/Warmup trace points that fired, with counts —
+  // check_sweep --chaos enumerates these to build point-triggered double
+  // faults.
   std::map<std::string, size_t> points_fired;
   sim::Time end_time = 0;
   // Full event log, populated only on failure (for --artifacts).
@@ -145,11 +145,12 @@ struct CheckReport {
   std::string summary() const;
 };
 
-CheckReport run_check(const CheckConfig& cfg, const chaos::FaultPlan& plan);
-CheckReport run_check(const CheckConfig& cfg, const std::string& plan_str);
+// `plan` is a FaultPlan string (check/fault_plan.hpp); a malformed one
+// asserts.
+CheckReport run_check(const CheckConfig& cfg, const std::string& plan);
 
-// chaos_sweep's run: one conflict class (its master is named "master"),
-// 4 clients x 25 ops over 64 rows.
+// check_sweep --chaos's base: one conflict class (its master is named
+// "master"), 4 clients x 25 ops over 64 rows.
 CheckConfig chaos_config();
 
 // Durability, after Oracle::check: every live node that masters table t
@@ -157,10 +158,10 @@ CheckConfig chaos_config();
 // update lost, or a phantom one applied, on any class's master is a
 // recovery-mismatch.
 void check_live_masters(core::DmvCluster& cluster, const Oracle& oracle,
-                        chaos::Violations* v);
+                        Violations* v);
 
 // The command-line flags that turn a sweep's default config `base` into
-// `cfg`, for the one-line repros both sweeps print (leading space per
+// `cfg`, for the one-line repros check_sweep prints (leading space per
 // flag; empty when cfg is the default).
 std::string sweep_flags(const CheckConfig& cfg, const CheckConfig& base);
 

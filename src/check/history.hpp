@@ -33,11 +33,18 @@
 #include <variant>
 #include <vector>
 
-#include "chaos/invariants.hpp"
 #include "check/sink.hpp"
 #include "sim/simulation.hpp"
 
 namespace dmv::check {
+
+// Named violations a run collects: the recorder's online check, the
+// oracle replay and the checker's structural invariants all append here.
+struct Violations {
+  std::vector<std::string> items;
+  bool ok() const { return items.empty(); }
+  void add(std::string msg) { items.push_back(std::move(msg)); }
+};
 
 struct CommitEvent {
   sim::Time t = 0;
@@ -89,7 +96,7 @@ class Recorder final : public Sink {
   const std::vector<Event>& events() const { return events_; }
   // Violations found online (tag-coverage); merged into the run report
   // alongside whatever the oracle replay finds.
-  const chaos::Violations& online() const { return online_; }
+  const Violations& online() const { return online_; }
 
   size_t commit_count() const { return commits_; }
   size_t read_count() const { return reads_; }
@@ -107,7 +114,7 @@ class Recorder final : public Sink {
   std::vector<Event> events_;
   // Per-scheduler floor: running max over acked commit stamps.
   std::map<uint32_t, std::vector<uint64_t>> acked_floor_;
-  chaos::Violations online_;
+  Violations online_;
   size_t commits_ = 0;
   size_t reads_ = 0;
 };

@@ -87,7 +87,7 @@ std::optional<int64_t> Oracle::value_at(storage::TableId t, int64_t key,
   return std::prev(pos)->value;
 }
 
-void Oracle::apply_commit(const CommitEvent& c, chaos::Violations* v) {
+void Oracle::apply_commit(const CommitEvent& c, Violations* v) {
   ++commits_applied_;
   // ---- at-most-once ----
   if (c.origin != net::kNoNode) {
@@ -153,7 +153,7 @@ void Oracle::apply_discard(const DiscardEvent& d) {
   }
 }
 
-void Oracle::check_read(const ReadEvent& r, chaos::Violations* v) {
+void Oracle::check_read(const ReadEvent& r, Violations* v) {
   ++reads_checked_;
   StateView view;
   view.oracle_ = this;
@@ -175,7 +175,7 @@ void Oracle::check_recovered_state(
     const std::map<storage::TableId, std::map<storage::Key, storage::Row>>&
         state,
     const std::vector<uint64_t>& logged, const std::string& who,
-    chaos::Violations* v, const std::vector<storage::TableId>& tables) const {
+    Violations* v, const std::vector<storage::TableId>& tables) const {
   for (storage::TableId t = 0; t < chains_.size(); ++t) {
     if (!tables.empty() &&
         std::find(tables.begin(), tables.end(), t) == tables.end())
@@ -223,7 +223,7 @@ void Oracle::check_recovered_state(
   }
 }
 
-void Oracle::check(const std::vector<Event>& events, chaos::Violations* v) {
+void Oracle::check(const std::vector<Event>& events, Violations* v) {
   for (const Event& e : events) {
     if (const auto* c = std::get_if<CommitEvent>(&e))
       apply_commit(*c, v);

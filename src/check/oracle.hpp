@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "chaos/invariants.hpp"
 #include "check/history.hpp"
 
 namespace dmv::check {
@@ -72,7 +71,7 @@ class Oracle {
   explicit Oracle(OracleConfig cfg);
 
   // Replays the history, appending named violations. Call once.
-  void check(const std::vector<Event>& events, chaos::Violations* v);
+  void check(const std::vector<Event>& events, Violations* v);
 
   // Disaster drill (§4.6), call after check(): compare a reconstructed
   // tier image (backend rows + log-suffix fold) against the model prefix
@@ -87,7 +86,7 @@ class Oracle {
       const std::map<storage::TableId, std::map<storage::Key, storage::Row>>&
           state,
       const std::vector<uint64_t>& logged, const std::string& who,
-      chaos::Violations* v,
+      Violations* v,
       const std::vector<storage::TableId>& tables = {}) const;
 
   size_t reads_checked() const { return reads_checked_; }
@@ -102,9 +101,9 @@ class Oracle {
   };
   using Chain = std::vector<Entry>;
 
-  void apply_commit(const CommitEvent& c, chaos::Violations* v);
+  void apply_commit(const CommitEvent& c, Violations* v);
   void apply_discard(const DiscardEvent& d);
-  void check_read(const ReadEvent& r, chaos::Violations* v);
+  void check_read(const ReadEvent& r, Violations* v);
   std::optional<int64_t> value_at(storage::TableId t, int64_t key,
                                   uint64_t version) const;
 

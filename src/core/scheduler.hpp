@@ -178,7 +178,7 @@ class Scheduler {
   SchedulerStats& stats() { return stats_; }
   size_t outstanding() const { return outstanding_.size(); }
 
-  // ---- invariant-checker probes (dmv_chaos) ----
+  // ---- invariant-checker probes (dmv_check) ----
   size_t held_reads() const { return held_reads_.size(); }
   size_t held_updates() const {
     size_t n = 0;

@@ -106,7 +106,7 @@ class Tracer {
 
   // Protocol-point observer: invoked synchronously on every recorded
   // begin() and instant() (after mask/capacity checks). check::run_check
-  // hooks fault injection (chaos::FaultExec) onto span names with this —
+  // hooks fault injection (its FaultExec) onto span names with this —
   // e.g. "kill the support slave when `failover.discard` opens". The
   // observer must not mutate the tracer; scheduling simulation events is
   // the intended use.

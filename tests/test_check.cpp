@@ -1,9 +1,10 @@
-// dmv_check: oracle unit tests, recorder session-order checks, end-to-end
-// checker runs, and the mutation/shrink machinery.
+// dmv_check: the FaultPlan DSL, oracle unit tests, recorder session-order
+// checks, end-to-end checker runs (fault execution and the structural
+// invariants included), and the mutation/shrink machinery.
 #include <gtest/gtest.h>
 
-#include "chaos/fault_plan.hpp"
 #include "check/checker.hpp"
+#include "check/fault_plan.hpp"
 #include "check/history.hpp"
 #include "check/oracle.hpp"
 #include "sim/simulation.hpp"
@@ -12,16 +13,105 @@
 namespace dmv {
 namespace {
 
+using check::ActionKind;
+using check::chaos_config;
 using check::CheckConfig;
 using check::CheckReport;
 using check::CommitEvent;
 using check::DiscardEvent;
 using check::Event;
+using check::FaultPlan;
 using check::Oracle;
 using check::OracleConfig;
 using check::ReadEvent;
 using check::Recorder;
 using check::StateView;
+using check::Violations;
+
+// ---- FaultPlan DSL ----
+
+TEST(FaultPlan, ParsesAndRoundTrips) {
+  const std::string s =
+      "kill:master@t:30000;restart:slave0@t:50000;"
+      "kill:slave0@p:failover.discard#2;drop:sched0~master@t:10;"
+      "heal:sched0~master@t:20;slow:slave0~spare0:4000@p:join.pages";
+  auto plan = FaultPlan::parse(s);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->faults.size(), 6u);
+  EXPECT_EQ(plan->faults[0].action.kind, ActionKind::Kill);
+  EXPECT_EQ(plan->faults[0].action.node, "master");
+  EXPECT_FALSE(plan->faults[0].trigger.at_point);
+  EXPECT_EQ(plan->faults[0].trigger.at, 30000);
+  EXPECT_EQ(plan->faults[1].action.kind, ActionKind::Restart);
+  EXPECT_TRUE(plan->faults[2].trigger.at_point);
+  EXPECT_EQ(plan->faults[2].trigger.point, "failover.discard");
+  EXPECT_EQ(plan->faults[2].trigger.occurrence, 2);
+  EXPECT_EQ(plan->faults[3].action.a, "sched0");
+  EXPECT_EQ(plan->faults[3].action.b, "master");
+  EXPECT_EQ(plan->faults[5].action.kind, ActionKind::Slow);
+  EXPECT_EQ(plan->faults[5].action.extra, 4000);
+  EXPECT_EQ(plan->faults[5].trigger.occurrence, 1);  // default
+  EXPECT_EQ(plan->str(), s);  // exact round-trip (replayable strings)
+}
+
+TEST(FaultPlan, PersistenceVerbsParseAndRoundTrip) {
+  const std::string s =
+      "killbackend:0@t:5000;restartbackend:1@t:9000;wipe-tier@t:30000;"
+      "wipe-tier@p:failover.promote#2";
+  auto plan = FaultPlan::parse(s);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->faults.size(), 4u);
+  EXPECT_EQ(plan->faults[0].action.kind, ActionKind::KillBackend);
+  EXPECT_EQ(plan->faults[0].action.backend, 0);
+  EXPECT_EQ(plan->faults[1].action.kind, ActionKind::RestartBackend);
+  EXPECT_EQ(plan->faults[1].action.backend, 1);
+  EXPECT_EQ(plan->faults[2].action.kind, ActionKind::WipeTier);
+  EXPECT_TRUE(plan->faults[3].trigger.at_point);
+  EXPECT_EQ(plan->str(), s);
+  std::string err;
+  EXPECT_FALSE(FaultPlan::parse("killbackend:x@t:1", &err));  // not an int
+  EXPECT_FALSE(FaultPlan::parse("killbackend:-1@t:1", &err));
+  EXPECT_FALSE(FaultPlan::parse("wipe-tier:0@t:1", &err));  // no operand
+}
+
+TEST(FaultPlan, ElasticVerbsParseAndRoundTrip) {
+  const std::string s =
+      "addslave@t:5000;retire:slave0@t:9000;addslave@p:crowd.arrive;"
+      "retire:slave2@p:elastic.add_slave#2";
+  auto plan = FaultPlan::parse(s);
+  ASSERT_TRUE(plan.has_value());
+  ASSERT_EQ(plan->faults.size(), 4u);
+  EXPECT_EQ(plan->faults[0].action.kind, ActionKind::AddSlave);
+  EXPECT_EQ(plan->faults[1].action.kind, ActionKind::Retire);
+  EXPECT_EQ(plan->faults[1].action.node, "slave0");
+  EXPECT_TRUE(plan->faults[2].trigger.at_point);
+  EXPECT_EQ(plan->faults[3].trigger.occurrence, 2);
+  EXPECT_EQ(plan->str(), s);
+  std::string err;
+  EXPECT_FALSE(FaultPlan::parse("addslave:x@t:1", &err));  // no operand
+  EXPECT_FALSE(FaultPlan::parse("retire:@t:1", &err));     // empty node
+}
+
+TEST(FaultPlan, EmptyPlanIsValid) {
+  auto plan = FaultPlan::parse("");
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_TRUE(plan->empty());
+  EXPECT_EQ(plan->str(), "");
+}
+
+TEST(FaultPlan, RejectsMalformedInput) {
+  std::string err;
+  EXPECT_FALSE(FaultPlan::parse("kill:master", &err));  // no trigger
+  EXPECT_FALSE(err.empty());
+  EXPECT_FALSE(FaultPlan::parse("explode:master@t:1", &err));
+  EXPECT_FALSE(FaultPlan::parse("kill:@t:1", &err));      // empty node
+  EXPECT_FALSE(FaultPlan::parse("kill:m@t:-5", &err));    // negative time
+  EXPECT_FALSE(FaultPlan::parse("kill:m@x:5", &err));     // bad trigger
+  EXPECT_FALSE(FaultPlan::parse("kill:m@p:pt#0", &err));  // occurrence < 1
+  EXPECT_FALSE(FaultPlan::parse("drop:a@t:1", &err));     // missing '~b'
+  EXPECT_FALSE(FaultPlan::parse("slow:a~b@t:1", &err));   // missing usec
+  EXPECT_FALSE(FaultPlan::parse("kill:master@t:1;;", &err));  // empty fault
+}
 
 // ---- oracle unit tests -------------------------------------------------
 //
@@ -70,7 +160,7 @@ ReadEvent read_at(uint64_t version, int64_t key, int64_t observed) {
 
 TEST(Oracle, CleanHistoryPasses) {
   Oracle o(one_table({{1, 100}}));
-  chaos::Violations v;
+  Violations v;
   o.check({commit(1, 1, 110), read_at(1, 1, 110), read_at(0, 1, 100)}, &v);
   EXPECT_TRUE(v.ok()) << v.items.front();
   EXPECT_EQ(o.reads_checked(), 2u);
@@ -79,7 +169,7 @@ TEST(Oracle, CleanHistoryPasses) {
 
 TEST(Oracle, StaleReadIsSnapshotMismatch) {
   Oracle o(one_table({{1, 100}}));
-  chaos::Violations v;
+  Violations v;
   // Read tagged at version 1 but observing the version-0 value.
   o.check({commit(1, 1, 110), read_at(1, 1, 100)}, &v);
   ASSERT_EQ(v.items.size(), 1u);
@@ -88,7 +178,7 @@ TEST(Oracle, StaleReadIsSnapshotMismatch) {
 
 TEST(Oracle, SkippedVersionIsGap) {
   Oracle o(one_table({{1, 100}}));
-  chaos::Violations v;
+  Violations v;
   o.check({commit(2, 1, 120)}, &v);  // head is 0, stamp jumps to 2
   ASSERT_EQ(v.items.size(), 1u);
   EXPECT_NE(v.items[0].find("version-gap"), std::string::npos);
@@ -96,7 +186,7 @@ TEST(Oracle, SkippedVersionIsGap) {
 
 TEST(Oracle, DuplicateCommitIsAtMostOnceViolation) {
   Oracle o(one_table({{1, 100}}));
-  chaos::Violations v;
+  Violations v;
   o.check({commit(1, 1, 110, 9, 7), commit(2, 1, 120, 9, 7)}, &v);
   ASSERT_EQ(v.items.size(), 1u);
   EXPECT_NE(v.items[0].find("at-most-once"), std::string::npos);
@@ -104,7 +194,7 @@ TEST(Oracle, DuplicateCommitIsAtMostOnceViolation) {
 
 TEST(Oracle, DiscardPrunesAndAllowsResubmission) {
   Oracle o(one_table({{1, 100}}));
-  chaos::Violations v;
+  Violations v;
   DiscardEvent d;
   d.scheduler = 5;
   d.confirmed = {0};
@@ -121,7 +211,7 @@ TEST(Oracle, DiscardPrunesAndAllowsResubmission) {
 
 TEST(Oracle, ReadBeforeDiscardCheckedAgainstPreTruncationState) {
   Oracle o(one_table({{1, 100}}));
-  chaos::Violations v;
+  Violations v;
   DiscardEvent d;
   d.scheduler = 5;
   d.confirmed = {0};
@@ -177,10 +267,16 @@ TEST(RunCheck, FaultFreeSeedsPass) {
                                     : rep.violations.front());
     EXPECT_GT(rep.commits_recorded, 0u);
     EXPECT_GT(rep.reads_checked, 0u);
+    EXPECT_EQ(rep.client_errors, 0u);
   }
 }
 
 TEST(RunCheck, SurvivesReplicaAndMasterKill) {
+  // Also the regression for the masters()[0] blind spot: the durability
+  // check once inspected only class 0's master, so a class-1 master kill
+  // (and any damage around its recovery) was checked against nothing.
+  // Every live master is now compared with the oracle on the tables it
+  // masters.
   CheckReport rep = check::run_check(
       quick_cfg(test::base_seed),
       "kill:slave0@t:5000;kill:master1@t:9000;restart:slave0@t:30000");
@@ -188,16 +284,23 @@ TEST(RunCheck, SurvivesReplicaAndMasterKill) {
                           << (rep.violations.empty()
                                   ? ""
                                   : rep.violations.front());
+  EXPECT_EQ(rep.faults_fired, 3u);
   EXPECT_EQ(rep.faults_unfired, 0u);
   EXPECT_GE(rep.recoveries, 1u);
+  // The §4.2 phases fired as observable protocol points.
+  EXPECT_GE(rep.points_fired.count("failover.discard"), 1u);
+  EXPECT_GE(rep.points_fired.count("failover.promote"), 1u);
 }
 
 TEST(RunCheck, DeterministicInSeedAndPlan) {
-  const std::string plan = "kill:slave1@t:7000";
+  const std::string plan = "kill:slave1@t:7000;kill:master0@t:9000";
   CheckReport a = check::run_check(quick_cfg(test::base_seed + 1), plan);
   CheckReport b = check::run_check(quick_cfg(test::base_seed + 1), plan);
   EXPECT_EQ(a.summary(), b.summary());
   EXPECT_EQ(a.violations, b.violations);
+  EXPECT_EQ(a.update_commits, b.update_commits);
+  EXPECT_FALSE(a.points_fired.empty());  // the master kill's recovery
+  EXPECT_EQ(a.points_fired, b.points_fired);
 }
 
 TEST(RunCheck, TwentySixClassesRun) {
@@ -236,6 +339,12 @@ TEST(RunCheck, SweepFlagsRenderOneReproLine) {
   EXPECT_EQ(check::sweep_flags(cfg, dflt), " --multimaster");
   cfg.classes = 4;
   EXPECT_EQ(check::sweep_flags(cfg, dflt), " --multimaster --classes 4");
+  // check_sweep --chaos renders against its own base.
+  cfg = chaos_config();
+  cfg.max_read_stall = 20000;
+  check::open_batch_windows(cfg.cluster.node);
+  EXPECT_EQ(check::sweep_flags(cfg, chaos_config()),
+            " --max-read-stall 20000 --batched");
 }
 
 TEST(RunCheck, RandomFaultPlansParse) {
@@ -243,7 +352,7 @@ TEST(RunCheck, RandomFaultPlansParse) {
     const std::string plan =
         check::random_fault_plan(quick_cfg(1), s, 1 + int(s % 2));
     std::string err;
-    ASSERT_TRUE(chaos::FaultPlan::parse(plan, &err).has_value())
+    ASSERT_TRUE(FaultPlan::parse(plan, &err).has_value())
         << plan << ": " << err;
   }
 }
@@ -270,7 +379,7 @@ TEST(RunCheck, RandomDisasterPlansParseAndWipe) {
   for (uint64_t s = 1; s <= 8; ++s) {
     const std::string plan = check::random_disaster_plan(cfg, s);
     std::string err;
-    ASSERT_TRUE(chaos::FaultPlan::parse(plan, &err).has_value())
+    ASSERT_TRUE(FaultPlan::parse(plan, &err).has_value())
         << plan << ": " << err;
     EXPECT_NE(plan.find("wipe-tier@t:"), std::string::npos) << plan;
   }
@@ -287,7 +396,10 @@ TEST(RunCheck, ElasticResizeRoundTrips) {
                           << (rep.violations.empty()
                                   ? ""
                                   : rep.violations.front());
+  EXPECT_EQ(rep.faults_fired, 2u);
   EXPECT_EQ(rep.faults_unfired, 0u);
+  EXPECT_GE(rep.joins, 1u);
+  EXPECT_EQ(rep.client_errors, 0u);
 }
 
 TEST(RunCheck, RandomElasticPlansParseAndAreDeterministic) {
@@ -297,12 +409,186 @@ TEST(RunCheck, RandomElasticPlansParseAndAreDeterministic) {
     const std::string plan =
         check::random_elastic_fault_plan(cfg, s, 1 + int(s % 2));
     std::string err;
-    ASSERT_TRUE(chaos::FaultPlan::parse(plan, &err).has_value())
+    ASSERT_TRUE(FaultPlan::parse(plan, &err).has_value())
         << plan << ": " << err;
     EXPECT_NE(plan.find("addslave@t:"), std::string::npos) << plan;
     EXPECT_EQ(plan,
               check::random_elastic_fault_plan(cfg, s, 1 + int(s % 2)));
   }
+}
+
+// ---- fault execution and structural invariants -------------------------
+
+TEST(RunCheck, BaselinePassesAllInvariants) {
+  CheckConfig cfg = chaos_config();
+  cfg.clients = 3;
+  cfg.ops_per_client = 15;
+  const CheckReport rep = check::run_check(cfg, "");
+  for (const auto& v : rep.violations) ADD_FAILURE() << v;
+  EXPECT_TRUE(rep.passed);
+  EXPECT_EQ(rep.client_errors, 0u);
+  EXPECT_GT(rep.ops_ok, 0u);
+  EXPECT_EQ(rep.recoveries, 0u);
+}
+
+TEST(LiveMasters, ClassOneCorruptionIsCaught) {
+  // Teeth: damage to the SECOND class's table on its own master must be
+  // reported — a check that only looked at masters()[0] missed it.
+  sim::Simulation sim;
+  net::Network net(sim);
+  api::ProcRegistry reg;  // no traffic needed
+  core::DmvCluster::Config cc;
+  cc.slaves = 1;
+  cc.spares = 0;
+  cc.schedulers = 1;
+  cc.conflict_classes = {{0}, {1}};
+  cc.schema = [](storage::Database& db) {
+    for (const char* name : {"acct_a", "acct_b"})
+      db.add_table(name,
+                   storage::Schema({storage::int_col("id"),
+                                    storage::int_col("balance")}),
+                   storage::IndexDef{"pk", {0}, true});
+  };
+  constexpr int64_t kRows = 4;
+  cc.loader = [](storage::Database& db) {
+    for (storage::TableId t : {storage::TableId(0), storage::TableId(1)})
+      for (int64_t i = 0; i < kRows; ++i)
+        db.table(t).insert_row(storage::Row{i, i * 10});
+  };
+  core::DmvCluster cluster(net, reg, std::move(cc));
+  cluster.start();
+  sim.run();
+
+  check::OracleConfig oc;
+  oc.tables = 2;
+  oc.initial.resize(2);
+  for (auto& table : oc.initial)
+    for (int64_t i = 0; i < kRows; ++i) table[i] = i * 10;
+  check::Oracle oracle(std::move(oc));
+  const std::vector<check::Event> no_traffic;  // the model is the load
+  Violations replay;
+  oracle.check(no_traffic, &replay);
+  ASSERT_TRUE(replay.ok());
+
+  Violations clean;
+  check::check_live_masters(cluster, oracle, &clean);
+  for (const auto& v : clean.items) ADD_FAILURE() << v;
+  EXPECT_TRUE(clean.ok());
+
+  // Corrupt a balance in table 1 on class 1's master.
+  storage::Table& t1 =
+      cluster.master(1).engine().db().table(storage::TableId(1));
+  auto rid = t1.pk_find(storage::Key{int64_t{2}});
+  ASSERT_TRUE(rid.has_value());
+  t1.update_row(*rid, storage::Row{int64_t{2}, int64_t{999}});
+
+  Violations dirty;
+  check::check_live_masters(cluster, oracle, &dirty);
+  ASSERT_FALSE(dirty.ok());
+  bool mentions_table1 = false;
+  for (const auto& v : dirty.items)
+    if (v.find("table 1") != std::string::npos) mentions_table1 = true;
+  EXPECT_TRUE(mentions_table1)
+      << "corruption in class 1 not attributed to table 1";
+}
+
+TEST(RunCheck, PointTriggeredFaultFires) {
+  const CheckReport rep = check::run_check(
+      chaos_config(), "kill:master@t:30000;kill:slave0@p:failover.discard#1");
+  for (const auto& v : rep.violations) ADD_FAILURE() << v;
+  EXPECT_TRUE(rep.passed);
+  EXPECT_EQ(rep.faults_fired, 2u);
+  EXPECT_EQ(rep.faults_unfired, 0u);
+}
+
+TEST(RunCheck, CatastrophicLossStillSatisfiesInvariants) {
+  // Kill everything that can serve requests: clients must fail cleanly
+  // (errors, not hangs) and no invariant may trip.
+  CheckConfig cfg = chaos_config();
+  cfg.cluster.slaves = 2;
+  cfg.cluster.spares = 0;
+  const CheckReport rep = check::run_check(
+      cfg,
+      "kill:slave0@t:20000;kill:slave1@t:20000;kill:master@t:20000;"
+      "kill:sched0@t:25000;kill:sched1@t:25000");
+  for (const auto& v : rep.violations) ADD_FAILURE() << v;
+  EXPECT_TRUE(rep.passed);
+  EXPECT_GT(rep.client_errors, 0u);
+}
+
+TEST(RunCheck, UnknownNodeIsAPlanError) {
+  CheckConfig cfg = chaos_config();
+  cfg.clients = 1;
+  cfg.ops_per_client = 3;
+  const CheckReport rep = check::run_check(cfg, "kill:bogus@t:1000");
+  EXPECT_FALSE(rep.passed);
+  ASSERT_EQ(rep.violations.size(), 1u);
+  EXPECT_NE(rep.violations[0].find("unknown node"), std::string::npos);
+}
+
+TEST(RunCheck, BatchedPipelineKeepsInvariantsThroughMasterKill) {
+  // Coalescing windows open: write-sets sit in master-side batch windows
+  // and acks stand for prefixes while the master dies. Recovery must
+  // flush delayed acks (DiscardAbove), prune per-master ack state, and
+  // still satisfy every invariant — no lost acked update, consistent
+  // tagged reads, monotone version vectors.
+  CheckConfig cfg = chaos_config();
+  check::open_batch_windows(cfg.cluster.node);
+  const CheckReport r = check::run_check(cfg, "kill:master@t:30000");
+  for (const auto& v : r.violations) ADD_FAILURE() << v;
+  EXPECT_TRUE(r.passed) << r.summary();
+  EXPECT_GE(r.recoveries, 1u);
+}
+
+TEST(RunCheck, BackendKillRestartKeepsDurability) {
+  // Fail-stop a backend mid-workload and bring it back: the restarted
+  // applier must replay (or snapshot+suffix attach) to the tail, and its
+  // bootstrap image must equal the oracle's acked prefix.
+  CheckConfig cfg = chaos_config();
+  cfg.cluster.enable_persistence = true;
+  const CheckReport rep = check::run_check(
+      cfg, "killbackend:0@t:20000;restartbackend:0@t:60000");
+  for (const auto& v : rep.violations) ADD_FAILURE() << v;
+  EXPECT_TRUE(rep.passed);
+  EXPECT_EQ(rep.faults_fired, 2u);
+}
+
+TEST(RunCheck, SchedulerKillAtPersistPointKeepsAckedDurability) {
+  // Regression: kill a scheduler exactly at the persistence protocol
+  // point (the §4.6 log append for a committed txn). The client resubmits
+  // through the surviving scheduler; the re-acked commit must reach the
+  // update log exactly once, and every acked update must be on disk at
+  // quiesce.
+  CheckConfig cfg = chaos_config();
+  cfg.cluster.enable_persistence = true;
+  const CheckReport rep =
+      check::run_check(cfg, "kill:sched0@p:persist.append#3");
+  for (const auto& v : rep.violations) ADD_FAILURE() << v;
+  EXPECT_TRUE(rep.passed);
+  EXPECT_EQ(rep.faults_fired, 1u);
+}
+
+TEST(RunCheck, WipeTierBackendsStillHoldAckedPrefix) {
+  // Destroy the whole mem tier mid-workload: remaining client ops fail
+  // cleanly, and the backends alone must still hold every acked update
+  // (the paper's disaster-recovery guarantee).
+  CheckConfig cfg = chaos_config();
+  cfg.cluster.enable_persistence = true;
+  const CheckReport rep = check::run_check(cfg, "wipe-tier@t:30000");
+  for (const auto& v : rep.violations) ADD_FAILURE() << v;
+  EXPECT_TRUE(rep.passed);
+  EXPECT_GT(rep.client_errors, 0u);
+}
+
+TEST(RunCheck, BackendFaultWithoutTierIsAPlanError) {
+  CheckConfig cfg = chaos_config();
+  cfg.clients = 1;
+  cfg.ops_per_client = 3;
+  const CheckReport rep = check::run_check(cfg, "killbackend:0@t:1000");
+  EXPECT_FALSE(rep.passed);
+  ASSERT_EQ(rep.violations.size(), 1u);
+  EXPECT_NE(rep.violations[0].find("no persistence tier"),
+            std::string::npos);
 }
 
 // ---- mutation + shrink machinery ---------------------------------------
@@ -387,7 +673,7 @@ TEST(Shrink, DropsIrrelevantFaults) {
   auto still_fails = [](const std::string& plan) {
     return plan.find("kill:slave0") != std::string::npos;
   };
-  const std::string shrunk = chaos::shrink_plan(
+  const std::string shrunk = check::shrink_plan(
       "kill:slave0@t:5000;kill:spare0@t:6000;restart:spare0@t:9000",
       still_fails);
   EXPECT_NE(shrunk.find("kill:slave0"), std::string::npos);

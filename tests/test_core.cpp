@@ -777,7 +777,7 @@ TEST(ConflictClasses, PerClassMasterFailureRecoversOnlyThatClass) {
 // consistent tagged reads, monotone version vectors, drained scheduler
 // queues, balanced spans, converged replicas — not just liveness.
 
-// chaos_sweep's run with the given seed and replica counts.
+// check_sweep --chaos's base run with the given seed and replica counts.
 check::CheckConfig one_class(uint64_t seed = 1, int slaves = 2,
                              int spares = 1) {
   check::CheckConfig cfg = check::chaos_config();
