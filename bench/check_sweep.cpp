@@ -49,9 +49,10 @@
 // "master"; 4 clients x 25 ops over 64 rows), each under seeds 1..N
 // (default 2):
 //  1. baseline (no faults) — the harness itself must be quiet;
-//  2. single faults: kill each role (master, slaves, spare, schedulers) at
-//     two points in the workload; bounce (kill + restart) a slave and the
-//     master through the §4.4 rejoin protocol;
+//  2. single faults: kill each node of the base deployment (master,
+//     slaves, spares, schedulers) at two points in the workload; bounce
+//     (kill + restart) a slave and the master through the §4.4 rejoin
+//     protocol;
 //  3. double faults: run a probe schedule to learn which protocol points
 //     (dmv_obs span names: failover.discard, failover.promote,
 //     sched.takeover, join.*, ...) it exercises, then re-run it killing a
@@ -59,8 +60,10 @@
 //  4. scenario schedules: read starvation with the last slave dead, a
 //     standby takeover racing a dying master, a join arriving mid-recovery,
 //     a master restarting before the standby takes over.
-// --quick runs a reduced schedule. With --fault-plan or --seed, --chaos
-// only sets the base config; its repro lines start `check_sweep --chaos`.
+// A schedule naming a node the base deployment lacks (--slaves, --spares,
+// --schedulers) is skipped. --quick runs a reduced schedule. With
+// --fault-plan or --seed, --chaos only sets the base config; its repro
+// lines start `check_sweep --chaos`.
 //
 // Exit status: 0 if every run passed (and, with --mutations, every
 // mutation was caught), 1 otherwise, 2 on a usage error.
@@ -235,7 +238,37 @@ bool mentions(const std::string& plan, const std::string& node) {
   return plan.find(":" + node + "@") != std::string::npos;
 }
 
-// The --chaos schedules in run order (phases 1-4 of the header comment).
+// The engine and scheduler node names of `cfg`'s one-class deployment.
+std::vector<std::string> node_names(const check::CheckConfig& cfg) {
+  std::vector<std::string> names = {"master"};
+  for (int i = 0; i < cfg.cluster.slaves; ++i)
+    names.push_back("slave" + std::to_string(i));
+  for (int i = 0; i < cfg.cluster.spares; ++i)
+    names.push_back("spare" + std::to_string(i));
+  for (int i = 0; i < cfg.cluster.schedulers; ++i)
+    names.push_back("sched" + std::to_string(i));
+  return names;
+}
+
+// Whether `cfg`'s deployment has every node `plan` addresses.
+bool deployed(const check::CheckConfig& cfg, const std::string& plan) {
+  const std::vector<std::string> names = node_names(cfg);
+  const auto has = [&names](const std::string& n) {
+    return n.empty() || std::ranges::find(names, n) != names.end();
+  };
+  const auto parsed = check::FaultPlan::parse(plan);
+  for (const auto& f : parsed->faults) {
+    const check::Action& a = f.action;
+    const bool link = a.kind == check::ActionKind::Drop ||
+                      a.kind == check::ActionKind::Heal ||
+                      a.kind == check::ActionKind::Slow;
+    if (!has(a.node) || (link && !(has(a.a) && has(a.b)))) return false;
+  }
+  return true;
+}
+
+// The --chaos schedules in run order (phases 1-4 of the header comment),
+// over the nodes the base deployment has.
 std::vector<Entry> chaos_schedules(const Options& opt) {
   std::vector<Entry> entries;
   const check::CheckConfig& base = opt.base;
@@ -245,8 +278,7 @@ std::vector<Entry> chaos_schedules(const Options& opt) {
 
   // Phase 2: single faults per role, early and late in the workload.
   {
-    std::vector<std::string> victims = {"master", "slave0", "slave1",
-                                        "spare0", "sched0", "sched1"};
+    std::vector<std::string> victims = node_names(base);
     std::vector<long> times = {20000, 60000};
     if (opt.quick) {
       victims = {"master", "slave0", "sched0"};
@@ -284,9 +316,10 @@ std::vector<Entry> chaos_schedules(const Options& opt) {
       for (const auto& pt : points_of(base, b.plan)) {
         for (const auto& v : b.second) {
           if (mentions(b.plan, v)) continue;  // already dead in the base
-          if (added >= cap) break;
           const std::string plan =
               b.plan + ";kill:" + v + "@p:" + pt + "#1";
+          if (!deployed(base, plan)) continue;
+          if (added >= cap) break;
           entries.push_back({"double@" + pt + "+" + v, base, plan});
           ++added;
         }
@@ -326,6 +359,8 @@ std::vector<Entry> chaos_schedules(const Options& opt) {
            "restart:slave1@t:30000;kill:master@p:join.subscribe#1"});
     }
   }
+  std::erase_if(entries,
+                [](const Entry& e) { return !deployed(e.cfg, e.plan); });
   return entries;
 }
 
@@ -391,7 +426,6 @@ int main(int argc, char** argv) {
       check::open_batch_windows(opt.base.cluster.node);
     } else if (a == "--elastic") {
       opt.elastic = true;
-      opt.base.elastic = true;
     } else if (a == "--multimaster") {
       opt.multimaster = true;
       opt.base.multimaster = true;
@@ -418,7 +452,7 @@ int main(int argc, char** argv) {
     } else if (a == "--artifacts") {
       opt.artifacts = next();
     } else if (a == "--slaves") {
-      opt.base.cluster.slaves = int(number(a, next(), 0));
+      opt.base.cluster.slaves = int(number(a, next(), 1));
     } else if (a == "--spares") {
       opt.base.cluster.spares = int(number(a, next(), 0));
     } else if (a == "--schedulers") {

@@ -23,6 +23,21 @@ struct Measured {
 
 bool g_batched = false;  // --batched: replication-pipeline ablation
 
+// The step function: one fresh run per client step; the best WIPS wins.
+struct Peak {
+  size_t clients = 0;
+  Measured m;
+};
+template <class Measure>
+Peak find_peak(const std::vector<size_t>& steps, Measure measure) {
+  Peak best;
+  for (size_t c : steps) {
+    const Measured m = measure(c);
+    if (best.clients == 0 || m.wips > best.m.wips) best = {c, m};
+  }
+  return best;
+}
+
 Measured measure_dmv(tpcw::Mix mix, int slaves, size_t clients) {
   harness::DmvExperiment::Config cfg;
   cfg.workload = default_workload(mix, clients);
@@ -105,42 +120,28 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::string>> scaling_rows;
 
   for (tpcw::Mix mix : mixes) {
-    // Baseline peak.
-    harness::PeakResult base = harness::find_peak(
-        disk_steps, [&](size_t c) -> harness::PeakPoint {
-          const Measured m = measure_disk(mix, c);
-          return {c, m.wips, m.latency};
-        });
-    const double base_wips = base.best().wips;
+    const Peak base = find_peak(
+        disk_steps, [&](size_t c) { return measure_disk(mix, c); });
+    const double base_wips = base.m.wips;
     rows.push_back({tpcw::mix_name(mix), "InnoDB (1 node)",
-                    std::to_string(base.best().clients),
-                    harness::fmt(base_wips), "1.0",
-                    harness::fmt(base.best().latency * 1000, 0), "-"});
+                    std::to_string(base.clients), harness::fmt(base_wips),
+                    "1.0", harness::fmt(base.m.latency * 1000, 0), "-"});
 
     for (int n : sizes) {
       // Larger tiers saturate at higher client counts; search upward.
-      double best_wips = 0, best_lat = 0, best_aborts = 0;
-      size_t best_clients = 0;
-      for (size_t c : dmv_steps) {
-        const Measured m = measure_dmv(mix, n, c);
-        if (m.wips > best_wips) {
-          best_wips = m.wips;
-          best_lat = m.latency;
-          best_aborts = m.abort_rate;
-          best_clients = c;
-        }
-      }
+      const Peak best = find_peak(
+          dmv_steps, [&](size_t c) { return measure_dmv(mix, n, c); });
       rows.push_back(
           {tpcw::mix_name(mix), "DMV " + std::to_string(n) + " slaves",
-           std::to_string(best_clients), harness::fmt(best_wips),
-           harness::fmt(best_wips / base_wips),
-           harness::fmt(best_lat * 1000, 0),
-           harness::fmt(best_aborts * 100, 2) + "%"});
+           std::to_string(best.clients), harness::fmt(best.m.wips),
+           harness::fmt(best.m.wips / base_wips),
+           harness::fmt(best.m.latency * 1000, 0),
+           harness::fmt(best.m.abort_rate * 100, 2) + "%"});
       if (n == 8)
         scaling_rows.push_back(
             {tpcw::mix_name(mix), harness::fmt(base_wips),
-             harness::fmt(best_wips),
-             harness::fmt(best_wips / base_wips)});
+             harness::fmt(best.m.wips),
+             harness::fmt(best.m.wips / base_wips)});
     }
   }
 

@@ -23,7 +23,6 @@ int main() {
   cfg.spares = 1;
   cfg.costs = calibrated_costs();
   cfg.costs.mem_page_fault = 8 * sim::kMsec;
-  cfg.prewarm_spares = false;  // the point of the experiment
 
   harness::DmvExperiment exp(cfg);
   const net::NodeId slave = exp.cluster().slave_id(0);

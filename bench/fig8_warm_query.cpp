@@ -20,7 +20,6 @@ int main() {
   cfg.spares = 1;
   cfg.costs = calibrated_costs();
   cfg.costs.mem_page_fault = 8 * sim::kMsec;
-  cfg.prewarm_spares = false;
   cfg.scheduler.spare_read_fraction = 0.01;  // the 1% warm-up policy
 
   harness::DmvExperiment exp(cfg);

@@ -21,7 +21,6 @@ int main() {
   cfg.spares = 1;
   cfg.costs = calibrated_costs();
   cfg.costs.mem_page_fault = 8 * sim::kMsec;
-  cfg.prewarm_spares = false;
   cfg.pageid_hints = true;  // slave 0 ships hot-page ids to spare 0
   cfg.node.hint_every_txns = 100;
 

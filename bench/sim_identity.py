@@ -21,11 +21,18 @@ Host-time metrics are not compared. Usage:
 Each tree builds perfbench into its own .bench_build/ (about 75 s on four
 cores the first time).
 
-With --sweeps it instead builds check_sweep from REF and from the working
-tree (in temporary build directories) and diffs the verbose output and
-exit status of every run in SWEEPS, wall-clock lines dropped: --mutations,
---quick alone and with each mode, each non-TPC-W --workload, and --chaos
---quick with and without --batched.
+With --sweeps it instead builds check_sweep and the figure and macro
+benches from REF and from the working tree (in temporary build
+directories) and diffs the output and exit status of every run in SWEEPS,
+wall-clock lines dropped and host-time fields masked:
+  - check_sweep --verbose with --mutations, --quick alone and with each
+    mode, each non-TPC-W --workload, and --chaos --quick with and without
+    --batched;
+  - fig3-fig9, tbl_reconfig_matrix and both ablations;
+  - the five macro benches at --quick, writing their JSON into the
+    temporary tree, never over the committed BENCH_*.json files.
+The whole comparison, both builds included, takes about 15 min on four
+cores (fig3 about 2 min per tree).
 
 Exit code 0: every value identical; 1: some value differs; 2: a run or a
 build failed.
@@ -44,15 +51,24 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 METRICS = ("wips", "read_mean_ms", "read_p99_ms", "update_mean_ms",
            "update_p99_ms", "sim.events_per_vs")
-SWEEPS = [["check_sweep", "--mutations"],
-          ["check_sweep", "--quick"]] + \
-         [["check_sweep", "--quick", m]
+CHECKS = [["--mutations"], ["--quick"]] + \
+         [["--quick", m]
           for m in ("--geo", "--elastic", "--multimaster", "--disaster")] + \
-         [["check_sweep", "--workload", w, "--quick"]
-          for w in ("ycsb", "orders", "scan")] + \
-         [["check_sweep", "--chaos", "--quick"],
-          ["check_sweep", "--chaos", "--batched", "--quick"]]
+         [["--workload", w, "--quick"] for w in ("ycsb", "orders", "scan")] + \
+         [["--chaos", "--quick"], ["--chaos", "--batched", "--quick"]]
+FIGURES = ["fig3_scaling", "fig4_reintegration", "fig5_failover_stale",
+           "fig6_stage_breakdown", "fig7_cold_backup", "fig8_warm_query",
+           "fig9_warm_pageid", "tbl_reconfig_matrix", "ablation_design",
+           "ablation_replication"]
+MACROS = ["bench_repl", "bench_geo", "bench_elastic", "bench_multimaster",
+          "bench_workloads"]
+# "{out}" stands for the temporary output directory of the comparison.
+SWEEPS = [["check_sweep"] + a + ["--verbose"] for a in CHECKS] + \
+         [[f] for f in FIGURES] + \
+         [[m, "--quick", "--out", "{out}/%s.json" % m] for m in MACROS]
 WALL_CLOCK = re.compile(r"wall|host_sec|elapsed", re.IGNORECASE)
+# A host-time field inside a line of simulated values (bench_workloads).
+HOST_FIELD = re.compile(r"\bspv=\S+")
 
 
 def extract(ref, dest):
@@ -99,11 +115,12 @@ def simulated(tree, workload, seed, seconds):
 
 
 def build_sweeps(tree, build):
-    """Builds check_sweep of `tree` into `build`."""
+    """Builds every binary SWEEPS runs of `tree` into `build`."""
+    targets = sorted({argv[0] for argv in SWEEPS})
     for cmd in (["cmake", "-S", tree, "-B", build,
                  "-DCMAKE_BUILD_TYPE=Release"],
                 ["cmake", "--build", build, "-j", "4",
-                 "--target", "check_sweep"]):
+                 "--target"] + targets):
         proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                               stderr=subprocess.STDOUT, text=True)
         if proc.returncode:
@@ -113,12 +130,14 @@ def build_sweeps(tree, build):
     return True
 
 
-def sweep_output(build, argv):
-    """The deterministic lines of one verbose sweep run, plus its status."""
-    cmd = [os.path.join(build, "bench", argv[0])] + argv[1:] + ["--verbose"]
+def sweep_output(build, argv, out):
+    """The deterministic lines of one run, plus its status."""
+    cmd = [os.path.join(build, "bench", argv[0])] + \
+          [a.replace("{out}", out) for a in argv[1:]]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE,
                           stderr=subprocess.STDOUT, text=True)
-    lines = [l for l in proc.stdout.splitlines() if not WALL_CLOCK.search(l)]
+    lines = [HOST_FIELD.sub("spv=-", l) for l in proc.stdout.splitlines()
+             if not WALL_CLOCK.search(l)]
     return lines + ["exit %d" % proc.returncode]
 
 
@@ -129,16 +148,20 @@ def compare_sweeps(ref, base):
     try:
         old_build = os.path.join(builds, "ref")
         new_build = os.path.join(builds, "work")
+        # One output directory for both trees: a bench that echoes its
+        # --out path prints the same line in each.
+        out = os.path.join(builds, "out")
+        os.mkdir(out)
         if not (build_sweeps(base, old_build) and
                 build_sweeps(ROOT, new_build)):
             return 2
         status = 0
         for argv in SWEEPS:
             name = " ".join(argv)
-            old = sweep_output(old_build, argv)
-            new = sweep_output(new_build, argv)
+            old = sweep_output(old_build, argv, out)
+            new = sweep_output(new_build, argv, out)
             if old == new:
-                print("%s: identical (%d lines)" % (name, len(old)))
+                print("%s: identical (%d lines)" % (name, len(old)), flush=True)
                 continue
             status = 1
             print("%s: DIFFERENT" % name)
@@ -187,7 +210,7 @@ def main():
     ap.add_argument("--workloads", nargs="+",
                     help="default: every workload of BENCHMARK.json")
     ap.add_argument("--sweeps", action="store_true",
-                    help="compare check_sweep output instead")
+                    help="compare check_sweep and bench output instead")
     args = ap.parse_args()
 
     base = tempfile.mkdtemp(prefix="sim_identity-")

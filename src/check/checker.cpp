@@ -1140,7 +1140,6 @@ std::string sweep_flags(const CheckConfig& cfg, const CheckConfig& base) {
     os << " --batched";
   if (cfg.cluster.enable_persistence) os << " --disaster";
   if (wan && !cfg.multimaster) os << " --geo";
-  if (cfg.elastic) os << " --elastic";
   if (cfg.multimaster) os << " --multimaster";
   num("--classes", cfg.classes, cfg.multimaster ? 3 : base.classes);
   if (cfg.workload != base.workload)

@@ -108,10 +108,6 @@ struct CheckConfig {
   sim::Time mean_think = 2 * sim::kMsec;
   sim::Time quiesce_horizon = 600 * sim::kSec;
   uint64_t seed = 1;
-  // Elastic mode: random_elastic_fault_plan resizes the fleet mid-workload
-  // (addslave scale-outs, retire drains) on top of the usual kills; the
-  // oracle must hold while nodes join via §4.4 and drain out under load.
-  bool elastic = false;
   // Read-availability bound (0 = unchecked): a *successful* read-only op
   // taking longer than this is a violation. Schedules that kill the last
   // slave set it to assert the paper's continuous-availability claim —

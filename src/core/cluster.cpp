@@ -213,14 +213,15 @@ void DmvCluster::start() {
     }(net_, heartbeat_node_, *heartbeat_));
     heartbeat_->start();
   }
+  // Masters and slaves start with every loaded page resident (the paper
+  // excludes initial cache warm-up from measurements). Spares start cold:
+  // their warm-up is what Figs 7-9 measure.
   auto prewarm = [](EngineNode& n) {
     for (const auto& [pid, ver] : n.engine().page_versions())
       n.engine().cache().prefetch(pid);
   };
   for (NodeId m : master_ids_) prewarm(*nodes_[m]);
   for (NodeId s : slave_ids_) prewarm(*nodes_[s]);
-  if (cfg_.prewarm_spares)
-    for (NodeId s : spare_ids_) prewarm(*nodes_[s]);
   for (auto& [id, node] : nodes_) node->start();
   for (auto& s : schedulers_) s->start();
   if (persistence_) persistence_->start();

@@ -48,10 +48,6 @@ class DmvCluster {
     net::HeartbeatConfig heartbeat;
     bool enable_persistence = false;
     PersistenceBinding::Config persistence;
-    // Masters and slaves start with every loaded page resident (the paper
-    // excludes initial cache warm-up from measurements). Spares are left
-    // cold by default — their warm-up behavior is what Figs 7-9 measure.
-    bool prewarm_spares = false;
     mem::SchemaFn schema;
     // Fills the initial data into an empty `schema` database. It runs once
     // per deployment (the base image every node and backend copies), and

@@ -27,7 +27,6 @@ class Series {
     if (r.is_write) ++writes_;
     tp_.record(uint64_t(r.end), 1.0);
     lat_.record(uint64_t(r.end), sim::to_seconds(r.end - r.start));
-    all_latency_.record(sim::to_seconds(r.end - r.start));
     samples_.emplace_back(r.end, sim::to_seconds(r.end - r.start));
   }
 
@@ -42,7 +41,6 @@ class Series {
 
   const util::TimeSeries& throughput_series() const { return tp_; }
   const util::TimeSeries& latency_series() const { return lat_; }
-  const util::Histogram& latency_hist() const { return all_latency_; }
   uint64_t total() const { return total_; }
   uint64_t errors() const { return errors_; }
   uint64_t writes() const { return writes_; }
@@ -52,7 +50,6 @@ class Series {
   sim::Time bucket_;
   util::TimeSeries tp_;
   util::TimeSeries lat_;
-  util::Histogram all_latency_;
   // Raw (completion time, latency) samples for windowed percentiles.
   std::vector<std::pair<sim::Time, double>> samples_;
   uint64_t total_ = 0;

@@ -68,15 +68,6 @@ TEST(Report, FmtPrecision) {
   EXPECT_EQ(fmt(10.0, 0), "10");
 }
 
-TEST(PeakSearch, PicksMaximum) {
-  auto r = find_peak({10, 20, 30}, [](size_t c) -> PeakPoint {
-    return {c, c == 20 ? 100.0 : 50.0, 0.1};
-  });
-  EXPECT_EQ(r.points.size(), 3u);
-  EXPECT_EQ(r.best().clients, 20u);
-  EXPECT_DOUBLE_EQ(r.best().wips, 100.0);
-}
-
 // Smoke: a tiny DMV experiment produces sensible series and is
 // deterministic across identical configs.
 TEST(Experiment, DmvSmokeAndDeterminism) {
