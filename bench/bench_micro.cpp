@@ -1,11 +1,13 @@
-// google-benchmark micro-benchmarks for the hot primitives: RB-tree index
-// operations, page diff/apply, the page LRU, a replica's range scan, the
-// lock table fast path, and the TPC-W generator. These are host-time
+// google-benchmark micro-benchmarks for the hot primitives: the simulation
+// kernel's wait/wake path, RB-tree index operations, page diff/apply, the
+// page LRU, a replica's range scan, the lock table fast path, and the
+// TPC-W generator. These are host-time
 // benchmarks of the real data structures (the macro experiments charge
 // modeled virtual time instead).
 #include <benchmark/benchmark.h>
 
 #include "mem/engine.hpp"
+#include "sim/sync.hpp"
 #include "storage/table.hpp"
 #include "tpcw/generator.hpp"
 #include "txn/write_set.hpp"
@@ -22,6 +24,54 @@ std::string int_key(int64_t v) {
   storage::encode_int(v, k.data());
   return k;
 }
+
+// N coroutines, each alternating delay(d) for a short d with yield(): the
+// kernel's heap and same-instant paths. One item is one event.
+void BM_SimDelayChurn(benchmark::State& state) {
+  const int n = int(state.range(0));
+  constexpr int kRounds = 1000;
+  size_t events = 0;
+  for (auto _ : state) {
+    sim::Simulation s;
+    for (int i = 0; i < n; ++i)
+      s.spawn([](sim::Simulation& s, int i) -> sim::Task<> {
+        for (int k = 0; k < kRounds; ++k) {
+          co_await s.delay(1 + (i + k) % 7);
+          co_await s.yield();
+        }
+      }(s, i));
+    s.run();
+    events += s.events_processed();
+  }
+  state.SetItemsProcessed(int64_t(events));
+}
+BENCHMARK(BM_SimDelayChurn)->Arg(1)->Arg(64)->Arg(1024);
+
+// Two coroutines handing control back and forth through a pair of
+// WaitQueues. One item is one hand-off (a notify, a wait and a wake).
+void BM_WaitQueuePingPong(benchmark::State& state) {
+  constexpr int kRounds = 10000;
+  for (auto _ : state) {
+    sim::Simulation s;
+    sim::WaitQueue ping(s), pong(s);
+    s.spawn([](sim::WaitQueue& ping, sim::WaitQueue& pong) -> sim::Task<> {
+      for (int k = 0; k < kRounds; ++k) {
+        co_await ping.wait();
+        pong.notify_one();
+      }
+    }(ping, pong));
+    s.spawn([](sim::WaitQueue& ping, sim::WaitQueue& pong) -> sim::Task<> {
+      for (int k = 0; k < kRounds; ++k) {
+        ping.notify_one();
+        co_await pong.wait();
+      }
+    }(ping, pong));
+    s.run();
+    benchmark::DoNotOptimize(s.events_processed());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kRounds);
+}
+BENCHMARK(BM_WaitQueuePingPong);
 
 void BM_RbTreeInsert(benchmark::State& state) {
   const int64_t n = state.range(0);

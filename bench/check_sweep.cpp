@@ -61,7 +61,8 @@
 //     standby takeover racing a dying master, a join arriving mid-recovery,
 //     a master restarting before the standby takes over.
 // A schedule naming a node the base deployment lacks (--slaves, --spares,
-// --schedulers) is skipped. --quick runs a reduced schedule. With
+// --schedulers), or killing sched0 when it has no standby scheduler, is
+// skipped. --quick runs a reduced schedule. With
 // --fault-plan or --seed, --chaos only sets the base config; its repro
 // lines start `check_sweep --chaos`.
 //
@@ -250,7 +251,10 @@ std::vector<std::string> node_names(const check::CheckConfig& cfg) {
   return names;
 }
 
-// Whether `cfg`'s deployment has every node `plan` addresses.
+// Whether `cfg`'s deployment has every node `plan` addresses and a
+// standby for any scheduler the plan kills: with no peer to take over,
+// every op after the kill is a client error and the run tests nothing
+// (the rule check::victims_of applies to seed-derived plans).
 bool deployed(const check::CheckConfig& cfg, const std::string& plan) {
   const std::vector<std::string> names = node_names(cfg);
   const auto has = [&names](const std::string& n) {
@@ -263,6 +267,9 @@ bool deployed(const check::CheckConfig& cfg, const std::string& plan) {
                       a.kind == check::ActionKind::Heal ||
                       a.kind == check::ActionKind::Slow;
     if (!has(a.node) || (link && !(has(a.a) && has(a.b)))) return false;
+    if (a.kind == check::ActionKind::Kill && a.node == "sched0" &&
+        cfg.cluster.schedulers < 2)
+      return false;
   }
   return true;
 }
@@ -313,6 +320,7 @@ std::vector<Entry> chaos_schedules(const Options& opt) {
     size_t added = 0;
     const size_t cap = opt.quick ? 4 : 64;
     for (const auto& b : bases) {
+      if (!deployed(base, b.plan)) continue;
       for (const auto& pt : points_of(base, b.plan)) {
         for (const auto& v : b.second) {
           if (mentions(b.plan, v)) continue;  // already dead in the base

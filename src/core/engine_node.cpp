@@ -75,7 +75,7 @@ void EngineNode::on_killed() {
   engine_->shutdown();
   for (auto& [seq, w] : ack_waits_) {
     w->cancelled = true;
-    w->done->notify_all(false);
+    w->done.notify_all(false);
   }
   ack_waits_.clear();
   for (auto& [origin, acked] : awaiting_ack_) acked->notify_all(false);
@@ -139,9 +139,8 @@ void EngineNode::broadcast_write_set(const txn::WriteSetPtr& ws) {
   obs::count("ws.broadcasts", id_);
   const size_t ws_bytes = ws->byte_size();
   obs::count("ws.bytes", id_, double(ws_bytes * targets.size()));
-  auto wait = std::make_unique<AckWait>();
+  auto wait = std::make_unique<AckWait>(net_.sim());
   wait->pending = targets;
-  wait->done = std::make_unique<sim::WaitQueue>(net_.sim());
   if (cfg_.quorum_commit) {
     wait->quorum = true;
     const net::Topology& topo = net_.topology();
@@ -305,7 +304,7 @@ void EngineNode::ack_wait_acked(AckWait& w, NodeId from) {
   if (!w.pending.erase(from)) return;
   if (w.voters.count(from)) ++w.votes;
   w.sync_pending.erase(from);
-  if (w.satisfied()) w.done->notify_all();
+  if (w.satisfied()) w.done.notify_all();
 }
 
 void EngineNode::ack_wait_dropped(AckWait& w, NodeId from) {
@@ -314,7 +313,7 @@ void EngineNode::ack_wait_dropped(AckWait& w, NodeId from) {
   // without contributing a vote.
   const bool changed =
       w.pending.erase(from) > 0 || w.sync_pending.erase(from) > 0;
-  if (changed && w.satisfied()) w.done->notify_all();
+  if (changed && w.satisfied()) w.done.notify_all();
 }
 
 sim::Task<bool> EngineNode::wait_acks(uint64_t seq) {
@@ -328,7 +327,7 @@ sim::Task<bool> EngineNode::wait_acks(uint64_t seq) {
   if (it == ack_waits_.end()) co_return true;  // no replicas / already done
   AckWait& w = *it->second;
   while (!w.satisfied() && !w.cancelled) {
-    const bool ok = co_await w.done->wait();
+    const bool ok = co_await w.done.wait();
     if (!ok) co_return false;
   }
   const bool ok = !w.cancelled;

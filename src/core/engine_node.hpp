@@ -149,8 +149,9 @@ class EngineNode {
   // acked or died), which keeps the no-live-replica degradation identical
   // to the all-ack mode.
   struct AckWait {
+    explicit AckWait(sim::Simulation& sim) : done(sim) {}
     std::set<NodeId> pending;
-    std::unique_ptr<sim::WaitQueue> done;
+    sim::WaitQueue done;
     bool cancelled = false;
     bool quorum = false;
     std::set<NodeId> voters;        // snapshot of the voter set, ∩ targets

@@ -1,14 +1,16 @@
-// Pending-event set for the simulation kernel: a binary min-heap ordered
+// Pending-event heap for the simulation kernel: a binary min-heap ordered
 // by (time, seq), so equal-timestamp events run strictly FIFO.
 //
-// Popping via std::pop_heap + vector::pop_back moves the element out of a
-// mutable vector slot, never through priority_queue::top()'s const
-// reference.
+// An entry is three words and trivially copyable. Its payload is one
+// tagged word (see Simulation): the address of a suspended coroutine to
+// resume, or, with the low bit set, the index of a closure slot owned by
+// the Simulation. Sifting the heap therefore moves no std::function and
+// allocates nothing beyond the vector's own growth.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -19,13 +21,14 @@ namespace dmv::sim {
 struct Event {
   Time at;
   uint64_t seq;
-  std::function<void()> fn;
+  uintptr_t what;  // coroutine address, or (closure slot << 1) | 1
 };
+static_assert(std::is_trivially_copyable_v<Event>);
 
 class EventQueue {
  public:
   void push(Event ev) {
-    heap_.push_back(std::move(ev));
+    heap_.push_back(ev);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
 
@@ -37,7 +40,7 @@ class EventQueue {
   Event pop() {
     DMV_ASSERT(!heap_.empty());
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Event ev = std::move(heap_.back());
+    const Event ev = heap_.back();
     heap_.pop_back();
     return ev;
   }

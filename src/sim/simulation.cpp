@@ -3,29 +3,66 @@
 namespace dmv::sim {
 
 void Simulation::schedule_at(Time at, std::function<void()> fn) {
-  DMV_ASSERT_MSG(at >= now_, "cannot schedule into the past");
-  queue_.push(Event{at, next_seq_++, std::move(fn)});
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = uint32_t(slots_.size());
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
+  }
+  push(at, (uintptr_t(slot) << 1) | 1);
 }
 
 void Simulation::spawn(Task<> task) {
   auto h = task.release();
   DMV_ASSERT(h);
   h.promise().detached = true;
-  schedule_at(now_, [h] { h.resume(); });
+  resume_at(now_, h);
+}
+
+void Simulation::dispatch(uintptr_t what) {
+  if ((what & 1) == 0) {
+    std::coroutine_handle<>::from_address(reinterpret_cast<void*>(what))
+        .resume();
+    return;
+  }
+  // Take the closure out before calling it: it may schedule more closures,
+  // which can reuse its slot or grow the pool.
+  const auto slot = uint32_t(what >> 1);
+  std::function<void()> fn;
+  fn.swap(slots_[slot]);
+  free_slots_.push_back(slot);
+  fn();
 }
 
 Time Simulation::run(Time until) {
   stopped_ = false;
-  while (!queue_.empty() && !stopped_) {
-    if (queue_.peek_time() > until) {
+  if (until < now_) return now_;
+  while (!stopped_) {
+    uintptr_t what;
+    if (!heap_.empty() && heap_.peek_time() == now_) {
+      what = heap_.pop().what;
+    } else if (fifo_head_ < fifo_.size()) {
+      what = fifo_[fifo_head_++];
+      if (fifo_head_ == fifo_.size()) {
+        fifo_.clear();
+        fifo_head_ = 0;
+      }
+    } else if (heap_.empty()) {
+      break;
+    } else if (heap_.peek_time() > until) {
       now_ = until;
-      return now_;
+      break;
+    } else {
+      const Event ev = heap_.pop();
+      DMV_ASSERT(ev.at > now_);
+      now_ = ev.at;
+      what = ev.what;
     }
-    Event ev = queue_.pop();
-    DMV_ASSERT(ev.at >= now_);
-    now_ = ev.at;
     ++events_processed_;
-    ev.fn();
+    dispatch(what);
   }
   return now_;
 }

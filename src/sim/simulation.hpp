@@ -1,16 +1,30 @@
 // Discrete-event simulation kernel.
 //
-// One Simulation owns a virtual clock and a pending-event queue (see
-// sim/event_queue.hpp). All processes (clients, schedulers, database
-// workers, replication streams, failure detectors) are coroutines spawned
-// onto it. Every resumption goes through the event
-// queue, so for a given seed a run is bit-deterministic — that determinism
-// is what makes fail-over experiments and property tests exactly
-// reproducible. Events are ordered by (time, seq): equal-timestamp events
-// run strictly in schedule order.
+// One Simulation owns a virtual clock and the pending events. All
+// processes (clients, schedulers, database workers, replication streams,
+// failure detectors) are coroutines spawned onto it. Every resumption goes
+// through the kernel, so for a given seed a run is bit-deterministic — that
+// determinism is what makes fail-over experiments and property tests
+// exactly reproducible. Events are ordered by (time, seq): equal-timestamp
+// events run strictly in schedule order.
+//
+// Pending events live in two places. An event for a later instant goes to
+// the (time, seq) heap of sim/event_queue.hpp; an event for the current
+// instant goes to a plain FIFO. The loop runs the heap's entries for the
+// current instant first, then the FIFO. That is exact (time, seq) order: a
+// heap entry for instant T was scheduled before the clock reached T, so its
+// seq is below that of every FIFO entry of T. The FIFO is empty whenever
+// the clock advances.
+//
+// Coroutine wakes (delay, yield, spawn, WaitQueue, Channel) carry the
+// coroutine handle itself. schedule_at() closures sit in a recycled slot
+// pool, so neither structure holds a std::function.
 #pragma once
 
+#include <coroutine>
+#include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "sim/event_queue.hpp"
 #include "sim/task.hpp"
@@ -33,6 +47,14 @@ class Simulation {
     schedule_at(now_ + delay, std::move(fn));
   }
 
+  // Resume the suspended coroutine h at absolute virtual time `at`
+  // (>= now). One event, like schedule_at, without a closure.
+  void resume_at(Time at, std::coroutine_handle<> h) {
+    const auto what = reinterpret_cast<uintptr_t>(h.address());
+    DMV_ASSERT((what & 1) == 0);  // the low bit tags closure slots
+    push(at, what);
+  }
+
   // Run a coroutine as a detached process, starting at the current time.
   void spawn(Task<> task);
 
@@ -43,7 +65,7 @@ class Simulation {
       Time d;
       bool await_ready() const noexcept { return false; }
       void await_suspend(std::coroutine_handle<> h) {
-        sim->schedule_after(d, [h] { h.resume(); });
+        sim->resume_at(sim->now_ + d, h);
       }
       void await_resume() const noexcept {}
     };
@@ -51,27 +73,46 @@ class Simulation {
     return Awaiter{this, d};
   }
 
-  // Awaitable: reschedule through the event queue at the current time
-  // (yield point; later-scheduled events at this instant run first).
+  // Awaitable: reschedule through the kernel at the current time (yield
+  // point; later-scheduled events at this instant run first).
   auto yield() { return delay(0); }
 
-  // Drain events until the queue is empty, stop() is called, or the clock
+  // Drain events until none is pending, stop() is called, or the clock
   // would pass `until` (Time max by default). Returns the final clock.
+  // The clock never moves back: with until < now() nothing runs.
   Time run(Time until = kTimeMax);
 
   void stop() { stopped_ = true; }
 
   size_t events_processed() const { return events_processed_; }
-  size_t pending_events() const { return queue_.size(); }
+  size_t pending_events() const {
+    return heap_.size() + (fifo_.size() - fifo_head_);
+  }
 
   static constexpr Time kTimeMax = INT64_MAX;
 
  private:
+  void push(Time at, uintptr_t what) {
+    DMV_ASSERT_MSG(at >= now_, "cannot schedule into the past");
+    if (at == now_)
+      fifo_.push_back(what);
+    else
+      heap_.push(Event{at, next_seq_++, what});
+  }
+  void dispatch(uintptr_t what);
+
   Time now_ = 0;
   uint64_t next_seq_ = 0;
   bool stopped_ = false;
   size_t events_processed_ = 0;
-  EventQueue queue_;
+  EventQueue heap_;
+  // Events of the current instant, in schedule order from fifo_head_ on.
+  // Cleared (capacity kept) each time it drains.
+  std::vector<uintptr_t> fifo_;
+  size_t fifo_head_ = 0;
+  // schedule_at closures, indexed by slot; free slots are reused.
+  std::vector<std::function<void()>> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace dmv::sim

@@ -4,20 +4,15 @@ namespace dmv::sim {
 
 void WaitQueue::wake(Waiter* w, bool ok) {
   w->result = ok;
-  sim_->schedule_at(sim_->now(), [h = w->h] { h.resume(); });
+  sim_->resume_at(sim_->now(), w->h);
 }
 
 void WaitQueue::notify_one(bool ok) {
-  if (waiters_.empty()) return;
-  Waiter* w = waiters_.front();
-  waiters_.pop_front();
-  wake(w, ok);
+  if (!waiters_.empty()) wake(waiters_.pop_front(), ok);
 }
 
 void WaitQueue::notify_all(bool ok) {
-  auto ws = std::move(waiters_);
-  waiters_.clear();
-  for (Waiter* w : ws) wake(w, ok);
+  for (auto ws = waiters_.take(); !ws.empty();) wake(ws.pop_front(), ok);
 }
 
 Task<> Resource::use(Time cost) {

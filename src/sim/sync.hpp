@@ -10,17 +10,55 @@
 //    models "occupy one server for `cost` virtual time".
 //  - CountdownLatch: await N completions (master waiting for slave acks).
 //
-// All wakeups are routed through the Simulation event queue, never resumed
-// inline, keeping execution order deterministic and stacks shallow.
+// All wakeups are routed through the Simulation (Simulation::resume_at),
+// never resumed inline, keeping execution order deterministic and stacks
+// shallow.
+//
+// Wait lists are intrusive: the list node is the awaiter object, which
+// lives in the suspended coroutine's frame, so a wait allocates nothing.
 #pragma once
 
 #include <deque>
 #include <optional>
+#include <utility>
 
 #include "sim/simulation.hpp"
 #include "sim/task.hpp"
 
 namespace dmv::sim {
+
+// Singly linked FIFO of nodes that carry their own `Node* next`. The list
+// owns nothing; a node must stay put until it is popped.
+template <typename Node>
+class IntrusiveFifo {
+ public:
+  bool empty() const { return head_ == nullptr; }
+  size_t size() const { return size_; }
+  Node* front() const { return head_; }
+  void push_back(Node* n) {
+    n->next = nullptr;
+    if (tail_)
+      tail_->next = n;
+    else
+      head_ = n;
+    tail_ = n;
+    ++size_;
+  }
+  Node* pop_front() {
+    Node* n = head_;
+    head_ = n->next;
+    if (!head_) tail_ = nullptr;
+    --size_;
+    return n;
+  }
+  // Detach the whole list, leaving this one empty.
+  IntrusiveFifo take() { return std::exchange(*this, IntrusiveFifo{}); }
+
+ private:
+  Node* head_ = nullptr;
+  Node* tail_ = nullptr;
+  size_t size_ = 0;
+};
 
 class WaitQueue {
  public:
@@ -28,14 +66,14 @@ class WaitQueue {
   WaitQueue(const WaitQueue&) = delete;
   WaitQueue& operator=(const WaitQueue&) = delete;
   // Destroying a queue with suspended waiters is legal only at simulation
-  // teardown (the waiters' frames are abandoned along with the event
-  // queue); mid-run, owners must notify/cancel first.
-  ~WaitQueue() { waiters_.clear(); }
+  // teardown (the waiters' frames are abandoned along with the pending
+  // events); mid-run, owners must notify/cancel first.
 
   struct Waiter {
     WaitQueue* q;
-    bool result = false;
+    Waiter* next = nullptr;
     std::coroutine_handle<> h{};
+    bool result = false;
     bool await_ready() const noexcept { return false; }
     void await_suspend(std::coroutine_handle<> handle) {
       h = handle;
@@ -55,7 +93,7 @@ class WaitQueue {
   friend struct Waiter;
   void wake(Waiter* w, bool ok);
   Simulation* sim_;
-  std::deque<Waiter*> waiters_;
+  IntrusiveFifo<Waiter> waiters_;
 };
 
 template <typename T>
@@ -68,10 +106,9 @@ class Channel {
   void send(T item) {
     if (closed_) return;  // messages to a closed mailbox are dropped
     if (!receivers_.empty()) {
-      Receiver* r = receivers_.front();
-      receivers_.pop_front();
+      Receiver* r = receivers_.pop_front();
       r->value.emplace(std::move(item));
-      sim_->schedule_at(sim_->now(), [h = r->h] { h.resume(); });
+      sim_->resume_at(sim_->now(), r->h);
       return;
     }
     items_.push_back(std::move(item));
@@ -79,6 +116,7 @@ class Channel {
 
   struct Receiver {
     Channel* c;
+    Receiver* next = nullptr;
     std::optional<T> value{};
     std::coroutine_handle<> h{};
     bool await_ready() {
@@ -105,10 +143,8 @@ class Channel {
   void close() {
     closed_ = true;
     items_.clear();
-    auto rs = std::move(receivers_);
-    receivers_.clear();
-    for (Receiver* r : rs)
-      sim_->schedule_at(sim_->now(), [h = r->h] { h.resume(); });
+    for (auto rs = receivers_.take(); !rs.empty();)
+      sim_->resume_at(sim_->now(), rs.pop_front()->h);
   }
 
   // Reopen after a node restart.
@@ -121,7 +157,7 @@ class Channel {
   friend struct Receiver;
   Simulation* sim_;
   std::deque<T> items_;
-  std::deque<Receiver*> receivers_;
+  IntrusiveFifo<Receiver> receivers_;
   bool closed_ = false;
 };
 

@@ -89,17 +89,13 @@ sim::Task<LockRc> LockManager::acquire(TxnCtx& txn, storage::PageId pid,
   }
 
   ++waits_;
-  auto waiter = std::make_unique<Waiter>();
-  waiter->txn = &txn;
-  waiter->mode = mode;
-  waiter->wake = std::make_unique<sim::WaitQueue>(sim_);
-  sim::WaitQueue* wake = waiter->wake.get();
-  ls.queue.push_back(std::move(waiter));
+  Waiter waiter(txn, mode, sim_);
+  ls.queue.push_back(&waiter);
   blocked_on_[&txn] = pid;
 
   obs::SpanGuard span("lock.wait", obs::Cat::Lock, trace_node_, txn.id());
   const sim::Time wait_start = sim_.now();
-  const bool ok = co_await wake->wait();
+  const bool ok = co_await waiter.wake.wait();
   span.done();
   obs::count("lock.wait_us", trace_node_, double(sim_.now() - wait_start));
   blocked_on_.erase(&txn);
@@ -119,8 +115,8 @@ void LockManager::pump(storage::PageId pid) {
                             ls.x_holder == head.txn;
     grant(ls, *head.txn, head.mode);
     if (!was_holder) head.txn->held_locks().push_back(pid);
-    head.wake->notify_one(true);  // empties the wake queue before dtor
     ls.queue.pop_front();
+    head.wake.notify_one(true);
   }
   if (ls.queue.empty() && ls.sharers.empty() && !ls.x_holder)
     locks_.erase(it);
@@ -141,10 +137,8 @@ void LockManager::release_all(TxnCtx& txn) {
 void LockManager::shutdown() {
   if (shutdown_) return;
   shutdown_ = true;
-  for (auto& [pid, ls] : locks_) {
-    for (auto& w : ls.queue) w->wake->notify_one(false);
-    ls.queue.clear();
-  }
+  for (auto& [pid, ls] : locks_)
+    while (!ls.queue.empty()) ls.queue.pop_front()->wake.notify_one(false);
   locks_.clear();
 }
 

@@ -20,9 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <memory>
 
 #include "sim/sync.hpp"
 #include "storage/page.hpp"
@@ -65,15 +63,21 @@ class LockManager {
   void set_trace_node(uint32_t node) { trace_node_ = node; }
 
  private:
+  // A blocked request. It lives in the frame of the acquire() coroutine
+  // that waits on it and is linked into its page's queue until granted or
+  // cancelled.
   struct Waiter {
+    Waiter(TxnCtx& t, LockMode m, sim::Simulation& sim)
+        : txn(&t), mode(m), wake(sim) {}
     TxnCtx* txn;
     LockMode mode;
-    std::unique_ptr<sim::WaitQueue> wake;
+    sim::WaitQueue wake;
+    Waiter* next = nullptr;
   };
   struct LockState {
     std::map<uint64_t, TxnCtx*> sharers;  // txn id -> ctx
     TxnCtx* x_holder = nullptr;
-    std::deque<std::unique_ptr<Waiter>> queue;
+    sim::IntrusiveFifo<Waiter> queue;
   };
 
   bool compatible(const LockState& ls, const TxnCtx& txn,

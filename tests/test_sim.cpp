@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,6 +45,26 @@ TEST(Simulation, RunUntilStopsClock) {
   EXPECT_FALSE(ran);
   sim.run();
   EXPECT_TRUE(ran);
+}
+
+// A run bound behind the clock runs nothing and leaves the clock where it
+// is; moving it back would let later events be scheduled before ones that
+// already ran.
+TEST(Simulation, RunUntilInThePastKeepsClock) {
+  Simulation sim;
+  std::vector<Time> fired;
+  sim.schedule_at(100, [&] { fired.push_back(sim.now()); });
+  sim.schedule_at(300, [&] { fired.push_back(sim.now()); });
+  EXPECT_EQ(sim.run(200), 200);
+  EXPECT_EQ(sim.run(50), 200);
+  EXPECT_EQ(sim.now(), 200);
+  EXPECT_EQ(fired, (std::vector<Time>{100}));
+  sim.schedule_at(sim.now(), [&] { fired.push_back(sim.now()); });
+  EXPECT_EQ(sim.run(50), 200);  // the same-instant event waits too
+  EXPECT_EQ(fired.size(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{100, 200, 300}));
+  EXPECT_EQ(sim.events_processed(), 3u);
 }
 
 TEST(Simulation, DelayAdvancesClock) {
@@ -310,7 +333,7 @@ TEST(Simulation, CompositeScenarioDeterministic) {
   EXPECT_EQ(run(), run());
 }
 
-// ---- event-queue regression tests (calendar queue rework) ----
+// ---- event-queue regression tests ----
 
 // Equal-timestamp events must run strictly in schedule order, including
 // events scheduled *at the draining instant* from inside an event (they
@@ -415,6 +438,282 @@ TEST(EventQueue, ParkThenInsertEarlierAndLater) {
   sim.schedule_at(1'573'120, [&] { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// ---- kernel order against a reference model ----
+
+// The kernel as it was before coroutine wakes carried their handle and
+// same-instant events went to a FIFO: one (at, seq) heap of std::function
+// entries, with wait lists on std::deque. Equal-timestamp events run in
+// schedule order by construction.
+class ReferenceQueue {
+ public:
+  Time now() const { return now_; }
+  void schedule_at(Time at, std::function<void()> fn) {
+    heap_.push_back(Entry{at, seq_++, std::move(fn)});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+  }
+  void schedule_after(Time d, std::function<void()> fn) {
+    schedule_at(now_ + d, std::move(fn));
+  }
+  void spawn(Task<> task) {
+    auto h = task.release();
+    h.promise().detached = true;
+    schedule_at(now_, [h] { h.resume(); });
+  }
+  auto delay(Time d) {
+    struct Awaiter {
+      ReferenceQueue* q;
+      Time d;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) {
+        q->schedule_after(d, [h] { h.resume(); });
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{this, d};
+  }
+  void run() {
+    while (!heap_.empty()) {
+      std::pop_heap(heap_.begin(), heap_.end(), Later{});
+      Entry ev = std::move(heap_.back());
+      heap_.pop_back();
+      now_ = ev.at;
+      ++events_;
+      ev.fn();
+    }
+  }
+  size_t events_processed() const { return events_; }
+  size_t pending_events() const { return heap_.size(); }
+
+ private:
+  struct Entry {
+    Time at;
+    uint64_t seq;
+    std::function<void()> fn;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+    }
+  };
+  Time now_ = 0;
+  uint64_t seq_ = 0;
+  size_t events_ = 0;
+  std::vector<Entry> heap_;
+};
+
+class RefWaitQueue {
+ public:
+  explicit RefWaitQueue(ReferenceQueue& q) : q_(&q) {}
+  struct Waiter {
+    RefWaitQueue* wq;
+    bool result = false;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) {
+      wq->waiters_.emplace_back(this, h);
+    }
+    bool await_resume() const noexcept { return result; }
+  };
+  Waiter wait() { return Waiter{this}; }
+  void notify_one(bool ok = true) {
+    if (waiters_.empty()) return;
+    auto [w, h] = waiters_.front();
+    waiters_.pop_front();
+    w->result = ok;
+    q_->schedule_at(q_->now(), [h] { h.resume(); });
+  }
+  void notify_all(bool ok = true) {
+    while (!waiters_.empty()) notify_one(ok);
+  }
+  size_t waiting() const { return waiters_.size(); }
+
+ private:
+  ReferenceQueue* q_;
+  std::deque<std::pair<Waiter*, std::coroutine_handle<>>> waiters_;
+};
+
+class RefChannel {
+ public:
+  explicit RefChannel(ReferenceQueue& q) : q_(&q) {}
+  void send(int item) {
+    if (closed_) return;
+    if (!receivers_.empty()) {
+      auto [r, h] = receivers_.front();
+      receivers_.pop_front();
+      r->value = item;
+      q_->schedule_at(q_->now(), [h] { h.resume(); });
+      return;
+    }
+    items_.push_back(item);
+  }
+  struct Receiver {
+    RefChannel* c;
+    std::optional<int> value{};
+    bool await_ready() {
+      if (!c->items_.empty()) {
+        value = c->items_.front();
+        c->items_.pop_front();
+        return true;
+      }
+      return c->closed_;
+    }
+    void await_suspend(std::coroutine_handle<> h) {
+      c->receivers_.emplace_back(this, h);
+    }
+    std::optional<int> await_resume() noexcept { return value; }
+  };
+  Receiver receive() { return Receiver{this}; }
+  void close() {
+    closed_ = true;
+    items_.clear();
+    for (auto [r, h] : std::exchange(receivers_, {}))
+      q_->schedule_at(q_->now(), [h] { h.resume(); });
+  }
+  void reopen() { closed_ = false; }
+
+ private:
+  ReferenceQueue* q_;
+  std::deque<int> items_;
+  std::deque<std::pair<Receiver*, std::coroutine_handle<>>> receivers_;
+  bool closed_ = false;
+};
+
+// FIFO server pool with hand-off on release, as sim::Resource.
+class RefResource {
+ public:
+  RefResource(ReferenceQueue& q, int capacity)
+      : q_(&q), capacity_(capacity), queue_(q) {}
+  Task<> use(Time cost) {
+    co_await acquire();
+    co_await q_->delay(cost);
+    release();
+  }
+  Task<> acquire() {
+    if (in_use_ < capacity_ && queue_.waiting() == 0) {
+      ++in_use_;
+      co_return;
+    }
+    co_await queue_.wait();
+  }
+  void release() {
+    if (queue_.waiting() > 0)
+      queue_.notify_one();
+    else
+      --in_use_;
+  }
+
+ private:
+  ReferenceQueue* q_;
+  int capacity_;
+  int in_use_ = 0;
+  RefWaitQueue queue_;
+};
+
+struct Kernel {
+  using Sim = Simulation;
+  using Wq = WaitQueue;
+  using Chan = Channel<int>;
+  using Res = Resource;
+};
+struct ReferenceKernel {
+  using Sim = ReferenceQueue;
+  using Wq = RefWaitQueue;
+  using Chan = RefChannel;
+  using Res = RefResource;
+};
+
+// Eight workers each take 200 random steps over every way a coroutine
+// suspends or wakes another; a janitor cancels stranded waiters and
+// reopens the mailbox until they are done. Each step, closure and child
+// records (time, id) in the trace.
+template <typename K>
+struct KernelScenario {
+  static constexpr int kWorkers = 8;
+  static constexpr int kSteps = 200;
+  typename K::Sim sim;
+  typename K::Wq wq{sim};
+  typename K::Chan ch{sim};
+  typename K::Res cpu{sim, 2};
+  util::Rng rng;
+  std::vector<std::pair<Time, int>> trace;
+  int live = kWorkers;
+
+  explicit KernelScenario(uint64_t seed) : rng(seed) {}
+  void note(int id) { trace.emplace_back(sim.now(), id); }
+
+  static Task<> child(KernelScenario& s, int id, Time d) {
+    co_await s.sim.delay(d);
+    s.note(id);
+  }
+  static Task<> worker(KernelScenario& s, int w) {
+    for (int step = 0; step < kSteps; ++step) {
+      const int id = (w + 1) * 10'000 + step * 10;
+      switch (s.rng.below(13)) {
+        case 0: co_await s.sim.delay(0); break;
+        case 1: co_await s.sim.delay(Time(1 + s.rng.below(40))); break;
+        case 2: co_await s.sim.delay(Time(s.rng.below(100'000))); break;
+        case 3:
+          s.sim.schedule_at(s.sim.now(), [&s, id] { s.note(id + 1); });
+          break;
+        case 4:
+          s.sim.schedule_after(Time(s.rng.below(40)),
+                               [&s, id] { s.note(id + 2); });
+          break;
+        case 5:
+          s.sim.spawn(child(s, id + 3, Time(s.rng.below(3))));
+          break;
+        case 6: s.note(co_await s.wq.wait() ? id + 4 : id + 5); break;
+        case 7: s.wq.notify_one(s.rng.chance(0.8)); break;
+        case 8: s.wq.notify_all(s.rng.chance(0.5)); break;
+        case 9: s.ch.send(id); break;
+        case 10: {
+          const std::optional<int> v = co_await s.ch.receive();
+          s.note(v ? -*v : id + 6);
+          break;
+        }
+        case 11: s.ch.close(); break;
+        default: co_await s.cpu.use(Time(s.rng.below(30))); break;
+      }
+      s.note(id);
+    }
+    --s.live;
+  }
+  static Task<> janitor(KernelScenario& s) {
+    while (s.live > 0) {
+      co_await s.sim.delay(500);
+      s.wq.notify_all(false);
+      s.ch.close();
+      s.ch.reopen();
+    }
+  }
+
+  std::vector<std::pair<Time, int>> run() {
+    for (int w = 0; w < kWorkers; ++w) sim.spawn(worker(*this, w));
+    sim.spawn(janitor(*this));
+    sim.run();
+    return trace;
+  }
+};
+
+TEST(EventQueue, MatchesReferenceModel) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    KernelScenario<Kernel> got(seed);
+    KernelScenario<ReferenceKernel> want(seed);
+    const auto t_got = got.run();
+    const auto t_want = want.run();
+    ASSERT_GT(t_want.size(), size_t(KernelScenario<Kernel>::kWorkers *
+                                    KernelScenario<Kernel>::kSteps));
+    const auto [a, b] = std::mismatch(t_got.begin(), t_got.end(),
+                                      t_want.begin(), t_want.end());
+    ASSERT_TRUE(a == t_got.end() && b == t_want.end())
+        << "seed " << seed << ": traces diverge at entry "
+        << (a - t_got.begin()) << " of " << t_want.size();
+    EXPECT_EQ(got.sim.events_processed(), want.sim.events_processed())
+        << "seed " << seed;
+    EXPECT_EQ(got.sim.pending_events(), 0u);
+    EXPECT_EQ(want.sim.pending_events(), 0u);
+  }
 }
 
 }  // namespace

@@ -93,6 +93,52 @@ TEST(LockManager, ShutdownCancelsWaiters) {
   EXPECT_EQ(rc, LockRc::Cancelled);
 }
 
+// A queue of waiters (linked through their own coroutine frames) on two
+// pages: shutdown cancels every one, in queue order per page, and later
+// requests are refused.
+TEST(LockManager, ShutdownCancelsWholeQueue) {
+  constexpr int kWaiters = 6;
+  LmFixture f;
+  auto& holder = f.make();
+  std::vector<std::pair<uint64_t, LockRc>> woken;
+  f.sim.spawn([](LmFixture& f, TxnCtx& t) -> sim::Task<> {
+    co_await f.lm.acquire(t, kP, LockMode::Exclusive);
+    co_await f.lm.acquire(t, kQ, LockMode::Exclusive);
+    co_await f.sim.delay(1000);  // never releases before shutdown
+  }(f, holder));
+  for (int i = 0; i < kWaiters; ++i) {
+    f.sim.spawn([](LmFixture& f, TxnCtx& t, PageId pid,
+                   std::vector<std::pair<uint64_t, LockRc>>& out)
+                    -> sim::Task<> {
+      co_await f.sim.delay(1);
+      const LockRc rc = co_await f.lm.acquire(t, pid, LockMode::Shared);
+      out.emplace_back(t.id(), rc);
+    }(f, f.make(), i % 2 ? kQ : kP, woken));
+  }
+  f.sim.schedule_at(50, [&] {
+    EXPECT_EQ(woken.size(), 0u);
+    f.lm.shutdown();
+  });
+  f.sim.run();
+  EXPECT_EQ(f.lm.wait_count(), uint64_t(kWaiters));
+  // Waiter ids are 2..7, three queued on each page; P's queue (ids 2, 4,
+  // 6) is cancelled before Q's.
+  EXPECT_EQ(woken, (std::vector<std::pair<uint64_t, LockRc>>{
+                       {2, LockRc::Cancelled},
+                       {4, LockRc::Cancelled},
+                       {6, LockRc::Cancelled},
+                       {3, LockRc::Cancelled},
+                       {5, LockRc::Cancelled},
+                       {7, LockRc::Cancelled}}));
+  EXPECT_EQ(f.lm.lock_count(), 0u);
+  LockRc late = LockRc::Granted;
+  f.sim.spawn([](LmFixture& f, TxnCtx& t, LockRc& rc) -> sim::Task<> {
+    rc = co_await f.lm.acquire(t, kR, LockMode::Shared);
+  }(f, f.make(), late));
+  f.sim.run();
+  EXPECT_EQ(late, LockRc::Cancelled);
+}
+
 // Stress: random lock workloads must never deadlock (run to completion)
 // and must keep the lock table consistent.
 class LockStress : public ::testing::TestWithParam<uint64_t> {};
