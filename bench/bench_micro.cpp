@@ -1,9 +1,9 @@
 // google-benchmark micro-benchmarks for the hot primitives: the simulation
 // kernel's wait/wake path, RB-tree index operations, page diff/apply, the
-// page LRU, a replica's range scan, the lock table fast path, and the
-// TPC-W generator. These are host-time
-// benchmarks of the real data structures (the macro experiments charge
-// modeled virtual time instead).
+// master's pre-commit diff, page free-space bookkeeping, the page LRU, a
+// replica's range scan, the lock table fast path, and the TPC-W generator.
+// These are host-time benchmarks of the real data structures (the macro
+// experiments charge modeled virtual time instead).
 #include <benchmark/benchmark.h>
 
 #include "mem/engine.hpp"
@@ -231,6 +231,47 @@ void BM_PageDiffApply(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PageDiffApply);
+
+// A full page of 40-byte rows (203 slots) holding `rows` rows.
+storage::Table page_of_rows(size_t rows) {
+  storage::Table t(0, "t",
+                   storage::Schema({storage::int_col("id"),
+                                    storage::char_col("pad", 32)}),
+                   storage::IndexDef{"pk", {0}, true});
+  for (size_t i = 0; i < rows; ++i)
+    t.insert_row(storage::Row{int64_t(i), std::string("pad")});
+  return t;
+}
+
+// The master's pre-commit diff of a transaction that updated one row of a
+// full page: the whole page against a full before-copy (Arg 0), and the
+// saved bitmap and slot only (Arg 1). Both give the same runs.
+void BM_PrecommitDiff(benchmark::State& state) {
+  storage::Table t = page_of_rows(203);
+  const storage::Page before = t.page(0);
+  txn::TxnCtx txn(1, txn::TxnKind::Update);
+  txn.capture_undo({0, 0}, t.page(0), 101, t.schema().row_size());
+  t.update_row({0, 101}, storage::Row{int64_t{101}, std::string("changed")});
+  const storage::Page& live = t.page(0);
+  const bool regions = state.range(0) == 1;
+  for (auto _ : state) {
+    auto runs = regions ? txn::diff_undo(txn.undo()[0], live, false)
+                        : txn::diff_pages(before, live);
+    benchmark::DoNotOptimize(runs.data());
+  }
+}
+BENCHMARK(BM_PrecommitDiff)->Arg(0)->Arg(1);
+
+// Free-space bookkeeping after raw application to a page of 200 rows in
+// its 203 slots: the first free slot is past three bitmap words.
+void BM_PageBookkeeping(benchmark::State& state) {
+  storage::Table t = page_of_rows(200);
+  for (auto _ : state) {
+    t.refresh_page_bookkeeping(0);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PageBookkeeping);
 
 // Slave-side application of a 16-write-set stream, delivered one
 // write-set per message (Arg 1, the unbatched pipeline) vs coalesced

@@ -80,12 +80,20 @@ sim::Task<bool> DiskEngine::insert(TxnCtx& txn, TableId t, const Row& row) {
   storage::Table& tb = db_.table(t);
   co_await cpu_.use(cfg_.costs.disk_cpu_per_query);
 
-  const RowId target = co_await txn::lock_insert_slot(locks_, txn, tb);
+  // Reading the page in suspends, and meanwhile a delete elsewhere may
+  // free an earlier slot: peek again once the page is resident, and lock
+  // and save the new slot if the insert would land elsewhere.
+  RowId target = co_await txn::lock_insert_slot(locks_, txn, tb);
+  co_await pool_.fetch({t, target.page});
+  while (tb.peek_insert_slot() != target) {
+    target = co_await txn::lock_insert_slot(locks_, txn, tb);
+    co_await pool_.fetch({t, target.page});
+  }
   const PageId pid{t, target.page};
-  co_await pool_.fetch(pid);
 
   const auto rid = tb.insert_row(row);
   if (!rid) co_return false;
+  DMV_ASSERT(*rid == target);
   pool_.mark_dirty(pid);
   txn.op_log().push_back(txn::OpRecord{txn::OpRecord::Kind::Insert, t,
                                        tb.primary_key_of(row), row});

@@ -274,7 +274,7 @@ sim::Task<bool> MemEngine::insert(TxnCtx& txn, TableId t, const Row& row) {
     co_await cpu_.use(cost);
     co_return false;  // primary-key duplicate
   }
-  DMV_ASSERT(rid->page == target.page);
+  DMV_ASSERT(*rid == target);
   txn.op_log().push_back(txn::OpRecord{txn::OpRecord::Kind::Insert, t,
                                        tb.primary_key_of(row), row});
   cost += cfg_.costs.row_write + cache_.touch({t, rid->page}) +
@@ -345,7 +345,7 @@ sim::Task<txn::WriteSetPtr> MemEngine::precommit(TxnCtx& txn) {
     obs::SpanGuard diff_span("master.diff", obs::Cat::Replication,
                              trace_node_, txn.id());
     co_await cpu_.use(cfg_.costs.diff_page *
-                      sim::Time(txn.dirty_pages().size()));
+                      sim::Time(txn.undo().size()));
   }
   auto ws = std::make_shared<txn::WriteSet>();
   ws->txn_id = txn.id();
@@ -356,7 +356,8 @@ sim::Task<txn::WriteSetPtr> MemEngine::precommit(TxnCtx& txn) {
   // "write-set received" (DESIGN.md, replication pipeline).
   std::vector<txn::PageMod> mods;
   std::set<TableId> changed;
-  for (const PageId& pid : txn.dirty_pages()) {
+  for (const txn::PageUndo& undo : txn.undo()) {
+    const PageId pid = undo.pid;
     DMV_ASSERT_MSG(masters(pid.table), "dirtied a non-mastered table");
     txn::PageMod mod;
     mod.pid = pid;
@@ -368,8 +369,7 @@ sim::Task<txn::WriteSetPtr> MemEngine::precommit(TxnCtx& txn) {
       whole.bytes.assign(raw.begin(), raw.end());
       mod.runs.push_back(std::move(whole));
     } else {
-      mod.runs =
-          txn::diff_pages(txn.before_images().at(pid), tb.page(pid.page));
+      mod.runs = txn::diff_undo(undo, tb.page(pid.page), /*restore=*/false);
       if (mod.runs.empty()) continue;  // written then reverted
     }
     changed.insert(pid.table);

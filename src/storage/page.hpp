@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -78,11 +79,23 @@ class Page {
     bytes_[slot / 8] = std::byte{b};
   }
 
+  // Occupied slots among the first `nslots`, a bitmap word at a time.
   size_t occupied_count(size_t nslots) const {
+    DMV_ASSERT(nslots <= kMaxSlots);
     size_t n = 0;
-    for (size_t s = 0; s < nslots; ++s)
-      if (occupied(s)) ++n;
+    for (size_t w = 0; w * 64 < nslots; ++w)
+      n += size_t(std::popcount(bitmap_word(w) & word_mask(w, nslots)));
     return n;
+  }
+
+  // The lowest free slot below `nslots`, or `nslots` if all are occupied.
+  size_t first_free(size_t nslots) const {
+    DMV_ASSERT(nslots <= kMaxSlots);
+    for (size_t w = 0; w * 64 < nslots; ++w) {
+      const uint64_t free = ~bitmap_word(w) & word_mask(w, nslots);
+      if (free != 0) return w * 64 + size_t(std::countr_zero(free));
+    }
+    return nslots;
   }
 
   std::span<std::byte> slot_bytes(size_t slot, size_t row_size) {
@@ -102,6 +115,20 @@ class Page {
   }
 
  private:
+  // Bitmap word `w`: slot w*64 + i is bit i (slot s is bit s%8 of byte
+  // s/8, so the word is the header's eight bytes read little-endian).
+  uint64_t bitmap_word(size_t w) const {
+    static_assert(std::endian::native == std::endian::little);
+    uint64_t word;
+    std::memcpy(&word, bytes_.data() + w * 8, 8);
+    return word;
+  }
+  // The bits of word `w` that fall below `nslots`.
+  static uint64_t word_mask(size_t w, size_t nslots) {
+    const size_t left = nslots - w * 64;
+    return left >= 64 ? ~uint64_t{0} : (uint64_t{1} << left) - 1;
+  }
+
   std::array<std::byte, kPageSize> bytes_;
 };
 

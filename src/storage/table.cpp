@@ -85,39 +85,26 @@ void Table::ensure_page(PageNo p) {
 
 RowId Table::peek_insert_slot() const {
   for (PageNo p : pages_with_space_) {
-    const Page& pg = *pages_[p];
-    for (uint16_t s = 0; s < slots_per_page_; ++s)
-      if (!pg.occupied(s)) return RowId{p, s};
+    const size_t s = pages_[p]->first_free(slots_per_page_);
+    if (s < slots_per_page_) return RowId{p, uint16_t(s)};
   }
   return RowId{PageNo(pages_.size()), 0};
 }
 
-RowId Table::allocate_slot() {
-  while (!pages_with_space_.empty()) {
-    const PageNo p = *pages_with_space_.begin();
-    Page& pg = *pages_[p];
-    for (uint16_t s = 0; s < slots_per_page_; ++s) {
-      if (!pg.occupied(s)) return RowId{p, s};
-    }
-    pages_with_space_.erase(pages_with_space_.begin());  // actually full
-  }
-  const PageNo p = PageNo(pages_.size());
-  ensure_page(p);
-  return RowId{p, 0};
-}
-
 std::optional<RowId> Table::insert_row(const Row& row) {
+  // One descent of the primary tree: it rejects a duplicate, unchanged,
+  // before any page is created or written.
   const KeyBuf pk = primary_layout_.from_row(row);
-  if (primary_tree_.find(pk.view())) return std::nullopt;
+  const RowId rid = peek_insert_slot();
+  if (!primary_tree_.insert(pk.view(), rid)) return std::nullopt;
 
-  const RowId rid = allocate_slot();
+  ensure_page(rid.page);
   Page& pg = *pages_[rid.page];
   schema_->encode(row, slot_bytes(rid));
   pg.set_occupied(rid.slot, true);
-  if (pg.occupied_count(slots_per_page_) == slots_per_page_)
+  if (pg.first_free(slots_per_page_) == slots_per_page_)
     pages_with_space_.erase(rid.page);
 
-  primary_tree_.insert(pk.view(), rid);
   for (size_t i = 0; i < secondary_trees_.size(); ++i)
     secondary_trees_[i].insert(secondary_layouts_[i].from_row(row).view(),
                                rid);
@@ -209,7 +196,7 @@ void Table::index_slot(PageNo p, uint16_t slot) {
 
 void Table::refresh_page_bookkeeping(PageNo p) {
   DMV_ASSERT(p < pages_.size());
-  if (pages_[p]->occupied_count(slots_per_page_) < slots_per_page_)
+  if (pages_[p]->first_free(slots_per_page_) < slots_per_page_)
     pages_with_space_.insert(p);
   else
     pages_with_space_.erase(p);

@@ -135,7 +135,6 @@ class Table {
     DMV_ASSERT(index < int(secondary_trees_.size()));
     return index < 0 ? primary_tree_ : secondary_trees_[size_t(index)];
   }
-  RowId allocate_slot();
   std::span<std::byte> slot_bytes(RowId rid);
   // Add or drop the index entries of the row image in `rid`'s slot.
   void index_image(RowId rid);

@@ -33,7 +33,8 @@ sim::Task<std::optional<RowId>> lock_row(LockManager& locks, TxnCtx& txn,
     rid = again;
   }
   if (rid && mode == LockMode::Exclusive)
-    txn.capture_undo({tb.id(), rid->page}, tb.page(rid->page));
+    txn.capture_undo({tb.id(), rid->page}, tb.page(rid->page), rid->slot,
+                     tb.schema().row_size());
   co_return rid;
 }
 
@@ -44,11 +45,13 @@ sim::Task<RowId> lock_insert_slot(LockManager& locks, TxnCtx& txn,
     co_await lock_page(locks, txn, {tb.id(), target.page},
                        LockMode::Exclusive);
     const RowId again = tb.peek_insert_slot();
-    if (again.page == target.page) break;
-    target = again;
+    const bool locked = again.page == target.page;
+    target = again;  // the page may be the same but its free slot moved
+    if (locked) break;
   }
   tb.ensure_page(target.page);
-  txn.capture_undo({tb.id(), target.page}, tb.page(target.page));
+  txn.capture_undo({tb.id(), target.page}, tb.page(target.page), target.slot,
+                   tb.schema().row_size());
   co_return target;
 }
 
@@ -73,10 +76,10 @@ bool still_holds(const storage::Table& tb, const api::ScanSpec& spec,
 }
 
 void undo_writes(storage::Database& db, const TxnCtx& txn) {
-  for (const auto& [pid, before] : txn.before_images()) {
-    storage::Table& tb = db.table(pid.table);
-    const auto runs = diff_pages(tb.page(pid.page), before);
-    if (!runs.empty()) apply_runs_reindex_all(tb, pid.page, runs);
+  for (const PageUndo& u : txn.undo()) {
+    storage::Table& tb = db.table(u.pid.table);
+    const auto runs = diff_undo(u, tb.page(u.pid.page), /*restore=*/true);
+    if (!runs.empty()) apply_runs_reindex_all(tb, u.pid.page, runs);
   }
 }
 

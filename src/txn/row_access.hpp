@@ -43,7 +43,7 @@ sim::Task<> lock_page(LockManager& locks, TxnCtx& txn, storage::PageId pid,
 // `mode`, then look again, and chase the row until the lookup is stable
 // (it may move or vanish while the lock is awaited). Returns its id with
 // that page locked, or nullopt if the row is gone. An Exclusive lock is
-// taken to write, so the page's before-image is captured too.
+// taken to write, so the row's slot is saved for undo too.
 sim::Task<std::optional<storage::RowId>> lock_row(LockManager& locks,
                                                   TxnCtx& txn,
                                                   const storage::Table& tb,
@@ -51,8 +51,10 @@ sim::Task<std::optional<storage::RowId>> lock_row(LockManager& locks,
                                                   LockMode mode);
 
 // Exclusive-lock the page the next insert lands on, re-peeking after each
-// wait since a concurrent insert may have filled it, then create the page
-// if it is new and capture its before-image. Returns the slot.
+// wait since a concurrent insert may have filled it or taken its free
+// slot, then create the page if it is new and save the slot for undo.
+// Returns the slot, as peeked under the lock: an insert_row made before
+// the caller next suspends lands there.
 sim::Task<storage::RowId> lock_insert_slot(LockManager& locks, TxnCtx& txn,
                                            storage::Table& tb);
 
@@ -82,8 +84,8 @@ ScanHits collect_scan(const storage::Table& tb, const api::ScanSpec& spec);
 bool still_holds(const storage::Table& tb, const api::ScanSpec& spec,
                  const ScanHits& hits, size_t i);
 
-// Restore every page `txn` wrote to its before-image, keeping indexes and
-// free-space bookkeeping in step. Locks are left to the caller.
+// Restore every region `txn` saved to its before-image, keeping indexes
+// and free-space bookkeeping in step. Locks are left to the caller.
 void undo_writes(storage::Database& db, const TxnCtx& txn);
 
 // api::Connection over one transaction on either engine. A poisoned

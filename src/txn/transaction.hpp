@@ -2,15 +2,15 @@
 //
 // Update transactions run on a master under strict two-phase page locking
 // (the paper's "internal two-phase-locking per-page concurrency control"),
-// capturing a before-image of each page on first write so pre-commit can
-// byte-diff pages into the replicated write-set and abort can roll back.
+// saving the before-image of each slot they lock for writing (and of its
+// page's occupancy bitmap) so pre-commit can byte-diff those regions into
+// the replicated write-set and abort can roll them back.
 // Read-only transactions carry the version-vector tag assigned by the
 // scheduler and take no locks; isolation comes from dynamic multiversioning.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <set>
 #include <vector>
 
 #include "storage/page.hpp"
@@ -19,6 +19,20 @@
 namespace dmv::txn {
 
 enum class TxnKind { Update, ReadOnly };
+
+// What one transaction's writes to one page can have overwritten: the
+// page's occupancy bitmap and each slot it locked for writing, as they
+// were before its first write to them. The transaction holds the page
+// Exclusive from its first capture on and writes only captured slots, so
+// every other byte of the page is as it was: the saved regions bound the
+// page's diff.
+struct PageUndo {
+  storage::PageId pid;
+  size_t row_size = 0;
+  std::array<std::byte, storage::kPageHeader> bitmap{};
+  std::vector<uint16_t> slots;  // ascending
+  std::vector<std::byte> rows;  // slots[i]'s bytes at i * row_size
+};
 
 class TxnCtx {
  public:
@@ -29,18 +43,14 @@ class TxnCtx {
   uint64_t id() const { return id_; }
   TxnKind kind() const { return kind_; }
 
-  // Record the pristine image of a page the first time it is written.
-  void capture_undo(storage::PageId pid, const storage::Page& current) {
-    if (kind_ == TxnKind::ReadOnly) return;
-    before_images_.try_emplace(pid, current);
-    dirty_.insert(pid);
-  }
+  // Save `slot` of page `pid` (rows of `row_size` bytes), and the page's
+  // bitmap, as they are now unless this transaction saved them already:
+  // call before the first write to the slot.
+  void capture_undo(storage::PageId pid, const storage::Page& page,
+                    uint16_t slot, size_t row_size);
 
-  bool is_dirty(storage::PageId pid) const { return dirty_.count(pid) > 0; }
-  const std::set<storage::PageId>& dirty_pages() const { return dirty_; }
-  const std::map<storage::PageId, storage::Page>& before_images() const {
-    return before_images_;
-  }
+  // The pages this transaction wrote, by PageId.
+  const std::vector<PageUndo>& undo() const { return undo_; }
 
   // Read-only tag: per-table versions this transaction must observe.
   void set_read_version(std::vector<uint64_t> v) {
@@ -74,8 +84,7 @@ class TxnCtx {
  private:
   uint64_t id_;
   TxnKind kind_;
-  std::map<storage::PageId, storage::Page> before_images_;
-  std::set<storage::PageId> dirty_;
+  std::vector<PageUndo> undo_;
   std::vector<storage::PageId> held_locks_;
   std::vector<OpRecord> op_log_;
   std::vector<uint64_t> read_version_;

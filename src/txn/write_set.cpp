@@ -23,45 +23,95 @@ size_t WriteSet::byte_size() const {
 
 namespace {
 
-// First offset >= i where the pages differ, or kPageSize. Equal 8-byte
-// words are skipped whole; bytes are compared only inside a changed word
-// and in the tail.
-size_t next_diff(const std::byte* a, const std::byte* b, size_t i) {
-  for (; i + 8 <= storage::kPageSize; i += 8) {
+// Length of the common prefix of two n-byte stretches. Equal 8-byte words
+// are skipped whole; bytes are compared only inside a changed word and in
+// the tail.
+size_t common_prefix(const std::byte* a, const std::byte* b, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
     uint64_t wa, wb;
     std::memcpy(&wa, a + i, 8);
     std::memcpy(&wb, b + i, 8);
     if (wa != wb) break;
   }
-  while (i < storage::kPageSize && a[i] == b[i]) ++i;
+  while (i < n && a[i] == b[i]) ++i;
   return i;
 }
 
 }  // namespace
 
-std::vector<ByteRun> diff_pages(const storage::Page& before,
-                                const storage::Page& after,
-                                size_t merge_gap) {
+std::vector<ByteRun> diff_regions(const storage::Page& live,
+                                  std::span<const SavedRegion> regions,
+                                  bool restore, size_t merge_gap) {
+  const std::byte* now = live.raw().data();
+  // First offset >= i where the images differ, or kPageSize. `i` never
+  // decreases, so regions before `k` are done with.
+  size_t k = 0;
+  const auto next_diff = [&](size_t i) {
+    for (; k < regions.size(); ++k) {
+      const SavedRegion& r = regions[k];
+      const size_t lo = std::max(i, r.offset);
+      const size_t hi = r.offset + r.size;
+      if (lo >= hi) continue;
+      const size_t d =
+          common_prefix(now + lo, r.saved + (lo - r.offset), hi - lo);
+      if (d < hi - lo) return lo + d;
+    }
+    return storage::kPageSize;
+  };
   std::vector<ByteRun> runs;
-  const std::byte* a = before.raw().data();
-  const std::byte* b = after.raw().data();
-  size_t i = next_diff(a, b, 0);
+  size_t i = next_diff(0);
   while (i < storage::kPageSize) {
     // Start of a changed run; extend it through every following change
     // separated from it by at most `merge_gap` unchanged bytes.
     const size_t start = i;
     size_t end = i + 1;
     for (;;) {
-      i = next_diff(a, b, end);
+      i = next_diff(end);
       if (i == storage::kPageSize || i - end > merge_gap) break;
       end = i + 1;
     }
     ByteRun run;
     run.offset = uint32_t(start);
-    run.bytes.assign(b + start, b + end);
+    run.bytes.assign(now + start, now + end);
     runs.push_back(std::move(run));
   }
+  if (restore) {
+    // Outside the regions both images agree; inside, take the saved bytes.
+    size_t j = 0;
+    for (ByteRun& run : runs) {
+      const size_t lo = run.offset;
+      const size_t hi = lo + run.bytes.size();
+      while (j < regions.size() && regions[j].offset + regions[j].size <= lo)
+        ++j;
+      for (size_t r = j; r < regions.size() && regions[r].offset < hi; ++r) {
+        const size_t a = std::max(lo, regions[r].offset);
+        const size_t b = std::min(hi, regions[r].offset + regions[r].size);
+        std::memcpy(run.bytes.data() + (a - lo),
+                    regions[r].saved + (a - regions[r].offset), b - a);
+      }
+    }
+  }
   return runs;
+}
+
+std::vector<ByteRun> diff_pages(const storage::Page& before,
+                                const storage::Page& after,
+                                size_t merge_gap) {
+  const SavedRegion whole{0, storage::kPageSize, before.raw().data()};
+  return diff_regions(after, {&whole, 1}, false, merge_gap);
+}
+
+std::vector<ByteRun> diff_undo(const PageUndo& undo,
+                               const storage::Page& live, bool restore) {
+  // The bitmap, then the saved slots in ascending order.
+  std::vector<SavedRegion> regions;
+  regions.reserve(1 + undo.slots.size());
+  regions.push_back({0, storage::kPageHeader, undo.bitmap.data()});
+  for (size_t i = 0; i < undo.slots.size(); ++i)
+    regions.push_back({storage::kPageHeader + undo.slots[i] * undo.row_size,
+                       undo.row_size, undo.rows.data() + i * undo.row_size});
+  return diff_regions(live, regions, restore);
 }
 
 void apply_runs(storage::Page& target, const std::vector<ByteRun>& runs) {

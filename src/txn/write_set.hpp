@@ -1,7 +1,8 @@
 // Replicated write-sets: per-page byte-range modification encodings.
 //
 // At pre-commit the master diffs each dirty page against its before-image
-// into runs of changed bytes (Figure 2's CreateWriteSet). A write-set also
+// into runs of changed bytes (Figure 2's CreateWriteSet), comparing only
+// the regions the transaction saved (see txn::PageUndo). A write-set also
 // carries the per-page new version and the full post-commit database
 // version vector. Slaves queue PageMods per page and apply them lazily in
 // version order (dynamic multiversioning); apply_runs is also the redo path
@@ -10,10 +11,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "storage/page.hpp"
 #include "storage/table.hpp"
+#include "txn/transaction.hpp"
 
 namespace dmv::txn {
 
@@ -48,12 +51,33 @@ struct WriteSet {
 // pending mods until the last of them is applied or discarded.
 using WriteSetPtr = std::shared_ptr<const WriteSet>;
 
-// Diff two page images into byte runs. Runs separated by fewer than
-// `merge_gap` unchanged bytes are merged (fewer, larger runs compress the
-// encoding of clustered row updates).
+// `size` bytes of a page from `offset`, as saved at `saved`.
+struct SavedRegion {
+  size_t offset = 0;
+  size_t size = 0;
+  const std::byte* saved = nullptr;
+};
+
+// Diff a live page against saved regions of it into byte runs. Runs
+// separated by at most `merge_gap` unchanged bytes are merged (fewer,
+// larger runs compress the encoding of clustered row updates). The
+// regions ascend without overlap, and every byte outside them must be the
+// same in both images: then the runs are those of a whole-page diff. They
+// carry the live bytes (they turn the saved image into the live page) or,
+// with `restore`, the saved ones (they turn the live page back).
+std::vector<ByteRun> diff_regions(const storage::Page& live,
+                                  std::span<const SavedRegion> regions,
+                                  bool restore, size_t merge_gap = 8);
+
+// Diff two whole page images: diff_regions with one region.
 std::vector<ByteRun> diff_pages(const storage::Page& before,
                                 const storage::Page& after,
                                 size_t merge_gap = 8);
+
+// Diff the live page against what a transaction saved of it: the page's
+// write-set runs at pre-commit, or with `restore` its rollback.
+std::vector<ByteRun> diff_undo(const PageUndo& undo,
+                               const storage::Page& live, bool restore);
 
 void apply_runs(storage::Page& target, const std::vector<ByteRun>& runs);
 

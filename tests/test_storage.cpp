@@ -78,6 +78,34 @@ TEST(Page, OccupancyBitmap) {
   EXPECT_EQ(p.occupied_count(512), 2u);
 }
 
+// The word-level bitmap reads against a slot-by-slot loop, at slot counts
+// on both sides of each word boundary, with the bits past the count set
+// or clear.
+TEST(Page, BitmapWordsMatchBitLoop) {
+  util::Rng rng(11);
+  for (size_t n : {1, 63, 64, 65, 203, 512}) {
+    for (int round = 0; round < 200; ++round) {
+      Page p;
+      const double density = round < 2 ? round : rng.uniform01();
+      for (size_t s = 0; s < kMaxSlots; ++s)
+        p.set_occupied(s, rng.chance(density));
+      if (round % 3 == 0) {  // every counted slot full, or all but one
+        for (size_t s = 0; s < n; ++s) p.set_occupied(s, true);
+        if (round % 2 == 0) p.set_occupied(rng.below(n), false);
+      }
+      size_t count = 0, first = n;
+      for (size_t s = 0; s < n; ++s) {
+        if (p.occupied(s))
+          ++count;
+        else if (first == n)
+          first = s;
+      }
+      EXPECT_EQ(p.occupied_count(n), count) << "n " << n;
+      EXPECT_EQ(p.first_free(n), first) << "n " << n;
+    }
+  }
+}
+
 TEST(Page, SlotsPerPageBounds) {
   EXPECT_EQ(Page::slots_per_page(8), kMaxSlots);  // capped by bitmap
   EXPECT_EQ(Page::slots_per_page(1000), (kPageSize - kPageHeader) / 1000);
@@ -297,6 +325,25 @@ TEST(Table, PrimaryKeyDuplicateRejected) {
   ASSERT_TRUE(t.insert_row(make_row(1, "a", 1, 1)).has_value());
   EXPECT_FALSE(t.insert_row(make_row(1, "b", 2, 2)).has_value());
   EXPECT_EQ(t.row_count(), 1u);
+}
+
+// insert_row descends the primary tree once: a duplicate is turned away
+// with no page created, no slot written and the trees as they were.
+TEST(Table, DuplicateInsertChangesNothing) {
+  Table t(0, "item", test_schema(), IndexDef{"pk", {0}, true},
+          {IndexDef{"by_stock", {3}, false}});
+  for (int64_t i = 0; i < int64_t(t.slots_per_page()); ++i)
+    ASSERT_TRUE(t.insert_row(make_row(i, "a", 1, i % 5)).has_value());
+  ASSERT_EQ(t.page_count(), 1u);  // full: the next insert needs a page
+  const Table before = t;
+  EXPECT_FALSE(t.insert_row(make_row(7, "b", 2, 2)).has_value());
+  EXPECT_EQ(t.page_count(), 1u);
+  EXPECT_TRUE(t.pages_equal(before));
+  EXPECT_EQ(t.row_count(), before.row_count());
+  EXPECT_EQ(t.peek_insert_slot(), (RowId{1, 0}));
+  EXPECT_EQ(t.index_rotations(), before.index_rotations());
+  for (int i = -1; i < 1; ++i)
+    EXPECT_EQ(t.index_tree(i).shape(), before.index_tree(i).shape());
 }
 
 TEST(Table, UpdateMaintainsSecondaryIndex) {
