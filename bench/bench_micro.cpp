@@ -1,12 +1,15 @@
 // google-benchmark micro-benchmarks for the hot primitives: the simulation
 // kernel's wait/wake path, RB-tree index operations, page diff/apply, the
 // master's pre-commit diff, page free-space bookkeeping, the page LRU, a
-// replica's range scan, the lock table fast path, and the TPC-W generator.
+// replica's range scan, the lock table fast path, the TPC-W generator, and
+// the request path's procedure parameters and envelope dispatch.
 // These are host-time benchmarks of the real data structures (the macro
 // experiments charge modeled virtual time instead).
 #include <benchmark/benchmark.h>
 
+#include "api/api.hpp"
 #include "mem/engine.hpp"
+#include "net/network.hpp"
 #include "sim/sync.hpp"
 #include "storage/table.hpp"
 #include "tpcw/generator.hpp"
@@ -346,6 +349,72 @@ void BM_DatabaseCopy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * scale.items);
 }
 BENCHMARK(BM_DatabaseCopy)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+// One order-entry new-order request's parameters: four scalars plus an
+// item and a quantity per line (arg: lines; 15 lines is 34 keys). It is
+// built once, copied at each hop (client, scheduler, engine node), and the
+// procedure reads every key. One item is one request.
+void BM_ParamsBuildCopyLookup(benchmark::State& state) {
+  const int lines = int(state.range(0));
+  std::vector<std::string> item_keys, qty_keys;
+  for (int l = 0; l < lines; ++l) {
+    item_keys.push_back("i" + std::to_string(l));
+    qty_keys.push_back("q" + std::to_string(l));
+  }
+  for (auto _ : state) {
+    api::Params p;
+    p.set("d_id", int64_t{3}).set("c_id", int64_t{41}).set("date", 7);
+    p.set("lines", int64_t(lines));
+    for (int l = 0; l < lines; ++l) {
+      p.set("i" + std::to_string(l), int64_t(l));
+      p.set("q" + std::to_string(l), int64_t(l + 1));
+    }
+    const api::Params client = p;
+    const api::Params sched = client;
+    const api::Params node = sched;
+    int64_t sum = node.i("d_id") + node.i("c_id") + node.i("date");
+    for (int64_t l = 0; l < node.i("lines"); ++l)
+      sum += node.i(item_keys[size_t(l)]) * node.i(qty_keys[size_t(l)]);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ParamsBuildCopyLookup)->Arg(4)->Arg(15);
+
+// A receive loop's dispatch chain over an envelope stream: eight payload
+// types, tried in order as EngineNode::main_loop tries its messages, with
+// every type equally common. One item is one envelope dispatched.
+template <int N>
+struct Msg {
+  uint64_t v = N;
+};
+
+template <int... Ns>
+uint64_t dispatch(const net::Envelope& env,
+                  std::integer_sequence<int, Ns...>) {
+  uint64_t out = 0;
+  // Stops at the first type that matches, like an if/else-if chain.
+  (void)((net::as<Msg<Ns>>(env) ? (out = net::as<Msg<Ns>>(env)->v, true)
+                                : false) ||
+         ...);
+  return out;
+}
+
+void BM_EnvelopeDispatch(benchmark::State& state) {
+  using Types = std::make_integer_sequence<int, 8>;
+  std::vector<net::Envelope> stream;
+  [&]<int... Ns>(std::integer_sequence<int, Ns...>) {
+    for (int round = 0; round < 16; ++round)
+      (stream.push_back(net::Envelope::of(0, 1, Msg<Ns>{})), ...);
+  }(Types{});
+  for (auto _ : state) {
+    uint64_t sum = 0;
+    for (const net::Envelope& env : stream) sum += dispatch(env, Types{});
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t(stream.size()));
+}
+BENCHMARK(BM_EnvelopeDispatch);
 
 }  // namespace
 

@@ -183,9 +183,11 @@ bool run_one(const Options& opt, const check::CheckConfig& cfg,
     std::cout << "  violation: " << v << "\n";
   std::string shrunk = plan;
   if (!plan.empty()) {
-    shrunk = check::shrink_plan(plan, [&](const std::string& cand) {
-      return !run(cfg, seed, cand).passed;
-    });
+    shrunk = check::shrink_plan(
+        plan, check::violation_kind(rep.violations.front()),
+        [&](const std::string& cand) {
+          return run(cfg, seed, cand).violations;
+        });
     std::cout << "  shrunk plan: " << shrunk << "\n";
   }
   std::cout << "  replay: " << repro_line(opt, cfg, shrunk, seed) << "\n";
@@ -436,13 +438,7 @@ int main(int argc, char** argv) {
       opt.elastic = true;
     } else if (a == "--multimaster") {
       opt.multimaster = true;
-      opt.base.multimaster = true;
-      opt.base.classes = 3;
-      opt.base.cluster.regions = 2;
-      opt.base.cluster.node.quorum_commit = true;
-      // Open pipeline windows: dying masters must hold unconfirmed
-      // write-sets so per-class discard/quorum reconciliation is real.
-      check::open_batch_windows(opt.base.cluster.node);
+      check::make_multimaster(opt.base);
     } else if (a == "--workload" || a.rfind("--workload=", 0) == 0) {
       const std::string name =
           a == "--workload" ? next()

@@ -13,10 +13,14 @@
 // transactions the application uses.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -38,32 +42,60 @@ struct ScanSpec {
   std::function<bool(const storage::RowRef&)> filter;
 };
 
-// Named parameters for a procedure invocation.
+// Named parameters for a procedure invocation: a key-sorted flat vector
+// searched by binary search, shared copy-on-write. A request is built once
+// by its client and then copied hop by hop (client -> scheduler -> engine
+// node, and into the check recorder); each copy is a reference-count bump,
+// and only set() on a shared Params clones the entries.
 class Params {
  public:
-  Params& set(const std::string& k, storage::Value v) {
-    kv_[k] = std::move(v);
+  using Entry = std::pair<std::string, storage::Value>;
+
+  Params& set(std::string k, storage::Value v) {
+    if (!kv_) {
+      kv_ = std::make_shared<std::vector<Entry>>();
+      kv_->reserve(4);  // most requests fit: one allocation, not three
+    } else if (kv_.use_count() > 1) {
+      kv_ = std::make_shared<std::vector<Entry>>(*kv_);
+    }
+    auto it = lower_bound(kv_->begin(), kv_->end(), k);
+    if (it != kv_->end() && it->first == k)
+      it->second = std::move(v);
+    else
+      kv_->emplace(it, std::move(k), std::move(v));
     return *this;
   }
-  int64_t i(const std::string& k) const {
-    return std::get<int64_t>(at(k));
-  }
-  double d(const std::string& k) const { return std::get<double>(at(k)); }
-  const std::string& s(const std::string& k) const {
+  int64_t i(std::string_view k) const { return std::get<int64_t>(at(k)); }
+  double d(std::string_view k) const { return std::get<double>(at(k)); }
+  const std::string& s(std::string_view k) const {
     return std::get<std::string>(at(k));
   }
-  bool has(const std::string& k) const { return kv_.count(k) > 0; }
-  // Full key/value view (history recording: the dmv_check recorder
-  // serializes the invocation so the oracle can re-evaluate it).
-  const std::map<std::string, storage::Value>& raw() const { return kv_; }
+  bool has(std::string_view k) const { return find(k) != nullptr; }
+  // Full key/value view, in key order (history recording: the dmv_check
+  // recorder serializes the invocation so the oracle can re-evaluate it).
+  const std::vector<Entry>& raw() const {
+    static const std::vector<Entry> kEmpty;
+    return kv_ ? *kv_ : kEmpty;
+  }
 
  private:
-  const storage::Value& at(const std::string& k) const {
-    auto it = kv_.find(k);
-    DMV_ASSERT_MSG(it != kv_.end(), "missing param " << k);
-    return it->second;
+  template <typename It>
+  static It lower_bound(It first, It last, std::string_view k) {
+    return std::lower_bound(
+        first, last, k,
+        [](const Entry& e, std::string_view key) { return e.first < key; });
   }
-  std::map<std::string, storage::Value> kv_;
+  const storage::Value* find(std::string_view k) const {
+    if (!kv_) return nullptr;
+    auto it = lower_bound(kv_->cbegin(), kv_->cend(), k);
+    return it != kv_->end() && it->first == k ? &it->second : nullptr;
+  }
+  const storage::Value& at(std::string_view k) const {
+    const storage::Value* v = find(k);
+    DMV_ASSERT_MSG(v != nullptr, "missing param " << k);
+    return *v;
+  }
+  std::shared_ptr<std::vector<Entry>> kv_;
 };
 
 struct TxnResult {

@@ -1107,6 +1107,14 @@ CheckConfig chaos_config() {
   return c;
 }
 
+void make_multimaster(CheckConfig& cfg) {
+  cfg.multimaster = true;
+  cfg.classes = 3;
+  cfg.cluster.regions = 2;
+  cfg.cluster.node.quorum_commit = true;
+  open_batch_windows(cfg.cluster.node);
+}
+
 core::DmvCluster::Config sweep_cluster() {
   core::DmvCluster::Config c;
   c.spares = 1;
@@ -1554,12 +1562,7 @@ const std::vector<Mutation>& mutation_list() {
          "mark and executes the update a second time",
          {"at-most-once"},
          [](CheckConfig& c) {
-           // check_sweep --multimaster's deployment.
-           c.multimaster = true;
-           c.classes = 3;
-           c.cluster.regions = 2;
-           c.cluster.node.quorum_commit = true;
-           open_batch_windows(c.cluster.node);
+           make_multimaster(c);
            c.cluster.node.mut_mark_after_ack = true;
          },
          // With slave1 retired and slave0 dead, a commit's quorum waits on

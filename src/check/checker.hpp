@@ -149,6 +149,12 @@ CheckReport run_check(const CheckConfig& cfg, const std::string& plan);
 // "master"), 4 clients x 25 ops over 64 rows.
 CheckConfig chaos_config();
 
+// check_sweep --multimaster's deployment, applied to `cfg`: three conflict
+// classes over two regions under quorum commit, with the batch windows
+// open so dying masters hold unconfirmed write-sets and the per-class
+// discard/quorum reconciliation is real.
+void make_multimaster(CheckConfig& cfg);
+
 // Durability, after Oracle::check: every live node that masters table t
 // holds exactly the oracle's model of t at its own version[t] — an acked
 // update lost, or a phantom one applied, on any class's master is a

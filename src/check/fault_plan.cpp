@@ -247,20 +247,58 @@ std::optional<FaultPlan> FaultPlan::parse(std::string_view s,
   return plan;
 }
 
+std::string_view violation_kind(std::string_view violation) {
+  return violation.substr(0, violation.find(':'));
+}
+
+namespace {
+
+// Does heal-partition `h` heal exactly the cut partition `p` makes?
+bool heals(const Action& h, const Action& p) {
+  if (h.kind != ActionKind::HealPartition || p.kind != ActionKind::Partition ||
+      h.a.empty() || h.directed != p.directed)
+    return false;
+  return (h.a == p.a && h.b == p.b) ||
+         (!p.directed && h.a == p.b && h.b == p.a);
+}
+
+// Fault i plus the faults that must go with it: a partition's heals, or a
+// heal's partitions.
+FaultPlan without(const FaultPlan& plan, size_t i) {
+  const Action& dropped = plan.faults[i].action;
+  FaultPlan out;
+  for (size_t j = 0; j < plan.faults.size(); ++j) {
+    const Action& a = plan.faults[j].action;
+    if (j == i || heals(a, dropped) || heals(dropped, a)) continue;
+    out.faults.push_back(plan.faults[j]);
+  }
+  return out;
+}
+
+}  // namespace
+
 std::string shrink_plan(
-    const std::string& plan,
-    const std::function<bool(const std::string&)>& still_fails) {
+    const std::string& plan, std::string_view kind,
+    const std::function<std::vector<std::string>(const std::string&)>&
+        violations_of) {
   auto parsed = FaultPlan::parse(plan);
   if (!parsed) return plan;
+  const auto same_failure = [&](const FaultPlan& cand) {
+    const std::vector<std::string> v = violations_of(cand.str());
+    if (v.empty() || violation_kind(v.front()) != kind) return false;
+    for (const auto& s : v)
+      if (violation_kind(s) == "plan error") return false;
+    return true;
+  };
   FaultPlan cur = *parsed;
   bool shrunk = true;
   while (shrunk && cur.faults.size() > 1) {
     shrunk = false;
     for (size_t i = 0; i < cur.faults.size(); ++i) {
-      FaultPlan cand = cur;
-      cand.faults.erase(cand.faults.begin() + long(i));
-      if (still_fails(cand.str())) {
-        cur = cand;
+      FaultPlan cand = without(cur, i);
+      if (cand.empty()) continue;
+      if (same_failure(cand)) {
+        cur = std::move(cand);
         shrunk = true;
         break;
       }

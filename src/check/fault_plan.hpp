@@ -105,11 +105,23 @@ struct FaultPlan {
                                         std::string* err = nullptr);
 };
 
-// Greedy delta-debugging: drop one fault at a time as long as `still_fails`
-// reproduces on the candidate plan string. Returns the smallest failing
-// plan found (the input itself if nothing could be dropped or it doesn't
-// parse). check_sweep shrinks every failing plan with it.
-std::string shrink_plan(const std::string& plan,
-                        const std::function<bool(const std::string&)>& still_fails);
+// The kind of a violation: its text before the first ':'
+// ("recovery-mismatch", "plan error", ...).
+std::string_view violation_kind(std::string_view violation);
+
+// Greedy delta-debugging: drop one fault at a time as long as the candidate
+// plan still fails the same way. `violations_of` runs a candidate plan
+// string and returns its violations (empty: it passed). A candidate is kept
+// only if its first violation has kind `kind` (the original run's first
+// violation kind) and none is a plan error, so the result reproduces the
+// failure it came from, not some other one. A region partition and the
+// heal-partition faults that heal exactly it are dropped together: a cut
+// left unhealed wedges the run by design. Returns the smallest such plan
+// (the input itself if nothing could be dropped or it doesn't parse).
+// check_sweep shrinks every failing plan with it.
+std::string shrink_plan(
+    const std::string& plan, std::string_view kind,
+    const std::function<std::vector<std::string>(const std::string&)>&
+        violations_of);
 
 }  // namespace dmv::check

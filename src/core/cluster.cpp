@@ -133,7 +133,8 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
                   n) != scheduler_node_ids_.end()) {
       for (NodeId cid : client_ids_)
         if (net_.alive(cid) && topo.link_class(cid, n) == cls)
-          net_.mailbox(cid).send(net::Envelope{cid, cid, SchedulerDown{n}});
+          net_.mailbox(cid).send(
+              net::Envelope::of(cid, cid, SchedulerDown{n}));
     }
   });
 }

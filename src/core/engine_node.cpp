@@ -243,7 +243,7 @@ void EngineNode::prune_outbox(const std::set<NodeId>& live) {
 
 void EngineNode::apply_incoming_write_set(const WriteSetMsg& ws) {
   engine_->on_write_set(ws.ws);
-  if (ws.committed) committed_[ws.committed->origin] = ws.committed;
+  if (ws.committed) mark_of(ws.committed->origin) = ws.committed;
   note_received(ws.master, ws.seq);
 }
 
@@ -354,6 +354,11 @@ void EngineNode::on_replica_set(std::vector<NodeId> replicas,
   }
 }
 
+EngineNode::CommittedMark& EngineNode::mark_of(NodeId client) {
+  if (committed_.size() <= client) committed_.resize(size_t(client) + 1);
+  return committed_[client];
+}
+
 void EngineNode::reply_txn_done(const ExecTxn& m, TxnDone done) {
   done.req_id = m.req_id;
   net_.send(id_, m.reply_to, std::move(done), 256);
@@ -366,8 +371,8 @@ sim::Task<> EngineNode::main_loop() {
     auto env = co_await mailbox.receive();
     if (!env || !*alive) break;
 
-    if (const auto* exec = net::as<ExecTxn>(*env)) {
-      net_.sim().spawn(handle_exec(*exec));
+    if (auto* exec = net::as<ExecTxn>(*env)) {
+      net_.sim().spawn(handle_exec(std::move(*exec)));
     } else if (const auto* ws = net::as<WriteSetMsg>(*env)) {
       apply_incoming_write_set(*ws);
       // A client reply is blocked on this ack: don't let it sit out the
@@ -420,19 +425,21 @@ sim::Task<> EngineNode::main_loop() {
       // Committed marks for discarded updates must go too: their clients
       // never got an ack, and a resubmission has to re-execute, not be
       // re-acked against state that no longer holds the update.
-      for (auto it = committed_.begin(); it != committed_.end();) {
-        bool above = false;
-        const auto in_scope = [&](storage::TableId t) {
-          return da->tables.empty() ||
-                 std::find(da->tables.begin(), da->tables.end(), t) !=
-                     da->tables.end();
-        };
-        const VersionVec& version = it->second->db_version;
+      const auto in_scope = [&](storage::TableId t) {
+        return da->tables.empty() ||
+               std::find(da->tables.begin(), da->tables.end(), t) !=
+                   da->tables.end();
+      };
+      for (CommittedMark& mark : committed_) {
+        if (!mark) continue;
+        const VersionVec& version = mark->db_version;
         for (size_t t = 0; t < version.size() && t < da->confirmed.size();
              ++t)
-          if (in_scope(storage::TableId(t)) && version[t] > da->confirmed[t])
-            above = true;
-        it = above ? committed_.erase(it) : std::next(it);
+          if (in_scope(storage::TableId(t)) &&
+              version[t] > da->confirmed[t]) {
+            mark.reset();
+            break;
+          }
       }
       // The ack reports our post-discard received state so the recovering
       // scheduler can elect the most caught-up candidate (under quorum
@@ -564,17 +571,17 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       const bool ok = co_await acked->wait();
       if (!ok || !*alive) co_return;
     }
-    auto it = committed_.find(m.origin);
-    if (it != committed_.end() && it->second->origin_req == m.origin_req) {
+    const CommittedMark& prior = mark_of(m.origin);
+    if (prior && prior->origin_req == m.origin_req) {
       obs::instant("master.dedup", obs::Cat::Txn, id_);
       TxnDone done;
       done.ok = true;
-      done.result = it->second->result;
-      done.db_version = it->second->db_version;
+      done.result = prior->result;
+      done.db_version = prior->db_version;
       // The ops ride along so the scheduler's persistence hook sees the
       // commit even when the original ack (and its log append) died with
       // a failed-over scheduler; the log's stamp dedup drops re-logs.
-      done.ops = it->second->ops;
+      done.ops = prior->ops;
       reply_txn_done(m, std::move(done));
       co_return;
     }
@@ -604,10 +611,16 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       inf.in_precommit = true;
       obs::SpanGuard pc_span("master.precommit", obs::Cat::Replication, id_,
                              txn->id());
+      // The op-log is complete once the procedure has returned. It moves
+      // out of the transaction once, and the mark, the history record and
+      // the reply all share it.
+      const txn::OpLogPtr ops =
+          std::make_shared<const std::vector<txn::OpRecord>>(
+              std::move(txn->op_log()));
       std::shared_ptr<CommittedUpdate> mark;
       if (m.origin != net::kNoNode) {
-        mark = std::make_shared<CommittedUpdate>(CommittedUpdate{
-            m.origin, m.origin_req, {}, result, txn->op_log()});
+        mark = std::make_shared<CommittedUpdate>(
+            CommittedUpdate{m.origin, m.origin_req, {}, result, ops});
         origin_by_txn_[txn->id()] = mark;
       }
       const txn::WriteSetPtr ws = co_await engine_->precommit(*txn);
@@ -622,7 +635,7 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       // order, and a node killed before the broadcast (alive check above)
       // reports nothing.
       if (auto* s = check::sink())
-        s->update_commit(id_, m.origin, m.origin_req, txn->op_log(),
+        s->update_commit(id_, m.origin, m.origin_req, *ops,
                          ws->db_version);
       // Locally committed: the write-set is sequenced on every replica
       // link and nothing can abort this transaction any more short of
@@ -652,15 +665,15 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       ++stats_.txns_executed;
       obs::count("master.commits", id_);
       if (mark) {
-        committed_[m.origin] = std::move(mark);
+        mark_of(m.origin) = std::move(mark);
         if (auto waiting = awaiting_ack_.extract({m.origin, m.origin_req}))
           waiting.mapped()->notify_all();
       }
       TxnDone done;
       done.ok = true;
-      done.result = result;
+      done.result = std::move(result);
       done.db_version = ws->db_version;
-      done.ops = txn->op_log();
+      done.ops = ops;
       reply_txn_done(m, std::move(done));
       co_return;
     } catch (const TxnAbort& e) {

@@ -168,8 +168,8 @@ class EngineNode {
   // Clients are single-outstanding, so one mark per client suffices; a
   // resubmission (same req after a scheduler fail-over) is re-acked from
   // here instead of executed twice. Replicated via the write-set stream
-  // and pruned by DiscardAbove so a promoted slave inherits only marks
-  // whose updates it actually kept.
+  // and reset by DiscardAbove so a promoted slave inherits only marks
+  // whose updates it actually kept. Null: no mark.
   using CommittedMark = std::shared_ptr<const CommittedUpdate>;
   // Master->replica batch window, one per destination link. Urgent
   // (client-blocking) write-sets take a Nagle-style path: flush
@@ -231,6 +231,8 @@ class EngineNode {
                       std::vector<NodeId> voters);
   void maybe_send_hints();
   void reply_txn_done(const ExecTxn& m, TxnDone done);
+  // The client's slot in committed_, grown on demand.
+  CommittedMark& mark_of(NodeId client);
 
   net::Network& net_;
   NodeId id_;
@@ -261,7 +263,8 @@ class EngineNode {
 
   std::unordered_map<uint64_t, Inflight*> inflight_;
   std::unique_ptr<sim::WaitQueue> precommit_drain_;
-  std::map<NodeId, CommittedMark> committed_;
+  // Indexed by client NodeId (dense: clients are registered nodes).
+  std::vector<CommittedMark> committed_;
   // Updates past precommit whose mark waits on their replica acks, by
   // (client, request): a resubmission that arrives in that window waits
   // here for the original's ack, then is re-acked from committed_. A

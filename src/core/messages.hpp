@@ -1,5 +1,5 @@
-// Wire messages of the DMV cluster. All flow through net::Network as
-// std::any payloads; net::as<T>() dispatches.
+// Wire messages of the DMV cluster. All flow through net::Network in
+// envelopes tagged with their payload type's id; net::as<T>() dispatches.
 #pragma once
 
 #include <map>
@@ -57,8 +57,8 @@ struct TxnDone {
   bool ok = false;
   bool version_abort = false;  // read-only version inconsistency (§2.2)
   api::TxnResult result;
-  VersionVec db_version;            // updates: post-commit version vector
-  std::vector<txn::OpRecord> ops;   // updates: for the persistence log
+  VersionVec db_version;  // updates: post-commit version vector
+  txn::OpLogPtr ops;      // updates: for the persistence log
   // Committed reads: the tag the transaction actually observed. Equal to
   // the dispatch tag except for reads served by a table's master, whose
   // mastered entries were upgraded to the master's version at first touch
@@ -85,13 +85,14 @@ struct CommittedUpdate {
   // scheduler's persistence hook can (re-)log the commit — the update log
   // deduplicates by version stamp, but a re-ack with empty ops would leave
   // an acked commit unlogged when the original ack died with its scheduler
-  // before the append.
-  std::vector<txn::OpRecord> ops;
+  // before the append. The same log the master's TxnDone shares.
+  txn::OpLogPtr ops;
 
   // Simulated wire bytes the outcome adds to its write-set: the op-log.
   size_t byte_size() const {
     size_t n = 0;
-    for (const auto& op : ops) n += op.byte_size();
+    if (ops)
+      for (const auto& op : *ops) n += op.byte_size();
     return n;
   }
 };

@@ -269,8 +269,8 @@ sim::Task<> Scheduler::main_loop() {
     auto env = co_await mailbox.receive();
     if (!env || !*alive) break;
 
-    if (const auto* req = net::as<ClientRequest>(*env)) {
-      handle_client(*req);
+    if (auto* req = net::as<ClientRequest>(*env)) {
+      handle_client(std::move(*req));
     } else if (const auto* done = net::as<TxnDone>(*env)) {
       handle_txn_done(env->from, *done);
     } else if (const auto* g = net::as<VersionGossip>(*env)) {
@@ -559,9 +559,9 @@ void Scheduler::handle_txn_done(NodeId from, const TxnDone& d) {
       // back-end asynchronously; §4.1: gossip the vector to peers. The
       // instant is a chaos protocol point (fault plans can kill this
       // scheduler between the log append and the client reply).
-      if (persist_ && !d.ops.empty()) {
+      if (persist_ && d.ops && !d.ops->empty()) {
         obs::instant("persist.append", obs::Cat::Replication, id_);
-        persist_(d.ops, d.db_version);
+        persist_(*d.ops, d.db_version);
       }
       for (NodeId p : peers_)
         if (net_.alive(p))

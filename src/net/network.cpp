@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/trace.hpp"
 
@@ -56,8 +57,10 @@ void Network::account_delivered(size_t bytes, LinkClass cls) {
              double(inflight_bytes_[size_t(cls)]));
 }
 
-void Network::deliver_one(NodeId from, NodeId to, uint64_t epoch,
-                          std::any payload, size_t bytes, LinkClass cls) {
+void Network::deliver_one(Envelope env, uint64_t epoch, size_t bytes,
+                          LinkClass cls) {
+  const NodeId from = env.from;
+  const NodeId to = env.to;
   // Receiver may have died while the message was in flight.
   if (!nodes_[to].alive) {
     account_delivered(bytes, cls);
@@ -78,16 +81,17 @@ void Network::deliver_one(NodeId from, NodeId to, uint64_t epoch,
   // A region partition parks the message instead of losing it: TCP rides
   // out the cut and redelivers in order once the route heals.
   if (regions_partitioned(topo_.region_of(from), topo_.region_of(to))) {
-    parked_[{from, to}].push_back(
-        Parked{epoch, std::move(payload), bytes, cls});
+    parked_[{from, to}].push_back(Parked{epoch, std::move(env), bytes, cls});
     return;
   }
   account_delivered(bytes, cls);
-  nodes_[to].mailbox->send(Envelope{from, to, std::move(payload)});
+  nodes_[to].mailbox->send(std::move(env));
 }
 
-void Network::send_payload(NodeId from, NodeId to, uint32_t type,
-                           std::any payload, size_t bytes) {
+void Network::send_envelope(Envelope env, size_t bytes) {
+  const NodeId from = env.from;
+  const NodeId to = env.to;
+  const uint32_t type = env.type();
   DMV_ASSERT(from < nodes_.size() && to < nodes_.size());
   if (!nodes_[from].alive || !nodes_[to].alive) return;
   Link& lk = link(from, to);
@@ -128,19 +132,11 @@ void Network::send_payload(NodeId from, NodeId to, uint32_t type,
     slot = uint32_t(flights_.size());
     flights_.emplace_back();
   }
-  Flight& f = flights_[slot];
-  f.from = from;
-  f.to = to;
-  f.epoch = nodes_[from].epoch;
-  f.payload = std::move(payload);
-  f.bytes = bytes;
-  f.cls = cls;
+  flights_[slot] = Flight{nodes_[from].epoch, std::move(env), bytes, cls};
   sim_.schedule_at(deliver_at, [this, slot] {
-    Flight fl = std::move(flights_[slot]);
-    flights_[slot].payload.reset();
+    Flight fl = std::exchange(flights_[slot], Flight{});
     free_flights_.push_back(slot);
-    deliver_one(fl.from, fl.to, fl.epoch, std::move(fl.payload), fl.bytes,
-                fl.cls);
+    deliver_one(std::move(fl.env), fl.epoch, fl.bytes, fl.cls);
   });
 }
 
@@ -224,8 +220,7 @@ void Network::flush_parked() {
     std::deque<Parked> drain;
     drain.swap(q);
     for (auto& m : drain)
-      deliver_one(link.first, link.second, m.epoch, std::move(m.payload),
-                  m.bytes, m.cls);
+      deliver_one(std::move(m.env), m.epoch, m.bytes, m.cls);
   }
 }
 

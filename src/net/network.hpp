@@ -54,16 +54,65 @@ namespace dmv::net {
 
 constexpr NodeId kNoNode = UINT32_MAX;
 
-struct Envelope {
+// Dense id of payload type T, assigned on the type's first use. Every
+// envelope carries its payload's id: as<T> dispatches on it, and it
+// indexes Network's per-type statistics.
+namespace detail {
+constexpr uint32_t kNoPayloadType = UINT32_MAX;
+inline std::atomic<uint32_t> next_payload_type{0};
+template <typename T>
+uint32_t payload_type() {
+  static const uint32_t id = next_payload_type++;
+  return id;
+}
+}  // namespace detail
+
+// A message in flight or in a mailbox. The payload is type-erased, and
+// of<T>() is the only way to attach one, so every envelope that carries a
+// payload carries its type id too. A default-constructed envelope is empty
+// and matches no type.
+class Envelope {
+ public:
   NodeId from = kNoNode;
   NodeId to = kNoNode;
-  std::any payload;
+
+  Envelope() = default;
+  template <typename T>
+  static Envelope of(NodeId from, NodeId to, T payload) {
+    static_assert(!std::is_same_v<T, std::any>,
+                  "send a concrete payload type: dispatch is by type id");
+    Envelope e;
+    e.from = from;
+    e.to = to;
+    e.type_ = detail::payload_type<T>();
+    e.payload_ = std::move(payload);
+    return e;
+  }
+  uint32_t type() const { return type_; }
+
+ private:
+  template <typename T>
+  friend const T* as(const Envelope& env);
+  template <typename T>
+  friend T* as(Envelope& env);
+
+  uint32_t type_ = detail::kNoPayloadType;
+  std::any payload_;
 };
 
-// Typed payload access: returns nullptr if the envelope holds another type.
+// Typed payload access: returns nullptr if the envelope holds another
+// type. The id compare settles every miss of a dispatch chain; only the
+// matching type reaches std::any_cast. The mutable form lets a receiver
+// move the payload out instead of copying it.
 template <typename T>
 const T* as(const Envelope& env) {
-  return std::any_cast<T>(&env.payload);
+  if (env.type_ != detail::payload_type<T>()) return nullptr;
+  return std::any_cast<T>(&env.payload_);
+}
+template <typename T>
+T* as(Envelope& env) {
+  if (env.type_ != detail::payload_type<T>()) return nullptr;
+  return std::any_cast<T>(&env.payload_);
 }
 
 struct NetworkConfig {
@@ -72,17 +121,6 @@ struct NetworkConfig {
   sim::Time detect_delay = 50 * sim::kMsec;    // broken-connection detection
   uint64_t jitter_seed = 0x7c4a1d6f0b9e3325ull;  // per-message jitter stream
 };
-
-// Dense id of payload type T, assigned on the type's first use; it
-// indexes Network's per-type statistics.
-namespace detail {
-inline std::atomic<uint32_t> next_payload_type{0};
-template <typename T>
-uint32_t payload_type() {
-  static const uint32_t id = next_payload_type++;
-  return id;
-}
-}  // namespace detail
 
 class Network {
  public:
@@ -108,10 +146,7 @@ class Network {
   // end is dead or the node-pair link is partitioned (fail-stop model).
   template <typename T>
   void send(NodeId from, NodeId to, T payload, size_t bytes = 256) {
-    static_assert(!std::is_same_v<T, std::any>,
-                  "send a concrete payload type: stats are kept per type");
-    send_payload(from, to, detail::payload_type<T>(),
-                 std::any(std::move(payload)), bytes);
+    send_envelope(Envelope::of(from, to, std::move(payload)), bytes);
   }
 
   sim::Channel<Envelope>& mailbox(NodeId id);
@@ -185,8 +220,7 @@ class Network {
                               uint32_t type) {
     return type < v.size() ? v[type] : PayloadStats{};
   }
-  void send_payload(NodeId from, NodeId to, uint32_t type, std::any payload,
-                    size_t bytes);
+  void send_envelope(Envelope env, size_t bytes);
 
   struct Node {
     std::string name;
@@ -202,7 +236,7 @@ class Network {
   // partitioned: queued per directed link, flushed in order on heal.
   struct Parked {
     uint64_t epoch = 0;  // sender epoch at send time
-    std::any payload;
+    Envelope env;
     size_t bytes = 0;
     LinkClass cls = LinkClass::Intra;
   };
@@ -213,10 +247,8 @@ class Network {
   // (this, slot), which fits std::function's inline storage, instead of
   // moving the payload into a heap-allocated capture.
   struct Flight {
-    NodeId from = kNoNode;
-    NodeId to = kNoNode;
     uint64_t epoch = 0;
-    std::any payload;
+    Envelope env;
     size_t bytes = 0;
     LinkClass cls = LinkClass::Intra;
   };
@@ -225,8 +257,8 @@ class Network {
   // The delivery point: receiver-alive and sealed-sender checks, then park
   // (partitioned) or hand to the mailbox. Used by both the scheduled send
   // completion and the heal-time flush.
-  void deliver_one(NodeId from, NodeId to, uint64_t epoch, std::any payload,
-                   size_t bytes, LinkClass cls);
+  void deliver_one(Envelope env, uint64_t epoch, size_t bytes,
+                   LinkClass cls);
   void flush_parked();
   void account_delivered(size_t bytes, LinkClass cls);
 

@@ -12,6 +12,7 @@
 // is deterministic and idempotent per record kind.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "storage/value.hpp"
@@ -39,6 +40,11 @@ struct OpRecord {
     return n;
   }
 };
+
+// A committed update's op-log, built once by its master and shared,
+// immutable, by everything that carries it: the client-outcome mark, the
+// scheduler's reply and through it the persistence log.
+using OpLogPtr = std::shared_ptr<const std::vector<OpRecord>>;
 
 // All logical writes of one committed transaction, in execution order.
 struct TxnRecord {

@@ -671,14 +671,107 @@ TEST(Mutation, MarkAfterAckCaughtByAtMostOnce) {
 
 TEST(Shrink, DropsIrrelevantFaults) {
   // Only the slave0 kill "matters"; the spare kill must be shrunk away.
-  auto still_fails = [](const std::string& plan) {
-    return plan.find("kill:slave0") != std::string::npos;
+  auto violations_of = [](const std::string& plan) {
+    std::vector<std::string> v;
+    if (plan.find("kill:slave0") != std::string::npos)
+      v.push_back("divergence: x");
+    return v;
   };
   const std::string shrunk = check::shrink_plan(
       "kill:slave0@t:5000;kill:spare0@t:6000;restart:spare0@t:9000",
-      still_fails);
+      "divergence", violations_of);
   EXPECT_NE(shrunk.find("kill:slave0"), std::string::npos);
   EXPECT_EQ(shrunk.find("spare0"), std::string::npos);
+}
+
+TEST(Shrink, KeepsViolationKindAndRejectsPlanErrors) {
+  // Dropping the kill changes the failure's kind; dropping the addslave
+  // turns the retire into a plan error. Neither candidate may be kept.
+  auto violations_of = [](const std::string& plan) {
+    std::vector<std::string> v;
+    const bool kill = plan.find("kill:master0") != std::string::npos;
+    const bool add = plan.find("addslave") != std::string::npos;
+    if (!add) v.push_back("plan error: unknown node in 'retire:slave2'");
+    v.push_back(kill ? "recovery-mismatch: x" : "divergence: y");
+    return v;
+  };
+  const std::string shrunk = check::shrink_plan(
+      "addslave@t:100;retire:slave2@t:200;kill:master0@t:300",
+      "recovery-mismatch", violations_of);
+  EXPECT_EQ(shrunk, "addslave@t:100;kill:master0@t:300");
+}
+
+TEST(Shrink, DropsPartitionTogetherWithItsHeal) {
+  // Any plan with the kill fails the same way. The partition goes and its
+  // heal with it: no candidate tried may hold the cut without its heal.
+  std::vector<std::string> tried;
+  auto violations_of = [&](const std::string& plan) {
+    tried.push_back(plan);
+    std::vector<std::string> v;
+    if (plan.find("kill:master0") != std::string::npos)
+      v.push_back("recovery-mismatch: x");
+    return v;
+  };
+  const std::string shrunk = check::shrink_plan(
+      "partition:local>r1@t:10;heal-partition:local>r1@t:20;"
+      "kill:master0@t:30",
+      "recovery-mismatch", violations_of);
+  EXPECT_EQ(shrunk, "kill:master0@t:30");
+  for (const auto& p : tried) {
+    auto plan = FaultPlan::parse(p);
+    ASSERT_TRUE(plan.has_value()) << p;
+    size_t cuts = 0, heals = 0;
+    for (const auto& f : plan->faults) {
+      cuts += f.action.kind == ActionKind::Partition;
+      heals += f.action.kind == ActionKind::HealPartition;
+    }
+    EXPECT_EQ(cuts, heals) << "a cut tried without its heal: " << p;
+  }
+}
+
+// Two sweep failures whose shrunk repro lines used to report another
+// failure: multimaster seed 434 shrank to a lone unhealed partition (a
+// wedged read and divergence), elastic seed 3348 to a retire of a slave
+// the dropped addslave would have created (a plan error). Shrunk now, each
+// plan still fails with the original recovery-mismatch.
+CheckReport run_at(CheckConfig cfg, uint64_t seed, const std::string& plan) {
+  cfg.seed = seed;
+  return check::run_check(cfg, plan);
+}
+
+void expect_shrink_keeps_kind(const CheckConfig& cfg, uint64_t seed,
+                              const std::string& plan) {
+  const CheckReport rep = run_at(cfg, seed, plan);
+  ASSERT_FALSE(rep.passed);
+  ASSERT_EQ(check::violation_kind(rep.violations.front()),
+            "recovery-mismatch");
+  const std::string shrunk = check::shrink_plan(
+      plan, "recovery-mismatch",
+      [&](const std::string& cand) { return run_at(cfg, seed, cand).violations; });
+  const CheckReport again = run_at(cfg, seed, shrunk);
+  ASSERT_FALSE(again.passed) << shrunk;
+  EXPECT_EQ(check::violation_kind(again.violations.front()),
+            "recovery-mismatch")
+      << shrunk << ": " << again.violations.front();
+  for (const auto& v : again.violations)
+    EXPECT_NE(check::violation_kind(v), "plan error") << shrunk;
+}
+
+TEST(Shrink, MultimasterSeed434KeepsRecoveryMismatch) {
+  CheckConfig cfg;
+  check::make_multimaster(cfg);
+  expect_shrink_keeps_kind(
+      cfg, 434,
+      "addslave@t:15048;partition:local>r1@t:4497;"
+      "heal-partition:local>r1@t:30180;kill:master0@t:26791;"
+      "kill:spare0@t:3294;restart:spare0@t:45709;heal-partition@t:250000");
+}
+
+TEST(Shrink, ElasticSeed3348KeepsRecoveryMismatch) {
+  expect_shrink_keeps_kind(
+      CheckConfig{}, 3348,
+      "addslave@t:14287;addslave@t:31766;retire:slave2@t:26937;"
+      "kill:master0@t:33574");
 }
 
 }  // namespace

@@ -1073,6 +1073,113 @@ TEST(Failover, ResubmissionAfterPromotionCarriesResult) {
   EXPECT_EQ(r->value, 46);
 }
 
+TEST(CommittedMarks, DenseMarksReackAndDiscardAboveResetsOnlyHigherOnes) {
+  // Committed marks are a vector indexed by client NodeId. Clients with ids
+  // far beyond the cluster's nodes must get marks on the master and on the
+  // slave (through the write-set stream); a resubmission is re-acked from
+  // the mark; DiscardAbove resets exactly the marks above the confirmed
+  // version, so after a promotion only those updates execute again.
+  DmvCluster::Config cfg;
+  cfg.slaves = 1;
+  Fixture f(cfg);
+  const NodeId me = f.net.add_node("raw-sched");
+  const NodeId master = f.cluster->master_id();
+  const NodeId slave = f.cluster->slave_id(0);
+  constexpr NodeId kLow = 4000, kHigh = 4097;
+
+  std::map<uint64_t, TxnDone> done;
+  bool promoted = false;
+  f.sim.spawn([](net::Network& net, NodeId me, std::map<uint64_t, TxnDone>& done,
+                 bool& promoted) -> sim::Task<> {
+    for (;;) {
+      auto env = co_await net.mailbox(me).receive();
+      if (!env) co_return;
+      if (const auto* d = net::as<TxnDone>(*env)) done[d->req_id] = *d;
+      if (net::as<PromoteDone>(*env)) promoted = true;
+    }
+  }(f.net, me, done, promoted));
+  uint64_t next_req = 1;
+  auto update = [&](NodeId to, NodeId origin, uint64_t origin_req) {
+    ExecTxn m;
+    m.req_id = next_req++;
+    m.reply_to = me;
+    m.proc = "deposit";
+    m.params.set("id", int64_t{2}).set("amt", int64_t{10});
+    m.read_only = false;
+    m.origin = origin;
+    m.origin_req = origin_req;
+    f.net.send(me, to, std::move(m));
+    f.sim.run();
+    return done.at(m.req_id);
+  };
+
+  const TxnDone low = update(master, kLow, 1);    // version 1
+  const TxnDone high = update(master, kHigh, 1);  // version 2
+  ASSERT_TRUE(low.ok);
+  ASSERT_TRUE(high.ok);
+  ASSERT_EQ(low.db_version, (VersionVec{1}));
+  ASSERT_EQ(high.db_version, (VersionVec{2}));
+  ASSERT_NE(low.ops, nullptr);
+  EXPECT_FALSE(low.ops->empty());
+
+  // Re-acked from the master's mark: same outcome, nothing executed.
+  const uint64_t executed = f.cluster->master().stats().txns_executed;
+  const TxnDone again = update(master, kHigh, 1);
+  EXPECT_TRUE(again.ok);
+  EXPECT_EQ(again.db_version, high.db_version);
+  EXPECT_EQ(again.ops, high.ops);  // the mark's own log, shared
+  EXPECT_EQ(f.cluster->master().stats().txns_executed, executed);
+
+  // Discard above version 1 on the slave, then make it a master.
+  f.net.send(me, slave, DiscardAbove{VersionVec{1}, {}, 9});
+  PromoteToMaster pm;
+  pm.reply_to = me;
+  pm.tables = {0};
+  f.net.send(me, slave, std::move(pm));
+  f.sim.run();
+  ASSERT_TRUE(promoted);
+
+  EngineNode& node = f.cluster->node(slave);
+  const uint64_t before = node.stats().txns_executed;
+  // The low client's update is at the confirmed version: its mark
+  // survived and it is re-acked.
+  const TxnDone low_again = update(slave, kLow, 1);
+  EXPECT_TRUE(low_again.ok);
+  EXPECT_EQ(low_again.db_version, low.db_version);
+  EXPECT_EQ(node.stats().txns_executed, before);
+  // The high client's update was discarded with its mark: it runs again.
+  const TxnDone high_again = update(slave, kHigh, 1);
+  EXPECT_TRUE(high_again.ok);
+  EXPECT_EQ(high_again.db_version, (VersionVec{2}));
+  EXPECT_EQ(node.stats().txns_executed, before + 1);
+}
+
+TEST(SchedulerDown, SynthesizedNoticeDispatchesByType) {
+  // A client learns of a scheduler's death from a SchedulerDown the
+  // cluster puts straight into its mailbox. It must dispatch like any sent
+  // message: as<SchedulerDown> matches, the reply types do not.
+  DmvCluster::Config cfg;
+  cfg.schedulers = 2;
+  Fixture f(cfg);
+  auto client = f.cluster->make_client("c");
+  const NodeId victim = f.cluster->scheduler_ids()[0];
+  std::optional<net::Envelope> got;
+  f.sim.spawn([](net::Network& net, NodeId id,
+                 std::optional<net::Envelope>& got) -> sim::Task<> {
+    got = co_await net.mailbox(id).receive();
+  }(f.net, client->id(), got));
+  f.cluster->kill_scheduler(0);
+  f.sim.run(f.sim.now() + sim::kSec);
+  ASSERT_TRUE(got.has_value());
+  const auto* down = net::as<SchedulerDown>(*got);
+  ASSERT_NE(down, nullptr);
+  EXPECT_EQ(down->scheduler, victim);
+  EXPECT_EQ(got->from, client->id());
+  EXPECT_EQ(net::as<ClientReply>(*got), nullptr);
+  EXPECT_EQ(net::as<TxnDone>(*got), nullptr);
+  EXPECT_EQ(net::as<net::HeartbeatMsg>(*got), nullptr);
+}
+
 TEST(DmvCluster, ReplicasShareOneWriteSetPayload) {
   // The master builds one write-set per commit; the network messages and
   // every replica's queue of pending mods share it instead of copying.

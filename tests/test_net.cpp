@@ -338,6 +338,110 @@ TEST(Topology, DirectedPartitionCutsOneWayOnly) {
   EXPECT_EQ(got_b, 1);
 }
 
+// ---- envelope dispatch by payload type id ----
+
+struct Pong {
+  std::string text;
+};
+struct Down {
+  NodeId who;
+};
+
+// Every payload type a dispatch chain in these tests asks for. An
+// envelope must answer as<T> for its own type only.
+int matches(Envelope& env) {
+  const Envelope& c = env;
+  int n = 0;
+  n += as<Ping>(env) != nullptr;
+  n += as<Pong>(env) != nullptr;
+  n += as<Down>(env) != nullptr;
+  n += as<HeartbeatMsg>(env) != nullptr;
+  n += as<int>(env) != nullptr;
+  // The const and mutable forms agree.
+  EXPECT_EQ(as<Ping>(c), as<Ping>(env));
+  EXPECT_EQ(as<Pong>(c), as<Pong>(env));
+  EXPECT_EQ(as<Down>(c), as<Down>(env));
+  return n;
+}
+
+sim::Task<> collect(Fixture& f, NodeId at, std::vector<Envelope>& got) {
+  for (;;) {
+    auto env = co_await f.net.mailbox(at).receive();
+    if (!env) co_return;
+    got.push_back(std::move(*env));
+  }
+}
+
+TEST(Envelope, AsMatchesOnlyItsOwnType) {
+  Fixture f;
+  NodeId a = f.net.add_node("a");
+  NodeId b = f.net.add_node("b");
+  std::vector<Envelope> got;
+  f.sim.spawn(collect(f, b, got));
+  f.net.send(a, b, Ping{5});
+  f.net.send(a, b, Pong{"a payload long enough to live on the heap"});
+  f.net.send(a, b, HeartbeatMsg{});
+  f.sim.run();
+  ASSERT_EQ(got.size(), 3u);
+  for (auto& env : got) {
+    EXPECT_EQ(matches(env), 1);
+    EXPECT_EQ(env.from, a);
+    EXPECT_EQ(env.to, b);
+  }
+  EXPECT_EQ(got[0].type(), detail::payload_type<Ping>());
+  EXPECT_EQ(as<Ping>(got[0])->n, 5);
+  EXPECT_EQ(got[1].type(), detail::payload_type<Pong>());
+  EXPECT_NE(as<HeartbeatMsg>(got[2]), nullptr);
+  // The mutable form lets a receiver move the payload out.
+  std::string moved = std::move(as<Pong>(got[1])->text);
+  EXPECT_EQ(moved, "a payload long enough to live on the heap");
+  // An empty envelope carries no payload and matches nothing.
+  Envelope empty;
+  EXPECT_EQ(empty.type(), detail::kNoPayloadType);
+  EXPECT_EQ(matches(empty), 0);
+}
+
+TEST(Envelope, ParkedMessagesKeepTheirTypeAcrossHeal) {
+  Fixture f;
+  Topology& topo = f.net.topology();
+  const RegionId west = topo.add_region("west");
+  NodeId a = f.net.add_node("a");
+  NodeId b = f.net.add_node("b");
+  topo.place(b, west);
+  std::vector<Envelope> got;
+  f.sim.spawn(collect(f, b, got));
+  f.net.partition_regions(0, west);
+  f.net.send(a, b, Pong{"parked"}, 64);
+  f.net.send(a, b, Ping{1}, 64);
+  f.sim.run(sim::kSec);
+  EXPECT_TRUE(got.empty());
+  f.net.heal_partition(0, west);
+  f.sim.run(2 * sim::kSec);
+  ASSERT_EQ(got.size(), 2u);
+  for (auto& env : got) EXPECT_EQ(matches(env), 1);
+  ASSERT_NE(as<Pong>(got[0]), nullptr);
+  EXPECT_EQ(as<Pong>(got[0])->text, "parked");
+  ASSERT_NE(as<Ping>(got[1]), nullptr);
+  EXPECT_EQ(as<Ping>(got[1])->n, 1);
+}
+
+TEST(Envelope, LocallySynthesizedEnvelopeDispatches) {
+  // A node's own failure notice, put straight into its mailbox the way
+  // the cluster synthesizes SchedulerDown: built by the same factory, so
+  // it carries its type id like any sent message.
+  Fixture f;
+  NodeId a = f.net.add_node("a");
+  std::vector<Envelope> got;
+  f.sim.spawn(collect(f, a, got));
+  f.net.mailbox(a).send(Envelope::of(a, a, Down{7}));
+  f.sim.run();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(matches(got[0]), 1);
+  ASSERT_NE(as<Down>(got[0]), nullptr);
+  EXPECT_EQ(as<Down>(got[0])->who, 7u);
+  EXPECT_EQ(got[0].from, a);
+}
+
 TEST(Network, FailureWavesFirePerLinkClass) {
   // Same-region peers observe a death at the intra detect delay; cross-
   // region peers only at their slower class's delay. The plain
