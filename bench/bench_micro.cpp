@@ -114,6 +114,27 @@ void BM_RbTreeScan100(benchmark::State& state) {
 }
 BENCHMARK(BM_RbTreeScan100);
 
+// Successor-link upkeep under churn: per iteration 8 inserts and 8 erases
+// of random keys (the tree stays near 10000 entries, half of the key
+// range), then a 100-entry scan from a random key.
+void BM_RbTreeChurnScan(benchmark::State& state) {
+  storage::RbTree t(8);
+  for (int64_t i = 0; i < 20000; i += 2) t.insert(int_key(i), storage::RowId{});
+  util::Rng rng(19);
+  for (auto _ : state) {
+    for (int k = 0; k < 8; ++k) {
+      t.insert(int_key(rng.between(0, 19999)), storage::RowId{});
+      t.erase(int_key(rng.between(0, 19999)));
+    }
+    size_t seen = 0;
+    t.scan(int_key(rng.between(0, 19799)), {},
+           [&](std::string_view, storage::RowId) { return ++seen < 100; });
+    benchmark::DoNotOptimize(seen);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RbTreeChurnScan);
+
 // The engines' scan row path without the simulator: a 100-row pk range
 // of a scan-workload-shaped table copied into a Rows and summed through
 // RowRef.

@@ -177,7 +177,7 @@ const storage::Database& DmvCluster::base_image() {
 
 void DmvCluster::attach_persistence(Scheduler& s) {
   if (!persistence_) return;
-  s.set_persistence([this](const std::vector<txn::OpRecord>& ops,
+  s.set_persistence([this](const txn::OpLogPtr& ops,
                            const VersionVec& db_version) {
     persistence_->log_update(ops, db_version);
   });

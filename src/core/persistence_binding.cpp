@@ -70,16 +70,16 @@ void PersistenceBinding::stop() {
   if (attach_wq_) attach_wq_->notify_all(false);
 }
 
-void PersistenceBinding::log_update(const std::vector<txn::OpRecord>& ops,
+void PersistenceBinding::log_update(const txn::OpLogPtr& ops,
                                     const std::vector<uint64_t>& db_version) {
   // The scheduler's persist_ hook can fire after stop() — a TxnDone still
   // draining through a scheduler mid-shutdown/fail-over. Drop it here
   // rather than feeding appliers whose frames are already unwinding.
-  if (!alive_ || !*alive_ || ops.empty()) return;
+  if (!alive_ || !*alive_ || !ops || ops->empty()) return;
 
   LogRec lr;
   lr.rec.ops = ops;
-  for (const auto& op : ops) {
+  for (const auto& op : *ops) {
     bool seen = false;
     for (const auto& [t, s] : lr.stamps)
       if (t == op.table) {
@@ -269,8 +269,8 @@ sim::Task<> PersistenceBinding::applier_loop(size_t idx,
     }
     const uint64_t pos = b.applied_log_seq;
     const uint64_t epoch = insert_epoch_;
-    // Copy: a version-ordered insert can shift the deque while the apply
-    // is suspended on disk I/O.
+    // Copy (it shares the op-log): a version-ordered insert can shift the
+    // deque while the apply is suspended on disk I/O.
     const txn::TxnRecord rec = at(pos).rec;
     co_await b.engine->apply_record(rec);
     if (!*alive || !*binding_alive) co_return;
@@ -349,7 +349,7 @@ PersistenceBinding::bootstrap_image(size_t idx) const {
   // even when the watermark points at a partially applied record: the
   // fold re-writes every key that record touches.
   for (uint64_t abs = b.applied_log_seq; abs < total_seq(); ++abs) {
-    for (const auto& op : at(abs).rec.ops) {
+    for (const auto& op : *at(abs).rec.ops) {
       TableImage& ti = img[op.table];
       if (op.kind == txn::OpRecord::Kind::Delete)
         ti.erase(op.pk);

@@ -59,14 +59,14 @@ class PersistenceBinding {
   void start();
   void stop();
 
-  // Scheduler hook: append a committed transaction's ops to the update log
-  // and wake the backend appliers. `db_version` is the post-commit version
-  // vector — it orders records that arrive out of version order across a
-  // scheduler fail-over and identifies duplicate re-logs of the same
-  // commit (a resubmission re-acked via committed-mark dedup). Safe to
-  // call after stop(): late TxnDones draining through a failing-over
-  // scheduler are dropped here.
-  void log_update(const std::vector<txn::OpRecord>& ops,
+  // Scheduler hook: append a committed transaction's ops (shared, not
+  // copied) to the update log and wake the backend appliers. `db_version`
+  // is the post-commit version vector — it orders records that arrive out
+  // of version order across a scheduler fail-over and identifies duplicate
+  // re-logs of the same commit (a resubmission re-acked via committed-mark
+  // dedup). Safe to call after stop(): late TxnDones draining through a
+  // failing-over scheduler are dropped here.
+  void log_update(const txn::OpLogPtr& ops,
                   const std::vector<uint64_t>& db_version);
 
   // Retained records (after truncation).

@@ -561,7 +561,7 @@ void Scheduler::handle_txn_done(NodeId from, const TxnDone& d) {
       // scheduler between the log append and the client reply).
       if (persist_ && d.ops && !d.ops->empty()) {
         obs::instant("persist.append", obs::Cat::Replication, id_);
-        persist_(*d.ops, d.db_version);
+        persist_(d.ops, d.db_version);
       }
       for (NodeId p : peers_)
         if (net_.alive(p))

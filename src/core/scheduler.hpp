@@ -123,9 +123,8 @@ class Scheduler {
   // Called with the op-log and post-commit version vector of every
   // committed update (persistence tier §4.6: the vector orders and
   // deduplicates log records across scheduler fail-over).
-  void set_persistence(std::function<void(const std::vector<txn::OpRecord>&,
-                                          const VersionVec&)>
-                           fn) {
+  void set_persistence(
+      std::function<void(const txn::OpLogPtr&, const VersionVec&)> fn) {
     persist_ = std::move(fn);
   }
   void make_primary() { is_primary_ = true; }
@@ -302,8 +301,7 @@ class Scheduler {
   std::deque<Outstanding> held_reads_;  // admission-control queue
   std::vector<NodeId> held_joins_;      // joiners arriving mid-recovery
 
-  std::function<void(const std::vector<txn::OpRecord>&, const VersionVec&)>
-      persist_;
+  std::function<void(const txn::OpLogPtr&, const VersionVec&)> persist_;
 
   // Liveness-aware protocol waits. Each wait tracks the exact peers whose
   // replies are still required; a peer's death (prune_waits_for) removes it

@@ -141,23 +141,27 @@ sim::Task<bool> DiskEngine::remove(TxnCtx& txn, TableId t, const Key& pk) {
   co_return true;
 }
 
-sim::Task<> DiskEngine::commit(TxnCtx& txn) {
+sim::Task<txn::OpLogPtr> DiskEngine::commit(TxnCtx& txn) {
   if (txn.kind() == TxnKind::ReadOnly || txn.op_log().empty()) {
     locks_.release_all(txn);
     ++stats_.read_commits;
-    co_return;
+    co_return nullptr;
   }
   txn::TxnRecord rec;
-  rec.ops = txn.op_log();
+  // The binlog keeps the log for good: drop its growth slack.
+  txn.op_log().shrink_to_fit();
+  rec.ops = std::make_shared<const std::vector<txn::OpRecord>>(
+      std::move(txn.op_log()));
   obs::SpanGuard span("disk.commit", obs::Cat::Disk, trace_node_, txn.id());
   wal_.append(rec.byte_size());
   co_await wal_.sync();  // durable before the commit is acknowledged
   span.done();
   obs::count("disk.commits", trace_node_);
   rec.seq = ++commit_seq_;
-  binlog_.push_back(std::move(rec));
+  binlog_.push_back(rec);
   locks_.release_all(txn);
   ++stats_.commits;
+  co_return rec.ops;
 }
 
 void DiskEngine::rollback(TxnCtx& txn) {
@@ -176,7 +180,7 @@ sim::Task<> DiskEngine::apply_record(const txn::TxnRecord& rec) {
   for (;;) {
     auto txn = begin(TxnKind::Update);
     try {
-      for (const auto& op : rec.ops) {
+      for (const auto& op : *rec.ops) {
         switch (op.kind) {
           case txn::OpRecord::Kind::Insert: {
             const bool ok = co_await insert(*txn, op.table, op.row);

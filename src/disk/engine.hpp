@@ -48,7 +48,10 @@ class DiskEngine {
 
   // --- transactions ---
   std::unique_ptr<txn::TxnCtx> begin(txn::TxnKind kind);
-  sim::Task<> commit(txn::TxnCtx& txn);
+  // Returns the committed op-log, now shared with the binlog (null for a
+  // transaction that wrote nothing). The transaction's own log is moved
+  // out of it.
+  sim::Task<txn::OpLogPtr> commit(txn::TxnCtx& txn);
   void rollback(txn::TxnCtx& txn);
 
   // --- operations (throw txn::TxnAbort on deadlock death / shutdown) ---

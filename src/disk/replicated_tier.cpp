@@ -97,11 +97,11 @@ sim::Task<std::optional<api::TxnResult>> ReplicatedDiskTier::execute(
     txn::EngineConnection conn(eng, *txn);
     try {
       api::TxnResult result = co_await proc.fn(conn, params);
-      co_await eng.commit(*txn);
-      if (!txn->op_log().empty()) {
+      txn::OpLogPtr ops = co_await eng.commit(*txn);
+      if (ops) {
         txn::TxnRecord rec;
         rec.seq = ++next_seq_;
-        rec.ops = txn->op_log();
+        rec.ops = std::move(ops);
         log_.push_back(rec);
         nodes_[idx].applied_tier_seq = rec.seq;
         applied_q_.notify_all();  // wake a fail-over catch-up, if any

@@ -35,6 +35,10 @@ class CacheModel {
     return fault_cost_;
   }
 
+  // Counts the hit that touch() would return for the page touched last:
+  // that page is the most recently used, so a re-touch only counts.
+  void repeat_hit() { ++hits_; }
+
   // Touch without charging (used when modeling prefetch done off the
   // critical path, e.g. page-id warm-up hints processed at idle priority).
   void prefetch(storage::PageId pid) { lru_.touch(pid); }

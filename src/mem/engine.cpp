@@ -242,14 +242,19 @@ sim::Time MemEngine::scan_in_place(const TxnCtx& txn,
             // range is charged, as the two-pass walk charges it.
             if (out.size() >= spec.limit) return true;
             // Nothing changes during the walk, so a run of entries on one
-            // page checks and looks up that page once.
+            // page checks, looks up and touches that page once. The rest of
+            // the run re-touches the most recently used page: a hit that
+            // charges nothing and leaves the LRU order as it is.
             if (!page || rid.page != last) {
               if (check && !(cfg_.mut_scan_first_page_only && page))
                 check_page(txn, t, rid.page);
               page = &tb.page(rid.page);
               last = rid.page;
+              cost += cache_.touch({t, rid.page});
+            } else {
+              cache_.repeat_hit();
             }
-            cost += cache_.touch({t, rid.page}) + cfg_.costs.row_read;
+            cost += cfg_.costs.row_read;
             DMV_ASSERT(page->occupied(rid.slot));
             const auto image = page->slot_bytes(rid.slot, row_size);
             if (!filtered || spec.filter(storage::RowRef(schema, image.data())))

@@ -9,14 +9,14 @@ namespace dmv::storage {
 
 RbTree::Node* RbTree::new_nil() {
   Node* n = new (::operator new(sizeof(Node))) Node{};
-  n->left = n->right = n->parent = n;
+  n->left = n->right = n->parent = n->succ = n;
   return n;
 }
 
 RbTree::Node* RbTree::new_node(std::string_view key, RowId rid,
                                Node* parent) {
   Node* n = new (::operator new(sizeof(Node) + width_))
-      Node{nil_, nil_, parent, rid, true};
+      Node{nil_, nil_, parent, rid.page, rid.slot, true, nil_};
   std::memcpy(n + 1, key.data(), width_);
   return n;
 }
@@ -39,18 +39,22 @@ RbTree::RbTree(const RbTree& o)
       nil_(new_nil()),
       size_(o.size_),
       rotations_(o.rotations_) {
-  root_ = copy_subtree(o, o.root_);
+  Node* last = nil_;
+  root_ = copy_subtree(o, o.root_, last);
 }
 
-RbTree::Node* RbTree::copy_subtree(const RbTree& o, const Node* x) {
+RbTree::Node* RbTree::copy_subtree(const RbTree& o, const Node* x,
+                                   Node*& last) {
   // Plain recursion: the tree depth is O(log n).
   if (x == o.nil_) return nil_;
-  Node* left = copy_subtree(o, x->left);
-  Node* n = new_node(o.key_of(x), x->rid, nil_);
+  Node* left = copy_subtree(o, x->left, last);
+  Node* n = new_node(o.key_of(x), rid_of(x), nil_);
+  last->succ = n;
+  last = n;
   n->red = x->red;
   n->left = left;
   if (left != nil_) left->parent = n;
-  n->right = copy_subtree(o, x->right);
+  n->right = copy_subtree(o, x->right, last);
   if (n->right != nil_) n->right->parent = n;
   return n;
 }
@@ -82,22 +86,13 @@ RbTree& RbTree::operator=(RbTree&& o) noexcept {
   return *this;
 }
 
-void RbTree::free_subtree(Node* n) {
-  // Iterative post-order free to avoid deep recursion on large tables.
-  std::vector<Node*> stack;
-  if (n != nil_) stack.push_back(n);
-  while (!stack.empty()) {
-    Node* cur = stack.back();
-    stack.pop_back();
-    if (cur->left != nil_) stack.push_back(cur->left);
-    if (cur->right != nil_) stack.push_back(cur->right);
-    free_node(cur);
-  }
-}
-
 void RbTree::clear() {
-  free_subtree(root_);
-  root_ = nil_;
+  for (Node* x = nil_->succ; x != nil_;) {
+    Node* const succ = x->succ;
+    free_node(x);
+    x = succ;
+  }
+  root_ = nil_->succ = nil_;
   size_ = 0;
 }
 
@@ -137,14 +132,20 @@ bool RbTree::insert(std::string_view key, RowId rid) {
   DMV_ASSERT(key.size() == width_);
   Node* y = nil_;
   Node* x = root_;
+  // The last node the descent left on its right: the new key's
+  // predecessor, or nil_ (whose succ is the minimum) if there is none.
+  Node* pred = nil_;
   int c = 0;
   while (x != nil_) {
     y = x;
     c = compare(key.data(), key_bytes(x), width_);
     if (c == 0) return false;
+    pred = c > 0 ? x : pred;
     x = c < 0 ? x->left : x->right;
   }
   Node* z = new_node(key, rid, y);
+  z->succ = pred->succ;
+  pred->succ = z;
   if (y == nil_)
     root_ = z;
   else if (c < 0)
@@ -208,12 +209,16 @@ void RbTree::transplant(Node* u, Node* v) {
 bool RbTree::erase(std::string_view key) {
   DMV_ASSERT(key.size() == width_);
   Node* z = root_;
+  Node* pred = nil_;  // the last node the descent left on its right
   while (z != nil_) {
     const int c = compare(key.data(), key_bytes(z), width_);
     if (c == 0) break;
+    pred = c > 0 ? z : pred;
     z = c < 0 ? z->left : z->right;
   }
   if (z == nil_) return false;
+  if (z->left != nil_) pred = maximum(z->left);
+  pred->succ = z->succ;
 
   Node* y = z;
   bool y_was_red = y->red;
@@ -225,7 +230,7 @@ bool RbTree::erase(std::string_view key) {
     x = z->left;
     transplant(z, z->left);
   } else {
-    y = minimum(z->right);
+    y = z->succ;  // the minimum of z's right subtree
     y_was_red = y->red;
     x = y->right;
     if (y->parent == z) {
@@ -306,7 +311,7 @@ std::optional<RowId> RbTree::find(std::string_view key) const {
   Node* x = root_;
   while (x != nil_) {
     const int c = compare(key.data(), key_bytes(x), width_);
-    if (c == 0) return x->rid;
+    if (c == 0) return rid_of(x);
     x = c < 0 ? x->left : x->right;
   }
   return std::nullopt;
@@ -357,12 +362,23 @@ int RbTree::black_height(const Node* n) const {
 }
 
 bool RbTree::check_invariants() const {
-  return !root_->red && black_height(root_) >= 0;
+  if (root_->red || black_height(root_) < 0) return false;
+  const Node* min = root_;
+  while (min->left != nil_) min = min->left;
+  if (nil_->succ != min) return false;
+  size_t n = 0;
+  const Node* last = nil_;
+  for (const Node* x = nil_->succ; x != nil_; last = x, x = x->succ) {
+    if (++n > size_) return false;
+    if (last != nil_ && compare(key_bytes(last), key_bytes(x), width_) >= 0)
+      return false;
+  }
+  return n == size_ && last == maximum(root_);
 }
 
 std::vector<std::pair<int64_t, bool>> RbTree::shape() const {
   std::vector<const Node*> order;
-  for (Node* x = minimum(root_); x != nil_; x = next(x)) order.push_back(x);
+  for (Node* x = nil_->succ; x != nil_; x = x->succ) order.push_back(x);
   std::unordered_map<const Node*, int64_t> pos;
   for (size_t i = 0; i < order.size(); ++i) pos[order[i]] = int64_t(i);
   std::vector<std::pair<int64_t, bool>> out;

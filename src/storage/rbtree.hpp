@@ -15,6 +15,11 @@
 // leading bytes are at or below it. An empty bound leaves that end open.
 // The visitor is called as fn(std::string_view key, RowId) and returns
 // false to stop early.
+//
+// The nodes are threaded: each holds a link to its in-order successor, so
+// a forward walk steps one pointer per entry. The links follow the key
+// order, which rotations never change, so they leave the tree's shape,
+// colours and rotation count exactly as in the plain tree.
 #pragma once
 
 #include <bit>
@@ -35,8 +40,8 @@ class RbTree {
   ~RbTree();
   // An exact copy: the same shape, colours, keys, RowIds and rotations(),
   // so every later insert or erase rebalances (and counts) as on `o`.
-  // Nodes are allocated in key order, so in-order walks over the copy
-  // step through memory front to back.
+  // Nodes are allocated (and linked) in key order, so in-order walks over
+  // the copy step through memory front to back.
   RbTree(const RbTree& o);
   RbTree& operator=(const RbTree&) = delete;
   RbTree(RbTree&& o) noexcept;
@@ -57,21 +62,22 @@ class RbTree {
   // In-order visit of the entries from `lo` through the prefix bound `hi`.
   template <typename Fn>
   void scan(std::string_view lo, std::string_view hi, Fn&& fn) const {
-    for (Node* x = lo.empty() ? minimum(root_) : lower_bound(lo); x != nil_;
-         x = next(x)) {
+    for (Node* x = lo.empty() ? nil_->succ : lower_bound(lo); x != nil_;
+         x = x->succ) {
       if (!hi.empty() && prefix_cmp(x, hi) > 0) return;
-      if (!fn(key_of(x), x->rid)) return;
+      if (!fn(key_of(x), rid_of(x))) return;
     }
   }
 
   // Reverse-order visit of the same range (newest-first scans, e.g.
-  // "the most recent N orders").
+  // "the most recent N orders"). It walks parent links: reverse scans are
+  // short, and a predecessor link would grow every node by a word.
   template <typename Fn>
   void scan_desc(std::string_view lo, std::string_view hi, Fn&& fn) const {
     for (Node* x = hi.empty() ? maximum(root_) : upper_bound_prefix(hi);
          x != nil_; x = prev(x)) {
       if (!lo.empty() && prefix_cmp(x, lo) < 0) return;
-      if (!fn(key_of(x), x->rid)) return;
+      if (!fn(key_of(x), rid_of(x))) return;
     }
   }
 
@@ -89,7 +95,9 @@ class RbTree {
   uint64_t rotations() const { return rotations_; }
 
   // Validates the red-black invariants (root black, no red-red edge, equal
-  // black height on every path, BST ordering). For tests.
+  // black height on every path, BST ordering) and the successor chain
+  // (from the minimum, strictly increasing keys, size() entries, ending at
+  // the maximum). For tests.
   bool check_invariants() const;
 
   // Per entry in key order: the key-order position of its parent (-1 at
@@ -99,13 +107,20 @@ class RbTree {
 
  private:
   // A node's key_width() key bytes follow it in the same allocation.
+  // `succ` is the in-order successor, nil_ after the largest key; nil_'s
+  // own `succ` is the smallest key, so the chain is a ring through nil_.
+  // The RowId is stored as its two fields so `red` fills its padding.
   struct Node {
     Node* left;
     Node* right;
     Node* parent;
-    RowId rid;
+    PageNo page;
+    uint16_t slot;
     bool red;
+    Node* succ;
   };
+  static_assert(sizeof(Node) == 40, "a tree node is five words");
+  static RowId rid_of(const Node* x) { return {x->page, x->slot}; }
   static const char* key_bytes(const Node* x) {
     return reinterpret_cast<const char*>(x + 1);
   }
@@ -148,29 +163,16 @@ class RbTree {
 
   Node* new_node(std::string_view key, RowId rid, Node* parent);
   // Copy of `o`'s subtree rooted at `x` (o's nil_ maps to ours), left
-  // subtree first so allocation follows key order.
-  Node* copy_subtree(const RbTree& o, const Node* x);
+  // subtree first so allocation follows key order. Each new node is
+  // linked after `last`, which then points at it.
+  Node* copy_subtree(const RbTree& o, const Node* x, Node*& last);
   static Node* new_nil();
   static void free_node(Node* n);
 
-  Node* minimum(Node* x) const {
-    if (x == nil_) return nil_;
-    while (x->left != nil_) x = x->left;
-    return x;
-  }
   Node* maximum(Node* x) const {
     if (x == nil_) return nil_;
     while (x->right != nil_) x = x->right;
     return x;
-  }
-  Node* next(Node* x) const {
-    if (x->right != nil_) return minimum(x->right);
-    Node* p = x->parent;
-    while (p != nil_ && x == p->right) {
-      x = p;
-      p = p->parent;
-    }
-    return p;
   }
   Node* prev(Node* x) const {
     if (x->left != nil_) return maximum(x->left);
@@ -190,7 +192,6 @@ class RbTree {
   void insert_fixup(Node* z);
   void erase_fixup(Node* x);
   void transplant(Node* u, Node* v);
-  void free_subtree(Node* n);
   int black_height(const Node* n) const;
 
   size_t width_;

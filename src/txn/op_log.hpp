@@ -43,17 +43,19 @@ struct OpRecord {
 
 // A committed update's op-log, built once by its master and shared,
 // immutable, by everything that carries it: the client-outcome mark, the
-// scheduler's reply and through it the persistence log.
+// scheduler's reply and through it the persistence log, and on the disk
+// tiers the binlog and every replica feed.
 using OpLogPtr = std::shared_ptr<const std::vector<OpRecord>>;
 
 // All logical writes of one committed transaction, in execution order.
+// Copying a record shares its op-log.
 struct TxnRecord {
   uint64_t seq = 0;  // commit sequence number on the origin engine
-  std::vector<OpRecord> ops;
+  OpLogPtr ops;
 
   size_t byte_size() const {
     size_t n = 8;
-    for (const auto& op : ops) n += op.byte_size();
+    for (const auto& op : *ops) n += op.byte_size();
     return n;
   }
 };

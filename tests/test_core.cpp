@@ -454,13 +454,14 @@ TEST(DmvCluster, PersistenceBackpressureBoundsLog) {
 }
 
 // One post-image update op: set row `id` of table 0 to balance `bal`.
-std::vector<txn::OpRecord> persist_op(int64_t id, int64_t bal) {
+txn::OpLogPtr persist_op(int64_t id, int64_t bal) {
   txn::OpRecord op;
   op.kind = txn::OpRecord::Kind::Update;
   op.table = 0;
   op.pk = {id};
   op.row = {id, bal};
-  return {op};
+  return std::make_shared<const std::vector<txn::OpRecord>>(
+      std::vector<txn::OpRecord>{op});
 }
 
 // Regression: concurrent catch_up() drains racing the applier loop used to

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 
 #include "storage/table.hpp"
@@ -310,6 +311,121 @@ TEST_P(RbTreeProperty, MatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RbTreeProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+using RefTree = std::map<int64_t, RowId>;
+
+// `t` holds exactly `ref`: its invariants and successor chain hold, a full
+// walk visits `ref` in order, and so does a walk bounded by [lo, hi].
+void expect_same_entries(const RbTree& t, const RefTree& ref, int64_t lo,
+                         int64_t hi) {
+  ASSERT_TRUE(t.check_invariants());
+  ASSERT_EQ(t.size(), ref.size());
+  std::vector<std::pair<int64_t, RowId>> got;
+  t.scan_all([&](std::string_view k, RowId rid) {
+    got.emplace_back(IV(k), rid);
+    return true;
+  });
+  ASSERT_EQ(got, (std::vector<std::pair<int64_t, RowId>>(ref.begin(),
+                                                         ref.end())));
+  got.clear();
+  t.scan(IK(lo), IK(hi), [&](std::string_view k, RowId rid) {
+    got.emplace_back(IV(k), rid);
+    return true;
+  });
+  ASSERT_EQ(got, (std::vector<std::pair<int64_t, RowId>>(
+                     ref.lower_bound(lo), ref.upper_bound(hi))));
+}
+
+// A key of `t` whose node has two children, if any (from shape()).
+std::optional<int64_t> two_child_key(const RbTree& t, const RefTree& ref) {
+  const auto shape = t.shape();
+  std::vector<int> children(shape.size(), 0);
+  for (const auto& [parent, red] : shape)
+    if (parent >= 0) ++children[size_t(parent)];
+  auto it = ref.begin();
+  for (size_t i = 0; i < children.size(); ++i, ++it)
+    if (children[i] == 2) return it->first;
+  return std::nullopt;
+}
+
+// The successor links stay a correct in-order chain through random churn
+// that erases the minimum, the maximum and two-child nodes and empties the
+// tree, and through copies and moves.
+TEST(RbTree, SuccessorChainSurvivesChurn) {
+  util::Rng rng(42);
+  RbTree t(8);
+  RefTree ref;
+  auto random_op = [&](RbTree& tree, RefTree& model) {
+    const int64_t k = rng.between(-60, 60);
+    const uint64_t pick = rng.below(8);
+    if (pick < 4) {
+      const RowId rid{uint32_t(rng.below(1000)), uint16_t(rng.below(100))};
+      ASSERT_EQ(tree.insert(IK(k), rid), model.emplace(k, rid).second);
+    } else if (pick == 4 && !model.empty()) {
+      ASSERT_TRUE(tree.erase(IK(model.begin()->first)));
+      model.erase(model.begin());
+    } else if (pick == 5 && !model.empty()) {
+      ASSERT_TRUE(tree.erase(IK(model.rbegin()->first)));
+      model.erase(std::prev(model.end()));
+    } else if (pick == 6) {
+      if (const auto two = two_child_key(tree, model)) {
+        ASSERT_TRUE(tree.erase(IK(*two)));
+        model.erase(*two);
+      }
+    } else {
+      ASSERT_EQ(tree.erase(IK(k)), model.erase(k) > 0);
+    }
+  };
+  for (int round = 0; round < 6; ++round) {
+    // Churn, then drain to empty through the minimum, the maximum and
+    // two-child nodes.
+    for (int step = 0; step < 300; ++step) {
+      random_op(t, ref);
+      const int64_t lo = rng.between(-70, 70);
+      expect_same_entries(t, ref, lo, lo + rng.between(0, 40));
+    }
+    while (!ref.empty()) {
+      const int64_t k = rng.chance(0.5) ? ref.begin()->first
+                                        : std::prev(ref.end())->first;
+      const auto two = two_child_key(t, ref);
+      const int64_t victim = two && rng.chance(0.5) ? *two : k;
+      ASSERT_TRUE(t.erase(IK(victim)));
+      ref.erase(victim);
+      expect_same_entries(t, ref, -60, 60);
+    }
+    EXPECT_TRUE(t.empty());
+    for (int i = 0; i < 40; ++i) random_op(t, ref);
+
+    // A copy has its own chain: churn on it leaves the original alone.
+    RbTree copy(t);
+    RefTree copy_ref = ref;
+    EXPECT_EQ(copy.shape(), t.shape());
+    expect_same_entries(copy, copy_ref, -60, 60);
+    for (int i = 0; i < 60; ++i) {
+      random_op(copy, copy_ref);
+      expect_same_entries(copy, copy_ref, -20, 20);
+    }
+    expect_same_entries(t, ref, -60, 60);
+
+    // Moves carry the chain; the moved-from tree is empty and usable.
+    RbTree moved(std::move(copy));
+    expect_same_entries(moved, copy_ref, -60, 60);
+    expect_same_entries(copy, {}, -60, 60);
+    RefTree from_ref;
+    for (int i = 0; i < 30; ++i) {
+      random_op(copy, from_ref);
+      expect_same_entries(copy, from_ref, -60, 60);
+    }
+    // Move assignment frees the target's entries and takes the source's.
+    copy = std::move(moved);
+    expect_same_entries(copy, copy_ref, -60, 60);
+    expect_same_entries(moved, {}, -60, 60);
+    for (int i = 0; i < 30; ++i) {
+      random_op(copy, copy_ref);
+      expect_same_entries(copy, copy_ref, -60, 60);
+    }
+  }
+}
 
 TEST(Table, InsertReadBack) {
   Table t(0, "item", test_schema(), IndexDef{"pk", {0}, true});
