@@ -58,11 +58,8 @@ Run run(bool elastic, const Timeline& tl) {
 
   std::unique_ptr<ctrl::SloController> slo;
   if (elastic) {
-    ctrl::SloController::Config sc;
-    sc.max_slaves = 6;
-    sc.per_node_read_cap = cfg.scheduler.max_reads_inflight_per_node;
     slo = std::make_unique<ctrl::SloController>(exp.sim(), exp.cluster(),
-                                                sc);
+                                                /*max_slaves=*/6);
     slo->start();
   }
 
@@ -134,7 +131,7 @@ int main(int argc, char** argv) {
     tl = {60, 250, 15 * sim::kSec, 30 * sim::kSec, 70 * sim::kSec};
   } else {
     // The tail past the crowd's exit (60s..140s) leaves room for every
-    // controller-added node to drain out: idle_polls plus a cooldown per
+    // controller-added node to drain out: an idle streak plus a cooldown per
     // scale-in step.
     tl = {100, 400, 20 * sim::kSec, 40 * sim::kSec, 140 * sim::kSec};
   }

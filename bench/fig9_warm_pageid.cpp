@@ -21,8 +21,8 @@ int main() {
   cfg.spares = 1;
   cfg.costs = calibrated_costs();
   cfg.costs.mem_page_fault = 8 * sim::kMsec;
-  cfg.pageid_hints = true;  // slave 0 ships hot-page ids to spare 0
-  cfg.node.hint_every_txns = 100;
+  // Slave 0 ships hot-page ids to spare 0 every 100 transactions.
+  cfg.pageid_hints = true;
 
   harness::DmvExperiment exp(cfg);
   const net::NodeId slave = exp.cluster().slave_id(0);

@@ -1375,9 +1375,7 @@ const std::vector<Mutation>& mutation_list() {
     };
 
     m.push_back(
-        {"skip-tag-upgrade",
-         "master-served reads skip the §2.1 tag upgrade + page latch and "
-         "read in-place state unchecked",
+        {"skip-tag-upgrade", PlantedBug::SkipTagUpgrade,
          {"snapshot-mismatch"},
          [busy](CheckConfig& c) {
            busy(c);
@@ -1387,39 +1385,30 @@ const std::vector<Mutation>& mutation_list() {
            c.cluster.spares = 0;
            c.cluster.schedulers = 1;
            c.update_fraction = 0.7;
-           c.cluster.engine.mut_skip_tag_upgrade = true;
          },
          "kill:slave0@t:5000"});
 
     m.push_back(
-        {"skip-ack-merge",
-         "scheduler forgets to merge commit stamps into its version "
-         "vector before acking the client (session order lost)",
+        {"skip-ack-merge", PlantedBug::SkipAckMerge,
          {"tag-coverage"},
          [busy](CheckConfig& c) {
            busy(c);
            c.cluster.schedulers = 1;
            c.update_fraction = 0.6;
-           c.cluster.scheduler.mut_skip_ack_merge = true;
          },
          ""});
 
     m.push_back(
-        {"apply-off-by-one",
-         "replicas apply the pending-mod prefix one version short of the "
-         "read's tag (stale snapshots served as fresh)",
+        {"apply-off-by-one", PlantedBug::ApplyOffByOne,
          {"snapshot-mismatch"},
          [busy](CheckConfig& c) {
            busy(c);
            c.update_fraction = 0.6;
-           c.cluster.engine.mut_apply_off_by_one = true;
          },
          ""});
 
     m.push_back(
-        {"skip-discard",
-         "replicas ignore DiscardAbove during fail-over: unconfirmed "
-         "write-sets survive the discard and leak into the new epoch",
+        {"skip-discard", PlantedBug::SkipDiscard,
          {"version-gap", "snapshot-mismatch", "at-most-once"},
          [busy](CheckConfig& c) {
            busy(c);
@@ -1428,14 +1417,11 @@ const std::vector<Mutation>& mutation_list() {
            // Open the pipeline windows so the dying master has
            // unconfirmed write-sets in flight.
            open_batch_windows(c.cluster.node);
-           c.cluster.engine.mut_skip_discard = true;
          },
          "kill:master0@t:8000"});
 
     m.push_back(
-        {"batch-reverse",
-         "masters emit each replication batch in reverse order (apply "
-         "order broken under coalescing)",
+        {"batch-reverse", PlantedBug::BatchReverse,
          {"snapshot-mismatch"},
          [busy](CheckConfig& c) {
            busy(c);
@@ -1444,14 +1430,11 @@ const std::vector<Mutation>& mutation_list() {
            c.mean_think = 100;
            c.cluster.node.batch_max_writesets = 4;
            c.cluster.node.batch_delay = 500;
-           c.cluster.node.mut_batch_reverse = true;
          },
          ""});
 
     m.push_back(
-        {"skip-recovery-suffix",
-         "disaster bootstrap replays backend rows but drops the update-log "
-         "suffix above the backend's watermark (acked tail lost)",
+        {"skip-recovery-suffix", PlantedBug::SkipRecoverySuffix,
          {"recovery-mismatch"},
          [busy](CheckConfig& c) {
            busy(c);
@@ -1460,16 +1443,11 @@ const std::vector<Mutation>& mutation_list() {
            // truncation horizon so the drill bootstraps from it with a
            // non-empty suffix — which the mutation then discards.
            c.cluster.persistence.checkpoint_period = 0;
-           c.cluster.persistence.mut_skip_suffix = true;
          },
          "killbackend:0@t:6000;wipe-tier@t:30000"});
 
     m.push_back(
-        {"reply-before-quorum",
-         "quorum commit acks the client before any replica confirmed the "
-         "write-set (a master death loses client-acked commits; the "
-         "version-vector read gate turns the loss into reads wedged on "
-         "versions no survivor can ever reach)",
+        {"reply-before-quorum", PlantedBug::ReplyBeforeQuorum,
          {"wedged request", "at-most-once", "snapshot-mismatch",
           "version-gap"},
          [busy](CheckConfig& c) {
@@ -1480,21 +1458,16 @@ const std::vector<Mutation>& mutation_list() {
            // write-sets that no replica has seen yet.
            open_batch_windows(c.cluster.node);
            c.cluster.node.quorum_commit = true;
-           c.cluster.node.mut_reply_before_quorum = true;
          },
          "kill:master0@t:8000"});
 
     m.push_back(
-        {"route-to-joiner",
-         "answer_join puts the joiner straight into the read rotation "
-         "before §4.4 data migration caught it up (reads land on a node "
-         "whose pages predate their version tags)",
+        {"route-to-joiner", PlantedBug::RouteToJoiner,
          {"snapshot-mismatch", "wedged request", "hang"},
          [busy](CheckConfig& c) {
            busy(c);
            c.ops_per_client = 24;
            c.update_fraction = 0.6;
-           c.cluster.scheduler.mut_route_to_joiner = true;
          },
          // A kill+restart drives the §4.4 rejoin whose answer_join the
          // mutation corrupts. The bug's window (a read dispatched in the
@@ -1503,10 +1476,7 @@ const std::vector<Mutation>& mutation_list() {
          "kill:slave0@t:5000;restart:slave0@t:12000", 25});
 
     m.push_back(
-        {"scan-stale-read",
-         "read-only scans skip the per-page tag re-check: a replica whose "
-         "apply frontier ran ahead of the read's tag serves future "
-         "versions into an older snapshot (chunked reports come out torn)",
+        {"scan-stale-read", PlantedBug::ScanStaleRead,
          {"snapshot-mismatch"},
          [busy](CheckConfig& c) {
            busy(c);
@@ -1517,15 +1487,11 @@ const std::vector<Mutation>& mutation_list() {
            c.ops_per_client = 24;
            c.update_fraction = 0.6;
            c.mean_think = 200;
-           c.cluster.engine.mut_scan_stale_read = true;
          },
          "", 25});
 
     m.push_back(
-        {"scan-first-page-only",
-         "one-pass replica scans check only the first page they reach: "
-         "entries on later pages are served at whatever version those "
-         "pages hold (a report chunk that crosses a page comes out torn)",
+        {"scan-first-page-only", PlantedBug::ScanFirstPageOnly,
          {"snapshot-mismatch"},
          [busy](CheckConfig& c) {
            busy(c);
@@ -1535,36 +1501,22 @@ const std::vector<Mutation>& mutation_list() {
            c.ops_per_client = 24;
            c.update_fraction = 0.6;
            c.mean_think = 200;
-           c.cluster.engine.mut_scan_first_page_only = true;
          },
          ""});
 
     m.push_back(
-        {"wrong-class-route",
-         "scheduler routes every update to the next class's master, "
-         "which adopts the foreign table instead of refusing — two "
-         "masters stamp one table's version stream",
+        {"wrong-class-route", PlantedBug::WrongClassRoute,
          {"snapshot-mismatch", "version-gap", "at-most-once"},
          [busy](CheckConfig& c) {
            busy(c);
            c.update_fraction = 0.7;
-           // The scheduler misroutes; the wrong master's engine node
-           // executes instead of refusing.
-           c.cluster.scheduler.mut_wrong_class_route = true;
-           c.cluster.node.mut_wrong_class_route = true;
          },
          ""});
 
     m.push_back(
-        {"mark-after-ack",
-         "a resubmission through a standby scheduler does not look for its "
-         "original still waiting for replica acks: it finds no committed "
-         "mark and executes the update a second time",
+        {"mark-after-ack", PlantedBug::MarkAfterAck,
          {"at-most-once"},
-         [](CheckConfig& c) {
-           make_multimaster(c);
-           c.cluster.node.mut_mark_after_ack = true;
-         },
+         make_multimaster,
          // With slave1 retired and slave0 dead, a commit's quorum waits on
          // the remote region, so the original is still awaiting acks when
          // its client resubmits through the standby scheduler.
@@ -1574,15 +1526,20 @@ const std::vector<Mutation>& mutation_list() {
   return muts;
 }
 
+CheckConfig Mutation::config(uint64_t seed) const {
+  CheckConfig c;
+  apply(c);
+  c.cluster.bug = bug;
+  c.seed = seed;
+  return c;
+}
+
 bool run_mutation_smoke(std::ostream& log, bool verbose) {
   bool all = true;
   for (const Mutation& m : mutation_list()) {
     bool caught = false;
     for (int seed = 1; seed <= m.seeds && !caught; ++seed) {
-      CheckConfig cfg;
-      m.apply(cfg);
-      cfg.seed = uint64_t(seed);
-      const CheckReport rep = run_check(cfg, m.plan);
+      const CheckReport rep = run_check(m.config(uint64_t(seed)), m.plan);
       if (verbose)
         log << "  [" << m.name << " seed " << seed << "] "
             << rep.summary() << "\n";
@@ -1599,7 +1556,7 @@ bool run_mutation_smoke(std::ostream& log, bool verbose) {
     }
     if (!caught) {
       log << "MISSED: " << m.name << " — no seed produced any of the "
-          << "expected violations (" << m.what << ")\n";
+          << "expected violations\n";
       all = false;
     }
   }

@@ -25,8 +25,9 @@
 // could not tell that apart from a lost row. Updates-only keeps the oracle
 // exact instead of interval-shaped.
 //
-// Mutation smoke mode (run_mutation_smoke) flips known-critical checks
-// one at a time — the §2.1 tag-upgrade guard, the scheduler's ack merge,
+// Mutation smoke mode (run_mutation_smoke) plants one check::PlantedBug
+// at a time (DmvCluster::Config::bug), each disabling a known-critical
+// check — the §2.1 tag-upgrade guard, the scheduler's ack merge,
 // fail-over discard, replication apply order, batch order, the master's
 // at-most-once lookup — and asserts the checker reports each with its
 // expected named violation. A checker that cannot see a planted bug is
@@ -74,9 +75,9 @@ bool parse_check_workload(const std::string& s, CheckWorkload* out);
 
 struct CheckConfig {
   // Role counts (slaves are shared by every class), replication windows,
-  // quorum commit, heartbeats, the persistence tier and the planted-bug
-  // mutation knobs of each component. run_check fills in the conflict
-  // classes, the scheduler seed, schema and loader.
+  // quorum commit, heartbeats, the persistence tier and the planted bug
+  // (cluster.bug). run_check fills in the conflict classes, the scheduler
+  // seed, schema and loader.
   //  - Geo mode: cluster.regions spreads slaves/spares/schedulers over WAN
   //    regions (region 0 = "local", then "r1", ...) whose links get
   //    `cross`; node.quorum_commit acks updates once a write quorum of
@@ -206,11 +207,15 @@ std::string random_multimaster_fault_plan(const CheckConfig& cfg,
 // One deliberately-planted bug + the evidence required to call it caught.
 struct Mutation {
   std::string name;
-  std::string what;                 // one-line description of the bug
+  PlantedBug bug;
   std::vector<std::string> expect;  // any-of violation-name substrings
+  // Shapes the workload and deployment so the bug's window is hit.
   std::function<void(CheckConfig&)> apply;
   std::string plan;
   int seeds = 10;  // seeds tried until the mutation is detected
+
+  // The run for `seed`: apply's shape with the bug planted.
+  CheckConfig config(uint64_t seed) const;
 };
 
 const std::vector<Mutation>& mutation_list();

@@ -21,8 +21,8 @@
 // session-order guarantee ("a client that saw its update acked must not
 // read a snapshot older than that update"), and it is invisible to pure
 // snapshot replay: a read tagged too low still *matches* the model at its
-// too-low tag. Dropping the scheduler's ack merge (mut_skip_ack_merge) is
-// caught here and nowhere else.
+// too-low tag. Dropping the scheduler's ack merge
+// (PlantedBug::SkipAckMerge) is caught here and nowhere else.
 #pragma once
 
 #include <cstdint>

@@ -46,7 +46,7 @@ class Sink {
                          const api::TxnResult& result) = 0;
 
   // A scheduler merged a committed update's db_version before acking the
-  // client (the §4.1 vector merge the mut_skip_ack_merge mutation skips).
+  // client (the §4.1 vector merge PlantedBug::SkipAckMerge skips).
   virtual void update_ack(uint32_t scheduler,
                           const std::vector<uint64_t>& db_version) = 0;
 

@@ -94,7 +94,8 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
   // Schedulers: the first is primary; all share the topology.
   for (size_t i = 0; i < scheduler_node_ids_.size(); ++i) {
     auto s = std::make_unique<Scheduler>(net_, scheduler_node_ids_[i],
-                                         procs_, tables, cfg_.scheduler);
+                                         procs_, tables, cfg_.scheduler,
+                                         cfg_.bug);
     std::vector<NodeId> peers;
     for (NodeId p : scheduler_node_ids_)
       if (p != scheduler_node_ids_[i]) peers.push_back(p);
@@ -106,7 +107,7 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
 
   if (cfg_.enable_persistence) {
     persistence_ = std::make_unique<PersistenceBinding>(
-        net_.sim(), cfg_.persistence, cfg_.schema);
+        net_.sim(), cfg_.persistence, cfg_.schema, cfg_.bug);
     persistence_->load(base_image());
     for (auto& s : schedulers_) attach_persistence(*s);
   }
@@ -151,7 +152,8 @@ EngineNode& DmvCluster::make_engine_node(NodeId id, bool hint_source) {
   auto& store = stores_[id];
   if (!store) store = std::make_unique<mem::StableStore>();
   auto node = std::make_unique<EngineNode>(net_, id, procs_, cfg_.schema,
-                                           cfg_.engine, nc, store.get());
+                                           cfg_.engine, nc, store.get(),
+                                           cfg_.bug);
   // After start() the base image is gone: a restarted or added node gets
   // a freshly generated one.
   if (started_)
@@ -367,7 +369,7 @@ NodeId DmvCluster::add_scheduler() {
   place_round_robin(id, idx);
   const size_t tables = nodes_.begin()->second->engine().db().table_count();
   auto s = std::make_unique<Scheduler>(net_, id, procs_, tables,
-                                       cfg_.scheduler);
+                                       cfg_.scheduler, cfg_.bug);
   // Adopt the live primary's current view of the fleet (the static config
   // lists are stale once elasticity or fail-over has reshaped it).
   std::vector<NodeId> peers = scheduler_node_ids_;

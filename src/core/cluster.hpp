@@ -30,7 +30,7 @@ class DmvCluster {
     EngineNode::Config node;
     Scheduler::Config scheduler;
     // Page-id-transfer warm-up: slave 0 ships hot-page ids to spare 0
-    // every node.hint_every_txns transactions.
+    // every 100 transactions.
     bool pageid_hints = false;
     // Geo deployment: spread the replica tier over this many regions.
     // Region 0 ("local") keeps the masters, the primary scheduler, the
@@ -48,6 +48,10 @@ class DmvCluster {
     net::HeartbeatConfig heartbeat;
     bool enable_persistence = false;
     PersistenceBinding::Config persistence;
+    // The one planted bug (check_sweep --mutations), handed to every
+    // engine, engine node, scheduler and the persistence tier; None in
+    // every real deployment.
+    check::PlantedBug bug = check::PlantedBug::None;
     mem::SchemaFn schema;
     // Fills the initial data into an empty `schema` database. It runs once
     // per deployment (the base image every node and backend copies), and

@@ -9,6 +9,7 @@
 
 namespace dmv::core {
 
+using check::PlantedBug;
 using mem::MemEngine;
 using txn::TxnAbort;
 
@@ -17,6 +18,7 @@ namespace {
 constexpr int kMaxJoinAttempts = 8;
 constexpr sim::Time kJoinRetryBackoff = 250 * sim::kMsec;
 constexpr size_t kHintPageLimit = 4096;  // page ids per PageIdHint
+constexpr uint64_t kHintEveryTxns = 100;  // transactions between hints
 constexpr size_t kMigrationChunkPages = 64;  // pages per PageChunk message
 
 void erase_value(std::vector<net::NodeId>& v, net::NodeId n) {
@@ -29,9 +31,15 @@ EngineNode::EngineNode(net::Network& net, NodeId id,
                        const api::ProcRegistry& procs,
                        const mem::SchemaFn& schema,
                        const mem::MemEngine::Config& engine, Config cfg,
-                       mem::StableStore* store)
-    : net_(net), id_(id), procs_(procs), cfg_(cfg), store_(store) {
-  engine_ = std::make_unique<MemEngine>(net.sim(), net.name(id), engine);
+                       mem::StableStore* store, check::PlantedBug bug)
+    : net_(net),
+      id_(id),
+      procs_(procs),
+      cfg_(cfg),
+      bug_(bug),
+      store_(store) {
+  engine_ =
+      std::make_unique<MemEngine>(net.sim(), net.name(id), engine, bug);
   engine_->set_trace_node(id_);
   engine_->build_schema(schema);
   engine_->set_broadcast_fn(
@@ -177,7 +185,7 @@ void EngineNode::broadcast_write_set(const txn::WriteSetPtr& ws) {
     // pipeline on the lazy path, which is exactly the window the checker
     // must catch (acked commits stranded in a dying master's outbox).
     msg.ack_urgent = (!w.quorum || w.voters.count(r) > 0) &&
-                     !cfg_.mut_reply_before_quorum;
+                     bug_ != PlantedBug::ReplyBeforeQuorum;
     enqueue_write_set(r, msg, bytes);
   }
 }
@@ -317,8 +325,8 @@ void EngineNode::ack_wait_dropped(AckWait& w, NodeId from) {
 }
 
 sim::Task<bool> EngineNode::wait_acks(uint64_t seq) {
-  if (cfg_.mut_reply_before_quorum) {
-    // Mutation: skip the ack wait entirely — the client hears "committed"
+  if (bug_ == PlantedBug::ReplyBeforeQuorum) {
+    // Planted bug: skip the ack wait entirely — the client hears "committed"
     // while no replica is guaranteed to hold the write-set.
     ack_waits_.erase(seq);
     co_return true;
@@ -384,7 +392,7 @@ sim::Task<> EngineNode::main_loop() {
       // One FIFO message: items apply strictly in the order the master
       // produced them, so version order within the batch is preserved.
       bool urgent = false;
-      if (cfg_.mut_batch_reverse) {
+      if (bug_ == PlantedBug::BatchReverse) {
         for (auto it = batch->items.rbegin(); it != batch->items.rend();
              ++it) {
           apply_incoming_write_set(*it);
@@ -543,8 +551,8 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
   // process asserting out from under the whole cluster.
   for (storage::TableId t : proc.tables) {
     if (!engine_->masters(t)) {
-      if (cfg_.mut_wrong_class_route) {
-        // Mutation: execute the misrouted update anyway, stamping versions
+      if (bug_ == PlantedBug::WrongClassRoute) {
+        // Planted bug: execute the misrouted update anyway, stamping versions
         // off this node's non-authoritative counter for t — the
         // two-masters-for-one-table bug the guard below rules out.
         engine_->mut_adopt_tables({t});
@@ -565,7 +573,7 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
   // wait for that ack first.
   if (m.origin != net::kNoNode) {
     auto p = awaiting_ack_.find({m.origin, m.origin_req});
-    if (p != awaiting_ack_.end() && !cfg_.mut_mark_after_ack) {
+    if (p != awaiting_ack_.end() && bug_ != PlantedBug::MarkAfterAck) {
       // The original stores the mark, then wakes us (or on_killed does).
       const std::shared_ptr<sim::WaitQueue> acked = p->second;
       const bool ok = co_await acked->wait();
@@ -921,7 +929,7 @@ size_t EngineNode::install_newer(const std::vector<mem::PageSnapshot>& pages) {
 
 void EngineNode::maybe_send_hints() {
   if (cfg_.hint_target == net::kNoNode) return;
-  if (txns_since_hint_ < cfg_.hint_every_txns) return;
+  if (txns_since_hint_ < kHintEveryTxns) return;
   txns_since_hint_ = 0;
   PageIdHint hint;
   hint.pages = engine_->cache().hot_pages(kHintPageLimit);

@@ -38,9 +38,8 @@ class EngineNode {
   struct Config {
     sim::Time checkpoint_period = 0;  // 0: checkpointing off
     // Page-id-transfer warm-up (§4.5 second technique): if hint_target is
-    // set, ship hot-page ids there every hint_every_txns transactions.
+    // set, ship hot-page ids there every 100 transactions.
     NodeId hint_target = net::kNoNode;
-    uint64_t hint_every_txns = 100;
     // Ablation: apply incoming write-sets immediately instead of lazily
     // on first read (costs CPU off the read path; loses the "create the
     // version a reader needs, when it needs it" batching). Implemented as
@@ -61,11 +60,6 @@ class EngineNode {
     // write-set immediately.
     uint64_t ack_every_n = 1;
     sim::Time ack_delay = 0;
-    // Test-only mutation (dmv_check smoke mode): apply the items of an
-    // incoming WriteSetBatchMsg in reverse, violating the FIFO version
-    // order the replication stream guarantees. Never set outside
-    // bench/check_sweep --mutations.
-    bool mut_batch_reverse = false;
     // --- quorum commit (geo-replication) ---
     // When set, the client-visible reply waits only for a write-quorum of
     // voter acks (plus every same-region voter — the synchronous replicas)
@@ -75,27 +69,13 @@ class EngineNode {
     bool quorum_commit = false;
     // Write-quorum size counted over voters + this master; 0 = majority.
     int write_quorum = 0;
-    // Test-only mutation: reply to the client without waiting for any
-    // acks — the bug quorum reconciliation exists to rule out. Never set
-    // outside bench/check_sweep --mutations.
-    bool mut_reply_before_quorum = false;
-    // Test-only mutation: execute updates for tables this node does NOT
-    // master instead of refusing them (pairs with the scheduler-side
-    // wrong-class routing mutation: versions get stamped off a
-    // non-authoritative counter and two masters feed one table's stream).
-    // Never set outside bench/check_sweep --mutations.
-    bool mut_wrong_class_route = false;
-    // Test-only mutation: a resubmission skips the lookup of its original
-    // still waiting for replica acks, so it finds no committed mark and
-    // executes a second time. Never set outside bench/check_sweep
-    // --mutations.
-    bool mut_mark_after_ack = false;
   };
 
   EngineNode(net::Network& net, NodeId id, const api::ProcRegistry& procs,
              const mem::SchemaFn& schema,
              const mem::MemEngine::Config& engine, Config cfg,
-             mem::StableStore* store = nullptr);
+             mem::StableStore* store = nullptr,
+             check::PlantedBug bug = check::PlantedBug::None);
   ~EngineNode();
 
   NodeId id() const { return id_; }
@@ -238,6 +218,7 @@ class EngineNode {
   NodeId id_;
   const api::ProcRegistry& procs_;
   Config cfg_;
+  check::PlantedBug bug_;  // planted for check_sweep --mutations, or None
   std::unique_ptr<mem::MemEngine> engine_;
   mem::StableStore* store_;
   std::unique_ptr<mem::Checkpointer> checkpointer_;

@@ -24,8 +24,14 @@ bool stamp_precedes(const std::vector<std::pair<storage::TableId, uint64_t>>& a,
 }  // namespace
 
 PersistenceBinding::PersistenceBinding(sim::Simulation& sim, Config cfg,
-                                       const disk::SchemaFn& schema)
-    : sim_(sim), cfg_(cfg), schema_(schema) {
+                                       const disk::SchemaFn& schema,
+                                       check::PlantedBug bug)
+    : sim_(sim),
+      cfg_(cfg),
+      bug_(bug),
+      schema_(schema),
+      ck_wq_(sim),
+      attach_wq_(sim) {
   for (int i = 0; i < cfg_.backends; ++i) {
     Backend b;
     b.engine = std::make_unique<disk::DiskEngine>(
@@ -35,8 +41,6 @@ PersistenceBinding::PersistenceBinding(sim::Simulation& sim, Config cfg,
     b.drain = std::make_unique<sim::WaitQueue>(sim);
     backends_.push_back(std::move(b));
   }
-  ck_wq_ = std::make_unique<sim::WaitQueue>(sim);
-  attach_wq_ = std::make_unique<sim::WaitQueue>(sim);
 }
 
 PersistenceBinding::~PersistenceBinding() { stop(); }
@@ -66,8 +70,8 @@ void PersistenceBinding::stop() {
     if (b.wake) b.wake->notify_all(false);
     if (b.drain) b.drain->notify_all(false);
   }
-  if (ck_wq_) ck_wq_->notify_all(false);
-  if (attach_wq_) attach_wq_->notify_all(false);
+  ck_wq_.notify_all(false);
+  attach_wq_.notify_all(false);
 }
 
 void PersistenceBinding::log_update(const txn::OpLogPtr& ops,
@@ -135,21 +139,7 @@ void PersistenceBinding::log_update(const txn::OpLogPtr& ops,
 
   for (auto& b : backends_)
     if (b.live) b.wake->notify_all();
-  ck_wq_->notify_all();
-
-  // Bounded-lag backpressure: cap retained records, clamped so the
-  // freshest live attached backend can still bootstrap (every truncated
-  // record must exist on some recoverable disk).
-  if (cfg_.max_lag > 0 && log_.size() > cfg_.max_lag) {
-    uint64_t clamp = 0;
-    bool any = false;
-    for (const auto& b : backends_)
-      if (b.live && !b.attaching) {
-        clamp = std::max(clamp, b.applied_log_seq);
-        any = true;
-      }
-    if (any) truncate_to(std::min(total_seq() - cfg_.max_lag, clamp));
-  }
+  ck_wq_.notify_all();
   obs::count("persist.appends", obs::kNoNode);
   export_gauges();
 }
@@ -206,8 +196,8 @@ void PersistenceBinding::restart_backend(size_t idx) {
   sim_.spawn(applier_loop(idx, b.alive));
   // A returning backend is (or will become) a snapshot source; wake
   // re-attachers and the checkpoint loop.
-  attach_wq_->notify_all();
-  ck_wq_->notify_all();
+  attach_wq_.notify_all();
+  ck_wq_.notify_all();
   obs::instant("persist.backend_restart", obs::Cat::Recovery, uint32_t(idx));
   obs::count("persist.backend_restarts", uint32_t(idx));
 }
@@ -250,15 +240,15 @@ sim::Task<> PersistenceBinding::applier_loop(size_t idx,
       // it. Re-attach from a peer snapshot, then replay only the suffix.
       b.attaching = true;
       while (!try_reattach(idx)) {
-        const bool ok = co_await attach_wq_->wait();
+        const bool ok = co_await attach_wq_.wait();
         if (!ok || !*alive || !*binding_alive) {
           b.attaching = false;
           co_return;
         }
       }
       b.attaching = false;
-      attach_wq_->notify_all();  // now a valid source for other waiters
-      ck_wq_->notify_all();
+      attach_wq_.notify_all();  // now a valid source for other waiters
+      ck_wq_.notify_all();
       continue;
     }
     if (b.applied_log_seq >= total_seq()) {
@@ -293,7 +283,7 @@ sim::Task<> PersistenceBinding::checkpoint_loop(std::shared_ptr<bool> alive) {
       // Idle (nothing to truncate, or nobody to checkpoint): park instead
       // of ticking forever — a perpetual timer would never let the event
       // queue quiesce.
-      const bool ok = co_await ck_wq_->wait();
+      const bool ok = co_await ck_wq_.wait();
       if (!ok || !*alive) co_return;
       continue;
     }
@@ -344,7 +334,7 @@ PersistenceBinding::bootstrap_image(size_t idx) const {
       return true;
     });
   }
-  if (cfg_.mut_skip_suffix) return img;  // planted bug (--mutations)
+  if (bug_ == check::PlantedBug::SkipRecoverySuffix) return img;
   // In-order fold of the unapplied suffix. Post-images make this exact
   // even when the watermark points at a partially applied record: the
   // fold re-writes every key that record touches.

@@ -12,12 +12,11 @@
 // it instead of a private feed. A periodic checkpoint records every live
 // backend's watermark and truncates the log at min(checkpoint) — the
 // truncation horizon tracks the slowest live backend, so log memory stays
-// bounded in steady state. A bounded-lag knob (max_lag) additionally
-// truncates under pressure, past slow backends if need be (clamped so the
-// freshest live backend can always still bootstrap). A backend whose
-// watermark falls below the horizon cannot replay the missing prefix; its
-// applier re-attaches via a row-image snapshot from the freshest live
-// peer, then replays only the remaining suffix — no pause of the log.
+// bounded in steady state. A backend whose watermark falls below the
+// horizon (it was dead across a checkpoint) cannot replay the missing
+// prefix; its applier re-attaches via a row-image snapshot from the
+// freshest live peer, then replays only the remaining suffix — no pause of
+// the log.
 #pragma once
 
 #include <deque>
@@ -25,6 +24,7 @@
 #include <memory>
 #include <set>
 
+#include "check/planted_bug.hpp"
 #include "disk/engine.hpp"
 #include "sim/sync.hpp"
 
@@ -38,19 +38,11 @@ class PersistenceBinding {
     // Checkpoint/truncation cadence. 0 disables truncation entirely (the
     // log then grows without bound, as the pre-lifecycle stub did).
     sim::Time checkpoint_period = 5 * sim::kSec;
-    // Bounded-lag backpressure: when the retained log exceeds this many
-    // records, truncate down to the bound even past slow backends (clamped
-    // to the freshest live watermark so every record survives somewhere
-    // recoverable). 0 = no pressure truncation.
-    uint64_t max_lag = 0;
-    // Planted bug for dmv_check --mutations: bootstrap_image() skips the
-    // log suffix above the backend watermark, passing a stale snapshot off
-    // as the acked prefix. Must be caught as `recovery-mismatch`.
-    bool mut_skip_suffix = false;
   };
 
   PersistenceBinding(sim::Simulation& sim, Config cfg,
-                     const disk::SchemaFn& schema);
+                     const disk::SchemaFn& schema,
+                     check::PlantedBug bug = check::PlantedBug::None);
   ~PersistenceBinding();
 
   // Give every backend an exact copy of the initial database image.
@@ -159,6 +151,7 @@ class PersistenceBinding {
 
   sim::Simulation& sim_;
   Config cfg_;
+  check::PlantedBug bug_;  // planted for check_sweep --mutations, or None
   disk::SchemaFn schema_;
   std::vector<Backend> backends_;
   // Killed incarnations may still have a suspended apply in their old
@@ -171,8 +164,8 @@ class PersistenceBinding {
   uint64_t insert_epoch_ = 0;
   std::vector<std::set<uint64_t>> logged_stamps_;  // per table, dedup
   std::vector<uint64_t> logged_version_;
-  std::unique_ptr<sim::WaitQueue> ck_wq_;      // checkpoint loop idle wait
-  std::unique_ptr<sim::WaitQueue> attach_wq_;  // re-attachers await a source
+  sim::WaitQueue ck_wq_;      // checkpoint loop idle wait
+  sim::WaitQueue attach_wq_;  // re-attachers await a source
   std::shared_ptr<bool> alive_;
 };
 

@@ -14,11 +14,12 @@ void erase_value(std::vector<NodeId>& v, NodeId n) {
 
 Scheduler::Scheduler(net::Network& net, NodeId id,
                      const api::ProcRegistry& procs, size_t table_count,
-                     Config cfg)
+                     Config cfg, check::PlantedBug bug)
     : net_(net),
       id_(id),
       procs_(procs),
       cfg_(cfg),
+      bug_(bug),
       rng_(cfg.rng_seed),
       version_(table_count, 0) {}
 
@@ -35,9 +36,9 @@ void Scheduler::shutdown() {
   close_all_request_spans();
   if (!alive_ || !*alive_) return;
   *alive_ = false;
-  for (auto& [tok, w] : discard_waits_) w.wq->notify_all(false);
-  for (auto& [tok, w] : promote_waits_) w.wq->notify_all(false);
-  if (takeover_wait_) takeover_wait_->wq->notify_all(false);
+  for (auto& [tok, w] : discard_waits_) w.wq.notify_all(false);
+  for (auto& [tok, w] : promote_waits_) w.wq.notify_all(false);
+  if (takeover_wait_) takeover_wait_->wq.notify_all(false);
 }
 
 void Scheduler::close_all_request_spans() {
@@ -217,7 +218,7 @@ void Scheduler::answer_join(NodeId joiner) {
   info.support = support;
   net_.send(id_, joiner, std::move(info), 64);
   joining_.insert(joiner);
-  if (cfg_.mut_route_to_joiner &&
+  if (bug_ == check::PlantedBug::RouteToJoiner &&
       std::find(slaves_.begin(), slaves_.end(), joiner) == slaves_.end()) {
     slaves_.push_back(joiner);
     pump_held_reads();
@@ -301,19 +302,19 @@ sim::Task<> Scheduler::main_loop() {
       auto it = discard_waits_.find(ack->seq);
       if (it != discard_waits_.end() && it->second.pending.erase(env->from)) {
         it->second.received[env->from] = ack->received;
-        it->second.wq->notify_all();
+        it->second.wq.notify_all();
       }
     } else if (const auto* pd = net::as<PromoteDone>(*env)) {
       for (auto& [tok, w] : promote_waits_)
         if (w.target == env->from && !w.reply) {
           w.reply = *pd;
-          w.wq->notify_all();
+          w.wq.notify_all();
           break;
         }
     } else if (const auto* ar = net::as<AbortAllReply>(*env)) {
       merge_versions(ar->version);
       if (takeover_wait_ && takeover_wait_->pending.erase(env->from))
-        takeover_wait_->wq->notify_all();
+        takeover_wait_->wq.notify_all();
     } else if (const auto* jr = net::as<JoinRequest>(*env)) {
       answer_or_park_join(jr->joiner);
     } else if (const auto* jc = net::as<JoinComplete>(*env)) {
@@ -374,8 +375,8 @@ void Scheduler::route_update(Outstanding out) {
   // wrong master is just a swapped (still single-writer) assignment, but
   // alternating makes the home master and the wrong master stamp the
   // same table's version stream concurrently.
-  if (cfg_.mut_wrong_class_route && classes_.size() > 1 &&
-      (mut_route_flip_++ & 1))
+  if (bug_ == check::PlantedBug::WrongClassRoute && classes_.size() > 1 &&
+      (misroute_flip_++ & 1))
     cls = (cls + 1) % classes_.size();
   ClassState& cs = classes_[cls];
   if (cs.recovering) {
@@ -551,7 +552,8 @@ void Scheduler::handle_txn_done(NodeId from, const TxnDone& d) {
 
   if (d.ok) {
     if (!out.read_only) {
-      if (!cfg_.mut_skip_ack_merge) merge_versions(d.db_version);
+      if (bug_ != check::PlantedBug::SkipAckMerge)
+        merge_versions(d.db_version);
       if (out.cls < classes_.size()) ++classes_[out.cls].commits;
       if (auto* s = check::sink()) s->update_ack(id_, d.db_version);
       obs::count("sched.commits", id_);
@@ -630,14 +632,14 @@ void Scheduler::broadcast_replica_sets() {
 
 void Scheduler::prune_waits_for(NodeId n) {
   for (auto& [tok, w] : discard_waits_)
-    if (w.pending.erase(n)) w.wq->notify_all();
+    if (w.pending.erase(n)) w.wq.notify_all();
   for (auto& [tok, w] : promote_waits_)
     if (w.target == n) {
       w.target = net::kNoNode;
-      w.wq->notify_all();
+      w.wq.notify_all();
     }
   if (takeover_wait_ && takeover_wait_->pending.erase(n))
-    takeover_wait_->wq->notify_all();
+    takeover_wait_->wq.notify_all();
 }
 
 void Scheduler::on_node_killed(NodeId n) {
@@ -785,29 +787,24 @@ sim::Task<> Scheduler::recover_master(size_t cls) {
                                            classes_[cls].tables.end());
   if (auto* s = check::sink()) s->discard(id_, confirmed, cls_tables);
   const uint64_t token = next_token_++;
-  {
-    AckWaitSet& dw = discard_waits_[token];
-    dw.wq = std::make_unique<sim::WaitQueue>(net_.sim());
-    for (NodeId n : live_replicas()) dw.pending.insert(n);
-    for (const auto& other : classes_)
-      if (other.master != net::kNoNode && net_.alive(other.master))
-        dw.pending.insert(other.master);
-    for (NodeId n : dw.pending)
-      net_.send(id_, n, DiscardAbove{confirmed, cls_tables, token}, 128);
-  }
+  // std::map nodes never move: the reference outlives every suspension.
+  AckWaitSet& dw =
+      discard_waits_.try_emplace(token, net_.sim()).first->second;
+  for (NodeId n : live_replicas()) dw.pending.insert(n);
+  for (const auto& other : classes_)
+    if (other.master != net::kNoNode && net_.alive(other.master))
+      dw.pending.insert(other.master);
+  for (NodeId n : dw.pending)
+    net_.send(id_, n, DiscardAbove{confirmed, cls_tables, token}, 128);
   obs::SpanGuard discard("failover.discard", obs::Cat::Recovery, id_);
-  for (;;) {
-    // Re-find after every resume: the map may rehash while suspended.
-    AckWaitSet& dw = discard_waits_[token];
-    if (dw.pending.empty()) break;
-    const bool ok = co_await dw.wq->wait();
+  while (!dw.pending.empty()) {
+    const bool ok = co_await dw.wq.wait();
     if (!ok || !*alive) {
       discard_waits_.erase(token);
       co_return;
     }
   }
-  std::map<NodeId, VersionVec> received =
-      std::move(discard_waits_[token].received);
+  std::map<NodeId, VersionVec> received = std::move(dw.received);
   discard_waits_.erase(token);
   discard.done();
 
@@ -875,25 +872,21 @@ sim::Task<> Scheduler::recover_master(size_t cls) {
     pm.replicas = replicas_for_master(new_master);
     pm.voters = voter_pool();
     const uint64_t ptok = next_token_++;
-    {
-      PromoteWait& pw = promote_waits_[ptok];
-      pw.target = new_master;
-      pw.wq = std::make_unique<sim::WaitQueue>(net_.sim());
-    }
+    PromoteWait& pw =
+        promote_waits_.try_emplace(ptok, net_.sim()).first->second;
+    pw.target = new_master;
     obs::SpanGuard promote("failover.promote", obs::Cat::Recovery, id_);
     promote.attr("new_master", std::to_string(new_master));
     if (adopted) obs::instant("failover.adopt", obs::Cat::Recovery, id_);
     net_.send(id_, new_master, std::move(pm), 256);
-    for (;;) {
-      PromoteWait& pw = promote_waits_[ptok];
-      if (pw.reply || pw.target == net::kNoNode) break;
-      const bool ok = co_await pw.wq->wait();
+    while (!pw.reply && pw.target != net::kNoNode) {
+      const bool ok = co_await pw.wq.wait();
       if (!ok || !*alive) {
         promote_waits_.erase(ptok);
         co_return;
       }
     }
-    std::optional<PromoteDone> done = std::move(promote_waits_[ptok].reply);
+    std::optional<PromoteDone> done = std::move(pw.reply);
     promote_waits_.erase(ptok);
     // The candidate may die between sending PromoteDone and our resume;
     // a dead new master would leave the class headless forever.
@@ -998,15 +991,14 @@ sim::Task<> Scheduler::takeover() {
   // this liveness check but before replying is pruned from the pending set
   // by prune_waits_for, so the takeover cannot wedge on it. The pending
   // set dedupes a node that masters several classes.
-  takeover_wait_ = std::make_unique<AckWaitSet>();
-  takeover_wait_->wq = std::make_unique<sim::WaitQueue>(net_.sim());
+  takeover_wait_.emplace(net_.sim());
   for (const auto& cs : classes_)
     if (cs.master != net::kNoNode && net_.alive(cs.master))
       takeover_wait_->pending.insert(cs.master);
   for (NodeId m : takeover_wait_->pending)
     net_.send(id_, m, AbortAllRequest{id_}, 64);
   while (!takeover_wait_->pending.empty()) {
-    const bool ok = co_await takeover_wait_->wq->wait();
+    const bool ok = co_await takeover_wait_->wq.wait();
     if (!ok || !*alive) {
       takeover_wait_.reset();
       co_return;

@@ -68,24 +68,6 @@ class Scheduler {
     // Admission control: at most this many in-flight reads per replica.
     uint64_t max_reads_inflight_per_node = 4;
     uint64_t rng_seed = 12345;
-    // Test-only mutation (dmv_check smoke mode): skip merging a committed
-    // update's db_version into the scheduler vector before acking the
-    // client — later reads may be tagged behind writes the client already
-    // saw acknowledged. Never set outside bench/check_sweep --mutations.
-    bool mut_skip_ack_merge = false;
-    // Test-only mutation: add a §4.4 joiner to the read rotation as soon
-    // as the join is answered, before data migration has caught the node
-    // up — the bug the joining_ gate exists to rule out. Never set outside
-    // bench/check_sweep --mutations.
-    bool mut_route_to_joiner = false;
-    // Test-only mutation: route every OTHER update to the NEXT class's
-    // master instead of its own, so the home master and the wrong master
-    // stamp the same table's version stream — the misrouting bug
-    // class_of()'s validation and the engine's mastership guard exist to
-    // rule out (pair with the engine-side guard bypass so the wrong
-    // master actually executes). Never set outside bench/check_sweep
-    // --mutations.
-    bool mut_wrong_class_route = false;
   };
 
   // Everything one conflict class's master owns, replicated per class so
@@ -111,7 +93,8 @@ class Scheduler {
   };
 
   Scheduler(net::Network& net, NodeId id, const api::ProcRegistry& procs,
-            size_t table_count, Config cfg);
+            size_t table_count, Config cfg,
+            check::PlantedBug bug = check::PlantedBug::None);
   ~Scheduler();
 
   // One master per conflict class; classes are disjoint table sets that
@@ -175,6 +158,7 @@ class Scheduler {
     return out;
   }
   SchedulerStats& stats() { return stats_; }
+  const Config& config() const { return cfg_; }
   size_t outstanding() const { return outstanding_.size(); }
 
   // ---- invariant-checker probes (dmv_check) ----
@@ -271,9 +255,10 @@ class Scheduler {
   NodeId id_;
   const api::ProcRegistry& procs_;
   Config cfg_;
+  check::PlantedBug bug_;  // planted for check_sweep --mutations, or None
   util::Rng rng_;
   bool is_primary_ = false;
-  uint64_t mut_route_flip_ = 0;  // mut_wrong_class_route's alternator
+  uint64_t misroute_flip_ = 0;  // PlantedBug::WrongClassRoute's alternator
   std::shared_ptr<bool> alive_;
 
   // One entry per conflict class; never resized after set_topology (so
@@ -309,22 +294,24 @@ class Scheduler {
   // can never wedge recovery. Channels are the wrong tool here: a channel
   // delivers whatever comes, but recovery must know *who* still owes it.
   struct AckWaitSet {
+    explicit AckWaitSet(sim::Simulation& sim) : wq(sim) {}
     std::set<NodeId> pending;
-    std::unique_ptr<sim::WaitQueue> wq;
+    sim::WaitQueue wq;
     // DiscardAbove acks carry each replica's post-discard received vector;
     // recover_master elects the most caught-up candidate from these (under
     // quorum commit an acked write may live on only a quorum of replicas).
     std::map<NodeId, VersionVec> received;
   };
   struct PromoteWait {
+    explicit PromoteWait(sim::Simulation& sim) : wq(sim) {}
     NodeId target = net::kNoNode;  // kNoNode once the target died
     std::optional<PromoteDone> reply;
-    std::unique_ptr<sim::WaitQueue> wq;
+    sim::WaitQueue wq;
   };
   uint64_t next_token_ = 1;
   std::map<uint64_t, AckWaitSet> discard_waits_;   // keyed by message token
   std::map<uint64_t, PromoteWait> promote_waits_;  // keyed by local token
-  std::unique_ptr<AckWaitSet> takeover_wait_;
+  std::optional<AckWaitSet> takeover_wait_;
 
   SchedulerStats stats_;
 };

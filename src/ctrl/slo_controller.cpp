@@ -3,10 +3,27 @@
 #include <algorithm>
 
 namespace dmv::ctrl {
+namespace {
+
+constexpr sim::Time kPollPeriod = 500 * sim::kMsec;
+// Scale-out signal: admission queue deeper than this per live slave, or
+// in-flight utilization of the fleet's read capacity at kHighUtil.
+constexpr double kHighHeldPerSlave = 4.0;
+constexpr double kHighUtil = 0.9;
+// Scale-in signal: queue empty and utilization at most kLowUtil.
+constexpr double kLowUtil = 0.3;
+// Hysteresis: consecutive saturated / idle polls required.
+constexpr int kBreachPolls = 3;
+constexpr int kIdlePolls = 16;
+// No decisions for this long after any scale action.
+constexpr sim::Time kCooldown = 8 * sim::kSec;
+constexpr size_t kMinSlaves = 1;  // never retire below this many
+
+}  // namespace
 
 SloController::SloController(sim::Simulation& sim, core::DmvCluster& cluster,
-                             Config cfg)
-    : sim_(sim), cluster_(cluster), cfg_(std::move(cfg)) {}
+                             size_t max_slaves)
+    : sim_(sim), cluster_(cluster), max_slaves_(max_slaves) {}
 
 SloController::~SloController() {
   if (alive_) *alive_ = false;
@@ -31,7 +48,7 @@ size_t SloController::added_live() const {
 
 sim::Task<> SloController::loop(std::shared_ptr<bool> alive) {
   for (;;) {
-    co_await sim_.delay(cfg_.poll_period);
+    co_await sim_.delay(kPollPeriod);
     if (!*alive) co_return;
     poll_once();
   }
@@ -58,7 +75,8 @@ void SloController::poll_once() {
   }
 
   const size_t fleet = cluster_.live_slave_count();
-  const uint64_t cap = std::max<uint64_t>(1, cfg_.per_node_read_cap);
+  const uint64_t cap =
+      std::max<uint64_t>(1, sched->config().max_reads_inflight_per_node);
   const double held = double(sched->held_reads());
   const double inflight = double(sched->inflight_total());
   const double util =
@@ -67,13 +85,10 @@ void SloController::poll_once() {
   obs::gauge("ctrl.util", sched->id(), util);
   obs::gauge("ctrl.fleet", sched->id(), double(fleet));
 
-  bool saturated = fleet == 0 ||
-                   held > cfg_.high_held_per_slave * double(fleet) ||
-                   util >= cfg_.high_util;
-  if (cfg_.max_p99 > 0 && cfg_.p99_probe &&
-      cfg_.p99_probe() > double(cfg_.max_p99))
-    saturated = true;
-  const bool idle = held == 0 && util <= cfg_.low_util;
+  const bool saturated = fleet == 0 ||
+                         held > kHighHeldPerSlave * double(fleet) ||
+                         util >= kHighUtil;
+  const bool idle = held == 0 && util <= kLowUtil;
 
   breach_streak_ = saturated ? breach_streak_ + 1 : 0;
   idle_streak_ = idle ? idle_streak_ + 1 : 0;
@@ -84,7 +99,7 @@ void SloController::poll_once() {
   // was bought for hasn't arrived yet; buying another would overshoot.
   if (pending_join_ != net::kNoNode) return;
 
-  if (breach_streak_ >= cfg_.breach_polls && fleet < cfg_.max_slaves) {
+  if (breach_streak_ >= kBreachPolls && fleet < max_slaves_) {
     pending_join_ = cluster_.add_slave();
     added_.push_back(pending_join_);
     ++stats_.scale_outs;
@@ -92,12 +107,11 @@ void SloController::poll_once() {
     obs::instant("ctrl.scale_out", obs::Cat::Scheduler, pending_join_);
     breach_streak_ = 0;
     idle_streak_ = 0;
-    cooldown_until_ = now + cfg_.cooldown;
+    cooldown_until_ = now + kCooldown;
     return;
   }
 
-  if (idle_streak_ >= cfg_.idle_polls && !added_.empty() &&
-      fleet > cfg_.min_slaves) {
+  if (idle_streak_ >= kIdlePolls && !added_.empty() && fleet > kMinSlaves) {
     // Pop the newest controller-added node; skip any retire_node refuses
     // (promoted to master meanwhile, or racing a death).
     while (!added_.empty()) {
@@ -108,7 +122,7 @@ void SloController::poll_once() {
         obs::instant("ctrl.scale_in", obs::Cat::Scheduler, victim);
         idle_streak_ = 0;
         breach_streak_ = 0;
-        cooldown_until_ = now + cfg_.cooldown;
+        cooldown_until_ = now + kCooldown;
         break;
       }
     }

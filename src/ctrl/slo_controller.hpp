@@ -1,24 +1,24 @@
 // SloController: closed-loop elastic sizing of the read tier.
 //
 // The controller runs on the virtual clock inside the simulation, polling
-// the schedulers' dispatch-side signals — admission-queue depth
-// (held_reads) and per-node in-flight utilization — plus an optional
-// caller-supplied p99 read-latency probe. When the fleet is saturated for
-// `breach_polls` consecutive polls it scales out (Cluster::add_slave, the
-// §4.4 join running under live load); when it has been comfortably idle
-// for `idle_polls` polls it retires the most recently added node
-// (Cluster::retire_node, drain-then-kill). Hysteresis comes from the
+// the primary scheduler's dispatch-side signals: admission-queue depth
+// (held_reads) and in-flight utilization of the fleet's read capacity (the
+// scheduler's own max_reads_inflight_per_node per live slave). When the
+// fleet is saturated for a few consecutive polls it scales out
+// (Cluster::add_slave, the §4.4 join running under live load); when it has
+// been comfortably idle for many polls it retires the most recently added
+// node (Cluster::retire_node, drain-then-kill). Hysteresis comes from the
 // separate high/low thresholds and the consecutive-poll counters; a
 // cooldown after every action lets the previous decision take effect
 // before the signals are trusted again (a joiner takes no reads until its
-// join completes, so acting during the join would double-provision).
+// join completes, so acting during the join would double-provision). The
+// thresholds are constants in slo_controller.cpp.
 //
 // The controller only ever retires nodes it added itself (scale-in pops
 // its own stack), so the operator-configured baseline fleet is never
-// shrunk below min_slaves.
+// shrunk, and it never retires the last live slave.
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -34,31 +34,9 @@ struct SloControllerStats {
 
 class SloController {
  public:
-  struct Config {
-    sim::Time poll_period = 500 * sim::kMsec;
-    // Scale-out signal: admission queue deeper than this per live slave,
-    // or mean in-flight utilization above high_util of the per-node cap.
-    double high_held_per_slave = 4.0;
-    double high_util = 0.9;
-    // Scale-in signal: queue empty and utilization below low_util.
-    double low_util = 0.3;
-    // Optional p99 read-latency SLO (usec, 0 = disabled): breaching it
-    // counts as a scale-out signal even when the queue looks shallow.
-    sim::Time max_p99 = 0;
-    std::function<double()> p99_probe;  // pairs with max_p99
-    // Hysteresis: consecutive saturated / idle polls required.
-    int breach_polls = 3;
-    int idle_polls = 16;
-    // No decisions for this long after any scale action.
-    sim::Time cooldown = 8 * sim::kSec;
-    size_t min_slaves = 1;   // never retire below this many live slaves
-    size_t max_slaves = 16;  // never grow beyond this many live slaves
-    // Per-node read cap (mirror of Scheduler::max_reads_inflight_per_node)
-    // used to turn in-flight counts into a utilization.
-    uint64_t per_node_read_cap = 4;
-  };
-
-  SloController(sim::Simulation& sim, core::DmvCluster& cluster, Config cfg);
+  // Never grows the fleet beyond `max_slaves` live slaves.
+  SloController(sim::Simulation& sim, core::DmvCluster& cluster,
+                size_t max_slaves = 16);
   ~SloController();
 
   void start();
@@ -73,7 +51,7 @@ class SloController {
 
   sim::Simulation& sim_;
   core::DmvCluster& cluster_;
-  Config cfg_;
+  size_t max_slaves_;
   std::shared_ptr<bool> alive_;
   std::vector<net::NodeId> added_;  // scale-out stack (newest last)
   net::NodeId pending_join_ = net::kNoNode;  // added, not yet serving

@@ -148,8 +148,6 @@ sim::Task<txn::OpLogPtr> DiskEngine::commit(TxnCtx& txn) {
     co_return nullptr;
   }
   txn::TxnRecord rec;
-  // The binlog keeps the log for good: drop its growth slack.
-  txn.op_log().shrink_to_fit();
   rec.ops = std::make_shared<const std::vector<txn::OpRecord>>(
       std::move(txn.op_log()));
   obs::SpanGuard span("disk.commit", obs::Cat::Disk, trace_node_, txn.id());
@@ -157,8 +155,7 @@ sim::Task<txn::OpLogPtr> DiskEngine::commit(TxnCtx& txn) {
   co_await wal_.sync();  // durable before the commit is acknowledged
   span.done();
   obs::count("disk.commits", trace_node_);
-  rec.seq = ++commit_seq_;
-  binlog_.push_back(rec);
+  ++commit_seq_;
   locks_.release_all(txn);
   ++stats_.commits;
   co_return rec.ops;
@@ -167,13 +164,6 @@ sim::Task<txn::OpLogPtr> DiskEngine::commit(TxnCtx& txn) {
 void DiskEngine::rollback(TxnCtx& txn) {
   txn::undo_writes(db_, txn);
   locks_.release_all(txn);
-}
-
-std::vector<txn::TxnRecord> DiskEngine::records_after(uint64_t seq) const {
-  std::vector<txn::TxnRecord> out;
-  for (const auto& rec : binlog_)
-    if (rec.seq > seq) out.push_back(rec);
-  return out;
 }
 
 sim::Task<> DiskEngine::apply_record(const txn::TxnRecord& rec) {

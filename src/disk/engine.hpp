@@ -7,13 +7,12 @@
 //    "may stall readers" contrast of §7);
 //  - every data-page access goes through a bounded buffer pool backed by a
 //    single simulated disk (multi-ms random I/O);
-//  - commits append to a WAL and wait for a group-commit fsync;
-//  - committed logical writes go to an in-memory binlog of TxnRecords,
-//    the replication feed for the active-active baseline tier and the DMV
-//    persistence back-end (§4.6).
+//  - commits append to a WAL and wait for a group-commit fsync, and hand
+//    the committed logical writes (the op-log) back to the caller — the
+//    replication feed of the active-active baseline tier; replicas and the
+//    DMV persistence back-end (§4.6) replay foreign TxnRecords.
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "api/api.hpp"
@@ -48,9 +47,8 @@ class DiskEngine {
 
   // --- transactions ---
   std::unique_ptr<txn::TxnCtx> begin(txn::TxnKind kind);
-  // Returns the committed op-log, now shared with the binlog (null for a
-  // transaction that wrote nothing). The transaction's own log is moved
-  // out of it.
+  // Returns the committed op-log (null for a transaction that wrote
+  // nothing). The transaction's own log is moved out of it.
   sim::Task<txn::OpLogPtr> commit(txn::TxnCtx& txn);
   void rollback(txn::TxnCtx& txn);
 
@@ -69,8 +67,6 @@ class DiskEngine {
                          const storage::Key& pk);
 
   // --- replication / replay ---
-  // Committed transactions since seq (exclusive); for shipping to peers.
-  std::vector<txn::TxnRecord> records_after(uint64_t seq) const;
   uint64_t last_commit_seq() const { return commit_seq_; }
   uint64_t applied_seq() const { return applied_seq_; }
   // Replay a foreign TxnRecord (replica apply / failover catch-up /
@@ -114,7 +110,6 @@ class DiskEngine {
   uint64_t next_txn_ = 1;
   uint64_t commit_seq_ = 0;
   uint64_t applied_seq_ = 0;
-  std::deque<txn::TxnRecord> binlog_;
   DiskEngineStats stats_;
 };
 

@@ -14,15 +14,14 @@ ReplicatedDiskTier::ReplicatedDiskTier(sim::Simulation& sim, Config cfg,
                                        const SchemaFn& schema,
                                        const api::ProcRegistry& procs)
     : sim_(sim), cfg_(cfg), procs_(procs), applied_q_(sim) {
-  const int total = cfg_.actives + cfg_.backups;
-  for (int i = 0; i < total; ++i) {
+  for (size_t i = 0; i < kActives + kBackups; ++i) {
     Node n;
     n.engine = std::make_unique<DiskEngine>(
         sim, "disk" + std::to_string(i), cfg_.engine);
-    n.engine->set_trace_node(tier_trace_node(size_t(i)));
-    obs::name_node(tier_trace_node(size_t(i)), n.engine->name());
+    n.engine->set_trace_node(tier_trace_node(i));
+    obs::name_node(tier_trace_node(i), n.engine->name());
     n.engine->build_schema(schema);
-    n.active = i < cfg_.actives;
+    n.active = i < kActives;
     n.feed = std::make_unique<sim::Channel<txn::TxnRecord>>(sim);
     nodes_.push_back(std::move(n));
   }
@@ -97,6 +96,8 @@ sim::Task<std::optional<api::TxnResult>> ReplicatedDiskTier::execute(
     txn::EngineConnection conn(eng, *txn);
     try {
       api::TxnResult result = co_await proc.fn(conn, params);
+      // The tier log keeps the op-log for good: drop its growth slack.
+      txn->op_log().shrink_to_fit();
       txn::OpLogPtr ops = co_await eng.commit(*txn);
       if (ops) {
         txn::TxnRecord rec;

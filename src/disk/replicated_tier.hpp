@@ -23,10 +23,12 @@ namespace dmv::disk {
 
 class ReplicatedDiskTier {
  public:
+  // The paper's tier: two actives and one passive backup.
+  static constexpr size_t kActives = 2;
+  static constexpr size_t kBackups = 1;
+
   struct Config {
     DiskEngine::Config engine;
-    int actives = 2;
-    int backups = 1;
     sim::Time backup_sync_period = 30 * 60 * sim::kSec;
   };
 

@@ -171,7 +171,7 @@ TierExperiment::TierExperiment(const Config& cfg)
     loader()(image);
     tier_->load(image);
   }
-  for (size_t e = 0; e < size_t(cfg.tier.actives); ++e)
+  for (size_t e = 0; e < disk::ReplicatedDiskTier::kActives; ++e)
     prefill_pool(tier_->engine(e));
   tier_->start();
 }

@@ -12,16 +12,19 @@ using storage::Row;
 using storage::RowId;
 using storage::TableId;
 using txn::LockMode;
+using check::PlantedBug;
 using txn::TxnAbort;
 using txn::TxnCtx;
 using txn::TxnKind;
 
 constexpr int kCpus = 2;  // the paper's dual-Athlon nodes
 
-MemEngine::MemEngine(sim::Simulation& sim, std::string name, Config cfg)
+MemEngine::MemEngine(sim::Simulation& sim, std::string name, Config cfg,
+                     check::PlantedBug bug)
     : sim_(sim),
       name_(std::move(name)),
       cfg_(cfg),
+      bug_(bug),
       locks_(sim),
       cache_(cfg.cache_pages, cfg.costs.mem_page_fault),
       cpu_(sim, kCpus) {}
@@ -75,7 +78,7 @@ sim::Task<> MemEngine::ensure_table(TxnCtx& txn, TableId t) {
     // touch — precommit stamps versions without suspending, so version_
     // snapshot here is one consistent cut — and let check_page enforce
     // the upgraded tag like any other read.
-    if (!cfg_.mut_skip_tag_upgrade && !txn.tag_upgraded()) {
+    if (bug_ != PlantedBug::SkipTagUpgrade && !txn.tag_upgraded()) {
       for (TableId mt : master_tables_)
         txn.upgrade_read_version(mt, version_[mt]);
       txn.mark_tag_upgraded();
@@ -95,15 +98,17 @@ sim::Task<> MemEngine::ensure_table(TxnCtx& txn, TableId t) {
       if (!ok) throw TxnAbort(TxnAbort::Reason::Cancelled);
     }
   }
-  const uint64_t bound = cfg_.mut_apply_off_by_one && v > 0 ? v - 1 : v;
+  const uint64_t bound =
+      bug_ == PlantedBug::ApplyOffByOne && v > 0 ? v - 1 : v;
   co_await apply_pending(t, bound, txn.id());
 }
 
 void MemEngine::check_page(const TxnCtx& txn, TableId t,
                            storage::PageNo p) const {
   // Master-served reads are checked against their *upgraded* tag like any
-  // other read; only the mutation knob restores the old unchecked bypass.
-  if (cfg_.mut_skip_tag_upgrade && read_at_latest(txn, t)) return;
+  // other read; only PlantedBug::SkipTagUpgrade restores the old unchecked
+  // bypass.
+  if (bug_ == PlantedBug::SkipTagUpgrade && read_at_latest(txn, t)) return;
   if (txn.kind() != TxnKind::ReadOnly) return;
   DMV_ASSERT_MSG(p < db_.table(t).page_count(),
                  "check_page " << name_ << " table "
@@ -120,7 +125,8 @@ void MemEngine::check_page(const TxnCtx& txn, TableId t,
 
 sim::Task<> MemEngine::latch_for_master_read(TxnCtx& txn, TableId t,
                                              storage::PageNo p) {
-  if (!read_at_latest(txn, t) || cfg_.mut_skip_tag_upgrade) co_return;
+  if (!read_at_latest(txn, t) || bug_ == PlantedBug::SkipTagUpgrade)
+    co_return;
   co_await txn::lock_page(locks_, txn, {t, p}, LockMode::Shared);
   // Under the latch no writer holds the page Exclusive, so its content is
   // committed; strict 2PL stamps meta.version at pre-commit before release,
@@ -146,7 +152,7 @@ sim::Task<std::optional<Row>> MemEngine::get(TxnCtx& txn, TableId t,
   if (txn.kind() == TxnKind::ReadOnly) {
     co_await ensure_table(txn, t);
     rid = tb.pk_find(pk);
-    latch = read_at_latest(txn, t) && !cfg_.mut_skip_tag_upgrade;
+    latch = read_at_latest(txn, t) && bug_ != PlantedBug::SkipTagUpgrade;
     if (latch) {
       // Master-served read: take the page latch so an uncommitted update's
       // in-place writes cannot be observed; chase the row if it moved
@@ -189,7 +195,8 @@ sim::Task<storage::Rows> MemEngine::scan(TxnCtx& txn, TableId t,
   // Update transactions lock each page and master-served reads latch it.
   // Either may wait, so they collect the entries first and check each one
   // again before reading it. Slave-served reads never suspend here.
-  const bool latch = read_at_latest(txn, t) && !cfg_.mut_skip_tag_upgrade;
+  const bool latch =
+      read_at_latest(txn, t) && bug_ != PlantedBug::SkipTagUpgrade;
   if (ro && !latch) {
     cost += scan_in_place(txn, tb, spec, out);
     co_await cpu_.use(cost);
@@ -228,7 +235,7 @@ sim::Time MemEngine::scan_in_place(const TxnCtx& txn,
   const storage::Schema& schema = tb.schema();
   const size_t row_size = schema.row_size();
   const bool filtered = bool(spec.filter);
-  const bool check = !cfg_.mut_scan_stale_read;
+  const bool check = bug_ != PlantedBug::ScanStaleRead;
   out.reserve(std::min(spec.limit, kScanReserveRows));
   sim::Time cost = 0;
   size_t entries = 0;
@@ -246,7 +253,7 @@ sim::Time MemEngine::scan_in_place(const TxnCtx& txn,
             // the run re-touches the most recently used page: a hit that
             // charges nothing and leaves the LRU order as it is.
             if (!page || rid.page != last) {
-              if (check && !(cfg_.mut_scan_first_page_only && page))
+              if (check && !(bug_ == PlantedBug::ScanFirstPageOnly && page))
                 check_page(txn, t, rid.page);
               page = &tb.page(rid.page);
               last = rid.page;
@@ -439,7 +446,7 @@ void MemEngine::discard_mods_above(
     const VersionVec& confirmed,
     const std::vector<storage::TableId>& tables) {
   DMV_ASSERT(confirmed.size() == db_.table_count());
-  if (cfg_.mut_skip_discard) return;
+  if (bug_ == PlantedBug::SkipDiscard) return;
   auto affected = [&](size_t t) {
     if (tables.empty()) return true;
     return std::find(tables.begin(), tables.end(), storage::TableId(t)) !=

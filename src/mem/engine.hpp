@@ -36,6 +36,7 @@
 #include <set>
 
 #include "api/api.hpp"
+#include "check/planted_bug.hpp"
 #include "mem/cache_model.hpp"
 #include "sim/sync.hpp"
 #include "storage/table.hpp"
@@ -65,33 +66,11 @@ class MemEngine {
     size_t cache_pages = 1 << 20;  // effectively unbounded by default
     // Ablation: ship whole page images instead of byte-diff runs.
     bool full_page_writesets = false;
-    // --- test-only mutation knobs (dmv_check mutation smoke mode) ---
-    // Each knob disables one known-critical consistency check so the
-    // history checker can prove it would catch the resulting bug. Never
-    // set outside bench/check_sweep --mutations.
-    // Restore the pre-checker behavior for reads served by a table's
-    // master: no tag upgrade, no page latch, check_page bypassed — the
-    // read observes whatever is there, torn and dirty included.
-    bool mut_skip_tag_upgrade = false;
-    // Apply the pending-mod prefix one version short of the tag, so a
-    // reader observes state staler than the snapshot it claims. (The other
-    // direction — applying past the tag — is caught by the §2.2 abort rule
-    // itself, so it would not exercise the history oracle.)
-    bool mut_apply_off_by_one = false;
-    // Ignore DiscardAbove: partially-propagated write-sets of a failed
-    // master survive on this replica past recovery.
-    bool mut_skip_discard = false;
-    // Read-only scans skip the per-page tag re-check: a replica whose
-    // apply frontier ran ahead of the read's tag (eager apply, or a
-    // concurrent higher-tagged read) serves future versions into an
-    // older snapshot instead of raising VersionConflict.
-    bool mut_scan_stale_read = false;
-    // The one-pass scan checks only the first page it reaches: entries on
-    // later pages are served whatever version those pages hold.
-    bool mut_scan_first_page_only = false;
   };
 
-  MemEngine(sim::Simulation& sim, std::string name, Config cfg);
+  // `bug`: the deployment's planted bug (check::PlantedBug), if any.
+  MemEngine(sim::Simulation& sim, std::string name, Config cfg,
+            check::PlantedBug bug = check::PlantedBug::None);
   ~MemEngine();
 
   void build_schema(const SchemaFn& fn);
@@ -103,12 +82,11 @@ class MemEngine {
   // Promote a slave: adopt received versions as produced versions, roll all
   // pending mods forward so updates run against the newest state.
   sim::Task<> promote(std::set<storage::TableId> tables);
-  // Test-only (dmv_check wrong-class-route mutation): start mastering
+  // Test-only (PlantedBug::WrongClassRoute): start mastering
   // `tables` WITHOUT the promote protocol — produced versions stay wherever
   // they were, so two masters now stamp the same table's stream. This is
   // the bug the scheduler's class validation and the engine node's
-  // mastership guard exist to rule out. Never called outside
-  // bench/check_sweep --mutations.
+  // mastership guard exist to rule out.
   void mut_adopt_tables(const std::set<storage::TableId>& tables) {
     master_tables_.insert(tables.begin(), tables.end());
   }
@@ -227,7 +205,7 @@ class MemEngine {
   // True for read-only access on a table this node masters (§2.1: such
   // reads are served from the master's latest state). With the tag-upgrade
   // guard on (default) the txn's tag is raised to the master's current cut
-  // and check_page enforces it; only the mut_skip_tag_upgrade mutation
+  // and check_page enforces it; only PlantedBug::SkipTagUpgrade
   // turns this into an unchecked bypass.
   bool read_at_latest(const txn::TxnCtx& txn, storage::TableId t) const;
   // Serialize a master-served read against in-flight writers on one page:
@@ -241,6 +219,7 @@ class MemEngine {
   sim::Simulation& sim_;
   std::string name_;
   Config cfg_;
+  check::PlantedBug bug_;
   storage::Database db_;
   txn::LockManager locks_;
   CacheModel cache_;

@@ -47,7 +47,7 @@ sim::Time HeartbeatDetector::timeout_for(NodeId peer) const {
   const sim::Time extra =
       topo.rtt(owner_, peer) - topo.rtt(LinkClass::Intra);
   if (extra <= 0) return cfg_.timeout;
-  return cfg_.timeout + cfg_.rtt_slack * extra;
+  return cfg_.timeout + kRttSlack * extra;
 }
 
 sim::Task<> HeartbeatDetector::sender_loop(std::shared_ptr<bool> stop) {

@@ -11,7 +11,7 @@
 // The timeout is per peer, not one global constant: `timeout` is the base
 // tuned for intra-region peers, and a peer on a slower link class is
 // granted extra slack proportional to how much its topology RTT exceeds
-// the intra-region RTT (scaled by rtt_slack), so a cross-region peer is
+// the intra-region RTT (scaled by kRttSlack), so a cross-region peer is
 // not declared dead by LAN-tuned timers.
 #pragma once
 
@@ -30,13 +30,14 @@ struct HeartbeatMsg {
 struct HeartbeatConfig {
   sim::Time interval = 500 * sim::kMsec;
   // Base timeout, applied to intra-region peers. Peers on slower link
-  // classes get timeout + rtt_slack * (rtt(peer) - rtt(intra)).
+  // classes get timeout + kRttSlack * (rtt(peer) - rtt(intra)).
   sim::Time timeout = 1500 * sim::kMsec;
-  int rtt_slack = 4;
 };
 
 class HeartbeatDetector {
  public:
+  static constexpr int kRttSlack = 4;
+
   HeartbeatDetector(Network& net, NodeId owner, HeartbeatConfig cfg = {});
   ~HeartbeatDetector();
 

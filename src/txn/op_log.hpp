@@ -1,8 +1,8 @@
 // Row-based logical operation records.
 //
 // Three consumers:
-//  - the on-disk tier's statement/binlog replication (active-active sync
-//    and the 30-minute stale-backup shipping of Fig 5a/b);
+//  - the on-disk tier's logical-log replication (active-active sync and
+//    the 30-minute stale-backup shipping of Fig 5a/b);
 //  - the DMV scheduler's update-query log (§4.6): committed in-memory
 //    update transactions are logged and batched to the on-disk back-end
 //    for persistence;
@@ -43,8 +43,8 @@ struct OpRecord {
 
 // A committed update's op-log, built once by its master and shared,
 // immutable, by everything that carries it: the client-outcome mark, the
-// scheduler's reply and through it the persistence log, and on the disk
-// tiers the binlog and every replica feed.
+// scheduler's reply and through it the persistence log, and on the
+// replicated disk tier its log and every replica feed.
 using OpLogPtr = std::shared_ptr<const std::vector<OpRecord>>;
 
 // All logical writes of one committed transaction, in execution order.

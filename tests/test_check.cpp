@@ -3,6 +3,9 @@
 // invariants included), and the mutation/shrink machinery.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
 #include "check/checker.hpp"
 #include "check/fault_plan.hpp"
 #include "check/history.hpp"
@@ -594,6 +597,18 @@ TEST(RunCheck, BackendFaultWithoutTierIsAPlanError) {
 
 // ---- mutation + shrink machinery ---------------------------------------
 
+TEST(Mutation, EveryPlantedBugHasOneSmokeEntry) {
+  std::map<check::PlantedBug, int> entries;
+  std::set<std::string> names;
+  for (const auto& m : check::mutation_list()) {
+    ++entries[m.bug];
+    EXPECT_TRUE(names.insert(m.name).second) << "duplicate name " << m.name;
+  }
+  EXPECT_EQ(entries.count(check::PlantedBug::None), 0u);
+  for (int b = 1; b < int(check::PlantedBug::Count); ++b)
+    EXPECT_EQ(entries[check::PlantedBug(b)], 1) << "PlantedBug " << b;
+}
+
 TEST(Mutation, SkipAckMergeCaughtByTagCoverage) {
   const check::Mutation* mut = nullptr;
   for (const auto& m : check::mutation_list())
@@ -601,10 +616,7 @@ TEST(Mutation, SkipAckMergeCaughtByTagCoverage) {
   ASSERT_NE(mut, nullptr);
   bool caught = false;
   for (int s = 1; s <= mut->seeds && !caught; ++s) {
-    CheckConfig cfg;
-    cfg.seed = uint64_t(s);
-    mut->apply(cfg);
-    CheckReport rep = check::run_check(cfg, mut->plan);
+    CheckReport rep = check::run_check(mut->config(uint64_t(s)), mut->plan);
     for (const auto& v : rep.violations)
       for (const auto& e : mut->expect)
         if (v.find(e) != std::string::npos) caught = true;
@@ -619,10 +631,7 @@ TEST(Mutation, SkipRecoverySuffixCaughtByRecoveryMismatch) {
   ASSERT_NE(mut, nullptr);
   bool caught = false;
   for (int s = 1; s <= mut->seeds && !caught; ++s) {
-    CheckConfig cfg;
-    cfg.seed = uint64_t(s);
-    mut->apply(cfg);
-    CheckReport rep = check::run_check(cfg, mut->plan);
+    CheckReport rep = check::run_check(mut->config(uint64_t(s)), mut->plan);
     for (const auto& v : rep.violations)
       if (v.find("recovery-mismatch") != std::string::npos) caught = true;
   }
@@ -639,10 +648,7 @@ TEST(Mutation, RouteToJoinerCaught) {
   ASSERT_NE(mut, nullptr);
   bool caught = false;
   for (int s = 1; s <= mut->seeds && !caught; ++s) {
-    CheckConfig cfg;
-    cfg.seed = uint64_t(s);
-    mut->apply(cfg);
-    CheckReport rep = check::run_check(cfg, mut->plan);
+    CheckReport rep = check::run_check(mut->config(uint64_t(s)), mut->plan);
     for (const auto& v : rep.violations)
       for (const auto& e : mut->expect)
         if (v.find(e) != std::string::npos) caught = true;
@@ -659,10 +665,7 @@ TEST(Mutation, MarkAfterAckCaughtByAtMostOnce) {
   ASSERT_NE(mut, nullptr);
   bool caught = false;
   for (int s = 1; s <= mut->seeds && !caught; ++s) {
-    CheckConfig cfg;
-    cfg.seed = uint64_t(s);
-    mut->apply(cfg);
-    CheckReport rep = check::run_check(cfg, mut->plan);
+    CheckReport rep = check::run_check(mut->config(uint64_t(s)), mut->plan);
     for (const auto& v : rep.violations)
       if (v.find("at-most-once") != std::string::npos) caught = true;
   }

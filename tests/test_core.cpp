@@ -430,29 +430,6 @@ TEST(DmvCluster, PersistenceTruncationSkipsDeadBackendAndReattaches) {
   }
 }
 
-TEST(DmvCluster, PersistenceBackpressureBoundsLog) {
-  DmvCluster::Config cfg;
-  cfg.enable_persistence = true;
-  cfg.persistence.backends = 2;
-  cfg.persistence.checkpoint_period = 0;  // isolate pressure truncation
-  cfg.persistence.max_lag = 4;
-  Fixture f(cfg);
-  for (int i = 0; i < 12; ++i) {
-    api::Params dep;
-    dep.set("id", int64_t(i)).set("amt", int64_t{50});
-    ASSERT_TRUE(f.request("deposit", dep).has_value());
-  }
-  f.sim.run(f.sim.now() + 10 * sim::kSec);
-  auto* pb = f.cluster->persistence();
-  ASSERT_NE(pb, nullptr);
-  EXPECT_TRUE(pb->drained());
-  EXPECT_EQ(pb->total_seq(), 12u);
-  // With checkpoints off, only the lag bound truncates; the retained log
-  // must sit at the bound, not at full history depth.
-  EXPECT_LE(pb->log_size(), 4u);
-  EXPECT_GE(pb->log_base(), 8u);
-}
-
 // One post-image update op: set row `id` of table 0 to balance `bal`.
 txn::OpLogPtr persist_op(int64_t id, int64_t bal) {
   txn::OpRecord op;
@@ -545,7 +522,6 @@ TEST(DmvCluster, PageIdHintsWarmSpareWithoutQueries) {
   cfg.slaves = 2;
   cfg.spares = 1;
   cfg.pageid_hints = true;
-  cfg.node.hint_every_txns = 10;
   Fixture f(cfg);
   auto client = f.cluster->make_client("c");
   int done = 0;

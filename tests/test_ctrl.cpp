@@ -24,9 +24,7 @@ harness::DmvExperiment::Config small_cluster(size_t clients) {
 
 TEST(SloController, FlashCrowdScalesOutThenBackIn) {
   harness::DmvExperiment exp(small_cluster(40));
-  SloController::Config sc;
-  sc.max_slaves = 6;
-  SloController slo(exp.sim(), exp.cluster(), sc);
+  SloController slo(exp.sim(), exp.cluster(), /*max_slaves=*/6);
   slo.start();
   exp.start();
   // Crowd arrives at 15s, leaves at 45s.
@@ -49,11 +47,9 @@ TEST(SloController, FlashCrowdScalesOutThenBackIn) {
 
 TEST(SloController, SteadyLoadMakesNoMoves) {
   // A comfortably-provisioned fleet under flat load: the controller must
-  // hold still in both directions (min_slaves floors scale-in).
+  // hold still in both directions (one live slave floors scale-in).
   harness::DmvExperiment exp(small_cluster(40));
-  SloController::Config sc;
-  sc.min_slaves = 1;
-  SloController slo(exp.sim(), exp.cluster(), sc);
+  SloController slo(exp.sim(), exp.cluster());
   slo.start();
   exp.start();
   exp.run_until(40 * sim::kSec);
@@ -65,10 +61,8 @@ TEST(SloController, SteadyLoadMakesNoMoves) {
 
 TEST(SloController, RespectsMaxSlavesCap) {
   harness::DmvExperiment exp(small_cluster(400));
-  SloController::Config sc;
-  sc.max_slaves = 2;  // hopelessly underprovisioned for 400 clients
-  sc.cooldown = 2 * sim::kSec;
-  SloController slo(exp.sim(), exp.cluster(), sc);
+  // Two slaves are hopelessly underprovisioned for 400 clients.
+  SloController slo(exp.sim(), exp.cluster(), /*max_slaves=*/2);
   slo.start();
   exp.start();
   exp.run_until(60 * sim::kSec);

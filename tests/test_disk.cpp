@@ -278,20 +278,29 @@ TEST(DiskEngine, RollbackRestores) {
 }
 
 TEST(DiskEngine, BinlogAndReplay) {
+  // Replaying the op-logs commit hands back, in commit order, rebuilds the
+  // source's pages exactly.
   EngineFixture src, dst;
-  src.run([](EngineFixture& f) -> sim::Task<> {
+  std::vector<txn::TxnRecord> records;
+  src.run([](EngineFixture& f,
+             std::vector<txn::TxnRecord>& out) -> sim::Task<> {
+    auto commit = [&](txn::TxnCtx& txn) -> sim::Task<> {
+      txn::TxnRecord rec;
+      rec.ops = co_await f.eng.commit(txn);
+      rec.seq = f.eng.last_commit_seq();
+      out.push_back(rec);
+    };
     for (int i = 0; i < 10; ++i) {
       auto txn = f.eng.begin(txn::TxnKind::Update);
       co_await f.eng.insert(*txn, 0, R(int64_t{i}, int64_t{i * 10}));
-      co_await f.eng.commit(*txn);
+      co_await commit(*txn);
     }
     auto txn = f.eng.begin(txn::TxnKind::Update);
     co_await f.eng.update(*txn, 0, K(int64_t{3}),
                           [](Row& r) { r[1] = int64_t{999}; });
     co_await f.eng.remove(*txn, 0, K(int64_t{7}));
-    co_await f.eng.commit(*txn);
-  }(src));
-  const auto records = src.eng.records_after(0);
+    co_await commit(*txn);
+  }(src, records));
   ASSERT_EQ(records.size(), 11u);
 
   dst.run([&records](EngineFixture& f) -> sim::Task<> {

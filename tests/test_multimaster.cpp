@@ -330,10 +330,8 @@ TEST(MultiMaster, WrongClassRouteMutationCaught) {
   uint64_t catch_seed = 0;
   std::string caught_violation;
   for (int seed = 1; seed <= mut->seeds && catch_seed == 0; ++seed) {
-    check::CheckConfig cfg;
-    mut->apply(cfg);
-    cfg.seed = uint64_t(seed);
-    const check::CheckReport rep = check::run_check(cfg, mut->plan);
+    const check::CheckReport rep =
+        check::run_check(mut->config(uint64_t(seed)), mut->plan);
     if (rep.passed) continue;
     for (const std::string& v : rep.violations)
       for (const std::string& want : mut->expect)
@@ -346,11 +344,8 @@ TEST(MultiMaster, WrongClassRouteMutationCaught) {
   SCOPED_TRACE("caught at seed " + std::to_string(catch_seed) + ": " +
                caught_violation);
 
-  check::CheckConfig clean;
-  mut->apply(clean);
-  clean.cluster.scheduler.mut_wrong_class_route = false;
-  clean.cluster.node.mut_wrong_class_route = false;
-  clean.seed = catch_seed;
+  check::CheckConfig clean = mut->config(catch_seed);
+  clean.cluster.bug = check::PlantedBug::None;
   const check::CheckReport rep = check::run_check(clean, mut->plan);
   EXPECT_TRUE(rep.passed) << rep.summary();
 }

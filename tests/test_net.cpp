@@ -488,7 +488,7 @@ TEST(HeartbeatDetector, CrossRegionPeerGetsProportionalSlack) {
   EXPECT_EQ(da.timeout_for(near), hb.timeout);
   const sim::Time extra =
       topo.rtt(LinkClass::Cross) - topo.rtt(LinkClass::Intra);
-  EXPECT_EQ(da.timeout_for(far), hb.timeout + hb.rtt_slack * extra);
+  EXPECT_EQ(da.timeout_for(far), hb.timeout + HeartbeatDetector::kRttSlack * extra);
 }
 
 // Heartbeat detector: two nodes exchanging heartbeats; kill one, the other
