@@ -265,10 +265,8 @@ bool deployed(const check::CheckConfig& cfg, const std::string& plan) {
   const auto parsed = check::FaultPlan::parse(plan);
   for (const auto& f : parsed->faults) {
     const check::Action& a = f.action;
-    const bool link = a.kind == check::ActionKind::Drop ||
-                      a.kind == check::ActionKind::Heal ||
-                      a.kind == check::ActionKind::Slow;
-    if (!has(a.node) || (link && !(has(a.a) && has(a.b)))) return false;
+    const bool slow = a.kind == check::ActionKind::Slow;
+    if (!has(a.node) || (slow && !(has(a.a) && has(a.b)))) return false;
     if (a.kind == check::ActionKind::Kill && a.node == "sched0" &&
         cfg.cluster.schedulers < 2)
       return false;

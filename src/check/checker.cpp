@@ -567,7 +567,7 @@ void FaultExec::fire(const Fault& f) {
       for (size_t i = 0; i < sched_ids_.size(); ++i)
         if (sched_ids_[i] == id) return cluster_.kill_scheduler(i);
       if (engine_ids_.count(id)) return cluster_.kill_node(id);
-      net_.kill(id);  // auxiliary endpoint (client, monitor)
+      net_.kill(id);  // auxiliary endpoint (a client)
       return;
     }
     case ActionKind::Restart: {
@@ -577,15 +577,6 @@ void FaultExec::fire(const Fault& f) {
         return plan_error(f, "only engine nodes restart");
       if (net_.alive(id)) return;  // never killed: no-op
       cluster_.restart_and_rejoin(id);
-      return;
-    }
-    case ActionKind::Drop:
-    case ActionKind::Heal: {
-      const net::NodeId a = net_.find_node(f.action.a);
-      const net::NodeId b = net_.find_node(f.action.b);
-      if (a == net::kNoNode || b == net::kNoNode)
-        return plan_error(f, "unknown link endpoint");
-      net_.set_link(a, b, f.action.kind == ActionKind::Heal);
       return;
     }
     case ActionKind::Slow: {
@@ -963,15 +954,7 @@ CheckReport run_check(const CheckConfig& cfg, const std::string& plan_str) {
         db.table(t).insert_row(row);
       }
   };
-  core::DmvCluster cluster(net, reg, std::move(cc));
-
-  // Install the sink only while the cluster lives: cleared (declaration
-  // order) before the cluster destructor can emit anything.
-  struct SinkGuard {
-    explicit SinkGuard(Sink* s) { set_sink(s); }
-    ~SinkGuard() { set_sink(nullptr); }
-  } sink_guard{&rec};
-
+  core::DmvCluster cluster(net, reg, std::move(cc), &rec);
   cluster.start();
 
   FaultExec exec(sim, net, cluster, &viol);

@@ -75,7 +75,7 @@ bool parse_check_workload(const std::string& s, CheckWorkload* out);
 
 struct CheckConfig {
   // Role counts (slaves are shared by every class), replication windows,
-  // quorum commit, heartbeats, the persistence tier and the planted bug
+  // quorum commit, the persistence tier and the planted bug
   // (cluster.bug). run_check fills in the conflict classes, the scheduler
   // seed, schema and loader.
   //  - Geo mode: cluster.regions spreads slaves/spares/schedulers over WAN

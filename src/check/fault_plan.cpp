@@ -113,12 +113,6 @@ bool parse_fault(std::string_view s, Fault* f, std::string* err) {
     f->action.kind = verb == "killbackend" ? ActionKind::KillBackend
                                            : ActionKind::RestartBackend;
     f->action.backend = idx;
-  } else if (verb == "drop" || verb == "heal") {
-    std::string_view a, b;
-    if (!split_link(rest, &a, &b)) return fail(err, act, "bad link 'a~b'");
-    f->action.kind = verb == "drop" ? ActionKind::Drop : ActionKind::Heal;
-    f->action.a = std::string(a);
-    f->action.b = std::string(b);
   } else if (verb == "partition" || verb == "heal-partition") {
     // Regions: 'rA|rB' cuts/heals both directions, 'rA>rB' only one.
     size_t sep = rest.find('|');
@@ -174,12 +168,6 @@ std::string Fault::str() const {
       break;
     case ActionKind::Restart:
       s = "restart:" + action.node;
-      break;
-    case ActionKind::Drop:
-      s = "drop:" + action.a + "~" + action.b;
-      break;
-    case ActionKind::Heal:
-      s = "heal:" + action.a + "~" + action.b;
       break;
     case ActionKind::Slow:
       s = "slow:" + action.a + "~" + action.b + ":" +

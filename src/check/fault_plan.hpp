@@ -7,8 +7,6 @@
 //   fault   := action '@' trigger
 //   action  := 'kill:' node            fail-stop a node (engine or scheduler)
 //            | 'restart:' node         reboot + rejoin a killed engine node
-//            | 'drop:' a '~' b         partition one link (both directions)
-//            | 'heal:' a '~' b         undo a drop
 //            | 'slow:' a '~' b ':' us  add `us` usec latency to one link
 //            | 'killbackend:' i        fail-stop on-disk backend i (§4.6)
 //            | 'restartbackend:' i     resume a killed backend (replays or
@@ -58,8 +56,6 @@ namespace dmv::check {
 enum class ActionKind {
   Kill,
   Restart,
-  Drop,
-  Heal,
   Slow,
   KillBackend,
   RestartBackend,
@@ -73,7 +69,7 @@ enum class ActionKind {
 struct Action {
   ActionKind kind = ActionKind::Kill;
   std::string node;          // Kill / Restart
-  std::string a, b;          // Drop / Heal / Slow endpoints; regions for
+  std::string a, b;          // Slow endpoints; regions for
                              // Partition / HealPartition
   sim::Time extra = 0;       // Slow: added latency (usec)
   int backend = -1;          // KillBackend / RestartBackend index

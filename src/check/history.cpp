@@ -56,7 +56,6 @@ void Recorder::read_done(uint32_t scheduler, uint32_t node,
                          const std::string& proc, const api::Params& params,
                          const std::vector<uint64_t>& read_tag,
                          const api::TxnResult& result) {
-  ++reads_;
   events_.push_back(ReadEvent{sim_.now(), scheduler, node, proc, params,
                               read_tag, result});
 }

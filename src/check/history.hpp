@@ -1,8 +1,8 @@
 // History recorder for the one-copy-serializability checker.
 //
-// A Recorder is installed as the process-wide check::Sink for the duration
-// of one simulated run. It captures, in chronological (virtual-time) order,
-// every event the sequential oracle needs:
+// A Recorder is the check::Sink of one simulated run's DmvCluster. It
+// captures, in chronological (virtual-time) order, every event the
+// sequential oracle needs:
 //
 //   Commit  — a master precommitted an update: op log (post-images),
 //             the write-set's per-table db_version stamp, and the
@@ -99,7 +99,6 @@ class Recorder final : public Sink {
   const Violations& online() const { return online_; }
 
   size_t commit_count() const { return commits_; }
-  size_t read_count() const { return reads_; }
 
   // One event per line, for failure artifacts (`--artifacts`).
   void dump(std::ostream& os) const;
@@ -116,7 +115,6 @@ class Recorder final : public Sink {
   std::map<uint32_t, std::vector<uint64_t>> acked_floor_;
   Violations online_;
   size_t commits_ = 0;
-  size_t reads_ = 0;
 };
 
 }  // namespace dmv::check

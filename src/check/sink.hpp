@@ -3,10 +3,11 @@
 // The core cluster code reports the few events the one-copy-serializability
 // oracle needs — committed update write-sets in master commit order, the
 // tag/observed-values of every committed read, scheduler-side update acks,
-// and recovery discards — through a process-global Sink pointer. This header
+// and recovery discards — through the Sink its DmvCluster was built with,
+// which the cluster hands to each scheduler and engine node. This header
 // is intentionally dependency-free in the other direction: dmv_core only
 // sees the abstract interface, so the checker library (dmv_check) can depend
-// on dmv_core without a cycle. With no sink installed (the default, and all
+// on dmv_core without a cycle. With no sink (the default, and all
 // production-shaped benches) every hook is a single pointer test.
 #pragma once
 
@@ -57,12 +58,5 @@ class Sink {
                        const std::vector<uint64_t>& confirmed,
                        const std::vector<storage::TableId>& tables) = 0;
 };
-
-inline Sink*& sink_slot() {
-  static Sink* s = nullptr;
-  return s;
-}
-inline Sink* sink() { return sink_slot(); }
-inline void set_sink(Sink* s) { sink_slot() = s; }
 
 }  // namespace dmv::check

@@ -5,8 +5,8 @@
 namespace dmv::core {
 
 DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
-                       Config cfg)
-    : net_(net), procs_(procs), cfg_(std::move(cfg)) {
+                       Config cfg, check::Sink* sink)
+    : net_(net), procs_(procs), cfg_(std::move(cfg)), sink_(sink) {
   DMV_ASSERT(cfg_.schema);
   DMV_ASSERT(cfg_.slaves >= 1);
 
@@ -48,10 +48,10 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
   next_sched_idx_ = cfg_.schedulers;
   cluster_alive_ = std::make_shared<bool>(true);
 
-  // Geo placement. Masters (and later the clients and the monitor) stay
-  // in region 0; slaves, spares and schedulers round-robin across the
-  // regions so each region keeps local read capacity and a scheduler to
-  // fail over to. Single-region deployments leave the topology untouched.
+  // Geo placement. Masters (and later the clients) stay in region 0;
+  // slaves, spares and schedulers round-robin across the regions so each
+  // region keeps local read capacity and a scheduler to fail over to.
+  // Single-region deployments leave the topology untouched.
   region_ids_ = {0};
   for (size_t r = 1; r < cfg_.regions; ++r) {
     const std::string name = "r" + std::to_string(r);
@@ -95,7 +95,7 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
   for (size_t i = 0; i < scheduler_node_ids_.size(); ++i) {
     auto s = std::make_unique<Scheduler>(net_, scheduler_node_ids_[i],
                                          procs_, tables, cfg_.scheduler,
-                                         cfg_.bug);
+                                         cfg_.bug, sink_);
     std::vector<NodeId> peers;
     for (NodeId p : scheduler_node_ids_)
       if (p != scheduler_node_ids_[i]) peers.push_back(p);
@@ -153,7 +153,7 @@ EngineNode& DmvCluster::make_engine_node(NodeId id, bool hint_source) {
   if (!store) store = std::make_unique<mem::StableStore>();
   auto node = std::make_unique<EngineNode>(net_, id, procs_, cfg_.schema,
                                            cfg_.engine, nc, store.get(),
-                                           cfg_.bug);
+                                           cfg_.bug, sink_);
   // After start() the base image is gone: a restarted or added node gets
   // a freshly generated one.
   if (started_)
@@ -194,28 +194,6 @@ void DmvCluster::start() {
   DMV_ASSERT(!started_);
   started_ = true;
   base_image_.reset();  // every node and backend holds its own copy
-  if (cfg_.heartbeats) {
-    // A dedicated monitor endpoint pings every engine node; suspicion is
-    // reported to the schedulers exactly like a broken connection.
-    heartbeat_node_ = net_.add_node("monitor");
-    heartbeat_ = std::make_unique<net::HeartbeatDetector>(
-        net_, heartbeat_node_, cfg_.heartbeat);
-    for (auto& [id, node] : nodes_) heartbeat_->monitor(id);
-    heartbeat_->subscribe([this](NodeId n) {
-      for (auto& [id, node] : nodes_)
-        if (net_.alive(id)) node->on_peer_killed(n);
-      for (auto& s : schedulers_) s->on_node_killed(n);
-    });
-    net_.sim().spawn([](net::Network& net, NodeId me,
-                        net::HeartbeatDetector& d) -> sim::Task<> {
-      for (;;) {
-        auto env = co_await net.mailbox(me).receive();
-        if (!env) break;
-        if (net::as<net::HeartbeatMsg>(*env)) d.on_heartbeat(env->from);
-      }
-    }(net_, heartbeat_node_, *heartbeat_));
-    heartbeat_->start();
-  }
   // Masters and slaves start with every loaded page resident (the paper
   // excludes initial cache warm-up from measurements). Spares start cold:
   // their warm-up is what Figs 7-9 measure.
@@ -332,7 +310,6 @@ NodeId DmvCluster::add_engine_node(const std::string& name, bool as_spare) {
   // §4.4 join then fetches only pages newer than the image. The cache
   // starts cold — warm-up is part of what elasticity experiments measure.
   make_engine_node(id);
-  if (heartbeat_) heartbeat_->monitor(id);
   nodes_[id]->start();
   obs::instant(as_spare ? "elastic.add_spare" : "elastic.add_slave",
                obs::Cat::Warmup, id);
@@ -369,7 +346,7 @@ NodeId DmvCluster::add_scheduler() {
   place_round_robin(id, idx);
   const size_t tables = nodes_.begin()->second->engine().db().table_count();
   auto s = std::make_unique<Scheduler>(net_, id, procs_, tables,
-                                       cfg_.scheduler, cfg_.bug);
+                                       cfg_.scheduler, cfg_.bug, sink_);
   // Adopt the live primary's current view of the fleet (the static config
   // lists are stale once elasticity or fail-over has reshaped it).
   std::vector<NodeId> peers = scheduler_node_ids_;
@@ -487,10 +464,7 @@ sim::Task<std::optional<api::TxnResult>> ClusterClient::execute(
         break;
       }
     }
-    if (sched == net::kNoNode) {
-      ++errors_;
-      co_return std::nullopt;
-    }
+    if (sched == net::kNoNode) co_return std::nullopt;
 
     ClientRequest req;
     req.req_id = rid;
@@ -505,7 +479,6 @@ sim::Task<std::optional<api::TxnResult>> ClusterClient::execute(
       if (const auto* reply = net::as<ClientReply>(*env)) {
         if (reply->req_id != rid) continue;  // stale reply
         if (reply->ok) co_return reply->result;
-        ++errors_;
         co_return std::nullopt;  // cluster reported an error
       }
       if (const auto* down = net::as<SchedulerDown>(*env)) {
@@ -516,7 +489,6 @@ sim::Task<std::optional<api::TxnResult>> ClusterClient::execute(
       }
     }
   }
-  ++errors_;
   co_return std::nullopt;
 }
 

@@ -7,7 +7,6 @@
 
 #include "core/persistence_binding.hpp"
 #include "core/scheduler.hpp"
-#include "net/failure_detector.hpp"
 
 namespace dmv::core {
 
@@ -33,19 +32,13 @@ class DmvCluster {
     // every 100 transactions.
     bool pageid_hints = false;
     // Geo deployment: spread the replica tier over this many regions.
-    // Region 0 ("local") keeps the masters, the primary scheduler, the
-    // clients and the monitor; slaves, spares and standby schedulers are
-    // placed round-robin (index % regions) so every region holds a share
-    // of the read capacity. Cross-region link parameters live on
+    // Region 0 ("local") keeps the masters, the primary scheduler and the
+    // clients; slaves, spares and standby schedulers are placed
+    // round-robin (index % regions) so every region holds a share of the
+    // read capacity. Cross-region link parameters live on
     // net::Topology (configure net.topology().link(LinkClass::Cross)
     // before constructing the cluster).
     size_t regions = 1;
-    // Failure detection: broken connections (default, detect_delay) plus,
-    // optionally, heartbeats from the primary scheduler to every engine
-    // node — the paper's "missed heartbeat messages" backstop, which also
-    // catches nodes that stop responding without a broken connection.
-    bool heartbeats = false;
-    net::HeartbeatConfig heartbeat;
     bool enable_persistence = false;
     PersistenceBinding::Config persistence;
     // The one planted bug (check_sweep --mutations), handed to every
@@ -59,7 +52,10 @@ class DmvCluster {
     std::function<void(storage::Database&)> loader;
   };
 
-  DmvCluster(net::Network& net, const api::ProcRegistry& procs, Config cfg);
+  // `sink` (check_sweep's history recorder, or nullptr) is handed to every
+  // scheduler and engine node the cluster builds, before or after start().
+  DmvCluster(net::Network& net, const api::ProcRegistry& procs, Config cfg,
+             check::Sink* sink = nullptr);
   ~DmvCluster();
 
   void start();
@@ -161,6 +157,7 @@ class DmvCluster {
   net::Network& net_;
   const api::ProcRegistry& procs_;
   Config cfg_;
+  check::Sink* sink_;
   std::vector<NodeId> master_ids_;  // one per conflict class
   std::vector<std::set<storage::TableId>> classes_;
   std::vector<NodeId> slave_ids_;
@@ -174,8 +171,6 @@ class DmvCluster {
   std::unique_ptr<storage::Database> base_image_;
   std::vector<NodeId> client_ids_;
   std::map<NodeId, sim::Time> killed_at_;  // restart-vs-detection ordering
-  std::unique_ptr<net::HeartbeatDetector> heartbeat_;
-  NodeId heartbeat_node_ = net::kNoNode;
   bool started_ = false;
   // Elastic bookkeeping: monotonically increasing name indices (a retired
   // "slave3" is never reused), drain-coroutine liveness guard, counters.
@@ -206,7 +201,6 @@ class ClusterClient {
                                                    api::Params params);
 
   NodeId id() const { return id_; }
-  uint64_t errors_seen() const { return errors_; }
 
  private:
   net::Network& net_;
@@ -214,7 +208,6 @@ class ClusterClient {
   std::vector<NodeId> schedulers_;
   size_t current_ = 0;
   uint64_t next_req_ = 1;
-  uint64_t errors_ = 0;
   bool busy_ = false;
 };
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "check/sink.hpp"
 #include "core/version.hpp"
-#include "net/failure_detector.hpp"
 #include "obs/trace.hpp"
 
 namespace dmv::core {
@@ -31,12 +29,14 @@ EngineNode::EngineNode(net::Network& net, NodeId id,
                        const api::ProcRegistry& procs,
                        const mem::SchemaFn& schema,
                        const mem::MemEngine::Config& engine, Config cfg,
-                       mem::StableStore* store, check::PlantedBug bug)
+                       mem::StableStore* store, check::PlantedBug bug,
+                       check::Sink* sink)
     : net_(net),
       id_(id),
       procs_(procs),
       cfg_(cfg),
       bug_(bug),
+      sink_(sink),
       store_(store) {
   engine_ =
       std::make_unique<MemEngine>(net.sim(), net.name(id), engine, bug);
@@ -493,8 +493,6 @@ sim::Task<> EngineNode::main_loop() {
       }
     } else if (const auto* hint = net::as<PageIdHint>(*env)) {
       for (const auto& pid : hint->pages) engine_->cache().prefetch(pid);
-    } else if (net::as<net::HeartbeatMsg>(*env)) {
-      net_.send(id_, env->from, net::HeartbeatMsg{}, 32);  // pong
     }
   }
   on_killed();
@@ -642,9 +640,9 @@ sim::Task<> EngineNode::run_update(ExecTxn m) {
       // broadcast, so commits are reported in master commit (version)
       // order, and a node killed before the broadcast (alive check above)
       // reports nothing.
-      if (auto* s = check::sink())
-        s->update_commit(id_, m.origin, m.origin_req, *ops,
-                         ws->db_version);
+      if (sink_)
+        sink_->update_commit(id_, m.origin, m.origin_req, *ops,
+                             ws->db_version);
       // Locally committed: the write-set is sequenced on every replica
       // link and nothing can abort this transaction any more short of
       // this node dying (wait_acks only fails via on_killed). Release

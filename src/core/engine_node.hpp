@@ -19,6 +19,7 @@
 
 #include <unordered_map>
 
+#include "check/sink.hpp"
 #include "core/messages.hpp"
 #include "mem/checkpoint.hpp"
 #include "util/rng.hpp"
@@ -75,7 +76,8 @@ class EngineNode {
              const mem::SchemaFn& schema,
              const mem::MemEngine::Config& engine, Config cfg,
              mem::StableStore* store = nullptr,
-             check::PlantedBug bug = check::PlantedBug::None);
+             check::PlantedBug bug = check::PlantedBug::None,
+             check::Sink* sink = nullptr);
   ~EngineNode();
 
   NodeId id() const { return id_; }
@@ -115,7 +117,6 @@ class EngineNode {
 
   bool is_master() const { return engine_->is_master(); }
   const std::vector<NodeId>& replicas() const { return replicas_; }
-  void set_hint_target(NodeId target) { cfg_.hint_target = target; }
 
  private:
   struct Inflight {
@@ -219,6 +220,7 @@ class EngineNode {
   const api::ProcRegistry& procs_;
   Config cfg_;
   check::PlantedBug bug_;  // planted for check_sweep --mutations, or None
+  check::Sink* sink_;      // the oracle's history recorder, or nullptr
   std::unique_ptr<mem::MemEngine> engine_;
   mem::StableStore* store_;
   std::unique_ptr<mem::Checkpointer> checkpointer_;

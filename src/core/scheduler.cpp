@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "check/sink.hpp"
-
 namespace dmv::core {
 
 namespace {
@@ -14,12 +12,13 @@ void erase_value(std::vector<NodeId>& v, NodeId n) {
 
 Scheduler::Scheduler(net::Network& net, NodeId id,
                      const api::ProcRegistry& procs, size_t table_count,
-                     Config cfg, check::PlantedBug bug)
+                     Config cfg, check::PlantedBug bug, check::Sink* sink)
     : net_(net),
       id_(id),
       procs_(procs),
       cfg_(cfg),
       bug_(bug),
+      sink_(sink),
       rng_(cfg.rng_seed),
       version_(table_count, 0) {}
 
@@ -485,7 +484,7 @@ bool Scheduler::try_dispatch_read(Outstanding& out) {
   m.params = out.client.params;
   m.read_only = true;
   m.tag = version_;
-  if (auto* s = check::sink()) s->read_tag(id_, m.tag);
+  if (sink_) sink_->read_tag(id_, m.tag);
   out.node = node;
   last_tag_[node] = version_;
   ++outstanding_per_node_[node];
@@ -555,7 +554,7 @@ void Scheduler::handle_txn_done(NodeId from, const TxnDone& d) {
       if (bug_ != check::PlantedBug::SkipAckMerge)
         merge_versions(d.db_version);
       if (out.cls < classes_.size()) ++classes_[out.cls].commits;
-      if (auto* s = check::sink()) s->update_ack(id_, d.db_version);
+      if (sink_) sink_->update_ack(id_, d.db_version);
       obs::count("sched.commits", id_);
       // §4.6: log the committed update's queries, ship to the on-disk
       // back-end asynchronously; §4.1: gossip the vector to peers. The
@@ -568,9 +567,9 @@ void Scheduler::handle_txn_done(NodeId from, const TxnDone& d) {
       for (NodeId p : peers_)
         if (net_.alive(p))
           net_.send(id_, p, VersionGossip{version_}, 128);
-    } else if (auto* s = check::sink()) {
-      s->read_done(id_, from, out.client.proc, out.client.params,
-                   d.read_tag, d.result);
+    } else if (sink_) {
+      sink_->read_done(id_, from, out.client.proc, out.client.params,
+                       d.read_tag, d.result);
     }
     end_req_span(out, nullptr);
     reply_client(out.client, true, d.result);
@@ -709,8 +708,8 @@ void Scheduler::on_node_killed(NodeId n) {
 
 void Scheduler::maybe_spawn_recovery(size_t cls) {
   // The class is marked recovering at spawn time, not at coroutine start:
-  // duplicate failure notifications (broken connection + heartbeat) and
-  // requests racing the first recovery event both observe the flag.
+  // a takeover's sweep over dead masters, a death notice for the same
+  // master and requests racing the first recovery event all observe it.
   ClassState& cs = classes_[cls];
   if (cs.recovering) return;
   cs.recovering = true;
@@ -785,7 +784,7 @@ sim::Task<> Scheduler::recover_master(size_t cls) {
     if (t < confirmed.size()) confirmed[t] = classes_[cls].version[t];
   std::vector<storage::TableId> cls_tables(classes_[cls].tables.begin(),
                                            classes_[cls].tables.end());
-  if (auto* s = check::sink()) s->discard(id_, confirmed, cls_tables);
+  if (sink_) sink_->discard(id_, confirmed, cls_tables);
   const uint64_t token = next_token_++;
   // std::map nodes never move: the reference outlives every suspension.
   AckWaitSet& dw =

@@ -94,7 +94,8 @@ class Scheduler {
 
   Scheduler(net::Network& net, NodeId id, const api::ProcRegistry& procs,
             size_t table_count, Config cfg,
-            check::PlantedBug bug = check::PlantedBug::None);
+            check::PlantedBug bug = check::PlantedBug::None,
+            check::Sink* sink = nullptr);
   ~Scheduler();
 
   // One master per conflict class; classes are disjoint table sets that
@@ -256,6 +257,7 @@ class Scheduler {
   const api::ProcRegistry& procs_;
   Config cfg_;
   check::PlantedBug bug_;  // planted for check_sweep --mutations, or None
+  check::Sink* sink_;      // the oracle's history recorder, or nullptr
   util::Rng rng_;
   bool is_primary_ = false;
   uint64_t misroute_flip_ = 0;  // PlantedBug::WrongClassRoute's alternator

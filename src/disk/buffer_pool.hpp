@@ -49,17 +49,8 @@ class BufferPool {
     if (lru_.contains(pid)) dirty_.insert(pid);
   }
 
-  sim::Task<> flush_all() {
-    while (!dirty_.empty()) {
-      dirty_.erase(dirty_.begin());
-      ++writebacks_;
-      co_await disk_.write_page();
-    }
-  }
-
   bool resident(storage::PageId pid) const { return lru_.contains(pid); }
   size_t resident_pages() const { return lru_.size(); }
-  size_t capacity() const { return lru_.capacity(); }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
   uint64_t evictions() const { return evictions_; }

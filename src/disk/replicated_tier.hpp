@@ -65,7 +65,6 @@ class ReplicatedDiskTier {
 
   size_t active_count() const;
   DiskEngine& engine(size_t i) { return *nodes_[i].engine; }
-  size_t engine_count() const { return nodes_.size(); }
   bool is_active(size_t i) const { return nodes_[i].active; }
   const FailoverStats& failover() const { return failover_; }
   uint64_t log_size() const { return log_.size(); }

@@ -31,7 +31,6 @@ class SimDisk {
   uint64_t writes() const { return writes_; }
   uint64_t fsyncs() const { return fsyncs_; }
   sim::Time busy_time() const { return arm_.busy_time(); }
-  size_t queue_depth() const { return arm_.queued(); }
 
  private:
   txn::CostModel costs_;

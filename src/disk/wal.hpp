@@ -39,8 +39,6 @@ class Wal {
     }
   }
 
-  uint64_t appended_lsn() const { return appended_lsn_; }
-  uint64_t flushed_lsn() const { return flushed_lsn_; }
   uint64_t records() const { return records_; }
   uint64_t bytes_appended() const { return bytes_appended_; }
 

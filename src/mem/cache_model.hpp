@@ -45,11 +45,7 @@ class CacheModel {
 
   bool resident(storage::PageId pid) const { return lru_.contains(pid); }
 
-  // Drop everything (node restart: volatile cache is gone).
-  void invalidate() { lru_.clear(); }
-
   size_t resident_pages() const { return lru_.size(); }
-  size_t capacity() const { return lru_.capacity(); }
   uint64_t hits() const { return hits_; }
   uint64_t faults() const { return faults_; }
 

@@ -33,7 +33,6 @@ sim::Task<size_t> Checkpointer::checkpoint_once() {
     }
   }
   ++passes_;
-  pages_flushed_ += flushed;
   co_return flushed;
 }
 

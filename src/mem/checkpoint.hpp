@@ -62,7 +62,6 @@ class Checkpointer {
   sim::Task<size_t> checkpoint_once();
 
   uint64_t passes() const { return passes_; }
-  uint64_t pages_flushed() const { return pages_flushed_; }
 
  private:
   sim::Task<> loop(std::shared_ptr<bool> alive);
@@ -72,7 +71,6 @@ class Checkpointer {
   StableStore& store_;
   sim::Time period_;
   uint64_t passes_ = 0;
-  uint64_t pages_flushed_ = 0;
 };
 
 // Reload a restarted node's state from its local checkpoint. Indexes are

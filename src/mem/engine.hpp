@@ -180,7 +180,6 @@ class MemEngine {
     trace_node_ = node;
     locks_.set_trace_node(node);
   }
-  uint32_t trace_node() const { return trace_node_; }
   sim::Resource& cpu() { return cpu_; }
   const txn::CostModel& costs() const { return cfg_.costs; }
   EngineStats& stats() { return stats_; }

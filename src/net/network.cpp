@@ -95,7 +95,6 @@ void Network::send_envelope(Envelope env, size_t bytes) {
   DMV_ASSERT(from < nodes_.size() && to < nodes_.size());
   if (!nodes_[from].alive || !nodes_[to].alive) return;
   Link& lk = link(from, to);
-  if (lk.down) return;
 
   const LinkClass cls = topo_.link_class(from, to);
   const LinkClassConfig& lc = topo_.link(cls);
@@ -153,8 +152,7 @@ void Network::kill(NodeId id) {
   nodes_[id].killed_at = sim_.now();
   nodes_[id].mailbox->close();
   // Detection happens in waves: peers on each link class observe the broken
-  // connection after that class's delay. Plain subscribers hear at the
-  // horizon (the slowest wave), by which point every peer knows.
+  // connection after that class's delay.
   if (!class_failure_subs_.empty()) {
     for (size_t c = 0; c < kNumLinkClasses; ++c) {
       const LinkClass cls = LinkClass(c);
@@ -163,9 +161,6 @@ void Network::kill(NodeId id) {
       });
     }
   }
-  sim_.schedule_after(detect_horizon(), [this, id] {
-    for (auto& cb : failure_subs_) cb(id);
-  });
 }
 
 void Network::restart(NodeId id) {
@@ -174,11 +169,6 @@ void Network::restart(NodeId id) {
   nodes_[id].alive = true;
   ++nodes_[id].epoch;  // a fresh incarnation: old connections stay dead
   nodes_[id].mailbox->reopen();
-}
-
-void Network::set_link(NodeId a, NodeId b, bool up) {
-  DMV_ASSERT(a < nodes_.size() && b < nodes_.size());
-  link(a, b).down = link(b, a).down = !up;
 }
 
 void Network::set_link_delay(NodeId a, NodeId b, sim::Time extra) {
@@ -222,10 +212,6 @@ void Network::flush_parked() {
     for (auto& m : drain)
       deliver_one(std::move(m.env), m.epoch, m.bytes, m.cls);
   }
-}
-
-void Network::subscribe_failures(std::function<void(NodeId)> cb) {
-  failure_subs_.push_back(std::move(cb));
 }
 
 void Network::subscribe_failures_by_class(

@@ -16,20 +16,22 @@
 // subscribers after the link class's detect delay — modeling peers
 // observing a broken connection, the paper's §4 failure-detection
 // assumption; a cross-region peer on a slower class observes the death
-// later than a same-region one. A dead node's own in-flight messages keep
-// arriving only until that same per-class detection point: once a peer has
-// observed the broken connection, the stream is sealed (a TCP connection
-// cannot deliver after the receiver saw it break), so e.g. a write-set
-// lingering on a slowed link cannot resurrect versions a fail-over already
-// discarded. restart() brings the node back with an empty mailbox and a
-// fresh connection epoch (its volatile state is gone; higher layers re-join
-// via the data-migration protocol).
+// later than a same-region one. A kill is the only node fault, and it
+// always breaks connections, so no heartbeat detector is modeled. A dead
+// node's own in-flight messages keep arriving only until that same
+// per-class detection point: once a peer has observed the broken
+// connection, the stream is sealed (a TCP connection cannot deliver after
+// the receiver saw it break), so e.g. a write-set lingering on a slowed
+// link cannot resurrect versions a fail-over already discarded. restart()
+// brings the node back with an empty mailbox and a fresh connection epoch
+// (its volatile state is gone; higher layers re-join via the
+// data-migration protocol).
 //
 // Region partitions (partition_regions / heal_partition) model a WAN cut:
-// unlike the fail-stop node-pair set_link() — which loses messages — a
-// region partition parks traffic at the delivery point in per-link FIFO
-// queues and flushes it in order on heal, the way TCP retransmission rides
-// out a transient route loss. Parked messages still pass the sealed-
+// no message between live nodes is ever lost. A region partition parks
+// traffic at the delivery point in per-link FIFO queues and flushes it in
+// order on heal, the way TCP retransmission rides out a transient route
+// loss. Parked messages still pass the sealed-
 // connection check at flush time, so a sender that died mid-partition
 // cannot leak stale stream data after the heal.
 #pragma once
@@ -135,7 +137,6 @@ class Network {
   bool alive(NodeId id) const;
   // Incarnation of the node: bumped by every restart().
   uint64_t epoch(NodeId id) const { return nodes_.at(id).epoch; }
-  size_t node_count() const { return nodes_.size(); }
 
   // Region placement and link-class parameters. Mutate before (or between)
   // runs: e.g. net.topology().add_region("west") and place(id, west).
@@ -143,7 +144,7 @@ class Network {
   const Topology& topology() const { return topo_; }
 
   // Deliver `payload` to `to` after link latency. Silently dropped if either
-  // end is dead or the node-pair link is partitioned (fail-stop model).
+  // end is dead (fail-stop model).
   template <typename T>
   void send(NodeId from, NodeId to, T payload, size_t bytes = 256) {
     send_envelope(Envelope::of(from, to, std::move(payload)), bytes);
@@ -153,10 +154,6 @@ class Network {
 
   void kill(NodeId id);
   void restart(NodeId id);
-
-  // Bidirectional link partition control (for partition tests). Fail-stop:
-  // messages crossing a downed pair are lost, never buffered.
-  void set_link(NodeId a, NodeId b, bool up);
 
   // Extra per-message latency on one link, both directions (0 to clear).
   // Per-link FIFO order is preserved; fault plans use this to stretch
@@ -172,12 +169,9 @@ class Network {
   void heal_all_partitions();
   bool regions_partitioned(RegionId from, RegionId to) const;
 
-  // Subscribers are told about every node death, detect_delay after it.
-  // The plain form fires once per death at the detection horizon (the
-  // slowest class's delay); the by-class form fires once per link class at
-  // that class's delay, so callers can notify same-region observers before
-  // cross-region ones.
-  void subscribe_failures(std::function<void(NodeId)> cb);
+  // Subscribers are told about every node death once per link class, at
+  // that class's detect delay, so callers can notify same-region observers
+  // before cross-region ones.
   void subscribe_failures_by_class(
       std::function<void(NodeId, LinkClass)> cb);
 
@@ -267,14 +261,13 @@ class Network {
   Topology topo_;
   util::Rng jitter_rng_;
   std::vector<Node> nodes_;
-  // Per directed link state, dense: links_[from][to]. set_link and
-  // set_link_delay act on both directions of a pair. A row grows only to
+  // Per directed link state, dense: links_[from][to]. set_link_delay acts
+  // on both directions of a pair. A row grows only to
   // the highest peer its node has used, so the many clients, which talk
   // only to the schedulers, keep short rows.
   struct Link {
     sim::Time clock = 0;  // FIFO: next admissible delivery time
     sim::Time extra = 0;  // set_link_delay
-    bool down = false;    // set_link
   };
   Link& link(NodeId from, NodeId to) {
     std::vector<Link>& row = links_[from];
@@ -284,7 +277,6 @@ class Network {
   std::vector<std::vector<Link>> links_;
   std::set<std::pair<RegionId, RegionId>> region_cuts_;  // directed
   std::map<std::pair<NodeId, NodeId>, std::deque<Parked>> parked_;
-  std::vector<std::function<void(NodeId)>> failure_subs_;
   std::vector<std::function<void(NodeId, LinkClass)>> class_failure_subs_;
   uint64_t bytes_sent_ = 0;
   uint64_t messages_sent_ = 0;

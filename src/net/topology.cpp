@@ -6,14 +6,6 @@
 
 namespace dmv::net {
 
-const char* link_class_name(LinkClass c) {
-  switch (c) {
-    case LinkClass::Intra: return "intra";
-    case LinkClass::Cross: return "cross";
-  }
-  return "?";
-}
-
 Topology::Topology() { regions_.push_back("local"); }
 
 RegionId Topology::add_region(std::string name) {
@@ -26,11 +18,6 @@ RegionId Topology::find_region(std::string_view name) const {
   for (RegionId r = 0; r < regions_.size(); ++r)
     if (regions_[r] == name) return r;
   return kNoRegion;
-}
-
-const std::string& Topology::region_name(RegionId r) const {
-  DMV_ASSERT(r < regions_.size());
-  return regions_[r];
 }
 
 void Topology::place(NodeId node, RegionId region) {

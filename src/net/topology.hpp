@@ -36,8 +36,6 @@ enum class LinkClass : uint8_t {
 };
 inline constexpr size_t kNumLinkClasses = 2;
 
-const char* link_class_name(LinkClass c);
-
 // Per-class link parameters. The defaults here are never used directly:
 // Network initialises both classes from its NetworkConfig so a topology
 // left untouched behaves exactly like the pre-topology flat network.
@@ -55,7 +53,6 @@ class Topology {
 
   RegionId add_region(std::string name);
   RegionId find_region(std::string_view name) const;  // kNoRegion if absent
-  const std::string& region_name(RegionId r) const;
   size_t region_count() const { return regions_.size(); }
 
   void place(NodeId node, RegionId region);

@@ -91,7 +91,6 @@ class Tracer {
   // Restrict recording to the given categories (begin()/instant() of a
   // masked-out category return 0 / no-op). Counters are unaffected.
   void set_category_mask(uint32_t mask) { cat_mask_ = mask; }
-  uint32_t category_mask() const { return cat_mask_; }
 
   // Open a span. Returns 0 (and counts a drop) past max_spans or for a
   // masked-out category; attr()/end() accept 0 as a no-op.

@@ -43,10 +43,4 @@ void Resource::release() {
   }
 }
 
-Task<bool> CountdownLatch::wait() {
-  if (count_ <= 0) co_return true;
-  const bool ok = co_await queue_.wait();
-  co_return ok;
-}
-
 }  // namespace dmv::sim

@@ -8,7 +8,6 @@
 //    nullopt after close(). The basis of simulated network endpoints.
 //  - Resource: counted FIFO server pool (node CPUs, disk arms). use(cost)
 //    models "occupy one server for `cost` virtual time".
-//  - CountdownLatch: await N completions (master waiting for slave acks).
 //
 // All wakeups are routed through the Simulation (Simulation::resume_at),
 // never resumed inline, keeping execution order deterministic and stacks
@@ -174,9 +173,6 @@ class Resource {
   Task<> acquire();
   void release();
 
-  int in_use() const { return in_use_; }
-  int capacity() const { return capacity_; }
-  size_t queued() const { return queue_.waiting(); }
 
   // Cumulative busy server-time, for utilization reporting.
   Time busy_time() const { return busy_; }
@@ -186,26 +182,6 @@ class Resource {
   int capacity_;
   int in_use_ = 0;
   Time busy_ = 0;
-  WaitQueue queue_;
-};
-
-class CountdownLatch {
- public:
-  CountdownLatch(Simulation& sim, int count) : count_(count), queue_(sim) {}
-
-  void count_down() {
-    if (count_ > 0 && --count_ == 0) queue_.notify_all();
-  }
-  // Cancel releases waiters with `false` (e.g. a slave died mid-ack).
-  void cancel() { queue_.notify_all(false); }
-
-  // Returns true when the count reached zero, false if cancelled.
-  Task<bool> wait();
-
-  int remaining() const { return count_; }
-
- private:
-  int count_;
   WaitQueue queue_;
 };
 

@@ -249,12 +249,6 @@ const Table& Database::table(TableId id) const {
   return *tables_[id];
 }
 
-size_t Database::total_pages() const {
-  size_t n = 0;
-  for (auto& t : tables_) n += t->page_count();
-  return n;
-}
-
 size_t Database::total_rows() const {
   size_t n = 0;
   for (auto& t : tables_) n += t->row_count();

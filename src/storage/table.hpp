@@ -177,7 +177,6 @@ class Database {
   const Table& table(TableId id) const;
   size_t table_count() const { return tables_.size(); }
 
-  size_t total_pages() const;
   size_t total_rows() const;
 
   bool pages_equal(const Database& other) const;

@@ -64,7 +64,6 @@ class LruSet {
   }
 
   size_t size() const { return entries_.size(); }
-  size_t capacity() const { return capacity_; }
 
   // Most-recently-used first.
   std::vector<K> keys_mru() const {

@@ -36,11 +36,11 @@ using check::Violations;
 TEST(FaultPlan, ParsesAndRoundTrips) {
   const std::string s =
       "kill:master@t:30000;restart:slave0@t:50000;"
-      "kill:slave0@p:failover.discard#2;drop:sched0~master@t:10;"
-      "heal:sched0~master@t:20;slow:slave0~spare0:4000@p:join.pages";
+      "kill:slave0@p:failover.discard#2;"
+      "slow:slave0~spare0:4000@p:join.pages";
   auto plan = FaultPlan::parse(s);
   ASSERT_TRUE(plan.has_value());
-  ASSERT_EQ(plan->faults.size(), 6u);
+  ASSERT_EQ(plan->faults.size(), 4u);
   EXPECT_EQ(plan->faults[0].action.kind, ActionKind::Kill);
   EXPECT_EQ(plan->faults[0].action.node, "master");
   EXPECT_FALSE(plan->faults[0].trigger.at_point);
@@ -49,12 +49,14 @@ TEST(FaultPlan, ParsesAndRoundTrips) {
   EXPECT_TRUE(plan->faults[2].trigger.at_point);
   EXPECT_EQ(plan->faults[2].trigger.point, "failover.discard");
   EXPECT_EQ(plan->faults[2].trigger.occurrence, 2);
-  EXPECT_EQ(plan->faults[3].action.a, "sched0");
-  EXPECT_EQ(plan->faults[3].action.b, "master");
-  EXPECT_EQ(plan->faults[5].action.kind, ActionKind::Slow);
-  EXPECT_EQ(plan->faults[5].action.extra, 4000);
-  EXPECT_EQ(plan->faults[5].trigger.occurrence, 1);  // default
+  EXPECT_EQ(plan->faults[3].action.kind, ActionKind::Slow);
+  EXPECT_EQ(plan->faults[3].action.a, "slave0");
+  EXPECT_EQ(plan->faults[3].action.b, "spare0");
+  EXPECT_EQ(plan->faults[3].action.extra, 4000);
+  EXPECT_EQ(plan->faults[3].trigger.occurrence, 1);  // default
   EXPECT_EQ(plan->str(), s);  // exact round-trip (replayable strings)
+  // Links never lose messages: there is no verb that drops a link.
+  EXPECT_FALSE(FaultPlan::parse("drop:a~b@t:1"));
 }
 
 TEST(FaultPlan, PersistenceVerbsParseAndRoundTrip) {
@@ -111,7 +113,7 @@ TEST(FaultPlan, RejectsMalformedInput) {
   EXPECT_FALSE(FaultPlan::parse("kill:m@t:-5", &err));    // negative time
   EXPECT_FALSE(FaultPlan::parse("kill:m@x:5", &err));     // bad trigger
   EXPECT_FALSE(FaultPlan::parse("kill:m@p:pt#0", &err));  // occurrence < 1
-  EXPECT_FALSE(FaultPlan::parse("drop:a@t:1", &err));     // missing '~b'
+  EXPECT_FALSE(FaultPlan::parse("slow:a:5@t:1", &err));   // missing '~b'
   EXPECT_FALSE(FaultPlan::parse("slow:a~b@t:1", &err));   // missing usec
   EXPECT_FALSE(FaultPlan::parse("kill:master@t:1;;", &err));  // empty fault
 }

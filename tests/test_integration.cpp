@@ -314,38 +314,6 @@ TEST(Integration, BootstrapReplacementTierFromBackend) {
   EXPECT_EQ(sum->rows, confirmed.size());      // every acked entry present
 }
 
-// Heartbeat-based failure detection (paper: "missed heartbeat messages or
-// broken connections"): with connection-break detection effectively
-// disabled (huge detect delay), heartbeats alone must drive recovery.
-TEST(Integration, HeartbeatDetectionDrivesRecovery) {
-  sim::Simulation sim;
-  net::NetworkConfig ncfg;
-  ncfg.detect_delay = 3600 * sim::kSec;  // connection breaks "never" report
-  net::Network net(sim, ncfg);
-  auto reg = ledger_registry();
-  DmvCluster::Config cfg;
-  cfg.slaves = 2;
-  cfg.schema = ledger_schema;
-  cfg.loader = ledger_loader;
-  cfg.heartbeats = true;
-  cfg.heartbeat.interval = 200 * sim::kMsec;
-  cfg.heartbeat.timeout = 800 * sim::kMsec;
-  DmvCluster cluster(net, reg, cfg);
-  cluster.start();
-
-  auto client = cluster.make_client("w");
-  util::Rng rng(11);
-  std::set<int64_t> confirmed;
-  sim.spawn(writer(*client, sim, 100, 30, rng, confirmed));
-  sim.run(10 * sim::kSec);
-  cluster.kill_node(cluster.master_id());
-  sim.run(60 * sim::kSec);
-  // The heartbeat monitor noticed and the scheduler promoted a slave.
-  EXPECT_EQ(cluster.scheduler().stats().recoveries, 1u);
-  EXPECT_NE(cluster.scheduler().master(), net::kNoNode);
-  EXPECT_EQ(confirmed.size(), 30u);
-}
-
 // Checkpoints shrink reintegration: a node that checkpointed recently
 // should transfer fewer pages than one relying on the base image alone.
 TEST(Integration, CheckpointReducesMigrationVolume) {

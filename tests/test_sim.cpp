@@ -268,45 +268,6 @@ TEST(Resource, AcquireReleaseManual) {
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
 }
 
-TEST(CountdownLatch, WaitsForAll) {
-  Simulation sim;
-  CountdownLatch latch(sim, 3);
-  Time done_at = -1;
-  bool ok = false;
-  sim.spawn([](Simulation& s, CountdownLatch& l, Time& t, bool& ok) -> Task<> {
-    ok = co_await l.wait();
-    t = s.now();
-  }(sim, latch, done_at, ok));
-  for (Time t : {10, 20, 30})
-    sim.schedule_at(t, [&] { latch.count_down(); });
-  sim.run();
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(done_at, 30);
-}
-
-TEST(CountdownLatch, AlreadyZeroReturnsImmediately) {
-  Simulation sim;
-  CountdownLatch latch(sim, 0);
-  bool ok = false;
-  sim.spawn([](CountdownLatch& l, bool& ok) -> Task<> {
-    ok = co_await l.wait();
-  }(latch, ok));
-  sim.run();
-  EXPECT_TRUE(ok);
-}
-
-TEST(CountdownLatch, CancelReturnsFalse) {
-  Simulation sim;
-  CountdownLatch latch(sim, 2);
-  bool ok = true;
-  sim.spawn([](CountdownLatch& l, bool& ok) -> Task<> {
-    ok = co_await l.wait();
-  }(latch, ok));
-  sim.schedule_at(5, [&] { latch.cancel(); });
-  sim.run();
-  EXPECT_FALSE(ok);
-}
-
 // Determinism of a composite scenario: full event trace must be identical
 // across runs with the same structure.
 TEST(Simulation, CompositeScenarioDeterministic) {
