@@ -1,8 +1,9 @@
 // google-benchmark micro-benchmarks for the hot primitives: the simulation
-// kernel's wait/wake path, RB-tree index operations, page diff/apply, the
-// master's pre-commit diff, page free-space bookkeeping, the page LRU, a
-// replica's range scan, the lock table fast path, the TPC-W generator, and
-// the request path's procedure parameters and envelope dispatch.
+// kernel's wait/wake path, Resource service and Task frames, RB-tree index
+// operations, page diff/apply, the master's pre-commit diff, page
+// free-space bookkeeping, the page LRU, a replica's range scan, the lock
+// table fast path, the TPC-W generator, and the request path's procedure
+// parameters and envelope dispatch.
 // These are host-time benchmarks of the real data structures (the macro
 // experiments charge modeled virtual time instead).
 #include <benchmark/benchmark.h>
@@ -75,6 +76,66 @@ void BM_WaitQueuePingPong(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * kRounds);
 }
 BENCHMARK(BM_WaitQueuePingPong);
+
+// One coroutine using a free one-server Resource over and over: the fast
+// path (take the server, one timed wake, release). One item is one use.
+void BM_ResourceUseUncontended(benchmark::State& state) {
+  constexpr int kRounds = 10000;
+  for (auto _ : state) {
+    sim::Simulation s;
+    sim::Resource cpu(s, 1);
+    s.spawn([](sim::Resource& cpu) -> sim::Task<> {
+      for (int k = 0; k < kRounds; ++k) co_await cpu.use(3);
+    }(cpu));
+    s.run();
+    benchmark::DoNotOptimize(cpu.busy_time());
+  }
+  state.SetItemsProcessed(state.iterations() * kRounds);
+}
+BENCHMARK(BM_ResourceUseUncontended);
+
+// Eight coroutines sharing a two-server Resource: nearly every use queues
+// and is started by the hand-off event of the release before it. One item
+// is one use.
+void BM_ResourceUseContended(benchmark::State& state) {
+  constexpr int kUsers = 8;
+  constexpr int kRounds = 1000;
+  for (auto _ : state) {
+    sim::Simulation s;
+    sim::Resource cpu(s, 2);
+    for (int i = 0; i < kUsers; ++i)
+      s.spawn([](sim::Resource& cpu, int i) -> sim::Task<> {
+        for (int k = 0; k < kRounds; ++k) co_await cpu.use(1 + (i + k) % 5);
+      }(cpu, i));
+    s.run();
+    benchmark::DoNotOptimize(cpu.busy_time());
+  }
+  state.SetItemsProcessed(state.iterations() * kUsers * kRounds);
+}
+BENCHMARK(BM_ResourceUseContended);
+
+// A chain of `depth` awaited Task<int>s, each a frame made and destroyed
+// per call, as a request handler calling helpers does; no event is
+// scheduled. One item is one chain.
+sim::Task<int> task_chain(int depth) {
+  if (depth == 0) co_return 1;
+  co_return 1 + co_await task_chain(depth - 1);
+}
+void BM_TaskChain(benchmark::State& state) {
+  const int depth = int(state.range(0));
+  constexpr int kRounds = 10000;
+  for (auto _ : state) {
+    sim::Simulation s;
+    int64_t sum = 0;
+    s.spawn([](int depth, int64_t& sum) -> sim::Task<> {
+      for (int k = 0; k < kRounds; ++k) sum += co_await task_chain(depth);
+    }(depth, sum));
+    s.run();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kRounds);
+}
+BENCHMARK(BM_TaskChain)->Arg(4);
 
 void BM_RbTreeInsert(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -3,9 +3,10 @@
 //
 // An entry is three words and trivially copyable. Its payload is one
 // tagged word (see Simulation): the address of a suspended coroutine to
-// resume, or, with the low bit set, the index of a closure slot owned by
-// the Simulation. Sifting the heap therefore moves no std::function and
-// allocates nothing beyond the vector's own growth.
+// resume, the address of an Action node with bit 1 set, or, with the low
+// bit set, the index of a closure slot owned by the Simulation. Sifting
+// the heap therefore moves no std::function and allocates nothing beyond
+// the vector's own growth.
 #pragma once
 
 #include <algorithm>
@@ -21,7 +22,7 @@ namespace dmv::sim {
 struct Event {
   Time at;
   uint64_t seq;
-  uintptr_t what;  // coroutine address, or (closure slot << 1) | 1
+  uintptr_t what;  // coroutine, Action | 2, or (closure slot << 1) | 1
 };
 static_assert(std::is_trivially_copyable_v<Event>);
 

@@ -2,6 +2,10 @@
 
 namespace dmv::sim {
 
+Simulation::Simulation() { detail::FrameCache::enter(); }
+
+Simulation::~Simulation() { detail::FrameCache::leave(); }
+
 void Simulation::schedule_at(Time at, std::function<void()> fn) {
   uint32_t slot;
   if (free_slots_.empty()) {
@@ -12,7 +16,7 @@ void Simulation::schedule_at(Time at, std::function<void()> fn) {
     free_slots_.pop_back();
     slots_[slot] = std::move(fn);
   }
-  push(at, (uintptr_t(slot) << 1) | 1);
+  push(at, (uintptr_t(slot) << 1) | kClosureTag);
 }
 
 void Simulation::spawn(Task<> task) {
@@ -23,9 +27,14 @@ void Simulation::spawn(Task<> task) {
 }
 
 void Simulation::dispatch(uintptr_t what) {
-  if ((what & 1) == 0) {
+  if ((what & kTagMask) == 0) {
     std::coroutine_handle<>::from_address(reinterpret_cast<void*>(what))
         .resume();
+    return;
+  }
+  if ((what & kClosureTag) == 0) {
+    auto* a = reinterpret_cast<Action*>(what & ~kActionTag);
+    a->fire(a);
     return;
   }
   // Take the closure out before calling it: it may schedule more closures,

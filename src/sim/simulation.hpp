@@ -17,8 +17,9 @@
 // the clock advances.
 //
 // Coroutine wakes (delay, yield, spawn, WaitQueue, Channel) carry the
-// coroutine handle itself. schedule_at() closures sit in a recycled slot
-// pool, so neither structure holds a std::function.
+// coroutine handle itself. An Action event (a Resource hand-off) carries
+// the address of a node its owner keeps alive. schedule_at() closures sit
+// in a recycled slot pool, so neither structure holds a std::function.
 #pragma once
 
 #include <coroutine>
@@ -35,7 +36,9 @@ namespace dmv::sim {
 
 class Simulation {
  public:
-  Simulation() = default;
+  Simulation();
+  // Hands the thread's cached coroutine frames back to the allocator.
+  ~Simulation();
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
@@ -51,8 +54,20 @@ class Simulation {
   // (>= now). One event, like schedule_at, without a closure.
   void resume_at(Time at, std::coroutine_handle<> h) {
     const auto what = reinterpret_cast<uintptr_t>(h.address());
-    DMV_ASSERT((what & 1) == 0);  // the low bit tags closure slots
+    DMV_ASSERT((what & kTagMask) == 0);  // the low bits tag other kinds
     push(at, what);
+  }
+
+  // An event that calls fire(node) on a node the caller owns, such as an
+  // awaiter in a suspended frame. One event, like resume_at, without a
+  // closure; the node must stay put until the event has run.
+  struct Action {
+    void (*fire)(Action*);
+  };
+  void run_at(Time at, Action* a) {
+    const auto what = reinterpret_cast<uintptr_t>(a);
+    DMV_ASSERT((what & kTagMask) == 0);
+    push(at, what | kActionTag);
   }
 
   // Run a coroutine as a detached process, starting at the current time.
@@ -92,6 +107,13 @@ class Simulation {
   static constexpr Time kTimeMax = INT64_MAX;
 
  private:
+  // Tags in the low bits of an event's `what` word; an untagged word is a
+  // coroutine address.
+  static constexpr uintptr_t kClosureTag = 1;  // (slot << 1) | 1
+  static constexpr uintptr_t kActionTag = 2;   // Action address | 2
+  static constexpr uintptr_t kTagMask = 3;
+  static_assert(alignof(Action) > kTagMask);
+
   void push(Time at, uintptr_t what) {
     DMV_ASSERT_MSG(at >= now_, "cannot schedule into the past");
     if (at == now_)

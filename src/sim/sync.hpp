@@ -6,10 +6,10 @@
 //    cooperatively — fault injection never destroys a suspended frame.
 //  - Channel<T>: unbounded FIFO mailbox; receive() yields std::optional<T>,
 //    nullopt after close(). The basis of simulated network endpoints.
-//  - Resource: counted FIFO server pool (node CPUs, disk arms). use(cost)
-//    models "occupy one server for `cost` virtual time".
+//  - Resource: counted FIFO server pool (node CPUs, disk arms).
+//    co_await use(cost) models "occupy one server for `cost` virtual time".
 //
-// All wakeups are routed through the Simulation (Simulation::resume_at),
+// All wakeups are routed through the Simulation (resume_at, run_at),
 // never resumed inline, keeping execution order deterministic and stacks
 // shallow.
 //
@@ -162,17 +162,59 @@ class Channel {
 
 class Resource {
  public:
-  Resource(Simulation& sim, int capacity)
-      : sim_(&sim), capacity_(capacity), queue_(sim) {
+  Resource(Simulation& sim, int capacity) : sim_(&sim), capacity_(capacity) {
     DMV_ASSERT(capacity > 0);
   }
+  Resource(const Resource&) = delete;
+  Resource& operator=(const Resource&) = delete;
 
-  // Occupy one server for `cost` virtual time (FIFO admission).
-  Task<> use(Time cost);
+  // co_await use(cost): occupy one server for `cost` virtual time, with
+  // FIFO admission. The awaiter is its own wait-list node and the event
+  // that starts its service, so a use allocates nothing.
+  class [[nodiscard]] Use : Simulation::Action {
+   public:
+    Use(const Use&) = delete;  // linked into the queue by address
+    Use& operator=(const Use&) = delete;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> handle) {
+      h_ = handle;
+      // A free server is taken only when no one is queued (strict FIFO).
+      if (r_->in_use_ < r_->capacity_ && r_->waiters_.empty()) {
+        ++r_->in_use_;
+        start(this);
+      } else {
+        r_->waiters_.push_back(this);
+      }
+    }
+    // Release the server. With a waiter queued, the server is handed to
+    // it: in_use_ stays counted, so a user arriving at this instant cannot
+    // barge in front of the waiter and starve it (livelock under retry
+    // storms otherwise). The waiter's service starts in an event of its
+    // own at this instant.
+    void await_resume() {
+      DMV_ASSERT(r_->in_use_ > 0);
+      if (r_->waiters_.empty())
+        --r_->in_use_;
+      else
+        r_->sim_->run_at(r_->sim_->now(), r_->waiters_.pop_front());
+    }
 
-  Task<> acquire();
-  void release();
+   private:
+    friend class Resource;
+    friend class IntrusiveFifo<Use>;
+    Use(Resource* r, Time cost) : Action{&Use::start}, r_(r), cost_(cost) {}
+    static void start(Action* a) {
+      auto* u = static_cast<Use*>(a);
+      u->r_->busy_ += u->cost_;
+      u->r_->sim_->resume_at(u->r_->sim_->now() + u->cost_, u->h_);
+    }
 
+    Resource* r_;
+    Time cost_;
+    std::coroutine_handle<> h_{};
+    Use* next = nullptr;
+  };
+  Use use(Time cost) { return Use(this, cost); }
 
   // Cumulative busy server-time, for utilization reporting.
   Time busy_time() const { return busy_; }
@@ -182,7 +224,7 @@ class Resource {
   int capacity_;
   int in_use_ = 0;
   Time busy_ = 0;
-  WaitQueue queue_;
+  IntrusiveFifo<Use> waiters_;
 };
 
 }  // namespace dmv::sim

@@ -6,14 +6,32 @@
 // at final suspension. Exceptions propagate to the awaiter; an exception
 // escaping a detached task aborts the process (simulations are deterministic,
 // so this is always a reproducible bug, never something to swallow).
+//
+// Task frames are recycled (detail::FrameCache): a frame freed while a
+// Simulation is alive on its thread is kept for the next frame of its
+// size class, and ~Simulation hands every kept frame back.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <new>
 #include <optional>
 #include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define DMV_FRAME_POISONING 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define DMV_FRAME_POISONING 1
+#endif
+#endif
+#ifdef DMV_FRAME_POISONING
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace dmv::sim {
 
@@ -22,10 +40,106 @@ class [[nodiscard]] Task;
 
 namespace detail {
 
+// Per-thread free lists of coroutine frames, one per frame size in
+// 8-byte steps up to kMaxCached bytes, each holding at most kMaxKept
+// frames. Each frame is its own ::operator new block of its size rounded
+// up to 8 bytes (frame sizes are multiples of 8, so a kept frame takes
+// the heap space a fresh one would), and any frame can still go back to
+// ::operator delete. Frames are kept only while a Simulation is alive on
+// the thread, and ~Simulation hands every kept frame back. The cap hands
+// a burst of frees back to the allocator, which can reuse the memory for
+// anything. Under ASan a kept frame is poisoned, so a frame used after it
+// was destroyed still reports.
+class FrameCache {
+ public:
+  static constexpr uint32_t kMaxKept = 64;
+
+  // Called by Simulation's constructor and destructor.
+  static void enter() noexcept { ++state_.simulations; }
+  static void leave() noexcept {
+    --state_.simulations;
+    release_all();
+  }
+
+  static void* allocate(size_t n) {
+    const size_t c = (n + kGrain - 1) / kGrain;
+    if (c >= kClasses) return ::operator new(n);
+    if (void* p = state_.free[c]) {
+      unpoison(p, c * kGrain);
+      state_.free[c] = *static_cast<void**>(p);
+      --state_.kept[c];
+      return p;
+    }
+    return ::operator new(c * kGrain);
+  }
+
+  static void deallocate(void* p, size_t n) noexcept {
+    const size_t c = (n + kGrain - 1) / kGrain;
+    if (c >= kClasses || state_.simulations == 0 ||
+        state_.kept[c] == kMaxKept) {
+      ::operator delete(p);
+      return;
+    }
+    *static_cast<void**>(p) = state_.free[c];
+    state_.free[c] = p;
+    ++state_.kept[c];
+    poison(p, c * kGrain);
+  }
+
+  // Frames kept on this thread's lists.
+  static size_t kept() {
+    size_t n = 0;
+    for (uint32_t k : state_.kept) n += k;
+    return n;
+  }
+
+ private:
+  static constexpr size_t kGrain = 8;
+  static constexpr size_t kMaxCached = 2048;
+  static constexpr size_t kClasses = kMaxCached / kGrain + 1;
+
+  struct State {
+    void* free[kClasses];     // by size; linked through a frame's 1st word
+    uint32_t kept[kClasses];  // frames on each list
+    int simulations;          // Simulations alive on this thread
+  };
+
+  static void release_all() noexcept {
+    for (size_t c = 0; c < kClasses; ++c) {
+      while (void* p = state_.free[c]) {
+        unpoison(p, c * kGrain);
+        state_.free[c] = *static_cast<void**>(p);
+        ::operator delete(p);
+      }
+      state_.kept[c] = 0;
+    }
+  }
+
+  static void poison([[maybe_unused]] void* p,
+                     [[maybe_unused]] size_t n) noexcept {
+#ifdef DMV_FRAME_POISONING
+    ASAN_POISON_MEMORY_REGION(p, n);
+#endif
+  }
+  static void unpoison([[maybe_unused]] void* p,
+                       [[maybe_unused]] size_t n) noexcept {
+#ifdef DMV_FRAME_POISONING
+    ASAN_UNPOISON_MEMORY_REGION(p, n);
+#endif
+  }
+
+  static inline thread_local State state_{};
+};
+
 struct PromiseBase {
   std::coroutine_handle<> continuation{};
   bool detached = false;
   std::exception_ptr error{};
+
+  static void* operator new(size_t n) { return FrameCache::allocate(n); }
+  static void operator delete(void* p, size_t n) noexcept {
+    FrameCache::deallocate(p, n);
+  }
 
   std::suspend_always initial_suspend() noexcept { return {}; }
 

@@ -63,9 +63,10 @@ class LockManager {
   void set_trace_node(uint32_t node) { trace_node_ = node; }
 
  private:
-  // A blocked request. It lives in the frame of the acquire() coroutine
-  // that waits on it and is linked into its page's queue until granted or
-  // cancelled.
+  // A blocked request. It lives in the frame of the LockManager::acquire()
+  // coroutine that waits on it and is linked into its page's queue until
+  // granted or cancelled, as a sim::Resource::Use is linked into its
+  // resource's queue.
   struct Waiter {
     Waiter(TxnCtx& t, LockMode m, sim::Simulation& sim)
         : txn(&t), mode(m), wake(sim) {}

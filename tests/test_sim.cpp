@@ -247,25 +247,68 @@ TEST(Resource, ParallelismUpToCapacity) {
   EXPECT_EQ(done, (std::vector<Time>{10, 10, 20, 20}));
 }
 
-TEST(Resource, AcquireReleaseManual) {
+// A user that arrives at the very instant of a release queues behind the
+// waiter the server was handed to: the server stays counted until that
+// waiter's service starts, so a late arrival cannot barge in front of it
+// (livelock under retry storms otherwise). At t=100, A's release runs
+// first (scheduled at t=0), then C's arrival (scheduled at t=0 after it),
+// then B's service start.
+TEST(Resource, ArrivalAtReleaseInstantCannotBarge) {
   Simulation sim;
   Resource r(sim, 1);
-  std::vector<int> order;
-  sim.spawn([](Simulation& s, Resource& r, std::vector<int>& o) -> Task<> {
-    co_await r.acquire();
-    o.push_back(1);
-    co_await s.delay(100);
-    r.release();
-  }(sim, r, order));
-  sim.spawn([](Simulation& s, Resource& r, std::vector<int>& o) -> Task<> {
-    co_await s.delay(1);
-    co_await r.acquire();
-    o.push_back(2);
-    EXPECT_EQ(s.now(), 100);
-    r.release();
-  }(sim, r, order));
+  std::vector<std::pair<char, Time>> done;
+  auto user = [](Simulation& s, Resource& r,
+                 std::vector<std::pair<char, Time>>& d, char id, Time arrive,
+                 Time cost) -> Task<> {
+    if (arrive > 0) co_await s.delay(arrive);
+    co_await r.use(cost);
+    d.emplace_back(id, s.now());
+  };
+  sim.spawn(user(sim, r, done, 'A', 0, 100));
+  sim.spawn(user(sim, r, done, 'B', 1, 50));
+  sim.spawn(user(sim, r, done, 'C', 100, 10));
   sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(done, (std::vector<std::pair<char, Time>>{
+                      {'A', 100}, {'B', 150}, {'C', 160}}));
+  EXPECT_EQ(r.busy_time(), 160);
+}
+
+Task<> empty_task() { co_return; }
+
+// A destroyed frame is kept for the next frame of its size class (the
+// same coroutine function here), and under ASan it is poisoned while
+// kept.
+TEST(FrameCache, ReusesAFreedFrameOfItsSizeClass) {
+  Simulation sim;
+  const size_t before = detail::FrameCache::kept();
+  auto h = empty_task().release();
+  void* frame = h.address();
+  h.destroy();
+  EXPECT_EQ(detail::FrameCache::kept(), before + 1);
+#ifdef DMV_FRAME_POISONING
+  EXPECT_TRUE(__asan_address_is_poisoned(frame));
+#endif
+  auto again = empty_task().release();
+  EXPECT_EQ(again.address(), frame);
+  EXPECT_EQ(detail::FrameCache::kept(), before);
+  again.destroy();
+}
+
+// At most kMaxKept frames of one size are kept, ~Simulation hands every
+// kept frame back, and with no Simulation alive a destroyed frame is not
+// kept.
+TEST(FrameCache, EmptyAfterSimulationDestroyed) {
+  {
+    Simulation sim;
+    std::vector<Task<>::Handle> frames;
+    for (uint32_t i = 0; i < detail::FrameCache::kMaxKept + 10; ++i)
+      frames.push_back(empty_task().release());
+    for (auto h : frames) h.destroy();
+    EXPECT_EQ(detail::FrameCache::kept(), detail::FrameCache::kMaxKept);
+  }
+  EXPECT_EQ(detail::FrameCache::kept(), 0u);
+  empty_task().release().destroy();
+  EXPECT_EQ(detail::FrameCache::kept(), 0u);
 }
 
 // Determinism of a composite scenario: full event trace must be identical
@@ -540,7 +583,9 @@ class RefChannel {
   bool closed_ = false;
 };
 
-// FIFO server pool with hand-off on release, as sim::Resource.
+// FIFO server pool with hand-off on release, as sim::Resource was before
+// use() became an awaiter: use() and acquire() are coroutines, and the
+// hand-off wakes the waiter's acquire() frame.
 class RefResource {
  public:
   RefResource(ReferenceQueue& q, int capacity)
@@ -587,7 +632,8 @@ struct ReferenceKernel {
 // Eight workers each take 200 random steps over every way a coroutine
 // suspends or wakes another; a janitor cancels stranded waiters and
 // reopens the mailbox until they are done. Each step, closure and child
-// records (time, id) in the trace.
+// records (time, id) in the trace. Uses of the capacity-1 pool mostly
+// find it taken, so they take the hand-off path.
 template <typename K>
 struct KernelScenario {
   static constexpr int kWorkers = 8;
@@ -596,9 +642,13 @@ struct KernelScenario {
   typename K::Wq wq{sim};
   typename K::Chan ch{sim};
   typename K::Res cpu{sim, 2};
+  typename K::Res cpu1{sim, 1};
   util::Rng rng;
   std::vector<std::pair<Time, int>> trace;
   int live = kWorkers;
+  int cpu1_users = 0;  // holding or queued
+  int cpu1_uses = 0;
+  int cpu1_handoffs = 0;
 
   explicit KernelScenario(uint64_t seed) : rng(seed) {}
   void note(int id) { trace.emplace_back(sim.now(), id); }
@@ -610,7 +660,7 @@ struct KernelScenario {
   static Task<> worker(KernelScenario& s, int w) {
     for (int step = 0; step < kSteps; ++step) {
       const int id = (w + 1) * 10'000 + step * 10;
-      switch (s.rng.below(13)) {
+      switch (s.rng.below(15)) {
         case 0: co_await s.sim.delay(0); break;
         case 1: co_await s.sim.delay(Time(1 + s.rng.below(40))); break;
         case 2: co_await s.sim.delay(Time(s.rng.below(100'000))); break;
@@ -634,7 +684,14 @@ struct KernelScenario {
           break;
         }
         case 11: s.ch.close(); break;
-        default: co_await s.cpu.use(Time(s.rng.below(30))); break;
+        case 12: co_await s.cpu.use(Time(s.rng.below(30))); break;
+        default: {
+          ++s.cpu1_uses;
+          if (s.cpu1_users++ > 0) ++s.cpu1_handoffs;
+          co_await s.cpu1.use(Time(250 * s.rng.below(32)));
+          --s.cpu1_users;
+          break;
+        }
       }
       s.note(id);
     }
@@ -672,6 +729,9 @@ TEST(EventQueue, MatchesReferenceModel) {
         << (a - t_got.begin()) << " of " << t_want.size();
     EXPECT_EQ(got.sim.events_processed(), want.sim.events_processed())
         << "seed " << seed;
+    EXPECT_GT(2 * got.cpu1_handoffs, got.cpu1_uses)
+        << "seed " << seed << ": " << got.cpu1_handoffs << " of "
+        << got.cpu1_uses << " capacity-1 uses were handed off";
     EXPECT_EQ(got.sim.pending_events(), 0u);
     EXPECT_EQ(want.sim.pending_events(), 0u);
   }
