@@ -44,7 +44,6 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
     scheduler_node_ids_.push_back(
         net_.add_node("sched" + std::to_string(i)));
   next_slave_idx_ = cfg_.slaves;
-  next_spare_idx_ = cfg_.spares;
   next_sched_idx_ = cfg_.schedulers;
   cluster_alive_ = std::make_shared<bool>(true);
 
@@ -134,8 +133,7 @@ DmvCluster::DmvCluster(net::Network& net, const api::ProcRegistry& procs,
                   n) != scheduler_node_ids_.end()) {
       for (NodeId cid : client_ids_)
         if (net_.alive(cid) && topo.link_class(cid, n) == cls)
-          net_.mailbox(cid).send(
-              net::Envelope::of(cid, cid, SchedulerDown{n}));
+          net_.mailbox(cid).send(Envelope{cid, cid, SchedulerDown{n}});
     }
   });
 }
@@ -303,39 +301,23 @@ size_t DmvCluster::live_slave_count() {
   return n;
 }
 
-NodeId DmvCluster::add_engine_node(const std::string& name, bool as_spare) {
+NodeId DmvCluster::add_slave() {
   DMV_ASSERT_MSG(started_, "elastic add before cluster start");
-  const NodeId id = net_.add_node(name);
+  const size_t idx = size_t(next_slave_idx_++);
+  const NodeId id = net_.add_node("slave" + std::to_string(idx));
   // Provision from a regenerated base image (a restore from backup); the
   // §4.4 join then fetches only pages newer than the image. The cache
   // starts cold — warm-up is part of what elasticity experiments measure.
   make_engine_node(id);
   nodes_[id]->start();
-  obs::instant(as_spare ? "elastic.add_spare" : "elastic.add_slave",
-               obs::Cat::Warmup, id);
+  obs::instant("elastic.add_slave", obs::Cat::Warmup, id);
   // Every scheduler may be dead (chaos does this); the node then idles
   // unjoined — nobody routes to it, exactly like a restart in that state.
   const NodeId sched = primary_scheduler_id();
   if (sched != net::kNoNode)
-    nodes_[id]->begin_rejoin(sched, scheduler_node_ids_, as_spare);
-  return id;
-}
-
-NodeId DmvCluster::add_slave() {
-  const size_t idx = size_t(next_slave_idx_++);
-  const NodeId id =
-      add_engine_node("slave" + std::to_string(idx), /*as_spare=*/false);
+    nodes_[id]->begin_rejoin(sched, scheduler_node_ids_);
   place_round_robin(id, idx);
   slave_ids_.push_back(id);
-  return id;
-}
-
-NodeId DmvCluster::add_spare() {
-  const size_t idx = size_t(next_spare_idx_++);
-  const NodeId id =
-      add_engine_node("spare" + std::to_string(idx), /*as_spare=*/true);
-  place_round_robin(id, idx);
-  spare_ids_.push_back(id);
   return id;
 }
 
@@ -476,12 +458,12 @@ sim::Task<std::optional<api::TxnResult>> ClusterClient::execute(
     for (;;) {
       auto env = co_await net_.mailbox(id_).receive();
       if (!env) co_return std::nullopt;  // client torn down
-      if (const auto* reply = net::as<ClientReply>(*env)) {
+      if (const auto* reply = std::get_if<ClientReply>(&env->msg)) {
         if (reply->req_id != rid) continue;  // stale reply
         if (reply->ok) co_return reply->result;
         co_return std::nullopt;  // cluster reported an error
       }
-      if (const auto* down = net::as<SchedulerDown>(*env)) {
+      if (const auto* down = std::get_if<SchedulerDown>(&env->msg)) {
         if (down->scheduler == sched) {
           ++current_;  // retry on a peer
           break;

@@ -84,7 +84,6 @@ class DmvCluster {
   // until it reports JoinComplete; traffic continues throughout. Returns
   // the new node's id immediately (the join runs asynchronously).
   NodeId add_slave();
-  NodeId add_spare();
   // Allocate a standby scheduler that adopts the current topology and
   // joins the gossip ring. NOTE: ClusterClients capture the scheduler
   // list at construction, so only clients created afterwards can fail
@@ -150,8 +149,6 @@ class DmvCluster {
   void attach_persistence(Scheduler& s);
   // Region for the i-th node of a round-robin-placed role (geo deploys).
   void place_round_robin(NodeId id, size_t idx);
-  // Allocate + provision + start + begin_rejoin for an elastic node.
-  NodeId add_engine_node(const std::string& name, bool as_spare);
   sim::Task<> drain_and_kill(NodeId id, std::shared_ptr<bool> alive);
 
   net::Network& net_;
@@ -175,7 +172,6 @@ class DmvCluster {
   // Elastic bookkeeping: monotonically increasing name indices (a retired
   // "slave3" is never reused), drain-coroutine liveness guard, counters.
   int next_slave_idx_ = 0;
-  int next_spare_idx_ = 0;
   int next_sched_idx_ = 0;
   std::shared_ptr<bool> cluster_alive_;
   uint64_t retires_completed_ = 0;

@@ -96,14 +96,12 @@ void EngineNode::on_killed() {
   page_chunks_->close();
 }
 
-void EngineNode::begin_rejoin(NodeId scheduler, std::vector<NodeId> peers,
-                              bool as_spare) {
+void EngineNode::begin_rejoin(NodeId scheduler, std::vector<NodeId> peers) {
   join_schedulers_.clear();
   join_schedulers_.push_back(scheduler);
   for (NodeId p : peers)
     if (p != scheduler) join_schedulers_.push_back(p);
   join_attempts_ = 0;
-  join_as_spare_ = as_spare;
   net_.sim().spawn(rejoin_protocol(scheduler));
 }
 
@@ -379,121 +377,134 @@ sim::Task<> EngineNode::main_loop() {
     auto env = co_await mailbox.receive();
     if (!env || !*alive) break;
 
-    if (auto* exec = net::as<ExecTxn>(*env)) {
-      net_.sim().spawn(handle_exec(std::move(*exec)));
-    } else if (const auto* ws = net::as<WriteSetMsg>(*env)) {
-      apply_incoming_write_set(*ws);
-      // A client reply is blocked on this ack: don't let it sit out the
-      // ack_delay window. One flush per network message, so the ack
-      // economy of batching is preserved.
-      if (ws->ack_urgent) flush_cum_ack(ws->master);
-      obs::gauge("pending_mods", id_, double(engine_->pending_mod_count()));
-    } else if (const auto* batch = net::as<WriteSetBatchMsg>(*env)) {
-      // One FIFO message: items apply strictly in the order the master
-      // produced them, so version order within the batch is preserved.
-      bool urgent = false;
-      if (bug_ == PlantedBug::BatchReverse) {
-        for (auto it = batch->items.rbegin(); it != batch->items.rend();
-             ++it) {
-          apply_incoming_write_set(*it);
-          urgent = urgent || it->ack_urgent;
-        }
-      } else {
-        for (const auto& item : batch->items) {
-          apply_incoming_write_set(item);
-          urgent = urgent || item.ack_urgent;
-        }
-      }
-      if (urgent) flush_cum_ack(batch->master);
-      obs::gauge("pending_mods", id_, double(engine_->pending_mod_count()));
-    } else if (const auto* ca = net::as<CumAckMsg>(*env)) {
-      // Acks stand for prefixes: one cumulative ack completes this
-      // replica's slot in every wait at or below the acked seq.
-      const auto stop = ack_waits_.upper_bound(ca->seq);
-      for (auto it = ack_waits_.begin(); it != stop; ++it)
-        ack_wait_acked(*it->second, env->from);
-      // Nagle urgent path, release side: the link just went idle — if a
-      // client-blocking write-set coalesced behind the acked batch, send
-      // it now instead of waiting out the batch_delay window.
-      if (auto ob = outbox_.find(env->from); ob != outbox_.end()) {
-        ob->second.acked_seq = std::max(ob->second.acked_seq, ca->seq);
-        if (ob->second.has_urgent &&
-            ob->second.acked_seq >= ob->second.sent_seq)
-          flush_outbox(env->from);
-      }
-    } else if (const auto* rs = net::as<ReplicaSetUpdate>(*env)) {
-      on_replica_set(rs->replicas, rs->voters);
-    } else if (const auto* da = net::as<DiscardAbove>(*env)) {
-      // A delayed cumulative ack must not outlive the discard: flush the
-      // windows now so every ack in flight refers to a prefix we still
-      // hold (the discard then clamps received state below it only for
-      // the dead master's tables, whose stream died with it).
-      flush_all_cum_acks();
-      engine_->discard_mods_above(da->confirmed, da->tables);
-      // Committed marks for discarded updates must go too: their clients
-      // never got an ack, and a resubmission has to re-execute, not be
-      // re-acked against state that no longer holds the update.
-      const auto in_scope = [&](storage::TableId t) {
-        return da->tables.empty() ||
-               std::find(da->tables.begin(), da->tables.end(), t) !=
-                   da->tables.end();
-      };
-      for (CommittedMark& mark : committed_) {
-        if (!mark) continue;
-        const VersionVec& version = mark->db_version;
-        for (size_t t = 0; t < version.size() && t < da->confirmed.size();
-             ++t)
-          if (in_scope(storage::TableId(t)) &&
-              version[t] > da->confirmed[t]) {
-            mark.reset();
-            break;
+    const NodeId from = env->from;
+    std::visit(net::Overloaded{
+      [&](ExecTxn& exec) {
+        net_.sim().spawn(handle_exec(std::move(exec)));
+      },
+      [&](const WriteSetMsg& ws) {
+        apply_incoming_write_set(ws);
+        // A client reply is blocked on this ack: don't let it sit out the
+        // ack_delay window. One flush per network message, so the ack
+        // economy of batching is preserved.
+        if (ws.ack_urgent) flush_cum_ack(ws.master);
+        obs::gauge("pending_mods", id_, double(engine_->pending_mod_count()));
+      },
+      [&](const WriteSetBatchMsg& batch) {
+        // One FIFO message: items apply strictly in the order the master
+        // produced them, so version order within the batch is preserved.
+        bool urgent = false;
+        if (bug_ == PlantedBug::BatchReverse) {
+          for (auto it = batch.items.rbegin(); it != batch.items.rend();
+               ++it) {
+            apply_incoming_write_set(*it);
+            urgent = urgent || it->ack_urgent;
           }
-      }
-      // The ack reports our post-discard received state so the recovering
-      // scheduler can elect the most caught-up candidate (under quorum
-      // commit, an acked write may live on only a quorum of replicas).
-      VersionVec held(engine_->db().table_count());
-      for (size_t t = 0; t < held.size(); ++t)
-        held[t] = std::max(engine_->version()[t],
-                           engine_->received_version()[t]);
-      net_.send(id_, env->from, AckMsg{da->token, std::move(held)}, 64);
-    } else if (const auto* aa = net::as<AbortAllRequest>(*env)) {
-      net_.sim().spawn(handle_abort_all(env->from, *aa));
-    } else if (const auto* pm = net::as<PromoteToMaster>(*env)) {
-      net_.sim().spawn(handle_promote(env->from, *pm));
-    } else if (const auto* sub = net::as<SubscribeRequest>(*env)) {
-      // Atomic with respect to broadcasts: add the subscriber, then report
-      // the current version vector — every later write-set reaches it.
-      // Deduplicated so a retried join can't double-subscribe.
-      if (std::find(replicas_.begin(), replicas_.end(), sub->joiner) ==
-              replicas_.end() &&
-          std::find(subscribers_.begin(), subscribers_.end(), sub->joiner) ==
-              subscribers_.end())
-        subscribers_.push_back(sub->joiner);
-      VersionVec v(engine_->db().table_count());
-      for (size_t t = 0; t < v.size(); ++t)
-        v[t] = std::max(engine_->version()[t],
-                        engine_->received_version()[t]);
-      net_.send(id_, sub->reply_to, SubscribeReply{std::move(v)}, 128);
-    } else if (const auto* sr = net::as<SubscribeReply>(*env)) {
-      sub_replies_->send(*sr);
-    } else if (const auto* ji = net::as<JoinInfo>(*env)) {
-      join_infos_->send(*ji);
-    } else if (const auto* pr = net::as<PageRequest>(*env)) {
-      net_.sim().spawn(serve_page_request(pr->reply_to, *pr));
-    } else if (const auto* pc = net::as<PageChunk>(*env)) {
-      if (pc->catch_up.empty()) {
-        page_chunks_->send(*pc);
-      } else {
-        // Installed on arrival, in order: the link is FIFO, so every
-        // chunk is in place before the promoted master's first write-set
-        // to us can land.
-        install_newer(pc->pages);
-        if (pc->last) engine_->adopt_version(pc->catch_up);
-      }
-    } else if (const auto* hint = net::as<PageIdHint>(*env)) {
-      for (const auto& pid : hint->pages) engine_->cache().prefetch(pid);
-    }
+        } else {
+          for (const auto& item : batch.items) {
+            apply_incoming_write_set(item);
+            urgent = urgent || item.ack_urgent;
+          }
+        }
+        if (urgent) flush_cum_ack(batch.master);
+        obs::gauge("pending_mods", id_, double(engine_->pending_mod_count()));
+      },
+      [&](const CumAckMsg& ca) {
+        // Acks stand for prefixes: one cumulative ack completes this
+        // replica's slot in every wait at or below the acked seq.
+        const auto stop = ack_waits_.upper_bound(ca.seq);
+        for (auto it = ack_waits_.begin(); it != stop; ++it)
+          ack_wait_acked(*it->second, from);
+        // Nagle urgent path, release side: the link just went idle — if a
+        // client-blocking write-set coalesced behind the acked batch, send
+        // it now instead of waiting out the batch_delay window.
+        if (auto ob = outbox_.find(from); ob != outbox_.end()) {
+          ob->second.acked_seq = std::max(ob->second.acked_seq, ca.seq);
+          if (ob->second.has_urgent &&
+              ob->second.acked_seq >= ob->second.sent_seq)
+            flush_outbox(from);
+        }
+      },
+      [&](const ReplicaSetUpdate& rs) {
+        on_replica_set(rs.replicas, rs.voters);
+      },
+      [&](const DiscardAbove& da) {
+        // A delayed cumulative ack must not outlive the discard: flush the
+        // windows now so every ack in flight refers to a prefix we still
+        // hold (the discard then clamps received state below it only for
+        // the dead master's tables, whose stream died with it).
+        flush_all_cum_acks();
+        engine_->discard_mods_above(da.confirmed, da.tables);
+        // Committed marks for discarded updates must go too: their clients
+        // never got an ack, and a resubmission has to re-execute, not be
+        // re-acked against state that no longer holds the update.
+        const auto in_scope = [&](storage::TableId t) {
+          return da.tables.empty() ||
+                 std::find(da.tables.begin(), da.tables.end(), t) !=
+                     da.tables.end();
+        };
+        for (CommittedMark& mark : committed_) {
+          if (!mark) continue;
+          const VersionVec& version = mark->db_version;
+          for (size_t t = 0; t < version.size() && t < da.confirmed.size();
+               ++t)
+            if (in_scope(storage::TableId(t)) &&
+                version[t] > da.confirmed[t]) {
+              mark.reset();
+              break;
+            }
+        }
+        // The ack reports our post-discard received state so the recovering
+        // scheduler can elect the most caught-up candidate (under quorum
+        // commit, an acked write may live on only a quorum of replicas).
+        VersionVec held(engine_->db().table_count());
+        for (size_t t = 0; t < held.size(); ++t)
+          held[t] = std::max(engine_->version()[t],
+                             engine_->received_version()[t]);
+        net_.send(id_, from, DiscardAck{da.token, std::move(held)}, 64);
+      },
+      [&](const AbortAllRequest& aa) {
+        net_.sim().spawn(handle_abort_all(from, aa));
+      },
+      [&](const PromoteToMaster& pm) {
+        net_.sim().spawn(handle_promote(from, pm));
+      },
+      [&](const SubscribeRequest& sub) {
+        // Atomic with respect to broadcasts: add the subscriber, then report
+        // the current version vector — every later write-set reaches it.
+        // Deduplicated so a retried join can't double-subscribe.
+        if (std::find(replicas_.begin(), replicas_.end(), sub.joiner) ==
+                replicas_.end() &&
+            std::find(subscribers_.begin(), subscribers_.end(), sub.joiner) ==
+                subscribers_.end())
+          subscribers_.push_back(sub.joiner);
+        VersionVec v(engine_->db().table_count());
+        for (size_t t = 0; t < v.size(); ++t)
+          v[t] = std::max(engine_->version()[t],
+                          engine_->received_version()[t]);
+        net_.send(id_, sub.reply_to, SubscribeReply{std::move(v)}, 128);
+      },
+      [&](const SubscribeReply& sr) { sub_replies_->send(sr); },
+      [&](const JoinInfo& ji) { join_infos_->send(ji); },
+      [&](const PageRequest& pr) {
+        net_.sim().spawn(serve_page_request(pr.reply_to, pr));
+      },
+      [&](const PageChunk& pc) {
+        if (pc.catch_up.empty()) {
+          page_chunks_->send(pc);
+        } else {
+          // Installed on arrival, in order: the link is FIFO, so every
+          // chunk is in place before the promoted master's first write-set
+          // to us can land.
+          install_newer(pc.pages);
+          if (pc.last) engine_->adopt_version(pc.catch_up);
+        }
+      },
+      [&](const PageIdHint& hint) {
+        for (const auto& pid : hint.pages) engine_->cache().prefetch(pid);
+      },
+      [](const auto&) {},  // scheduler- and client-bound messages
+    }, env->msg);
   }
   on_killed();
 }
@@ -825,7 +836,7 @@ sim::Task<> EngineNode::rejoin_protocol(NodeId scheduler) {
     co_return;
   }
   join_peer_ = scheduler;
-  net_.send(id_, scheduler, JoinRequest{id_, join_as_spare_}, 64);
+  net_.send(id_, scheduler, JoinRequest{id_}, 64);
   auto info = co_await join_infos_->receive();
   if (!info || !*alive) {
     join_failed(alive);
@@ -905,7 +916,7 @@ sim::Task<> EngineNode::rejoin_protocol(NodeId scheduler) {
       }
   }
   if (report_to != net::kNoNode)
-    net_.send(id_, report_to, JoinComplete{id_, join_as_spare_}, 64);
+    net_.send(id_, report_to, JoinComplete{id_}, 64);
 }
 
 size_t EngineNode::install_newer(const std::vector<mem::PageSnapshot>& pages) {

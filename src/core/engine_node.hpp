@@ -99,11 +99,8 @@ class EngineNode {
 
   // Begin the §4.4 reintegration protocol against `scheduler`. The
   // optional peer list lets the joiner retry against another scheduler if
-  // `scheduler` dies (or rejects the join) mid-protocol. `as_spare` asks
-  // the scheduler to admit this node as a spare backup instead of an
-  // active slave (elastic scale-out of the warm-standby pool).
-  void begin_rejoin(NodeId scheduler, std::vector<NodeId> peers = {},
-                    bool as_spare = false);
+  // `scheduler` dies (or rejects the join) mid-protocol.
+  void begin_rejoin(NodeId scheduler, std::vector<NodeId> peers = {});
 
   // Called by the cluster controller after net.kill(id): release volatile
   // state, cancel waiters.
@@ -269,7 +266,6 @@ class EngineNode {
   // death closes the channels, waking the join coroutine to retry), the
   // scheduler list for retries, and a capped attempt counter.
   bool joining_ = false;
-  bool join_as_spare_ = false;
   NodeId join_peer_ = net::kNoNode;
   std::vector<NodeId> join_schedulers_;
   int join_attempts_ = 0;

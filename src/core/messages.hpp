@@ -1,10 +1,12 @@
-// Wire messages of the DMV cluster. All flow through net::Network in
-// envelopes tagged with their payload type's id; net::as<T>() dispatches.
+// Wire messages of the DMV cluster: a closed set, core::Message, one
+// std::variant alternative per payload struct. net::Network carries them
+// by value in envelopes; receivers dispatch with std::visit.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "api/api.hpp"
@@ -124,19 +126,9 @@ struct WriteSetBatchMsg {
 
 // Replica -> master: cumulative ack of the master's broadcast stream —
 // every seq <= `seq` on this link has been received (per-link FIFO makes
-// the received prefix contiguous). Distinct from AckMsg, whose seq doubles
-// as a DiscardAbove token on the scheduler side.
+// the received prefix contiguous).
 struct CumAckMsg {
   uint64_t seq = 0;
-};
-
-struct AckMsg {
-  uint64_t seq = 0;
-  // DiscardAbove replies: the replica's post-discard received vector. The
-  // recovering scheduler elects the most caught-up candidate from these —
-  // under quorum commit a client-acked write may live on only a quorum of
-  // replicas, so electing an arbitrary survivor could lose it.
-  VersionVec received;
 };
 
 // ---- recovery & control ----
@@ -153,11 +145,21 @@ struct AbortAllReply {
 // Scheduler -> replicas on master failure: drop queued mods above the last
 // confirmed version (§4.2). `tables` restricts the discard to the failed
 // master's conflict class (empty = all tables). `token` is echoed in the
-// AckMsg so concurrent recoveries (multi-class) can tell their acks apart.
+// DiscardAck so concurrent recoveries (multi-class) can tell their acks
+// apart.
 struct DiscardAbove {
   VersionVec confirmed;
   std::vector<storage::TableId> tables;
   uint64_t token = 0;
+};
+// Replica -> scheduler: the discard is done. `received` is the replica's
+// post-discard received vector. The recovering scheduler elects the most
+// caught-up candidate from these — under quorum commit a client-acked
+// write may live on only a quorum of replicas, so electing an arbitrary
+// survivor could lose it.
+struct DiscardAck {
+  uint64_t token = 0;
+  VersionVec received;
 };
 
 // Scheduler -> elected slave: become master for these tables.
@@ -185,9 +187,6 @@ struct ReplicaSetUpdate {
 
 struct JoinRequest {
   NodeId joiner = net::kNoNode;
-  // Elastic scale-out: the joiner wants to come up as a spare backup
-  // rather than an active slave.
-  bool as_spare = false;
 };
 struct JoinInfo {
   std::vector<NodeId> masters;    // one per conflict class
@@ -224,7 +223,6 @@ struct PageChunk {
 // Joiner -> scheduler: migration finished, add me to the read rotation.
 struct JoinComplete {
   NodeId joiner = net::kNoNode;
-  bool as_spare = false;  // see JoinRequest::as_spare
 };
 
 // ---- spare-backup warm-up (§4.5) ----
@@ -253,4 +251,19 @@ struct SchedulerDown {
   NodeId scheduler = net::kNoNode;
 };
 
+using Message =
+    std::variant<ClientRequest, ClientReply, ExecTxn, TxnDone, WriteSetMsg,
+                 WriteSetBatchMsg, CumAckMsg, AbortAllRequest, AbortAllReply,
+                 DiscardAbove, DiscardAck, PromoteToMaster, PromoteDone,
+                 ReplicaSetUpdate, JoinRequest, JoinInfo, SubscribeRequest,
+                 SubscribeReply, PageRequest, PageChunk, JoinComplete,
+                 PageIdHint, VersionGossip, TopologyGossip, SchedulerDown>;
+using Envelope = net::Envelope<Message>;
+
 }  // namespace dmv::core
+
+namespace dmv::net {
+// The cluster's network, instantiated once, in core/messages.cpp.
+using Network = BasicNetwork<core::Message>;
+extern template class BasicNetwork<core::Message>;
+}  // namespace dmv::net

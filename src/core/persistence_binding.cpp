@@ -38,7 +38,6 @@ PersistenceBinding::PersistenceBinding(sim::Simulation& sim, Config cfg,
         sim, "backend" + std::to_string(i), cfg_.engine);
     b.engine->build_schema(schema_);
     b.wake = std::make_unique<sim::WaitQueue>(sim);
-    b.drain = std::make_unique<sim::WaitQueue>(sim);
     backends_.push_back(std::move(b));
   }
 }
@@ -68,7 +67,6 @@ void PersistenceBinding::stop() {
     if (b.alive) *b.alive = false;
     b.alive.reset();
     if (b.wake) b.wake->notify_all(false);
-    if (b.drain) b.drain->notify_all(false);
   }
   ck_wq_.notify_all(false);
   attach_wq_.notify_all(false);
@@ -183,7 +181,6 @@ void PersistenceBinding::kill_backend(size_t idx) {
   if (b.alive) *b.alive = false;
   b.alive.reset();
   b.wake->notify_all(false);
-  b.drain->notify_all(false);
   obs::instant("persist.backend_kill", obs::Cat::Recovery, uint32_t(idx));
   obs::count("persist.backend_kills", uint32_t(idx));
 }
@@ -252,7 +249,6 @@ sim::Task<> PersistenceBinding::applier_loop(size_t idx,
       continue;
     }
     if (b.applied_log_seq >= total_seq()) {
-      b.drain->notify_all();
       const bool ok = co_await b.wake->wait();
       if (!ok || !*alive || !*binding_alive) co_return;
       continue;
@@ -302,19 +298,6 @@ sim::Task<> PersistenceBinding::checkpoint_loop(std::shared_ptr<bool> alive) {
     // will re-attach on restart) while live ones never lose their suffix.
     if (any) truncate_to(horizon);
     export_gauges();
-  }
-}
-
-sim::Task<> PersistenceBinding::catch_up(size_t idx) {
-  Backend& b = backends_[idx];
-  if (!alive_ || !b.live) co_return;
-  std::shared_ptr<bool> alive = b.alive;
-  std::shared_ptr<bool> binding_alive = alive_;
-  const uint64_t target = total_seq();
-  b.wake->notify_all();
-  while (*alive && *binding_alive && b.applied_log_seq < target) {
-    const bool ok = co_await b.drain->wait();
-    if (!ok) co_return;
   }
 }
 

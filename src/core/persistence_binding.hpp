@@ -102,10 +102,6 @@ class PersistenceBinding {
   void kill_backend(size_t idx);
   void restart_backend(size_t idx);
 
-  // Kick backend `idx`'s applier and wait until it reaches the log tail as
-  // of the call (returns early if the backend or binding dies).
-  sim::Task<> catch_up(size_t idx);
-
   // Disaster recovery (§4.6): materialized table images equal to backend
   // `idx`'s disk state plus the in-order fold of the retained log suffix
   // it has not applied. Requires backend_recoverable(idx). Post-image
@@ -136,8 +132,7 @@ class PersistenceBinding {
     bool live = true;
     bool attaching = false;          // waiting for / running a re-attach
     std::shared_ptr<bool> alive;     // per-incarnation kill flag
-    std::unique_ptr<sim::WaitQueue> wake;   // applier sleeps at the tail
-    std::unique_ptr<sim::WaitQueue> drain;  // catch_up waiters
+    std::unique_ptr<sim::WaitQueue> wake;  // applier sleeps at the tail
   };
 
   sim::Task<> applier_loop(size_t idx, std::shared_ptr<bool> alive);

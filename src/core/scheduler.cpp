@@ -269,70 +269,71 @@ sim::Task<> Scheduler::main_loop() {
     auto env = co_await mailbox.receive();
     if (!env || !*alive) break;
 
-    if (auto* req = net::as<ClientRequest>(*env)) {
-      handle_client(std::move(*req));
-    } else if (const auto* done = net::as<TxnDone>(*env)) {
-      handle_txn_done(env->from, *done);
-    } else if (const auto* g = net::as<VersionGossip>(*env)) {
-      merge_versions(g->version);
-    } else if (const auto* tg = net::as<TopologyGossip>(*env)) {
-      if (tg->masters.size() == classes_.size())
-        for (size_t c = 0; c < classes_.size(); ++c)
-          classes_[c].master = tg->masters[c];
-      slaves_ = tg->slaves;
-      spares_ = tg->spares;
-      // Gossip sent before a retirement began must not reinstate the
-      // retiree into this scheduler's routing lists mid-drain.
-      for (NodeId r : retiring_) {
-        erase_value(slaves_, r);
-        erase_value(spares_, r);
-      }
-      // Likewise a node mid-§4.4 join: a peer with an older view may still
-      // list it as a slave or spare. Adopting the entry would route reads
-      // to a stale replica — and a listed joiner wedges forever, because
-      // answer_or_park_join treats any joiner already in the topology as a
-      // not-yet-buried prior incarnation and rejects its retries.
-      for (NodeId j : joining_) {
-        erase_value(slaves_, j);
-        erase_value(spares_, j);
-      }
-    } else if (const auto* ack = net::as<AckMsg>(*env)) {
-      // DiscardAbove ack; the token routes it to its recovery's wait.
-      auto it = discard_waits_.find(ack->seq);
-      if (it != discard_waits_.end() && it->second.pending.erase(env->from)) {
-        it->second.received[env->from] = ack->received;
-        it->second.wq.notify_all();
-      }
-    } else if (const auto* pd = net::as<PromoteDone>(*env)) {
-      for (auto& [tok, w] : promote_waits_)
-        if (w.target == env->from && !w.reply) {
-          w.reply = *pd;
-          w.wq.notify_all();
-          break;
+    const NodeId from = env->from;
+    std::visit(net::Overloaded{
+      [&](ClientRequest& req) { handle_client(std::move(req)); },
+      [&](const TxnDone& done) { handle_txn_done(from, done); },
+      [&](const VersionGossip& g) { merge_versions(g.version); },
+      [&](const TopologyGossip& tg) {
+        if (tg.masters.size() == classes_.size())
+          for (size_t c = 0; c < classes_.size(); ++c)
+            classes_[c].master = tg.masters[c];
+        slaves_ = tg.slaves;
+        spares_ = tg.spares;
+        // Gossip sent before a retirement began must not reinstate the
+        // retiree into this scheduler's routing lists mid-drain.
+        for (NodeId r : retiring_) {
+          erase_value(slaves_, r);
+          erase_value(spares_, r);
         }
-    } else if (const auto* ar = net::as<AbortAllReply>(*env)) {
-      merge_versions(ar->version);
-      if (takeover_wait_ && takeover_wait_->pending.erase(env->from))
-        takeover_wait_->wq.notify_all();
-    } else if (const auto* jr = net::as<JoinRequest>(*env)) {
-      answer_or_park_join(jr->joiner);
-    } else if (const auto* jc = net::as<JoinComplete>(*env)) {
-      ++stats_.joins_completed;
-      joining_.erase(jc->joiner);
-      erase_value(slaves_, jc->joiner);
-      erase_value(spares_, jc->joiner);
-      // A fresh incarnation joins with nothing outstanding and no tag;
-      // pre-crash routing state must not skew reads against it.
-      outstanding_per_node_.erase(jc->joiner);
-      last_tag_.erase(jc->joiner);
-      if (jc->as_spare)
-        spares_.push_back(jc->joiner);
-      else
-        slaves_.push_back(jc->joiner);
-      broadcast_replica_sets();
-      gossip_topology();
-      pump_held_reads();
-    }
+        // Likewise a node mid-§4.4 join: a peer with an older view may still
+        // list it as a slave or spare. Adopting the entry would route reads
+        // to a stale replica — and a listed joiner wedges forever, because
+        // answer_or_park_join treats any joiner already in the topology as a
+        // not-yet-buried prior incarnation and rejects its retries.
+        for (NodeId j : joining_) {
+          erase_value(slaves_, j);
+          erase_value(spares_, j);
+        }
+      },
+      [&](const DiscardAck& ack) {
+        // The token routes the ack to its recovery's wait.
+        auto it = discard_waits_.find(ack.token);
+        if (it != discard_waits_.end() && it->second.pending.erase(from)) {
+          it->second.received[from] = ack.received;
+          it->second.wq.notify_all();
+        }
+      },
+      [&](const PromoteDone& pd) {
+        for (auto& [tok, w] : promote_waits_)
+          if (w.target == from && !w.reply) {
+            w.reply = pd;
+            w.wq.notify_all();
+            break;
+          }
+      },
+      [&](const AbortAllReply& ar) {
+        merge_versions(ar.version);
+        if (takeover_wait_ && takeover_wait_->pending.erase(from))
+          takeover_wait_->wq.notify_all();
+      },
+      [&](const JoinRequest& jr) { answer_or_park_join(jr.joiner); },
+      [&](const JoinComplete& jc) {
+        ++stats_.joins_completed;
+        joining_.erase(jc.joiner);
+        erase_value(slaves_, jc.joiner);
+        erase_value(spares_, jc.joiner);
+        // A fresh incarnation joins with nothing outstanding and no tag;
+        // pre-crash routing state must not skew reads against it.
+        outstanding_per_node_.erase(jc.joiner);
+        last_tag_.erase(jc.joiner);
+        slaves_.push_back(jc.joiner);
+        broadcast_replica_sets();
+        gossip_topology();
+        pump_held_reads();
+      },
+      [](const auto&) {},  // engine- and client-bound messages
+    }, env->msg);
   }
 }
 

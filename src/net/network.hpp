@@ -34,88 +34,66 @@
 // loss. Parked messages still pass the sealed-
 // connection check at flush time, so a sender that died mid-partition
 // cannot leak stale stream data after the heal.
+//
+// The network is a class template over its closed message set, a
+// std::variant: an envelope carries the payload by value, receivers
+// dispatch with std::visit or std::get_if, and per-type statistics are
+// indexed by the alternative's position. The cluster's instantiation,
+// net::Network, is declared next to its message set in core/messages.hpp.
 #pragma once
 
-#include <any>
+#include <algorithm>
 #include <array>
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "net/topology.hpp"
+#include "obs/trace.hpp"
 #include "sim/sync.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace dmv::net {
 
 constexpr NodeId kNoNode = UINT32_MAX;
 
-// Dense id of payload type T, assigned on the type's first use. Every
-// envelope carries its payload's id: as<T> dispatches on it, and it
-// indexes Network's per-type statistics.
-namespace detail {
-constexpr uint32_t kNoPayloadType = UINT32_MAX;
-inline std::atomic<uint32_t> next_payload_type{0};
-template <typename T>
-uint32_t payload_type() {
-  static const uint32_t id = next_payload_type++;
-  return id;
-}
-}  // namespace detail
-
-// A message in flight or in a mailbox. The payload is type-erased, and
-// of<T>() is the only way to attach one, so every envelope that carries a
-// payload carries its type id too. A default-constructed envelope is empty
-// and matches no type.
-class Envelope {
- public:
+// A message in flight or in a mailbox.
+template <typename Msg>
+struct Envelope {
   NodeId from = kNoNode;
   NodeId to = kNoNode;
-
-  Envelope() = default;
-  template <typename T>
-  static Envelope of(NodeId from, NodeId to, T payload) {
-    static_assert(!std::is_same_v<T, std::any>,
-                  "send a concrete payload type: dispatch is by type id");
-    Envelope e;
-    e.from = from;
-    e.to = to;
-    e.type_ = detail::payload_type<T>();
-    e.payload_ = std::move(payload);
-    return e;
-  }
-  uint32_t type() const { return type_; }
-
- private:
-  template <typename T>
-  friend const T* as(const Envelope& env);
-  template <typename T>
-  friend T* as(Envelope& env);
-
-  uint32_t type_ = detail::kNoPayloadType;
-  std::any payload_;
+  Msg msg;
 };
 
-// Typed payload access: returns nullptr if the envelope holds another
-// type. The id compare settles every miss of a dispatch chain; only the
-// matching type reaches std::any_cast. The mutable form lets a receiver
-// move the payload out instead of copying it.
-template <typename T>
-const T* as(const Envelope& env) {
-  if (env.type_ != detail::payload_type<T>()) return nullptr;
-  return std::any_cast<T>(&env.payload_);
-}
-template <typename T>
-T* as(Envelope& env) {
-  if (env.type_ != detail::payload_type<T>()) return nullptr;
-  return std::any_cast<T>(&env.payload_);
-}
+// Call operators from several lambdas, for std::visit over a message.
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+// Position of T among the alternatives of the variant Msg; a compile
+// error unless T is exactly one of them.
+template <typename T, typename Msg>
+struct IndexOf;
+template <typename T, typename... Ts>
+struct IndexOf<T, std::variant<Ts...>> {
+  static_assert((std::is_same_v<T, Ts> + ...) == 1,
+                "not a message type of this network");
+  static constexpr size_t value = [] {
+    size_t i = 0;
+    (void)((std::is_same_v<T, Ts> ? false : (++i, true)) && ...);
+    return i;
+  }();
+};
 
 struct NetworkConfig {
   sim::Time base_latency = 100 * sim::kUsec;   // per-message propagation
@@ -124,17 +102,28 @@ struct NetworkConfig {
   uint64_t jitter_seed = 0x7c4a1d6f0b9e3325ull;  // per-message jitter stream
 };
 
-class Network {
+template <typename Msg>
+class BasicNetwork {
  public:
-  Network(sim::Simulation& sim, NetworkConfig cfg = {});
+  BasicNetwork(sim::Simulation& sim, NetworkConfig cfg = {});
 
   NodeId add_node(std::string name);
 
-  const std::string& name(NodeId id) const;
+  const std::string& name(NodeId id) const {
+    DMV_ASSERT(id < nodes_.size());
+    return nodes_[id].name;
+  }
   // Reverse lookup by registered name; kNoNode if absent. Fault plans
   // address nodes by name ("master", "slave0", "sched1", ...).
-  NodeId find_node(std::string_view name) const;
-  bool alive(NodeId id) const;
+  NodeId find_node(std::string_view name) const {
+    for (NodeId id = 0; id < nodes_.size(); ++id)
+      if (nodes_[id].name == name) return id;
+    return kNoNode;
+  }
+  bool alive(NodeId id) const {
+    DMV_ASSERT(id < nodes_.size());
+    return nodes_[id].alive;
+  }
   // Incarnation of the node: bumped by every restart().
   uint64_t epoch(NodeId id) const { return nodes_.at(id).epoch; }
 
@@ -144,21 +133,35 @@ class Network {
   const Topology& topology() const { return topo_; }
 
   // Deliver `payload` to `to` after link latency. Silently dropped if either
-  // end is dead (fail-stop model).
+  // end is dead (fail-stop model). `bytes` is the simulated wire size.
   template <typename T>
   void send(NodeId from, NodeId to, T payload, size_t bytes = 256) {
-    send_envelope(Envelope::of(from, to, std::move(payload)), bytes);
+    send_envelope({from, to, Msg(std::in_place_type<T>, std::move(payload))},
+                  bytes);
   }
 
-  sim::Channel<Envelope>& mailbox(NodeId id);
+  sim::Channel<Envelope<Msg>>& mailbox(NodeId id) {
+    DMV_ASSERT(id < nodes_.size());
+    return *nodes_[id].mailbox;
+  }
 
   void kill(NodeId id);
-  void restart(NodeId id);
+  void restart(NodeId id) {
+    DMV_ASSERT(id < nodes_.size());
+    if (nodes_[id].alive) return;
+    nodes_[id].alive = true;
+    ++nodes_[id].epoch;  // a fresh incarnation: old connections stay dead
+    nodes_[id].mailbox->reopen();
+  }
 
   // Extra per-message latency on one link, both directions (0 to clear).
   // Per-link FIFO order is preserved; fault plans use this to stretch
   // protocol windows deterministically.
-  void set_link_delay(NodeId a, NodeId b, sim::Time extra);
+  void set_link_delay(NodeId a, NodeId b, sim::Time extra) {
+    DMV_ASSERT(extra >= 0);
+    DMV_ASSERT(a < nodes_.size() && b < nodes_.size());
+    link(a, b).extra = link(b, a).extra = extra;
+  }
 
   // Region partition control. Directed: traffic from `a` to `b` parks at
   // the delivery point until healed, then flushes in FIFO order (TCP rides
@@ -166,14 +169,21 @@ class Network {
   // `both_ways` cuts/heals the reverse direction too.
   void partition_regions(RegionId a, RegionId b, bool both_ways = true);
   void heal_partition(RegionId a, RegionId b, bool both_ways = true);
-  void heal_all_partitions();
-  bool regions_partitioned(RegionId from, RegionId to) const;
+  void heal_all_partitions() {
+    region_cuts_.clear();
+    flush_parked();
+  }
+  bool regions_partitioned(RegionId from, RegionId to) const {
+    return !region_cuts_.empty() && region_cuts_.count({from, to}) > 0;
+  }
 
   // Subscribers are told about every node death once per link class, at
   // that class's detect delay, so callers can notify same-region observers
   // before cross-region ones.
   void subscribe_failures_by_class(
-      std::function<void(NodeId, LinkClass)> cb);
+      std::function<void(NodeId, LinkClass)> cb) {
+    class_failure_subs_.push_back(std::move(cb));
+  }
 
   // The longest broken-connection detect delay over all link classes: by
   // this long after a kill, every peer has observed the death.
@@ -193,11 +203,11 @@ class Network {
   };
   template <typename T>
   PayloadStats stats_of() const {
-    return stat_at(payload_stats_, detail::payload_type<T>());
+    return payload_stats_[IndexOf<T, Msg>::value];
   }
   template <typename T>
   PayloadStats stats_of(LinkClass c) const {
-    return stat_at(class_stats_[size_t(c)], detail::payload_type<T>());
+    return class_stats_[size_t(c)][IndexOf<T, Msg>::value];
   }
 
   // Bytes sent but not yet delivered (or dropped) on links of a class —
@@ -210,11 +220,9 @@ class Network {
   const NetworkConfig& config() const { return cfg_; }
 
  private:
-  static PayloadStats stat_at(const std::vector<PayloadStats>& v,
-                              uint32_t type) {
-    return type < v.size() ? v[type] : PayloadStats{};
-  }
-  void send_envelope(Envelope env, size_t bytes);
+  using TypeStats = std::array<PayloadStats, std::variant_size_v<Msg>>;
+
+  void send_envelope(Envelope<Msg> env, size_t bytes);
 
   struct Node {
     std::string name;
@@ -223,36 +231,26 @@ class Network {
     // how long a dead incarnation's in-flight messages keep arriving.
     uint64_t epoch = 0;
     sim::Time killed_at = 0;
-    std::unique_ptr<sim::Channel<Envelope>> mailbox;
+    std::unique_ptr<sim::Channel<Envelope<Msg>>> mailbox;
   };
 
-  // A message that reached its delivery point while the region pair was
-  // partitioned: queued per directed link, flushed in order on heal.
-  struct Parked {
-    uint64_t epoch = 0;  // sender epoch at send time
-    Envelope env;
-    size_t bytes = 0;
-    LinkClass cls = LinkClass::Intra;
-  };
-
-  // An in-flight message parked in the reusable slab between send() and
-  // its scheduled delivery. Slots are free-listed, so steady-state traffic
-  // allocates nothing per message: the scheduled closure captures only
-  // (this, slot), which fits std::function's inline storage, instead of
-  // moving the payload into a heap-allocated capture.
+  // A message between send() and its delivery point: in a slot of the
+  // flight pool until its scheduled delivery, then, if the region pair is
+  // partitioned, in its link's parked queue until the heal.
   struct Flight {
-    uint64_t epoch = 0;
-    Envelope env;
+    uint64_t epoch = 0;  // sender epoch at send time
+    Envelope<Msg> env;
     size_t bytes = 0;
     LinkClass cls = LinkClass::Intra;
   };
 
-  sim::Time transfer_time(size_t bytes, const LinkClassConfig& lc) const;
+  sim::Time transfer_time(size_t bytes, const LinkClassConfig& lc) const {
+    return lc.base_latency + sim::Time(bytes) * lc.per_kb / 1024;
+  }
   // The delivery point: receiver-alive and sealed-sender checks, then park
   // (partitioned) or hand to the mailbox. Used by both the scheduled send
   // completion and the heal-time flush.
-  void deliver_one(Envelope env, uint64_t epoch, size_t bytes,
-                   LinkClass cls);
+  void deliver_one(Flight fl);
   void flush_parked();
   void account_delivered(size_t bytes, LinkClass cls);
 
@@ -276,17 +274,184 @@ class Network {
   }
   std::vector<std::vector<Link>> links_;
   std::set<std::pair<RegionId, RegionId>> region_cuts_;  // directed
-  std::map<std::pair<NodeId, NodeId>, std::deque<Parked>> parked_;
+  std::map<std::pair<NodeId, NodeId>, std::deque<Flight>> parked_;
   std::vector<std::function<void(NodeId, LinkClass)>> class_failure_subs_;
   uint64_t bytes_sent_ = 0;
   uint64_t messages_sent_ = 0;
-  // Indexed by payload_type(); grown on a type's first send.
-  std::vector<PayloadStats> payload_stats_;
-  std::array<std::vector<PayloadStats>, kNumLinkClasses> class_stats_;
+  // Indexed by the payload's alternative index.
+  TypeStats payload_stats_{};
+  std::array<TypeStats, kNumLinkClasses> class_stats_{};
   std::array<uint64_t, kNumLinkClasses> inflight_bytes_{};
-  // Message pool (see Flight). Grows to the peak in-flight count once.
+  // Flight pool: slots are free-listed, so steady-state traffic allocates
+  // nothing per message. The scheduled delivery captures only (this,
+  // slot), which fits std::function's inline storage. Grows to the peak
+  // in-flight count once.
   std::vector<Flight> flights_;
   std::vector<uint32_t> free_flights_;
 };
+
+// The larger members, defined out of line and so not inline: a message
+// set's instantiation can be declared `extern template` and built once.
+
+template <typename Msg>
+BasicNetwork<Msg>::BasicNetwork(sim::Simulation& sim, NetworkConfig cfg)
+    : sim_(sim), cfg_(cfg), jitter_rng_(cfg.jitter_seed) {
+  // Both link classes start flat: a topology nobody touches behaves exactly
+  // like the pre-geo single-constant network.
+  for (size_t c = 0; c < kNumLinkClasses; ++c) {
+    LinkClassConfig& lc = topo_.link(LinkClass(c));
+    lc.base_latency = cfg_.base_latency;
+    lc.per_kb = cfg_.per_kb;
+    lc.jitter = 0;
+    lc.detect_delay = cfg_.detect_delay;
+  }
+}
+
+template <typename Msg>
+NodeId BasicNetwork<Msg>::add_node(std::string name) {
+  const NodeId id = static_cast<NodeId>(nodes_.size());
+  nodes_.push_back(Node{std::move(name), true, 0, 0,
+                        std::make_unique<sim::Channel<Envelope<Msg>>>(sim_)});
+  links_.emplace_back();
+  obs::name_node(id, nodes_.back().name);
+  return id;
+}
+
+template <typename Msg>
+void BasicNetwork<Msg>::account_delivered(size_t bytes, LinkClass cls) {
+  DMV_ASSERT(inflight_bytes_[size_t(cls)] >= bytes);
+  inflight_bytes_[size_t(cls)] -= bytes;
+  obs::gauge("net.inflight_bytes", uint32_t(cls),
+             double(inflight_bytes_[size_t(cls)]));
+}
+
+template <typename Msg>
+void BasicNetwork<Msg>::deliver_one(Flight fl) {
+  const NodeId from = fl.env.from;
+  const NodeId to = fl.env.to;
+  // Receiver may have died while the message was in flight.
+  if (!nodes_[to].alive) {
+    account_delivered(fl.bytes, fl.cls);
+    return;
+  }
+  // Sender may have died too. Its in-flight bytes still arrive — until the
+  // receiver observes the broken connection (the link class's detect delay
+  // after the kill). Past that point the connection is sealed: delivering
+  // would hand the receiver data from a stream every peer has already
+  // pronounced dead — e.g. a write-set batch on a slowed link resurrecting
+  // versions a fail-over discarded.
+  const Node& src = nodes_[from];
+  if ((!src.alive || src.epoch != fl.epoch) &&
+      sim_.now() >= src.killed_at + topo_.link(fl.cls).detect_delay) {
+    account_delivered(fl.bytes, fl.cls);
+    return;
+  }
+  // A region partition parks the message instead of losing it: TCP rides
+  // out the cut and redelivers in order once the route heals.
+  if (regions_partitioned(topo_.region_of(from), topo_.region_of(to))) {
+    parked_[{from, to}].push_back(std::move(fl));
+    return;
+  }
+  account_delivered(fl.bytes, fl.cls);
+  nodes_[to].mailbox->send(std::move(fl.env));
+}
+
+template <typename Msg>
+void BasicNetwork<Msg>::send_envelope(Envelope<Msg> env, size_t bytes) {
+  const NodeId from = env.from;
+  const NodeId to = env.to;
+  DMV_ASSERT(from < nodes_.size() && to < nodes_.size());
+  if (!nodes_[from].alive || !nodes_[to].alive) return;
+  Link& lk = link(from, to);
+
+  const LinkClass cls = topo_.link_class(from, to);
+  const LinkClassConfig& lc = topo_.link(cls);
+
+  bytes_sent_ += bytes;
+  ++messages_sent_;
+  for (TypeStats* s : {&payload_stats_, &class_stats_[size_t(cls)]}) {
+    ++(*s)[env.msg.index()].messages;
+    (*s)[env.msg.index()].bytes += bytes;
+  }
+  obs::count("net.bytes", from, double(bytes));
+  obs::gauge("net.link_rtt", uint32_t(cls), double(topo_.rtt(cls)));
+  inflight_bytes_[size_t(cls)] += bytes;
+  obs::gauge("net.inflight_bytes", uint32_t(cls),
+             double(inflight_bytes_[size_t(cls)]));
+
+  sim::Time extra = lk.extra;
+  if (lc.jitter > 0) extra += sim::Time(jitter_rng_.below(lc.jitter + 1));
+
+  const sim::Time deliver_at =
+      std::max(sim_.now() + transfer_time(bytes, lc) + extra, lk.clock);
+  lk.clock = deliver_at;
+
+  uint32_t slot;
+  if (!free_flights_.empty()) {
+    slot = free_flights_.back();
+    free_flights_.pop_back();
+  } else {
+    slot = uint32_t(flights_.size());
+    flights_.emplace_back();
+  }
+  flights_[slot] = Flight{nodes_[from].epoch, std::move(env), bytes, cls};
+  sim_.schedule_at(deliver_at, [this, slot] {
+    Flight fl = std::exchange(flights_[slot], Flight{});
+    free_flights_.push_back(slot);
+    deliver_one(std::move(fl));
+  });
+}
+
+template <typename Msg>
+void BasicNetwork<Msg>::kill(NodeId id) {
+  DMV_ASSERT(id < nodes_.size());
+  if (!nodes_[id].alive) return;
+  obs::instant("node.killed", obs::Cat::Recovery, id);
+  nodes_[id].alive = false;
+  nodes_[id].killed_at = sim_.now();
+  nodes_[id].mailbox->close();
+  // Detection happens in waves: peers on each link class observe the broken
+  // connection after that class's delay.
+  if (!class_failure_subs_.empty()) {
+    for (size_t c = 0; c < kNumLinkClasses; ++c) {
+      const LinkClass cls = LinkClass(c);
+      sim_.schedule_after(topo_.link(cls).detect_delay, [this, id, cls] {
+        for (auto& cb : class_failure_subs_) cb(id, cls);
+      });
+    }
+  }
+}
+
+template <typename Msg>
+void BasicNetwork<Msg>::partition_regions(RegionId a, RegionId b,
+                                          bool both_ways) {
+  DMV_ASSERT(a < topo_.region_count() && b < topo_.region_count());
+  obs::instant("net.partition", obs::Cat::Net);
+  region_cuts_.insert({a, b});
+  if (both_ways) region_cuts_.insert({b, a});
+}
+
+template <typename Msg>
+void BasicNetwork<Msg>::heal_partition(RegionId a, RegionId b,
+                                       bool both_ways) {
+  region_cuts_.erase({a, b});
+  if (both_ways) region_cuts_.erase({b, a});
+  flush_parked();
+}
+
+template <typename Msg>
+void BasicNetwork<Msg>::flush_parked() {
+  obs::instant("net.heal_partition", obs::Cat::Net);
+  for (auto& [link, q] : parked_) {
+    if (regions_partitioned(topo_.region_of(link.first),
+                            topo_.region_of(link.second)))
+      continue;
+    // Replay in FIFO order through the normal delivery point: the sealed-
+    // connection and liveness checks re-run against heal-time state.
+    std::deque<Flight> drain;
+    drain.swap(q);
+    for (auto& fl : drain) deliver_one(std::move(fl));
+  }
+}
 
 }  // namespace dmv::net

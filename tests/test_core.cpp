@@ -519,32 +519,6 @@ txn::OpLogPtr persist_op(int64_t id, int64_t bal) {
       std::vector<txn::OpRecord>{op});
 }
 
-// Regression: concurrent catch_up() drains racing the applier loop used to
-// double-apply records (both paths consumed the same feed). The cursor
-// design makes the applier the only consumer; every record is applied
-// exactly once no matter how many drains are in flight.
-TEST(PersistenceBinding, ConcurrentCatchUpAppliesEachRecordOnce) {
-  sim::Simulation sim;
-  PersistenceBinding::Config pcfg;
-  pcfg.backends = 1;
-  pcfg.checkpoint_period = 0;
-  PersistenceBinding pb(sim, pcfg, demo_schema);
-  pb.load(demo_image());
-  pb.start();
-  for (int64_t i = 0; i < 6; ++i)
-    pb.log_update(persist_op(i, i * 10 + 7), {uint64_t(i + 1)});
-  sim.spawn(pb.catch_up(0));
-  sim.spawn(pb.catch_up(0));
-  sim.run();
-  EXPECT_TRUE(pb.drained());
-  EXPECT_EQ(pb.backend_applied(0), 6u);
-  EXPECT_EQ(pb.backend(0).stats().records_applied, 6u);
-  auto& tb = pb.backend(0).db().table(0);
-  auto rid = tb.pk_find(K(int64_t{4}));
-  ASSERT_TRUE(rid.has_value());
-  EXPECT_EQ(std::get<int64_t>(tb.read_row(*rid)[1]), 47);
-}
-
 // Regression: the scheduler's persist_ hook can fire after stop() — a
 // TxnDone still draining through a failing-over scheduler. log_update must
 // drop it instead of waking appliers whose frames are unwinding.
@@ -1092,7 +1066,7 @@ TEST(Failover, ResubmissionAfterPromotionCarriesResult) {
                    std::optional<ClientReply>& out) -> sim::Task<> {
       auto env = co_await net.mailbox(me).receive();
       if (!env) co_return;
-      if (const auto* r = net::as<ClientReply>(*env)) out = *r;
+      if (const auto* r = std::get_if<ClientReply>(&env->msg)) out = *r;
     }(f.net, me, out));
   };
 
@@ -1149,8 +1123,9 @@ TEST(CommittedMarks, DenseMarksReackAndDiscardAboveResetsOnlyHigherOnes) {
     for (;;) {
       auto env = co_await net.mailbox(me).receive();
       if (!env) co_return;
-      if (const auto* d = net::as<TxnDone>(*env)) done[d->req_id] = *d;
-      if (net::as<PromoteDone>(*env)) promoted = true;
+      if (const auto* d = std::get_if<TxnDone>(&env->msg))
+        done[d->req_id] = *d;
+      if (std::get_if<PromoteDone>(&env->msg)) promoted = true;
     }
   }(f.net, me, done, promoted));
   uint64_t next_req = 1;
@@ -1212,26 +1187,26 @@ TEST(CommittedMarks, DenseMarksReackAndDiscardAboveResetsOnlyHigherOnes) {
 TEST(SchedulerDown, SynthesizedNoticeDispatchesByType) {
   // A client learns of a scheduler's death from a SchedulerDown the
   // cluster puts straight into its mailbox. It must dispatch like any sent
-  // message: as<SchedulerDown> matches, the reply types do not.
+  // message: it holds a SchedulerDown, not a reply type.
   DmvCluster::Config cfg;
   cfg.schedulers = 2;
   Fixture f(cfg);
   auto client = f.cluster->make_client("c");
   const NodeId victim = f.cluster->scheduler_ids()[0];
-  std::optional<net::Envelope> got;
+  std::optional<Envelope> got;
   f.sim.spawn([](net::Network& net, NodeId id,
-                 std::optional<net::Envelope>& got) -> sim::Task<> {
+                 std::optional<Envelope>& got) -> sim::Task<> {
     got = co_await net.mailbox(id).receive();
   }(f.net, client->id(), got));
   f.cluster->kill_scheduler(0);
   f.sim.run(f.sim.now() + sim::kSec);
   ASSERT_TRUE(got.has_value());
-  const auto* down = net::as<SchedulerDown>(*got);
+  const auto* down = std::get_if<SchedulerDown>(&got->msg);
   ASSERT_NE(down, nullptr);
   EXPECT_EQ(down->scheduler, victim);
   EXPECT_EQ(got->from, client->id());
-  EXPECT_EQ(net::as<ClientReply>(*got), nullptr);
-  EXPECT_EQ(net::as<TxnDone>(*got), nullptr);
+  EXPECT_EQ(std::get_if<ClientReply>(&got->msg), nullptr);
+  EXPECT_EQ(std::get_if<TxnDone>(&got->msg), nullptr);
 }
 
 TEST(DmvCluster, ReplicasShareOneWriteSetPayload) {
@@ -1286,11 +1261,11 @@ TEST(DmvCluster, BatchedReplicationCoalescesAndPreservesOrder) {
     EXPECT_TRUE(out->ok);
   }
   // Concurrent write-sets coalesced into WriteSetBatchMsg; replicas
-  // answered with cumulative acks; the per-write-set AckMsg is gone from
-  // the replication path (it only carries DiscardAbove acks now).
+  // answered with cumulative acks; the only other ack, DiscardAck,
+  // answers a fail-over's DiscardAbove, so none was sent here.
   EXPECT_GT(f.net.stats_of<WriteSetBatchMsg>().messages, 0u);
   EXPECT_GT(f.net.stats_of<CumAckMsg>().messages, 0u);
-  EXPECT_EQ(f.net.stats_of<AckMsg>().messages, 0u);
+  EXPECT_EQ(f.net.stats_of<DiscardAck>().messages, 0u);
   EXPECT_LT(f.net.stats_of<WriteSetMsg>().messages +
                 f.net.stats_of<WriteSetBatchMsg>().messages,
             uint64_t(kDeposits) * 2);
@@ -1664,7 +1639,8 @@ TEST(MemEngine, RacingReaderPastTagAbortsAndCounts) {
     for (int i = 0; i < 2; ++i) {
       auto env = co_await net.mailbox(me).receive();
       if (!env) co_return;
-      if (const auto* d = net::as<TxnDone>(*env)) done[d->req_id] = *d;
+      if (const auto* d = std::get_if<TxnDone>(&env->msg))
+        done[d->req_id] = *d;
     }
   }(f.net, me, done));
   send_read(1, 1);  // applies the pending v1 mod on first touch
@@ -1717,30 +1693,6 @@ TEST(Elastic, AddSlaveJoinsAndServesReads) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->value, 170);  // 7*10 + 100
   EXPECT_GT(f.cluster->node(added).engine().stats().read_commits, 0u);
-}
-
-TEST(Elastic, AddSpareBecomesSpareNotSlave) {
-  DmvCluster::Config cfg;
-  cfg.slaves = 1;
-  cfg.spares = 0;
-  Fixture f(cfg);
-  api::Params dep;
-  dep.set("id", int64_t{1}).set("amt", int64_t{5});
-  ASSERT_TRUE(f.request("deposit", dep).has_value());
-  const NodeId spare = f.cluster->add_spare();
-  f.sim.run(f.sim.now() + 10 * sim::kSec);
-  // Joined as a warm standby: subscribed to the stream, not in the read
-  // rotation until a fail-over pulls it in.
-  ASSERT_EQ(f.cluster->scheduler().spares().size(), 1u);
-  EXPECT_EQ(f.cluster->scheduler().spares()[0], spare);
-  EXPECT_EQ(f.cluster->scheduler().slaves().size(), 1u);
-
-  // A master death promotes a replica and pulls the caught-up spare into
-  // the read rotation (whichever of the two won the election).
-  f.cluster->kill_node(f.cluster->master_id());
-  f.sim.run(f.sim.now() + sim::kSec);
-  EXPECT_EQ(f.cluster->scheduler().slaves().size(), 1u);
-  EXPECT_TRUE(f.cluster->scheduler().spares().empty());
 }
 
 TEST(Elastic, AddSchedulerAdoptsLiveTopologyAndServes) {
@@ -1944,7 +1896,7 @@ TEST(Elastic, JoinSupportSkipsMidJoinSlaves) {
                  std::optional<JoinInfo>& info) -> sim::Task<> {
     auto env = co_await net.mailbox(me).receive();
     if (!env) co_return;
-    if (const auto* ji = net::as<JoinInfo>(*env)) info = *ji;
+    if (const auto* ji = std::get_if<JoinInfo>(&env->msg)) info = *ji;
   }(f.net, me, info));
   f.net.send(me, f.cluster->scheduler_ids()[0], JoinRequest{me});
   f.sim.run(f.sim.now() + sim::kMsec);

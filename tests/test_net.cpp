@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "net/network.hpp"
@@ -12,6 +13,20 @@ namespace {
 struct Ping {
   int n;
 };
+struct Pong {
+  std::string text;
+};
+struct Down {
+  NodeId who;
+};
+struct Tick {
+  uint64_t seq = 0;
+};
+
+// The test's closed message set, standing in for core::Message.
+using TestMsg = std::variant<Ping, Pong, Down, Tick>;
+using Network = BasicNetwork<TestMsg>;
+using Env = Envelope<TestMsg>;
 
 struct Fixture {
   sim::Simulation sim;
@@ -30,7 +45,7 @@ TEST(Network, DeliversWithLatency) {
     EXPECT_TRUE(env.has_value());
     if (!env) co_return;
     t = f.sim.now();
-    v = as<Ping>(*env)->n;
+    v = std::get<Ping>(env->msg).n;
   }(f, b, arrival, value));
   f.net.send(a, b, Ping{41}, 1024);
   f.sim.run();
@@ -47,7 +62,7 @@ TEST(Network, FifoPerLinkEvenWithSizeSkew) {
   f.sim.spawn([](Fixture& f, NodeId b, std::vector<int>& got) -> sim::Task<> {
     for (int i = 0; i < 3; ++i) {
       auto env = co_await f.net.mailbox(b).receive();
-      got.push_back(as<Ping>(*env)->n);
+      got.push_back(std::get<Ping>(env->msg).n);
     }
   }(f, b, got));
   // Big message first: smaller later messages must not overtake it.
@@ -121,7 +136,7 @@ TEST(Network, DeadSenderStreamSealsAtDetection) {
     for (;;) {
       auto env = co_await f.net.mailbox(b).receive();
       if (!env) co_return;
-      got.push_back(as<Ping>(*env)->n);
+      got.push_back(std::get<Ping>(env->msg).n);
     }
   }(f, b, got));
   f.net.send(a, b, Ping{1});  // arrives ~400: before detection (500)
@@ -152,7 +167,7 @@ TEST(Network, RestartReopensMailbox) {
   int got = 0;
   f.sim.spawn([](Fixture& f, NodeId b, int& got) -> sim::Task<> {
     auto env = co_await f.net.mailbox(b).receive();
-    got = as<Ping>(*env)->n;
+    got = std::get<Ping>(env->msg).n;
   }(f, b, got));
   f.net.send(a, b, Ping{5});
   f.sim.run();
@@ -184,7 +199,7 @@ TEST(Network, FifoPreservedAcrossManyInterleavedSenders) {
     for (;;) {
       auto env = co_await f.net.mailbox(dst).receive();
       if (!env) break;
-      const int n = as<Ping>(*env)->n;
+      const int n = std::get<Ping>(env->msg).n;
       if (last.count(env->from) && n != last[env->from] + 1)
         violated = true;
       last[env->from] = n;
@@ -238,6 +253,18 @@ TEST(Topology, CrossRegionLinksPayTheirOwnCosts) {
   EXPECT_EQ(f.net.stats_of<Ping>(LinkClass::Cross).bytes, 1024u);
   EXPECT_EQ(f.net.stats_of<Ping>().messages, 2u);
   EXPECT_EQ(f.net.inflight_bytes(LinkClass::Cross), 0u);
+
+  // A second payload type, of another size, is counted under its own
+  // index and leaves the first type's counts alone.
+  f.net.send(a, b, Pong{"x"}, 300);
+  f.sim.run();
+  EXPECT_EQ(f.net.stats_of<Pong>().messages, 1u);
+  EXPECT_EQ(f.net.stats_of<Pong>().bytes, 300u);
+  EXPECT_EQ(f.net.stats_of<Pong>(LinkClass::Intra).bytes, 300u);
+  EXPECT_EQ(f.net.stats_of<Pong>(LinkClass::Cross).messages, 0u);
+  EXPECT_EQ(f.net.stats_of<Ping>().messages, 2u);
+  EXPECT_EQ(f.net.stats_of<Ping>().bytes, 2048u);
+  EXPECT_EQ(f.net.stats_of<Tick>().messages, 0u);
 }
 
 TEST(Topology, RegionPartitionParksAndFlushesInOrder) {
@@ -255,7 +282,7 @@ TEST(Topology, RegionPartitionParksAndFlushesInOrder) {
     for (;;) {
       auto env = co_await f.net.mailbox(b).receive();
       if (!env) break;
-      got.push_back(as<Ping>(*env)->n);
+      got.push_back(std::get<Ping>(env->msg).n);
     }
   }(f, b, got));
 
@@ -302,36 +329,20 @@ TEST(Topology, DirectedPartitionCutsOneWayOnly) {
   EXPECT_EQ(got_b, 1);
 }
 
-// ---- envelope dispatch by payload type id ----
+// ---- envelopes carry one alternative of the message set ----
 
-struct Pong {
-  std::string text;
-};
-struct Down {
-  NodeId who;
-};
-struct Tick {
-  uint64_t seq = 0;
-};
-
-// Every payload type a dispatch chain in these tests asks for. An
-// envelope must answer as<T> for its own type only.
-int matches(Envelope& env) {
-  const Envelope& c = env;
-  int n = 0;
-  n += as<Ping>(env) != nullptr;
-  n += as<Pong>(env) != nullptr;
-  n += as<Down>(env) != nullptr;
-  n += as<Tick>(env) != nullptr;
-  n += as<int>(env) != nullptr;
-  // The const and mutable forms agree.
-  EXPECT_EQ(as<Ping>(c), as<Ping>(env));
-  EXPECT_EQ(as<Pong>(c), as<Pong>(env));
-  EXPECT_EQ(as<Down>(c), as<Down>(env));
-  return n;
+// Which arm a std::visit over the envelope takes: one per payload type.
+int arm(const Env& env) {
+  return std::visit(Overloaded{
+                        [](const Ping&) { return 0; },
+                        [](const Pong&) { return 1; },
+                        [](const Down&) { return 2; },
+                        [](const Tick&) { return 3; },
+                    },
+                    env.msg);
 }
 
-sim::Task<> collect(Fixture& f, NodeId at, std::vector<Envelope>& got) {
+sim::Task<> collect(Fixture& f, NodeId at, std::vector<Env>& got) {
   for (;;) {
     auto env = co_await f.net.mailbox(at).receive();
     if (!env) co_return;
@@ -339,11 +350,11 @@ sim::Task<> collect(Fixture& f, NodeId at, std::vector<Envelope>& got) {
   }
 }
 
-TEST(Envelope, AsMatchesOnlyItsOwnType) {
+TEST(Envelope, HoldsExactlyTheSentAlternative) {
   Fixture f;
   NodeId a = f.net.add_node("a");
   NodeId b = f.net.add_node("b");
-  std::vector<Envelope> got;
+  std::vector<Env> got;
   f.sim.spawn(collect(f, b, got));
   f.net.send(a, b, Ping{5});
   f.net.send(a, b, Pong{"a payload long enough to live on the heap"});
@@ -351,21 +362,19 @@ TEST(Envelope, AsMatchesOnlyItsOwnType) {
   f.sim.run();
   ASSERT_EQ(got.size(), 3u);
   for (auto& env : got) {
-    EXPECT_EQ(matches(env), 1);
     EXPECT_EQ(env.from, a);
     EXPECT_EQ(env.to, b);
   }
-  EXPECT_EQ(got[0].type(), detail::payload_type<Ping>());
-  EXPECT_EQ(as<Ping>(got[0])->n, 5);
-  EXPECT_EQ(got[1].type(), detail::payload_type<Pong>());
-  EXPECT_NE(as<Tick>(got[2]), nullptr);
-  // The mutable form lets a receiver move the payload out.
-  std::string moved = std::move(as<Pong>(got[1])->text);
+  EXPECT_EQ(arm(got[0]), 0);
+  EXPECT_EQ(arm(got[1]), 1);
+  EXPECT_EQ(arm(got[2]), 3);
+  EXPECT_EQ(got[1].msg.index(), (IndexOf<Pong, TestMsg>::value));
+  EXPECT_EQ(std::get<Ping>(got[0].msg).n, 5);
+  EXPECT_EQ(std::get_if<Pong>(&got[0].msg), nullptr);
+  EXPECT_EQ(std::get_if<Ping>(&got[1].msg), nullptr);
+  // A receiver may move the payload out of its envelope.
+  std::string moved = std::move(std::get<Pong>(got[1].msg).text);
   EXPECT_EQ(moved, "a payload long enough to live on the heap");
-  // An empty envelope carries no payload and matches nothing.
-  Envelope empty;
-  EXPECT_EQ(empty.type(), detail::kNoPayloadType);
-  EXPECT_EQ(matches(empty), 0);
 }
 
 TEST(Envelope, ParkedMessagesKeepTheirTypeAcrossHeal) {
@@ -375,7 +384,7 @@ TEST(Envelope, ParkedMessagesKeepTheirTypeAcrossHeal) {
   NodeId a = f.net.add_node("a");
   NodeId b = f.net.add_node("b");
   topo.place(b, west);
-  std::vector<Envelope> got;
+  std::vector<Env> got;
   f.sim.spawn(collect(f, b, got));
   f.net.partition_regions(0, west);
   f.net.send(a, b, Pong{"parked"}, 64);
@@ -385,28 +394,27 @@ TEST(Envelope, ParkedMessagesKeepTheirTypeAcrossHeal) {
   f.net.heal_partition(0, west);
   f.sim.run(2 * sim::kSec);
   ASSERT_EQ(got.size(), 2u);
-  for (auto& env : got) EXPECT_EQ(matches(env), 1);
-  ASSERT_NE(as<Pong>(got[0]), nullptr);
-  EXPECT_EQ(as<Pong>(got[0])->text, "parked");
-  ASSERT_NE(as<Ping>(got[1]), nullptr);
-  EXPECT_EQ(as<Ping>(got[1])->n, 1);
+  EXPECT_EQ(arm(got[0]), 1);
+  EXPECT_EQ(std::get<Pong>(got[0].msg).text, "parked");
+  EXPECT_EQ(arm(got[1]), 0);
+  EXPECT_EQ(std::get<Ping>(got[1].msg).n, 1);
 }
 
 TEST(Envelope, LocallySynthesizedEnvelopeDispatches) {
   // A node's own failure notice, put straight into its mailbox the way
-  // the cluster synthesizes SchedulerDown: built by the same factory, so
-  // it carries its type id like any sent message.
+  // the cluster synthesizes SchedulerDown: it dispatches like any sent
+  // message.
   Fixture f;
   NodeId a = f.net.add_node("a");
-  std::vector<Envelope> got;
+  std::vector<Env> got;
   f.sim.spawn(collect(f, a, got));
-  f.net.mailbox(a).send(Envelope::of(a, a, Down{7}));
+  f.net.mailbox(a).send(Env{a, a, Down{7}});
   f.sim.run();
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(matches(got[0]), 1);
-  ASSERT_NE(as<Down>(got[0]), nullptr);
-  EXPECT_EQ(as<Down>(got[0])->who, 7u);
+  EXPECT_EQ(arm(got[0]), 2);
+  EXPECT_EQ(std::get<Down>(got[0].msg).who, 7u);
   EXPECT_EQ(got[0].from, a);
+  EXPECT_EQ(f.net.messages_sent(), 0u);  // never on the wire
 }
 
 TEST(Network, FailureWavesFirePerLinkClass) {
