@@ -2,12 +2,16 @@
 // kernel's wait/wake path, Resource service and Task frames, RB-tree index
 // operations, page diff/apply, the master's pre-commit diff, page
 // free-space bookkeeping, the page LRU, a replica's range scan, the lock
-// table fast path, the TPC-W generator, and the request path's procedure
-// parameters and envelope dispatch.
+// table fast path, the TPC-W generator, a copied image and its first
+// writes, and the request path's procedure parameters and envelope
+// dispatch.
 // These are host-time benchmarks of the real data structures (the macro
 // experiments charge modeled virtual time instead).
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <optional>
+#include <utility>
 #include <variant>
 
 #include "api/api.hpp"
@@ -419,7 +423,8 @@ void BM_TpcwLoader(benchmark::State& state) {
 BENCHMARK(BM_TpcwLoader)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
 
 // What a DmvCluster node pays for its initial data instead of running the
-// loader: an exact copy of the generated image (pages and index trees).
+// loader: a copy of the generated image, which shares its pages and index
+// trees until it writes them.
 void BM_DatabaseCopy(benchmark::State& state) {
   tpcw::ScaleConfig scale;
   scale.items = state.range(0);
@@ -433,6 +438,54 @@ void BM_DatabaseCopy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * scale.items);
 }
 BENCHMARK(BM_DatabaseCopy)->Arg(100)->Arg(1000)->Unit(benchmark::kMillisecond);
+
+// The cost a shared copy moves from set-up into the run: one insert into
+// each non-empty table of a fresh copy, which clones the page it lands on
+// and that table's index trees. The row is the table's first under a key
+// past every loaded one. One item is one insert; the copy is not timed.
+void BM_FirstWriteAfterCopy(benchmark::State& state) {
+  tpcw::ScaleConfig scale;
+  scale.items = state.range(0);
+  storage::Database image;
+  tpcw::build_schema(image);
+  tpcw::make_loader(scale)(image);
+  std::vector<std::pair<storage::TableId, storage::Row>> rows;
+  for (storage::TableId t = 0; t < image.table_count(); ++t) {
+    const storage::Table& tb = image.table(t);
+    if (tb.row_count() == 0) continue;
+    std::optional<storage::RowId> first;
+    tb.primary_tree().scan_all([&](std::string_view, storage::RowId r) {
+      first = r;
+      return false;
+    });
+    storage::Row row = tb.read_row(*first);
+    const storage::Key pk = tb.primary_key_of(row);
+    // The first integer column in the key moves past every loaded key.
+    for (storage::Value& v : row) {
+      auto* i = std::get_if<int64_t>(&v);
+      if (!i) continue;
+      const int64_t was = std::exchange(*i, int64_t{1} << 40);
+      if (tb.primary_key_of(row) != pk) break;
+      *i = was;
+    }
+    rows.emplace_back(t, std::move(row));
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto db = std::make_unique<storage::Database>(image);
+    state.ResumeTiming();
+    for (const auto& [t, row] : rows)
+      if (!db->table(t).insert_row(row)) state.SkipWithError("duplicate key");
+    state.PauseTiming();
+    db.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t(rows.size()));
+}
+BENCHMARK(BM_FirstWriteAfterCopy)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Unit(benchmark::kMicrosecond);
 
 // One order-entry new-order request's parameters: four scalars plus an
 // item and a quantity per line (arg: lines; 15 lines is 34 keys). It is

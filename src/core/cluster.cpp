@@ -152,26 +152,17 @@ EngineNode& DmvCluster::make_engine_node(NodeId id, bool hint_source) {
   auto node = std::make_unique<EngineNode>(net_, id, procs_, cfg_.schema,
                                            cfg_.engine, nc, store.get(),
                                            cfg_.bug, sink_);
-  // After start() the base image is gone: a restarted or added node gets
-  // a freshly generated one.
-  if (started_)
-    node->engine().db() = generate_image();
-  else
-    node->engine().db() = base_image();
+  node->engine().db() = base_image();
   nodes_[id] = std::move(node);
   return *nodes_[id];
 }
 
-storage::Database DmvCluster::generate_image() const {
-  storage::Database db;
-  cfg_.schema(db);
-  if (cfg_.loader) cfg_.loader(db);
-  return db;
-}
-
 const storage::Database& DmvCluster::base_image() {
-  if (!base_image_)
-    base_image_ = std::make_unique<storage::Database>(generate_image());
+  if (!base_image_) {
+    base_image_ = std::make_unique<storage::Database>();
+    cfg_.schema(*base_image_);
+    if (cfg_.loader) cfg_.loader(*base_image_);
+  }
   return *base_image_;
 }
 
@@ -191,7 +182,6 @@ void DmvCluster::place_round_robin(NodeId id, size_t idx) {
 void DmvCluster::start() {
   DMV_ASSERT(!started_);
   started_ = true;
-  base_image_.reset();  // every node and backend holds its own copy
   // Masters and slaves start with every loaded page resident (the paper
   // excludes initial cache warm-up from measurements). Spares start cold:
   // their warm-up is what Figs 7-9 measure.
@@ -276,8 +266,8 @@ void DmvCluster::restart_and_rejoin(NodeId id) {
 
 void DmvCluster::do_restart(NodeId id) {
   net_.restart(id);
-  // Fresh process: rebuild from a regenerated base image + local
-  // checkpoint; the volatile buffer cache starts cold.
+  // Fresh process: rebuild from the base image + local checkpoint; the
+  // volatile buffer cache starts cold.
   make_engine_node(id).start(/*restore_from_store=*/true);
   const NodeId sched = primary_scheduler_id();
   // Every scheduler may be dead (chaos schedules do this); the node then
@@ -305,8 +295,8 @@ NodeId DmvCluster::add_slave() {
   DMV_ASSERT_MSG(started_, "elastic add before cluster start");
   const size_t idx = size_t(next_slave_idx_++);
   const NodeId id = net_.add_node("slave" + std::to_string(idx));
-  // Provision from a regenerated base image (a restore from backup); the
-  // §4.4 join then fetches only pages newer than the image. The cache
+  // Provision from the base image (a restore from backup); the §4.4 join
+  // then fetches only pages newer than the image. The cache
   // starts cold — warm-up is part of what elasticity experiments measure.
   make_engine_node(id);
   nodes_[id]->start();

@@ -47,8 +47,8 @@ class DmvCluster {
     check::PlantedBug bug = check::PlantedBug::None;
     mem::SchemaFn schema;
     // Fills the initial data into an empty `schema` database. It runs once
-    // per deployment (the base image every node and backend copies), and
-    // again for each node restarted or added after start().
+    // per deployment: the base image every node and backend copies,
+    // restarted and added nodes included.
     std::function<void(storage::Database&)> loader;
   };
 
@@ -77,9 +77,8 @@ class DmvCluster {
   PersistenceBinding* persistence() { return persistence_.get(); }
 
   // --- elastic scaling (runtime fleet resizing, no quiesce) ---
-  // Allocate a fresh node on the live network, provision it with a newly
-  // generated base image (the loader's output: the deployment's shared
-  // copy was released at start()), and bootstrap it through the §4.4
+  // Allocate a fresh node on the live network, provision it with a copy
+  // of the deployment's base image, and bootstrap it through the §4.4
   // join protocol against the primary scheduler. The node serves no reads
   // until it reports JoinComplete; traffic continues throughout. Returns
   // the new node's id immediately (the join runs asynchronously).
@@ -104,16 +103,16 @@ class DmvCluster {
   // --- fault injection & reintegration ---
   void kill_node(NodeId id);
   void kill_scheduler(size_t i);
-  // Reboot a previously killed engine node: regenerate the base image
-  // (standing in for the on-disk image file; the loader runs again), load
-  // its local checkpoint, then run the §4.4 reintegration protocol
-  // against the primary scheduler. A reboot never
-  // outruns failure detection: if the node's death has not been announced
-  // to the cluster yet (detect_delay hasn't elapsed), the restart is
-  // deferred until just after the announcement. Otherwise the fresh
-  // incarnation would race its predecessor's obituary — the scheduler
-  // would keep routing to a process that lost its in-memory state, and
-  // masters would keep a replication stream open across the gap.
+  // Reboot a previously killed engine node: copy the base image
+  // (standing in for the on-disk image file), load its local checkpoint,
+  // then run the §4.4 reintegration protocol against the primary
+  // scheduler. A reboot never outruns failure detection: if the node's
+  // death has not been announced to the cluster yet (detect_delay hasn't
+  // elapsed), the restart is deferred until just after the announcement.
+  // Otherwise the fresh incarnation would race its predecessor's
+  // obituary — the scheduler would keep routing to a process that lost
+  // its in-memory state, and masters would keep a replication stream open
+  // across the gap.
   void restart_and_rejoin(NodeId id);
   // Persistence-tier faults (§4.6): fail-stop / resume one on-disk
   // backend, and the disaster scenario — lose the entire in-memory tier
@@ -136,14 +135,13 @@ class DmvCluster {
   NodeId primary_scheduler_id() const;
   void do_restart(NodeId id);
   // Build (or rebuild, on restart) engine node `id` with cfg_.node, its
-  // database a copy of the base image (before start()) or a freshly
-  // generated one (after); `hint_source` marks the page-id-hint sender
-  // (slave 0 of the initial deployment).
+  // database a copy of the base image; `hint_source` marks the
+  // page-id-hint sender (slave 0 of the initial deployment).
   EngineNode& make_engine_node(NodeId id, bool hint_source = false);
-  // cfg_.schema plus cfg_.loader on an empty database.
-  storage::Database generate_image() const;
-  // The deployment's initial data, generated on first use and released
-  // by start().
+  // The deployment's initial data (cfg_.schema plus cfg_.loader on an
+  // empty database), generated on first use and kept for the cluster's
+  // life: every node's database shares its pages and index trees until
+  // the node writes them (storage::Table).
   const storage::Database& base_image();
   // Feed `s`'s committed updates to the persistence tier, if deployed.
   void attach_persistence(Scheduler& s);

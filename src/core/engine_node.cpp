@@ -1,6 +1,7 @@
 #include "core/engine_node.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/version.hpp"
 #include "obs/trace.hpp"
@@ -787,8 +788,9 @@ sim::Task<> EngineNode::serve_page_request(NodeId to, PageRequest m) {
     auto it = m.have.find(pid);
     const uint64_t have = it == m.have.end() ? 0 : it->second;
     if (ver <= have) continue;
-    chunk.pages.push_back(mem::PageSnapshot{
-        pid, ver, engine_->db().table(pid.table).page(pid.page)});
+    const storage::Database& db = std::as_const(*engine_).db();
+    chunk.pages.push_back(
+        mem::PageSnapshot{pid, ver, db.table(pid.table).page(pid.page)});
     ++stats_.pages_served;
     ++sent;
     if (chunk.pages.size() >= kMigrationChunkPages) flush(false);

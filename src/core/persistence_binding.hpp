@@ -45,7 +45,8 @@ class PersistenceBinding {
                      check::PlantedBug bug = check::PlantedBug::None);
   ~PersistenceBinding();
 
-  // Give every backend an exact copy of the initial database image.
+  // Give every backend a copy of the initial database image (sharing its
+  // pages and trees until written, see storage::Table).
   void load(const storage::Database& image);
 
   void start();

@@ -1,6 +1,7 @@
 #include "mem/engine.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/trace.hpp"
 
@@ -373,7 +374,7 @@ sim::Task<txn::WriteSetPtr> MemEngine::precommit(TxnCtx& txn) {
     DMV_ASSERT_MSG(masters(pid.table), "dirtied a non-mastered table");
     txn::PageMod mod;
     mod.pid = pid;
-    storage::Table& tb = db_.table(pid.table);
+    const storage::Table& tb = std::as_const(db_).table(pid.table);
     if (cfg_.full_page_writesets) {
       txn::ByteRun whole;
       whole.offset = 0;

@@ -22,16 +22,7 @@
 #include <optional>
 #include <utility>
 
-#if defined(__SANITIZE_ADDRESS__)
-#define DMV_FRAME_POISONING 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define DMV_FRAME_POISONING 1
-#endif
-#endif
-#ifdef DMV_FRAME_POISONING
-#include <sanitizer/asan_interface.h>
-#endif
+#include "util/asan.hpp"
 
 namespace dmv::sim {
 
@@ -65,7 +56,7 @@ class FrameCache {
     const size_t c = (n + kGrain - 1) / kGrain;
     if (c >= kClasses) return ::operator new(n);
     if (void* p = state_.free[c]) {
-      unpoison(p, c * kGrain);
+      util::asan_unpoison(p, c * kGrain);
       state_.free[c] = *static_cast<void**>(p);
       --state_.kept[c];
       return p;
@@ -83,7 +74,7 @@ class FrameCache {
     *static_cast<void**>(p) = state_.free[c];
     state_.free[c] = p;
     ++state_.kept[c];
-    poison(p, c * kGrain);
+    util::asan_poison(p, c * kGrain);
   }
 
   // Frames kept on this thread's lists.
@@ -107,25 +98,12 @@ class FrameCache {
   static void release_all() noexcept {
     for (size_t c = 0; c < kClasses; ++c) {
       while (void* p = state_.free[c]) {
-        unpoison(p, c * kGrain);
+        util::asan_unpoison(p, c * kGrain);
         state_.free[c] = *static_cast<void**>(p);
         ::operator delete(p);
       }
       state_.kept[c] = 0;
     }
-  }
-
-  static void poison([[maybe_unused]] void* p,
-                     [[maybe_unused]] size_t n) noexcept {
-#ifdef DMV_FRAME_POISONING
-    ASAN_POISON_MEMORY_REGION(p, n);
-#endif
-  }
-  static void unpoison([[maybe_unused]] void* p,
-                       [[maybe_unused]] size_t n) noexcept {
-#ifdef DMV_FRAME_POISONING
-    ASAN_UNPOISON_MEMORY_REGION(p, n);
-#endif
   }
 
   static inline thread_local State state_{};

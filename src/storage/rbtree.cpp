@@ -1,8 +1,10 @@
 #include "storage/rbtree.hpp"
 
+#include <algorithm>
 #include <new>
 #include <unordered_map>
 
+#include "util/asan.hpp"
 #include "util/assert.hpp"
 
 namespace dmv::storage {
@@ -15,30 +17,83 @@ RbTree::Node* RbTree::new_nil() {
 
 RbTree::Node* RbTree::new_node(std::string_view key, RowId rid,
                                Node* parent) {
-  Node* n = new (::operator new(sizeof(Node) + width_))
+  Node* n = new (alloc_node())
       Node{nil_, nil_, parent, rid.page, rid.slot, true, nil_};
   std::memcpy(n + 1, key.data(), width_);
   return n;
 }
 
-void RbTree::free_node(Node* n) { ::operator delete(n); }
+RbTree::Node* RbTree::alloc_node() {
+  if (Node* n = free_) {
+    util::asan_unpoison(n, stride_);
+    free_ = n->left;
+    return n;
+  }
+  if (next_ == end_) add_block(grow_nodes());
+  Node* n = reinterpret_cast<Node*>(next_);
+  util::asan_unpoison(n, stride_);
+  next_ += stride_;
+  return n;
+}
+
+void RbTree::free_node(Node* n) {
+  n->left = free_;
+  free_ = n;
+  util::asan_poison(n, stride_);
+}
+
+void RbTree::add_block(size_t nodes) {
+  const size_t bytes = nodes * stride_;
+  auto* mem = static_cast<std::byte*>(::operator new(bytes));
+  blocks_.push_back({mem, bytes});
+  next_ = mem;
+  end_ = mem + bytes;
+  util::asan_poison(mem, bytes);
+}
+
+size_t RbTree::grow_nodes() const {
+  return std::clamp<size_t>(size_ / 8, 16, 1024);
+}
+
+void RbTree::drop_blocks() {
+  for (const Block& b : blocks_) {
+    util::asan_unpoison(b.mem, b.bytes);
+    ::operator delete(b.mem, b.bytes);
+  }
+  blocks_.clear();
+  free_ = nullptr;
+  next_ = end_ = nullptr;
+}
+
+void RbTree::take_pool(RbTree& o) {
+  blocks_ = std::move(o.blocks_);
+  free_ = std::exchange(o.free_, nullptr);
+  next_ = std::exchange(o.next_, nullptr);
+  end_ = std::exchange(o.end_, nullptr);
+  o.blocks_.clear();
+}
 
 RbTree::RbTree(size_t key_width)
-    : width_(key_width), root_(nullptr), nil_(new_nil()) {
+    : width_(key_width),
+      stride_(stride(key_width)),
+      root_(nullptr),
+      nil_(new_nil()) {
   root_ = nil_;
 }
 
 RbTree::~RbTree() {
-  clear();
-  free_node(nil_);
+  drop_blocks();
+  ::operator delete(nil_);
 }
 
 RbTree::RbTree(const RbTree& o)
     : width_(o.width_),
+      stride_(o.stride_),
       root_(nullptr),
       nil_(new_nil()),
       size_(o.size_),
       rotations_(o.rotations_) {
+  if (size_ > 0) add_block(size_);
   Node* last = nil_;
   root_ = copy_subtree(o, o.root_, last);
 }
@@ -61,10 +116,12 @@ RbTree::Node* RbTree::copy_subtree(const RbTree& o, const Node* x,
 
 RbTree::RbTree(RbTree&& o) noexcept
     : width_(o.width_),
+      stride_(o.stride_),
       root_(o.root_),
       nil_(o.nil_),
       size_(o.size_),
       rotations_(o.rotations_) {
+  take_pool(o);
   o.nil_ = new_nil();
   o.root_ = o.nil_;
   o.size_ = 0;
@@ -72,13 +129,15 @@ RbTree::RbTree(RbTree&& o) noexcept
 
 RbTree& RbTree::operator=(RbTree&& o) noexcept {
   if (this != &o) {
-    clear();
-    free_node(nil_);
+    drop_blocks();
+    ::operator delete(nil_);
     width_ = o.width_;
+    stride_ = o.stride_;
     root_ = o.root_;
     nil_ = o.nil_;
     size_ = o.size_;
     rotations_ = o.rotations_;
+    take_pool(o);
     o.nil_ = new_nil();
     o.root_ = o.nil_;
     o.size_ = 0;
@@ -87,11 +146,7 @@ RbTree& RbTree::operator=(RbTree&& o) noexcept {
 }
 
 void RbTree::clear() {
-  for (Node* x = nil_->succ; x != nil_;) {
-    Node* const succ = x->succ;
-    free_node(x);
-    x = succ;
-  }
+  drop_blocks();
   root_ = nil_->succ = nil_;
   size_ = 0;
 }

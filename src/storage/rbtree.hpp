@@ -20,9 +20,16 @@
 // a forward walk steps one pointer per entry. The links follow the key
 // order, which rotations never change, so they leave the tree's shape,
 // colours and rotation count exactly as in the plain tree.
+//
+// Nodes come from the tree's own pool: blocks of nodes, an erased node
+// going on a free list for the next insert. A copy takes its nodes from
+// one block sized to it, in key order. clear() and the destructor hand
+// the blocks back without visiting the nodes. Under ASan a free-listed
+// node and a block's unused tail are poisoned.
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -40,8 +47,8 @@ class RbTree {
   ~RbTree();
   // An exact copy: the same shape, colours, keys, RowIds and rotations(),
   // so every later insert or erase rebalances (and counts) as on `o`.
-  // Nodes are allocated (and linked) in key order, so in-order walks over
-  // the copy step through memory front to back.
+  // The nodes are one block, laid out (and linked) in key order, so
+  // in-order walks over the copy step through memory front to back.
   RbTree(const RbTree& o);
   RbTree& operator=(const RbTree&) = delete;
   RbTree(RbTree&& o) noexcept;
@@ -167,7 +174,33 @@ class RbTree {
   // linked after `last`, which then points at it.
   Node* copy_subtree(const RbTree& o, const Node* x, Node*& last);
   static Node* new_nil();
-  static void free_node(Node* n);
+
+  // --- node pool ---
+  // A pool block: `bytes` of ::operator new memory, nodes at `stride_`.
+  struct Block {
+    std::byte* mem;
+    size_t bytes;
+  };
+  // Bytes per node: the node and its key, rounded up to the node's
+  // alignment.
+  static size_t stride(size_t key_width) {
+    return (sizeof(Node) + key_width + alignof(Node) - 1) /
+           alignof(Node) * alignof(Node);
+  }
+  // A node's memory: the free list's head, else the current block's next
+  // node, else the first node of a new block of `grow_nodes()` nodes.
+  Node* alloc_node();
+  // Puts `n` on the free list.
+  void free_node(Node* n);
+  // Adds a block of `nodes` nodes and makes it the current one.
+  void add_block(size_t nodes);
+  // Nodes in the block an insert adds when the pool is full: an eighth of
+  // the tree, within [16, 1024].
+  size_t grow_nodes() const;
+  // Hands every block back and empties the pool.
+  void drop_blocks();
+  // Takes `o`'s pool, leaving `o`'s empty.
+  void take_pool(RbTree& o);
 
   Node* maximum(Node* x) const {
     if (x == nil_) return nil_;
@@ -195,10 +228,15 @@ class RbTree {
   int black_height(const Node* n) const;
 
   size_t width_;
+  size_t stride_;
   Node* root_;
   Node* nil_;
   size_t size_ = 0;
   uint64_t rotations_ = 0;
+  std::vector<Block> blocks_;
+  Node* free_ = nullptr;         // erased nodes, linked through `left`
+  std::byte* next_ = nullptr;    // the current block's first unused node
+  std::byte* end_ = nullptr;     // the current block's end
 };
 
 }  // namespace dmv::storage

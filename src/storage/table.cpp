@@ -1,6 +1,7 @@
 #include "storage/table.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace dmv::storage {
 
@@ -12,7 +13,7 @@ Table::Table(TableId id, std::string name, Schema schema, IndexDef primary,
       primary_def_(std::move(primary)),
       slots_per_page_(Page::slots_per_page(schema_->row_size())),
       primary_layout_(*schema_, primary_def_.cols),
-      primary_tree_(primary_layout_.width()) {
+      primary_tree_(std::make_shared<RbTree>(primary_layout_.width())) {
   DMV_ASSERT_MSG(!primary_def_.cols.empty(),
                  "table " << name_ << " needs a primary key");
   primary_def_.unique = true;
@@ -23,25 +24,9 @@ Table::Table(TableId id, std::string name, Schema schema, IndexDef primary,
     std::vector<size_t> cols = def.cols;
     cols.insert(cols.end(), primary_def_.cols.begin(), primary_def_.cols.end());
     secondary_layouts_.emplace_back(*schema_, cols);
-    secondary_trees_.emplace_back(secondary_layouts_.back().width());
+    secondary_trees_.push_back(
+        std::make_shared<RbTree>(secondary_layouts_.back().width()));
   }
-}
-
-Table::Table(const Table& o)
-    : id_(o.id_),
-      name_(o.name_),
-      schema_(o.schema_),
-      primary_def_(o.primary_def_),
-      slots_per_page_(o.slots_per_page_),
-      primary_layout_(o.primary_layout_),
-      secondary_layouts_(o.secondary_layouts_),
-      metas_(o.metas_),
-      pages_with_space_(o.pages_with_space_),
-      row_count_(o.row_count_),
-      primary_tree_(o.primary_tree_),
-      secondary_trees_(o.secondary_trees_) {
-  pages_.reserve(o.pages_.size());
-  for (const auto& p : o.pages_) pages_.push_back(std::make_unique<Page>(*p));
 }
 
 Key Table::primary_key_of(const Row& row) const {
@@ -52,14 +37,14 @@ Key Table::primary_key_of(const Row& row) const {
 }
 
 uint64_t Table::index_rotations() const {
-  uint64_t r = primary_tree_.rotations();
-  for (const RbTree& t : secondary_trees_) r += t.rotations();
+  uint64_t r = primary_tree_->rotations();
+  for (const auto& t : secondary_trees_) r += t->rotations();
   return r;
 }
 
 Page& Table::page(PageNo p) {
   DMV_ASSERT(p < pages_.size());
-  return *pages_[p];
+  return own(pages_[p]);
 }
 const Page& Table::page(PageNo p) const {
   DMV_ASSERT(p < pages_.size());
@@ -77,7 +62,7 @@ const PageMeta& Table::meta(PageNo p) const {
 
 void Table::ensure_page(PageNo p) {
   while (pages_.size() <= p) {
-    pages_.push_back(std::make_unique<Page>());
+    pages_.push_back(std::make_shared<Page>());
     metas_.push_back(PageMeta{});
     pages_with_space_.insert(PageNo(pages_.size() - 1));
   }
@@ -96,18 +81,17 @@ std::optional<RowId> Table::insert_row(const Row& row) {
   // before any page is created or written.
   const KeyBuf pk = primary_layout_.from_row(row);
   const RowId rid = peek_insert_slot();
-  if (!primary_tree_.insert(pk.view(), rid)) return std::nullopt;
+  if (!tree(-1).insert(pk.view(), rid)) return std::nullopt;
 
   ensure_page(rid.page);
-  Page& pg = *pages_[rid.page];
+  Page& pg = page(rid.page);
   schema_->encode(row, slot_bytes(rid));
   pg.set_occupied(rid.slot, true);
   if (pg.first_free(slots_per_page_) == slots_per_page_)
     pages_with_space_.erase(rid.page);
 
   for (size_t i = 0; i < secondary_trees_.size(); ++i)
-    secondary_trees_[i].insert(secondary_layouts_[i].from_row(row).view(),
-                               rid);
+    tree(int(i)).insert(secondary_layouts_[i].from_row(row).view(), rid);
   ++row_count_;
   return rid;
 }
@@ -119,17 +103,19 @@ void Table::update_row(RowId rid, const Row& row) {
   const KeyBuf old_pk = primary_layout_.from_image(slot);
   const KeyBuf new_pk = primary_layout_.from_row(row);
   if (old_pk.view() != new_pk.view()) {
-    DMV_ASSERT_MSG(!primary_tree_.find(new_pk.view()),
+    DMV_ASSERT_MSG(!primary_tree_->find(new_pk.view()),
                    "PK update collides on " << name_);
-    primary_tree_.erase(old_pk.view());
-    primary_tree_.insert(new_pk.view(), rid);
+    RbTree& pt = tree(-1);
+    pt.erase(old_pk.view());
+    pt.insert(new_pk.view(), rid);
   }
   for (size_t i = 0; i < secondary_trees_.size(); ++i) {
     const KeyBuf ok = secondary_layouts_[i].from_image(slot);
     const KeyBuf nk = secondary_layouts_[i].from_row(row);
     if (ok.view() != nk.view()) {
-      secondary_trees_[i].erase(ok.view());
-      secondary_trees_[i].insert(nk.view(), rid);
+      RbTree& st = tree(int(i));
+      st.erase(ok.view());
+      st.insert(nk.view(), rid);
     }
   }
   schema_->encode(row, slot);
@@ -138,7 +124,7 @@ void Table::update_row(RowId rid, const Row& row) {
 void Table::delete_row(RowId rid) {
   DMV_ASSERT(slot_occupied(rid));
   unindex_image(rid);
-  Page& pg = *pages_[rid.page];
+  Page& pg = page(rid.page);
   pg.set_occupied(rid.slot, false);
   // Zero the slot so deleted state is byte-identical across replicas.
   auto bytes = slot_bytes(rid);
@@ -153,26 +139,28 @@ Row Table::read_row(RowId rid) const {
 
 std::span<const std::byte> Table::row_image(RowId rid) const {
   DMV_ASSERT_MSG(slot_occupied(rid), "reading empty slot in " << name_);
-  return pages_[rid.page]->slot_bytes(rid.slot, schema_->row_size());
+  return slot_bytes(rid);
 }
 
 std::span<std::byte> Table::slot_bytes(RowId rid) {
-  return pages_[rid.page]->slot_bytes(rid.slot, schema_->row_size());
+  return page(rid.page).slot_bytes(rid.slot, schema_->row_size());
+}
+std::span<const std::byte> Table::slot_bytes(RowId rid) const {
+  return page(rid.page).slot_bytes(rid.slot, schema_->row_size());
 }
 
 void Table::index_image(RowId rid) {
-  const std::span<const std::byte> slot = slot_bytes(rid);
-  primary_tree_.insert(primary_layout_.from_image(slot).view(), rid);
+  const std::span<const std::byte> slot = std::as_const(*this).slot_bytes(rid);
+  tree(-1).insert(primary_layout_.from_image(slot).view(), rid);
   for (size_t i = 0; i < secondary_trees_.size(); ++i)
-    secondary_trees_[i].insert(secondary_layouts_[i].from_image(slot).view(),
-                               rid);
+    tree(int(i)).insert(secondary_layouts_[i].from_image(slot).view(), rid);
 }
 
 void Table::unindex_image(RowId rid) {
-  const std::span<const std::byte> slot = slot_bytes(rid);
-  primary_tree_.erase(primary_layout_.from_image(slot).view());
+  const std::span<const std::byte> slot = std::as_const(*this).slot_bytes(rid);
+  tree(-1).erase(primary_layout_.from_image(slot).view());
   for (size_t i = 0; i < secondary_trees_.size(); ++i)
-    secondary_trees_[i].erase(secondary_layouts_[i].from_image(slot).view());
+    tree(int(i)).erase(secondary_layouts_[i].from_image(slot).view());
 }
 
 bool Table::slot_occupied(RowId rid) const {
@@ -203,8 +191,7 @@ void Table::refresh_page_bookkeeping(PageNo p) {
 }
 
 void Table::rebuild_indexes() {
-  primary_tree_.clear();
-  for (RbTree& t : secondary_trees_) t.clear();
+  for (int i = -1; i < int(secondary_trees_.size()); ++i) tree(i).clear();
   pages_with_space_.clear();
   row_count_ = 0;
   for (PageNo p = 0; p < pages_.size(); ++p) {

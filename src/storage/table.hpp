@@ -9,6 +9,13 @@
 //  - raw byte application (slaves applying replicated page diffs), after
 //    which unindex_slot/index_slot/refresh_page_bookkeeping resynchronize
 //    the indexes and free-space accounting with the new page image.
+//
+// Copies are copy-on-write. A copied table shares its source's pages and
+// index trees (shared_ptr) until it writes one: the non-const page
+// accessors and every row or index mutator first clone the one page or
+// tree they write if another copy still holds it (use_count() > 1).
+// Const access never clones. The count is a plain test, so the copies of
+// one table must all live on one thread.
 #pragma once
 
 #include <memory>
@@ -29,11 +36,12 @@ class Table {
  public:
   Table(TableId id, std::string name, Schema schema, IndexDef primary,
         std::vector<IndexDef> secondaries = {});
-  // An exact copy: page images, metas, free-space set, row count, and
-  // index trees of the same shape (RbTree's copy), sharing the immutable
-  // schema. The copy's later operations behave byte for byte, rotation
-  // for rotation, as the original's would.
-  Table(const Table& o);
+  // An exact copy: the same page images, metas, free-space set, row count,
+  // and index trees of the same shape, sharing the pages and trees until
+  // either side writes them (then RbTree's copy, with the same shape), and
+  // the immutable schema. The copy's later operations behave byte for
+  // byte, rotation for rotation, as the original's would.
+  Table(const Table& o) = default;
   Table& operator=(const Table&) = delete;
 
   TableId id() const { return id_; }
@@ -62,13 +70,14 @@ class Table {
   // --- index access ---
 
   std::optional<RowId> pk_find(const Key& key) const {
-    return primary_tree_.find(primary_layout_.from_key(key).view());
+    return primary_tree_->find(primary_layout_.from_key(key).view());
   }
   size_t secondary_count() const { return secondary_trees_.size(); }
   // Index `index`: -1 is the primary key, else a secondary position.
   // Secondary keys carry the PK appended.
   const RbTree& index_tree(int index) const {
-    return const_cast<Table*>(this)->tree(index);
+    DMV_ASSERT(index < int(secondary_trees_.size()));
+    return index < 0 ? *primary_tree_ : *secondary_trees_[size_t(index)];
   }
   const KeyLayout& index_layout(int index) const {
     DMV_ASSERT(index < int(secondary_layouts_.size()));
@@ -89,12 +98,13 @@ class Table {
     else
       index_tree(index).scan(lo_key.view(), hi_key.view(), fn);
   }
-  const RbTree& primary_tree() const { return primary_tree_; }
+  const RbTree& primary_tree() const { return *primary_tree_; }
   uint64_t index_rotations() const;
 
   // --- page access (replication / checkpoint / migration path) ---
 
   size_t page_count() const { return pages_.size(); }
+  // For writing: clones the page first if it is shared.
   Page& page(PageNo p);
   const Page& page(PageNo p) const;
   PageMeta& meta(PageNo p);
@@ -131,11 +141,19 @@ class Table {
   Key primary_key_of(const Row& row) const;
 
  private:
+  // `*p`, cloned first if another copy holds it too.
+  template <typename T>
+  static T& own(std::shared_ptr<T>& p) {
+    if (p.use_count() > 1) p = std::make_shared<T>(*p);
+    return *p;
+  }
+  // Index `index`, for writing.
   RbTree& tree(int index) {
     DMV_ASSERT(index < int(secondary_trees_.size()));
-    return index < 0 ? primary_tree_ : secondary_trees_[size_t(index)];
+    return own(index < 0 ? primary_tree_ : secondary_trees_[size_t(index)]);
   }
   std::span<std::byte> slot_bytes(RowId rid);
+  std::span<const std::byte> slot_bytes(RowId rid) const;
   // Add or drop the index entries of the row image in `rid`'s slot.
   void index_image(RowId rid);
   void unindex_image(RowId rid);
@@ -150,13 +168,13 @@ class Table {
   KeyLayout primary_layout_;
   std::vector<KeyLayout> secondary_layouts_;
 
-  std::vector<std::unique_ptr<Page>> pages_;
+  std::vector<std::shared_ptr<Page>> pages_;
   std::vector<PageMeta> metas_;
   std::set<PageNo> pages_with_space_;
   size_t row_count_ = 0;
 
-  RbTree primary_tree_;
-  std::vector<RbTree> secondary_trees_;
+  std::shared_ptr<RbTree> primary_tree_;
+  std::vector<std::shared_ptr<RbTree>> secondary_trees_;
 };
 
 // A database: an ordered set of tables. Table ids are dense and stable, and
@@ -164,8 +182,9 @@ class Table {
 class Database {
  public:
   Database() = default;
-  // Table-by-table exact copies (see Table's copy constructor): how every
-  // node of a deployment gets the one generated base image.
+  // Table-by-table exact copies, sharing pages and trees until written
+  // (see Table's copy constructor): how every node of a deployment gets
+  // the one generated base image.
   Database(const Database& o);
   Database& operator=(const Database& o) { return *this = Database(o); }
   Database(Database&&) = default;

@@ -1,5 +1,7 @@
 #include "txn/row_access.hpp"
 
+#include <utility>
+
 #include "txn/write_set.hpp"
 
 namespace dmv::txn {
@@ -50,8 +52,8 @@ sim::Task<RowId> lock_insert_slot(LockManager& locks, TxnCtx& txn,
     if (locked) break;
   }
   tb.ensure_page(target.page);
-  txn.capture_undo({tb.id(), target.page}, tb.page(target.page), target.slot,
-                   tb.schema().row_size());
+  txn.capture_undo({tb.id(), target.page}, std::as_const(tb).page(target.page),
+                   target.slot, tb.schema().row_size());
   co_return target;
 }
 
@@ -78,7 +80,8 @@ bool still_holds(const storage::Table& tb, const api::ScanSpec& spec,
 void undo_writes(storage::Database& db, const TxnCtx& txn) {
   for (const PageUndo& u : txn.undo()) {
     storage::Table& tb = db.table(u.pid.table);
-    const auto runs = diff_undo(u, tb.page(u.pid.page), /*restore=*/true);
+    const auto runs =
+        diff_undo(u, std::as_const(tb).page(u.pid.page), /*restore=*/true);
     if (!runs.empty()) apply_runs_reindex_all(tb, u.pid.page, runs);
   }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "check/checker.hpp"
 #include "check/history.hpp"
 #include "core/cluster.hpp"
@@ -189,10 +191,10 @@ TEST(DmvCluster, EachClusterRecordsToItsOwnSink) {
   EXPECT_EQ(b.deposits, 2);
 }
 
-// One image is generated per deployment and every database copies it: at
-// construction each master, slave, spare and persistence backend equals a
-// fresh loader image, and a node restarted after start() (when the shared
-// image is gone) gets a freshly generated one.
+// One image is generated per deployment and kept for the cluster's life,
+// and every database copies it: at construction each master, slave, spare
+// and persistence backend equals a fresh loader image, and so does a node
+// restarted after start(), which copies the same kept image.
 TEST(DmvCluster, EveryDatabaseStartsAsTheLoaderImage) {
   sim::Simulation sim;
   net::Network net{sim};
@@ -228,6 +230,99 @@ TEST(DmvCluster, EveryDatabaseStartsAsTheLoaderImage) {
   sim.run(sim.now() + 10 * sim::kSec);
   EXPECT_EQ(cluster.scheduler().stats().joins_completed, 1u);
   expect_fresh(cluster.node(victim).engine().db(), "restarted slave");
+  // Nothing was written, so the restarted slave still shares the other
+  // slave's page: both are the kept image's.
+  const auto page0 = [&](NodeId n) {
+    return &std::as_const(cluster.node(n).engine()).db().table(0).page(0);
+  };
+  EXPECT_EQ(page0(victim), page0(cluster.slave_id(0)));
+}
+
+void indexed_schema(storage::Database& db) {
+  for (const char* name : {"item", "stock"})
+    db.add_table(name,
+                 storage::Schema({storage::int_col("id"),
+                                  storage::int_col("grp"),
+                                  storage::char_col("name", 48)}),
+                 storage::IndexDef{"pk", {0}, true},
+                 {storage::IndexDef{"by_grp", {1}, false}});
+}
+
+// Reads reach a copied database's pages and trees without cloning them:
+// index lookups, scans both ways, row images, a checkpoint pass and a
+// served page request leave every page and tree of the copy at the
+// image's address.
+TEST(Table, ReadsLeaveCopiesShared) {
+  storage::Database image;
+  indexed_schema(image);
+  size_t pages = 0;
+  for (storage::TableId t = 0; t < image.table_count(); ++t) {
+    for (int64_t i = 0; i < 1500; ++i)
+      image.table(t).insert_row(Row{i, i % 7, "n" + std::to_string(i)});
+    // Version 1 everywhere: a request from a node with no pages ships all.
+    for (storage::PageNo p = 0; p < image.table(t).page_count(); ++p, ++pages)
+      image.table(t).meta(p).version = 1;
+  }
+  ASSERT_GT(pages, 20u);
+
+  sim::Simulation sim;
+  net::Network net{sim};
+  const NodeId server = net.add_node("server");
+  const NodeId joiner = net.add_node("joiner");
+  const api::ProcRegistry reg = make_registry();
+  mem::StableStore store;
+  EngineNode node(net, server, reg, indexed_schema, mem::MemEngine::Config{},
+                  EngineNode::Config{}, &store);
+  node.engine().db() = image;
+  storage::Database& copy = node.engine().db();
+  const storage::Database& image_ref = image;
+  auto expect_shared = [&](const char* after) {
+    for (storage::TableId t = 0; t < image.table_count(); ++t) {
+      const storage::Table& c = std::as_const(copy).table(t);
+      const storage::Table& i = image_ref.table(t);
+      for (storage::PageNo p = 0; p < i.page_count(); ++p)
+        EXPECT_EQ(&c.page(p), &i.page(p)) << after << " page " << p;
+      for (int x = -1; x < int(i.secondary_count()); ++x)
+        EXPECT_EQ(&c.index_tree(x), &i.index_tree(x)) << after;
+    }
+  };
+  expect_shared("copy");
+
+  // Through a non-const Table, as the engines hold it.
+  storage::Table& t = copy.table(0);
+  const Key lo = K(int64_t{100}), hi = K(int64_t{400});
+  EXPECT_TRUE(t.pk_find(lo).has_value());
+  size_t bytes = 0;
+  for (bool reverse : {false, true}) {
+    t.scan(-1, &lo, &hi, reverse, [&](std::string_view, storage::RowId r) {
+      bytes += t.row_image(r).size();
+      return true;
+    });
+    t.scan(0, nullptr, nullptr, reverse,
+           [&](std::string_view, storage::RowId r) {
+             bytes += t.read_row(r).size();
+             return bytes < 100000;
+           });
+  }
+  EXPECT_GT(bytes, 0u);
+  expect_shared("reads");
+
+  mem::Checkpointer cp(sim, node.engine(), store, 0);
+  size_t flushed = 0;
+  sim.spawn([](mem::Checkpointer& cp, size_t& out) -> sim::Task<> {
+    out = co_await cp.checkpoint_once();
+  }(cp, flushed));
+  sim.run();
+  EXPECT_EQ(flushed, pages);
+  expect_shared("checkpoint");
+
+  node.start();
+  net.send(joiner, server,
+           PageRequest{joiner, {}, VersionVec(image.table_count(), 0), {}},
+           128);
+  sim.run();
+  EXPECT_EQ(node.stats().pages_served, pages);
+  expect_shared("page request");
 }
 
 TEST(DmvCluster, UpdateThenReadOneCopySemantics) {

@@ -285,7 +285,7 @@ TEST(FrameCache, ReusesAFreedFrameOfItsSizeClass) {
   void* frame = h.address();
   h.destroy();
   EXPECT_EQ(detail::FrameCache::kept(), before + 1);
-#ifdef DMV_FRAME_POISONING
+#ifdef DMV_ASAN_POISONING
   EXPECT_TRUE(__asan_address_is_poisoned(frame));
 #endif
   auto again = empty_task().release();

@@ -11,7 +11,9 @@
 #include "storage/table.hpp"
 #include "tpcw/generator.hpp"
 #include "tpcw/schema.hpp"
+#include "txn/row_access.hpp"
 #include "txn/write_set.hpp"
+#include "util/asan.hpp"
 #include "util/rng.hpp"
 #include "workload/workload.hpp"
 
@@ -348,9 +350,21 @@ std::optional<int64_t> two_child_key(const RbTree& t, const RefTree& ref) {
   return std::nullopt;
 }
 
+// Where each key's bytes live, in key order: inside its node, so the
+// addresses show where the pool put the nodes.
+std::vector<const char*> key_addresses(const RbTree& t) {
+  std::vector<const char*> out;
+  t.scan_all([&](std::string_view k, RowId) {
+    out.push_back(k.data());
+    return true;
+  });
+  return out;
+}
+
 // The successor links stay a correct in-order chain through random churn
 // that erases the minimum, the maximum and two-child nodes and empties the
-// tree, and through copies and moves.
+// tree, and through copies, moves and clear(); the node pool reuses erased
+// nodes and lays a copy out as one block in key order.
 TEST(RbTree, SuccessorChainSurvivesChurn) {
   util::Rng rng(42);
   RbTree t(8);
@@ -396,16 +410,43 @@ TEST(RbTree, SuccessorChainSurvivesChurn) {
     EXPECT_TRUE(t.empty());
     for (int i = 0; i < 40; ++i) random_op(t, ref);
 
-    // A copy has its own chain: churn on it leaves the original alone.
+    // An erased node is the next insert's node.
+    if (!ref.empty()) {
+      const auto it = std::next(ref.begin(), ptrdiff_t(rng.below(ref.size())));
+      const char* freed = nullptr;
+      t.scan(IK(it->first), IK(it->first), [&](std::string_view k, RowId) {
+        freed = k.data();
+        return false;
+      });
+      ASSERT_TRUE(t.erase(IK(it->first)));
+      ref.erase(it);
+      int64_t k = 61;
+      while (ref.count(k)) ++k;
+      ASSERT_TRUE(t.insert(IK(k), RowId{7, 7}));
+      ref.emplace(k, RowId{7, 7});
+      const char* reused = nullptr;
+      t.scan(IK(k), IK(k), [&](std::string_view key, RowId) {
+        reused = key.data();
+        return false;
+      });
+      EXPECT_EQ(reused, freed);
+      expect_same_entries(t, ref, -60, 70);
+    }
+
+    // A copy has its own chain: churn on it leaves the original alone. Its
+    // nodes are one block, in key order.
     RbTree copy(t);
     RefTree copy_ref = ref;
     EXPECT_EQ(copy.shape(), t.shape());
-    expect_same_entries(copy, copy_ref, -60, 60);
+    expect_same_entries(copy, copy_ref, -60, 70);
+    const std::vector<const char*> at = key_addresses(copy);
+    for (size_t i = 2; i < at.size(); ++i)
+      EXPECT_EQ(at[i] - at[i - 1], at[1] - at[0]);
     for (int i = 0; i < 60; ++i) {
       random_op(copy, copy_ref);
       expect_same_entries(copy, copy_ref, -20, 20);
     }
-    expect_same_entries(t, ref, -60, 60);
+    expect_same_entries(t, ref, -60, 70);
 
     // Moves carry the chain; the moved-from tree is empty and usable.
     RbTree moved(std::move(copy));
@@ -424,7 +465,45 @@ TEST(RbTree, SuccessorChainSurvivesChurn) {
       random_op(copy, copy_ref);
       expect_same_entries(copy, copy_ref, -60, 60);
     }
+
+    // clear() drops the pool; the tree then grows a new one.
+    copy.clear();
+    copy_ref.clear();
+    expect_same_entries(copy, copy_ref, -60, 60);
+    for (int i = 0; i < 80; ++i) {
+      random_op(copy, copy_ref);
+      expect_same_entries(copy, copy_ref, -60, 60);
+    }
   }
+}
+
+// An erased node waits on the free list for the next insert, and under
+// ASan it is poisoned while it waits, as is a pool block's unused tail:
+// a use of a node after its erase still reports.
+TEST(RbTree, FreeListedNodeIsPoisoned) {
+  RbTree t(8);
+  std::vector<const char*> at(11);
+  for (int64_t k = 0; k < 11; ++k) {
+    ASSERT_TRUE(t.insert(IK(k), RowId{0, uint16_t(k)}));
+    at[size_t(k)] = key_addresses(t)[size_t(k)];
+  }
+#ifdef DMV_ASAN_POISONING
+  // Eleven nodes of an 8-byte key, back to back in the first block (of
+  // 16): the twelfth node would start right after the last key.
+  EXPECT_EQ(at[1] - at[0], at[10] - at[9]);
+  EXPECT_TRUE(__asan_address_is_poisoned(at[10] + 8));
+  EXPECT_FALSE(__asan_address_is_poisoned(at[5]));
+#endif
+  ASSERT_TRUE(t.erase(IK(5)));
+#ifdef DMV_ASAN_POISONING
+  EXPECT_TRUE(__asan_address_is_poisoned(at[5]));
+#endif
+  ASSERT_TRUE(t.insert(IK(42), RowId{1, 1}));
+  EXPECT_EQ(key_addresses(t).back(), at[5]);
+#ifdef DMV_ASAN_POISONING
+  EXPECT_FALSE(__asan_address_is_poisoned(at[5]));
+#endif
+  EXPECT_TRUE(t.check_invariants());
 }
 
 TEST(Table, InsertReadBack) {
@@ -1210,6 +1289,156 @@ TEST(Storage, DatabaseCopyIsExact) {
   expect_same_state(fresh, copy);
   EXPECT_FALSE(copy.pages_equal(source));  // the rows moved slots...
   expect_same_state(small_tpcw(), source);  // ...in the copy alone
+}
+
+// The `n`-th row of `t` in primary-key order.
+RowId nth_row(const Table& t, size_t n) {
+  RowId out;
+  t.primary_tree().scan_all([&](std::string_view, RowId r) {
+    out = r;
+    return n-- > 0;
+  });
+  return out;
+}
+
+// `row` with a primary key no row of `t` has: the first integer column
+// that is part of the key set to `id`.
+Row with_new_pk(const Table& t, Row row, int64_t id) {
+  const Key pk = t.primary_key_of(row);
+  for (Value& v : row) {
+    auto* i = std::get_if<int64_t>(&v);
+    if (!i) continue;
+    const int64_t was = std::exchange(*i, id);
+    if (t.primary_key_of(row) != pk) return row;
+    *i = was;
+  }
+  ADD_FAILURE() << t.name() << " has no integer key column";
+  return row;
+}
+
+// `row` with one column outside the primary key changed (a secondary
+// key may change with it).
+Row with_new_value(const Table& t, Row row, util::Rng& rng) {
+  const Key pk = t.primary_key_of(row);
+  Value& v = row[rng.below(row.size())];
+  const Value was = v;
+  if (auto* i = std::get_if<int64_t>(&v))
+    *i += int64_t(1 + rng.below(5));
+  else if (auto* d = std::get_if<double>(&v))
+    *d += 0.5;
+  else
+    v = "u" + std::to_string(rng.below(1000));
+  if (t.primary_key_of(row) != pk) v = was;
+  return row;
+}
+
+// A seeded mix of every way a node writes a table: logical inserts,
+// updates (of keys too) and deletes as on a master; replicated page diffs
+// applied with changed-entry or full re-indexing as on a slave (a slot
+// swap moves a row, or fills or frees a slot); and an update or delete
+// rolled back by undo. Two databases in the same state end in the same
+// state.
+void churn(Database& db, uint64_t seed) {
+  util::Rng rng(seed);
+  int64_t next_id = 1'000'000;
+  for (uint64_t step = 0; step < 600; ++step) {
+    Table& t = db.table(TableId(rng.below(db.table_count())));
+    if (t.row_count() < 2) continue;
+    const size_t row_size = t.schema().row_size();
+    const RowId rid = nth_row(t, rng.below(t.row_count()));
+    switch (rng.below(7)) {
+      case 0:
+        ASSERT_TRUE(t.insert_row(with_new_pk(t, t.read_row(rid), next_id++)));
+        break;
+      case 1:
+        t.update_row(rid, with_new_value(t, t.read_row(rid), rng));
+        break;
+      case 2:
+        t.update_row(rid, with_new_pk(t, t.read_row(rid), next_id++));
+        break;
+      case 3:
+        t.delete_row(rid);
+        break;
+      case 4:
+      case 5: {
+        const Page& live = std::as_const(t).page(rid.page);
+        Page after = live;
+        const size_t other = rng.below(t.slots_per_page());
+        const auto a = after.slot_bytes(rid.slot, row_size);
+        const auto b = after.slot_bytes(other, row_size);
+        std::swap_ranges(a.begin(), a.end(), b.begin());
+        const bool b_was = after.occupied(other);
+        after.set_occupied(other, true);
+        after.set_occupied(rid.slot, b_was);
+        txn::PageMod mod{{t.id(), rid.page}, step, {}};
+        mod.runs = txn::diff_pages(live, after);
+        if (step % 2 == 0)
+          txn::apply_mod_indexed(t, mod);
+        else
+          txn::apply_runs_reindex_all(t, rid.page, mod.runs);
+        break;
+      }
+      default: {
+        txn::TxnCtx txn(step, txn::TxnKind::Update);
+        txn.capture_undo({t.id(), rid.page}, std::as_const(t).page(rid.page),
+                         rid.slot, row_size);
+        if (rng.chance(0.5))
+          t.update_row(rid, with_new_value(t, t.read_row(rid), rng));
+        else
+          t.delete_row(rid);
+        txn::undo_writes(db, txn);
+        break;
+      }
+    }
+  }
+}
+
+// Copies share their source's pages and trees until they write them.
+// Churn on one copy must leave it exactly as the same churn leaves a
+// fresh load, and must leave the image and a second copy unchanged; the
+// second copy still shares all of the image, the written one the parts
+// it did not write.
+TEST(Table, CopyOnWriteMatchesFreshLoad) {
+  const Database image = small_tpcw();
+  Database written = image;
+  const Database untouched = image;
+  Database fresh = small_tpcw();
+  churn(written, 7);
+  churn(fresh, 7);
+  if (HasFailure()) return;
+  expect_same_state(fresh, written);
+  EXPECT_FALSE(written.pages_equal(image));
+  // Equal free-space sets: the next inserts land in the same slots.
+  for (TableId id = 0; id < fresh.table_count(); ++id) {
+    Table& f = fresh.table(id);
+    Table& w = written.table(id);
+    if (f.row_count() == 0) continue;
+    const Row row = f.read_row(nth_row(f, 0));
+    for (int64_t i = 0; i < 40; ++i) {
+      const Row r = with_new_pk(f, row, 2'000'000 + i);
+      ASSERT_EQ(f.insert_row(r), w.insert_row(r)) << f.name();
+    }
+  }
+  expect_same_state(fresh, written);
+
+  const Database reference = small_tpcw();
+  expect_same_state(reference, image);
+  expect_same_state(reference, untouched);
+  size_t pages = 0, still_shared = 0;
+  for (TableId id = 0; id < image.table_count(); ++id) {
+    const Table& i = image.table(id);
+    const Table& u = untouched.table(id);
+    const Table& w = std::as_const(written).table(id);
+    for (PageNo p = 0; p < i.page_count(); ++p) {
+      EXPECT_EQ(&u.page(p), &i.page(p));
+      ++pages;
+      still_shared += &w.page(p) == &i.page(p);
+    }
+    for (int x = -1; x < int(i.secondary_count()); ++x)
+      EXPECT_EQ(&u.index_tree(x), &i.index_tree(x));
+  }
+  EXPECT_GT(still_shared, 0u);
+  EXPECT_LT(still_shared, pages);
 }
 
 }  // namespace
