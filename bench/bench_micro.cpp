@@ -1,7 +1,8 @@
 // google-benchmark micro-benchmarks for the hot primitives: the simulation
 // kernel's wait/wake path, Resource service and Task frames, RB-tree index
-// operations, page diff/apply, the master's pre-commit diff, page
-// free-space bookkeeping, the page LRU, a replica's range scan, the lock
+// operations, page diff/apply, the master's pre-commit diff, an
+// order-entry write-set's build and its allocations, page free-space
+// bookkeeping, the page LRU, a replica's range scan, the lock
 // table fast path, the TPC-W generator, a copied image and its first
 // writes, and the request path's procedure parameters and envelope
 // dispatch.
@@ -9,7 +10,9 @@
 // experiments charge modeled virtual time instead).
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <optional>
 #include <utility>
 #include <variant>
@@ -23,6 +26,25 @@
 #include "txn/write_set.hpp"
 #include "util/lru.hpp"
 #include "util/rng.hpp"
+
+// Allocations of the whole process are counted while g_count_allocations
+// is set: BM_OrdersWriteSet reports them per write-set.
+namespace {
+bool g_count_allocations = false;
+size_t g_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (g_count_allocations) ++g_allocations;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so that GCC does not pair an inlined free() with a
+// new-expression and warn of a mismatch.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 using namespace dmv;
 
@@ -300,9 +322,10 @@ void BM_PageDiff(benchmark::State& state) {
   for (int i = 0; i < changes; ++i)
     after.raw()[rng.below(storage::kPageSize)] =
         std::byte(uint8_t(rng.below(256)));
+  txn::RunBuffer runs;
   for (auto _ : state) {
-    auto runs = txn::diff_pages(before, after);
-    benchmark::DoNotOptimize(runs.size());
+    runs.clear();
+    benchmark::DoNotOptimize(txn::diff_pages(before, after, runs));
   }
   state.SetBytesProcessed(state.iterations() * storage::kPageSize);
 }
@@ -314,10 +337,11 @@ void BM_PageDiffApply(benchmark::State& state) {
   storage::Page after = before;
   for (int i = 0; i < 64; ++i)
     after.raw()[rng.below(storage::kPageSize)] = std::byte{0xAB};
-  const auto runs = txn::diff_pages(before, after);
+  txn::RunBuffer runs;
+  txn::diff_pages(before, after, runs);
   for (auto _ : state) {
     storage::Page target = before;
-    txn::apply_runs(target, runs);
+    txn::apply_runs(target, runs.view());
     benchmark::DoNotOptimize(target.raw().data());
   }
 }
@@ -345,13 +369,112 @@ void BM_PrecommitDiff(benchmark::State& state) {
   t.update_row({0, 101}, storage::Row{int64_t{101}, std::string("changed")});
   const storage::Page& live = t.page(0);
   const bool regions = state.range(0) == 1;
+  txn::RunBuffer runs;
   for (auto _ : state) {
-    auto runs = regions ? txn::diff_undo(txn.undo()[0], live, false)
-                        : txn::diff_pages(before, live);
-    benchmark::DoNotOptimize(runs.data());
+    runs.clear();
+    if (regions)
+      txn::diff_undo(txn.undo()[0], live, false, runs);
+    else
+      txn::diff_pages(before, live, runs);
+    benchmark::DoNotOptimize(runs.bytes.data());
   }
 }
 BENCHMARK(BM_PrecommitDiff)->Arg(0)->Arg(1);
+
+// One order-entry new-order commit's write-set, built the way
+// MemEngine::precommit builds it and then dropped, as the last replica to
+// apply or discard its mods drops it: a district row and two stock rows
+// updated, an order and two order lines inserted, each table on one page
+// (4 mods, 10 runs). Counters: allocations per write-set (the builder is
+// warmed up first, as a master's is after its first commit), and the mods
+// and runs of one write-set.
+void BM_OrdersWriteSet(benchmark::State& state) {
+  using storage::double_col;
+  using storage::int_col;
+  using storage::IndexDef;
+  using storage::Row;
+  using storage::Schema;
+  storage::Database db;
+  db.add_table("district",
+               Schema({int_col("d_id"), int_col("d_next_o_id"),
+                       double_col("d_ytd")}),
+               IndexDef{"pk", {0}, true});
+  db.add_table("stock",
+               Schema({int_col("s_i_id"), int_col("s_qty"),
+                       double_col("s_ytd"), int_col("s_order_cnt")}),
+               IndexDef{"pk", {0}, true});
+  db.add_table("orders",
+               Schema({int_col("o_id"), int_col("o_d_id"), int_col("o_c_id"),
+                       int_col("o_entry_d"), double_col("o_total")}),
+               IndexDef{"pk", {0}, true});
+  db.add_table("order_line",
+               Schema({int_col("ol_id"), int_col("ol_o_id"),
+                       int_col("ol_i_id"), int_col("ol_qty"),
+                       double_col("ol_amount")}),
+               IndexDef{"pk", {0}, true});
+  for (int64_t i = 0; i < 10; ++i)
+    db.table(0).insert_row(Row{i, int64_t{100}, 0.0});
+  for (int64_t i = 0; i < 100; ++i)
+    db.table(1).insert_row(Row{i, int64_t{50}, 0.0, int64_t{0}});
+  for (int64_t i = 0; i < 40; ++i)
+    db.table(2).insert_row(Row{i, i % 10, i, i, 1.0});
+  for (int64_t i = 0; i < 100; ++i)
+    db.table(3).insert_row(Row{i, i / 3, i, int64_t{1}, 1.0});
+
+  // Save each slot before writing it, as the engines' locking does.
+  txn::TxnCtx txn(1, txn::TxnKind::Update);
+  auto save = [&](storage::TableId t, storage::RowId rid) {
+    storage::Table& tb = db.table(t);
+    txn.capture_undo({t, rid.page}, std::as_const(tb).page(rid.page),
+                     rid.slot, tb.schema().row_size());
+  };
+  auto update = [&](storage::TableId t, int64_t id, int col,
+                    storage::Value v) {
+    storage::Table& tb = db.table(t);
+    const storage::RowId rid = *tb.pk_find(storage::Key{id});
+    save(t, rid);
+    Row row = tb.read_row(rid);
+    row[col] = std::move(v);
+    tb.update_row(rid, row);
+  };
+  auto insert = [&](storage::TableId t, const Row& row) {
+    save(t, db.table(t).peek_insert_slot());
+    db.table(t).insert_row(row);
+  };
+  update(0, 3, 1, int64_t{101});
+  insert(2, Row{int64_t{40}, int64_t{3}, int64_t{7}, int64_t{9}, 2.5});
+  for (int64_t i : {12, 57}) update(1, i, 1, int64_t{49});
+  for (int64_t i : {100, 101})
+    insert(3, Row{i, int64_t{40}, i, int64_t{1}, 1.0});
+
+  txn::WriteSetBuilder builder;
+  const std::vector<uint64_t> version(db.table_count(), 8);
+  auto build = [&] {
+    for (const txn::PageUndo& u : txn.undo()) {
+      const storage::Table& tb = std::as_const(db).table(u.pid.table);
+      txn::diff_undo(u, tb.page(u.pid.page), false, builder.runs());
+      builder.add_mod(u.pid, 8);
+    }
+    std::shared_ptr<txn::WriteSet> ws = builder.build(1);
+    ws->db_version = version;
+    return ws;
+  };
+  const auto shape = build();
+  size_t allocations = 0;
+  for (auto _ : state) {
+    g_count_allocations = true;
+    const size_t before = g_allocations;
+    benchmark::DoNotOptimize(build().get());
+    allocations += g_allocations - before;
+    g_count_allocations = false;
+  }
+  state.counters["allocs_per_ws"] =
+      double(allocations) / double(state.iterations());
+  state.counters["mods"] = double(shape->mods.size());
+  state.counters["runs"] = double(shape->run_headers.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_OrdersWriteSet);
 
 // Free-space bookkeeping after raw application to a page of 200 rows in
 // its 203 slots: the first free slot is past three bitmap words.
@@ -372,14 +495,17 @@ void BM_WriteSetApply(benchmark::State& state) {
   const size_t per_msg = size_t(state.range(0));
   util::Rng rng(7);
   storage::Page before;
-  std::vector<txn::PageMod> mods(16);
-  for (auto& mod : mods) {
+  txn::WriteSetBuilder builder;
+  for (storage::PageNo p = 0; p < 16; ++p) {
     storage::Page after = before;
     for (int i = 0; i < 32; ++i)
       after.raw()[rng.below(storage::kPageSize)] =
           std::byte(uint8_t(rng.below(256)));
-    mod.runs = txn::diff_pages(before, after);
+    txn::diff_pages(before, after, builder.runs());
+    builder.add_mod({0, p}, 1);
   }
+  const std::shared_ptr<const txn::WriteSet> ws = builder.build(1);
+  const std::vector<txn::PageMod>& mods = ws->mods;
   for (auto _ : state) {
     storage::Page target = before;
     for (size_t base = 0; base < mods.size(); base += per_msg) {

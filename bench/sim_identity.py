@@ -12,7 +12,10 @@ values:
     attempted, failed, wips, read_mean_ms, read_p99_ms, update_mean_ms,
     update_p99_ms, sim.events_per_vs
 
-Host-time metrics are not compared. Usage:
+Host metrics are not compared: the peak_rss_mb, setup_s and
+host_sec_per_virtual_sec of each tree's --trace 0 run are printed side by
+side, for information only (one run each, so only a large delta means
+anything). Usage:
 
     python3 bench/sim_identity.py HEAD~1
     python3 bench/sim_identity.py main --seeds 1 2 --workloads scan_reporting
@@ -51,6 +54,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 METRICS = ("wips", "read_mean_ms", "read_p99_ms", "update_mean_ms",
            "update_p99_ms", "sim.events_per_vs")
+# Printed for both trees, never compared.
+HOST_METRICS = ("peak_rss_mb", "setup_s", "host_sec_per_virtual_sec")
 CHECKS = [["--mutations"], ["--quick"]] + \
          [["--quick", m]
           for m in ("--geo", "--elastic", "--multimaster", "--disaster")] + \
@@ -101,17 +106,19 @@ def perfbench(tree, workload, seed, seconds, trace):
 
 
 def simulated(tree, workload, seed, seconds):
-    """The compared values of one seed in `tree`, or None."""
+    """The compared values of one seed in `tree` and the host metrics of
+    its --trace 0 run, or (None, None)."""
     run = perfbench(tree, workload, seed, seconds, 0)
     # Per-layer metrics such as sim.events_per_vs come only with --trace 1.
     layers = run and perfbench(tree, workload, seed, seconds, 1)
     if not layers:
-        return None
+        return None, None
     metrics = dict(run["metrics"], **layers["metrics"])
     values = {"attempted": run["attempted"], "failed": run["failed"]}
     for name in METRICS:
         values[name] = metrics[name]["value"]
-    return values
+    host = {name: run["metrics"][name]["value"] for name in HOST_METRICS}
+    return values, host
 
 
 def build_sweeps(tree, build):
@@ -185,8 +192,8 @@ def compare_perfbench(args, base):
     for workload in workloads:
         for seed in args.seeds:
             print("%s seed %d" % (workload, seed), flush=True)
-            old = simulated(base, workload, seed, args.seconds)
-            new = simulated(ROOT, workload, seed, args.seconds)
+            old, old_host = simulated(base, workload, seed, args.seconds)
+            new, new_host = simulated(ROOT, workload, seed, args.seconds)
             if old is None or new is None:
                 status = 2
                 continue
@@ -199,6 +206,10 @@ def compare_perfbench(args, base):
             else:
                 print("  identical: " + ", ".join(
                     "%s %s" % (k, v) for k, v in new.items()))
+            print("  host, not compared (%s -> working tree): " % args.ref +
+                  ", ".join("%s %.4g -> %.4g" %
+                            (k, old_host[k], new_host[k])
+                            for k in HOST_METRICS))
     return status
 
 

@@ -46,7 +46,9 @@ sim::Task<> commit_price(MemEngine& master, int64_t price) {
   for (const auto& m : ws->mods) bytes += m.byte_size();
   std::cout << "  committed price=" << price << " -> version "
             << ws->db_version[0] << ", write-set " << ws->mods.size()
-            << " page mod(s), " << bytes << " bytes\n";
+            << " page mod(s) of " << ws->run_headers.size() << " run(s) ("
+            << ws->run_bytes.size() << " changed bytes), " << bytes
+            << " bytes\n";
 }
 
 sim::Task<> read_at(MemEngine& slave, uint64_t version, const char* who) {

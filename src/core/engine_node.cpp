@@ -789,8 +789,8 @@ sim::Task<> EngineNode::serve_page_request(NodeId to, PageRequest m) {
     const uint64_t have = it == m.have.end() ? 0 : it->second;
     if (ver <= have) continue;
     const storage::Database& db = std::as_const(*engine_).db();
-    chunk.pages.push_back(
-        mem::PageSnapshot{pid, ver, db.table(pid.table).page(pid.page)});
+    chunk.pages.push_back(mem::PageSnapshot{
+        pid, ver, db.table(pid.table).page_handle(pid.page)});
     ++stats_.pages_served;
     ++sent;
     if (chunk.pages.size() >= kMigrationChunkPages) flush(false);
@@ -931,7 +931,7 @@ size_t EngineNode::install_newer(const std::vector<mem::PageSnapshot>& pages) {
     const uint64_t have =
         snap.pid.page < tb.page_count() ? tb.meta(snap.pid.page).version : 0;
     if (snap.version > have) {
-      engine_->install_page(snap.pid, snap.image, snap.version);
+      engine_->install_page(snap.pid, *snap.image, snap.version);
       ++installed;
     }
   }

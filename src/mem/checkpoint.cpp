@@ -25,9 +25,9 @@ sim::Task<size_t> Checkpointer::checkpoint_once() {
       const uint64_t ver = tb.meta(p).version;
       const PageSnapshot* prev = store_.get(pid);
       if (prev && prev->version == ver) continue;  // unchanged
-      // The (image, version) pair is copied in one simulation step: the
+      // The (image, version) pair is taken in one simulation step: the
       // per-page flush is atomic, as §4.4 requires.
-      store_.put(PageSnapshot{pid, ver, tb.page(p)});
+      store_.put(PageSnapshot{pid, ver, tb.page_handle(p)});
       ++flushed;
       co_await sim_.delay(engine_.costs().checkpoint_page_write);
     }
@@ -38,7 +38,7 @@ sim::Task<size_t> Checkpointer::checkpoint_once() {
 
 void restore_from_checkpoint(MemEngine& engine, const StableStore& store) {
   store.for_each([&](const PageSnapshot& snap) {
-    engine.install_page(snap.pid, snap.image, snap.version);
+    engine.install_page(snap.pid, *snap.image, snap.version);
   });
 }
 

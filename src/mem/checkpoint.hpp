@@ -15,10 +15,13 @@
 
 namespace dmv::mem {
 
+// A page image at a version. The image is a copy-on-write handle on the
+// table's page: taking a snapshot copies nothing, and the table's next
+// write to the page clones it, leaving the snapshot's image as it was.
 struct PageSnapshot {
   storage::PageId pid;
   uint64_t version = 0;
-  storage::Page image;
+  std::shared_ptr<const storage::Page> image;
 };
 
 // Stand-in for a node's local disk: survives process restarts (the object

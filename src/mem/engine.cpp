@@ -360,39 +360,30 @@ sim::Task<txn::WriteSetPtr> MemEngine::precommit(TxnCtx& txn) {
     co_await cpu_.use(cfg_.costs.diff_page *
                       sim::Time(txn.undo().size()));
   }
-  auto ws = std::make_shared<txn::WriteSet>();
-  ws->txn_id = txn.id();
-
   // Diff first, bump versions after: a table whose every dirty page diffs
   // empty (written then reverted) must not publish a version number no
   // write-set carries — cumulative acks equate "version seen" with
-  // "write-set received" (DESIGN.md, replication pipeline).
-  std::vector<txn::PageMod> mods;
-  std::set<TableId> changed;
+  // "write-set received" (DESIGN.md, replication pipeline). Every mod of
+  // table t carries version_[t] + 1.
   for (const txn::PageUndo& undo : txn.undo()) {
     const PageId pid = undo.pid;
     DMV_ASSERT_MSG(masters(pid.table), "dirtied a non-mastered table");
-    txn::PageMod mod;
-    mod.pid = pid;
-    const storage::Table& tb = std::as_const(db_).table(pid.table);
+    const storage::Page& page = std::as_const(db_).table(pid.table).page(
+        pid.page);
+    txn::RunBuffer& runs = ws_builder_.runs();
     if (cfg_.full_page_writesets) {
-      txn::ByteRun whole;
-      whole.offset = 0;
-      const auto raw = tb.page(pid.page).raw();
-      whole.bytes.assign(raw.begin(), raw.end());
-      mod.runs.push_back(std::move(whole));
+      runs.headers.push_back({0, uint32_t(storage::kPageSize)});
+      runs.bytes.insert(runs.bytes.end(), page.raw().begin(),
+                        page.raw().end());
     } else {
-      mod.runs = txn::diff_undo(undo, tb.page(pid.page), /*restore=*/false);
-      if (mod.runs.empty()) continue;  // written then reverted
+      txn::diff_undo(undo, page, /*restore=*/false, runs);
     }
-    changed.insert(pid.table);
-    mods.push_back(std::move(mod));
+    ws_builder_.add_mod(pid, version_[pid.table] + 1);
   }
-  for (TableId t : changed) ++version_[t];
-  for (txn::PageMod& mod : mods) {
-    mod.version = version_[mod.pid.table];
+  const std::shared_ptr<txn::WriteSet> ws = ws_builder_.build(txn.id());
+  for (const txn::PageMod& mod : ws->mods) {
+    version_[mod.pid.table] = mod.version;
     db_.table(mod.pid.table).meta(mod.pid.page).version = mod.version;
-    ws->mods.push_back(std::move(mod));
   }
   // Stamp with the *applied* version vector only. Conflict classes are
   // disjoint, so an update can never causally depend on another class's
@@ -404,8 +395,7 @@ sim::Task<txn::WriteSetPtr> MemEngine::precommit(TxnCtx& txn) {
   // sees the stamp bumps received_ for a table whose mods it does not hold
   // and serves old pages under the new tag.
   ws->db_version = version_;
-
-  txn::WriteSetPtr shared = std::move(ws);
+  txn::WriteSetPtr shared = ws;
   if (broadcast_fn_) broadcast_fn_(shared);
   co_return shared;
 }
@@ -432,7 +422,7 @@ void MemEngine::on_write_set(const txn::WriteSetPtr& ws) {
     const TableId t = ws->mods[i].pid.table;
     // Never queue mods for tables we master (our own state is the source).
     if (masters(t)) continue;
-    pending_[t].push_back(PendingMod{ws, uint32_t(i)});
+    pending_[t].emplace_back(ws, &ws->mods[i]);
     ++stats_.mods_enqueued;
   }
   for (size_t t = 0; t < ws->db_version.size(); ++t) {
@@ -456,7 +446,7 @@ void MemEngine::discard_mods_above(
   for (size_t t = 0; t < confirmed.size(); ++t) {
     if (!affected(t)) continue;
     auto& q = pending_[t];
-    while (!q.empty() && q.back().mod().version > confirmed[t]) q.pop_back();
+    while (!q.empty() && q.back()->version > confirmed[t]) q.pop_back();
     received_[t] = std::min(received_[t], confirmed[t]);
   }
 }
@@ -466,8 +456,8 @@ sim::Task<> MemEngine::apply_pending(TableId t, uint64_t v,
   sim::Time cost = 0;
   auto& q = pending_[t];
   storage::Table& table = db_.table(t);
-  for (; !q.empty() && q.front().mod().version <= v; q.pop_front()) {
-    const txn::PageMod& mod = q.front().mod();
+  for (; !q.empty() && q.front()->version <= v; q.pop_front()) {
+    const txn::PageMod& mod = *q.front();
     table.ensure_page(mod.pid.page);
     if (mod.version <= table.meta(mod.pid.page).version) continue;  // stale
     const size_t slots = txn::apply_mod_indexed(table, mod);
@@ -485,7 +475,7 @@ sim::Task<> MemEngine::apply_pending(TableId t, uint64_t v,
 
 bool MemEngine::has_applicable(TableId t) const {
   const auto& q = pending_[t];
-  return !q.empty() && q.front().mod().version <= received_[t];
+  return !q.empty() && q.front()->version <= received_[t];
 }
 
 sim::Task<bool> MemEngine::wait_arrival(TableId t) {
@@ -519,9 +509,9 @@ void MemEngine::install_page(PageId pid, const storage::Page& image,
                              uint64_t version) {
   storage::Table& tb = db_.table(pid.table);
   tb.ensure_page(pid.page);
-  std::vector<txn::ByteRun> whole(1);
-  whole[0].bytes.assign(image.raw().begin(), image.raw().end());
-  txn::apply_runs_indexed(tb, pid.page, whole);
+  const txn::RunHeader whole{0, uint32_t(storage::kPageSize)};
+  txn::apply_runs_indexed(tb, pid.page,
+                          txn::Runs({&whole, 1}, image.raw().data()));
   tb.meta(pid.page).version = version;
   ++stats_.pages_installed;
 }

@@ -126,13 +126,10 @@ class MemEngine {
                          const storage::Key& pk);
 
   // --- replication (slave side) ---
-  // A queued mod: the shared write-set it arrived in, and its position
-  // there. Queued mods keep their write-set alive, and nothing else.
-  struct PendingMod {
-    txn::WriteSetPtr ws;
-    uint32_t index = 0;
-    const txn::PageMod& mod() const { return ws->mods[index]; }
-  };
+  // A queued mod: it points at its PageMod and shares ownership of the
+  // write-set the mod arrived in (an aliasing shared_ptr, 16 bytes).
+  // Queued mods keep their write-set alive, and nothing else.
+  using PendingMod = std::shared_ptr<const txn::PageMod>;
   // Queue the mods of tables this engine does not master, sharing `ws`.
   void on_write_set(const txn::WriteSetPtr& ws);
   // Master-failure cleanup (§4.2): drop queued mods with versions above
@@ -225,6 +222,9 @@ class MemEngine {
   sim::Resource cpu_;
   std::set<storage::TableId> master_tables_;
   std::function<void(const txn::WriteSetPtr&)> broadcast_fn_;
+
+  // Pre-commit's scratch: its buffers are reused from commit to commit.
+  txn::WriteSetBuilder ws_builder_;
 
   VersionVec version_;   // produced (mastered tables)
   VersionVec received_;  // received from masters (slave tables)

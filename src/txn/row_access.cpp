@@ -78,11 +78,13 @@ bool still_holds(const storage::Table& tb, const api::ScanSpec& spec,
 }
 
 void undo_writes(storage::Database& db, const TxnCtx& txn) {
+  RunBuffer runs;
   for (const PageUndo& u : txn.undo()) {
     storage::Table& tb = db.table(u.pid.table);
-    const auto runs =
-        diff_undo(u, std::as_const(tb).page(u.pid.page), /*restore=*/true);
-    if (!runs.empty()) apply_runs_reindex_all(tb, u.pid.page, runs);
+    runs.clear();
+    if (diff_undo(u, std::as_const(tb).page(u.pid.page), /*restore=*/true,
+                  runs) > 0)
+      apply_runs_reindex_all(tb, u.pid.page, runs.view());
   }
 }
 

@@ -9,16 +9,51 @@
 
 namespace dmv::txn {
 
-size_t PageMod::byte_size() const {
-  size_t n = 16;  // pid + version
-  for (const auto& r : runs) n += 8 + r.bytes.size();
+size_t Runs::byte_count() const {
+  size_t n = 0;
+  for (const RunHeader& h : headers()) n += h.len;
   return n;
+}
+
+bool Runs::operator==(const Runs& o) const {
+  if (!std::ranges::equal(headers(), o.headers())) return false;
+  const size_t n = byte_count();
+  return n == 0 || std::memcmp(bytes_, o.bytes_, n) == 0;
 }
 
 size_t WriteSet::byte_size() const {
   size_t n = 8 + 8 * db_version.size();
   for (const auto& m : mods) n += m.byte_size();
   return n;
+}
+
+bool WriteSetBuilder::add_mod(storage::PageId pid, uint64_t version) {
+  const uint32_t end = uint32_t(runs_.headers.size());
+  if (end == (mods_.empty() ? 0 : mods_.back().header_end)) return false;
+  mods_.push_back({pid, version, end});
+  return true;
+}
+
+std::shared_ptr<WriteSet> WriteSetBuilder::build(uint64_t txn_id) {
+  DMV_ASSERT(runs_.headers.size() ==
+             (mods_.empty() ? 0 : mods_.back().header_end));
+  auto ws = std::make_shared<WriteSet>();
+  ws->txn_id = txn_id;
+  ws->run_headers.assign(runs_.headers.begin(), runs_.headers.end());
+  ws->run_bytes.assign(runs_.bytes.begin(), runs_.bytes.end());
+  ws->mods.reserve(mods_.size());
+  const RunHeader* h = ws->run_headers.data();
+  const std::byte* b = ws->run_bytes.data();
+  uint32_t first = 0;
+  for (const Staged& m : mods_) {
+    const Runs runs({h + first, h + m.header_end}, b);
+    ws->mods.push_back({m.pid, m.version, runs});
+    b += runs.byte_count();
+    first = m.header_end;
+  }
+  runs_.clear();
+  mods_.clear();
+  return ws;
 }
 
 namespace {
@@ -38,18 +73,35 @@ size_t common_prefix(const std::byte* a, const std::byte* b, size_t n) {
   return i;
 }
 
-}  // namespace
+// The saved regions of a PageUndo, computed as they are read: the bitmap,
+// then the saved slots in ascending order.
+class UndoRegions {
+ public:
+  explicit UndoRegions(const PageUndo& undo) : undo_(undo) {}
+  size_t size() const { return 1 + undo_.slots.size(); }
+  SavedRegion operator[](size_t k) const {
+    if (k == 0) return {0, storage::kPageHeader, undo_.bitmap.data()};
+    const size_t i = k - 1;
+    return {storage::kPageHeader + undo_.slots[i] * undo_.row_size,
+            undo_.row_size, undo_.rows.data() + i * undo_.row_size};
+  }
 
-std::vector<ByteRun> diff_regions(const storage::Page& live,
-                                  std::span<const SavedRegion> regions,
-                                  bool restore, size_t merge_gap) {
+ private:
+  const PageUndo& undo_;
+};
+
+// diff_regions over any ascending sequence of regions with size() and
+// operator[] (by value).
+template <typename Regions>
+size_t diff_into(const storage::Page& live, const Regions& regions,
+                 bool restore, RunBuffer& out, size_t merge_gap) {
   const std::byte* now = live.raw().data();
   // First offset >= i where the images differ, or kPageSize. `i` never
   // decreases, so regions before `k` are done with.
   size_t k = 0;
   const auto next_diff = [&](size_t i) {
     for (; k < regions.size(); ++k) {
-      const SavedRegion& r = regions[k];
+      const SavedRegion r = regions[k];
       const size_t lo = std::max(i, r.offset);
       const size_t hi = r.offset + r.size;
       if (lo >= hi) continue;
@@ -59,7 +111,8 @@ std::vector<ByteRun> diff_regions(const storage::Page& live,
     }
     return storage::kPageSize;
   };
-  std::vector<ByteRun> runs;
+  const size_t first_header = out.headers.size();
+  const size_t first_byte = out.bytes.size();
   size_t i = next_diff(0);
   while (i < storage::kPageSize) {
     // Start of a changed run; extend it through every following change
@@ -71,68 +124,69 @@ std::vector<ByteRun> diff_regions(const storage::Page& live,
       if (i == storage::kPageSize || i - end > merge_gap) break;
       end = i + 1;
     }
-    ByteRun run;
-    run.offset = uint32_t(start);
-    run.bytes.assign(now + start, now + end);
-    runs.push_back(std::move(run));
+    out.headers.push_back({uint32_t(start), uint32_t(end - start)});
+    out.bytes.insert(out.bytes.end(), now + start, now + end);
   }
   if (restore) {
     // Outside the regions both images agree; inside, take the saved bytes.
     size_t j = 0;
-    for (ByteRun& run : runs) {
-      const size_t lo = run.offset;
-      const size_t hi = lo + run.bytes.size();
-      while (j < regions.size() && regions[j].offset + regions[j].size <= lo)
+    std::byte* bytes = out.bytes.data() + first_byte;
+    for (size_t h = first_header; h < out.headers.size(); ++h) {
+      const size_t lo = out.headers[h].offset;
+      const size_t hi = lo + out.headers[h].len;
+      while (j < regions.size() &&
+             regions[j].offset + regions[j].size <= lo)
         ++j;
-      for (size_t r = j; r < regions.size() && regions[r].offset < hi; ++r) {
-        const size_t a = std::max(lo, regions[r].offset);
-        const size_t b = std::min(hi, regions[r].offset + regions[r].size);
-        std::memcpy(run.bytes.data() + (a - lo),
-                    regions[r].saved + (a - regions[r].offset), b - a);
+      for (size_t r = j; r < regions.size(); ++r) {
+        const SavedRegion reg = regions[r];
+        if (reg.offset >= hi) break;
+        const size_t a = std::max(lo, reg.offset);
+        const size_t b = std::min(hi, reg.offset + reg.size);
+        std::memcpy(bytes + (a - lo), reg.saved + (a - reg.offset), b - a);
       }
+      bytes += hi - lo;
     }
   }
-  return runs;
+  return out.headers.size() - first_header;
 }
 
-std::vector<ByteRun> diff_pages(const storage::Page& before,
-                                const storage::Page& after,
-                                size_t merge_gap) {
+}  // namespace
+
+size_t diff_regions(const storage::Page& live,
+                    std::span<const SavedRegion> regions, bool restore,
+                    RunBuffer& out, size_t merge_gap) {
+  return diff_into(live, regions, restore, out, merge_gap);
+}
+
+size_t diff_pages(const storage::Page& before, const storage::Page& after,
+                  RunBuffer& out, size_t merge_gap) {
   const SavedRegion whole{0, storage::kPageSize, before.raw().data()};
-  return diff_regions(after, {&whole, 1}, false, merge_gap);
+  return diff_regions(after, {&whole, 1}, false, out, merge_gap);
 }
 
-std::vector<ByteRun> diff_undo(const PageUndo& undo,
-                               const storage::Page& live, bool restore) {
-  // The bitmap, then the saved slots in ascending order.
-  std::vector<SavedRegion> regions;
-  regions.reserve(1 + undo.slots.size());
-  regions.push_back({0, storage::kPageHeader, undo.bitmap.data()});
-  for (size_t i = 0; i < undo.slots.size(); ++i)
-    regions.push_back({storage::kPageHeader + undo.slots[i] * undo.row_size,
-                       undo.row_size, undo.rows.data() + i * undo.row_size});
-  return diff_regions(live, regions, restore);
+size_t diff_undo(const PageUndo& undo, const storage::Page& live,
+                 bool restore, RunBuffer& out) {
+  return diff_into(live, UndoRegions(undo), restore, out, kMergeGap);
 }
 
-void apply_runs(storage::Page& target, const std::vector<ByteRun>& runs) {
-  for (const auto& r : runs) {
+void apply_runs(storage::Page& target, Runs runs) {
+  for (const Run r : runs) {
     DMV_ASSERT(r.offset + r.bytes.size() <= storage::kPageSize);
     std::memcpy(target.raw().data() + r.offset, r.bytes.data(),
                 r.bytes.size());
   }
 }
 
-std::vector<uint16_t> affected_slots(const std::vector<ByteRun>& runs,
-                                     size_t row_size, size_t slots_per_page) {
+SlotList affected_slots(Runs runs, size_t row_size, size_t slots_per_page) {
   // A fixed bitmap of the page's slots, read out in ascending order.
   std::array<uint64_t, storage::kMaxSlots / 64> bits{};
   const auto mark = [&](size_t lo, size_t hi) {  // slots [lo, hi)
     for (size_t s = lo; s < std::min(hi, slots_per_page); ++s)
       bits[s / 64] |= uint64_t{1} << (s % 64);
   };
-  for (const auto& r : runs) {
+  for (const RunHeader& r : runs.headers()) {
     const size_t lo = r.offset;
-    const size_t hi = r.offset + r.bytes.size();  // exclusive
+    const size_t hi = r.offset + r.len;  // exclusive
     // Bitmap bytes touched: every slot whose bit lives in [lo, hi) within
     // the header may have flipped occupancy.
     if (lo < storage::kPageHeader)
@@ -143,7 +197,7 @@ std::vector<uint16_t> affected_slots(const std::vector<ByteRun>& runs,
                row_size,
            (hi - storage::kPageHeader + row_size - 1) / row_size);
   }
-  std::vector<uint16_t> slots;
+  SlotList slots;
   for (size_t w = 0; w < bits.size(); ++w)
     for (uint64_t b = bits[w]; b != 0; b &= b - 1)
       slots.push_back(uint16_t(w * 64 + size_t(std::countr_zero(b))));
@@ -151,7 +205,7 @@ std::vector<uint16_t> affected_slots(const std::vector<ByteRun>& runs,
 }
 
 size_t apply_runs_indexed(storage::Table& table, storage::PageNo p,
-                          const std::vector<ByteRun>& runs) {
+                          Runs runs) {
   const size_t row_size = table.schema().row_size();
   const auto slots = affected_slots(runs, row_size, table.slots_per_page());
   storage::Page& page = table.page(p);
@@ -231,7 +285,7 @@ size_t apply_runs_indexed(storage::Table& table, storage::PageNo p,
 }
 
 size_t apply_runs_reindex_all(storage::Table& table, storage::PageNo p,
-                              const std::vector<ByteRun>& runs) {
+                              Runs runs) {
   const auto slots =
       affected_slots(runs, table.schema().row_size(), table.slots_per_page());
   for (uint16_t s : slots) table.unindex_slot(p, s);

@@ -1318,12 +1318,12 @@ TEST(DmvCluster, ReplicasShareOneWriteSetPayload) {
   for (size_t i = 0; i < f.cluster->slave_count(); ++i)
     replicas.push_back(f.cluster->slave_id(i));
   replicas.push_back(f.cluster->spare_id(0));
-  txn::WriteSetPtr shared;
+  mem::MemEngine::PendingMod shared;
   for (NodeId r : replicas) {
     const auto& q = f.cluster->node(r).engine().pending(0);
     ASSERT_EQ(q.size(), 1u);
-    if (!shared) shared = q.front().ws;
-    EXPECT_EQ(q.front().ws, shared);
+    if (!shared) shared = q.front();
+    EXPECT_EQ(q.front(), shared);  // the same mod of the same write-set
   }
   // Held by the replicas' queues and this test, by nothing else.
   EXPECT_EQ(shared.use_count(), long(replicas.size()) + 1);

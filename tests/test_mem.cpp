@@ -618,8 +618,10 @@ TEST(MemEngineCc, BroadcastSharesOneWriteSetAcrossReplicas) {
     for (TableId t = 0; t < 2; ++t) {
       ASSERT_EQ(s->pending(t).size(), 4u);
       for (const MemEngine::PendingMod& p : s->pending(t)) {
-        EXPECT_EQ(p.ws, sent[p.mod().version - 1].lock());
-        EXPECT_EQ(p.mod().pid.table, t);
+        const txn::WriteSetPtr ws = sent[p->version - 1].lock();
+        EXPECT_FALSE(p.owner_before(ws) || ws.owner_before(p));
+        EXPECT_EQ(p.get(), &ws->mods[t]);
+        EXPECT_EQ(p->pid.table, t);
       }
     }
   for (const auto& ws : sent) EXPECT_EQ(ws.use_count(), 3 * 2);
@@ -630,7 +632,7 @@ TEST(MemEngineCc, BroadcastSharesOneWriteSetAcrossReplicas) {
     std::vector<uint64_t> left[2];
     for (TableId t = 0; t < 2; ++t)
       for (const MemEngine::PendingMod& p : s->pending(t))
-        left[t].push_back(p.mod().version);
+        left[t].push_back(p->version);
     EXPECT_EQ(left[0], (std::vector<uint64_t>{1, 2}));
     EXPECT_EQ(left[1], (std::vector<uint64_t>{1, 2, 3}));
   }
@@ -651,6 +653,42 @@ TEST(MemEngineCc, BroadcastSharesOneWriteSetAcrossReplicas) {
         s->db().table(0).pk_find(K(int64_t{3})).has_value());
   }
   for (const auto& ws : sent) EXPECT_TRUE(ws.expired());
+}
+
+// A write-set lives exactly as long as a queued mod of it: it dies when
+// the last replica applies or discards the last of its mods, and not a
+// step earlier. The master keeps no reference once it has broadcast.
+TEST(MemEngineCc, WriteSetDiesWithItsLastQueuedMod) {
+  Cluster c(2);
+  std::weak_ptr<const txn::WriteSet> sent;
+  c.master->set_broadcast_fn([&](const txn::WriteSetPtr& ws) {
+    sent = ws;
+    for (auto& s : c.slaves) s->on_write_set(ws);
+  });
+  c.run_update([](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
+    co_await insert_acct(m, txn, 1, 1, "x");
+    co_await m.insert(txn, 1, R(int64_t{1}, int64_t{1}));
+  });
+  ASSERT_EQ(sent.lock()->mods.size(), 2u);
+  EXPECT_EQ(sent.use_count(), 4);  // two tables on two replicas
+  auto apply = [&](MemEngine& s, TableId t) {
+    c.sim.spawn([](MemEngine& s, TableId t) -> sim::Task<> {
+      co_await s.apply_pending(t, s.received_version()[t]);
+    }(s, t));
+    c.sim.run();
+  };
+  MemEngine& a = *c.slaves[0];
+  MemEngine& b = *c.slaves[1];
+  apply(a, 0);
+  EXPECT_EQ(sent.use_count(), 3);
+  b.discard_mods_above({1, 0});  // table 1's mod
+  EXPECT_EQ(sent.use_count(), 2);
+  apply(a, 1);
+  EXPECT_EQ(sent.use_count(), 1);
+  EXPECT_FALSE(sent.expired());
+  apply(b, 0);
+  EXPECT_TRUE(sent.expired());
+  EXPECT_EQ(a.pending_mod_count() + b.pending_mod_count(), 0u);
 }
 
 TEST(MemEngine, InstallPageBringsStaleNodeCurrent) {
@@ -875,6 +913,53 @@ TEST(Checkpoint, RoundTripRestoresState) {
   // Page versions restored too.
   EXPECT_EQ(restored.db().table(0).meta(0).version,
             c.master->db().table(0).meta(0).version);
+}
+
+// A checkpoint shares the pages it flushes: a pass over a copy of an image
+// that nobody wrote holds the image's own pages and clones none, a write
+// after it clones only the page it writes, and the snapshot keeps the
+// image the page had when it was taken.
+TEST(Checkpoint, SharesPagesInsteadOfCopyingThem) {
+  Cluster c(0);
+  for (int i = 0; i < 800; ++i) {
+    c.run_update([i](MemEngine& m, txn::TxnCtx& txn) -> sim::Task<> {
+      co_await insert_acct(m, txn, i, i, "o");
+    });
+  }
+  const storage::Database image = c.master->db();
+  MemEngine copy(c.sim, "copy", {});
+  copy.build_schema(demo_schema);
+  copy.db() = image;
+  const storage::Table& tb = std::as_const(copy.db()).table(0);
+  const storage::Table& img = image.table(0);
+  ASSERT_GT(img.page_count(), 2u);
+
+  StableStore store;
+  Checkpointer cp(c.sim, copy, store, 60 * sim::kSec);
+  c.sim.spawn([](Checkpointer& cp) -> sim::Task<> {
+    co_await cp.checkpoint_once();
+  }(cp));
+  c.sim.run();
+  for (storage::PageNo p = 0; p < img.page_count(); ++p) {
+    ASSERT_NE(store.get({0, p}), nullptr);
+    EXPECT_EQ(store.get({0, p})->image.get(), &img.page(p));
+    EXPECT_EQ(&tb.page(p), &img.page(p));
+  }
+
+  // A write to page 1 clones page 1 only; the snapshot keeps the old bytes.
+  const storage::Page before = img.page(1);
+  Row row = tb.read_row({1, 0});
+  row[1] = int64_t{-1};
+  copy.db().table(0).update_row({1, 0}, row);
+  EXPECT_NE(&tb.page(1), &img.page(1));
+  EXPECT_EQ(&tb.page(0), &img.page(0));
+  EXPECT_TRUE(*store.get({0, 1})->image == before);
+
+  MemEngine restored(c.sim, "restored", {});
+  restored.build_schema(demo_schema);
+  restore_from_checkpoint(restored, store);
+  EXPECT_TRUE(restored.db().pages_equal(image));
+  EXPECT_EQ(restored.db().table(0).row_count(), 800u);
 }
 
 TEST(Checkpoint, SecondPassFlushesOnlyChangedPages) {

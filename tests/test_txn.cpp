@@ -608,9 +608,20 @@ TEST_P(LockEquivalence, VerdictsMatchTransactionLevelSearch) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LockEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
+// diff_pages into a fresh buffer.
+RunBuffer diff(const storage::Page& before, const storage::Page& after,
+               size_t gap = kMergeGap) {
+  RunBuffer runs;
+  diff_pages(before, after, runs, gap);
+  return runs;
+}
+
 TEST(WriteSet, DiffEmptyPagesIsEmpty) {
   storage::Page a, b;
-  EXPECT_TRUE(diff_pages(a, b).empty());
+  RunBuffer runs;
+  EXPECT_EQ(diff_pages(a, b, runs), 0u);
+  EXPECT_TRUE(runs.headers.empty());
+  EXPECT_TRUE(runs.bytes.empty());
 }
 
 TEST(WriteSet, DiffFindsChangedRuns) {
@@ -618,21 +629,21 @@ TEST(WriteSet, DiffFindsChangedRuns) {
   b.raw()[100] = std::byte{1};
   b.raw()[101] = std::byte{2};
   b.raw()[500] = std::byte{3};
-  auto runs = diff_pages(a, b);
-  ASSERT_EQ(runs.size(), 2u);
-  EXPECT_EQ(runs[0].offset, 100u);
-  EXPECT_EQ(runs[0].bytes.size(), 2u);
-  EXPECT_EQ(runs[1].offset, 500u);
+  const RunBuffer runs = diff(a, b);
+  ASSERT_EQ(runs.headers.size(), 2u);
+  EXPECT_EQ(runs.headers[0], (RunHeader{100, 2}));
+  EXPECT_EQ(runs.headers[1], (RunHeader{500, 1}));
+  EXPECT_EQ(runs.bytes, (std::vector<std::byte>{std::byte{1}, std::byte{2},
+                                                std::byte{3}}));
 }
 
 TEST(WriteSet, NearbyRunsMerge) {
   storage::Page a, b;
   b.raw()[100] = std::byte{1};
   b.raw()[105] = std::byte{2};  // gap of 4 <= merge_gap 8
-  auto runs = diff_pages(a, b);
-  ASSERT_EQ(runs.size(), 1u);
-  EXPECT_EQ(runs[0].offset, 100u);
-  EXPECT_EQ(runs[0].bytes.size(), 6u);
+  const RunBuffer runs = diff(a, b);
+  ASSERT_EQ(runs.headers.size(), 1u);
+  EXPECT_EQ(runs.headers[0], (RunHeader{100, 6}));
 }
 
 TEST(WriteSet, ApplyReconstructsTarget) {
@@ -645,17 +656,16 @@ TEST(WriteSet, ApplyReconstructsTarget) {
   for (int i = 0; i < 200; ++i)
     after.raw()[rng.below(storage::kPageSize)] =
         std::byte(uint8_t(rng.below(256)));
-  auto runs = diff_pages(before, after);
+  const RunBuffer runs = diff(before, after);
   storage::Page rebuilt = before;
-  apply_runs(rebuilt, runs);
+  apply_runs(rebuilt, runs.view());
   EXPECT_TRUE(rebuilt == after);
 }
 
 // The byte-at-a-time diff that diff_pages must reproduce run for run.
-std::vector<ByteRun> reference_diff(const storage::Page& before,
-                                    const storage::Page& after,
-                                    size_t merge_gap) {
-  std::vector<ByteRun> runs;
+RunBuffer reference_diff(const storage::Page& before,
+                         const storage::Page& after, size_t merge_gap) {
+  RunBuffer runs;
   const std::byte* a = before.raw().data();
   const std::byte* b = after.raw().data();
   size_t i = 0;
@@ -675,20 +685,20 @@ std::vector<ByteRun> reference_diff(const storage::Page& before,
         break;
       }
     }
-    runs.push_back(ByteRun{uint32_t(start),
-                           std::vector<std::byte>(b + start, b + end)});
+    runs.headers.push_back({uint32_t(start), uint32_t(end - start)});
+    runs.bytes.insert(runs.bytes.end(), b + start, b + end);
     i = end;
   }
   return runs;
 }
 
 // Diffs, compares with the reference, round-trips, and returns the runs.
-std::vector<ByteRun> checked_diff(const storage::Page& before,
-                                  const storage::Page& after, size_t gap) {
-  auto runs = diff_pages(before, after, gap);
+RunBuffer checked_diff(const storage::Page& before,
+                       const storage::Page& after, size_t gap) {
+  RunBuffer runs = diff(before, after, gap);
   EXPECT_TRUE(runs == reference_diff(before, after, gap)) << "gap " << gap;
   storage::Page rebuilt = before;
-  apply_runs(rebuilt, runs);
+  apply_runs(rebuilt, runs.view());
   EXPECT_TRUE(rebuilt == after) << "gap " << gap;
   return runs;
 }
@@ -703,25 +713,25 @@ TEST(WriteSet, DiffMatchesReferenceOnEdges) {
   };
   for (size_t gap : {size_t(0), size_t(1), size_t(7), size_t(8), size_t(9),
                      size_t(64)}) {
-    EXPECT_TRUE(checked_diff(base, base, gap).empty());  // identical
+    EXPECT_TRUE(checked_diff(base, base, gap).headers.empty());  // identical
     storage::Page p = base;
     flip(p, 0);
     flip(p, storage::kPageSize - 1);
-    ASSERT_EQ(checked_diff(base, p, gap).size(), 2u);
+    ASSERT_EQ(checked_diff(base, p, gap).headers.size(), 2u);
     for (size_t lo : {size_t(7), size_t(4093), size_t(8180)}) {
       p = base;  // an edit straddling an 8-byte boundary
       for (size_t k = lo; k < lo + 6; ++k) flip(p, k);
-      ASSERT_EQ(checked_diff(base, p, gap).size(), 1u);
+      ASSERT_EQ(checked_diff(base, p, gap).headers.size(), 1u);
     }
     for (size_t first : {size_t(3), size_t(100), size_t(8190 - gap - 1)}) {
       p = base;  // exactly `gap` unchanged bytes between: one run
       flip(p, first);
       flip(p, first + gap + 1);
-      ASSERT_EQ(checked_diff(base, p, gap).size(), 1u);
+      ASSERT_EQ(checked_diff(base, p, gap).headers.size(), 1u);
       p = base;  // one more: two runs
       flip(p, first);
       flip(p, first + gap + 2);
-      ASSERT_EQ(checked_diff(base, p, gap).size(), 2u);
+      ASSERT_EQ(checked_diff(base, p, gap).headers.size(), 2u);
     }
   }
 }
@@ -744,11 +754,11 @@ TEST_P(DiffProperty, RoundTrips) {
   for (int i = 0; i < changes; ++i)
     after.raw()[rng.below(storage::kPageSize)] =
         std::byte(uint8_t(rng.below(4)));
-  auto runs = checked_diff(before, after, gap);
+  const RunBuffer runs = checked_diff(before, after, gap);
   // Runs must be sorted and non-overlapping.
-  for (size_t i = 1; i < runs.size(); ++i)
-    EXPECT_GE(runs[i].offset,
-              runs[i - 1].offset + runs[i - 1].bytes.size());
+  for (size_t i = 1; i < runs.headers.size(); ++i)
+    EXPECT_GE(runs.headers[i].offset,
+              runs.headers[i - 1].offset + runs.headers[i - 1].len);
   for (int round = 0; round < 50; ++round) {
     if (rng.chance(0.5)) before = storage::Page();
     after = before;
@@ -768,24 +778,145 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 7, 42, 1234),
                        ::testing::Values(0, 1, 7, 8, 9, 64)));
 
+// A page with random edits inside random ascending regions only, diffed
+// from the regions into a buffer that already holds other runs: the
+// appended runs equal the byte-at-a-time reference diff, of the live
+// bytes and, with `restore`, of the saved ones, and earlier runs stay.
+TEST(WriteSet, FlatRegionRunsMatchReferenceBothWays) {
+  util::Rng rng(11);
+  for (int round = 0; round < 200; ++round) {
+    storage::Page saved;
+    for (size_t i = 0; i < storage::kPageSize; ++i)
+      saved.raw()[i] = std::byte(uint8_t(rng.below(4)));
+    storage::Page live = saved;
+    std::vector<SavedRegion> regions;
+    for (size_t at = rng.below(64); at < storage::kPageSize;
+         at += 1 + rng.below(600)) {
+      const size_t size = std::min(1 + rng.below(80), storage::kPageSize - at);
+      regions.push_back({at, size, saved.raw().data() + at});
+      for (size_t k = 0; k < size; ++k)
+        if (rng.chance(0.2)) live.raw()[at + k] = std::byte(rng.below(4));
+      at += size;
+    }
+    const size_t gap = rng.below(12);
+    for (bool restore : {false, true}) {
+      RunBuffer runs = diff(storage::Page(), live);  // earlier runs
+      const RunBuffer earlier = runs;
+      const size_t n = diff_regions(live, regions, restore, runs, gap);
+      const RunBuffer want = restore ? reference_diff(live, saved, gap)
+                                     : reference_diff(saved, live, gap);
+      ASSERT_EQ(n, want.headers.size());
+      EXPECT_TRUE(std::equal(earlier.headers.begin(), earlier.headers.end(),
+                             runs.headers.begin()));
+      EXPECT_TRUE(std::equal(earlier.bytes.begin(), earlier.bytes.end(),
+                             runs.bytes.begin()));
+      const Runs appended(
+          std::span(runs.headers).subspan(earlier.headers.size()),
+          runs.bytes.data() + earlier.bytes.size());
+      EXPECT_TRUE(appended == want.view()) << "round " << round;
+      EXPECT_EQ(appended.byte_count(),
+                runs.bytes.size() - earlier.bytes.size());
+    }
+  }
+}
+
+// The replicated size, and so every simulated transfer time, is the one
+// the per-run vectors gave: 16 bytes per mod plus 8 and the bytes per run,
+// and 8 plus 8 per table per write-set.
+TEST(WriteSet, ByteSizeKeepsTheReplicatedFormula) {
+  util::Rng rng(3);
+  WriteSetBuilder builder;
+  for (int round = 0; round < 20; ++round) {
+    const size_t pages = 1 + rng.below(5);
+    size_t want = 8 + 8 * 3;
+    std::vector<RunBuffer> reference;
+    for (size_t p = 0; p < pages; ++p) {
+      storage::Page before, after;
+      for (int i = int(rng.below(60)); i >= 0; --i)
+        after.raw()[rng.below(storage::kPageSize)] =
+            std::byte(1 + rng.below(255));
+      reference.push_back(reference_diff(before, after, kMergeGap));
+      diff_pages(before, after, builder.runs());
+      if (!builder.add_mod({0, storage::PageNo(p)}, round + 1)) {
+        EXPECT_TRUE(reference.back().headers.empty());
+        reference.pop_back();
+        continue;
+      }
+      size_t mod = 16;
+      for (const RunHeader& h : reference.back().headers) mod += 8 + h.len;
+      want += mod;
+    }
+    const std::shared_ptr<WriteSet> ws = builder.build(round + 1);
+    ws->db_version = {1, 2, 3};
+    ASSERT_EQ(ws->mods.size(), reference.size());
+    size_t sum = 8 + 8 * 3;
+    for (size_t m = 0; m < ws->mods.size(); ++m) {
+      EXPECT_TRUE(ws->mods[m].runs == reference[m].view());
+      size_t mod = 16;
+      for (const auto r : ws->mods[m].runs) mod += 8 + r.bytes.size();
+      EXPECT_EQ(ws->mods[m].byte_size(), mod);
+      sum += mod;
+    }
+    EXPECT_EQ(ws->byte_size(), sum);
+    EXPECT_EQ(ws->byte_size(), want);
+  }
+}
+
+// A builder packs each mod's runs into the write-set's own exactly sized
+// buffers, drops a page that diffed empty, and starts over empty.
+TEST(WriteSet, BuilderPacksRunsIntoExactStorage) {
+  WriteSetBuilder builder;
+  storage::Page empty, a, b;
+  a.raw()[10] = std::byte{1};
+  a.raw()[900] = std::byte{2};
+  b.raw()[4000] = std::byte{3};
+  diff_pages(empty, a, builder.runs());
+  EXPECT_TRUE(builder.add_mod({0, 0}, 1));
+  diff_pages(empty, empty, builder.runs());
+  EXPECT_FALSE(builder.add_mod({0, 1}, 1));
+  diff_pages(empty, b, builder.runs());
+  EXPECT_TRUE(builder.add_mod({1, 5}, 4));
+  const std::shared_ptr<const WriteSet> ws = builder.build(9);
+  EXPECT_EQ(ws->txn_id, 9u);
+  ASSERT_EQ(ws->mods.size(), 2u);
+  EXPECT_EQ(ws->mods.capacity(), 2u);
+  EXPECT_EQ(ws->run_headers.capacity(), 3u);
+  EXPECT_EQ(ws->run_bytes.capacity(), 3u);
+  EXPECT_EQ(ws->mods[0].pid, (PageId{0, 0}));
+  EXPECT_TRUE(ws->mods[0].runs == diff(empty, a).view());
+  EXPECT_EQ(ws->mods[1].pid, (PageId{1, 5}));
+  EXPECT_EQ(ws->mods[1].version, 4u);
+  EXPECT_TRUE(ws->mods[1].runs == diff(empty, b).view());
+  EXPECT_EQ(ws->mods[1].runs.headers().data(), ws->run_headers.data() + 2);
+  EXPECT_TRUE(builder.runs().headers.empty());
+  EXPECT_TRUE(builder.build(10)->mods.empty());
+}
+
 storage::Schema small_schema() {
   return storage::Schema({storage::int_col("id"), storage::int_col("v")});
+}
+
+// Only the headers count: the runs' bytes are not read.
+std::vector<uint16_t> slots_of(RunHeader run, size_t row_size) {
+  const SlotList slots = affected_slots(Runs({&run, 1}, nullptr), row_size,
+                                        100);
+  return {slots.begin(), slots.end()};
 }
 
 TEST(WriteSet, AffectedSlotsFromRowBytes) {
   storage::Schema s = small_schema();  // row_size 16
   // Bytes of slot 2: header + [32, 48).
-  const std::vector<ByteRun> runs{ByteRun{
-      uint32_t(storage::kPageHeader + 33), std::vector<std::byte>(4)}};
-  auto slots = affected_slots(runs, s.row_size(), 100);
-  EXPECT_EQ(slots, (std::vector<uint16_t>{2}));
+  EXPECT_EQ(slots_of({uint32_t(storage::kPageHeader + 33), 4}, s.row_size()),
+            (std::vector<uint16_t>{2}));
+  // Across the end of slot 2 into slot 3.
+  EXPECT_EQ(slots_of({uint32_t(storage::kPageHeader + 40), 9}, s.row_size()),
+            (std::vector<uint16_t>{2, 3}));
 }
 
 TEST(WriteSet, AffectedSlotsFromBitmap) {
   storage::Schema s = small_schema();
   // Bitmap byte 1 covers slots 8..15.
-  const std::vector<ByteRun> runs{ByteRun{1, std::vector<std::byte>(1)}};
-  auto slots = affected_slots(runs, s.row_size(), 100);
+  const auto slots = slots_of({1, 1}, s.row_size());
   ASSERT_EQ(slots.size(), 8u);
   EXPECT_EQ(slots.front(), 8u);
   EXPECT_EQ(slots.back(), 15u);
@@ -800,11 +931,8 @@ TEST(WriteSet, ApplyModIndexedReplaysInsert) {
   // slave — the slave must then serve index lookups for the new row.
   storage::Page before;  // page 0 starts empty on both
   auto rid = *master.insert_row(Row{int64_t{7}, int64_t{70}});
-  PageMod mod;
-  mod.pid = {0, rid.page};
-  mod.version = 1;
-  mod.runs = diff_pages(before, master.page(rid.page));
-  apply_mod_indexed(slave, mod);
+  const RunBuffer runs = diff(before, master.page(rid.page));
+  apply_mod_indexed(slave, PageMod{{0, rid.page}, 1, runs.view()});
   auto f = slave.pk_find(Key{int64_t{7}});
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(std::get<int64_t>(slave.read_row(*f)[1]), 70);
@@ -822,8 +950,8 @@ TEST(WriteSet, ApplyModIndexedReplaysDeleteAndUpdate) {
   auto r1 = *master.insert_row(Row{int64_t{1}, int64_t{10}});
   auto r2 = *master.insert_row(Row{int64_t{2}, int64_t{20}});
   (void)r2;
-  PageMod seed{{0, 0}, 1, diff_pages(empty, master.page(0))};
-  apply_mod_indexed(slave, seed);
+  const RunBuffer seed = diff(empty, master.page(0));
+  apply_mod_indexed(slave, PageMod{{0, 0}, 1, seed.view()});
   ASSERT_TRUE(master.pages_equal(slave));
 
   // Now delete row 1 and update row 2 on the master.
@@ -831,8 +959,8 @@ TEST(WriteSet, ApplyModIndexedReplaysDeleteAndUpdate) {
   master.delete_row(r1);
   auto f2 = *master.pk_find(Key{int64_t{2}});
   master.update_row(f2, Row{int64_t{2}, int64_t{99}});
-  PageMod mod{{0, 0}, 2, diff_pages(before, master.page(0))};
-  apply_mod_indexed(slave, mod);
+  const RunBuffer runs = diff(before, master.page(0));
+  apply_mod_indexed(slave, PageMod{{0, 0}, 2, runs.view()});
 
   EXPECT_FALSE(slave.pk_find(Key{int64_t{1}}).has_value());
   auto s2 = slave.pk_find(Key{int64_t{2}});
@@ -981,10 +1109,11 @@ TEST_P(RegionDiff, EqualsWholePageDiffAndRollsBackExactly) {
                                      ? old.page(u.pid.page)
                                      : storage::Page();
       const storage::Page& live = tb.page(u.pid.page);
-      EXPECT_TRUE(diff_undo(u, live, false) == diff_pages(full, live))
-          << "page " << u.pid.page;
-      EXPECT_TRUE(diff_undo(u, live, true) == diff_pages(live, full))
-          << "page " << u.pid.page;
+      RunBuffer forward, back;
+      diff_undo(u, live, false, forward);
+      diff_undo(u, live, true, back);
+      EXPECT_TRUE(forward == diff(full, live)) << "page " << u.pid.page;
+      EXPECT_TRUE(back == diff(live, full)) << "page " << u.pid.page;
       ++checked_pages;
     }
 
@@ -999,8 +1128,9 @@ TEST_P(RegionDiff, EqualsWholePageDiffAndRollsBackExactly) {
         const storage::Page full = u.pid.page < old.page_count()
                                        ? old.page(u.pid.page)
                                        : storage::Page();
-        const auto runs = diff_pages(t.page(u.pid.page), full);
-        if (!runs.empty()) apply_runs_reindex_all(t, u.pid.page, runs);
+        const RunBuffer runs = diff(t.page(u.pid.page), full);
+        if (!runs.headers.empty())
+          apply_runs_reindex_all(t, u.pid.page, runs.view());
       }
       EXPECT_TRUE(db.pages_equal(before));
       EXPECT_TRUE(db.pages_equal(whole));
@@ -1043,12 +1173,11 @@ TEST(WriteSet, RegionRunsMergeAcrossRegions) {
   const SavedRegion regions[] = {
       {90, 10, s + 90}, {103, 7, s + 103}, {200, 10, s + 200}};
   for (bool restore : {false, true}) {
-    const auto runs = diff_regions(live, regions, restore);
-    EXPECT_TRUE(runs == (restore ? diff_pages(live, saved)
-                                 : diff_pages(saved, live)));
-    ASSERT_EQ(runs.size(), 2u);
-    EXPECT_EQ(runs[0].offset, 98u);
-    EXPECT_EQ(runs[0].bytes.size(), 7u);
+    RunBuffer runs;
+    diff_regions(live, regions, restore, runs);
+    EXPECT_TRUE(runs == (restore ? diff(live, saved) : diff(saved, live)));
+    ASSERT_EQ(runs.headers.size(), 2u);
+    EXPECT_EQ(runs.headers[0], (RunHeader{98, 7}));
   }
 }
 
