@@ -151,6 +151,12 @@ void RbTree::clear() {
   size_ = 0;
 }
 
+RbTree RbTree::empty_like() const {
+  RbTree t(width_);
+  t.rotations_ = rotations_;
+  return t;
+}
+
 void RbTree::rotate_left(Node* x) {
   ++rotations_;
   Node* y = x->right;

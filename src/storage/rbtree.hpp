@@ -97,6 +97,9 @@ class RbTree {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   void clear();
+  // An empty tree of this key width that carries on rotations(): what
+  // clear() would leave here, built without touching this tree.
+  RbTree empty_like() const;
 
   // Rotations performed since construction; proxy for rebalancing cost.
   uint64_t rotations() const { return rotations_; }
